@@ -259,8 +259,8 @@ pub fn translate(formula: &Ltl) -> Gba {
 /// The legacy GPVW translation: tableau nodes keyed by their full
 /// `(Old, Next)` sets, no branch subsumption. This is the pre-reduction
 /// baseline — what the engines consumed before the automaton reduction
-/// pipeline existed, restored by `SPECMATCHER_NO_REDUCE=1` and used as
-/// the `pre` side of the benchmark accounting.
+/// pipeline existed, kept as the `pre` side of the benchmark accounting
+/// ([`crate::translation_reduction`]).
 pub fn translate_unreduced(formula: &Ltl) -> Gba {
     Translator::new(false).run(&formula.core_nnf())
 }

@@ -9,65 +9,18 @@ use dic_ltl::{LassoWord, Ltl};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Strict parse of the `SPECMATCHER_NO_REDUCE` escape hatch: unset or
-/// `"0"` keeps the reduction pipeline on (`Ok(true)`), `"1"` disables it
-/// (`Ok(false)`), and anything else — a typo like `"yes"` or `"  1"` —
-/// is rejected with a message naming the variable. Entry points validate
-/// this fail-closed (the `SPECMATCHER_BDD_NODE_LIMIT` contract), so a
-/// misspelled escape hatch surfaces as a usage error instead of silently
-/// picking a pipeline.
-pub fn reduction_from_env() -> Result<bool, String> {
-    match std::env::var("SPECMATCHER_NO_REDUCE") {
-        Err(_) => Ok(true),
-        Ok(v) if v == "0" => Ok(true),
-        Ok(v) if v == "1" => Ok(false),
-        Ok(v) => Err(format!(
-            "invalid SPECMATCHER_NO_REDUCE {v:?}: expected 0 (reduce) or 1 (raw GPVW)"
-        )),
-    }
-}
-
 /// Whether the automaton reduction pipeline (formula rewriting before the
-/// tableau, simulation-based reduction after it) is active. On by
-/// default; `SPECMATCHER_NO_REDUCE=1` disables it — the escape hatch for
-/// bisecting miscompares back to raw GPVW output. Read once per process;
-/// library callers reaching this point treat an unparseable value as the
-/// default (entry points have already rejected it via
-/// [`reduction_from_env`]).
+/// tableau, simulation-based reduction after it) is active. It always is;
+/// the function is kept for the benchmark's provenance record.
 pub fn reduction_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| reduction_from_env().unwrap_or(true))
-}
-
-/// The canonical cache key for a formula: its rewritten form when the
-/// reduction pipeline is on (so syntactically distinct but rewrite-equal
-/// formulas share one translation), the formula itself otherwise.
-fn canonical_key(formula: &Ltl) -> Ltl {
-    if reduction_enabled() {
-        formula.simplify()
-    } else {
-        formula.clone()
-    }
-}
-
-/// The full translation pipeline on an already-canonical formula:
-/// GPVW tableau (with on-the-fly cover merging), then post-translation
-/// reduction ([`crate::reduce`]). With `SPECMATCHER_NO_REDUCE=1` this is
-/// the raw tableau.
-fn translate_canonical(canonical: &Ltl) -> Gba {
-    if reduction_enabled() {
-        reduce(&translate(canonical))
-    } else {
-        crate::gba::translate_unreduced(canonical)
-    }
+    true
 }
 
 /// Pre/post sizes of the full reduction pipeline for `formula`: `pre` is
 /// the legacy GPVW tableau of the formula as written (what the engines
-/// consumed before the pipeline existed, and consume again under
-/// `SPECMATCHER_NO_REDUCE=1`), `post` the automaton they consume now
-/// (rewritten, tableau-pruned, reduced). Used by the benchmark reports;
-/// independent of the cache.
+/// consumed before the pipeline existed), `post` the automaton they
+/// consume now (rewritten, tableau-pruned, reduced). Used by the benchmark
+/// reports; independent of the cache.
 pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
     let pre = crate::gba::translate_unreduced(formula).stats();
     let (_, stats) = reduce_with_stats(&translate(&formula.simplify()));
@@ -115,13 +68,12 @@ impl GbaCache {
     /// The translation of `formula`, computed on first use.
     ///
     /// Misses are resolved through the formula's *canonical rewritten
-    /// form* (when the reduction pipeline is on), so syntactically
-    /// distinct but rewrite-equal formulas — common in the enumerated
-    /// candidate class of Algorithm 1, step 2(c) — share one tableau run
-    /// and one reduced automaton. The as-written formula is memoized as
-    /// an alias afterwards: repeat lookups (Algorithm 1's hottest path
-    /// issues thousands against the same few formulas) are a single hash,
-    /// never a rewrite.
+    /// form*, so syntactically distinct but rewrite-equal formulas —
+    /// common in the enumerated candidate class of Algorithm 1, step 2(c)
+    /// — share one tableau run and one reduced automaton. The as-written
+    /// formula is memoized as an alias afterwards: repeat lookups
+    /// (Algorithm 1's hottest path issues thousands against the same few
+    /// formulas) are a single hash, never a rewrite.
     pub fn get(&self, formula: &Ltl) -> Arc<Gba> {
         let mut map = self.map.lock().expect("cache poisoned");
         if let Some(g) = map.get(formula) {
@@ -130,7 +82,7 @@ impl GbaCache {
             }
             return Arc::clone(g);
         }
-        let key = canonical_key(formula);
+        let key = formula.simplify();
         let g = match map.get(&key) {
             Some(g) => {
                 if dic_trace::enabled() {
@@ -143,7 +95,7 @@ impl GbaCache {
                     dic_trace::count(dic_trace::Counter::GbaCacheMisses, 1);
                 }
                 let _span = dic_trace::span("automata.translate");
-                let g = Arc::new(translate_canonical(&key));
+                let g = Arc::new(reduce(&translate(&key)));
                 map.insert(key.clone(), Arc::clone(&g));
                 g
             }
@@ -501,17 +453,6 @@ mod tests {
             s.spawn(|| translate_cached(&f)).join().expect("worker")
         });
         assert!(Arc::ptr_eq(&first, &from_worker));
-    }
-
-    #[test]
-    fn reduction_env_parses_strictly() {
-        // Can't mutate the process environment safely under the parallel
-        // test harness; `reduction_from_env` reads the ambient value, so
-        // only the unset/default path is assertable here. The rejection
-        // paths are pinned end-to-end in tests/cli.rs, where each case
-        // runs in its own process.
-        assert_eq!(reduction_from_env(), Ok(true));
-        assert!(reduction_enabled());
     }
 
     #[test]

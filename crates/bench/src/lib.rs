@@ -1,62 +1,18 @@
-//! Shared measurement helpers for the benchmark harness.
+//! Table 1 reporting helpers shared by `specmatcher table1`, the tests
+//! and the benchmark probe.
 //!
 //! The paper's Table 1 decomposes SpecMatcher runtime into three phases per
 //! design: answering the primary coverage question, building `T_M`, and
-//! finding the gap. These helpers run exactly one phase so Criterion can
-//! time them in isolation, and [`measure_design`] reproduces a full table
-//! row with wall-clock timings.
+//! finding the gap. [`TableRow`] holds one measured row, [`gap_fingerprint`]
+//! renders a run's ordered gap properties (the byte-identity contract), and
+//! [`bench_table1_json`] writes the `BENCH_table1.json` document with the
+//! pre/post-reduction automaton sizes of [`design_reductions`].
 
-use dic_core::tm::{tm_for_modules, TmStyle};
-use dic_core::{
-    find_gap, primary_coverage, uncovered_terms, Backend, BmcMode, CoverageModel, CoverageRun,
-    GapConfig, SpecMatcher,
-};
-use dic_logic::SignalTable;
+use dic_core::{Backend, BmcMode, CoverageRun};
 use dic_designs::Design;
+use dic_logic::SignalTable;
 use dic_ltl::Ltl;
 use std::time::Duration;
-
-/// Builds the coverage model of a design (untimed setup shared by phases)
-/// with the explicit backend, preserving the paper-faithful measurement.
-pub fn build_model(design: &Design) -> CoverageModel {
-    build_model_with_backend(design, Backend::Explicit)
-}
-
-/// Builds the coverage model of a design with a chosen backend.
-pub fn build_model_with_backend(design: &Design, backend: Backend) -> CoverageModel {
-    CoverageModel::build_with_backend(&design.arch, &design.rtl, &design.table, backend)
-        .expect("packaged designs fit the backend limits")
-}
-
-/// Phase 1: the primary coverage question (Theorem 1) for the first
-/// architectural property, answered by the model's backend. Returns the
-/// refuting witness, if any.
-pub fn phase_primary(design: &Design, model: &CoverageModel) -> Option<dic_ltl::LassoWord> {
-    let fa = design.arch.properties()[0].formula();
-    primary_coverage(fa, &design.rtl, model).expect("within backend limits")
-}
-
-/// Phase 2: `T_M` construction (Definition 4, enumerated — what the paper
-/// times; pass [`TmStyle::Relational`] for the ablation).
-pub fn phase_tm(design: &Design, style: TmStyle) -> Ltl {
-    tm_for_modules(design.rtl.concrete(), &design.table, style)
-        .expect("packaged designs fit the explicit limits")
-}
-
-/// Phase 3: gap finding (Algorithm 1) for the first architectural property,
-/// on the model's gap backend.
-pub fn phase_gap(
-    design: &Design,
-    model: &CoverageModel,
-    config: &GapConfig,
-) -> (Vec<dic_ltl::TemporalCube>, usize) {
-    let fa = design.arch.properties()[0].formula();
-    let terms =
-        uncovered_terms(fa, &design.rtl, model, config).expect("within backend limits");
-    let gaps =
-        find_gap(fa, &terms, &design.rtl, model, config).expect("within backend limits");
-    (terms, gaps.len())
-}
 
 /// One measured Table 1 row.
 #[derive(Clone, Debug)]
@@ -108,56 +64,8 @@ pub fn gap_fingerprint(run: &CoverageRun, table: &SignalTable) -> Vec<String> {
         .collect()
 }
 
-/// The gap budget used for the Table 1 rows: enough to find the
-/// structure-preserving gap properties on every packaged design while
-/// keeping the wall clock in the tens of seconds, like the published runs.
-pub fn table1_config() -> GapConfig {
-    GapConfig {
-        max_terms: 3,
-        max_candidates: 32,
-        max_gap_properties: 4,
-        ..GapConfig::default()
-    }
-}
-
-/// Runs the full pipeline once and reports the row (used by `bin/table1`).
-pub fn measure_design(design: &Design, backend: Backend, bmc: BmcMode) -> TableRow {
-    let matcher = SpecMatcher::new(table1_config())
-        .with_tm_style(TmStyle::Enumerated)
-        .with_backend(backend)
-        .with_bmc(bmc);
-    let run = design.check(&matcher).expect("packaged design runs");
-    let fingerprint = gap_fingerprint(&run, &design.table);
-    TableRow {
-        circuit: design.name.to_owned(),
-        num_rtl: run.num_rtl_properties,
-        primary: run.timings.primary,
-        tm_build: run.timings.tm_build,
-        gap_find: run.timings.gap_find,
-        backend: run.backend,
-        gap_backend: run.gap_backend,
-        reorder: run.reorder,
-        jobs: run.jobs,
-        counters: run.counters,
-        bmc: run.bmc,
-        gap_fingerprint: fingerprint,
-    }
-}
-
-/// The paper's published Table 1 rows (2 GHz Pentium 4, seconds), for the
-/// shape comparison printed next to the measured values.
-pub fn paper_reference() -> Vec<(&'static str, usize, f64, f64, f64)> {
-    vec![
-        ("Memory Arb. Logic", 26, 4.7, 2.3, 26.1),
-        ("Intel Design", 12, 8.2, 0.9, 15.2),
-        ("ARM AMBA AHB", 29, 12.07, 9.8, 22.5),
-        ("Paper Ex. (Fig 1)", 2, 0.18, 0.06, 1.2),
-    ]
-}
-
-/// Where `table1 --json` (CLI and bench binary alike) writes its
-/// machine-readable row dump; CI uploads it as the nightly benchmark
-/// trajectory artifact.
+/// Where `specmatcher table1 --json` writes its machine-readable row dump;
+/// CI uploads it as the nightly benchmark trajectory artifact.
 pub const BENCH_TABLE1_PATH: &str = "BENCH_table1.json";
 
 /// Automaton accounting for one spec conjunct: its name and the pre/post
@@ -208,8 +116,7 @@ pub fn bench_table1_json(
     let _ = write!(
         out,
         "{{\"schema\":\"specmatcher-bench-table1/1\",\"requested_backend\":\"{requested}\",\
-         \"reduction_enabled\":{},\"designs\":[",
-        dic_automata::reduction_enabled()
+         \"designs\":["
     );
     for (i, (row, conjuncts)) in rows.iter().enumerate() {
         if i > 0 {

@@ -16,17 +16,8 @@ pub enum CoreError {
     /// The symbolic engine exceeded its resource budget (or was handed a
     /// signal it cannot interpret).
     Symbolic(SymbolicError),
-    /// A phase was forced onto a backend whose engine is not available
-    /// for this model (e.g. an explicit gap phase requested on a model
-    /// built symbolic-only, past the explicit state limit).
-    BackendUnavailable {
-        /// The analysis phase that needed the engine (`"gap"`).
-        phase: &'static str,
-        /// The backend that was requested.
-        requested: crate::backend::Backend,
-    },
     /// An environment override (`SPECMATCHER_JOBS`,
-    /// `SPECMATCHER_NO_REDUCE`, …) failed its strict parse. Fail-closed
+    /// `SPECMATCHER_BMC_DEPTH`) failed its strict parse. Fail-closed
     /// like the CLI's flag errors: a typo must not silently select a
     /// default.
     InvalidEnv(String),
@@ -46,7 +37,7 @@ impl CoreError {
     /// and cooperative deadline trips stop cleanly between steps, so the
     /// run can keep every verdict settled before them and report the rest
     /// as unknown. Configuration and spec errors (`InvalidEnv`,
-    /// `BackendUnavailable`, `UnknownArchSignal`, netlist failures) stay
+    /// `UnknownArchSignal`, netlist failures) stay
     /// fatal — there is nothing partial about a run that was never valid.
     pub fn is_degradable(&self) -> bool {
         matches!(
@@ -75,11 +66,6 @@ impl fmt::Display for CoreError {
             CoreError::Netlist(e) => write!(f, "netlist error: {e}"),
             CoreError::Fsm(e) => write!(f, "state-space error: {e}"),
             CoreError::Symbolic(e) => write!(f, "symbolic-engine error: {e}"),
-            CoreError::BackendUnavailable { phase, requested } => write!(
-                f,
-                "the {requested} backend is not available for the {phase} phase of this \
-                 model (build the model with a backend that constructs it, or use auto)"
-            ),
             CoreError::InvalidEnv(msg) => write!(f, "invalid environment option: {msg}"),
             CoreError::UnknownArchSignal { name } => write!(
                 f,
@@ -96,7 +82,6 @@ impl Error for CoreError {
             CoreError::Netlist(e) => Some(e),
             CoreError::Fsm(e) => Some(e),
             CoreError::Symbolic(e) => Some(e),
-            CoreError::BackendUnavailable { .. } => None,
             CoreError::InvalidEnv(_) => None,
             CoreError::UnknownArchSignal { .. } => None,
         }

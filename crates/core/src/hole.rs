@@ -1,6 +1,5 @@
 //! Coverage holes: Theorem 2 and gap-closure checks.
 
-use crate::backend::Backend;
 use crate::error::CoreError;
 use crate::model::CoverageModel;
 use crate::spec::RtlSpec;
@@ -26,9 +25,8 @@ pub fn exact_hole(fa: &Ltl, rtl: &RtlSpec, tm: &Ltl) -> Ltl {
 /// (Definition 3).
 ///
 /// Dispatches through the model's gap backend (explicit factored products
-/// or the symbolic closure engine — [`CoverageModel::gap_backend`] with
-/// [`Backend::Auto`]), so it works on models beyond the explicit state
-/// limit.
+/// or the symbolic closure engine — [`CoverageModel::gap_backend`]), so
+/// it works on models beyond the explicit state limit.
 ///
 /// # Errors
 ///
@@ -59,7 +57,7 @@ pub fn closure_witness(
     rtl: &RtlSpec,
     model: &CoverageModel,
 ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-    let backend = model.gap_backend(Backend::Auto)?;
+    let backend = model.gap_backend()?;
     // `R ∧ ¬fa` is shared by every closure query for `fa`; its product
     // with `M` is materialized once and memoized in the serving engine.
     let mut base: Vec<Ltl> = rtl.formulas().to_vec();

@@ -89,6 +89,57 @@ pub use weaken::{
     UnknownGap,
 };
 
+/// The `SPECMATCHER_*` environment variables the program reads.
+/// [`validate_env`] rejects every other `SPECMATCHER_*` name.
+const KNOWN_ENV: [&str; 7] = [
+    "SPECMATCHER_BDD_CLUSTER_SIZE",
+    "SPECMATCHER_BDD_NODE_LIMIT",
+    "SPECMATCHER_BDD_PARTITION",
+    "SPECMATCHER_BMC_DEPTH",
+    "SPECMATCHER_FAULT",
+    "SPECMATCHER_JOBS",
+    "SPECMATCHER_TIMEOUT",
+];
+
+/// Startup audit of every `SPECMATCHER_*` override with a strict parse:
+/// `SPECMATCHER_JOBS`, `SPECMATCHER_BMC_DEPTH`,
+/// `SPECMATCHER_BDD_NODE_LIMIT`, `SPECMATCHER_BDD_PARTITION`,
+/// `SPECMATCHER_BDD_CLUSTER_SIZE`, `SPECMATCHER_TIMEOUT` and
+/// `SPECMATCHER_FAULT`. Any other `SPECMATCHER_*` name — a typo, or a
+/// retired knob — is rejected too, so it cannot be silently ignored.
+/// Returns the first offending setting's message.
+///
+/// Model construction re-validates these fail-closed, but the library
+/// paths that merely *read* them (`GapConfig::effective_jobs`, the BMC
+/// depth resolution) deliberately swallow garbage and fall back to
+/// defaults — safe only because every binary entry point calls this (or
+/// builds a model) before any of those reads. Binaries should treat an
+/// `Err` as a usage error (exit 2).
+///
+/// # Errors
+///
+/// The offending variable's message, naming the variable and the
+/// expected form.
+pub fn validate_env() -> Result<(), String> {
+    let mut unknown: Vec<String> = std::env::vars_os()
+        .filter_map(|(k, _)| k.into_string().ok())
+        .filter(|k| k.starts_with("SPECMATCHER_") && !KNOWN_ENV.contains(&k.as_str()))
+        .collect();
+    unknown.sort();
+    if let Some(name) = unknown.first() {
+        return Err(format!(
+            "unknown environment variable {name} (known: {})",
+            KNOWN_ENV.join(", ")
+        ));
+    }
+    backend::jobs_from_env()?;
+    bmc::bmc_depth_from_env()?;
+    SymbolicOptions::from_env().map_err(|e| e.to_string())?;
+    dic_fault::timeout_from_env()?;
+    dic_fault::fault_from_env()?;
+    Ok(())
+}
+
 /// Theorem 1 (primary coverage question): the RTL specification covers the
 /// architectural property `fa` iff `¬fa ∧ R` is false in the model of the
 /// concrete modules. Returns `Ok(None)` when covered, or the witness run
@@ -102,34 +153,6 @@ pub use weaken::{
 ///
 /// [`CoreError::Symbolic`] if the symbolic backend exceeds its node budget
 /// mid-analysis (the explicit backend cannot fail once built).
-/// Startup audit of every `SPECMATCHER_*` override with a strict parse:
-/// `SPECMATCHER_NO_REDUCE`, `SPECMATCHER_JOBS`, `SPECMATCHER_BMC_DEPTH`,
-/// `SPECMATCHER_BDD_PARTITION`, `SPECMATCHER_BDD_CLUSTER_SIZE`,
-/// `SPECMATCHER_TIMEOUT` and `SPECMATCHER_FAULT`.
-/// Returns the first offending setting's message.
-///
-/// Model construction re-validates these fail-closed, but the library
-/// paths that merely *read* them (`reduction_enabled()`,
-/// `GapConfig::effective_jobs`, the BMC depth resolution) deliberately
-/// swallow garbage and fall back to defaults — safe only because every
-/// binary entry point calls this (or builds a model) before any of those
-/// reads. Binaries should treat an `Err` as a usage error (exit 2).
-///
-/// # Errors
-///
-/// The offending variable's message, naming the variable and the
-/// expected form.
-pub fn validate_env() -> Result<(), String> {
-    dic_automata::reduction_from_env()?;
-    backend::jobs_from_env()?;
-    bmc::bmc_depth_from_env()?;
-    dic_symbolic::partition_from_env().map_err(|e| e.to_string())?;
-    dic_symbolic::cluster_size_from_env().map_err(|e| e.to_string())?;
-    dic_fault::timeout_from_env()?;
-    dic_fault::fault_from_env()?;
-    Ok(())
-}
-
 pub fn primary_coverage(
     fa: &dic_ltl::Ltl,
     rtl: &RtlSpec,

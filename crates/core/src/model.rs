@@ -26,10 +26,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Both the primary coverage question (Theorem 1) and the gap phase
 /// (Algorithm 1) dispatch per phase: [`CoverageModel::build`] resolves
 /// [`Backend::Auto`] by state-bit count at build time (see
-/// [`CoverageModel::primary_backend`]), and the gap phase re-resolves its
-/// own engine per run via [`CoverageModel::gap_backend`] (the symbolic
-/// engine is built lazily when the gap phase asks for it on a model that
-/// was built explicit).
+/// [`CoverageModel::primary_backend`]), and resolves the gap phase's own
+/// engine at the same time ([`CoverageModel::gap_backend`]).
 #[derive(Debug)]
 pub struct CoverageModel {
     composed: Module,
@@ -49,8 +47,8 @@ pub struct CoverageModel {
     sym_options: SymbolicOptions,
     /// The engine answering primary queries (`Explicit` or `Symbolic`).
     primary_backend: Backend,
-    /// Auto resolution for the gap phase (`Explicit` or `Symbolic`).
-    auto_gap_backend: Backend,
+    /// The engine the gap phase runs on (`Explicit` or `Symbolic`).
+    gap_backend: Backend,
     /// Nondeterministic inputs: module primary inputs + free spec signals.
     inputs: Vec<SignalId>,
     observable: BTreeSet<SignalId>,
@@ -96,9 +94,8 @@ impl CoverageModel {
     /// [`AUTO_SYMBOLIC_PRODUCT_COST`] predicted product cost (a wide
     /// conjunction over a small design is just as explicit-hostile as a
     /// large state space) — for *both* phases, since the gap engine
-    /// (Algorithm 1) runs symbolically too. A model built explicit can
-    /// still serve symbolic gap queries: the symbolic engine is built
-    /// lazily on first demand ([`CoverageModel::gap_backend`]).
+    /// (Algorithm 1) runs symbolically too. The gap engine is resolved
+    /// here, once ([`CoverageModel::gap_backend`]).
     ///
     /// Symbolic-engine options come from [`SymbolicOptions::from_env`]
     /// (with defaults: the stock node budget, dynamic reordering on); use
@@ -140,8 +137,7 @@ impl CoverageModel {
         // Strict environment validation, fail-closed like the symbolic
         // options' node-limit parse: a typo in an override must surface
         // as a usage error before any analysis runs, never silently
-        // select a default pipeline or worker count.
-        dic_automata::reduction_from_env().map_err(CoreError::InvalidEnv)?;
+        // select a default worker count or unroll depth.
         crate::backend::jobs_from_env().map_err(CoreError::InvalidEnv)?;
         crate::bmc::bmc_depth_from_env().map_err(CoreError::InvalidEnv)?;
 
@@ -222,13 +218,13 @@ impl CoverageModel {
                 }
             }
         };
-        // Per-phase Auto resolution for the gap phase: below the crossover
-        // the explicit factored products win; above it (or whenever no
-        // explicit structure exists) the symbolic gap engine takes over.
-        let auto_gap_backend = if kripke.is_some() && !explicit_hostile {
-            Backend::Explicit
-        } else {
-            Backend::Symbolic
+        // The gap engine: a forced backend runs both phases; under Auto,
+        // below the crossover the explicit factored products win, above
+        // it the symbolic gap engine takes over.
+        let gap_backend = match backend {
+            Backend::Auto if explicit_hostile => Backend::Symbolic,
+            Backend::Auto => Backend::Explicit,
+            forced => forced,
         };
 
         // Observable: the architectural alphabet plus every nondeterministic
@@ -268,7 +264,7 @@ impl CoverageModel {
             symbolic: Mutex::new(symbolic),
             sym_options: options,
             primary_backend,
-            auto_gap_backend,
+            gap_backend,
             inputs: input_vars,
             observable,
             hidden,
@@ -384,53 +380,31 @@ impl CoverageModel {
         }
     }
 
-    /// The engine [`CoverageModel::gap_backend`] would resolve `requested`
-    /// to, *without* ensuring the engine is built — for reporting (the
-    /// pipeline labels runs before knowing whether any property even needs
-    /// a gap phase).
-    pub fn gap_backend_choice(&self, requested: Backend) -> Backend {
-        match requested {
-            Backend::Auto => self.auto_gap_backend,
-            forced => forced,
-        }
+    /// The engine the gap phase runs on, *without* ensuring it is built —
+    /// for reporting (the pipeline labels runs before knowing whether any
+    /// property even needs a gap phase). The gap engine is resolved once,
+    /// at build, from the backend the model was built with, so `_requested`
+    /// is ignored; the parameter keeps the benchmark probe's call working.
+    pub fn gap_backend_choice(&self, _requested: Backend) -> Backend {
+        self.gap_backend
     }
 
-    /// Resolves the engine the gap phase (Algorithm 1) runs on and
-    /// ensures it is available: [`Backend::Auto`] follows the build-time
-    /// per-phase resolution (explicit below the crossover, symbolic above
-    /// or when no explicit structure exists); a forced backend is honored
-    /// when its engine is available — the symbolic engine is built lazily
-    /// on first demand, the explicit one must have been built with the
-    /// model.
+    /// The engine the gap phase (Algorithm 1) runs on, ensuring it is
+    /// available: a forced backend runs both phases, and [`Backend::Auto`]
+    /// resolves by the build-time crossover (explicit below it, symbolic
+    /// above). The explicit engine is always built with a model whose gap
+    /// engine it is; the symbolic one is rebuilt here if a panicking
+    /// worker discarded it.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BackendUnavailable`] when [`Backend::Explicit`] is
-    /// forced on a model built without the explicit structure;
     /// [`CoreError::Symbolic`] when the lazy symbolic build exceeds its
     /// node budget.
-    pub fn gap_backend(&self, requested: Backend) -> Result<Backend, CoreError> {
-        match requested {
-            Backend::Auto => {
-                if self.auto_gap_backend == Backend::Symbolic {
-                    self.ensure_symbolic()?;
-                }
-                Ok(self.auto_gap_backend)
-            }
-            Backend::Explicit => {
-                if !self.has_explicit() {
-                    return Err(CoreError::BackendUnavailable {
-                        phase: "gap",
-                        requested,
-                    });
-                }
-                Ok(Backend::Explicit)
-            }
-            Backend::Symbolic => {
-                self.ensure_symbolic()?;
-                Ok(Backend::Symbolic)
-            }
+    pub fn gap_backend(&self) -> Result<Backend, CoreError> {
+        if self.gap_backend == Backend::Symbolic {
+            self.ensure_symbolic()?;
         }
+        Ok(self.gap_backend)
     }
 
     /// Locks the symbolic engine, recovering from a poisoned lock: a gap

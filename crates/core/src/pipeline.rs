@@ -292,13 +292,10 @@ impl SpecMatcher {
     }
 
     /// Selects the model-checking backend for *both* phases: the primary
-    /// coverage question (resolved at model-build time) and the gap phase
-    /// (this also sets [`GapConfig::backend`], so forcing `explicit` or
-    /// `symbolic` here is honored end to end). For a per-phase split,
-    /// set [`GapConfig::backend`] on the configuration instead.
+    /// coverage question and the gap phase, each resolved when the model
+    /// is built ([`CoverageModel::gap_backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self.config.backend = backend;
         self
     }
 
@@ -422,7 +419,7 @@ impl SpecMatcher {
             c.tm_build.merge(&b.delta_since());
         }
 
-        let gap_backend = model.gap_backend_choice(self.config.backend);
+        let gap_backend = model.gap_backend_choice(self.backend);
         let requested_jobs = self.config.effective_jobs();
         let jobs = JobsStats {
             requested: requested_jobs,

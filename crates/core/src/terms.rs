@@ -12,10 +12,11 @@
 //! paper's step 2(b).
 //!
 //! Every scenario query dispatches through the model's gap backend
-//! ([`GapConfig::backend`]): the explicit engine answers it on memoized
-//! factored products, the symbolic engine by pushing the scenario cube
-//! through the cached base product's frontier BDDs — so term enumeration
-//! works (and stays fast) on models far beyond the explicit state limit.
+//! ([`CoverageModel::gap_backend`]): the explicit engine answers it on
+//! memoized factored products, the symbolic engine by pushing the
+//! scenario cube through the cached base product's frontier BDDs — so term
+//! enumeration works (and stays fast) on models far beyond the explicit
+//! state limit.
 
 use crate::backend::Backend;
 use crate::error::CoreError;
@@ -61,7 +62,7 @@ pub fn uncovered_terms_with_runs(
     model: &CoverageModel,
     config: &GapConfig,
 ) -> Result<(Vec<TemporalCube>, Vec<LassoWord>), CoreError> {
-    let backend = model.gap_backend(config.backend)?;
+    let backend = model.gap_backend()?;
     let base: Vec<Ltl> = rtl
         .formulas()
         .iter()

@@ -63,11 +63,6 @@ pub struct GapConfig {
     /// terms and Theorem 2's exact hole instead. The bound is a property
     /// of the formula alone, so both backends skip identically.
     pub max_intent_depth: usize,
-    /// The engine the gap phase runs on. [`Backend::Auto`] (the default)
-    /// follows the model's per-phase resolution: explicit below the
-    /// state-bit crossover, symbolic above it or whenever the model has no
-    /// explicit structure. See [`CoverageModel::gap_backend`].
-    pub backend: Backend,
     /// Worker threads for candidate closure verification (the parallel
     /// stage of Algorithm 1). `0` — the default — resolves through
     /// [`GapConfig::effective_jobs`]: `SPECMATCHER_JOBS` when set, the
@@ -88,7 +83,6 @@ impl Default for GapConfig {
             max_offset: 2,
             max_gap_properties: 24,
             max_intent_depth: 8,
-            backend: Backend::Auto,
             jobs: 0,
         }
     }
@@ -212,13 +206,12 @@ struct Candidate {
 /// [`exact_hole`](crate::exact_hole)).
 ///
 /// Candidate verification dispatches through the gap backend
-/// ([`GapConfig::backend`]); both engines answer it on one memoized base
-/// product per property.
+/// ([`CoverageModel::gap_backend`]); both engines answer it on one
+/// memoized base product per property.
 ///
 /// # Errors
 ///
-/// Backend resolution and symbolic-engine failures; see
-/// [`CoverageModel::gap_backend`].
+/// Symbolic-engine failures; see [`CoverageModel::gap_backend`].
 pub fn find_gap(
     fa: &Ltl,
     terms: &[TemporalCube],
@@ -274,7 +267,7 @@ pub fn find_gap_outcome(
     model: &CoverageModel,
     config: &GapConfig,
 ) -> Result<GapOutcome, CoreError> {
-    let backend = model.gap_backend(config.backend)?;
+    let backend = model.gap_backend()?;
     if terms.is_empty() {
         // No uncovered scenario was found (covered property, or the
         // enumeration budget produced nothing): there is no gap for the

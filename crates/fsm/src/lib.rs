@@ -44,9 +44,7 @@
 pub mod error;
 pub mod fsm;
 pub mod kripke;
-pub mod minimize;
 
 pub use error::FsmError;
 pub use fsm::{extract_fsm, Fsm, FsmTransition};
-pub use minimize::{quotient, Quotient};
 pub use kripke::{Kripke, StateId, KRIPKE_BIT_LIMIT};

@@ -37,18 +37,12 @@
 //! # }
 //! ```
 
-pub mod equiv;
 pub mod error;
 pub mod module;
-pub mod opt;
 pub mod sim;
 pub mod snl;
-pub mod vcd;
 
-pub use equiv::{equiv_check, EquivVerdict};
 pub use error::NetlistError;
-pub use opt::{constant_fold, infer_constants, prune_dead, FoldReport};
 pub use module::{Latch, Module, ModuleBuilder, Wire};
 pub use sim::{Simulator, Trace};
 pub use snl::parse_snl;
-pub use vcd::to_vcd;

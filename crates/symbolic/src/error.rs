@@ -40,13 +40,6 @@ pub enum SymbolicError {
         /// The offending value, verbatim.
         value: String,
     },
-    /// The `SPECMATCHER_REORDER_LOG` environment variable is set to
-    /// something other than `0` or `1`. Same fail-closed contract as the
-    /// node limit: a typo must not silently pick a behaviour.
-    InvalidReorderLog {
-        /// The offending value, verbatim.
-        value: String,
-    },
     /// The `SPECMATCHER_BDD_PARTITION` environment variable is set to
     /// something other than `off` or `auto`. A typo'd mode must not
     /// silently pick a transition-relation representation.
@@ -93,11 +86,6 @@ impl fmt::Display for SymbolicError {
                 f,
                 "invalid SPECMATCHER_BDD_NODE_LIMIT value {value:?}: expected a \
                  positive node count, optionally with a K or M suffix (e.g. 96M)"
-            ),
-            SymbolicError::InvalidReorderLog { value } => write!(
-                f,
-                "invalid SPECMATCHER_REORDER_LOG value {value:?}: expected 0 (off) or \
-                 1 (log reorders to stderr; deprecated — prefer --trace-out <path>)"
             ),
             SymbolicError::InvalidPartitionMode { value } => write!(
                 f,

@@ -56,7 +56,6 @@ pub mod terms;
 pub use check::translate_all;
 pub use error::SymbolicError;
 pub use model::{
-    cluster_size_from_env, partition_from_env, reorder_log_from_env, PartitionMode, ReorderMode,
-    ReorderStats, SymbolicModel, SymbolicOptions, DEFAULT_CLUSTER_SIZE, DEFAULT_NODE_LIMIT,
-    REORDER_FIRST_TRIGGER,
+    PartitionMode, ReorderMode, ReorderStats, SymbolicModel, SymbolicOptions, DEFAULT_CLUSTER_SIZE,
+    DEFAULT_NODE_LIMIT, REORDER_FIRST_TRIGGER,
 };

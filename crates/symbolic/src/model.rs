@@ -189,11 +189,6 @@ pub struct SymbolicOptions {
     /// Node count arming the first automatic reorder (tests lower it to
     /// exercise reordering on small models).
     pub reorder_trigger: usize,
-    /// Legacy stderr logging of reorder outcomes (the old
-    /// `SPECMATCHER_REORDER_LOG=1` behaviour). Deprecated in favour of
-    /// the structured `bdd.reorder`/`bdd.compact` trace events
-    /// (`--trace-out`); kept as a line-oriented escape hatch.
-    pub reorder_log: bool,
     /// Transition-relation representation (clustered vs per-conjunct).
     pub partition: PartitionMode,
     /// Cluster-size cap (BDD nodes) under [`PartitionMode::Auto`].
@@ -210,7 +205,6 @@ impl Default for SymbolicOptions {
             node_limit: DEFAULT_NODE_LIMIT,
             reorder: ReorderMode::default(),
             reorder_trigger: REORDER_FIRST_TRIGGER,
-            reorder_log: false,
             partition: PartitionMode::default(),
             cluster_size: DEFAULT_CLUSTER_SIZE,
         }
@@ -218,28 +212,37 @@ impl Default for SymbolicOptions {
 }
 
 impl SymbolicOptions {
-    /// The default options with the `SPECMATCHER_BDD_NODE_LIMIT`
-    /// environment override applied (an escape hatch for models just past
-    /// [`DEFAULT_NODE_LIMIT`] on machines with memory to spare — the limit
-    /// exists to fail closed, not to cap capability). The value is a node
-    /// count, optionally with a `K`/`M` suffix (`24M`, `96m`, `500K`).
+    /// The default options with the three BDD environment overrides
+    /// applied, each strict-parsed (unset means the default):
+    ///
+    /// * `SPECMATCHER_BDD_NODE_LIMIT` — the node budget, a count with an
+    ///   optional `K`/`M` suffix (`24M`, `96m`, `500K`); an escape hatch
+    ///   for models just past [`DEFAULT_NODE_LIMIT`] on machines with
+    ///   memory to spare (the limit exists to fail closed, not to cap
+    ///   capability);
+    /// * `SPECMATCHER_BDD_PARTITION` — `off` or `auto`;
+    /// * `SPECMATCHER_BDD_CLUSTER_SIZE` — the cluster-size cap, a count
+    ///   with the same suffixes.
     ///
     /// # Errors
     ///
-    /// [`SymbolicError::InvalidNodeLimit`] when the variable is set but
-    /// does not parse — a typo'd limit must not silently become the
+    /// [`SymbolicError::InvalidNodeLimit`],
+    /// [`SymbolicError::InvalidPartitionMode`] or
+    /// [`SymbolicError::InvalidClusterSize`] when a variable is set but
+    /// does not parse — a typo'd override must not silently become the
     /// default it was meant to replace.
     pub fn from_env() -> Result<Self, SymbolicError> {
         let mut opts = SymbolicOptions::default();
         if let Ok(v) = std::env::var("SPECMATCHER_BDD_NODE_LIMIT") {
             opts.node_limit = parse_node_limit(&v)?;
         }
-        opts.reorder_log = reorder_log_from_env()?;
-        if let Some(mode) = partition_from_env()? {
-            opts.partition = mode;
+        if let Ok(v) = std::env::var("SPECMATCHER_BDD_PARTITION") {
+            opts.partition =
+                PartitionMode::parse(&v).ok_or(SymbolicError::InvalidPartitionMode { value: v })?;
         }
-        if let Some(n) = cluster_size_from_env()? {
-            opts.cluster_size = n;
+        if let Ok(v) = std::env::var("SPECMATCHER_BDD_CLUSTER_SIZE") {
+            opts.cluster_size =
+                parse_scaled_count(&v).ok_or(SymbolicError::InvalidClusterSize { value: v })?;
         }
         Ok(opts)
     }
@@ -255,64 +258,6 @@ impl SymbolicOptions {
     pub fn with_partition(mut self, mode: PartitionMode) -> Self {
         self.partition = mode;
         self
-    }
-}
-
-/// Strict parse of `SPECMATCHER_BDD_PARTITION` (`off`/`auto`; unset means
-/// no override). Typos are errors, not silent defaults.
-///
-/// # Errors
-///
-/// [`SymbolicError::InvalidPartitionMode`] for any other value.
-pub fn partition_from_env() -> Result<Option<PartitionMode>, SymbolicError> {
-    match std::env::var("SPECMATCHER_BDD_PARTITION") {
-        Err(_) => Ok(None),
-        Ok(v) => match PartitionMode::parse(&v) {
-            Some(mode) => Ok(Some(mode)),
-            None => Err(SymbolicError::InvalidPartitionMode { value: v }),
-        },
-    }
-}
-
-/// Strict parse of `SPECMATCHER_BDD_CLUSTER_SIZE` (positive node count
-/// with an optional `K`/`M` suffix; unset means the default).
-///
-/// # Errors
-///
-/// [`SymbolicError::InvalidClusterSize`] when set but unparsable.
-pub fn cluster_size_from_env() -> Result<Option<usize>, SymbolicError> {
-    match std::env::var("SPECMATCHER_BDD_CLUSTER_SIZE") {
-        Err(_) => Ok(None),
-        Ok(v) => match parse_scaled_count(&v) {
-            Some(n) => Ok(Some(n)),
-            None => Err(SymbolicError::InvalidClusterSize { value: v }),
-        },
-    }
-}
-
-/// Strict parse of the deprecated `SPECMATCHER_REORDER_LOG` stderr log
-/// switch: unset or `"0"` is off, `"1"` turns it on (with a one-time
-/// deprecation note pointing at `--trace-out`), anything else is
-/// rejected — the `SPECMATCHER_NO_REDUCE`/`SPECMATCHER_JOBS` contract.
-///
-/// # Errors
-///
-/// [`SymbolicError::InvalidReorderLog`] for any other value.
-pub fn reorder_log_from_env() -> Result<bool, SymbolicError> {
-    match std::env::var("SPECMATCHER_REORDER_LOG") {
-        Err(_) => Ok(false),
-        Ok(v) if v == "0" => Ok(false),
-        Ok(v) if v == "1" => {
-            static DEPRECATION: std::sync::Once = std::sync::Once::new();
-            DEPRECATION.call_once(|| {
-                eprintln!(
-                    "note: SPECMATCHER_REORDER_LOG is deprecated; reorder/compaction \
-                     events are part of the structured trace — prefer --trace-out <path>"
-                );
-            });
-            Ok(true)
-        }
-        Ok(v) => Err(SymbolicError::InvalidReorderLog { value: v }),
     }
 }
 
@@ -730,19 +675,6 @@ impl SymbolicModel {
                 ],
             );
         }
-        // Legacy line-oriented diagnostics (`SPECMATCHER_REORDER_LOG=1`,
-        // deprecated); off by default.
-        if self.options.reorder_log {
-            eprintln!(
-                "reorder: store {} -> live {} -> {}{} in {:.2?}",
-                outcome.store_before,
-                outcome.live_before,
-                outcome.live_after,
-                if outcome.sifted { " (sifted)" } else { "" },
-                t0.elapsed(),
-            );
-        }
-
         // Checkpoints into the old node store are meaningless now; the
         // rebuild already collected everything outside the root set.
         self.scratch_base = None;

@@ -582,17 +582,6 @@ fn cmd_table1_quick(
         options = options.with_partition(p);
     }
 
-    // The reduction pipeline must be on unless the bisection escape hatch
-    // was pulled; CI asserts both states of this line.
-    println!(
-        "automaton reduction: {} (SPECMATCHER_NO_REDUCE)",
-        if dic_automata::reduction_enabled() {
-            "on"
-        } else {
-            "off"
-        }
-    );
-
     // (design, primary coverage holds?)
     let rows: Vec<(Design, bool)> = vec![
         (mal::mal26(), false),

@@ -4,14 +4,14 @@
 //! or tableau regression then shows up as a *diff in this table*, not as
 //! an unexplained slowdown three layers downstream.
 //!
-//! The `pre` numbers are the legacy (pre-pipeline) GPVW tableau — what
-//! `SPECMATCHER_NO_REDUCE=1` restores. The paper's Table-1 RTL suites are
-//! dominated by shallow `G(x -> X y)`-class safety properties whose
-//! tableaus are already simulation-minimal; the pipeline's measured wins
-//! are on the `U`/`F`-shaped liveness conjuncts pinned as strict
-//! decreases below, and (above all) on the deep weakened-candidate
-//! automata of Algorithm 1's closure loop, which are not per-design
-//! constants and are exercised by `tests/reduction_equivalence.rs`.
+//! The `pre` numbers are the legacy (pre-pipeline) GPVW tableau. The
+//! paper's Table-1 RTL suites are dominated by shallow `G(x -> X y)`-class
+//! safety properties whose tableaus are already simulation-minimal; the
+//! pipeline's measured wins are on the `U`/`F`-shaped liveness conjuncts
+//! pinned as strict decreases below, and (above all) on the deep
+//! weakened-candidate automata of Algorithm 1's closure loop, which are
+//! not per-design constants and are exercised by
+//! `tests/reduction_equivalence.rs`.
 
 use specmatcher::automata::translation_reduction;
 use specmatcher::designs::table1_designs;

@@ -113,18 +113,28 @@ fn resource_refusals_exit_three() {
 #[test]
 fn invalid_node_limit_is_rejected_loudly() {
     // A typo'd SPECMATCHER_BDD_NODE_LIMIT must not silently fall back to
-    // the default — that is a usage error (2) with a clear message.
-    for bad in ["24Q", "", "-5", "twelve", "0", "18446744073709551615M"] {
+    // the default — that is a usage error (2) with a clear message. `list`
+    // builds no model, so its rejection comes from the startup audit.
+    let check: &[&str] = &["check", "--design", "mal-ex1", "--backend", "symbolic"];
+    let cases = ["24Q", "", "-5", "twelve", "0", "18446744073709551615M"]
+        .map(|bad| (check, bad))
+        .into_iter()
+        .chain([(&["list"][..], "24Q")]);
+    for (args, bad) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
-            .args(["check", "--design", "mal-ex1", "--backend", "symbolic"])
+            .args(args)
             .env("SPECMATCHER_BDD_NODE_LIMIT", bad)
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "value {bad:?} must be rejected");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} with {bad:?} must be rejected"
+        );
         let stderr = String::from_utf8(out.stderr).expect("utf8");
         assert!(
             stderr.contains("invalid SPECMATCHER_BDD_NODE_LIMIT"),
-            "value {bad:?}: {stderr}"
+            "{args:?} with {bad:?}: {stderr}"
         );
     }
     // Suffixed values are accepted (24M is exactly the default).
@@ -137,32 +147,26 @@ fn invalid_node_limit_is_rejected_loudly() {
 }
 
 #[test]
-fn invalid_no_reduce_is_rejected_loudly() {
-    // The reduction escape hatch takes exactly "0" (reduce, the default)
-    // or "1" (raw GPVW tableaus). A typo'd value must not silently pick
-    // either — running a bisection with the hatch half-engaged is worse
-    // than refusing: usage error (2) with a clear message.
-    for bad in ["2", "yes", "true", "", "01", "on"] {
+fn unknown_env_names_are_rejected_loudly() {
+    // A SPECMATCHER_* name the program does not read — a typo, or a
+    // retired knob — must not be silently ignored: usage error (2) naming
+    // the variable, before any work.
+    for (name, value) in [
+        ("SPECMATCHER_NO_REDUCE", "1"),
+        ("SPECMATCHER_REORDER_LOG", "1"),
+        ("SPECMATCHER_JOSB", "4"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
             .args(["check", "--design", "mal-ex1"])
-            .env("SPECMATCHER_NO_REDUCE", bad)
+            .env(name, value)
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "value {bad:?} must be rejected");
+        assert_eq!(out.status.code(), Some(2), "{name} must be rejected");
         let stderr = String::from_utf8(out.stderr).expect("utf8");
         assert!(
-            stderr.contains("invalid SPECMATCHER_NO_REDUCE"),
-            "value {bad:?}: {stderr}"
+            stderr.contains(&format!("unknown environment variable {name}")),
+            "{name}: {stderr}"
         );
-    }
-    // Both documented values still honor the verdict contract.
-    for good in ["0", "1"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
-            .args(["check", "--design", "mal-ex1"])
-            .env("SPECMATCHER_NO_REDUCE", good)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(0), "value {good:?} is documented");
     }
 }
 
@@ -535,41 +539,6 @@ fn scaling_design_needs_the_symbolic_backend() {
 }
 
 #[test]
-fn reduction_escape_hatch_preserves_the_gap_report() {
-    // SPECMATCHER_NO_REDUCE=1 (the bisection escape hatch) must restore
-    // the legacy tableaus without changing anything semantic: same exit
-    // code and the same gap-property set on the gapped toy design. (CI
-    // additionally asserts the `automaton reduction: on|off` status line
-    // of `table1 --quick` in both states.)
-    let gap_block = |stdout: &str| -> Vec<String> {
-        let mut out = Vec::new();
-        let mut in_gap = false;
-        for line in stdout.lines() {
-            if line.trim_start().starts_with("gap properties") {
-                in_gap = true;
-            } else if in_gap && line.starts_with("    ") {
-                out.push(line.trim().to_owned());
-            } else {
-                in_gap = false;
-            }
-        }
-        out
-    };
-    let on = specmatcher(&["check", "--design", "mal-ex2"]);
-    let off = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
-        .args(["check", "--design", "mal-ex2"])
-        .env("SPECMATCHER_NO_REDUCE", "1")
-        .output()
-        .expect("binary runs");
-    assert_eq!(on.status.code(), Some(1));
-    assert_eq!(off.status.code(), Some(1), "escape hatch changed the verdict");
-    let gaps_on = gap_block(&String::from_utf8_lossy(&on.stdout));
-    let gaps_off = gap_block(&String::from_utf8_lossy(&off.stdout));
-    assert!(!gaps_on.is_empty(), "mal-ex2 must report gap properties");
-    assert_eq!(gaps_on, gaps_off, "escape hatch changed the gap set");
-}
-
-#[test]
 fn table1_json_writes_the_bench_trajectory() {
     // `table1 --json` must emit BENCH_table1.json next to the table; run
     // it in a scratch working directory so parallel tests cannot race on
@@ -588,7 +557,6 @@ fn table1_json_writes_the_bench_trajectory() {
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     for needle in [
         "\"schema\":\"specmatcher-bench-table1/1\"",
-        "\"reduction_enabled\":true",
         "\"name\":\"mal-26\"",
         "\"name\":\"amba-ahb\"",
         "\"bmc\":\"auto\"",

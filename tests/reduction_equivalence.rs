@@ -2,20 +2,10 @@
 //! → tableau pruning → simulation quotienting) must be *invisible* in
 //! every answer.
 //!
-//! Two layers of evidence:
-//!
-//! 1. In-process, on random netlists × random LTL conjunctions: the
-//!    multi-automaton product over **raw GPVW** translations and over
-//!    **fully reduced** translations must agree on satisfiability, and
-//!    reduced-path witnesses must satisfy every original conjunct and the
-//!    lasso-semantics oracle.
-//! 2. End-to-end, through the binary: the full pipeline (primary + gap
-//!    phases) on randomly generated SNL + spec files must report the same
-//!    verdict, exit code and gap-property set with reduction on (default)
-//!    and off (`SPECMATCHER_NO_REDUCE=1`) — the escape hatch this asserts
-//!    is also what CI uses for bisecting miscompares. Witness runs *may*
-//!    differ (smaller automata walk different lassos); everything
-//!    semantic must not.
+//! On random netlists × random LTL conjunctions, the multi-automaton
+//! product over **raw GPVW** translations and over **fully reduced**
+//! translations must agree on satisfiability, and reduced-path witnesses
+//! must satisfy every original conjunct and the lasso-semantics oracle.
 
 use proptest::prelude::*;
 use specmatcher::automata::{reduce, satisfiable_in_conj_gbas, translate, Gba};
@@ -23,8 +13,6 @@ use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
 use specmatcher::ltl::Ltl;
 use specmatcher::netlist::ModuleBuilder;
-use std::fmt::Write as _;
-use std::process::Command;
 
 /// A random Kripke structure, mirroring the `backend_agreement` generator.
 fn random_kripke(rng: &mut XorShift64) -> (SignalTable, specmatcher::fsm::Kripke, Vec<SignalId>) {
@@ -109,136 +97,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// Renders a random coverage problem as SNL + spec files and returns the
-/// two file bodies. The module mirrors [`random_kripke`]; the spec draws
-/// its atoms from the module signals so Assumption 1 holds.
-fn random_problem_files(seed: u64) -> (String, String) {
-    let mut rng = XorShift64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
-    let n_inputs = 1 + rng.below(3);
-    let inputs: Vec<String> = (0..n_inputs).map(|i| format!("i{i}")).collect();
-    let mut pool: Vec<String> = inputs.clone();
-    let mut body = String::new();
-    let leaf = |pool: &[String], rng: &mut XorShift64| -> String {
-        let v = &pool[rng.below(pool.len())];
-        if rng.flip() {
-            format!("!{v}")
-        } else {
-            v.clone()
-        }
-    };
-    for i in 0..1 + rng.below(2) {
-        let (a, c) = (leaf(&pool, &mut rng), leaf(&pool, &mut rng));
-        let op = ["&", "|"][rng.below(2)];
-        let _ = writeln!(body, "  assign w{i} = {a} {op} {c}");
-        pool.push(format!("w{i}"));
-    }
-    for i in 0..1 + rng.below(3) {
-        let next = leaf(&pool, &mut rng);
-        let init = if rng.flip() { 1 } else { 0 };
-        let _ = writeln!(body, "  latch q{i} = {next} init {init}");
-        pool.push(format!("q{i}"));
-    }
-    let out = pool.last().expect("non-empty").clone();
-    let snl = format!(
-        "module rand\n  input {}\n  output {}\n{}endmodule\n",
-        inputs.join(" "),
-        out,
-        body
-    );
-
-    // Formulas over the emitted signal names, via a scratch table.
-    let mut t = SignalTable::new();
-    let atoms: Vec<SignalId> = pool.iter().map(|n| t.intern(n)).collect();
-    let fa_budget = 4 + rng.below(4);
-    let fa = random_formula(&mut rng, &atoms, fa_budget);
-    let mut spec = format!("arch A = {}\n", fa.display(&t));
-    let n_rtl = rng.below(3);
-    for i in 0..n_rtl {
-        let budget = 3 + rng.below(3);
-        let r = random_formula(&mut rng, &atoms, budget);
-        let _ = writeln!(spec, "rtl R{i} = {}", r.display(&t));
-    }
-    (snl, spec)
-}
-
-/// The semantic lines of a report: verdict and gap-property formulas
-/// (everything witness-dependent is dropped).
-fn semantic_summary(stdout: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut in_gap = false;
-    for line in stdout.lines() {
-        if line.contains("COVERED") || line.contains("NOT covered") {
-            out.push(line.trim().to_owned());
-            in_gap = false;
-        } else if line.trim_start().starts_with("gap properties") {
-            in_gap = true;
-            out.push(line.trim().to_owned());
-        } else if in_gap {
-            if line.starts_with("    ") {
-                out.push(line.trim().to_owned());
-            } else {
-                in_gap = false;
-            }
-        }
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Full-pipeline agreement through the binary: reduction on vs off
-    /// must report the same exit code and the same gap-property set.
-    #[test]
-    fn full_pipeline_agrees_with_reduction_off(seed in 1u64..10_000) {
-        let (snl, spec) = random_problem_files(seed);
-        let dir = std::env::temp_dir().join(format!(
-            "specmatcher-redeq-{}-{seed}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let snl_path = dir.join("rand.snl");
-        let spec_path = dir.join("rand.spec");
-        std::fs::write(&snl_path, &snl).expect("write snl");
-        std::fs::write(&spec_path, &spec).expect("write spec");
-
-        let run = |no_reduce: bool| {
-            let mut cmd = Command::new(env!("CARGO_BIN_EXE_specmatcher"));
-            cmd.args([
-                "check",
-                "--snl",
-                snl_path.to_str().expect("utf8"),
-                "--spec",
-                spec_path.to_str().expect("utf8"),
-            ]);
-            if no_reduce {
-                cmd.env("SPECMATCHER_NO_REDUCE", "1");
-            }
-            cmd.output().expect("binary runs")
-        };
-        let on = run(false);
-        let off = run(true);
-        std::fs::remove_dir_all(&dir).ok();
-
-        prop_assert_eq!(
-            on.status.code(),
-            off.status.code(),
-            "exit codes diverge on seed {}\nsnl:\n{}\nspec:\n{}",
-            seed,
-            snl,
-            spec
-        );
-        let sum_on = semantic_summary(&String::from_utf8_lossy(&on.stdout));
-        let sum_off = semantic_summary(&String::from_utf8_lossy(&off.stdout));
-        prop_assert_eq!(
-            sum_on,
-            sum_off,
-            "semantic reports diverge on seed {}\nspec:\n{}",
-            seed,
-            spec
-        );
     }
 }

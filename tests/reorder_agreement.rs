@@ -123,7 +123,6 @@ proptest! {
             max_terms: 3,
             max_candidates: 24,
             max_gap_properties: 4,
-            backend: Backend::Symbolic,
             ..GapConfig::default()
         };
         let matcher = SpecMatcher::new(config).with_backend(Backend::Symbolic);
