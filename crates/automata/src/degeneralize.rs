@@ -1,7 +1,7 @@
 //! Degeneralization: generalized Büchi → plain Büchi.
 //!
 //! The counter construction of Clarke, Grumberg & Peled (*Model Checking*,
-//! the paper's reference [2]): a [`Gba`] with `k` acceptance sets becomes
+//! the paper's reference \[2\]): a [`Gba`] with `k` acceptance sets becomes
 //! an automaton over states `(q, i)` with `i ∈ 0..k` meaning "waiting for
 //! a state in acceptance set `i`". When state `q` at level `i` belongs to
 //! set `i`, the level advances; the states that satisfy the *last* wait

@@ -39,7 +39,7 @@ pub struct GbaState {
 
 impl GbaState {
     /// Creates a state from its literal constraints and acceptance-set
-    /// bitmask (used by the [degeneralization](crate::degeneralize)).
+    /// bitmask (used by the [degeneralization](fn@crate::degeneralize)).
     pub fn new(literals: Vec<Lit>, acc: u32) -> Self {
         GbaState { literals, acc }
     }
@@ -92,7 +92,7 @@ pub struct Gba {
 
 impl Gba {
     /// Assembles an automaton from explicit parts (used by the
-    /// [degeneralization](crate::degeneralize)).
+    /// [degeneralization](fn@crate::degeneralize)).
     ///
     /// # Panics
     ///

@@ -121,7 +121,7 @@ impl GbaCache {
 /// Process-wide translation memo backing [`translate_cached`].
 static SHARED_TRANSLATIONS: OnceLock<GbaCache> = OnceLock::new();
 
-/// [`translate`](crate::translate) through a process-shared memo keyed by
+/// [`translate`] through a process-shared memo keyed by
 /// formula hash.
 ///
 /// The pure-formula decision procedures ([`crate::implies`],

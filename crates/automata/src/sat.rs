@@ -41,7 +41,7 @@ pub fn is_valid(formula: &Ltl) -> bool {
 }
 
 /// [`is_satisfiable`] decided by the independent engine: degeneralization
-/// ([`crate::degeneralize`]) followed by nested-DFS emptiness
+/// ([`crate::degeneralize`](fn@crate::degeneralize)) followed by nested-DFS emptiness
 /// ([`crate::ndfs`]) instead of Tarjan over generalized acceptance.
 ///
 /// Same verdicts by construction; exercised against [`is_satisfiable`]

@@ -27,10 +27,9 @@ pub struct TableRow {
     pub tm_build: Duration,
     /// Gap finding time.
     pub gap_find: Duration,
-    /// The backend that answered the primary questions.
+    /// The backend that answered the primary questions and ran the gap
+    /// phase.
     pub backend: Backend,
-    /// The backend that ran the gap phase (per-phase `Auto` resolution).
-    pub gap_backend: Backend,
     /// Dynamic-reordering statistics of the symbolic engine, if one ran.
     pub reorder: Option<dic_core::ReorderStats>,
     /// Worker-thread accounting of the run (resolved `--jobs` /
@@ -131,7 +130,7 @@ pub fn bench_table1_json(
             row.circuit,
             row.num_rtl,
             row.backend,
-            row.gap_backend,
+            row.backend,
             row.bmc,
             row.jobs.requested,
             row.jobs.gap_workers,

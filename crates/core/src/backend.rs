@@ -4,8 +4,7 @@ use crate::spec::{ArchSpec, RtlSpec};
 use std::fmt;
 
 /// Number of state bits (latches + nondeterministic inputs) above which
-/// [`Backend::Auto`] switches the primary coverage question to the
-/// symbolic engine.
+/// [`Backend::Auto`] switches the model to the symbolic engine.
 ///
 /// Below this the explicit engine's cache-friendly enumeration wins (its
 /// product graphs have a few thousand nodes); above it the `2^bits`
@@ -60,7 +59,7 @@ pub fn predicted_product_cost(arch: &ArchSpec, rtl: &RtlSpec) -> usize {
 }
 
 /// Which model-checking engine answers the primary coverage question
-/// (Theorem 1) and related existential queries.
+/// (Theorem 1) and the gap phase's queries (Algorithm 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Explicit-state enumeration (`dic_fsm::Kripke` + Tarjan emptiness).
@@ -71,10 +70,12 @@ pub enum Backend {
     /// (`dic_symbolic`). Handles state spaces the explicit engine cannot;
     /// refuses past its node budget instead.
     Symbolic,
-    /// Pick per model: explicit below [`AUTO_SYMBOLIC_BITS`] state bits,
-    /// symbolic above. The explicit structure is still built alongside
-    /// whenever it fits, because the gap-representation machinery
-    /// (Algorithm 1) runs on it.
+    /// Pick per model, once, when it is built: symbolic past
+    /// [`AUTO_SYMBOLIC_BITS`] state bits or [`AUTO_SYMBOLIC_PRODUCT_COST`]
+    /// predicted product cost, explicit otherwise. The chosen engine runs
+    /// both the primary question and Algorithm 1; a symbolic model may
+    /// still build the explicit structure lazily for a per-candidate
+    /// retry after a node-budget refusal.
     #[default]
     Auto,
 }

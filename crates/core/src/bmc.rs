@@ -4,15 +4,15 @@
 //! The tier itself lives in `dic_sat`; this module owns *when* it runs.
 //! Every closure fixpoint of Algorithm 1 — the candidate verification of
 //! [`find_gap`](crate::find_gap) and the [`closes_gap`](crate::closes_gap)
-//! checks, on both engines — dispatches through
-//! [`CoverageModel::gap_query`](crate::CoverageModel::gap_query); with
+//! checks, on both engines — dispatches through the closure query of the
+//! model's gap-engine handle; with
 //! [`BmcMode::Auto`] that chokepoint first asks the SAT tier for a
 //! `k`-bounded refuting lasso and only falls through to the unbounded
 //! fixpoint engines on UNSAT/unknown. Because SAT answers are re-verified
 //! runs and UNSAT proves nothing, verdicts — and therefore the reported
 //! gap-property sets — are byte-identical across modes.
 //!
-//! `Auto` only fires when the resolved gap backend is symbolic: explicit
+//! `Auto` only fires when the model's resolved engine is symbolic: explicit
 //! fixpoints cost milliseconds on the models that fit them, less than one
 //! unrolled SAT query, so fronting them would be pure overhead (measured:
 //! mal-ex2 2.4× slower with an ungated tier, mal-26 ~17% faster with the

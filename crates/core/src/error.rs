@@ -63,6 +63,12 @@ impl CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // A deadline trip is not an engine failure: it reads
+            // `deadline exceeded …` whichever engine noticed it, so a
+            // partial report's `incomplete:` line starts the same way
+            // wherever the deadline landed.
+            CoreError::Fsm(e @ FsmError::Deadline) => write!(f, "{e}"),
+            CoreError::Symbolic(e @ SymbolicError::Deadline) => write!(f, "{e}"),
             CoreError::Netlist(e) => write!(f, "netlist error: {e}"),
             CoreError::Fsm(e) => write!(f, "state-space error: {e}"),
             CoreError::Symbolic(e) => write!(f, "symbolic-engine error: {e}"),

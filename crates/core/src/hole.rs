@@ -24,9 +24,9 @@ pub fn exact_hole(fa: &Ltl, rtl: &RtlSpec, tm: &Ltl) -> Ltl {
 /// gap for `fa`: `(R ∧ candidate) ∧ ¬fa` must be false in `M`
 /// (Definition 3).
 ///
-/// Dispatches through the model's gap backend (explicit factored products
-/// or the symbolic closure engine — [`CoverageModel::gap_backend`]), so
-/// it works on models beyond the explicit state limit.
+/// Runs on the model's engine (explicit factored products or the symbolic
+/// closure engine, resolved when the [`CoverageModel`] was built), so it
+/// works on models beyond the explicit state limit.
 ///
 /// # Errors
 ///
@@ -57,12 +57,12 @@ pub fn closure_witness(
     rtl: &RtlSpec,
     model: &CoverageModel,
 ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-    let backend = model.gap_backend()?;
+    let engine = model.gap_engine()?;
     // `R ∧ ¬fa` is shared by every closure query for `fa`; its product
     // with `M` is materialized once and memoized in the serving engine.
     let mut base: Vec<Ltl> = rtl.formulas().to_vec();
     base.push(Ltl::not(fa.clone()));
-    model.gap_query(backend, &base, std::slice::from_ref(candidate))
+    engine.closure(&base, std::slice::from_ref(candidate))
 }
 
 #[cfg(test)]

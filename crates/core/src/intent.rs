@@ -38,8 +38,8 @@ use std::collections::BTreeSet;
 ///
 /// # Errors
 ///
-/// Backend resolution and symbolic-engine failures; see
-/// [`CoverageModel::gap_backend`].
+/// [`CoreError::Symbolic`] when the lazy symbolic build or a query
+/// exceeds the node budget.
 pub fn uncovered_intent(
     fa: &Ltl,
     arch: &ArchSpec,
@@ -92,8 +92,8 @@ pub fn uncovered_intent(
 ///
 /// # Errors
 ///
-/// Backend resolution and symbolic-engine failures; see
-/// [`CoverageModel::gap_backend`].
+/// [`CoreError::Symbolic`] when the lazy symbolic build or a query
+/// exceeds the node budget.
 pub fn close_gap_iteratively(
     fa: &Ltl,
     rtl: &RtlSpec,
@@ -101,10 +101,7 @@ pub fn close_gap_iteratively(
     config: &GapConfig,
     max_rounds: usize,
 ) -> Result<Option<(Ltl, usize)>, CoreError> {
-    if model
-        .primary_query_anchored(rtl.formulas(), &Ltl::not(fa.clone()))?
-        .is_none()
-    {
+    if crate::primary_coverage(fa, rtl, model)?.is_none() {
         // Covered: the empty addition suffices.
         return Ok(Some((Ltl::tt(), 0)));
     }

@@ -21,23 +21,23 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// so satisfiability of `R ∧ ¬A` *within this model* is the paper's
 /// "`¬A ∧ R` is true in M".
 ///
-/// A model carries up to two engines for that question, selected by
-/// [`Backend`]: the explicit Kripke structure and the symbolic BDD model.
-/// Both the primary coverage question (Theorem 1) and the gap phase
-/// (Algorithm 1) dispatch per phase: [`CoverageModel::build`] resolves
-/// [`Backend::Auto`] by state-bit count at build time (see
-/// [`CoverageModel::primary_backend`]), and resolves the gap phase's own
-/// engine at the same time ([`CoverageModel::gap_backend`]).
+/// A model answers that question on one engine, selected by [`Backend`]:
+/// the explicit Kripke structure or the symbolic BDD model.
+/// [`CoverageModel::build`] resolves [`Backend::Auto`] once, by state-bit
+/// count and predicted product cost (see
+/// [`CoverageModel::primary_backend`]), and both the primary coverage
+/// question (Theorem 1) and the gap phase (Algorithm 1) run on the
+/// resolved engine.
 #[derive(Debug)]
 pub struct CoverageModel {
     composed: Module,
     table: SignalTable,
     free: Vec<SignalId>,
     /// The explicit Kripke structure. Populated at build time when the
-    /// resolved backend wants it, or lazily by
-    /// [`CoverageModel::ensure_explicit_fallback`] when a per-candidate
-    /// symbolic refusal retries on the explicit engine. `Some(None)` in
-    /// the cell records a *failed* lazy attempt, so it is not repeated.
+    /// resolved engine is explicit, or lazily by
+    /// [`GapEngine::explicit_fallback`] when a per-candidate symbolic
+    /// refusal retries on the explicit engine. `Some(None)` in the cell
+    /// records a *failed* lazy attempt, so it is not repeated.
     kripke: OnceLock<Option<Kripke>>,
     /// Build-time verdict of the explicit-hostility axes (state bits and
     /// predicted product cost) — gates the lazy explicit fallback.
@@ -45,10 +45,8 @@ pub struct CoverageModel {
     symbolic: Mutex<Option<SymbolicModel>>,
     /// Options any lazily built symbolic engine is constructed with.
     sym_options: SymbolicOptions,
-    /// The engine answering primary queries (`Explicit` or `Symbolic`).
-    primary_backend: Backend,
-    /// The engine the gap phase runs on (`Explicit` or `Symbolic`).
-    gap_backend: Backend,
+    /// The engine answering both the primary and the gap queries.
+    engine: Engine,
     /// Nondeterministic inputs: module primary inputs + free spec signals.
     inputs: Vec<SignalId>,
     observable: BTreeSet<SignalId>,
@@ -57,11 +55,18 @@ pub struct CoverageModel {
     /// Materialized base products, keyed by the baked-in conjunction.
     products: Mutex<HashMap<Vec<dic_ltl::Ltl>, Arc<dic_automata::ProductSystem>>>,
     /// Whether gap queries first try the bounded SAT refutation tier
-    /// ([`BmcMode::Auto`] by default; see [`CoverageModel::gap_query`]).
+    /// ([`BmcMode::Auto`] by default; see [`GapEngine::closure`]).
     bmc_mode: BmcMode,
     /// Unroll depth of the SAT tier (`SPECMATCHER_BMC_DEPTH` override or
     /// [`dic_sat::DEFAULT_BMC_DEPTH`], resolved at build time).
     bmc_depth: usize,
+}
+
+/// A resolved engine: what [`Backend::Auto`] becomes at build time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Engine {
+    Explicit,
+    Symbolic,
 }
 
 impl CoverageModel {
@@ -93,9 +98,8 @@ impl CoverageModel {
     /// [`AUTO_SYMBOLIC_BITS`] state bits **or**
     /// [`AUTO_SYMBOLIC_PRODUCT_COST`] predicted product cost (a wide
     /// conjunction over a small design is just as explicit-hostile as a
-    /// large state space) — for *both* phases, since the gap engine
-    /// (Algorithm 1) runs symbolically too. The gap engine is resolved
-    /// here, once ([`CoverageModel::gap_backend`]).
+    /// large state space). The engine is resolved here, once, and runs
+    /// both phases: the primary question and Algorithm 1.
     ///
     /// Symbolic-engine options come from [`SymbolicOptions::from_env`]
     /// (with defaults: the stock node budget, dynamic reordering on); use
@@ -188,44 +192,22 @@ impl CoverageModel {
         let explicit_hostile = state_bits > AUTO_SYMBOLIC_BITS
             || predicted_product_cost(arch, rtl) > AUTO_SYMBOLIC_PRODUCT_COST;
 
-        let (kripke, symbolic, primary_backend) = match backend {
-            Backend::Explicit => (
-                Some(Kripke::from_module(&composed, table, &free)?),
-                None,
-                Backend::Explicit,
-            ),
-            Backend::Symbolic => (
-                None,
-                Some(SymbolicModel::from_module(&composed, table, &free, options)?),
-                Backend::Symbolic,
-            ),
-            Backend::Auto => {
-                if !explicit_hostile {
-                    (
-                        Some(Kripke::from_module(&composed, table, &free)?),
-                        None,
-                        Backend::Explicit,
-                    )
-                } else {
-                    // Symbolic for both phases: the gap engine runs on the
-                    // same BDD product caches, so the explicit structure no
-                    // longer needs to ride along for Algorithm 1.
-                    (
-                        None,
-                        Some(SymbolicModel::from_module(&composed, table, &free, options)?),
-                        Backend::Symbolic,
-                    )
-                }
+        let engine = match backend {
+            Backend::Explicit => Engine::Explicit,
+            Backend::Symbolic => Engine::Symbolic,
+            Backend::Auto if explicit_hostile => Engine::Symbolic,
+            Backend::Auto => Engine::Explicit,
+        };
+        let kripke = OnceLock::new();
+        let mut symbolic = None;
+        match engine {
+            Engine::Explicit => {
+                let _ = kripke.set(Some(Kripke::from_module(&composed, table, &free)?));
             }
-        };
-        // The gap engine: a forced backend runs both phases; under Auto,
-        // below the crossover the explicit factored products win, above
-        // it the symbolic gap engine takes over.
-        let gap_backend = match backend {
-            Backend::Auto if explicit_hostile => Backend::Symbolic,
-            Backend::Auto => Backend::Explicit,
-            forced => forced,
-        };
+            Engine::Symbolic => {
+                symbolic = Some(SymbolicModel::from_module(&composed, table, &free, options)?);
+            }
+        }
 
         // Observable: the architectural alphabet plus every nondeterministic
         // input of the model (design primary inputs and free environment
@@ -251,20 +233,15 @@ impl CoverageModel {
             .copied()
             .collect();
 
-        let kripke_cell = OnceLock::new();
-        if let Some(k) = kripke {
-            let _ = kripke_cell.set(Some(k));
-        }
         Ok(CoverageModel {
             composed,
             table: table.clone(),
             free,
-            kripke: kripke_cell,
+            kripke,
             explicit_hostile,
             symbolic: Mutex::new(symbolic),
             sym_options: options,
-            primary_backend,
-            gap_backend,
+            engine,
             inputs: input_vars,
             observable,
             hidden,
@@ -293,28 +270,16 @@ impl CoverageModel {
     /// or [`Backend::Symbolic`] (never `Auto` — resolution happens at build
     /// time).
     pub fn primary_backend(&self) -> Backend {
-        self.primary_backend
+        match self.engine {
+            Engine::Explicit => Backend::Explicit,
+            Engine::Symbolic => Backend::Symbolic,
+        }
     }
 
-    /// Whether the explicit Kripke structure is available (required by the
-    /// gap-representation machinery of Algorithm 1).
+    /// Whether the explicit Kripke structure is available: built with an
+    /// explicit model, or lazily by the gap phase's explicit retry.
     pub fn has_explicit(&self) -> bool {
         matches!(self.kripke.get(), Some(Some(_)))
-    }
-
-    /// Builds the explicit Kripke structure on demand for a per-candidate
-    /// retry after a symbolic resource refusal, when the explicit-
-    /// hostility axes (state bits, predicted product cost) allow it.
-    /// Returns whether the explicit engine is now available. A failed
-    /// attempt (bit-limit refusal, deadline trip) is recorded and never
-    /// repeated; an already-available structure returns `true` for free.
-    pub fn ensure_explicit_fallback(&self) -> bool {
-        if self.explicit_hostile {
-            return false;
-        }
-        self.kripke
-            .get_or_init(|| Kripke::from_module(&self.composed, &self.table, &self.free).ok())
-            .is_some()
     }
 
     /// The nondeterministic inputs of the model: the composition's primary
@@ -333,46 +298,33 @@ impl CoverageModel {
         &self.free
     }
 
-    /// Backend-dispatched existential query: is some run of `M` satisfying
-    /// every formula in `formulas`? The primitive behind the paper's
-    /// Theorem 1.
+    /// Engine-dispatched existential query for `base ++ [anchor]`: is
+    /// some run of `M` satisfying every formula in `base` and `anchor`?
+    /// The primitive behind the paper's Theorem 1.
+    ///
+    /// The split lets the symbolic engine anchor the query: the `base`
+    /// product (the RTL conjunction, shared by every architectural
+    /// property) is built and fixpointed once, and each per-property `¬A`
+    /// automaton becomes a cached extension restricted by the base's
+    /// reachable set and seeded with its fair hull — the same sound
+    /// projection argument the gap phase's closure extensions rest on.
+    /// The explicit engine takes the flat conjunction; verdicts are
+    /// identical either way.
     ///
     /// # Errors
     ///
     /// [`CoreError::Symbolic`] when the symbolic engine exceeds its node
     /// budget mid-analysis (the explicit path is infallible once built).
-    pub fn primary_query(
-        &self,
-        formulas: &[dic_ltl::Ltl],
-    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-        match self.primary_backend {
-            Backend::Symbolic => self.with_symbolic(|sym| sym.satisfiable_conj(formulas)),
-            _ => Ok(self.satisfiable(formulas)),
-        }
-    }
-
-    /// [`CoverageModel::primary_query`] for `base ++ [anchor]`, split so
-    /// the symbolic engine can anchor the query: the `base` product (the
-    /// RTL conjunction, shared by every architectural property) is built
-    /// and fixpointed once, and each per-property `¬A` automaton becomes
-    /// a cached extension restricted by the base's reachable set and
-    /// seeded with its fair hull — the same sound projection argument the
-    /// gap phase's closure extensions rest on. The explicit engine takes
-    /// the flat conjunction as before; verdicts are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CoverageModel::primary_query`].
     pub fn primary_query_anchored(
         &self,
         base: &[dic_ltl::Ltl],
         anchor: &dic_ltl::Ltl,
     ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-        match self.primary_backend {
-            Backend::Symbolic => self.with_symbolic(|sym| {
+        match self.engine {
+            Engine::Symbolic => self.with_symbolic(|sym| {
                 sym.satisfiable_anchored(base, std::slice::from_ref(anchor))
             }),
-            _ => {
+            Engine::Explicit => {
                 let mut conj = base.to_vec();
                 conj.push(anchor.clone());
                 Ok(self.satisfiable(&conj))
@@ -380,31 +332,29 @@ impl CoverageModel {
         }
     }
 
-    /// The engine the gap phase runs on, *without* ensuring it is built —
-    /// for reporting (the pipeline labels runs before knowing whether any
-    /// property even needs a gap phase). The gap engine is resolved once,
-    /// at build, from the backend the model was built with, so `_requested`
-    /// is ignored; the parameter keeps the benchmark probe's call working.
+    /// The engine the gap phase runs on — the one resolved at build, so
+    /// the same as [`CoverageModel::primary_backend`]. `_requested` is
+    /// ignored; the parameter keeps the benchmark probe's call working.
     pub fn gap_backend_choice(&self, _requested: Backend) -> Backend {
-        self.gap_backend
+        self.primary_backend()
     }
 
-    /// The engine the gap phase (Algorithm 1) runs on, ensuring it is
-    /// available: a forced backend runs both phases, and [`Backend::Auto`]
-    /// resolves by the build-time crossover (explicit below it, symbolic
-    /// above). The explicit engine is always built with a model whose gap
-    /// engine it is; the symbolic one is rebuilt here if a panicking
-    /// worker discarded it.
+    /// The gap phase's handle on the resolved engine, with the symbolic
+    /// engine built (it is rebuilt here if a panicking worker discarded
+    /// it). Algorithm 1 asks every question through it.
     ///
     /// # Errors
     ///
     /// [`CoreError::Symbolic`] when the lazy symbolic build exceeds its
     /// node budget.
-    pub fn gap_backend(&self) -> Result<Backend, CoreError> {
-        if self.gap_backend == Backend::Symbolic {
-            self.ensure_symbolic()?;
+    pub(crate) fn gap_engine(&self) -> Result<GapEngine<'_>, CoreError> {
+        if self.engine == Engine::Symbolic {
+            self.with_symbolic(|_| Ok(()))?;
         }
-        Ok(self.gap_backend)
+        Ok(GapEngine {
+            model: self,
+            engine: self.engine,
+        })
     }
 
     /// Locks the symbolic engine, recovering from a poisoned lock: a gap
@@ -424,32 +374,13 @@ impl CoverageModel {
         }
     }
 
-    /// Runs `f` on the symbolic engine, building it on first use (a model
-    /// built explicit can still serve symbolic gap queries).
+    /// Runs `f` on the symbolic engine, building it first if it is absent
+    /// (a model built explicit, or one whose engine a poison recovery
+    /// discarded).
     fn with_symbolic<T>(
         &self,
         f: impl FnOnce(&mut SymbolicModel) -> Result<T, dic_symbolic::SymbolicError>,
     ) -> Result<T, CoreError> {
-        self.ensure_symbolic()?;
-        let mut guard = self.lock_symbolic();
-        let sym = match guard.as_mut() {
-            Some(sym) => sym,
-            // The engine was discarded between ensure and lock (poison
-            // recovery on a racing worker); rebuild in place.
-            None => {
-                *guard = Some(SymbolicModel::from_module(
-                    &self.composed,
-                    &self.table,
-                    &self.free,
-                    self.sym_options,
-                )?);
-                guard.as_mut().expect("just built")
-            }
-        };
-        Ok(f(sym)?)
-    }
-
-    fn ensure_symbolic(&self) -> Result<(), CoreError> {
         let mut guard = self.lock_symbolic();
         if guard.is_none() {
             *guard = Some(SymbolicModel::from_module(
@@ -459,7 +390,7 @@ impl CoverageModel {
                 self.sym_options,
             )?);
         }
-        Ok(())
+        Ok(f(guard.as_mut().expect("just built"))?)
     }
 
     /// Cumulative dynamic-reordering statistics of the symbolic engine:
@@ -469,57 +400,10 @@ impl CoverageModel {
         self.lock_symbolic().as_ref().map(|sym| sym.reorder_stats())
     }
 
-    /// Backend-dispatched factored gap query: is some run of `M`
-    /// satisfying `base` and every formula in `extra`? Both engines
-    /// materialize the `base` product once and reuse it across calls —
-    /// Algorithm 1's closure loop issues hundreds of these against the
-    /// same base, which makes the product reuse the dominant performance
-    /// lever of the whole gap phase.
-    ///
-    /// `backend` must be resolved ([`CoverageModel::gap_backend`]), never
-    /// [`Backend::Auto`].
-    ///
-    /// With [`BmcMode::Auto`] (the default) a bounded SAT refutation runs
-    /// *before* the symbolic fixpoint engine: if a lasso satisfying the
-    /// whole conjunction exists within [`CoverageModel::bmc_depth`] steps,
-    /// the SAT tier finds it, replays it through the netlist evaluator,
-    /// and returns it without ever touching a fixpoint. An inconclusive
-    /// bound (UNSAT within the depth, or the per-query conflict budget)
-    /// falls through, so verdicts are identical across modes — only the
-    /// engine that produces them changes. `Auto` deliberately skips the
-    /// tier when the resolved gap backend is explicit: those models fit
-    /// the enumerative engine precisely because their fixpoints cost
-    /// milliseconds, less than a single unrolled SAT query, while each
-    /// symbolic Emerson–Lei fixpoint costs seconds. The gate is a pure
-    /// function of the resolved backend, so determinism is unaffected.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Symbolic`] when the symbolic engine exceeds its node
-    /// budget mid-query.
-    pub fn gap_query(
-        &self,
-        backend: Backend,
-        base: &[dic_ltl::Ltl],
-        extra: &[dic_ltl::Ltl],
-    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-        if self.bmc_mode == BmcMode::Auto && backend == Backend::Symbolic {
-            let formulas: Vec<dic_ltl::Ltl> =
-                base.iter().chain(extra.iter()).cloned().collect();
-            if let Some(run) = self.bmc_refute(&formulas) {
-                return Ok(Some(run));
-            }
-        }
-        match backend {
-            Backend::Symbolic => self.with_symbolic(|sym| sym.satisfiable_factored(base, extra)),
-            _ => Ok(self.satisfiable_factored(base, extra)),
-        }
-    }
-
-    /// The bounded tier of [`CoverageModel::gap_query`]: a `k`-step SAT
-    /// query for a run of `M` satisfying the conjunction. `Some` is a
-    /// genuine, re-verified run (sound to report as a closure refutation);
-    /// `None` proves nothing.
+    /// The bounded tier of [`GapEngine::closure`]: a `k`-step SAT query
+    /// for a run of `M` satisfying the conjunction. `Some` is a genuine,
+    /// re-verified run (sound to report as a closure refutation); `None`
+    /// proves nothing.
     fn bmc_refute(&self, formulas: &[dic_ltl::Ltl]) -> Option<dic_ltl::LassoWord> {
         let _span = dic_trace::span("bmc.query");
         dic_trace::count(dic_trace::Counter::BmcQueries, 1);
@@ -534,78 +418,6 @@ impl CoverageModel {
         Some(run)
     }
 
-    /// Backend-dispatched bounded-scenario query with witness: is some run
-    /// of `M ⊨ base ∧ anchored` matching `cube` in its first cycles? On
-    /// the symbolic engine the cube is pushed through the cached product's
-    /// frontier BDDs (no automaton is ever built for it); on the explicit
-    /// engine it becomes an extra conjunct of the factored query.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CoverageModel::gap_query`].
-    pub fn gap_scenario_query(
-        &self,
-        backend: Backend,
-        base: &[dic_ltl::Ltl],
-        anchored: Option<&dic_ltl::Ltl>,
-        cube: &dic_ltl::TemporalCube,
-    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-        match backend {
-            Backend::Symbolic => {
-                let full = Self::anchored_base(base, anchored);
-                self.with_symbolic(|sym| sym.satisfiable_factored_cube(&full, cube))
-            }
-            _ => {
-                let extras = Self::anchored_extras(anchored, cube);
-                Ok(self.satisfiable_factored(base, &extras))
-            }
-        }
-    }
-
-    /// Verdict-only variant of [`CoverageModel::gap_scenario_query`]: the
-    /// generalization loop of Algorithm 1 needs thousands of these, and
-    /// skipping witness extraction keeps each to a handful of constrained
-    /// images on the symbolic engine.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CoverageModel::gap_query`].
-    pub fn gap_scenario_sat(
-        &self,
-        backend: Backend,
-        base: &[dic_ltl::Ltl],
-        anchored: Option<&dic_ltl::Ltl>,
-        cube: &dic_ltl::TemporalCube,
-    ) -> Result<bool, CoreError> {
-        match backend {
-            Backend::Symbolic => {
-                self.with_symbolic(|sym| sym.factored_cube_sat(base, anchored, cube))
-            }
-            _ => {
-                let extras = Self::anchored_extras(anchored, cube);
-                Ok(self.satisfiable_factored(base, &extras).is_some())
-            }
-        }
-    }
-
-    fn anchored_base(
-        base: &[dic_ltl::Ltl],
-        anchored: Option<&dic_ltl::Ltl>,
-    ) -> Vec<dic_ltl::Ltl> {
-        base.iter().cloned().chain(anchored.cloned()).collect()
-    }
-
-    fn anchored_extras(
-        anchored: Option<&dic_ltl::Ltl>,
-        cube: &dic_ltl::TemporalCube,
-    ) -> Vec<dic_ltl::Ltl> {
-        anchored
-            .cloned()
-            .into_iter()
-            .chain([cube.to_ltl()])
-            .collect()
-    }
-
     /// Existential query against the *explicit* model with memoized
     /// automaton translations: is some run of `M` satisfying every formula
     /// in `formulas`? Repeated conjuncts (the `R` suite, `¬FA`) are
@@ -614,8 +426,8 @@ impl CoverageModel {
     /// # Panics
     ///
     /// Panics if the model was built without the explicit backend; use
-    /// [`CoverageModel::primary_query`] for backend-dispatched queries and
-    /// [`CoverageModel::has_explicit`] to test availability.
+    /// [`CoverageModel::primary_query_anchored`] for engine-dispatched
+    /// queries and [`CoverageModel::has_explicit`] to test availability.
     pub fn satisfiable(&self, formulas: &[dic_ltl::Ltl]) -> Option<dic_ltl::LassoWord> {
         dic_automata::satisfiable_in_conj_cached(formulas, self.kripke(), &self.cache)
     }
@@ -703,13 +515,153 @@ impl CoverageModel {
         v.sort();
         v
     }
+}
 
-    /// Overrides the observable alphabet (ablation hook).
-    pub fn set_observable(&mut self, observable: BTreeSet<SignalId>) {
-        let all: BTreeSet<SignalId> = self.observable.union(&self.hidden).copied().collect();
-        self.hidden = all.difference(&observable).copied().collect();
-        self.observable = observable;
+/// The gap phase's handle on a model's resolved engine: the three
+/// questions Algorithm 1 asks (closure, scenario, scenario verdict), the
+/// bounded SAT pre-filter, and the per-candidate explicit retry policy.
+/// Obtained from [`CoverageModel::gap_engine`]; a copy is as good as the
+/// original.
+#[derive(Clone, Copy)]
+pub(crate) struct GapEngine<'m> {
+    model: &'m CoverageModel,
+    engine: Engine,
+}
+
+impl<'m> GapEngine<'m> {
+    /// Factored closure query: is some run of `M` satisfying `base` and
+    /// every formula in `extra`? Both engines materialize the `base`
+    /// product once and reuse it across calls — Algorithm 1's closure
+    /// loop issues hundreds of these against the same base, which makes
+    /// the product reuse the dominant performance lever of the whole gap
+    /// phase.
+    ///
+    /// With [`BmcMode::Auto`] (the default) a bounded SAT refutation runs
+    /// *before* the symbolic fixpoint engine: if a lasso satisfying the
+    /// whole conjunction exists within the model's unroll depth
+    /// (`SPECMATCHER_BMC_DEPTH`, default [`dic_sat::DEFAULT_BMC_DEPTH`]),
+    /// the SAT tier finds it, replays it through the netlist evaluator,
+    /// and returns it without ever touching a fixpoint. An inconclusive
+    /// bound (UNSAT within the depth, or the per-query conflict budget)
+    /// falls through, so verdicts are identical across modes — only the
+    /// engine that produces them changes. The tier is skipped on the
+    /// explicit engine: those models fit the enumerative engine precisely
+    /// because their fixpoints cost milliseconds, less than a single
+    /// unrolled SAT query, while each symbolic Emerson–Lei fixpoint costs
+    /// seconds. The gate is a pure function of the resolved engine, so
+    /// determinism is unaffected.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Symbolic`] when the symbolic engine exceeds its node
+    /// budget mid-query.
+    pub(crate) fn closure(
+        self,
+        base: &[dic_ltl::Ltl],
+        extra: &[dic_ltl::Ltl],
+    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
+        let model = self.model;
+        match self.engine {
+            Engine::Symbolic => {
+                if model.bmc_mode == BmcMode::Auto {
+                    let formulas: Vec<dic_ltl::Ltl> =
+                        base.iter().chain(extra.iter()).cloned().collect();
+                    if let Some(run) = model.bmc_refute(&formulas) {
+                        return Ok(Some(run));
+                    }
+                }
+                model.with_symbolic(|sym| sym.satisfiable_factored(base, extra))
+            }
+            Engine::Explicit => Ok(model.satisfiable_factored(base, extra)),
+        }
     }
+
+    /// Bounded-scenario query with witness: is some run of
+    /// `M ⊨ base ∧ anchored` matching `cube` in its first cycles? On the
+    /// symbolic engine the cube is pushed through the cached product's
+    /// frontier BDDs (no automaton is ever built for it); on the explicit
+    /// engine it becomes an extra conjunct of the factored query.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GapEngine::closure`].
+    pub(crate) fn scenario(
+        self,
+        base: &[dic_ltl::Ltl],
+        anchored: Option<&dic_ltl::Ltl>,
+        cube: &dic_ltl::TemporalCube,
+    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
+        match self.engine {
+            Engine::Symbolic => {
+                let full: Vec<dic_ltl::Ltl> =
+                    base.iter().cloned().chain(anchored.cloned()).collect();
+                self.model
+                    .with_symbolic(|sym| sym.satisfiable_factored_cube(&full, cube))
+            }
+            Engine::Explicit => Ok(self
+                .model
+                .satisfiable_factored(base, &anchored_extras(anchored, cube))),
+        }
+    }
+
+    /// Verdict-only variant of [`GapEngine::scenario`]: the
+    /// generalization loop of Algorithm 1 needs thousands of these, and
+    /// skipping witness extraction keeps each to a handful of constrained
+    /// images on the symbolic engine.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GapEngine::closure`].
+    pub(crate) fn scenario_sat(
+        self,
+        base: &[dic_ltl::Ltl],
+        anchored: Option<&dic_ltl::Ltl>,
+        cube: &dic_ltl::TemporalCube,
+    ) -> Result<bool, CoreError> {
+        match self.engine {
+            Engine::Symbolic => self
+                .model
+                .with_symbolic(|sym| sym.factored_cube_sat(base, anchored, cube)),
+            Engine::Explicit => Ok(self
+                .model
+                .satisfiable_factored(base, &anchored_extras(anchored, cube))
+                .is_some()),
+        }
+    }
+
+    /// The retry policy after a symbolic resource refusal: the explicit
+    /// handle on the same model, when this handle is symbolic, the
+    /// model's explicit-hostility axes (state bits, predicted product
+    /// cost) allow it, and the Kripke structure builds — lazily, on the
+    /// first retry. A failed build (bit-limit refusal, deadline trip) is
+    /// recorded and never repeated.
+    pub(crate) fn explicit_fallback(self) -> Option<GapEngine<'m>> {
+        let model = self.model;
+        if self.engine != Engine::Symbolic || model.explicit_hostile {
+            return None;
+        }
+        model
+            .kripke
+            .get_or_init(|| Kripke::from_module(&model.composed, &model.table, &model.free).ok())
+            .as_ref()?;
+        Some(GapEngine {
+            model,
+            engine: Engine::Explicit,
+        })
+    }
+}
+
+/// The explicit engine's form of a scenario query's extra conjuncts: the
+/// anchor (if any) and the cube as a formula.
+fn anchored_extras(
+    anchored: Option<&dic_ltl::Ltl>,
+    cube: &dic_ltl::TemporalCube,
+) -> Vec<dic_ltl::Ltl> {
+    anchored
+        .cloned()
+        .into_iter()
+        .chain([cube.to_ltl()])
+        .collect()
 }
 
 #[cfg(test)]
@@ -791,6 +743,43 @@ mod tests {
         assert_eq!(auto.input_signals(), sym.input_signals());
         let req = t.lookup("req").unwrap();
         assert!(sym.input_signals().contains(&req));
+
+        // One engine per model: the gap phase runs where the primary
+        // question did, whatever backend the caller names.
+        for model in [&auto, &sym] {
+            for b in [Backend::Explicit, Backend::Symbolic, Backend::Auto] {
+                assert_eq!(model.primary_backend(), model.gap_backend_choice(b));
+            }
+        }
+
+        // The explicit retry: a small forced-symbolic model builds its
+        // Kripke structure on the first fallback; an explicit model has
+        // nothing to fall back to.
+        let engine = sym.gap_engine().expect("symbolic engine builds");
+        assert!(engine.explicit_fallback().is_some());
+        assert!(sym.has_explicit());
+        let engine = auto.gap_engine().expect("explicit engine is built");
+        assert!(engine.explicit_fallback().is_none());
+
+        // Past the state-bit crossover the model is explicit-hostile: no
+        // fallback, and no Kripke structure is ever built.
+        let mut t = SignalTable::new();
+        let a = Ltl::parse("G(x -> F q14)", &mut t).unwrap();
+        let mut b = ModuleBuilder::new("chain", &mut t);
+        let mut prev = b.input("x");
+        for i in 0..15 {
+            prev = b.latch_from(&format!("q{i}"), prev, false);
+        }
+        b.mark_output(prev);
+        let chain = b.finish().unwrap();
+        let arch = ArchSpec::new([("A1", a.clone())]);
+        let rtl = RtlSpec::new([("R1", a)], [chain]);
+        let wide = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic)
+            .expect("builds");
+        assert!(wide.composed().state_signals().len() > AUTO_SYMBOLIC_BITS);
+        let engine = wide.gap_engine().expect("symbolic engine builds");
+        assert!(engine.explicit_fallback().is_none());
+        assert!(!wide.has_explicit());
     }
 
     #[test]

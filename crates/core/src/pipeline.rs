@@ -64,7 +64,7 @@ pub struct JobsStats {
     pub primary: usize,
     /// Workers fanned out over gap-phase candidate verification.
     pub gap_workers: usize,
-    /// Closure *fixpoints* that can run concurrently on the gap backend:
+    /// Closure *fixpoints* that can run concurrently on the model's engine:
     /// equals `gap_workers` on the explicit engine, 1 on the symbolic
     /// engine (`BddManager` scratch regions are single-threaded — workers
     /// still overlap the word-level screens). See
@@ -100,10 +100,6 @@ pub struct PropertyReport {
     pub exact_hole: Ltl,
     /// Per-phase wall-clock for this property.
     pub timings: PhaseTimings,
-    /// The engine that answered the primary question for this property.
-    pub backend: Backend,
-    /// The engine that ran the gap phase (Algorithm 1) for this property.
-    pub gap_backend: Backend,
 }
 
 impl PropertyReport {
@@ -176,12 +172,10 @@ pub struct CoverageRun {
     pub timings: PhaseTimings,
     /// Number of RTL properties (Table 1's first column).
     pub num_rtl_properties: usize,
-    /// The engine that answered the primary questions (resolved from the
-    /// matcher's requested backend at model-build time).
+    /// The engine that answered the primary questions and ran the gap
+    /// phases (resolved from the matcher's requested backend at
+    /// model-build time).
     pub backend: Backend,
-    /// The engine that ran the gap phases ([`Backend::Auto`] resolves per
-    /// phase, so this can differ from [`CoverageRun::backend`]).
-    pub gap_backend: Backend,
     /// Whether the bounded SAT refutation tier ran ahead of the closure
     /// fixpoints (the gap-property sets are identical either way).
     pub bmc: BmcMode,
@@ -224,7 +218,7 @@ impl CoverageRun {
             out,
             "timings (primary backend {}, gap backend {}, bmc {}): primary {:?}, TM build {:?}, gap finding {:?}",
             self.backend,
-            self.gap_backend,
+            self.backend,
             self.bmc,
             self.timings.primary,
             self.timings.tm_build,
@@ -292,8 +286,8 @@ impl SpecMatcher {
     }
 
     /// Selects the model-checking backend for *both* phases: the primary
-    /// coverage question and the gap phase, each resolved when the model
-    /// is built ([`CoverageModel::gap_backend`]).
+    /// coverage question and the gap phase run on the one engine resolved
+    /// when the model is built ([`CoverageModel::primary_backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -419,13 +413,12 @@ impl SpecMatcher {
             c.tm_build.merge(&b.delta_since());
         }
 
-        let gap_backend = model.gap_backend_choice(self.backend);
         let requested_jobs = self.config.effective_jobs();
         let jobs = JobsStats {
             requested: requested_jobs,
             primary: 1,
             gap_workers: requested_jobs,
-            gap_fixpoints: gap_backend.fixpoint_parallelism(requested_jobs),
+            gap_fixpoints: model.primary_backend().fixpoint_parallelism(requested_jobs),
         };
         let mut reports = Vec::with_capacity(arch.len());
         let mut total = PhaseTimings {
@@ -452,14 +445,12 @@ impl SpecMatcher {
                     unknown_gaps: Vec::new(),
                     exact_hole: exact_hole(fa, rtl, &tm),
                     timings: PhaseTimings::default(),
-                    backend: model.primary_backend(),
-                    gap_backend,
                 });
                 continue;
             }
 
             // Phase: primary coverage question (Theorem 1), answered by
-            // the backend the model was built with.
+            // the engine the model was built with.
             let base = counters.as_ref().map(|_| dic_trace::CounterSnapshot::capture());
             let primary_span = dic_trace::span("phase.primary");
             let t0 = dic_trace::Stopwatch::start();
@@ -500,8 +491,6 @@ impl SpecMatcher {
                         unknown_gaps: Vec::new(),
                         exact_hole: exact_hole(fa, rtl, &tm),
                         timings,
-                        backend: model.primary_backend(),
-                        gap_backend,
                     });
                     continue;
                 }
@@ -509,9 +498,9 @@ impl SpecMatcher {
             };
             let covered = witness.is_none();
 
-            // Phase: gap finding (Algorithm 1), on the per-phase gap
-            // backend: the explicit factored products below the crossover,
-            // the symbolic closure engine above it — so models past the
+            // Phase: gap finding (Algorithm 1), on the same engine: the
+            // explicit factored products below the crossover, the
+            // symbolic closure engine above it — so models past the
             // explicit state limit get structured gap reports too. The
             // enumeration runs seed the closure loop's bad-run pool.
             let base = counters.as_ref().map(|_| dic_trace::CounterSnapshot::capture());
@@ -579,8 +568,6 @@ impl SpecMatcher {
                 unknown_gaps,
                 exact_hole: exact_hole(fa, rtl, &tm),
                 timings,
-                backend: model.primary_backend(),
-                gap_backend,
             });
         }
 
@@ -590,7 +577,6 @@ impl SpecMatcher {
             timings: total,
             num_rtl_properties: rtl.num_properties(),
             backend: model.primary_backend(),
-            gap_backend,
             bmc: model.bmc_mode(),
             reorder: model.reorder_stats(),
             jobs,

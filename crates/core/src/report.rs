@@ -47,8 +47,10 @@ impl CoverageRun {
         let mut w = JsonWriter::new();
         w.open_object();
         w.field_u64("num_rtl_properties", self.num_rtl_properties as u64);
-        w.field_str("backend", &self.backend.to_string());
-        w.field_str("gap_backend", &self.gap_backend.to_string());
+        // One engine runs both phases; both keys name it.
+        let backend = self.backend.to_string();
+        w.field_str("backend", &backend);
+        w.field_str("gap_backend", &backend);
         w.key("reorder");
         match &self.reorder {
             None => w.null(),

@@ -11,16 +11,15 @@
 //! positioned variables (sound for bounded formulas), exactly as in the
 //! paper's step 2(b).
 //!
-//! Every scenario query dispatches through the model's gap backend
-//! ([`CoverageModel::gap_backend`]): the explicit engine answers it on
+//! Every scenario query runs on the model's engine (the crate-private
+//! gap-engine handle): the explicit engine answers it on
 //! memoized factored products, the symbolic engine by pushing the
 //! scenario cube through the cached base product's frontier BDDs — so term
 //! enumeration works (and stays fast) on models far beyond the explicit
 //! state limit.
 
-use crate::backend::Backend;
 use crate::error::CoreError;
-use crate::model::CoverageModel;
+use crate::model::{CoverageModel, GapEngine};
 use crate::spec::RtlSpec;
 use crate::weaken::GapConfig;
 use dic_ltl::cube::{exists_eliminate, forall_eliminate};
@@ -36,8 +35,8 @@ use dic_ltl::{LassoWord, Ltl, LtlNode, TemporalCube};
 ///
 /// # Errors
 ///
-/// Backend resolution and symbolic-engine failures; see
-/// [`CoverageModel::gap_backend`].
+/// [`CoreError::Symbolic`] when the lazy symbolic build or a query
+/// exceeds the node budget.
 pub fn uncovered_terms(
     fa: &Ltl,
     rtl: &RtlSpec,
@@ -62,7 +61,7 @@ pub fn uncovered_terms_with_runs(
     model: &CoverageModel,
     config: &GapConfig,
 ) -> Result<(Vec<TemporalCube>, Vec<LassoWord>), CoreError> {
-    let backend = model.gap_backend()?;
+    let engine = model.gap_engine()?;
     let base: Vec<Ltl> = rtl
         .formulas()
         .iter()
@@ -85,7 +84,7 @@ pub fn uncovered_terms_with_runs(
         if terms.len() >= config.max_terms || probed > 4 * config.max_terms {
             break;
         }
-        let Some(word) = model.gap_scenario_query(backend, &base, None, &probe)? else {
+        let Some(word) = engine.scenario(&base, None, &probe)? else {
             continue;
         };
         // Anchor the violation: for G(body), locate the first window where
@@ -96,7 +95,7 @@ pub fn uncovered_terms_with_runs(
         let depth = window + config.term_depth;
         let mut cube = TemporalCube::from_word_prefix(&word, depth, &term_signals);
         if config.generalize {
-            cube = generalize(backend, cube, rtl, &anchored, model)?;
+            cube = generalize(engine, cube, rtl, &anchored, model)?;
         }
         if terms.contains(&cube) {
             continue;
@@ -156,7 +155,7 @@ fn anchor_violation(fa: &Ltl, word: &LassoWord) -> (Ltl, usize) {
 /// literal would pin it; dropping causes in favour of effects would strip
 /// `UM` of exactly the literals step 2(d) needs.
 fn generalize(
-    backend: Backend,
+    engine: GapEngine<'_>,
     cube: TemporalCube,
     rtl: &RtlSpec,
     anchored: &Ltl,
@@ -175,7 +174,7 @@ fn generalize(
         };
         // Both tests share the `R`(-and-anchor) product of `M`; either
         // engine materializes it once and memoizes.
-        if model.gap_scenario_sat(backend, rtl.formulas(), Some(anchored), &flipped)? {
+        if engine.scenario_sat(rtl.formulas(), Some(anchored), &flipped)? {
             // Violation survives the flip: the literal is irrelevant.
             current = without;
             continue;
@@ -183,7 +182,7 @@ fn generalize(
         if free.contains(&l.signal()) {
             continue; // causes are kept even when effects pin them
         }
-        if !model.gap_scenario_sat(backend, rtl.formulas(), None, &flipped)? {
+        if !engine.scenario_sat(rtl.formulas(), None, &flipped)? {
             // The flip is impossible altogether: the literal is implied by
             // the rest of the cube on every R-consistent run of M.
             current = without;
@@ -325,9 +324,9 @@ mod tests {
         // engine's (the backends share the algorithm, not the oracle).
         let (t, arch, rtl, _) = gapped();
         let fa = arch.properties()[0].formula();
-        let explicit = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Explicit)
+        let explicit = CoverageModel::build_with_backend(&arch, &rtl, &t, crate::Backend::Explicit)
             .expect("builds");
-        let symbolic = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic)
+        let symbolic = CoverageModel::build_with_backend(&arch, &rtl, &t, crate::Backend::Symbolic)
             .expect("builds");
         let config = GapConfig::default();
         let mut te = uncovered_terms(fa, &rtl, &explicit, &config).expect("explicit runs");

@@ -12,8 +12,8 @@
 //! * a **positive** occurrence `v` (consequent side) becomes `v ∨ X^k ℓ`.
 //!
 //! Every candidate is weaker than `FA` by construction; candidates are kept
-//! only if they *close the gap* (Definition 3, model-checked through the
-//! gap backend), and the survivors are reduced to the weakest ones under
+//! only if they *close the gap* (Definition 3, model-checked on the
+//! model's engine), and the survivors are reduced to the weakest ones under
 //! the strength order of Definition 2.
 //!
 //! Closure checks are the expensive half of Algorithm 1, and two levers
@@ -22,12 +22,11 @@
 //! * the bad-run pool is **seeded** with the runs term enumeration already
 //!   produced ([`find_gap_with_runs`]), so most non-closing candidates are
 //!   rejected by a word evaluation before any model check;
-//! * on the symbolic backend, every check reuses one cached design product
+//! * on the symbolic engine, every check reuses one cached design product
 //!   (`R ∧ ¬FA`) and re-encodes only the small candidate automaton.
 
-use crate::backend::Backend;
 use crate::error::CoreError;
-use crate::model::CoverageModel;
+use crate::model::{CoverageModel, GapEngine};
 use crate::spec::RtlSpec;
 use dic_logic::{Lit, SignalTable};
 use dic_ltl::{LassoWord, Ltl, LtlNode, Polarity, Position, TemporalCube};
@@ -205,13 +204,13 @@ struct Candidate {
 /// candidate closes the gap — callers then fall back to Theorem 2's
 /// [`exact_hole`](crate::exact_hole)).
 ///
-/// Candidate verification dispatches through the gap backend
-/// ([`CoverageModel::gap_backend`]); both engines answer it on one
-/// memoized base product per property.
+/// Candidate verification runs on the model's engine; both engines answer
+/// it on one memoized base product per property.
 ///
 /// # Errors
 ///
-/// Symbolic-engine failures; see [`CoverageModel::gap_backend`].
+/// [`CoreError::Symbolic`] when the lazy symbolic build or a query
+/// exceeds the node budget.
 pub fn find_gap(
     fa: &Ltl,
     terms: &[TemporalCube],
@@ -250,15 +249,15 @@ pub fn find_gap_with_runs(
 /// mid-scan no longer aborts — the scan stops (or skips the candidate)
 /// and reports what it settled, with the remainder accounted for in
 /// [`GapOutcome::unknown`] / [`GapOutcome::incomplete`]. A per-candidate
-/// `NodeLimit` on the symbolic backend first retries that one candidate
+/// `NodeLimit` on the symbolic engine first retries that one candidate
 /// on the explicit engine (when the model's explicit-hostility axes
 /// allow) before marking it unknown; worker panics are isolated with
 /// `catch_unwind` and demoted to an unknown verdict plus diagnostic.
 ///
 /// # Errors
 ///
-/// Only non-degradable failures: backend resolution
-/// ([`CoverageModel::gap_backend`]) and configuration/spec errors.
+/// Only non-degradable failures: the lazy symbolic build and
+/// configuration/spec errors.
 pub fn find_gap_outcome(
     fa: &Ltl,
     terms: &[TemporalCube],
@@ -267,7 +266,7 @@ pub fn find_gap_outcome(
     model: &CoverageModel,
     config: &GapConfig,
 ) -> Result<GapOutcome, CoreError> {
-    let backend = model.gap_backend()?;
+    let engine = model.gap_engine()?;
     if terms.is_empty() {
         // No uncovered scenario was found (covered property, or the
         // enumeration budget produced nothing): there is no gap for the
@@ -323,8 +322,7 @@ pub fn find_gap_outcome(
             &candidates,
             seed_runs,
             &base,
-            model,
-            backend,
+            engine,
             &screen_words,
             config.max_gap_properties,
         )?
@@ -334,8 +332,7 @@ pub fn find_gap_outcome(
             &candidates,
             seed_runs,
             &base,
-            model,
-            backend,
+            engine,
             &screen_words,
             config.max_gap_properties,
             jobs,
@@ -349,7 +346,7 @@ pub fn find_gap_outcome(
         );
     }
     let _merge_span = dic_trace::span("gap.witnesses");
-    let properties = attach_witnesses(verified.closing, seed_runs, &base, model, backend)?;
+    let properties = attach_witnesses(verified.closing, seed_runs, &base, engine)?;
     Ok(GapOutcome {
         properties,
         unknown: verified.unknown,
@@ -420,13 +417,11 @@ fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
 ///
 /// `accepted` is a (possibly stale) snapshot of the merge's accepted
 /// formulas; see [`WeakestMerge`] for why staleness is sound.
-#[allow(clippy::too_many_arguments)]
 fn verify_candidate(
     fa: &Ltl,
     cand: &Candidate,
     base: &[Ltl],
-    model: &CoverageModel,
-    backend: Backend,
+    engine: GapEngine<'_>,
     accepted: &[Ltl],
     screen_words: &[LassoWord],
     state: &mut WorkerState,
@@ -467,7 +462,7 @@ fn verify_candidate(
     let probe_at = (cand.x_depth + cand.offset, cand.literal.negated());
     if state.probed.insert(probe_at) {
         let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
-        if let Some(run) = model.gap_scenario_query(backend, base, None, &probe)? {
+        if let Some(run) = engine.scenario(base, None, &probe)? {
             state.bad_runs.push(run);
             let run = state.bad_runs.last().expect("just pushed");
             if weakened.holds_on(run) {
@@ -481,11 +476,11 @@ fn verify_candidate(
     if dic_trace::enabled() {
         dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
     }
-    // The full closure check. With `BmcMode::Auto`, `gap_query` itself
+    // The full closure check. With `BmcMode::Auto`, `closure` itself
     // fronts this with the bounded SAT tier — a shallow refuting lasso
     // comes back without running either fixpoint engine, and lands in
     // the shared bad-run pool exactly like a fixpoint counterexample.
-    match model.gap_query(backend, base, std::slice::from_ref(&weakened))? {
+    match engine.closure(base, std::slice::from_ref(&weakened))? {
         Some(run) => {
             state.bad_runs.push(run);
             Ok(Verdict::NotClosing)
@@ -604,13 +599,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// symbolic `NodeLimit` refusal on the explicit engine (lazily built,
 /// when the model's explicit-hostility axes allow) before giving the
 /// candidate up as unknown.
-#[allow(clippy::too_many_arguments)]
 fn verify_candidate_guarded(
     fa: &Ltl,
     cand: &Candidate,
     base: &[Ltl],
-    model: &CoverageModel,
-    backend: Backend,
+    engine: GapEngine<'_>,
     accepted: &[Ltl],
     screen_words: &[LassoWord],
     state: &mut WorkerState,
@@ -626,15 +619,15 @@ fn verify_candidate_guarded(
     if dic_fault::deadline_expired() {
         return Guarded::DeadlineStop;
     }
-    // One guarded attempt on `b`. The injected panic fires *inside* the
+    // One guarded attempt on `e`. The injected panic fires *inside* the
     // unwind scope, so it exercises exactly the isolation an organic
     // worker panic would.
-    let attempt = |b: Backend, state: &mut WorkerState, inject_panic: bool| {
+    let attempt = |e: GapEngine<'_>, state: &mut WorkerState, inject_panic: bool| {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 dic_fault::injected_panic();
             }
-            verify_candidate(fa, cand, base, model, b, accepted, screen_words, state)
+            verify_candidate(fa, cand, base, e, accepted, screen_words, state)
         }))
         .map_err(|payload| panic_message(payload.as_ref()))
     };
@@ -648,7 +641,14 @@ fn verify_candidate_guarded(
             },
         )))
     } else {
-        attempt(backend, state, forced == Some(dic_fault::FaultKind::Panic))
+        attempt(engine, state, forced == Some(dic_fault::FaultKind::Panic))
+    };
+    let settle = |outcome: Result<Result<Verdict, CoreError>, String>| match outcome {
+        Err(panic_msg) => Guarded::Unknown(format!("worker panic caught: {panic_msg}")),
+        Ok(Ok(verdict)) => Guarded::Settled(verdict),
+        Ok(Err(e)) if e.is_deadline() => Guarded::DeadlineStop,
+        Ok(Err(e)) if e.is_degradable() => Guarded::Unknown(e.to_string()),
+        Ok(Err(e)) => Guarded::Fatal(e),
     };
     let node_limited = matches!(
         first,
@@ -656,31 +656,13 @@ fn verify_candidate_guarded(
             dic_symbolic::SymbolicError::NodeLimit { .. }
         )))
     );
-    match first {
-        Err(panic_msg) => Guarded::Unknown(format!("worker panic caught: {panic_msg}")),
-        Ok(Ok(verdict)) => Guarded::Settled(verdict),
-        Ok(Err(e)) if e.is_deadline() => Guarded::DeadlineStop,
-        Ok(Err(_))
-            if node_limited
-                && backend == Backend::Symbolic
-                && model.ensure_explicit_fallback() =>
-        {
-            if dic_trace::enabled() {
-                dic_trace::event("gap.retry_explicit", &[]);
-            }
-            match attempt(Backend::Explicit, state, false) {
-                Err(panic_msg) => {
-                    Guarded::Unknown(format!("worker panic caught: {panic_msg}"))
-                }
-                Ok(Ok(verdict)) => Guarded::Settled(verdict),
-                Ok(Err(e)) if e.is_deadline() => Guarded::DeadlineStop,
-                Ok(Err(e)) if e.is_degradable() => Guarded::Unknown(e.to_string()),
-                Ok(Err(e)) => Guarded::Fatal(e),
-            }
+    if let Some(explicit) = node_limited.then(|| engine.explicit_fallback()).flatten() {
+        if dic_trace::enabled() {
+            dic_trace::event("gap.retry_explicit", &[]);
         }
-        Ok(Err(e)) if e.is_degradable() => Guarded::Unknown(e.to_string()),
-        Ok(Err(e)) => Guarded::Fatal(e),
+        return settle(attempt(explicit, state, false));
     }
+    settle(first)
 }
 
 /// Result of a verification scan: the accepted antichain plus the
@@ -712,14 +694,12 @@ fn push_unknown(unknown: &mut Vec<UnknownGap>, fa: &Ltl, cand: &Candidate, diagn
 /// the calling thread, so the merge's budget exit stops verification at
 /// exactly the candidate the historical sequential loop stopped at —
 /// the refactor is free when `jobs == 1`.
-#[allow(clippy::too_many_arguments)]
 fn verify_sequential(
     fa: &Ltl,
     candidates: &[Candidate],
     seed_runs: &[LassoWord],
     base: &[Ltl],
-    model: &CoverageModel,
-    backend: Backend,
+    engine: GapEngine<'_>,
     screen_words: &[LassoWord],
     budget: usize,
 ) -> Result<VerifyOutcome, CoreError> {
@@ -736,8 +716,7 @@ fn verify_sequential(
             fa,
             cand,
             base,
-            model,
-            backend,
+            engine,
             &accepted,
             screen_words,
             &mut state,
@@ -785,19 +764,18 @@ fn verify_sequential(
 /// (state-space limit, BDD node budget) reaches the caller as the same
 /// [`CoreError`] it would raise inline.
 ///
-/// On the symbolic backend the closure fixpoints serialize on the
+/// On the symbolic engine the closure fixpoints serialize on the
 /// engine's internal lock (the `BddManager` scratch regions are
 /// single-threaded); the workers still overlap all word-level screens
 /// and act as the queue that coordinating thread drains. See
-/// [`Backend::fixpoint_parallelism`].
+/// [`JobsStats::gap_fixpoints`](crate::JobsStats::gap_fixpoints).
 #[allow(clippy::too_many_arguments)]
 fn verify_parallel(
     fa: &Ltl,
     candidates: &[Candidate],
     seed_runs: &[LassoWord],
     base: &[Ltl],
-    model: &CoverageModel,
-    backend: Backend,
+    engine: GapEngine<'_>,
     screen_words: &[LassoWord],
     budget: usize,
     jobs: usize,
@@ -849,8 +827,7 @@ fn verify_parallel(
                         fa,
                         &candidates[i],
                         base,
-                        model,
-                        backend,
+                        engine,
                         &accepted,
                         screen_words,
                         &mut state,
@@ -954,8 +931,7 @@ fn attach_witnesses(
     closing: Vec<(Candidate, Ltl)>,
     seed_runs: &[LassoWord],
     base: &[Ltl],
-    model: &CoverageModel,
-    backend: Backend,
+    engine: GapEngine<'_>,
 ) -> Result<Vec<GapProperty>, CoreError> {
     let mut term_runs: std::collections::BTreeMap<TemporalCube, Option<LassoWord>> =
         std::collections::BTreeMap::new();
@@ -974,7 +950,7 @@ fn attach_witnesses(
         let queried = match term_runs.get(&cand.term) {
             Some(w) => w.clone(),
             None => {
-                let w = soft(model.gap_scenario_query(backend, base, None, &cand.term))?;
+                let w = soft(engine.scenario(base, None, &cand.term))?;
                 term_runs.insert(cand.term.clone(), w.clone());
                 w
             }
@@ -994,12 +970,7 @@ fn attach_witnesses(
                 let fallback = match &any_run {
                     Some(w) => w.clone(),
                     None => {
-                        let w = soft(model.gap_scenario_query(
-                            backend,
-                            base,
-                            None,
-                            &TemporalCube::top(),
-                        ))?;
+                        let w = soft(engine.scenario(base, None, &TemporalCube::top()))?;
                         any_run = Some(w.clone());
                         w
                     }

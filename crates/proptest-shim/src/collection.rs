@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// Length specification accepted by [`vec`]: a fixed length, an exclusive
+/// Length specification accepted by [`vec()`]: a fixed length, an exclusive
 /// range, or an inclusive range.
 #[derive(Clone, Debug)]
 pub struct SizeRange {
@@ -49,7 +49,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

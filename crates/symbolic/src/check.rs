@@ -24,7 +24,7 @@
 //!    ([`dic_ltl::LassoWord`]) exactly like the explicit engine's
 //!    counterexamples.
 //!
-//! The per-query machinery lives in [`ProductData`], which is **cached per
+//! The per-query machinery lives in `ProductData`, which is **cached per
 //! conjunct list** on the model: repeated queries against the same base
 //! formulas (the gap phase issues hundreds sharing `R ∧ ¬FA`) reuse the
 //! encoded automata, the reachable set, the fair hull and the onion rings
@@ -36,25 +36,25 @@
 //! # Dynamic reordering and the handle-safety contract
 //!
 //! Between fixpoint steps the engine may **reorder** the BDD variables
-//! ([`SymbolicModel::maybe_reorder`]), which rebuilds the manager and
+//! (`SymbolicModel::maybe_reorder`), which rebuilds the manager and
 //! invalidates every [`Bdd`] handle not explicitly remapped. The contract
 //! every function in this module follows:
 //!
-//! * only the fixpoint loops ([`ProductData::reachable`],
-//!   [`ProductData::until`], [`ProductData::hull`],
-//!   [`ProductData::rings_to`]) trigger reordering, at their loop heads,
+//! * only the fixpoint loops (`ProductData::reachable`,
+//!   `ProductData::until`, `ProductData::hull`,
+//!   `ProductData::rings_to`) trigger reordering, at their loop heads,
 //!   passing every local handle in a `live` vector to be remapped;
-//! * [`ProductData::image`]/[`ProductData::preimage`] and the encoding
+//! * `ProductData::image`/`ProductData::preimage` and the encoding
 //!   paths never reorder, so straight-line code may hold handles across
 //!   them;
 //! * a caller holding a handle across a *fixpoint-running* call must
 //!   either pass it through the callee's `live` vector or re-fetch it from
 //!   a memoized product field afterwards (memoized fields are remapped in
-//!   place). This is why e.g. [`ProductData::can_fair`] forces the hull
+//!   place). This is why e.g. `ProductData::can_fair` forces the hull
 //!   *before* capturing the reachable set, and why
-//!   [`ProductData::decide`] forces every fixpoint before extracting a
+//!   `ProductData::decide` forces every fixpoint before extracting a
 //!   witness;
-//! * inside [`SymbolicModel::scratch`] reordering is disabled outright —
+//! * inside `SymbolicModel::scratch` reordering is disabled outright —
 //!   a scratch query's intermediates are untracked (and a reorder would
 //!   invalidate the region checkpoint), so extended closure products run
 //!   under whatever order the persistent fixpoints settled on.

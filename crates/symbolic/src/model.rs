@@ -4,7 +4,7 @@
 //! A *symbolic state* is an assignment to the **state signals** — the
 //! module's latches plus its nondeterministic inputs (declared inputs and
 //! the spec signals passed as `extra_free`), exactly the state notion of
-//! the explicit [`dic_fsm::Kripke`] structure. Every state signal gets two
+//! the explicit `dic_fsm::Kripke` structure. Every state signal gets two
 //! BDD variables, a *current* and a *next* one, allocated interleaved
 //! (`curr(s) < next(s) < curr(s')`) so that swapping banks is an
 //! order-preserving rename ([`dic_logic::BddManager::rename`]).
@@ -350,7 +350,7 @@ pub struct SymbolicModel {
 impl SymbolicModel {
     /// Encodes `module` with `extra_free` signals (spec signals the module
     /// does not drive) as additional nondeterministic inputs — the same
-    /// contract as [`dic_fsm::Kripke::from_module`], without the explicit
+    /// contract as `dic_fsm::Kripke::from_module`, without the explicit
     /// state-space limit.
     ///
     /// # Errors

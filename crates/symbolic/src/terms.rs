@@ -10,7 +10,7 @@
 //!   used for scenario probing and for the literal-flip generalization of
 //!   step 2(a). These never build an automaton for the cube: the cube's
 //!   per-cycle constraints are intersected into the base product's
-//!   forward frontier BDDs ([`cube_frames`]), and the suffix obligation is
+//!   forward frontier BDDs (`cube_frames`), and the suffix obligation is
 //!   one intersection with the memoized hull-reaching set. Existential
 //!   quantification over the non-cube variables happens inside the
 //!   relational product, which is exactly the paper's step 2(b) performed
@@ -28,7 +28,7 @@
 use crate::check::{translate_all, ProductData};
 use crate::error::SymbolicError;
 use crate::model::SymbolicModel;
-use dic_logic::{Bdd, Lit, SignalId};
+use dic_logic::Bdd;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
 
 impl SymbolicModel {
@@ -137,64 +137,6 @@ impl SymbolicModel {
                 self.with_extended_product(base, &base_gbas, &extra, &extra_gbas, run)
             }
         }
-    }
-
-    /// Enumerates up to `limit` temporal cubes describing the reachable
-    /// `base`-accepting region over the first `depth + 1` cycles, read
-    /// directly off the frontier BDDs: for each time step, the frontier is
-    /// intersected with the hull-reaching set and its satisfying cubes are
-    /// projected onto `signals` (a literal is reported only where the
-    /// region cube determines the signal's value). This is the symbolic
-    /// view of the paper's uncovered-term region — a scenario catalogue
-    /// needing no lasso replay at all.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SymbolicModel::satisfiable_conj`].
-    pub fn bad_region_cubes(
-        &mut self,
-        base: &[Ltl],
-        signals: &[SignalId],
-        depth: usize,
-        limit: usize,
-    ) -> Result<Vec<TemporalCube>, SymbolicError> {
-        let Some(gbas) = translate_all(base) else {
-            return Ok(Vec::new());
-        };
-        self.with_product(base, &gbas, |m, pd| {
-            let cf = pd.can_fair(m)?;
-            let mut out: Vec<TemporalCube> = Vec::new();
-            let mut frame = pd.init;
-            for t in 0..=depth {
-                if t > 0 {
-                    frame = pd.image(m, frame)?;
-                }
-                let bad = m.man.and(frame, cf);
-                for region in m.man.sat_cubes(bad, limit) {
-                    let mut lits: Vec<(usize, Lit)> = Vec::new();
-                    for &s in signals {
-                        let mut g = m.signal_bdd(s)?;
-                        for l in region.lits() {
-                            g = m.man.restrict(g, l.signal(), l.polarity());
-                        }
-                        if g.is_true() {
-                            lits.push((t, Lit::pos(s)));
-                        } else if g.is_false() {
-                            lits.push((t, Lit::neg(s)));
-                        }
-                    }
-                    let cube = TemporalCube::from_lits(lits)
-                        .expect("projection of a consistent region cube");
-                    if !cube.is_empty() && !out.contains(&cube) {
-                        out.push(cube);
-                        if out.len() >= limit {
-                            return Ok(out);
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        })
     }
 }
 

@@ -512,7 +512,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
             design.name,
             run.num_rtl_properties,
             run.backend.to_string(),
-            run.gap_backend.to_string(),
+            run.backend.to_string(),
             run.timings.primary.as_secs_f64(),
             run.timings.tm_build.as_secs_f64(),
             run.timings.gap_find.as_secs_f64(),
@@ -527,7 +527,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
                     tm_build: run.timings.tm_build,
                     gap_find: run.timings.gap_find,
                     backend: run.backend,
-                    gap_backend: run.gap_backend,
                     reorder: run.reorder,
                     jobs: run.jobs,
                     counters: run.counters,
@@ -655,7 +654,7 @@ fn cmd_table1_quick(
     };
     println!(
         "mal-ex2 gap smoke ({} backend): {} weakest properties, paper U {}, adapted U {}",
-        run.gap_backend,
+        run.backend,
         rep.gap_properties.len(),
         if has(&u_hit) { "found" } else { "MISSING" },
         if has(&u_g2) { "found" } else { "MISSING" },
@@ -671,7 +670,7 @@ fn cmd_table1_quick(
         let rep = &run.properties[0];
         println!(
             "chain-22-gap gap smoke ({} backend): {} uncovered terms, exact-hole fallback {}",
-            run.gap_backend,
+            run.backend,
             rep.uncovered_terms.len(),
             if rep.gap_properties.is_empty() { "active" } else { "inactive" },
         );

@@ -430,7 +430,7 @@ fn timeout_with_nothing_confirmed_exits_three() {
     assert_eq!(out.status.code(), Some(3), "nothing settled => exit 3");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("UNKNOWN"), "stdout: {stdout}");
-    assert!(stdout.contains("incomplete:"), "stdout: {stdout}");
+    assert!(stdout.contains("incomplete: deadline exceeded"), "stdout: {stdout}");
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("incomplete"), "stderr: {stderr}");
 }
