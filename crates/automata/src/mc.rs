@@ -7,7 +7,7 @@ use crate::reduce::{reduce, reduce_with_stats, ReductionStats};
 use crate::system::TransitionSystem;
 use dic_ltl::{LassoWord, Ltl};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Whether the automaton reduction pipeline (formula rewriting before the
 /// tableau, simulation-based reduction after it) is active. It always is;
@@ -40,6 +40,13 @@ pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
 /// adversarial input, so the DoS-resistant default hasher buys nothing on
 /// this hot path — and is internally synchronized.
 ///
+/// Each formula owns a once-cell: the map lock is held only to find or
+/// insert the cell, and a translation runs inside its own cell, so a miss
+/// blocks only concurrent lookups of the *same* formula. A translation
+/// that panics leaves its cell empty (the next lookup retries it) and
+/// every other entry usable; a map lock poisoned by a panicking holder is
+/// recovered, since the map only ever holds fully inserted cells.
+///
 /// # Examples
 ///
 /// ```
@@ -56,13 +63,26 @@ pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct GbaCache {
-    map: Mutex<FastMap<Ltl, Arc<Gba>>>,
+    map: Mutex<FastMap<Ltl, Arc<OnceLock<Arc<Gba>>>>>,
 }
 
 impl GbaCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The cell of `formula`, inserted empty on first sight.
+    fn cell(&self, formula: &Ltl) -> Arc<OnceLock<Arc<Gba>>> {
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        match map.get(formula) {
+            Some(cell) => Arc::clone(cell),
+            None => {
+                let cell = Arc::default();
+                map.insert(formula.clone(), Arc::clone(&cell));
+                cell
+            }
+        }
     }
 
     /// The translation of `formula`, computed on first use.
@@ -75,41 +95,41 @@ impl GbaCache {
     /// (Algorithm 1's hottest path issues thousands against the same few
     /// formulas) are a single hash, never a rewrite.
     pub fn get(&self, formula: &Ltl) -> Arc<Gba> {
-        let mut map = self.map.lock().expect("cache poisoned");
-        if let Some(g) = map.get(formula) {
-            if dic_trace::enabled() {
-                dic_trace::count(dic_trace::Counter::GbaCacheHits, 1);
-            }
-            return Arc::clone(g);
-        }
-        let key = formula.simplify();
-        let g = match map.get(&key) {
-            Some(g) => {
-                if dic_trace::enabled() {
-                    dic_trace::count(dic_trace::Counter::GbaCacheHits, 1);
-                }
-                Arc::clone(g)
-            }
-            None => {
-                if dic_trace::enabled() {
-                    dic_trace::count(dic_trace::Counter::GbaCacheMisses, 1);
-                }
+        let cell = self.cell(formula);
+        let mut missed = false;
+        let g = cell.get_or_init(|| {
+            let key = formula.simplify();
+            let mut translate_key = || {
+                missed = true;
                 let _span = dic_trace::span("automata.translate");
-                let g = Arc::new(reduce(&translate(&key)));
-                map.insert(key.clone(), Arc::clone(&g));
-                g
+                Arc::new(reduce(&translate(&key)))
+            };
+            if key == *formula {
+                translate_key()
+            } else {
+                Arc::clone(self.cell(&key).get_or_init(translate_key))
             }
-        };
-        if *formula != key {
-            map.insert(formula.clone(), Arc::clone(&g));
+        });
+        if dic_trace::enabled() {
+            let counter = if missed {
+                dic_trace::Counter::GbaCacheMisses
+            } else {
+                dic_trace::Counter::GbaCacheHits
+            };
+            dic_trace::count(counter, 1);
         }
-        g
+        Arc::clone(g)
     }
 
-    /// Number of cache entries so far (distinct translations plus
+    /// Number of cached translations so far (distinct translations plus
     /// as-written aliases of rewritten formulas).
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// Whether the cache is empty.
@@ -131,8 +151,9 @@ static SHARED_TRANSLATIONS: OnceLock<GbaCache> = OnceLock::new();
 /// here means each distinct formula runs the GPVW tableau exactly once
 /// **per process** — the memo was per-thread once, which made N closure
 /// workers re-run the tableau N times on the same candidates. The
-/// [`GbaCache`] is internally synchronized (it holds its lock across a
-/// miss, so concurrent first lookups of one formula also translate once);
+/// [`GbaCache`] is internally synchronized (a miss holds only that
+/// formula's once-cell, so concurrent first lookups of one formula
+/// translate once while lookups of other formulas proceed);
 /// it is append-only for the life of the process — formula closures are
 /// small, so this trades a bounded amount of memory for the dominant
 /// translation cost.
@@ -453,6 +474,30 @@ mod tests {
             s.spawn(|| translate_cached(&f)).join().expect("worker")
         });
         assert!(Arc::ptr_eq(&first, &from_worker));
+    }
+
+    #[test]
+    fn cache_survives_a_poisoned_map_lock() {
+        let mut t = SignalTable::new();
+        let f = parse(&mut t, "G(p -> X q)");
+        let g = parse(&mut t, "F(p & q)");
+        let cache = GbaCache::new();
+        let before = cache.get(&f);
+        // A panic while holding the map lock poisons it.
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.map.lock().expect("not yet poisoned");
+                panic!("holder dies");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err() && cache.map.is_poisoned());
+        // Lookups go on: repeat hits return the very same translation,
+        // and misses still translate and memoize.
+        assert!(Arc::ptr_eq(&before, &cache.get(&f)));
+        let fresh = cache.get(&g);
+        assert!(Arc::ptr_eq(&fresh, &cache.get(&g)));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -60,9 +60,10 @@ pub fn closure_witness(
     let engine = model.gap_engine()?;
     // `R ∧ ¬fa` is shared by every closure query for `fa`; its product
     // with `M` is materialized once and memoized in the serving engine.
+    // A one-off query: its bounded-tier session is thrown away after.
     let mut base: Vec<Ltl> = rtl.formulas().to_vec();
     base.push(Ltl::not(fa.clone()));
-    engine.closure(&base, std::slice::from_ref(candidate))
+    engine.closure(&base, std::slice::from_ref(candidate), &mut None)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::spec::{ArchSpec, RtlSpec};
 use dic_fsm::Kripke;
 use dic_logic::{SignalId, SignalTable};
 use dic_netlist::Module;
+use dic_sat::BmcSession;
 use dic_symbolic::{ReorderStats, SymbolicModel, SymbolicOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -293,7 +294,8 @@ impl CoverageModel {
     /// The free spec signals: property atoms the (cone-reduced)
     /// composition does not drive. Together with [`Module::inputs`] these
     /// are the unconstrained bits a bounded query must leave open —
-    /// exactly the `free` argument of [`dic_sat::bounded_lasso`].
+    /// exactly the `free` argument of [`dic_sat::bounded_lasso`] and
+    /// [`BmcSession::new`].
     pub fn free_signals(&self) -> &[SignalId] {
         &self.free
     }
@@ -401,19 +403,30 @@ impl CoverageModel {
     }
 
     /// The bounded tier of [`GapEngine::closure`]: a `k`-step SAT query
-    /// for a run of `M` satisfying the conjunction. `Some` is a genuine,
+    /// for a run of `M` satisfying `base` and `extra`, answered by the
+    /// caller's session for `base` (built here on first use, or when the
+    /// slot holds a session for another base). `Some` is a genuine,
     /// re-verified run (sound to report as a closure refutation); `None`
     /// proves nothing.
-    fn bmc_refute(&self, formulas: &[dic_ltl::Ltl]) -> Option<dic_ltl::LassoWord> {
+    ///
+    /// The session is out of `slot` while it answers and goes back only
+    /// when the query returns, so a panic mid-query (caught by the gap
+    /// worker) discards the half-extended session.
+    fn bmc_refute<'m>(
+        &'m self,
+        base: &[dic_ltl::Ltl],
+        extra: &[dic_ltl::Ltl],
+        slot: &mut Option<BmcSession<'m>>,
+    ) -> Option<dic_ltl::LassoWord> {
         let _span = dic_trace::span("bmc.query");
         dic_trace::count(dic_trace::Counter::BmcQueries, 1);
-        let run = dic_sat::bounded_lasso(
-            &self.composed,
-            &self.table,
-            &self.free,
-            formulas,
-            self.bmc_depth,
-        )?;
+        let mut session = match slot.take() {
+            Some(s) if s.base() == base => s,
+            _ => BmcSession::new(&self.composed, &self.table, &self.free, base, self.bmc_depth),
+        };
+        let run = session.query(extra);
+        *slot = Some(session);
+        let run = run?;
         dic_trace::count(dic_trace::Counter::BmcRefuted, 1);
         Some(run)
     }
@@ -544,7 +557,11 @@ impl<'m> GapEngine<'m> {
     /// and returns it without ever touching a fixpoint. An inconclusive
     /// bound (UNSAT within the depth, or the per-query conflict budget)
     /// falls through, so verdicts are identical across modes — only the
-    /// engine that produces them changes. The tier is skipped on the
+    /// engine that produces them changes. `bmc` holds the caller's
+    /// [`BmcSession`] for `base`: a gap worker keeps one across its
+    /// candidates, so the unrolling and the base automata are encoded
+    /// once per worker and what the solver learns carries over; a
+    /// one-off caller passes an empty slot. The tier is skipped on the
     /// explicit engine: those models fit the enumerative engine precisely
     /// because their fixpoints cost milliseconds, less than a single
     /// unrolled SAT query, while each symbolic Emerson–Lei fixpoint costs
@@ -559,14 +576,13 @@ impl<'m> GapEngine<'m> {
         self,
         base: &[dic_ltl::Ltl],
         extra: &[dic_ltl::Ltl],
+        bmc: &mut Option<BmcSession<'m>>,
     ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
         let model = self.model;
         match self.engine {
             Engine::Symbolic => {
                 if model.bmc_mode == BmcMode::Auto {
-                    let formulas: Vec<dic_ltl::Ltl> =
-                        base.iter().chain(extra.iter()).cloned().collect();
-                    if let Some(run) = model.bmc_refute(&formulas) {
+                    if let Some(run) = model.bmc_refute(base, extra, bmc) {
                         return Ok(Some(run));
                     }
                 }

@@ -30,6 +30,7 @@ use crate::model::{CoverageModel, GapEngine};
 use crate::spec::RtlSpec;
 use dic_logic::{Lit, SignalTable};
 use dic_ltl::{LassoWord, Ltl, LtlNode, Polarity, Position, TemporalCube};
+use dic_sat::BmcSession;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -376,12 +377,13 @@ enum Verdict {
     Closing(Ltl),
 }
 
-/// Per-worker verification scratch. Each worker owns its pool and probe
-/// memo outright, so no verdict ever depends on what another worker
-/// happened to discover first: every pooled run is a genuine bad run
-/// (rejections are sound regardless of pool content), and the probe memo
-/// only suppresses *repeat* probes within one worker.
-struct WorkerState {
+/// Per-worker verification scratch. Each worker owns its pool, probe
+/// memo and bounded-tier session outright, so no verdict ever depends on
+/// what another worker happened to discover first: every pooled run is a
+/// genuine bad run (rejections are sound regardless of pool content), the
+/// probe memo only suppresses *repeat* probes within one worker, and a
+/// session answer is a re-verified run or no verdict at all.
+struct WorkerState<'m> {
     /// Known bad runs — runs of `M` satisfying `R ∧ ¬fa`. Seeded with the
     /// term-enumeration runs; every failed closure check and probe hit
     /// contributes one more. A candidate that holds on any pooled run is
@@ -390,13 +392,19 @@ struct WorkerState {
     /// Directed refutation probes already answered by this worker, per
     /// probed (time, literal) pair.
     probed: BTreeSet<(usize, Lit)>,
+    /// The incremental bounded-refutation session for this worker's
+    /// `R ∧ ¬fa` base, built by the first closure query that reaches the
+    /// SAT tier. Only ever taken out for the duration of one query (see
+    /// [`GapEngine::closure`]): a panic mid-query leaves it `None`.
+    bmc: Option<BmcSession<'m>>,
 }
 
-impl WorkerState {
+impl WorkerState<'_> {
     fn new(seed_runs: &[LassoWord]) -> Self {
         WorkerState {
             bad_runs: seed_runs.to_vec(),
             probed: BTreeSet::new(),
+            bmc: None,
         }
     }
 }
@@ -417,14 +425,14 @@ fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
 ///
 /// `accepted` is a (possibly stale) snapshot of the merge's accepted
 /// formulas; see [`WeakestMerge`] for why staleness is sound.
-fn verify_candidate(
+fn verify_candidate<'m>(
     fa: &Ltl,
     cand: &Candidate,
     base: &[Ltl],
-    engine: GapEngine<'_>,
+    engine: GapEngine<'m>,
     accepted: &[Ltl],
     screen_words: &[LassoWord],
-    state: &mut WorkerState,
+    state: &mut WorkerState<'m>,
 ) -> Result<Verdict, CoreError> {
     let Some(weakened) = apply(fa, cand) else {
         return Ok(Verdict::Skip);
@@ -480,7 +488,7 @@ fn verify_candidate(
     // fronts this with the bounded SAT tier — a shallow refuting lasso
     // comes back without running either fixpoint engine, and lands in
     // the shared bad-run pool exactly like a fixpoint counterexample.
-    match engine.closure(base, std::slice::from_ref(&weakened))? {
+    match engine.closure(base, std::slice::from_ref(&weakened), &mut state.bmc)? {
         Some(run) => {
             state.bad_runs.push(run);
             Ok(Verdict::NotClosing)
@@ -599,14 +607,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// symbolic `NodeLimit` refusal on the explicit engine (lazily built,
 /// when the model's explicit-hostility axes allow) before giving the
 /// candidate up as unknown.
-fn verify_candidate_guarded(
+fn verify_candidate_guarded<'m>(
     fa: &Ltl,
     cand: &Candidate,
     base: &[Ltl],
-    engine: GapEngine<'_>,
+    engine: GapEngine<'m>,
     accepted: &[Ltl],
     screen_words: &[LassoWord],
-    state: &mut WorkerState,
+    state: &mut WorkerState<'m>,
 ) -> Guarded {
     let forced = dic_fault::hit(dic_fault::Site::GapWorker);
     match forced {
@@ -622,7 +630,7 @@ fn verify_candidate_guarded(
     // One guarded attempt on `e`. The injected panic fires *inside* the
     // unwind scope, so it exercises exactly the isolation an organic
     // worker panic would.
-    let attempt = |e: GapEngine<'_>, state: &mut WorkerState, inject_panic: bool| {
+    let attempt = |e: GapEngine<'m>, state: &mut WorkerState<'m>, inject_panic: bool| {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 dic_fault::injected_panic();

@@ -11,6 +11,15 @@
 //! need more cycles), which is why the coverage pipeline uses this as a
 //! *refutation-only* tier in front of the fixpoint engines.
 //!
+//! [`BmcSession`] asks the same question for many candidates against one
+//! shared base conjunction (Algorithm 1's `R ∧ ¬FA`): the unrolling, the
+//! base automata and the loop structure are encoded and solved once, and
+//! each candidate only adds its own automaton, guarded by a fresh
+//! activation literal (incremental BMC in the style of Eén & Sörensson,
+//! *Temporal induction by incremental SAT solving*, 2003).
+//! [`bounded_lasso`] is a session with the whole conjunction as its base
+//! and one empty-candidate query.
+//!
 //! # Encoding
 //!
 //! Positions `0 ..= k` (`k = depth`), with position `k` identified with
@@ -31,14 +40,27 @@
 //! * **acceptance**: for every acceptance set of every automaton, some
 //!   in-loop position visits it (generalized Büchi acceptance localized
 //!   to the period).
+//!
+//! # Sessions
+//!
+//! The base (netlist, base automata, loop selectors, and the constant-true
+//! literal every later gate may reduce to) goes into the solver unguarded.
+//! A candidate's clauses each carry `¬act` for a fresh variable `act`; the
+//! query solves under the assumption `act` and then retires it with the
+//! unit clause `¬act`, which satisfies every clause of that candidate for
+//! good. Learned clauses are consequences of the clause database, which
+//! only ever grows, so they stay sound in later queries; a learned clause
+//! that depended on a candidate contains its `¬act` and is satisfied once
+//! that candidate is retired.
 
 use crate::cnf::{Cnf, SatLit};
 use crate::solver::{SatResult, Solver};
-use dic_automata::translate_cached;
+use dic_automata::{translate_cached, Gba};
 use dic_logic::{BoolExpr, SignalId, SignalTable, Valuation};
 use dic_ltl::{LassoWord, Ltl};
 use dic_netlist::Module;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default unroll depth of the bounded tier (`SPECMATCHER_BMC_DEPTH`
 /// overrides it).
@@ -49,9 +71,10 @@ pub const DEFAULT_BMC_DEPTH: usize = 16;
 /// hard instance. Part of the query, hence deterministic.
 pub const BMC_CONFLICT_BUDGET: u64 = 50_000;
 
-/// Variable cap for the bounded tier: an encoding wider than this is
-/// skipped outright (`None`) — the CNF build itself would dominate the
-/// fixpoint it is supposed to short-circuit.
+/// Variable cap for the bounded tier: a query whose encoding (base plus
+/// candidate) would be wider than this is skipped outright (`None`) — the
+/// CNF build itself would dominate the fixpoint it is supposed to
+/// short-circuit.
 pub const BMC_VAR_LIMIT: usize = 400_000;
 
 /// Searches for a lasso run of `module` (with `free` spec signals as
@@ -60,7 +83,7 @@ pub const BMC_VAR_LIMIT: usize = 400_000;
 ///
 /// Returns a replayable [`LassoWord`] on success; `None` means *no verdict*
 /// (bounded-unsatisfiable, over budget, or too large to encode), never
-/// "unsatisfiable".
+/// "unsatisfiable". A one-query [`BmcSession`] over the whole conjunction.
 ///
 /// # Panics
 ///
@@ -72,90 +95,166 @@ pub fn bounded_lasso(
     formulas: &[Ltl],
     depth: usize,
 ) -> Option<LassoWord> {
-    assert!(depth > 0, "BMC depth must be positive");
-    let gbas: Vec<_> = formulas.iter().map(translate_cached).collect();
-    if gbas.iter().any(|g| g.initial().is_empty()) {
-        // Some conjunct is unsatisfiable on its own: no run exists at any
-        // depth. Still "no verdict" here — the unbounded engines answer
-        // the query with the same `None` for free.
-        return None;
-    }
-    // `bmc.encode` injection site: the tier is refutation-only, so any
-    // non-panic kind degrades to `None` ("no verdict"), which is sound by
-    // construction.
-    match dic_fault::hit(dic_fault::Site::BmcEncode) {
-        Some(dic_fault::FaultKind::Panic) => dic_fault::injected_panic(),
-        Some(_) => return None,
-        None => {}
-    }
-    // A tripped deadline skips the bounded tier outright — the closure
-    // engines behind it carry their own checkpoints and report the trip.
-    if dic_fault::deadline_expired() {
-        return None;
-    }
-    let mut span = dic_trace::span("bmc.encode");
-    let mut enc = Encoder::new(module, table, free, depth);
-    if enc.predicted_vars(&gbas) > BMC_VAR_LIMIT {
-        return None;
-    }
-    enc.encode_model();
-    for g in &gbas {
-        enc.encode_automaton(g.as_ref());
-    }
-    enc.encode_loop();
-    if dic_trace::enabled() {
-        span.meta("vars", enc.cnf.num_vars() as u64);
-        span.meta("clauses", enc.cnf.num_clauses() as u64);
-        span.meta("depth", depth as u64);
-    }
-    drop(span);
+    BmcSession::new(module, table, free, formulas, depth).query(&[])
+}
 
-    let Encoder {
-        cnf,
-        latch_vars,
-        input_vars,
-        selectors,
-        ..
-    } = enc;
-    let _solve_span = dic_trace::span("bmc.solve");
-    let mut solver = Solver::new(cnf);
-    let SatResult::Sat(model) = solver.solve(Some(BMC_CONFLICT_BUDGET)) else {
-        return None;
-    };
+/// An incremental bounded-refutation session: many [`BmcSession::query`]
+/// calls against one shared base conjunction, each answering what
+/// [`bounded_lasso`] would answer for `base ∧ candidate`.
+///
+/// The base encoding is built by the first query that gets past the
+/// cheap pre-checks and then reused; what the solver learns in one query
+/// carries into the next. Answers are sound regardless of query history,
+/// but a `Some` witness is one of possibly many runs and may differ from
+/// the one a fresh session would return.
+///
+/// A query that panics (an injected fault, say) can leave the session
+/// half-extended: discard it rather than query it again.
+pub struct BmcSession<'a> {
+    table: &'a SignalTable,
+    base: Vec<Ltl>,
+    base_gbas: Vec<Arc<Gba>>,
+    enc: Encoder<'a>,
+    /// The solver over the base encoding, built on first use.
+    solver: Option<Solver>,
+}
 
-    // Extract: latch and input bits from the model, wires re-settled
-    // through the netlist evaluator (exactly the explicit engine's label
-    // convention — unconstrained signals stay false).
-    let state_signals = module.state_signals();
-    let inputs = module.nondet_inputs(free);
-    let lit_val = |l: SatLit| model[l.var().index()] == l.is_pos();
-    let mut states = Vec::with_capacity(depth);
-    for t in 0..depth {
-        let mut v = Valuation::all_false(table.len());
-        for (i, &s) in state_signals.iter().enumerate() {
-            v.set(s, lit_val(latch_vars[t][i]));
+impl<'a> BmcSession<'a> {
+    /// A session for runs of `module` (with `free` spec signals as extra
+    /// nondeterministic inputs) within `depth` cycles satisfying every
+    /// formula of `base`. Nothing is encoded until the first query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth == 0` (callers validate the configured depth).
+    pub fn new(
+        module: &'a Module,
+        table: &'a SignalTable,
+        free: &[SignalId],
+        base: &[Ltl],
+        depth: usize,
+    ) -> Self {
+        assert!(depth > 0, "BMC depth must be positive");
+        BmcSession {
+            table,
+            base: base.to_vec(),
+            base_gbas: base.iter().map(translate_cached).collect(),
+            enc: Encoder::new(module, free, depth),
+            solver: None,
         }
-        for (i, &s) in inputs.iter().enumerate() {
-            v.set(s, lit_val(input_vars[t][i]));
-        }
-        module.eval_wires(&mut v);
-        states.push(v);
     }
-    let loop_start = selectors.iter().position(|&l| lit_val(l))?;
-    let word = LassoWord::new(states, loop_start)?;
 
-    // Belt and braces: the word is only trusted if every formula holds on
-    // it under the word-level semantics — an encoding discrepancy then
-    // degrades to a missed short-circuit, never an unsound verdict.
-    if formulas.iter().all(|f| f.holds_on(&word)) {
-        Some(word)
-    } else {
-        debug_assert!(false, "BMC witness failed word-level re-verification");
-        None
+    /// The base conjunction every query extends.
+    pub fn base(&self) -> &[Ltl] {
+        &self.base
+    }
+
+    /// Searches for a run satisfying the base and every formula of
+    /// `candidate`, with the contract of [`bounded_lasso`]: `Some` is a
+    /// re-verified run, `None` is no verdict. The candidate is retired
+    /// before this returns, whatever the answer.
+    pub fn query(&mut self, candidate: &[Ltl]) -> Option<LassoWord> {
+        let cand_gbas: Vec<Arc<Gba>> = candidate.iter().map(translate_cached).collect();
+        if self
+            .base_gbas
+            .iter()
+            .chain(&cand_gbas)
+            .any(|g| g.initial().is_empty())
+        {
+            // Some conjunct is unsatisfiable on its own: no run exists at
+            // any depth. Still "no verdict" here — the unbounded engines
+            // answer the query with the same `None` for free.
+            return None;
+        }
+        // `bmc.encode` injection site, crossed once per query: the tier
+        // is refutation-only, so any non-panic kind degrades to `None`
+        // ("no verdict"), which is sound by construction.
+        match dic_fault::hit(dic_fault::Site::BmcEncode) {
+            Some(dic_fault::FaultKind::Panic) => dic_fault::injected_panic(),
+            Some(_) => return None,
+            None => {}
+        }
+        // A tripped deadline skips the bounded tier outright — the closure
+        // engines behind it carry their own checkpoints and report the
+        // trip.
+        if dic_fault::deadline_expired() {
+            return None;
+        }
+        let mut span = dic_trace::span("bmc.encode");
+        let states: usize = self
+            .base_gbas
+            .iter()
+            .chain(&cand_gbas)
+            .map(|g| g.num_states())
+            .sum();
+        if self.enc.predicted_vars(states) > BMC_VAR_LIMIT {
+            return None;
+        }
+        // What this query encodes: the base on first use, then the
+        // candidate (trace metadata).
+        let vars_before = self.enc.cnf.num_vars();
+        let mut clauses = 0;
+        if self.solver.is_none() {
+            self.enc.encode_model();
+            for g in &self.base_gbas {
+                self.enc.encode_automaton(g);
+            }
+            self.enc.encode_loop();
+            // Candidates may reduce gates to constants; the literal they
+            // reduce to must live in the unguarded base, or retiring the
+            // first candidate to create it would set it free.
+            self.enc.cnf.lit_true();
+            let base = self.enc.cnf.take_clauses();
+            clauses += base.len();
+            self.solver = Some(Solver::from_clauses(self.enc.cnf.num_vars() as u32, base));
+        }
+        let solver = self.solver.as_mut().expect("just built");
+        // An empty candidate needs no guard: the query is the base alone.
+        let act = (!cand_gbas.is_empty()).then(|| {
+            let act = SatLit::pos(self.enc.cnf.new_var());
+            for g in &cand_gbas {
+                self.enc.encode_automaton(g);
+            }
+            while solver.num_vars() < self.enc.cnf.num_vars() {
+                solver.new_var();
+            }
+            let guarded = self.enc.cnf.take_clauses();
+            clauses += guarded.len();
+            for c in guarded {
+                solver.add_clause(c.into_iter().chain([act.negated()]));
+            }
+            act
+        });
+        if dic_trace::enabled() {
+            span.meta("vars", (self.enc.cnf.num_vars() - vars_before) as u64);
+            span.meta("clauses", clauses as u64);
+            span.meta("depth", self.enc.depth as u64);
+        }
+        drop(span);
+
+        let _solve_span = dic_trace::span("bmc.solve");
+        let result = solver.solve_assuming(act.as_slice(), Some(BMC_CONFLICT_BUDGET));
+        if let Some(act) = act {
+            solver.add_clause([act.negated()]);
+        }
+        let SatResult::Sat(model) = result else {
+            return None;
+        };
+        let word = self.enc.extract(&model, self.table)?;
+        // Belt and braces: the word is only trusted if every formula holds
+        // on it under the word-level semantics — an encoding discrepancy
+        // then degrades to a missed short-circuit, never an unsound
+        // verdict.
+        if self.base.iter().chain(candidate).all(|f| f.holds_on(&word)) {
+            Some(word)
+        } else {
+            debug_assert!(false, "BMC witness failed word-level re-verification");
+            None
+        }
     }
 }
 
-/// Per-query encoder state.
+/// The unrolling encoder: variables and clauses for one session.
 struct Encoder<'a> {
     module: &'a Module,
     depth: usize,
@@ -177,12 +276,7 @@ struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    fn new(
-        module: &'a Module,
-        _table: &SignalTable,
-        free: &[SignalId],
-        depth: usize,
-    ) -> Self {
+    fn new(module: &'a Module, free: &[SignalId], depth: usize) -> Self {
         let state_signals = module.state_signals();
         let nondet = module.nondet_inputs(free);
         let latch_index = state_signals
@@ -206,14 +300,38 @@ impl<'a> Encoder<'a> {
         }
     }
 
-    /// Rough pre-encoding size estimate, to bail out before building an
-    /// encoding the solver could never repay.
-    fn predicted_vars(&self, gbas: &[std::sync::Arc<dic_automata::Gba>]) -> usize {
+    /// Rough size estimate of the whole encoding with `automaton_states`
+    /// automaton states in total, to bail out before building an encoding
+    /// the solver could never repay.
+    fn predicted_vars(&self, automaton_states: usize) -> usize {
         let per_step = self.latch_index.len()
             + self.input_index.len()
             + self.module.wires().len() * 2
-            + gbas.iter().map(|g| g.num_states()).sum::<usize>();
+            + automaton_states;
         (self.depth + 1) * per_step
+    }
+
+    /// The run a SAT model encodes: latch and input bits from the model,
+    /// wires re-settled through the netlist evaluator (exactly the
+    /// explicit engine's label convention — unconstrained signals stay
+    /// false).
+    fn extract(&self, model: &[bool], table: &SignalTable) -> Option<LassoWord> {
+        let state_signals = self.module.state_signals();
+        let lit_val = |l: SatLit| model[l.var().index()] == l.is_pos();
+        let mut states = Vec::with_capacity(self.depth);
+        for t in 0..self.depth {
+            let mut v = Valuation::all_false(table.len());
+            for (i, &s) in state_signals.iter().enumerate() {
+                v.set(s, lit_val(self.latch_vars[t][i]));
+            }
+            for (i, &s) in self.nondet.iter().enumerate() {
+                v.set(s, lit_val(self.input_vars[t][i]));
+            }
+            self.module.eval_wires(&mut v);
+            states.push(v);
+        }
+        let loop_start = self.selectors.iter().position(|&l| lit_val(l))?;
+        LassoWord::new(states, loop_start)
     }
 
     /// The literal carrying `signal` at position `t`. Latches and inputs
@@ -511,5 +629,136 @@ mod tests {
         let f = Ltl::parse("G(x -> !y)", &mut t).unwrap();
         let word = bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), 4).expect("tautology holds");
         assert!(f.holds_on(&word));
+    }
+
+    /// A random netlist (1–3 inputs, up to 2 wires, 1–3 latches) plus
+    /// one free spec signal `env`, and the atoms formulas may mention.
+    fn random_setup(
+        rng: &mut dic_ltl::random::XorShift64,
+    ) -> (SignalTable, Module, Vec<SignalId>, SignalId) {
+        let mut t = SignalTable::new();
+        let mut b = ModuleBuilder::new("rand", &mut t);
+        let mut pool: Vec<SignalId> =
+            (0..1 + rng.below(3)).map(|i| b.input(&format!("i{i}"))).collect();
+        let leaf = |pool: &[SignalId], rng: &mut dic_ltl::random::XorShift64| {
+            let v = BoolExpr::var(pool[rng.below(pool.len())]);
+            if rng.flip() {
+                v.not()
+            } else {
+                v
+            }
+        };
+        for i in 0..rng.below(3) {
+            let (a, c) = (leaf(&pool, rng), leaf(&pool, rng));
+            let func = match rng.below(3) {
+                0 => BoolExpr::and([a, c]),
+                1 => BoolExpr::or([a, c]),
+                _ => BoolExpr::xor(a, c),
+            };
+            pool.push(b.wire(&format!("w{i}"), func));
+        }
+        for i in 0..1 + rng.below(3) {
+            let next = leaf(&pool, rng);
+            pool.push(b.latch(&format!("q{i}"), next, rng.flip()));
+        }
+        b.mark_output(*pool.last().expect("non-empty"));
+        let m = b.finish().expect("valid netlist");
+        let env = t.intern("env");
+        let mut atoms: Vec<SignalId> = m.signals().into_iter().collect();
+        atoms.push(env);
+        (t, m, atoms, env)
+    }
+
+    #[test]
+    fn session_answers_match_one_shot_in_any_query_order() {
+        use dic_ltl::random::{random_formula, XorShift64};
+        let mut refuted = 0;
+        let mut inconclusive = 0;
+        for seed in 1..=40u64 {
+            let mut rng = XorShift64::new(seed.wrapping_mul(0x9E37_79B9) + 7);
+            let (t, m, atoms, env) = random_setup(&mut rng);
+            let base: Vec<Ltl> = (0..rng.below(3))
+                .map(|_| {
+                    let budget = 3 + rng.below(3);
+                    random_formula(&mut rng, &atoms, budget)
+                })
+                .collect();
+            let cands: Vec<Ltl> = (0..6)
+                .map(|_| {
+                    let budget = 2 + rng.below(4);
+                    random_formula(&mut rng, &atoms, budget)
+                })
+                .collect();
+            let depth = 2 + rng.below(5);
+            let expected: Vec<bool> = cands
+                .iter()
+                .map(|c| {
+                    let mut all = base.clone();
+                    all.push(c.clone());
+                    bounded_lasso(&m, &t, &[env], &all, depth).is_some()
+                })
+                .collect();
+            let forward: Vec<usize> = (0..cands.len()).collect();
+            let backward: Vec<usize> = forward.iter().rev().copied().collect();
+            let interleaved: Vec<usize> =
+                forward.iter().map(|&i| (i * 5 + 3) % cands.len()).collect();
+            for order in [forward, backward, interleaved] {
+                let mut session = BmcSession::new(&m, &t, &[env], &base, depth);
+                for &i in &order {
+                    let got = session.query(std::slice::from_ref(&cands[i]));
+                    assert_eq!(
+                        got.is_some(),
+                        expected[i],
+                        "seed {seed}: session and one-shot disagree on candidate {i} (order {order:?})"
+                    );
+                    if let Some(word) = got {
+                        for f in base.iter().chain([&cands[i]]) {
+                            assert!(
+                                f.holds_on(&word),
+                                "seed {seed}: witness violates {}",
+                                f.display(&t)
+                            );
+                        }
+                    }
+                }
+            }
+            refuted += expected.iter().filter(|&&e| e).count();
+            inconclusive += expected.iter().filter(|&&e| !e).count();
+        }
+        assert!(
+            refuted > 20 && inconclusive > 20,
+            "both answers exercised: {refuted}/{inconclusive}"
+        );
+    }
+
+    #[test]
+    fn constant_true_is_never_retired_with_a_candidate() {
+        // The latch module's base encoding reduces no gate to a constant.
+        // `G !z` over the unconstrained `z` pins `z` false through the
+        // constant literal; if that literal were first created inside the
+        // candidate, retiring the candidate would set it free and the
+        // later `F z` would find a bogus run.
+        let mut t = SignalTable::new();
+        let m = latch_module(&mut t);
+        let never = Ltl::parse("G !z", &mut t).unwrap();
+        let eventually = Ltl::parse("F z", &mut t).unwrap();
+        let mut session = BmcSession::new(&m, &t, &[], &[], 4);
+        assert!(session.query(std::slice::from_ref(&never)).is_some());
+        assert!(session.query(std::slice::from_ref(&eventually)).is_none());
+        assert!(session.query(std::slice::from_ref(&never)).is_some());
+    }
+
+    #[test]
+    fn unsatisfiable_conjuncts_short_circuit_either_side() {
+        let mut t = SignalTable::new();
+        let m = latch_module(&mut t);
+        let contradiction = Ltl::parse("G q & F !q", &mut t).unwrap();
+        let reachable = Ltl::parse("F q", &mut t).unwrap();
+        let mut dead_base = BmcSession::new(&m, &t, &[], std::slice::from_ref(&contradiction), 4);
+        assert!(dead_base.query(std::slice::from_ref(&reachable)).is_none());
+        let mut live = BmcSession::new(&m, &t, &[], &[], 4);
+        assert!(live.query(std::slice::from_ref(&contradiction)).is_none());
+        assert!(live.query(std::slice::from_ref(&reachable)).is_some());
+        assert_eq!(live.base(), &[] as &[Ltl]);
     }
 }

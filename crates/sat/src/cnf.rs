@@ -1,8 +1,9 @@
 //! CNF formulas and a Tseitin gate builder.
 //!
 //! The bounded-refutation encoder ([`crate::bmc`]) lowers every circuit
-//! gate and automaton constraint into clauses through the helpers here;
-//! the [`Cnf`] is then handed to the [`Solver`](crate::Solver) whole.
+//! gate and automaton constraint into clauses through the helpers here,
+//! handing them to the [`Solver`](crate::Solver) in batches: the shared
+//! base encoding first, then one batch per candidate query.
 
 use std::fmt;
 
@@ -118,6 +119,14 @@ impl Cnf {
     /// Consumes the builder into `(num_vars, clauses)` for the solver.
     pub(crate) fn into_parts(self) -> (u32, Vec<Vec<SatLit>>) {
         (self.num_vars, self.clauses)
+    }
+
+    /// Removes and returns the clauses recorded so far, keeping the
+    /// variable counter and the constant-true literal: an incremental
+    /// encoder hands each batch to a live [`Solver`](crate::Solver) and
+    /// goes on allocating variables where the batch left off.
+    pub(crate) fn take_clauses(&mut self) -> Vec<Vec<SatLit>> {
+        std::mem::take(&mut self.clauses)
     }
 
     /// Adds a clause (a disjunction of literals). Duplicates are removed;

@@ -5,10 +5,12 @@
 //! rejecting closure candidates whose counterexamples live at shallow
 //! depth — each rejection paid for with a full Emerson–Lei fixpoint or an
 //! explicit product search. This crate provides the cheap tier in front of
-//! both: a from-scratch **CDCL SAT solver** ([`Solver`]) and a **bounded
-//! lasso encoder** ([`bounded_lasso`]) that unrolls the netlist transition
-//! relation and the conjunct automata `k` steps and asks for an ultimately
-//! periodic run within that bound.
+//! both: a from-scratch incremental **CDCL SAT solver** ([`Solver`]) and a
+//! **bounded lasso encoder** ([`bounded_lasso`]) that unrolls the netlist
+//! transition relation and the conjunct automata `k` steps and asks for an
+//! ultimately periodic run within that bound. A [`BmcSession`] keeps one
+//! such unrolling alive across many candidate queries against a shared
+//! base conjunction, each candidate behind its own activation literal.
 //!
 //! The tier is *refutation-only*: a SAT answer is a genuine run (it is
 //! re-settled through the netlist evaluator and re-verified with the
@@ -48,6 +50,6 @@ pub mod bmc;
 pub mod cnf;
 pub mod solver;
 
-pub use bmc::{bounded_lasso, BMC_CONFLICT_BUDGET, BMC_VAR_LIMIT, DEFAULT_BMC_DEPTH};
+pub use bmc::{bounded_lasso, BmcSession, BMC_CONFLICT_BUDGET, BMC_VAR_LIMIT, DEFAULT_BMC_DEPTH};
 pub use cnf::{Cnf, SatLit, Var};
 pub use solver::{SatResult, Solver, SolverStats};

@@ -2,20 +2,30 @@
 //!
 //! Classic MiniSat-style architecture, dependency-free and deterministic:
 //!
-//! * **two watched literals** per clause for unit propagation,
+//! * **two watched literals** per clause for unit propagation, over one
+//!   flat literal arena (a clause is a `(start, len)` window into it),
 //! * **first-UIP conflict analysis** with learned-clause assertion and
 //!   non-chronological backjumping,
 //! * **VSIDS-style decisions**: per-variable activities bumped on conflict
-//!   participation and decayed geometrically, with ties broken by the
-//!   *smallest variable index* — the solver is a deterministic function of
-//!   the clause list, which the byte-identical-output contract of the
-//!   BMC tier leans on,
-//! * geometric **restarts** (activities survive, the trail resets).
+//!   participation and decayed geometrically, kept in a binary heap
+//!   ordered by *(activity descending, variable index ascending)* — the
+//!   highest-activity unassigned variable wins and ties go to the
+//!   smallest index, so the solver is a deterministic function of the
+//!   clause list, which the byte-identical-output contract of the BMC
+//!   tier leans on,
+//! * geometric **restarts** (activities survive, the trail resets),
+//! * **incremental use**: [`Solver::new_var`] and [`Solver::add_clause`]
+//!   extend the formula between solves, and [`Solver::solve_assuming`]
+//!   decides it under assumption literals. Learned clauses are consequences
+//!   of the clause database alone, so they stay valid across calls — the
+//!   bounded tier's [`BmcSession`](crate::BmcSession) relies on this to
+//!   carry what one candidate query learned into the next.
 //!
-//! The solver takes an optional **conflict budget**: exhausting it returns
-//! [`SatResult::Unknown`], letting the bounded tier fall through to the
-//! unbounded engines instead of stalling on a hard instance. The budget is
-//! part of the input, so verdicts stay deterministic.
+//! Every solve takes an optional **conflict budget**, counted per call:
+//! exhausting it returns [`SatResult::Unknown`], letting the bounded tier
+//! fall through to the unbounded engines instead of stalling on a hard
+//! instance. The budget is part of the input, so verdicts stay
+//! deterministic.
 
 use crate::cnf::{Cnf, SatLit, Var};
 
@@ -24,7 +34,7 @@ use crate::cnf::{Cnf, SatLit, Var};
 pub enum SatResult {
     /// Satisfiable; the vector assigns every variable by index.
     Sat(Vec<bool>),
-    /// Proved unsatisfiable.
+    /// Proved unsatisfiable (under the call's assumptions, if any).
     Unsat,
     /// Conflict budget exhausted before a verdict.
     Unknown,
@@ -33,16 +43,24 @@ pub enum SatResult {
 /// Sentinel for "no reason clause" (decision or unassigned).
 const NO_REASON: u32 = u32::MAX;
 
-#[derive(Clone)]
-struct Clause {
-    lits: Vec<SatLit>,
+/// A clause: its literals are `arena[start .. start + len]`.
+#[derive(Clone, Copy)]
+struct ClauseRef {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseRef {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Counters a solve accumulates, surfaced through `dic_trace` by
-/// [`Solver::solve`] on completion.
+/// [`Solver::solve_assuming`] on completion.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Decision-variable picks.
+    /// Decision-variable picks (assumption levels are not counted).
     pub decisions: u64,
     /// Conflicts hit (equals the number of analysis rounds).
     pub conflicts: u64,
@@ -52,10 +70,124 @@ pub struct SolverStats {
     pub propagations: u64,
 }
 
-/// The CDCL solver; build with [`Solver::new`] from a finished [`Cnf`].
+/// Sentinel heap position of a variable outside the decision heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The decision heap: a binary max-heap of variables ordered by
+/// *(activity descending, index ascending)*. Every unassigned variable is
+/// in it; assigned ones are dropped lazily when they surface at the top.
+#[derive(Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// `pos[v]`: index of `v` in `heap`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    /// Whether `a` is picked before `b`.
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn contains(&self, v: u32) -> bool {
+        self.pos[v as usize] != NOT_IN_HEAP
+    }
+
+    /// Registers a new variable (indices are dense, so `v == pos.len()`)
+    /// and inserts it.
+    fn grow(&mut self, v: u32, activity: &[f64]) {
+        debug_assert_eq!(v as usize, self.pos.len());
+        self.pos.push(NOT_IN_HEAP);
+        self.insert(v, activity);
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        debug_assert!(!self.contains(v));
+        self.pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Removes and returns the first variable in pick order.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if last != top {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v as usize] as usize, activity);
+        }
+    }
+
+    /// Re-heapifies from scratch (after a rescale, which may merge
+    /// activities that used to differ).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::before(activity, self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
+/// The CDCL solver; build with [`Solver::new`] from a finished [`Cnf`],
+/// then optionally extend it between solves.
 pub struct Solver {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back.
+    arena: Vec<SatLit>,
+    /// Clause windows into `arena`, by clause index.
+    clauses: Vec<ClauseRef>,
     /// `watches[lit.code()]`: indices of clauses currently watching `lit`
     /// (they must be revisited when `lit` becomes false).
     watches: Vec<Vec<u32>>,
@@ -74,9 +206,13 @@ pub struct Solver {
     /// VSIDS activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision candidates in pick order.
+    order: VarOrder,
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
-    /// Set when an input clause is empty or a top-level conflict exists.
+    /// Set when the clause database itself is unsatisfiable (an empty
+    /// clause, or a conflict with no decision on the trail). Permanent:
+    /// clauses are only ever added.
     unsat: bool,
     stats: SolverStats,
 }
@@ -93,23 +229,33 @@ impl Solver {
     /// Builds a solver over the finished formula.
     pub fn new(cnf: Cnf) -> Self {
         let (num_vars, raw) = cnf.into_parts();
-        let n = num_vars as usize;
+        Self::from_clauses(num_vars, raw)
+    }
+
+    /// Builds a solver over `num_vars` variables and the given clauses, in
+    /// order (the clause list of a [`Cnf`]).
+    pub(crate) fn from_clauses(num_vars: u32, raw: Vec<Vec<SatLit>>) -> Self {
         let mut s = Solver {
-            num_vars: n,
+            num_vars: 0,
+            arena: Vec::with_capacity(raw.iter().map(Vec::len).sum()),
             clauses: Vec::with_capacity(raw.len()),
-            watches: vec![Vec::new(); 2 * n],
-            assign: vec![None; n],
-            trail: Vec::with_capacity(n),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            trail: Vec::with_capacity(num_vars as usize),
             trail_lim: Vec::new(),
             qhead: 0,
-            reason: vec![NO_REASON; n],
-            level: vec![0; n],
-            activity: vec![0.0; n],
+            reason: Vec::new(),
+            level: Vec::new(),
+            activity: Vec::new(),
             var_inc: 1.0,
-            seen: vec![false; n],
+            order: VarOrder::default(),
+            seen: Vec::new(),
             unsat: false,
             stats: SolverStats::default(),
         };
+        for _ in 0..num_vars {
+            s.new_var();
+        }
         for c in raw {
             s.add_input_clause(c);
             if s.unsat {
@@ -119,11 +265,63 @@ impl Solver {
         s
     }
 
-    /// Counters accumulated so far.
+    /// Counters accumulated over the solver's lifetime.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
+    /// Number of variables allocated so far.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Allocates a fresh variable (activity zero, so it is decided after
+    /// every bumped variable and after every older zero-activity one).
+    pub fn new_var(&mut self) -> Var {
+        let v = self.num_vars as u32;
+        self.num_vars += 1;
+        self.watches.push(Vec::new());
+        self.watches.push(Vec::new());
+        self.assign.push(None);
+        self.reason.push(NO_REASON);
+        self.level.push(0);
+        self.activity.push(0.0);
+        self.seen.push(false);
+        self.order.grow(v, &self.activity);
+        Var(v)
+    }
+
+    /// Adds a clause between solves (the solver always returns to
+    /// decision level 0). The clause is simplified against the top-level
+    /// assignment first: a clause with a literal fixed true is dropped,
+    /// literals fixed false are removed, a remaining unit is enqueued, and
+    /// an empty remainder makes the solver permanently unsatisfiable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal names a variable that was never allocated.
+    pub fn add_clause(&mut self, lits: impl IntoIterator<Item = SatLit>) {
+        debug_assert_eq!(self.decision_level(), 0);
+        let mut c: Vec<SatLit> = lits.into_iter().collect();
+        c.sort_unstable();
+        c.dedup();
+        if c.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return; // l and ¬l in one clause: tautology
+        }
+        assert!(
+            c.iter().all(|l| l.var().index() < self.num_vars),
+            "clause names an unallocated variable"
+        );
+        if c.iter().any(|&l| self.value(l) == Some(true)) {
+            return;
+        }
+        c.retain(|&l| self.value(l).is_none());
+        self.add_input_clause(c);
+    }
+
+    /// Attaches a clause without simplification. Only sound while every
+    /// assigned literal is still queued for propagation (construction) or
+    /// when no literal of `lits` is assigned ([`Solver::add_clause`]).
     fn add_input_clause(&mut self, lits: Vec<SatLit>) {
         match lits.len() {
             0 => self.unsat = true,
@@ -136,12 +334,23 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[lits[0].negated().code()].push(idx);
-                self.watches[lits[1].negated().code()].push(idx);
-                self.clauses.push(Clause { lits });
+                self.attach(&lits);
             }
         }
+    }
+
+    /// Stores a clause of two or more literals in the arena and watches
+    /// its first two; returns its index.
+    fn attach(&mut self, lits: &[SatLit]) -> u32 {
+        let idx = self.clauses.len() as u32;
+        self.watches[lits[0].negated().code()].push(idx);
+        self.watches[lits[1].negated().code()].push(idx);
+        self.clauses.push(ClauseRef {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
+        idx
     }
 
     fn value(&self, l: SatLit) -> Option<bool> {
@@ -175,27 +384,24 @@ impl Solver {
             while i < ws.len() {
                 self.stats.propagations += 1;
                 let ci = ws[i];
-                let clause = &mut self.clauses[ci as usize];
+                let lits = self.clauses[ci as usize].range();
+                let (w0, w1) = (lits.start, lits.start + 1);
                 // Normalize: the false literal sits at position 1.
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                if self.arena[w0] == false_lit {
+                    self.arena.swap(w0, w1);
                 }
-                debug_assert_eq!(clause.lits[1], false_lit);
-                let first = clause.lits[0];
-                if self.assign[first.var().index()].map(|v| v == first.is_pos())
-                    == Some(true)
-                {
+                debug_assert_eq!(self.arena[w1], false_lit);
+                let first = self.arena[w0];
+                if self.value(first) == Some(true) {
                     i += 1; // already satisfied, keep the watch
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
                 let mut moved = false;
-                for k in 2..clause.lits.len() {
-                    let l = clause.lits[k];
-                    if self.assign[l.var().index()].map(|v| v == l.is_pos())
-                        != Some(false)
-                    {
-                        clause.lits.swap(1, k);
+                for k in w1 + 1..lits.end {
+                    let l = self.arena[k];
+                    if self.value(l) != Some(false) {
+                        self.arena.swap(w1, k);
                         self.watches[l.negated().code()].push(ci);
                         ws.swap_remove(i);
                         moved = true;
@@ -231,6 +437,9 @@ impl Solver {
                 *a *= 1.0 / RESCALE_AT;
             }
             self.var_inc *= 1.0 / RESCALE_AT;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v as u32, &self.activity);
         }
     }
 
@@ -248,9 +457,10 @@ impl Solver {
         let mut confl = confl;
         loop {
             // Skip the asserted literal itself on continuation rounds.
-            let start = usize::from(p.is_some());
-            let reason_lits = self.clauses[confl as usize].lits.clone();
-            for &q in &reason_lits[start..] {
+            let mut lits = self.clauses[confl as usize].range();
+            lits.start += usize::from(p.is_some());
+            for k in lits {
+                let q = self.arena[k];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -306,6 +516,9 @@ impl Solver {
                 let v = l.var().index();
                 self.assign[v] = None;
                 self.reason[v] = NO_REASON;
+                if !self.order.contains(v as u32) {
+                    self.order.insert(v as u32, &self.activity);
+                }
             }
         }
         self.qhead = self.trail.len();
@@ -318,17 +531,35 @@ impl Solver {
             self.enqueue(learnt[0], NO_REASON);
             return;
         }
-        let idx = self.clauses.len() as u32;
-        self.watches[learnt[0].negated().code()].push(idx);
-        self.watches[learnt[1].negated().code()].push(idx);
-        let asserting = learnt[0];
-        self.clauses.push(Clause { lits: learnt });
-        self.enqueue(asserting, idx);
+        let idx = self.attach(&learnt);
+        self.enqueue(learnt[0], idx);
     }
 
     /// The unassigned variable with the highest activity; ties break
-    /// toward the smallest index (the determinism contract).
-    fn pick_branch(&self) -> Option<Var> {
+    /// toward the smallest index (the determinism contract). Assigned
+    /// variables surfacing at the top of the heap are dropped; backtracking
+    /// re-inserts them.
+    fn pick_branch(&mut self) -> Option<Var> {
+        let pick = loop {
+            match self.order.pop(&self.activity) {
+                None => break None,
+                Some(v) if self.assign[v as usize].is_none() => break Some(v),
+                Some(_) => {}
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(
+            pick,
+            self.pick_branch_linear(),
+            "decision heap diverged from the linear-scan rule"
+        );
+        pick.map(Var)
+    }
+
+    /// The pick rule the heap implements, as a linear scan: the test
+    /// build checks every heap decision against it.
+    #[cfg(test)]
+    fn pick_branch_linear(&self) -> Option<u32> {
         let mut best: Option<(f64, usize)> = None;
         for v in 0..self.num_vars {
             if self.assign[v].is_none() {
@@ -339,12 +570,28 @@ impl Solver {
                 }
             }
         }
-        best.map(|(_, v)| Var(v as u32))
+        best.map(|(_, v)| v as u32)
     }
 
     /// Decides satisfiability. `max_conflicts` bounds the search
     /// (`None` = run to a verdict).
     pub fn solve(&mut self, max_conflicts: Option<u64>) -> SatResult {
+        self.solve_assuming(&[], max_conflicts)
+    }
+
+    /// Decides satisfiability with every literal of `assumptions` forced
+    /// true. [`SatResult::Unsat`] then means "unsatisfiable under these
+    /// assumptions" (the solver stays usable); a model assigns every
+    /// assumption true. `max_conflicts` bounds this call's search alone.
+    ///
+    /// The `sat.decisions`, `sat.conflicts` and `sat.learned_clauses`
+    /// trace counters receive this call's increments, never the running
+    /// totals of [`Solver::stats`].
+    pub fn solve_assuming(
+        &mut self,
+        assumptions: &[SatLit],
+        max_conflicts: Option<u64>,
+    ) -> SatResult {
         // `sat.solve` injection site: any non-panic kind degrades to
         // Unknown, which every caller treats as "no refutation found" —
         // unconditionally sound for the bounded tier.
@@ -353,40 +600,49 @@ impl Solver {
             Some(_) => return SatResult::Unknown,
             None => {}
         }
-        let result = self.run(max_conflicts);
+        let before = self.stats;
+        let result = self.run(assumptions, max_conflicts);
         if dic_trace::enabled() {
-            dic_trace::count(dic_trace::Counter::SatDecisions, self.stats.decisions);
-            dic_trace::count(dic_trace::Counter::SatConflicts, self.stats.conflicts);
+            let after = self.stats;
+            dic_trace::count(
+                dic_trace::Counter::SatDecisions,
+                after.decisions - before.decisions,
+            );
+            dic_trace::count(
+                dic_trace::Counter::SatConflicts,
+                after.conflicts - before.conflicts,
+            );
             dic_trace::count(
                 dic_trace::Counter::SatLearnedClauses,
-                self.stats.learned_clauses,
+                after.learned_clauses - before.learned_clauses,
             );
         }
         result
     }
 
-    fn run(&mut self, max_conflicts: Option<u64>) -> SatResult {
+    fn run(&mut self, assumptions: &[SatLit], max_conflicts: Option<u64>) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;
         }
         let mut restart_at = RESTART_FIRST;
         let mut conflicts_here = 0u64;
+        let mut conflicts = 0u64;
         loop {
             if let Some(ci) = self.propagate() {
                 self.stats.conflicts += 1;
+                conflicts += 1;
                 conflicts_here += 1;
                 if self.decision_level() == 0 {
+                    self.unsat = true;
                     return SatResult::Unsat;
                 }
                 let (learnt, back) = self.analyze(ci);
                 self.cancel_until(back);
                 self.learn(learnt);
                 self.decay();
-                if let Some(budget) = max_conflicts {
-                    if self.stats.conflicts >= budget {
-                        self.cancel_until(0);
-                        return SatResult::Unknown;
-                    }
+                if max_conflicts.is_some_and(|budget| conflicts >= budget) {
+                    self.cancel_until(0);
+                    return SatResult::Unknown;
                 }
                 if conflicts_here >= restart_at {
                     conflicts_here = 0;
@@ -400,25 +656,43 @@ impl Solver {
                     }
                 }
             } else {
-                match self.pick_branch() {
-                    None => {
-                        let model = self
-                            .assign
-                            .iter()
-                            .map(|a| a.expect("complete assignment"))
-                            .collect();
-                        self.cancel_until(0);
-                        return SatResult::Sat(model);
-                    }
-                    Some(v) => {
-                        self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        // Deterministic polarity: try false first (runs
-                        // and automaton codes are sparse, so negatives
-                        // satisfy most constraints immediately).
-                        self.enqueue(SatLit::neg(v), NO_REASON);
-                    }
-                }
+                // Assumptions occupy the first decision levels, one each;
+                // an assumption already true gets an empty level so the
+                // level ↔ assumption correspondence survives backjumps.
+                let next = match assumptions.get(self.decision_level() as usize) {
+                    Some(&a) => match self.value(a) {
+                        Some(true) => {
+                            self.trail_lim.push(self.trail.len());
+                            continue;
+                        }
+                        Some(false) => {
+                            self.cancel_until(0);
+                            return SatResult::Unsat;
+                        }
+                        None => a,
+                    },
+                    None => match self.pick_branch() {
+                        None => {
+                            let model = self
+                                .assign
+                                .iter()
+                                .map(|a| a.expect("complete assignment"))
+                                .collect();
+                            self.cancel_until(0);
+                            return SatResult::Sat(model);
+                        }
+                        Some(v) => {
+                            self.stats.decisions += 1;
+                            // Deterministic polarity: try false first
+                            // (runs and automaton codes are sparse, so
+                            // negatives satisfy most constraints
+                            // immediately).
+                            SatLit::neg(v)
+                        }
+                    },
+                };
+                self.trail_lim.push(self.trail.len());
+                self.enqueue(next, NO_REASON);
             }
         }
     }
@@ -556,6 +830,149 @@ mod tests {
                 assert!(!m[0] && m[1] && !m[2]);
             }
             other => panic!("expected SAT, got {other:?}"),
+        }
+    }
+    #[test]
+    fn assumptions_restrict_without_sticking() {
+        let mut cnf = Cnf::new();
+        let v = lits(&mut cnf, 2);
+        cnf.add_clause([v[0], v[1]]);
+        let mut s = Solver::new(cnf);
+        assert_eq!(s.solve_assuming(&[v[0].negated(), v[1].negated()], None), SatResult::Unsat);
+        match s.solve_assuming(&[v[0].negated()], None) {
+            SatResult::Sat(m) => assert!(!m[0] && m[1]),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        // The failed assumption set left nothing behind.
+        assert!(matches!(s.solve(None), SatResult::Sat(_)));
+    }
+
+    #[test]
+    fn clauses_added_between_solves_respect_top_level_units() {
+        let mut cnf = Cnf::new();
+        let v = lits(&mut cnf, 3);
+        cnf.add_clause([v[0]]);
+        let mut s = Solver::new(cnf);
+        assert!(matches!(s.solve(None), SatResult::Sat(_)));
+        // ¬v0 is false at the top level: the clause reduces to the unit v1.
+        s.add_clause([v[0].negated(), v[1]]);
+        let w = SatLit::pos(s.new_var());
+        s.add_clause([v[1].negated(), w]);
+        match s.solve(None) {
+            SatResult::Sat(m) => assert!(m[0] && m[1] && m[3]),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        s.add_clause([w.negated()]);
+        assert_eq!(s.solve(None), SatResult::Unsat);
+        assert_eq!(s.solve_assuming(&[v[2]], None), SatResult::Unsat, "UNSAT is permanent");
+    }
+
+    #[test]
+    fn conflict_budget_counts_per_call() {
+        // Pigeonhole 5 into 4 needs well over 5 conflicts; an easy first
+        // query must not eat into the second query's budget.
+        let mut cnf = Cnf::new();
+        let p: Vec<Vec<SatLit>> = (0..5).map(|_| lits(&mut cnf, 4)).collect();
+        let act = SatLit::pos(cnf.new_var());
+        for row in &p {
+            cnf.add_clause(row.iter().copied().chain([act.negated()]));
+        }
+        for (i1, row1) in p.iter().enumerate() {
+            for row2 in &p[i1 + 1..] {
+                for (&a, &b) in row1.iter().zip(row2) {
+                    cnf.add_clause([a.negated(), b.negated()]);
+                }
+            }
+        }
+        let mut s = Solver::new(cnf);
+        let mut spent = 0;
+        for _ in 0..3 {
+            assert_eq!(s.solve_assuming(&[act], Some(5)), SatResult::Unknown);
+            let now = s.stats().conflicts;
+            assert_eq!(now - spent, 5, "each call gets its own budget");
+            spent = now;
+        }
+        assert_eq!(s.solve_assuming(&[act], None), SatResult::Unsat);
+        assert!(matches!(s.solve_assuming(&[act.negated()], Some(5)), SatResult::Sat(_)));
+    }
+
+    /// A deterministic random clause over `vars`, 1–4 literals.
+    fn random_clause(rng: &mut proptest::prelude::TestRng, vars: &[Var]) -> Vec<SatLit> {
+        let len = 1 + rng.below(4) as usize;
+        (0..len)
+            .map(|_| SatLit::new(vars[rng.below(vars.len() as u64) as usize], rng.below(2) == 0))
+            .collect()
+    }
+
+    fn satisfies(model: &[bool], clauses: &[Vec<SatLit>]) -> bool {
+        clauses
+            .iter()
+            .all(|c| c.iter().any(|l| model[l.var().index()] == l.is_pos()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Incremental use agrees with one-shot solving: a base formula,
+        /// then a sequence of candidate clause sets each guarded by a
+        /// fresh activation literal, solved under that literal and then
+        /// retired. Every verdict equals a fresh solve of base ∪
+        /// candidate, and every model satisfies base ∪ candidate.
+        #[test]
+        fn guarded_candidates_agree_with_one_shot_solves(seed in 1u64..1_000_000) {
+            let mut rng = proptest::prelude::TestRng::new(seed);
+            let base_vars = 3 + rng.below(10) as u32;
+            let mut cnf = Cnf::new();
+            // Candidate clauses range over every variable but the
+            // activation literals (which the one-shot oracle lacks).
+            let mut vars: Vec<Var> = (0..base_vars).map(|_| cnf.new_var()).collect();
+            let base: Vec<Vec<SatLit>> = (0..rng.below(3 * u64::from(base_vars)))
+                .map(|_| random_clause(&mut rng, &vars))
+                .collect();
+            for c in &base {
+                cnf.add_clause(c.iter().copied());
+            }
+            let mut session = Solver::new(cnf);
+            for _ in 0..5 {
+                for _ in 0..rng.below(3) {
+                    vars.push(session.new_var());
+                }
+                let act = SatLit::pos(session.new_var());
+                let nvars = session.num_vars();
+                let cand: Vec<Vec<SatLit>> = (0..1 + rng.below(2 * u64::from(base_vars)))
+                    .map(|_| random_clause(&mut rng, &vars))
+                    .collect();
+                for c in &cand {
+                    session.add_clause(c.iter().copied().chain([act.negated()]));
+                }
+                let incremental = session.solve_assuming(&[act], None);
+                session.add_clause([act.negated()]);
+
+                let mut fresh = Cnf::new();
+                for _ in 0..nvars {
+                    fresh.new_var();
+                }
+                for c in base.iter().chain(&cand) {
+                    fresh.add_clause(c.iter().copied());
+                }
+                let one_shot = Solver::new(fresh).solve(None);
+                proptest::prop_assert_eq!(
+                    matches!(incremental, SatResult::Sat(_)),
+                    matches!(one_shot, SatResult::Sat(_)),
+                    "verdicts diverge (seed {})",
+                    seed
+                );
+                proptest::prop_assert!(incremental != SatResult::Unknown);
+                if let SatResult::Sat(m) = &incremental {
+                    proptest::prop_assert!(m[act.var().index()], "assumption honored");
+                    proptest::prop_assert!(satisfies(m, &base), "base violated (seed {})", seed);
+                    proptest::prop_assert!(
+                        satisfies(m, &cand),
+                        "candidate violated (seed {})",
+                        seed
+                    );
+                }
+            }
         }
     }
 }

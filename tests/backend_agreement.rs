@@ -217,3 +217,127 @@ fn bmc_modes_report_identical_gap_sets_on_pipeline() {
 fn bmc_modes_report_identical_gap_sets_on_amba_ahb() {
     assert_bmc_modes_agree(&specmatcher::designs::amba::ahb29());
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An incremental bounded session over `R ∧ ¬A` answers each
+    /// candidate exactly as a one-shot `bounded_lasso` over the whole
+    /// conjunction does — in whatever order the candidates arrive — and
+    /// every session witness satisfies all conjuncts and replays on the
+    /// concrete modules.
+    #[test]
+    fn bmc_session_answers_match_one_shot_queries(seed in 1u64..100_000) {
+        use specmatcher::ltl::random::{random_formula, XorShift64};
+        let (t, arch, rtl) = random_problem(seed);
+        let fa = arch.properties()[0].formula();
+        let model = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Explicit)
+            .expect("small model fits the explicit engine");
+        let mut base: Vec<Ltl> = rtl.formulas().to_vec();
+        base.push(Ltl::not(fa.clone()));
+        let atoms: Vec<_> = base
+            .iter()
+            .flat_map(|f| f.atoms())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        if atoms.is_empty() {
+            return;
+        }
+        let mut rng = XorShift64::new(seed ^ 0x5E55_10E5);
+        let candidates: Vec<Ltl> = (0..5)
+            .map(|_| {
+                let budget = 2 + rng.below(4);
+                random_formula(&mut rng, &atoms, budget)
+            })
+            .collect();
+        let depth = 8;
+        let one_shot: Vec<bool> = candidates
+            .iter()
+            .map(|c| {
+                let mut all = base.clone();
+                all.push(c.clone());
+                specmatcher::sat::bounded_lasso(
+                    model.composed(),
+                    &t,
+                    model.free_signals(),
+                    &all,
+                    depth,
+                )
+                .is_some()
+            })
+            .collect();
+        let forward: Vec<usize> = (0..candidates.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [forward, backward] {
+            let mut session = specmatcher::sat::BmcSession::new(
+                model.composed(),
+                &t,
+                model.free_signals(),
+                &base,
+                depth,
+            );
+            for &i in &order {
+                let got = session.query(std::slice::from_ref(&candidates[i]));
+                prop_assert_eq!(
+                    got.is_some(),
+                    one_shot[i],
+                    "session and one-shot disagree on candidate {} (seed {}, order {:?})",
+                    i,
+                    seed,
+                    order
+                );
+                if let Some(run) = got {
+                    for f in base.iter().chain([&candidates[i]]) {
+                        prop_assert!(
+                            f.holds_on(&run),
+                            "witness violates {} (seed {})",
+                            f.display(&t),
+                            seed
+                        );
+                    }
+                    replay(&model, &t, &run);
+                }
+            }
+        }
+    }
+}
+
+/// A panic injected into the bounded tier inside a gap worker costs
+/// exactly that candidate: the worker discards its half-extended session,
+/// rebuilds one for the next candidate, and every gap property the run
+/// still reports genuinely closes the gap. Runs the CLI in a child process
+/// because the fault plan is process-global.
+#[test]
+fn bmc_panic_in_a_worker_leaves_later_verdicts_correct() {
+    let design = specmatcher::designs::mal::ex2();
+    let fa = design.arch.properties()[0].formula();
+    let model = CoverageModel::build(&design.arch, &design.rtl, &design.table)
+        .expect("fault-free model builds");
+    for (site, jobs) in [("bmc.encode", "1"), ("sat.solve", "2")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_specmatcher"))
+            .args(["check", "--design", "mal-ex2", "--backend", "symbolic", "--jobs", jobs])
+            .env("SPECMATCHER_FAULT", format!("{site}:3:panic"))
+            .env("RUST_BACKTRACE", "0")
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{site}: partial gap report\n{stdout}");
+        let unknown: Vec<&str> = stdout.lines().filter(|l| l.contains("unknown:")).collect();
+        assert_eq!(unknown.len(), 1, "{site}: exactly the faulted candidate is unknown\n{stdout}");
+        assert!(unknown[0].contains("injected fault: panic"), "{site}: {}", unknown[0]);
+        let gap_lines: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| l.split_once("   [instance at ").map(|(f, _)| f.trim()))
+            .collect();
+        assert!(gap_lines.len() > 10, "{site}: later candidates still settle\n{stdout}");
+        let mut table = design.table.clone();
+        for text in gap_lines {
+            let g = Ltl::parse(text, &mut table).expect("reported formula parses");
+            assert!(
+                specmatcher::core::closes_gap(&g, fa, &design.rtl, &model).expect("runs"),
+                "{site}: reported {text} does not close the gap"
+            );
+        }
+    }
+}
