@@ -15,11 +15,21 @@
 //! The single upper-case letters `U R W G F X` are reserved operator
 //! keywords (as in SPIN/Spot), so signals cannot carry those exact names.
 //! `a W b` (weak until) is accepted and desugared to `(a U b) | G a`.
+//!
+//! Nesting — prefix operators, parentheses and the right operands of
+//! `U`/`R`/`W`/`->` — is capped at [`MAX_NESTING`] levels, so a
+//! pathological input fails with a [`ParseLtlError`] instead of
+//! overflowing the stack of the parser or of the passes that walk the
+//! formula afterwards.
 
 use crate::formula::Ltl;
 use dic_logic::SignalTable;
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting [`Ltl::parse`] accepts, chosen so that formulas
+/// this deep still run a full coverage check.
+pub const MAX_NESTING: usize = 256;
 
 /// Error produced when parsing an LTL formula fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -177,6 +187,8 @@ struct Parser<'a> {
     pos: usize,
     table: &'a mut SignalTable,
     src_len: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -200,6 +212,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Ltl, ParseLtlError>,
+    ) -> Result<Ltl, ParseLtlError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseLtlError {
+                position: self.here(),
+                message: format!("formula nests deeper than {MAX_NESTING} levels"),
+            });
+        }
+        self.depth += 1;
+        let f = f(self);
+        self.depth -= 1;
+        f
+    }
+
     fn iff(&mut self) -> Result<Ltl, ParseLtlError> {
         let mut lhs = self.imp()?;
         while self.eat(&Tok::Iff) {
@@ -212,7 +241,7 @@ impl<'a> Parser<'a> {
     fn imp(&mut self) -> Result<Ltl, ParseLtlError> {
         let lhs = self.or()?;
         if self.eat(&Tok::Imp) {
-            let rhs = self.imp()?;
+            let rhs = self.nested(Self::imp)?;
             Ok(Ltl::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -238,13 +267,13 @@ impl<'a> Parser<'a> {
     fn bin(&mut self) -> Result<Ltl, ParseLtlError> {
         let lhs = self.unary()?;
         if self.eat(&Tok::Until) {
-            let rhs = self.bin()?;
+            let rhs = self.nested(Self::bin)?;
             Ok(Ltl::until(lhs, rhs))
         } else if self.eat(&Tok::Release) {
-            let rhs = self.bin()?;
+            let rhs = self.nested(Self::bin)?;
             Ok(Ltl::release(lhs, rhs))
         } else if self.eat(&Tok::WeakUntil) {
-            let rhs = self.bin()?;
+            let rhs = self.nested(Self::bin)?;
             Ok(Ltl::weak_until(lhs, rhs))
         } else {
             Ok(lhs)
@@ -253,16 +282,16 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<Ltl, ParseLtlError> {
         if self.eat(&Tok::Not) {
-            return Ok(Ltl::not(self.unary()?));
+            return Ok(Ltl::not(self.nested(Self::unary)?));
         }
         if self.eat(&Tok::Next) {
-            return Ok(Ltl::next(self.unary()?));
+            return Ok(Ltl::next(self.nested(Self::unary)?));
         }
         if self.eat(&Tok::Globally) {
-            return Ok(Ltl::globally(self.unary()?));
+            return Ok(Ltl::globally(self.nested(Self::unary)?));
         }
         if self.eat(&Tok::Finally) {
-            return Ok(Ltl::finally(self.unary()?));
+            return Ok(Ltl::finally(self.nested(Self::unary)?));
         }
         self.atom()
     }
@@ -276,7 +305,7 @@ impl<'a> Parser<'a> {
             Some(Tok::True) => Ok(Ltl::tt()),
             Some(Tok::False) => Ok(Ltl::ff()),
             Some(Tok::LParen) => {
-                let f = self.iff()?;
+                let f = self.nested(Self::iff)?;
                 if self.eat(&Tok::RParen) {
                     Ok(f)
                 } else {
@@ -300,7 +329,7 @@ impl Ltl {
     /// # Errors
     ///
     /// Returns [`ParseLtlError`] with the byte offset of the failure on
-    /// malformed input.
+    /// malformed input, or on input nesting deeper than [`MAX_NESTING`].
     ///
     /// # Example
     ///
@@ -322,6 +351,7 @@ impl Ltl {
             pos: 0,
             table,
             src_len: src.len(),
+            depth: 0,
         };
         let f = p.iff()?;
         if p.pos != p.toks.len() {
@@ -406,6 +436,22 @@ mod tests {
         assert!(Ltl::parse("p q", &mut t).is_err());
         assert!(Ltl::parse("(p", &mut t).is_err());
         assert!(Ltl::parse("p $ q", &mut t).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let mut t = SignalTable::new();
+        let deep = |open: &str, close: &str, n| format!("{}p{}", open.repeat(n), close.repeat(n));
+        let shapes = [("(", ")"), ("X ", ""), ("!", ""), ("p U ", ""), ("p -> ", "")];
+        for (open, close) in shapes {
+            let at_limit = deep(open, close, MAX_NESTING);
+            assert!(Ltl::parse(&at_limit, &mut t).is_ok(), "{open}");
+            let e = Ltl::parse(&deep(open, close, MAX_NESTING + 1), &mut t).unwrap_err();
+            assert!(e.message.contains("nests deeper"), "{open}: {e}");
+        }
+        // Flat operator chains do not nest.
+        let wide = vec!["p"; 4 * MAX_NESTING].join(" & ");
+        assert!(Ltl::parse(&wide, &mut t).is_ok());
     }
 
     #[test]

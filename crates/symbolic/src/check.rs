@@ -30,7 +30,7 @@
 //! encoded automata, the reachable set, the fair hull and the onion rings
 //! instead of recomputing any of them. Extended products (a cached base
 //! plus a few extra conjuncts, used for gap-closure checks) re-encode only
-//! the extra automata and restrict their reachability by the base's
+//! the extra automata and restrict every image and preimage by the base's
 //! reachable set — see [`crate::terms`].
 //!
 //! # Dynamic reordering and the handle-safety contract
@@ -116,7 +116,9 @@ pub(crate) struct ProductData {
     pre_tail: VarSetId,
     next_to_curr: PairingId,
     curr_to_next: PairingId,
-    /// Conjunction of every automaton's `inv`.
+    /// Conjunction of the `inv` of every automaton this product encodes —
+    /// for an extended product only the new ones: the base's invariant is
+    /// implied by `care` (see [`ProductData::assume_care_reachable`]).
     pub(crate) inv: Bdd,
     /// Module reset ∧ automata initial ∧ `inv`.
     pub(crate) init: Bdd,
@@ -131,7 +133,7 @@ pub(crate) struct ProductData {
     /// Automaton bit-pool cursor after this product's automata; extended
     /// products allocate their extra automata from here.
     pub(crate) bits_used: usize,
-    /// Care set intersected into every reachability frontier (`TRUE` for
+    /// Care set intersected into every image and preimage (`TRUE` for
     /// base products; the base's reachable set for extended products — a
     /// sound restriction, since any extended-reachable state projects to a
     /// base-reachable one).
@@ -240,7 +242,7 @@ impl SymbolicModel {
     /// Like [`SymbolicModel::with_product`] for the conjunct list
     /// `base ++ extra`, but building the product — on first use — as an
     /// *extension* of the cached `base` product: only the `extra` automata
-    /// are encoded, reachability is restricted by the base's reachable set
+    /// are encoded, every step is restricted by the base's reachable set
     /// and the fair-hull fixpoint is seeded with the base's hull. The
     /// extension is cached like any product, so repeated gap queries
     /// against the same anchored conjunction pay the cheap build once.
@@ -258,13 +260,10 @@ impl SymbolicModel {
         let full: Vec<Ltl> = base.iter().cloned().chain(extra.iter().cloned()).collect();
         if !self.products.contains_key(&full) {
             let mut ext = self.with_product(base, base_gbas, |m, pd| {
-                // Hull first (it forces reachability): both can reorder,
-                // and the handles captured here must postdate that.
-                let hull = pd.hull(m)?;
-                let reach = pd.reachable(m)?;
+                // The extension captures the base's hull and reachable
+                // set: force both (they can reorder) before building it.
+                pd.hull(m)?;
                 let mut ext = ProductData::build(m, extra_gbas, Some(pd))?;
-                ext.set_care(reach);
-                ext.set_hull_seed(hull);
                 ext.assume_care_reachable(m);
                 Ok(ext)
             })?;
@@ -302,9 +301,11 @@ fn bits_for(n: usize) -> usize {
 
 impl ProductData {
     /// Encodes the automata of `gbas` and assembles the product plan. With
-    /// `base`, builds an *extended* product: the base's conjuncts,
-    /// invariant, initial set and fairness are reused as-is and only the
-    /// new automata are encoded, over bit-pool slices above the base's.
+    /// `base`, builds an *extended* product: the base's conjuncts, initial
+    /// set and fairness are reused as-is, only the new automata are
+    /// encoded (over bit-pool slices above the base's), and the base's
+    /// reachable set and hull — which the caller must have forced —
+    /// become the care set and the hull seed.
     pub(crate) fn build(
         m: &mut SymbolicModel,
         gbas: &[Arc<Gba>],
@@ -346,10 +347,12 @@ impl ProductData {
                     m.curr_var.clone(),
                     m.next_var.clone(),
                 ),
+                // Only the new automata's invariant: see
+                // `assume_care_reachable` for why the base's is implied.
                 Some(b) => (
                     b.conjuncts.clone(),
                     b.supports.clone(),
-                    b.inv,
+                    Bdd::TRUE,
                     b.init,
                     b.fair.clone(),
                     b.all_curr.clone(),
@@ -440,8 +443,8 @@ impl ProductData {
             all_next,
             val_len,
             bits_used: cursor,
-            care: Bdd::TRUE,
-            hull_seed: Bdd::TRUE,
+            care: base.map_or(Bdd::TRUE, |b| b.reach.expect("base reach forced")),
+            hull_seed: base.map_or(Bdd::TRUE, |b| b.hull.expect("base hull forced")),
             reach: None,
             hull: None,
             can_fair: None,
@@ -495,22 +498,6 @@ impl ProductData {
         }
     }
 
-    /// Restricts reachability to `care` (an extended product passes the
-    /// base product's reachable set). Must be set before the first
-    /// [`ProductData::reachable`] call.
-    pub(crate) fn set_care(&mut self, care: Bdd) {
-        debug_assert!(self.reach.is_none(), "care set after reachability ran");
-        self.care = care;
-    }
-
-    /// Seeds the fair-hull fixpoint with a known upper bound (an extended
-    /// product passes the base product's hull). Must be set before the
-    /// first [`ProductData::hull`] call.
-    pub(crate) fn set_hull_seed(&mut self, seed: Bdd) {
-        debug_assert!(self.hull.is_none(), "seed set after the hull ran");
-        self.hull_seed = seed;
-    }
-
     /// Skips the extension's reachability fixpoint altogether, memoizing
     /// the over-approximation `R' = care ∧ inv` (the base's reachable
     /// states, every valid extension-automaton code) in its place.
@@ -536,6 +523,19 @@ impl ProductData {
     /// never a verdict, so gap sets are untouched. What it saves is the
     /// extension's full forward fixpoint, the single most expensive step
     /// of an anchored query (~40 s of amba-ahb's forced-symbolic run).
+    ///
+    /// A second saving rests on the care set alone: an extension's `inv`
+    /// covers only its *own* automata. The base's reachable set lies
+    /// inside the base's full invariant (its automata's and, recursively,
+    /// its own base's), and every image and preimage intersects `care`
+    /// before `inv`. So each set an extension derives — reach, hull,
+    /// `can_fair`, onion rings, cube frames, witness steps — already lies
+    /// inside a subset of `care`, as does `init` (inside the base's);
+    /// conjoining the base invariant again would change none of them.
+    /// They are the *same handles* as with the conjoined invariant, so
+    /// witnesses stay byte-identical too, and each closure check skips
+    /// the `base.inv ∧ cand.inv` conjunction that used to dominate its
+    /// build.
     pub(crate) fn assume_care_reachable(&mut self, m: &mut SymbolicModel) {
         debug_assert!(self.reach.is_none(), "reachability already ran");
         self.reach = Some(m.man.and(self.care, self.inv));
@@ -567,7 +567,7 @@ impl ProductData {
     }
 
     /// Successor image of `s` (a set over the current bank), restricted to
-    /// the invariant.
+    /// `care` and the invariant.
     pub(crate) fn image(&self, m: &mut SymbolicModel, s: Bdd) -> Result<Bdd, SymbolicError> {
         if self.partitioned && dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::BddPartitionImages, 1);
@@ -577,12 +577,13 @@ impl ProductData {
             acc = m.man.and_exists(acc, self.conjuncts[i], self.img_sets[i]);
         }
         let renamed = m.man.rename(acc, self.next_to_curr);
-        let out = m.man.and(renamed, self.inv);
+        let cared = m.man.and(renamed, self.care);
+        let out = m.man.and(cared, self.inv);
         m.check_limit()?;
         Ok(out)
     }
 
-    /// Predecessor image of `s`, restricted to the invariant.
+    /// Predecessor image of `s`, restricted to `care` and the invariant.
     pub(crate) fn preimage(&self, m: &mut SymbolicModel, s: Bdd) -> Result<Bdd, SymbolicError> {
         if self.partitioned && dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::BddPartitionImages, 1);
@@ -592,7 +593,8 @@ impl ProductData {
         for i in 0..self.conjuncts.len() {
             acc = m.man.and_exists(acc, self.conjuncts[i], self.pre_sets[i]);
         }
-        let out = m.man.and(acc, self.inv);
+        let cared = m.man.and(acc, self.care);
+        let out = m.man.and(cared, self.inv);
         m.check_limit()?;
         Ok(out)
     }
@@ -617,7 +619,6 @@ impl ProductData {
             frontier = live.pop().expect("pushed frontier");
             reach = live.pop().expect("pushed reach");
             let img = self.image(m, frontier)?;
-            let img = m.man.and(img, self.care);
             let fresh = diff(m, img, reach);
             if fresh.is_false() {
                 self.reach = Some(reach);
@@ -1108,4 +1109,130 @@ fn encode_gba(
 fn signal_lit(m: &mut SymbolicModel, s: SignalId, polarity: bool) -> Result<Bdd, SymbolicError> {
     let f = m.signal_bdd(s)?;
     Ok(if polarity { f } else { m.man.not(f) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{ReorderMode, SymbolicOptions};
+    use dic_logic::{BoolExpr, SignalTable};
+    use dic_ltl::random::{random_formula, XorShift64};
+    use dic_netlist::{Module, ModuleBuilder};
+
+    /// A small random netlist: free inputs, one wire, then a few latches.
+    fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
+        let mut t = SignalTable::new();
+        let mut b = ModuleBuilder::new("rand", &mut t);
+        let mut pool: Vec<SignalId> = (0..1 + rng.below(2))
+            .map(|i| b.input(&format!("i{i}")))
+            .collect();
+        let leaf = |pool: &[SignalId], rng: &mut XorShift64| {
+            let v = BoolExpr::var(pool[rng.below(pool.len())]);
+            if rng.flip() {
+                v.not()
+            } else {
+                v
+            }
+        };
+        let (x, y) = (leaf(&pool, rng), leaf(&pool, rng));
+        pool.push(b.wire("w", BoolExpr::xor(x, y)));
+        for i in 0..1 + rng.below(3) {
+            let next = BoolExpr::or([leaf(&pool, rng), leaf(&pool, rng)]);
+            pool.push(b.latch(&format!("q{i}"), next, i % 2 == 1));
+        }
+        b.mark_output(*pool.last().expect("non-empty"));
+        let module = b.finish().expect("valid netlist");
+        (t, module)
+    }
+
+    /// The extension of `base` by `gbas` the way it was built before steps
+    /// restricted by the care set: the base's invariant conjoined into the
+    /// extension's, images and preimages restricted by that invariant
+    /// alone, and reachability intersected with the care set after every
+    /// image (or, for an anchored extension, assumed to be `care ∧ inv`).
+    fn reference(
+        m: &mut SymbolicModel,
+        gbas: &[Arc<Gba>],
+        base: &ProductData,
+        anchored: bool,
+    ) -> Result<ProductData, SymbolicError> {
+        let mut r = ProductData::build(m, gbas, Some(base))?;
+        r.inv = m.man.and(base.inv, r.inv);
+        r.init = m.man.and(r.init, r.inv);
+        let care = std::mem::replace(&mut r.care, Bdd::TRUE);
+        let reach = if anchored {
+            m.man.and(care, r.inv)
+        } else {
+            let init = m.man.and(r.init, care);
+            let (mut reach, mut frontier) = (init, init);
+            loop {
+                let img = r.image(m, frontier)?;
+                let img = m.man.and(img, care);
+                let fresh = diff(m, img, reach);
+                if fresh.is_false() {
+                    break reach;
+                }
+                reach = m.man.or(reach, fresh);
+                frontier = fresh;
+            }
+        };
+        r.reach = Some(reach);
+        Ok(r)
+    }
+
+    /// Asserts that both products derive the same BDDs — equal handles,
+    /// not merely equal verdicts.
+    fn assert_same(
+        m: &mut SymbolicModel,
+        new: &mut ProductData,
+        old: &mut ProductData,
+        what: &str,
+    ) -> Result<(), SymbolicError> {
+        assert_eq!(new.init, old.init, "{what}: init");
+        assert_eq!(new.reachable(m)?, old.reachable(m)?, "{what}: reach");
+        assert_eq!(new.hull(m)?, old.hull(m)?, "{what}: hull");
+        assert_eq!(new.can_fair(m)?, old.can_fair(m)?, "{what}: can_fair");
+        Ok(())
+    }
+
+    #[test]
+    fn care_restricted_extensions_match_the_conjoined_invariant() {
+        let mut rng = XorShift64::new(0x5EED_C105);
+        let mut checked = 0;
+        for round in 0..40 {
+            let (t, module) = random_module(&mut rng);
+            let atoms: Vec<SignalId> = module.signals().into_iter().collect();
+            let mut formula = |budget| random_formula(&mut rng, &atoms, budget);
+            let base: Vec<Ltl> = (0..1 + round % 2).map(|_| formula(5)).collect();
+            let anchor = [Ltl::not(formula(5))];
+            let cand = [formula(4)];
+            let gbas = [&base[..], &anchor, &cand].map(translate_all);
+            let [Some(base_g), Some(anchor_g), Some(cand_g)] = gbas else {
+                continue;
+            };
+            let partition = [PartitionMode::Auto, PartitionMode::Off][round % 2];
+            let opts = SymbolicOptions::default()
+                .with_reorder(ReorderMode::Off)
+                .with_partition(partition);
+            let mut sm = SymbolicModel::from_module(&module, &t, &[], opts).expect("builds");
+            sm.with_product(&base, &base_g, |m, b0| {
+                b0.hull(m)?;
+                // A closure check against a plain base.
+                let mut new = ProductData::build(m, &cand_g, Some(b0))?;
+                let mut old = reference(m, &cand_g, b0, false)?;
+                assert_same(m, &mut new, &mut old, &format!("round {round} plain"))?;
+                // An anchored extension, then a closure check on top of it.
+                let mut e1 = ProductData::build(m, &anchor_g, Some(b0))?;
+                e1.assume_care_reachable(m);
+                let mut r1 = reference(m, &anchor_g, b0, true)?;
+                assert_same(m, &mut e1, &mut r1, &format!("round {round} anchored"))?;
+                let mut new = ProductData::build(m, &cand_g, Some(&e1))?;
+                let mut old = reference(m, &cand_g, &r1, false)?;
+                assert_same(m, &mut new, &mut old, &format!("round {round} nested"))
+            })
+            .expect("within the node budget");
+            checked += 1;
+        }
+        assert!(checked >= 20, "only {checked} rounds translated");
+    }
 }

@@ -18,8 +18,9 @@
 //! * **closure queries** — "does some run of `M ⊨ base` also satisfy this
 //!   weakening candidate?" (Definition 3) — answered by an *extended*
 //!   product: the cached base encoding is reused wholesale, only the
-//!   (small) candidate automaton is encoded on top, and the extended
-//!   reachability is restricted by the base's memoized reachable set.
+//!   (small) candidate automaton is encoded on top, and every extended
+//!   image and preimage is restricted by the base's memoized reachable
+//!   set.
 //!
 //! Both reuse the fixpoints the primary coverage question already paid
 //! for, which is what collapses the explicit engine's minutes-scale gap
@@ -54,10 +55,9 @@ impl SymbolicModel {
             return Ok(None);
         };
         self.with_product(base, &base_gbas, |m, pd| {
-            // Hull first (it forces reachability): both can reorder, and
-            // the handles captured here must postdate that.
-            let base_hull = pd.hull(m)?;
-            let base_reach = pd.reachable(m)?;
+            // The extension captures the base's hull and reachable set:
+            // force both (they can reorder) before the scratch region.
+            pd.hull(m)?;
             // The whole extended product is scratch: its verdict is a
             // plain bool and its witness a plain valuation sequence, so
             // nothing it creates must outlive the call — without
@@ -67,10 +67,7 @@ impl SymbolicModel {
             // share one region, so the operation memos over the common
             // base conjuncts stay warm across candidates.
             m.scratch(|m| {
-                let mut ext = ProductData::build(m, &extra_gbas, Some(pd))?;
-                ext.set_care(base_reach);
-                ext.set_hull_seed(base_hull);
-                ext.decide(m)
+                ProductData::build(m, &extra_gbas, Some(pd))?.decide(m)
             })
         })
     }

@@ -617,6 +617,53 @@ fn snl_and_spec_files_flow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `check` on the packaged mal-ex1 netlist against a spec whose
+/// architectural intent is `arch` and whose RTL suite is mal-ex1's.
+fn check_mal_ex1_with_arch(arch: &str, tag: &str) -> std::process::Output {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let rtl: String = std::fs::read_to_string(format!("{data}/mal_ex1.spec"))
+        .expect("packaged spec")
+        .lines()
+        .filter(|l| l.starts_with("rtl "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("specmatcher-deep-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let spec_path = dir.join("deep.spec");
+    std::fs::write(&spec_path, format!("arch A = {arch}\n{rtl}")).expect("write spec");
+    let out = specmatcher(&[
+        "check",
+        "--snl",
+        &format!("{data}/mal_ex1.snl"),
+        "--spec",
+        spec_path.to_str().expect("utf8 path"),
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn over_deep_formulas_are_usage_errors_not_stack_overflows() {
+    let parens = format!("{}r1{}", "(".repeat(50_000), ")".repeat(50_000));
+    let nexts = format!("{}r1", "X ".repeat(200_000));
+    for (tag, arch) in [("parens", parens), ("nexts", nexts)] {
+        let out = check_mal_ex1_with_arch(&arch, tag);
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+        assert!(stderr.contains("nests deeper than"), "{tag}: {stderr}");
+    }
+}
+
+#[test]
+fn formulas_at_the_nesting_limit_still_check() {
+    let limit = specmatcher::ltl::parse::MAX_NESTING;
+    let arch = format!("{}r1", "X ".repeat(limit));
+    let out = check_mal_ex1_with_arch(&arch, "limit");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(out.status.code(), Some(1), "X^{limit} r1 is a gap: {stdout}");
+    assert!(stdout.contains("NOT covered"));
+}
+
 #[test]
 fn fsm_dump_is_dot() {
     let out = specmatcher(&["fsm", "--design", "mal-ex1"]);

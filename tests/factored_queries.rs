@@ -12,10 +12,11 @@ use specmatcher::automata::{
 };
 use specmatcher::core::{ArchSpec, CoverageModel, RtlSpec};
 use specmatcher::fsm::Kripke;
-use specmatcher::logic::{BoolExpr, SignalTable};
+use specmatcher::logic::{BoolExpr, Lit, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
-use specmatcher::ltl::Ltl;
+use specmatcher::ltl::{LassoWord, Ltl, TemporalCube};
 use specmatcher::netlist::{Module, ModuleBuilder};
+use specmatcher::symbolic::{SymbolicModel, SymbolicOptions};
 
 /// A 2-latch module with three free inputs; small enough that hundreds of
 /// queries stay fast, rich enough to exercise liveness and safety paths.
@@ -131,6 +132,86 @@ fn coverage_model_factored_matches_flat() {
             factored.is_some(),
             "disagreement on extra = {extra:?}"
         );
+    }
+}
+
+/// Asserts that a witness of `conjuncts` satisfies every one of them.
+fn assert_witness(w: Option<&LassoWord>, conjuncts: &[Ltl], what: &str) {
+    for f in conjuncts {
+        assert!(w.is_none_or(|w| f.holds_on(w)), "{what}: witness violates {f:?}");
+    }
+}
+
+/// The symbolic engine's extension products — a closure check against a
+/// plain base, an anchored `R ∧ ¬A` extension, a closure check on top of
+/// that extension, and a bounded-scenario query against it — agree with
+/// the flat conjunction on the same engine and with the explicit engine.
+#[test]
+fn symbolic_extensions_match_flat_and_explicit() {
+    let (mut t, m) = fixture();
+    let a = Ltl::parse("G(i1 -> X q1)", &mut t).expect("parses");
+    let r = Ltl::parse("G(i1 -> X !q0)", &mut t).expect("parses");
+    let not_a = Ltl::not(a);
+    let kripke = Kripke::from_module(&m, &t, &[]).expect("fits");
+    let mut sym =
+        SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
+
+    // The anchored extension the primary question builds (R ∧ ¬A is
+    // satisfiable on this fixture), which the nested closures below
+    // extend in turn.
+    let anchored_base = [r.clone(), not_a.clone()];
+    let primary = sym
+        .satisfiable_anchored(std::slice::from_ref(&r), std::slice::from_ref(&not_a))
+        .expect("within budget");
+    assert!(primary.is_some(), "R ∧ ¬A has a run");
+    assert_witness(primary.as_ref(), &anchored_base, "anchored");
+
+    let atoms: Vec<_> = ["i0", "i1", "q0", "q1"]
+        .iter()
+        .map(|s| t.lookup(s).unwrap())
+        .collect();
+    let mut rng = XorShift64::new(0x5EED_F00D);
+    let paths = ["plain", "nested", "cube"];
+    let mut satisfiable = [0; 3];
+    for round in 0..40 {
+        let extra = random_formula(&mut rng, &atoms, 5);
+        for (k, base) in [vec![r.clone()], anchored_base.to_vec()].into_iter().enumerate() {
+            let mut all = base.clone();
+            all.push(extra.clone());
+            let factored = sym
+                .satisfiable_factored(&base, std::slice::from_ref(&extra))
+                .expect("within budget");
+            let flat = sym.satisfiable_conj(&all).expect("within budget");
+            let explicit = satisfiable_in_conj(&all, &kripke);
+            let tag = format!("round {round} {}: extra = {extra:?}", paths[k]);
+            assert_eq!(factored.is_some(), flat.is_some(), "{tag}: factored vs flat");
+            assert_eq!(factored.is_some(), explicit.is_some(), "{tag}: vs explicit");
+            assert_witness(factored.as_ref(), &all, &tag);
+            assert_witness(flat.as_ref(), &all, &tag);
+            satisfiable[k] += usize::from(factored.is_some());
+        }
+
+        // A random bounded scenario over the first four cycles.
+        let lits = (0..2 + rng.below(4)).map(|_| {
+            let s = atoms[rng.below(atoms.len())];
+            (rng.below(4), Lit::new(s, rng.flip()))
+        });
+        let Some(cube) = TemporalCube::from_lits(lits) else {
+            continue;
+        };
+        let symbolic = sym
+            .factored_cube_sat(std::slice::from_ref(&r), Some(&not_a), &cube)
+            .expect("within budget");
+        let mut all = anchored_base.to_vec();
+        all.push(cube.to_ltl());
+        let explicit = satisfiable_in_conj(&all, &kripke);
+        assert_eq!(symbolic, explicit.is_some(), "round {round}: cube {cube:?}");
+        assert_witness(explicit.as_ref(), &all, "explicit cube");
+        satisfiable[2] += usize::from(symbolic);
+    }
+    // Both verdicts occur on every path, so neither side is vacuous.
+    for (what, n) in paths.iter().zip(satisfiable) {
+        assert!(0 < n && n < 40, "{what}: {n} of 40 satisfiable");
     }
 }
 
