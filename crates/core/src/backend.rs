@@ -96,9 +96,9 @@ impl Backend {
     ///
     /// The explicit engine's per-candidate products are independent
     /// structures, so every worker fixpoints freely. The symbolic
-    /// engine's `BddManager` scratch regions are single-threaded: its
-    /// fixpoints serialize on the engine lock, effectively one at a time
-    /// — the workers still overlap the word-level screens and act as the
+    /// engine's one `BddManager` is single-threaded: its fixpoints
+    /// serialize on the engine lock, effectively one at a time — the
+    /// workers still overlap the word-level screens and act as the
     /// queue a coordinating thread drains. Reported in the run's jobs
     /// statistics so the serialization is visible, not silent.
     pub fn fixpoint_parallelism(self, workers: usize) -> usize {

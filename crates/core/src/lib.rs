@@ -91,10 +91,9 @@ pub use weaken::{
 
 /// The `SPECMATCHER_*` environment variables the program reads.
 /// [`validate_env`] rejects every other `SPECMATCHER_*` name.
-const KNOWN_ENV: [&str; 7] = [
+const KNOWN_ENV: [&str; 6] = [
     "SPECMATCHER_BDD_CLUSTER_SIZE",
     "SPECMATCHER_BDD_NODE_LIMIT",
-    "SPECMATCHER_BDD_PARTITION",
     "SPECMATCHER_BMC_DEPTH",
     "SPECMATCHER_FAULT",
     "SPECMATCHER_JOBS",
@@ -103,11 +102,11 @@ const KNOWN_ENV: [&str; 7] = [
 
 /// Startup audit of every `SPECMATCHER_*` override with a strict parse:
 /// `SPECMATCHER_JOBS`, `SPECMATCHER_BMC_DEPTH`,
-/// `SPECMATCHER_BDD_NODE_LIMIT`, `SPECMATCHER_BDD_PARTITION`,
-/// `SPECMATCHER_BDD_CLUSTER_SIZE`, `SPECMATCHER_TIMEOUT` and
-/// `SPECMATCHER_FAULT`. Any other `SPECMATCHER_*` name — a typo, or a
-/// retired knob — is rejected too, so it cannot be silently ignored.
-/// Returns the first offending setting's message.
+/// `SPECMATCHER_BDD_NODE_LIMIT`, `SPECMATCHER_BDD_CLUSTER_SIZE`,
+/// `SPECMATCHER_TIMEOUT` and `SPECMATCHER_FAULT`. Any other
+/// `SPECMATCHER_*` name — a typo, or a retired knob — is rejected too, so
+/// it cannot be silently ignored. Returns the first offending setting's
+/// message.
 ///
 /// Model construction re-validates these fail-closed, but the library
 /// paths that merely *read* them (`GapConfig::effective_jobs`, the BMC

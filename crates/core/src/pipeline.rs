@@ -66,8 +66,8 @@ pub struct JobsStats {
     pub gap_workers: usize,
     /// Closure *fixpoints* that can run concurrently on the model's engine:
     /// equals `gap_workers` on the explicit engine, 1 on the symbolic
-    /// engine (`BddManager` scratch regions are single-threaded — workers
-    /// still overlap the word-level screens). See
+    /// engine (the one `BddManager` is single-threaded — workers still
+    /// overlap the word-level screens). See
     /// [`Backend::fixpoint_parallelism`].
     pub gap_fixpoints: usize,
 }
@@ -235,7 +235,7 @@ impl CoverageRun {
             if r.gc_collections > 0 || r.peak_nodes > 0 {
                 let _ = writeln!(
                     out,
-                    "bdd gc: {} generational collections freed {} nodes (peak {} nodes incl. scratch)",
+                    "bdd gc: {} collections freed {} nodes (peak {} nodes)",
                     r.gc_collections, r.gc_freed, r.peak_nodes
                 );
             }
@@ -261,7 +261,7 @@ pub struct SpecMatcher {
     tm_style: TmStyle,
     backend: Backend,
     reorder: ReorderMode,
-    partition: Option<PartitionMode>,
+    partition: PartitionMode,
     bmc: BmcMode,
 }
 
@@ -274,7 +274,7 @@ impl SpecMatcher {
             tm_style: TmStyle::default(),
             backend: Backend::default(),
             reorder: ReorderMode::default(),
-            partition: None,
+            partition: PartitionMode::Auto,
             bmc: BmcMode::default(),
         }
     }
@@ -316,19 +316,18 @@ impl SpecMatcher {
         self.reorder
     }
 
-    /// Overrides the symbolic engine's transition-relation partitioning
-    /// (the CLI's `--partition`). When unset the mode comes from
-    /// `SPECMATCHER_BDD_PARTITION`, defaulting to [`PartitionMode::Auto`]
-    /// (greedy conjunctive clustering); `Off` keeps one conjunct per
+    /// Selects the symbolic engine's transition-relation partitioning
+    /// (the CLI's `--partition`): [`PartitionMode::Auto`] (greedy
+    /// conjunctive clustering) by default; `Off` keeps one conjunct per
     /// latch/automaton. The reported property sets are byte-identical
     /// either way — only node counts and time change.
     pub fn with_partition(mut self, partition: PartitionMode) -> Self {
-        self.partition = Some(partition);
+        self.partition = partition;
         self
     }
 
-    /// The requested partition mode, if explicitly overridden.
-    pub fn partition(&self) -> Option<PartitionMode> {
+    /// The requested partition mode.
+    pub fn partition(&self) -> PartitionMode {
         self.partition
     }
 
@@ -374,12 +373,10 @@ impl SpecMatcher {
         rtl: &RtlSpec,
         table: &SignalTable,
     ) -> Result<CoverageRun, CoreError> {
-        let mut options = SymbolicOptions::from_env()
+        let options = SymbolicOptions::from_env()
             .map_err(CoreError::Symbolic)?
-            .with_reorder(self.reorder);
-        if let Some(partition) = self.partition {
-            options = options.with_partition(partition);
-        }
+            .with_reorder(self.reorder)
+            .with_partition(self.partition);
         let mut model =
             CoverageModel::build_with_symbolic_options(arch, rtl, table, self.backend, options)?;
         model.set_bmc_mode(self.bmc);

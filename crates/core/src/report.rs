@@ -61,10 +61,9 @@ impl CoverageRun {
                 // Summed across all sifting reorders (not a single pass).
                 w.field_u64("nodes_before_total", r.nodes_before as u64);
                 w.field_u64("nodes_after_total", r.nodes_after as u64);
-                // Generational GC figures straight from the manager: how
-                // many scratch rollbacks ran and how many nodes they
-                // freed, plus the true node-count high-water mark (which
-                // includes peaks inside rolled-back scratch scopes).
+                // Collection figures: how many rebuilds ran and how many
+                // nodes they dropped, plus the true node-count high-water
+                // mark (which includes garbage collected since).
                 w.field_u64("gc_collections", r.gc_collections as u64);
                 w.field_u64("gc_freed", r.gc_freed as u64);
                 w.field_u64("peak_nodes", r.peak_nodes as u64);

@@ -773,9 +773,9 @@ fn verify_sequential(
 /// [`CoreError`] it would raise inline.
 ///
 /// On the symbolic engine the closure fixpoints serialize on the
-/// engine's internal lock (the `BddManager` scratch regions are
-/// single-threaded); the workers still overlap all word-level screens
-/// and act as the queue that coordinating thread drains. See
+/// engine's internal lock (the one `BddManager` is single-threaded); the
+/// workers still overlap all word-level screens and act as the queue that
+/// coordinating thread drains. See
 /// [`JobsStats::gap_fixpoints`](crate::JobsStats::gap_fixpoints).
 #[allow(clippy::too_many_arguments)]
 fn verify_parallel(

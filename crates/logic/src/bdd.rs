@@ -22,17 +22,13 @@
 //! handles are equal iff they denote the same function — including across
 //! negation.
 //!
-//! # Generational caches
+//! # One collector
 //!
-//! The node store is append-only between [`BddManager::checkpoint`] /
-//! [`BddManager::rollback`] pairs. The operation memos are split into an
-//! **old** and a **young** generation around the checkpoint's node count
-//! (the *generation floor*): entries that only reference pre-checkpoint
-//! nodes go old, everything else young. Rolling back to the floor then
-//! frees exactly the scratch nodes (walking only the truncated suffix of
-//! the store) and drops only the young memo generation — O(freed) instead
-//! of the full retain-scans the first version of this manager paid on
-//! every scratch region.
+//! The node store is append-only: nothing is freed until a caller that
+//! knows every live handle asks for a rebuild ([`BddManager::compact`] or
+//! [`BddManager::reorder_groups`]), which keeps exactly the functions
+//! reachable from the given roots, drops the operation memos and hands
+//! back an old→new handle map.
 //!
 //! Variables are registered per [`SignalId`] on first use; the variable
 //! *order* starts as the registration order but is decoupled from variable
@@ -116,63 +112,6 @@ pub(crate) struct Node {
     pub(crate) hi: u32,
 }
 
-/// One operation memo split into old/young generations around the
-/// manager's generation floor (see the module docs). Values carry the
-/// result edge plus the highest node index the entry references, so
-/// validity under any truncation is a single comparison.
-#[derive(Debug, Default)]
-struct GenCache<K> {
-    old: HashMap<K, (u32, u32)>,
-    young: HashMap<K, (u32, u32)>,
-}
-
-impl<K: Eq + std::hash::Hash> GenCache<K> {
-    fn get(&self, key: &K) -> Option<u32> {
-        self.young
-            .get(key)
-            .or_else(|| self.old.get(key))
-            .map(|&(r, _)| r)
-    }
-
-    /// Inserts an entry, placed by its youngest referenced node index
-    /// relative to the generation floor.
-    fn insert(&mut self, floor: Option<u32>, key: K, result: u32, yref: u32) {
-        match floor {
-            Some(fl) if yref >= fl => self.young.insert(key, (result, yref)),
-            _ => self.old.insert(key, (result, yref)),
-        };
-    }
-
-    fn len(&self) -> usize {
-        self.old.len() + self.young.len()
-    }
-
-    fn clear(&mut self) {
-        self.old.clear();
-        self.young.clear();
-    }
-
-    /// Merges the young generation into the old one (used when the floor
-    /// rises: everything currently live becomes old).
-    fn promote(&mut self) {
-        if !self.young.is_empty() {
-            self.old.extend(self.young.drain());
-        }
-    }
-
-    /// Drops entries referencing nodes at or above `limit`. With
-    /// `floor_held` the old generation is known valid (every entry is
-    /// below the floor ≤ `limit`) and only the young side is touched.
-    fn collect(&mut self, limit: u32, floor_held: bool) {
-        if floor_held {
-            self.young.retain(|_, &mut (_, yref)| yref < limit);
-        } else {
-            self.old.retain(|_, &mut (_, yref)| yref < limit);
-            self.young.retain(|_, &mut (_, yref)| yref < limit);
-        }
-    }
-}
-
 /// The BDD manager: node store, unique table and operation caches.
 ///
 /// # Example
@@ -196,7 +135,7 @@ pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     /// Unique table: `(var, lo, hi)` in canonical form → node index.
     pub(crate) unique: HashMap<(u32, u32, u32), u32>,
-    ite_cache: GenCache<(u32, u32, u32)>,
+    ite_cache: HashMap<(u32, u32, u32), u32>,
     var_to_signal: Vec<SignalId>,
     signal_to_var: HashMap<SignalId, u32>,
     /// Variable id → level in the current order (level 0 is the top).
@@ -211,36 +150,14 @@ pub struct BddManager {
     /// source variable id (level-independent).
     pub(crate) pairings: Vec<Vec<(u32, u32)>>,
     /// Memo for `and_exists`, keyed by `(set, f, g)` with `f <= g`.
-    and_exists_cache: GenCache<(u32, u32, u32)>,
+    and_exists_cache: HashMap<(u32, u32, u32), u32>,
     /// Memo for `rename`, keyed by `(pairing, f)` with `f` regular
     /// (renaming commutes with complement).
-    rename_cache: GenCache<(u32, u32)>,
-    /// Node count at the oldest outstanding checkpoint: entries wholly
-    /// below it live in the old memo generation. `None` = no checkpoint
-    /// taken since the last rebuild.
-    gen_floor: Option<u32>,
-    /// High-water mark of the node store, *including* scratch regions that
-    /// were later rolled back (the trace gauge only sees peaks while
-    /// tracing is on; this one is always exact).
+    rename_cache: HashMap<(u32, u32), u32>,
+    /// High-water mark of the node store, including garbage a later
+    /// rebuild collected (the trace gauge only sees peaks while tracing is
+    /// on; this one is always exact).
     peak_nodes: usize,
-    /// Rollbacks that actually freed nodes.
-    gc_collections: usize,
-    /// Total nodes freed by those rollbacks.
-    gc_freed: usize,
-}
-
-/// A node-store marker created by [`BddManager::checkpoint`] and consumed
-/// by [`BddManager::rollback`].
-#[derive(Clone, Copy, Debug)]
-pub struct BddCheckpoint {
-    nodes: usize,
-}
-
-impl BddCheckpoint {
-    /// Node count at the time of the checkpoint.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
 }
 
 /// A handle to a registered quantification variable set
@@ -313,32 +230,22 @@ impl BddManager {
         self.var_to_signal[var as usize]
     }
 
-    /// Number of live nodes (including the terminal).
+    /// Number of nodes in the store, including the terminal and any
+    /// garbage no rebuild has collected yet.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// High-water mark of the node store over the manager's lifetime,
-    /// including scratch regions that were rolled back since. This is the
-    /// honest peak for memory accounting — [`BddManager::node_count`]
-    /// after a rollback understates what was actually allocated.
+    /// including garbage collected by rebuilds since. This is the honest
+    /// peak for memory accounting — [`BddManager::node_count`] after a
+    /// rebuild understates what was actually allocated.
     pub fn peak_node_count(&self) -> usize {
         self.peak_nodes
     }
 
-    /// Number of rollbacks that freed at least one node.
-    pub fn gc_collections(&self) -> usize {
-        self.gc_collections
-    }
-
-    /// Total nodes freed by scratch-region rollbacks (reorder/compaction
-    /// rebuilds are counted separately by their [`crate::ReorderOutcome`]).
-    pub fn gc_freed_nodes(&self) -> usize {
-        self.gc_freed
-    }
-
     /// Total number of entries across the operation memo tables (`ite`,
-    /// `and_exists`, `rename`), both generations.
+    /// `and_exists`, `rename`).
     ///
     /// Together with [`BddManager::node_count`] this is the memory-growth
     /// accounting the symbolic engine's fail-closed limit is built on: the
@@ -357,94 +264,6 @@ impl BddManager {
         self.ite_cache.clear();
         self.and_exists_cache.clear();
         self.rename_cache.clear();
-    }
-
-    /// Resets the generational split after a rebuild replaced the node
-    /// store (reorder/compact): all memos are gone, no floor is set.
-    pub(crate) fn reset_generations(&mut self) {
-        self.clear_op_caches();
-        self.gen_floor = None;
-    }
-
-    /// A point-in-time marker of the node store for
-    /// [`BddManager::rollback`].
-    ///
-    /// Taking a checkpoint also raises the memo **generation floor** to the
-    /// current node count: every existing memo entry is promoted to the old
-    /// generation (it can only reference surviving nodes), and entries
-    /// created after this point that touch post-checkpoint nodes go young —
-    /// which is what makes the matching rollback O(freed).
-    pub fn checkpoint(&mut self) -> BddCheckpoint {
-        let n = self.nodes.len();
-        let floor = u32::try_from(n).expect("checkpoint within u32 store");
-        if self.gen_floor != Some(floor) {
-            self.ite_cache.promote();
-            self.and_exists_cache.promote();
-            self.rename_cache.promote();
-            self.gen_floor = Some(floor);
-        }
-        BddCheckpoint { nodes: n }
-    }
-
-    /// Frees every node created after `cp` — the node store is
-    /// append-only between checkpoints, so this truncates the store,
-    /// removes exactly the freed nodes' unique-table entries (walking only
-    /// the truncated suffix), and drops the young memo generation. Old
-    /// memo entries are wholly over surviving nodes and are kept warm —
-    /// when `cp` is the checkpoint that set the current generation floor,
-    /// nothing is scanned at all and the whole rollback is O(freed).
-    ///
-    /// The manager never garbage-collects on its own; throwaway
-    /// computations whose results are extracted to non-BDD form (witness
-    /// runs, verdicts) use checkpoint/rollback to run in bounded memory.
-    /// Every [`Bdd`] handle obtained *after* the checkpoint is
-    /// invalidated; handles from before stay valid and canonical.
-    /// Variable registrations, variable sets and pairings survive (they
-    /// reference no nodes).
-    pub fn rollback(&mut self, cp: &BddCheckpoint) {
-        if self.nodes.len() == cp.nodes {
-            return; // nothing was created — all tables are already clean
-        }
-        let limit = u32::try_from(cp.nodes).expect("checkpoint within u32 store");
-        // O(freed) unique-table cleanup: each truncated node owns exactly
-        // one unique entry, keyed by its stored (canonical) triple.
-        for idx in cp.nodes..self.nodes.len() {
-            let n = self.nodes[idx];
-            self.unique.remove(&(n.var, n.lo, n.hi));
-        }
-        let freed = self.nodes.len() - cp.nodes;
-        self.nodes.truncate(cp.nodes);
-        match self.gen_floor {
-            Some(floor) if limit >= floor => {
-                // Fast path: the old generation references only nodes
-                // below the floor, all of which survive.
-                if limit == floor {
-                    self.ite_cache.young.clear();
-                    self.and_exists_cache.young.clear();
-                    self.rename_cache.young.clear();
-                } else {
-                    self.ite_cache.collect(limit, true);
-                    self.and_exists_cache.collect(limit, true);
-                    self.rename_cache.collect(limit, true);
-                }
-            }
-            _ => {
-                // Rolling back below the floor (nested checkpoints) or
-                // with no floor at all: full scan, then lower the floor.
-                self.ite_cache.collect(limit, false);
-                self.and_exists_cache.collect(limit, false);
-                self.rename_cache.collect(limit, false);
-                if self.gen_floor.is_some() {
-                    self.gen_floor = Some(limit);
-                }
-            }
-        }
-        self.gc_collections += 1;
-        self.gc_freed += freed;
-        if dic_trace::enabled() {
-            dic_trace::count(dic_trace::Counter::BddGcCollections, 1);
-            dic_trace::gauge_set(dic_trace::Gauge::BddLiveNodes, self.nodes.len() as u64);
-        }
     }
 
     /// Registers a set of variables for [`BddManager::and_exists`],
@@ -497,7 +316,7 @@ impl BddManager {
             dic_trace::count(dic_trace::Counter::BddAndExistsOps, 1);
             dic_trace::count(dic_trace::Counter::BddMemoLookups, 1);
         }
-        if let Some(r) = self.and_exists_cache.get(&key) {
+        if let Some(&r) = self.and_exists_cache.get(&key) {
             if dic_trace::enabled() {
                 dic_trace::count(dic_trace::Counter::BddMemoHits, 1);
             }
@@ -527,8 +346,7 @@ impl BddManager {
                 self.mk(v, lo, hi)
             }
         };
-        let yref = f.0.max(g.0).max(r.0) >> 1;
-        self.and_exists_cache.insert(self.gen_floor, key, r.0, yref);
+        self.and_exists_cache.insert(key, r.0);
         r
     }
 
@@ -614,7 +432,7 @@ impl BddManager {
             dic_trace::count(dic_trace::Counter::BddRenameOps, 1);
             dic_trace::count(dic_trace::Counter::BddMemoLookups, 1);
         }
-        if let Some(r) = self.rename_cache.get(&key) {
+        if let Some(&r) = self.rename_cache.get(&key) {
             if dic_trace::enabled() {
                 dic_trace::count(dic_trace::Counter::BddMemoHits, 1);
             }
@@ -634,8 +452,7 @@ impl BddManager {
         );
         let r = self.mk(var, lo, hi);
         debug_assert!(!r.is_complement(), "renaming a regular edge stays regular");
-        let yref = fr.0.max(r.0) >> 1;
-        self.rename_cache.insert(self.gen_floor, key, r.0, yref);
+        self.rename_cache.insert(key, r.0);
         Bdd(r.0 ^ c)
     }
 
@@ -777,7 +594,7 @@ impl BddManager {
             dic_trace::count(dic_trace::Counter::BddIteOps, 1);
             dic_trace::count(dic_trace::Counter::BddMemoLookups, 1);
         }
-        if let Some(r) = self.ite_cache.get(&key) {
+        if let Some(&r) = self.ite_cache.get(&key) {
             if dic_trace::enabled() {
                 dic_trace::count(dic_trace::Counter::BddMemoHits, 1);
             }
@@ -790,8 +607,7 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(v, lo, hi);
-        let yref = f.0.max(g.0).max(h.0).max(r.0) >> 1;
-        self.ite_cache.insert(self.gen_floor, key, r.0, yref);
+        self.ite_cache.insert(key, r.0);
         Bdd(r.0 ^ flip)
     }
 
@@ -1623,71 +1439,6 @@ mod tests {
         let vd = m.var_index(ids[3]);
         // a -> d and c -> b reverses the order of the targets.
         m.register_pairing(&[(va, vd), (vc, vb)]);
-    }
-
-    #[test]
-    fn rollback_frees_scratch_nodes_and_keeps_survivors() {
-        let (_t, mut m, ids) = setup();
-        let a = m.var_for_signal(ids[0]);
-        let b = m.var_for_signal(ids[1]);
-        let keep = m.and(a, b);
-        let cp = m.checkpoint();
-        let before = m.node_count();
-        // Scratch work: new nodes that will be rolled back.
-        let c = m.var_for_signal(ids[2]);
-        let scratch = m.xor(keep, c);
-        assert!(m.node_count() > before);
-        assert!(!scratch.is_false());
-        m.rollback(&cp);
-        assert_eq!(m.node_count(), before);
-        // Survivors stay valid and canonical: rebuilding reuses them.
-        assert_eq!(m.and(a, b), keep);
-        // The scratch function rebuilds to a *fresh but equal* node.
-        let c2 = m.var_for_signal(ids[2]);
-        let scratch2 = m.xor(keep, c2);
-        let nd = m.not(scratch2);
-        let back = m.not(nd);
-        assert_eq!(back, scratch2);
-        // Rolling back with nothing new keeps the memo tables.
-        let cp2 = m.checkpoint();
-        let warm = m.cache_entries();
-        m.rollback(&cp2);
-        assert_eq!(m.cache_entries(), warm);
-    }
-
-    #[test]
-    fn generational_rollback_keeps_old_memos_and_tracks_stats() {
-        let (_t, mut m, ids) = setup();
-        let a = m.var_for_signal(ids[0]);
-        let b = m.var_for_signal(ids[1]);
-        let keep = m.and(a, b);
-        let warm = m.cache_entries();
-        assert!(warm > 0);
-        let cp = m.checkpoint();
-        let base_nodes = m.node_count();
-        // Scratch region: nodes and young memo entries.
-        let c = m.var_for_signal(ids[2]);
-        let d = m.var_for_signal(ids[3]);
-        let cd = m.xor(c, d);
-        let scratch = m.or(keep, cd);
-        assert!(!scratch.is_false());
-        let scratch_nodes = m.node_count() - base_nodes;
-        assert!(scratch_nodes > 0);
-        let peak = m.peak_node_count();
-        assert!(peak >= m.node_count());
-
-        m.rollback(&cp);
-        // Pre-checkpoint memos survive (old generation untouched)…
-        assert!(m.cache_entries() >= warm, "old memo generation must survive");
-        // …while every scratch node is gone and the stats say so.
-        assert_eq!(m.node_count(), base_nodes);
-        assert_eq!(m.gc_collections(), 1);
-        assert_eq!(m.gc_freed_nodes(), scratch_nodes);
-        // The peak remembers the rolled-back high-water mark.
-        assert_eq!(m.peak_node_count(), peak);
-        assert!(m.peak_node_count() > m.node_count());
-        // Survivor handles still canonical.
-        assert_eq!(m.and(a, b), keep);
     }
 
     #[test]

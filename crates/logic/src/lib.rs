@@ -43,7 +43,7 @@ pub mod reorder;
 pub mod signal;
 pub mod valuation;
 
-pub use bdd::{Bdd, BddCheckpoint, BddManager, PairingId, VarSetId};
+pub use bdd::{Bdd, BddManager, PairingId, VarSetId};
 pub use reorder::{ReorderGroup, ReorderOutcome};
 pub use cube::{Cube, Lit};
 pub use expr::BoolExpr;

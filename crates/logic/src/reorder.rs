@@ -26,9 +26,9 @@
 //! operation caches dropped, variable sets re-sorted — and a root map
 //! handed back so the caller can swap every handle it kept (the map
 //! translates node indices; each root keeps its own complement bit).
-//! Handles not in the root set are invalidated (the rebuild doubles as
-//! the manager's full garbage collection; scratch regions are collected
-//! incrementally by [`BddManager::rollback`]).
+//! Handles not in the root set are invalidated: the rebuild doubles as
+//! the manager's only garbage collection ([`BddManager::compact`] is the
+//! same rebuild without the search).
 
 use crate::bdd::{Bdd, BddManager, Node, TERMINAL_VAR};
 use std::collections::HashMap;
@@ -49,8 +49,8 @@ pub struct ReorderGroup {
 /// Outcome of one [`BddManager::reorder_groups`] call.
 #[derive(Clone, Debug)]
 pub struct ReorderOutcome {
-    /// Node-store size before the reorder (live nodes *plus* garbage not
-    /// yet collected by a scratch rollback).
+    /// Node-store size before the reorder: live nodes *plus* the garbage
+    /// the rebuild collects, terminal included.
     pub store_before: usize,
     /// Live nodes (reachable from the roots) before sifting.
     pub live_before: usize,
@@ -327,12 +327,11 @@ impl BddManager {
     /// top groups never leave the top block.
     ///
     /// Every [`Bdd`] handle not passed in `roots` is invalidated — the
-    /// rebuild is also the manager's full garbage collection. Operation
-    /// caches are dropped (and the memo generation floor reset, since node
-    /// indices change wholesale); registered variable sets are re-sorted
-    /// for the new order; pairings survive unchanged (they are
-    /// variable-id-keyed, and remain order-preserving because paired
-    /// variables always share a group).
+    /// rebuild is also the manager's garbage collection. Operation caches
+    /// are dropped (node indices change wholesale); registered variable
+    /// sets are re-sorted for the new order; pairings survive unchanged
+    /// (they are variable-id-keyed, and remain order-preserving because
+    /// paired variables always share a group).
     ///
     /// # Panics
     ///
@@ -492,9 +491,8 @@ impl BddManager {
 
         self.nodes = nodes;
         self.unique = unique;
-        // Node indices changed wholesale: memos and the generation floor
-        // are both meaningless now.
-        self.reset_generations();
+        // Node indices changed wholesale: every memo entry is meaningless.
+        self.clear_op_caches();
         self.var_to_level = ws.var_to_level;
         self.level_to_var = ws.level_to_var;
         // Variable sets are traversal-ordered: re-sort them for the new

@@ -21,15 +21,29 @@
 //! pathological input fails with a [`ParseLtlError`] instead of
 //! overflowing the stack of the parser or of the passes that walk the
 //! formula afterwards.
+//!
+//! `<->` and `W` desugar by copying operands, so a short input can
+//! expand into an exponentially large tree (each operand of an
+//! `a <-> b <-> c …` chain doubles it). The expanded size is capped at
+//! [`MAX_EXPANDED_SIZE`] nodes for the same reason.
 
-use crate::formula::Ltl;
+use crate::formula::{Ltl, LtlNode};
 use dic_logic::SignalTable;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 /// The deepest nesting [`Ltl::parse`] accepts, chosen so that formulas
 /// this deep still run a full coverage check.
 pub const MAX_NESTING: usize = 256;
+
+/// The largest expanded formula [`Ltl::parse`] accepts, in AST nodes
+/// ([`Ltl::size`], which counts a shared subformula once per
+/// occurrence). Chosen so that formulas this large still run a full
+/// coverage check: a 12-operand `<->` chain under `G` (16,378 nodes)
+/// checks mal-ex1's netlist in about two seconds; a 13-operand one
+/// (32,762 nodes) takes ten times as long and prints megabytes.
+pub const MAX_EXPANDED_SIZE: usize = 1 << 14;
 
 /// Error produced when parsing an LTL formula fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -189,6 +203,12 @@ struct Parser<'a> {
     src_len: usize,
     /// Current nesting level, bounded by [`MAX_NESTING`].
     depth: usize,
+    /// Expanded sizes of the measured nodes, keyed by node address, so a
+    /// formula is measured in time linear in its *distinct* nodes.
+    sizes: HashMap<*const LtlNode, usize>,
+    /// Every measured formula, kept alive so that no address in `sizes`
+    /// can be freed and reused while parsing.
+    measured: Vec<Ltl>,
 }
 
 impl<'a> Parser<'a> {
@@ -229,13 +249,58 @@ impl<'a> Parser<'a> {
         f
     }
 
+    /// Refuses `f`, built by the operator at byte `position`, once its
+    /// expanded size passes [`MAX_EXPANDED_SIZE`].
+    fn check_size(&mut self, f: &Ltl, position: usize) -> Result<(), ParseLtlError> {
+        if self.size(f) > MAX_EXPANDED_SIZE {
+            return Err(ParseLtlError {
+                position,
+                message: format!(
+                    "formula expands to more than {MAX_EXPANDED_SIZE} nodes \
+                     ('<->' and 'W' copy their operands)"
+                ),
+            });
+        }
+        self.measured.push(f.clone());
+        Ok(())
+    }
+
+    /// [`Ltl::size`], memoized over the shared nodes and saturating.
+    fn size(&mut self, f: &Ltl) -> usize {
+        let key: *const LtlNode = f.node();
+        if let Some(&n) = self.sizes.get(&key) {
+            return n;
+        }
+        let n = match f.node() {
+            LtlNode::True | LtlNode::False | LtlNode::Atom(_) => 1,
+            LtlNode::Not(g) | LtlNode::Next(g) | LtlNode::Globally(g) | LtlNode::Finally(g) => {
+                self.size(g).saturating_add(1)
+            }
+            LtlNode::And(gs) | LtlNode::Or(gs) => gs
+                .iter()
+                .fold(1, |acc: usize, g| acc.saturating_add(self.size(g))),
+            LtlNode::Until(a, b) | LtlNode::Release(a, b) => {
+                self.size(a).saturating_add(self.size(b)).saturating_add(1)
+            }
+        };
+        self.sizes.insert(key, n);
+        n
+    }
+
     fn iff(&mut self) -> Result<Ltl, ParseLtlError> {
         let mut lhs = self.imp()?;
-        while self.eat(&Tok::Iff) {
+        loop {
+            let position = self.here();
+            if !self.eat(&Tok::Iff) {
+                return Ok(lhs);
+            }
             let rhs = self.imp()?;
             lhs = Ltl::iff(lhs, rhs);
+            // Each operand doubles the chain, and the chain is a loop
+            // rather than a nesting: stop it before it outgrows the stack
+            // of every recursive pass, this meter's included.
+            self.check_size(&lhs, position)?;
         }
-        Ok(lhs)
     }
 
     fn imp(&mut self) -> Result<Ltl, ParseLtlError> {
@@ -329,7 +394,8 @@ impl Ltl {
     /// # Errors
     ///
     /// Returns [`ParseLtlError`] with the byte offset of the failure on
-    /// malformed input, or on input nesting deeper than [`MAX_NESTING`].
+    /// malformed input, on input nesting deeper than [`MAX_NESTING`], or
+    /// on a formula expanding past [`MAX_EXPANDED_SIZE`] nodes.
     ///
     /// # Example
     ///
@@ -352,6 +418,8 @@ impl Ltl {
             table,
             src_len: src.len(),
             depth: 0,
+            sizes: HashMap::new(),
+            measured: Vec::new(),
         };
         let f = p.iff()?;
         if p.pos != p.toks.len() {
@@ -360,6 +428,7 @@ impl Ltl {
                 message: "trailing input".into(),
             });
         }
+        p.check_size(&f, 0)?;
         Ok(f)
     }
 }
@@ -452,6 +521,36 @@ mod tests {
         // Flat operator chains do not nest.
         let wide = vec!["p"; 4 * MAX_NESTING].join(" & ");
         assert!(Ltl::parse(&wide, &mut t).is_ok());
+    }
+
+    #[test]
+    fn expanded_size_is_capped() {
+        let mut t = SignalTable::new();
+        // Or(p × n) under G has n + 2 nodes: the largest accepted
+        // formula, then one node past it.
+        let wide = |n| format!("G({})", vec!["p"; n].join(" | "));
+        let at_limit = Ltl::parse(&wide(MAX_EXPANDED_SIZE - 2), &mut t).expect("at the limit");
+        assert_eq!(at_limit.size(), MAX_EXPANDED_SIZE);
+        let e = Ltl::parse(&wide(MAX_EXPANDED_SIZE - 1), &mut t).unwrap_err();
+        assert!(e.message.contains("expands to more than"), "{e}");
+        // An n-operand `<->` chain expands to 8·2^(n-1) − 7 nodes: 12
+        // operands fit, 13 do not, and a long chain stops at the first
+        // operand past the limit instead of building the whole chain.
+        let chain = |n| vec!["p"; n].join(" <-> ");
+        assert_eq!(Ltl::parse(&chain(12), &mut t).expect("fits").size(), 16_377);
+        for n in [13, 100_000] {
+            let e = Ltl::parse(&chain(n), &mut t).unwrap_err();
+            assert!(e.message.contains("expands to more than"), "{n}: {e}");
+            assert_eq!(
+                e.position,
+                chain(12).len() + 1,
+                "{n}: refused at the 12th '<->'"
+            );
+        }
+        // `W` copies its left operand; nesting it doubles the tree too.
+        let weak = format!("{}p{}", "(".repeat(20), " W q)".repeat(20));
+        let e = Ltl::parse(&weak, &mut t).unwrap_err();
+        assert!(e.message.contains("expands to more than"), "{e}");
     }
 
     #[test]

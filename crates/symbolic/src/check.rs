@@ -33,19 +33,21 @@
 //! the extra automata and restrict every image and preimage by the base's
 //! reachable set — see [`crate::terms`].
 //!
-//! # Dynamic reordering and the handle-safety contract
+//! # Rebuilds and the handle-safety contract
 //!
-//! Between fixpoint steps the engine may **reorder** the BDD variables
-//! (`SymbolicModel::maybe_reorder`), which rebuilds the manager and
-//! invalidates every [`Bdd`] handle not explicitly remapped. The contract
-//! every function in this module follows:
+//! Between fixpoint steps the engine may **rebuild** the BDD manager
+//! (`SymbolicModel::maybe_rebuild`): collect its garbage and, under
+//! `ReorderMode::Auto`, reorder the variables. A rebuild invalidates
+//! every [`Bdd`] handle not explicitly remapped. The contract every
+//! function in this module follows:
 //!
 //! * only the fixpoint loops (`ProductData::reachable`,
 //!   `ProductData::until`, `ProductData::hull`,
-//!   `ProductData::rings_to`) trigger reordering, at their loop heads,
-//!   passing every local handle in a `live` vector to be remapped;
+//!   `ProductData::rings_to`) trigger a rebuild at their loop heads,
+//!   passing every local handle in a `live` vector to be remapped (the
+//!   only other trigger point is the exit of a scratch scope, below);
 //! * `ProductData::image`/`ProductData::preimage` and the encoding
-//!   paths never reorder, so straight-line code may hold handles across
+//!   paths never rebuild, so straight-line code may hold handles across
 //!   them;
 //! * a caller holding a handle across a *fixpoint-running* call must
 //!   either pass it through the callee's `live` vector or re-fetch it from
@@ -54,10 +56,11 @@
 //!   *before* capturing the reachable set, and why
 //!   `ProductData::decide` forces every fixpoint before extracting a
 //!   witness;
-//! * inside `SymbolicModel::scratch` reordering is disabled outright —
-//!   a scratch query's intermediates are untracked (and a reorder would
-//!   invalidate the region checkpoint), so extended closure products run
-//!   under whatever order the persistent fixpoints settled on.
+//! * inside `SymbolicModel::scratch` rebuilding is disabled outright —
+//!   a scratch query's intermediates (an extended closure product, cube
+//!   frames) are untracked, so they run under whatever order the cached
+//!   fixpoints settled on; the scope's exit checks the trigger once every
+//!   live handle is a root again.
 
 use crate::error::SymbolicError;
 use crate::model::{PartitionMode, SymbolicModel};
@@ -154,11 +157,6 @@ pub(crate) struct ProductData {
     hull_rings: Option<Vec<Bdd>>,
     /// Memoized per-fairness-set onion rings within the hull.
     fair_rings: Option<Vec<Vec<Bdd>>>,
-    /// Whether this product is cached on the model (its memoized
-    /// fixpoints then pin the scratch region — see
-    /// [`SymbolicModel::mark_persistent`]). Extended closure products are
-    /// throwaway scratch and never mark.
-    persistent: bool,
 }
 
 impl SymbolicModel {
@@ -227,12 +225,7 @@ impl SymbolicModel {
     ) -> Result<T, SymbolicError> {
         let mut pd = match self.products.remove(key) {
             Some(pd) => pd,
-            None => {
-                let mut pd = ProductData::build(self, gbas, None)?;
-                pd.persistent = true;
-                self.mark_persistent();
-                pd
-            }
+            None => ProductData::build(self, gbas, None)?,
         };
         let result = f(self, &mut pd);
         self.products.insert(key.to_vec(), pd);
@@ -259,16 +252,14 @@ impl SymbolicModel {
     ) -> Result<T, SymbolicError> {
         let full: Vec<Ltl> = base.iter().cloned().chain(extra.iter().cloned()).collect();
         if !self.products.contains_key(&full) {
-            let mut ext = self.with_product(base, base_gbas, |m, pd| {
+            let ext = self.with_product(base, base_gbas, |m, pd| {
                 // The extension captures the base's hull and reachable
-                // set: force both (they can reorder) before building it.
+                // set: force both (they can rebuild) before building it.
                 pd.hull(m)?;
                 let mut ext = ProductData::build(m, extra_gbas, Some(pd))?;
                 ext.assume_care_reachable(m);
                 Ok(ext)
             })?;
-            ext.persistent = true;
-            self.mark_persistent();
             self.products.insert(full.clone(), ext);
         }
         self.with_product(&full, &[], f)
@@ -450,13 +441,12 @@ impl ProductData {
             can_fair: None,
             hull_rings: None,
             fair_rings: None,
-            persistent: false,
         })
     }
 
     /// Visits every BDD handle this product keeps, for collection and
-    /// remapping around a reorder. Registered variable sets and pairings
-    /// are id-based and survive a reorder on their own; `supports` holds
+    /// remapping around a rebuild. Registered variable sets and pairings
+    /// are id-based and survive a rebuild on their own; `supports` holds
     /// variable ids, not handles.
     pub(crate) fn visit_roots(&mut self, f: &mut dyn FnMut(&mut Bdd)) {
         for c in &mut self.conjuncts {
@@ -486,15 +476,6 @@ impl ProductData {
                     f(b);
                 }
             }
-        }
-    }
-
-    /// Marks a freshly memoized fixpoint as persistent when this product
-    /// is cached on the model; throwaway extended products skip the mark,
-    /// so their nodes stay collectable scratch.
-    fn mark(&self, m: &mut SymbolicModel) {
-        if self.persistent {
-            m.mark_persistent();
         }
     }
 
@@ -555,10 +536,10 @@ impl ProductData {
             return Ok(None);
         }
         // A witness exists. Force the guidance rings *before* extracting
-        // it: their fixpoints may reorder, which would invalidate
+        // it: their fixpoints may rebuild, which would invalidate
         // `start`/`z` — re-derive both afterwards (the memoized hull is
         // remapped in place; the walk itself only runs images and never
-        // reorders).
+        // rebuilds).
         self.ensure_fair_rings(m)?;
         let z = self.hull(m)?;
         let start = m.man.and(self.init, z);
@@ -615,14 +596,13 @@ impl ProductData {
             live.clear();
             live.push(reach);
             live.push(frontier);
-            m.maybe_reorder(self, &mut live)?;
+            m.maybe_rebuild(self, &mut live)?;
             frontier = live.pop().expect("pushed frontier");
             reach = live.pop().expect("pushed reach");
             let img = self.image(m, frontier)?;
             let fresh = diff(m, img, reach);
             if fresh.is_false() {
                 self.reach = Some(reach);
-                self.mark(m);
                 return Ok(reach);
             }
             reach = m.man.or(reach, fresh);
@@ -634,7 +614,7 @@ impl ProductData {
     /// invariant): least fixpoint of backward steps within `inside`.
     ///
     /// `live` carries the caller's fixpoint-local handles through any
-    /// reorder (see the [module docs](self)); the callee's own locals ride
+    /// rebuild (see the [module docs](self)); the callee's own locals ride
     /// on top of it and are popped off before returning.
     fn until(
         &mut self,
@@ -649,7 +629,7 @@ impl ProductData {
         loop {
             m.check_governance()?;
             live.push(y);
-            m.maybe_reorder(self, live)?;
+            m.maybe_rebuild(self, live)?;
             y = live.pop().expect("pushed y");
             let inside = live[base];
             let pre = self.preimage(m, y)?;
@@ -681,8 +661,8 @@ impl ProductData {
             live.push(z); // the round's starting point, [0]
             if nfair == 0 {
                 // Safety-only products have no until() below to host the
-                // reorder hook, so the loop head hosts it directly.
-                m.maybe_reorder(self, &mut live)?;
+                // rebuild hook, so the loop head hosts it directly.
+                m.maybe_rebuild(self, &mut live)?;
                 z = live[0];
                 let pre = self.preimage(m, z)?;
                 z = m.man.and(z, pre);
@@ -697,11 +677,10 @@ impl ProductData {
                     z = m.man.and(z, pre);
                 }
             }
-            // live[0] was remapped alongside z by any reorder, so handle
+            // live[0] was remapped alongside z by any rebuild, so handle
             // equality still decides convergence.
             if z == live[0] {
                 self.hull = Some(z);
-                self.mark(m);
                 return Ok(z);
             }
         }
@@ -715,13 +694,12 @@ impl ProductData {
             return Ok(cf);
         }
         // Force the hull (and with it reachability) *first*: both may
-        // reorder, and the handles captured below must postdate that.
+        // rebuild, and the handles captured below must postdate that.
         let z = self.hull(m)?;
         let reach = self.reachable(m)?;
         let mut live: Vec<Bdd> = Vec::new();
         let cf = self.until(m, reach, z, &mut live)?;
         self.can_fair = Some(cf);
-        self.mark(m);
         Ok(cf)
     }
 
@@ -745,7 +723,7 @@ impl ProductData {
             live.push(z);
             live.push(covered);
             live.extend_from_slice(&rings);
-            m.maybe_reorder(self, &mut live)?;
+            m.maybe_rebuild(self, &mut live)?;
             z = live[0];
             covered = live[1];
             rings.copy_from_slice(&live[2..]);
@@ -767,11 +745,10 @@ impl ProductData {
     fn hull_rings(&mut self, m: &mut SymbolicModel) -> Result<&[Bdd], SymbolicError> {
         if self.hull_rings.is_none() {
             // can_fair forces the hull; fetch the hull after it so the
-            // handle postdates any reorder.
+            // handle postdates any rebuild.
             let cf = self.can_fair(m)?;
             let z = self.hull(m)?;
             self.hull_rings = Some(self.rings_to(m, cf, z)?);
-            self.mark(m);
         }
         Ok(self.hull_rings.as_deref().expect("just computed"))
     }
@@ -781,7 +758,7 @@ impl ProductData {
     fn ensure_fair_rings(&mut self, m: &mut SymbolicModel) -> Result<(), SymbolicError> {
         if self.fair_rings.is_none() && !self.fair.is_empty() {
             // Completed ring families are parked in `fair_rings` right
-            // away so a reorder during a later family's fixpoint remaps
+            // away so a rebuild during a later family's fixpoint remaps
             // them (`visit_roots`) instead of leaving them dangling. On
             // error the partial memo is discarded — a caller surviving a
             // NodeLimit must not find a half-built guide.
@@ -804,15 +781,14 @@ impl ProductData {
                     }
                 }
             }
-            self.mark(m);
         }
         Ok(())
     }
 
     /// Forces every memoized fixpoint this product's queries depend on
     /// (reachable set, fair hull, hull-reaching set; with `rings`, also
-    /// the witness-guidance onion rings), so that a subsequent
-    /// checkpointed scratch region creates no nodes that must persist.
+    /// the witness-guidance onion rings), so that a subsequent scratch
+    /// query runs no fixpoint of its own on `self`.
     pub(crate) fn ensure_fixpoints(
         &mut self,
         m: &mut SymbolicModel,

@@ -14,10 +14,10 @@ use std::fmt;
 pub enum SymbolicError {
     /// The BDD manager grew past the configured node budget.
     ///
-    /// `BddManager` never garbage-collects and memoizes every operation, so
-    /// node count plus cache entries is a faithful proxy for its memory
-    /// footprint; this error is raised between fixpoint steps, never
-    /// mid-operation, so the manager is left in a consistent state.
+    /// `BddManager` collects garbage only at rebuilds and memoizes every
+    /// operation, so node count plus cache entries is a faithful proxy for
+    /// its memory footprint; this error is raised between fixpoint steps,
+    /// never mid-operation, so the manager is left in a consistent state.
     NodeLimit {
         /// Live BDD nodes at the time of the check.
         nodes: usize,
@@ -37,13 +37,6 @@ pub enum SymbolicError {
     /// something that is not a node count. Refusing beats silently falling
     /// back to the default the user was trying to replace.
     InvalidNodeLimit {
-        /// The offending value, verbatim.
-        value: String,
-    },
-    /// The `SPECMATCHER_BDD_PARTITION` environment variable is set to
-    /// something other than `off` or `auto`. A typo'd mode must not
-    /// silently pick a transition-relation representation.
-    InvalidPartitionMode {
         /// The offending value, verbatim.
         value: String,
     },
@@ -86,11 +79,6 @@ impl fmt::Display for SymbolicError {
                 f,
                 "invalid SPECMATCHER_BDD_NODE_LIMIT value {value:?}: expected a \
                  positive node count, optionally with a K or M suffix (e.g. 96M)"
-            ),
-            SymbolicError::InvalidPartitionMode { value } => write!(
-                f,
-                "invalid SPECMATCHER_BDD_PARTITION value {value:?}: expected off \
-                 (one conjunct per latch/automaton) or auto (greedy clustering)"
             ),
             SymbolicError::InvalidClusterSize { value } => write!(
                 f,

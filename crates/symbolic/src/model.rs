@@ -30,15 +30,15 @@ use std::fmt;
 /// At roughly 60 bytes per node (node store + unique table entry) this
 /// bounds the manager around 1.5 GB before the engine refuses — sized so
 /// every packaged design fits the full pipeline with headroom under the
-/// complement-edge core's defaults (amba-ahb forced-symbolic, the
-/// heaviest packaged run, peaks near 12 M nodes including scratch with
-/// the static variable order; mal-26's gap phase peaks near 10 M, with
-/// scratch reclaimed between closure checks via
-/// [`dic_logic::BddManager::rollback`]) while still failing closed long
-/// before a development container OOMs. The margin also hosts the
-/// reorder safety valve: [`REORDER_FIRST_TRIGGER`] sits between the
-/// measured peaks and this budget, so runs that fit statically never
-/// pay a sift and runs that would refuse get one reorder first.
+/// complement-edge core's defaults while still failing closed long before
+/// a development container OOMs. Measured node-store peaks, garbage
+/// included (nothing is collected below the first rebuild trigger):
+/// amba-ahb forced-symbolic 10.95 M at `--jobs 1` and 11.58 M at
+/// `--jobs 2`, mal-26 8.14 M / 8.42 M, mal-ex2 symbolic ≈0.22–0.29 M. The
+/// first rebuild trigger ([`REORDER_FIRST_TRIGGER`], capped at three
+/// quarters of the budget) sits between those peaks and this budget, so
+/// packaged runs never pay a rebuild and runs that would refuse get one
+/// collection (and, under [`ReorderMode::Auto`], a sift) first.
 pub const DEFAULT_NODE_LIMIT: usize = 24_000_000;
 
 /// Automaton state bits pre-allocated *above* the module variable banks.
@@ -53,18 +53,18 @@ pub const DEFAULT_NODE_LIMIT: usize = 24_000_000;
 /// below the banks — they just lose the good ordering.
 pub const AUT_BITS_ON_TOP: usize = 160;
 
-/// Node-count threshold arming the first automatic reorder (and the
-/// minimum growth between consecutive reorders).
+/// Node-store size arming the first automatic rebuild (capped at three
+/// quarters of the node budget), and the minimum growth between
+/// consecutive rebuilds (capped at a quarter of the budget).
 ///
 /// Deliberately high — a safety valve short of the default node budget
 /// ([`DEFAULT_NODE_LIMIT`]), not an eager policy: every rebuild clears
 /// the operation memos, and on fixpoint-heavy runs recomputing those
-/// dwarfs what the tighter order saves (amba-ahb forced-symbolic runs
-/// ~2.5× slower with an eager 1M trigger than with the static order,
-/// which peaks at ~12M nodes and fits the budget outright). Runs that
-/// genuinely outgrow the static order still sift before refusing;
-/// smaller explicit budgets (below this threshold) refuse without
-/// reordering, as they always have.
+/// dwarfs what a collection or a tighter order saves (amba-ahb
+/// forced-symbolic runs ~2.5× slower with an eager 1M trigger than with
+/// the static order, which peaks near 11–12 M nodes and fits the budget
+/// outright). Smaller budgets trigger at three quarters of the budget, so
+/// a run collects its garbage before it refuses.
 pub const REORDER_FIRST_TRIGGER: usize = 1 << 24;
 
 /// Minimum *live* node count before a triggered reorder runs the sifting
@@ -124,11 +124,11 @@ impl fmt::Display for PartitionMode {
 /// (constrained group sifting — see [`dic_logic::BddManager::reorder_groups`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ReorderMode {
-    /// Never reorder: the static registration order (automaton bits on
-    /// top, interleaved current/next banks) is used throughout.
+    /// Never sift: the static registration order (automaton bits on top,
+    /// interleaved current/next banks) is used throughout. A triggered
+    /// rebuild only compacts.
     Off,
-    /// Reorder automatically on node-growth thresholds between fixpoint
-    /// steps, outside scratch scopes.
+    /// Sift at triggered rebuilds once the live size warrants it.
     #[default]
     Auto,
 }
@@ -153,28 +153,27 @@ impl fmt::Display for ReorderMode {
     }
 }
 
-/// Cumulative dynamic-reordering statistics for one symbolic model.
+/// Cumulative rebuild statistics for one symbolic model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReorderStats {
     /// Number of sifting reorders performed.
     pub count: usize,
-    /// Number of plain compactions (garbage-collecting rebuilds without a
-    /// sifting search — triggered growth that was garbage, not ordering).
+    /// Number of plain compactions (rebuilds without a sifting search).
     pub compactions: usize,
     /// Total live nodes across sifting reorders, before sifting.
     pub nodes_before: usize,
     /// Total live nodes across sifting reorders, after sifting.
     pub nodes_after: usize,
-    /// Generational scratch-region collections: rollbacks that actually
-    /// freed nodes (O(freed) each — see
-    /// [`dic_logic::BddManager::rollback`]).
+    /// Garbage collections: every rebuild, sifting or not (the sum of
+    /// `count` and `compactions`).
     pub gc_collections: usize,
-    /// Total nodes freed by those rollbacks.
+    /// Total nodes those rebuilds dropped from the store.
     pub gc_freed: usize,
-    /// Honest node-store high-water mark, *including* scratch regions
-    /// rolled back since (the `bdd.peak_nodes` trace gauge only records
-    /// peaks while tracing is enabled, and the post-rollback node count
-    /// understates what was actually allocated).
+    /// Honest node-store high-water mark, *including* garbage collected
+    /// since (the `bdd.peak_nodes` trace gauge only records peaks while
+    /// tracing is enabled, and the node count after a rebuild understates
+    /// what was actually allocated). Packaged runs at the default budget
+    /// never rebuild, so this is their whole store.
     pub peak_nodes: usize,
 }
 
@@ -186,8 +185,8 @@ pub struct SymbolicOptions {
     pub node_limit: usize,
     /// Dynamic variable reordering policy.
     pub reorder: ReorderMode,
-    /// Node count arming the first automatic reorder (tests lower it to
-    /// exercise reordering on small models).
+    /// Node count arming the first automatic rebuild (tests lower it to
+    /// exercise collection and reordering on small models).
     pub reorder_trigger: usize,
     /// Transition-relation representation (clustered vs per-conjunct).
     pub partition: PartitionMode,
@@ -212,7 +211,7 @@ impl Default for SymbolicOptions {
 }
 
 impl SymbolicOptions {
-    /// The default options with the three BDD environment overrides
+    /// The default options with the two BDD environment overrides
     /// applied, each strict-parsed (unset means the default):
     ///
     /// * `SPECMATCHER_BDD_NODE_LIMIT` — the node budget, a count with an
@@ -220,14 +219,12 @@ impl SymbolicOptions {
     ///   for models just past [`DEFAULT_NODE_LIMIT`] on machines with
     ///   memory to spare (the limit exists to fail closed, not to cap
     ///   capability);
-    /// * `SPECMATCHER_BDD_PARTITION` — `off` or `auto`;
     /// * `SPECMATCHER_BDD_CLUSTER_SIZE` — the cluster-size cap, a count
     ///   with the same suffixes.
     ///
     /// # Errors
     ///
-    /// [`SymbolicError::InvalidNodeLimit`],
-    /// [`SymbolicError::InvalidPartitionMode`] or
+    /// [`SymbolicError::InvalidNodeLimit`] or
     /// [`SymbolicError::InvalidClusterSize`] when a variable is set but
     /// does not parse — a typo'd override must not silently become the
     /// default it was meant to replace.
@@ -235,10 +232,6 @@ impl SymbolicOptions {
         let mut opts = SymbolicOptions::default();
         if let Ok(v) = std::env::var("SPECMATCHER_BDD_NODE_LIMIT") {
             opts.node_limit = parse_node_limit(&v)?;
-        }
-        if let Ok(v) = std::env::var("SPECMATCHER_BDD_PARTITION") {
-            opts.partition =
-                PartitionMode::parse(&v).ok_or(SymbolicError::InvalidPartitionMode { value: v })?;
         }
         if let Ok(v) = std::env::var("SPECMATCHER_BDD_CLUSTER_SIZE") {
             opts.cluster_size =
@@ -327,20 +320,14 @@ pub struct SymbolicModel {
     /// against the same base (`R ∧ ¬FA`), so this cache is the symbolic
     /// counterpart of the explicit engine's materialized sub-products.
     pub(crate) products: HashMap<Vec<Ltl>, ProductData>,
-    /// Start of the current reusable-scratch region: nodes above this mark
-    /// belong to queries whose results were extracted to non-BDD form and
-    /// can be reclaimed wholesale once the region outgrows its budget.
-    /// `None` whenever persistent state (a memoized product fixpoint) was
-    /// created since the last mark — see [`SymbolicModel::scratch`].
-    pub(crate) scratch_base: Option<dic_logic::BddCheckpoint>,
     /// Nesting depth of active [`SymbolicModel::scratch`] closures. While
-    /// positive, reordering is disabled: a reorder invalidates the scratch
-    /// checkpoint *and* every intermediate handle the running query holds.
+    /// positive, no rebuild may run: the running query holds intermediate
+    /// handles that are not in the root set.
     pub(crate) scratch_depth: usize,
-    /// Persistent-base node count arming the next automatic reorder
-    /// (grows after each).
-    reorder_next: usize,
-    /// Live node count at which a triggered reorder sifts instead of just
+    /// Node-store size arming the next rebuild (see
+    /// [`SymbolicModel::maybe_rebuild`]).
+    rebuild_next: usize,
+    /// Live node count at which a triggered rebuild sifts instead of just
     /// compacting (doubles after every sift).
     sift_next: usize,
     reorder_stats: ReorderStats,
@@ -377,9 +364,10 @@ impl SymbolicModel {
             synth_count: 0,
             aut_pool: Vec::new(),
             products: HashMap::new(),
-            scratch_base: None,
             scratch_depth: 0,
-            reorder_next: options.reorder_trigger,
+            rebuild_next: options
+                .reorder_trigger
+                .min(options.node_limit - options.node_limit / 4),
             sift_next: REORDER_SIFT_MIN.min(options.reorder_trigger),
             reorder_stats: ReorderStats::default(),
             options,
@@ -457,53 +445,36 @@ impl SymbolicModel {
         self.options.node_limit
     }
 
-    /// Marks that persistent BDD state (a memoized product fixpoint) was
-    /// just created: the current scratch region, if any, must not be
-    /// rolled back past it.
-    pub(crate) fn mark_persistent(&mut self) {
-        self.scratch_base = None;
-    }
-
-    /// Runs `f` as a *reusable-scratch* computation: its result is
-    /// extracted to non-BDD form (a verdict, a witness valuation
-    /// sequence), so the nodes it creates are garbage — but warm operation
-    /// memos make consecutive queries much faster, so collection is
-    /// batched: the nodes of many queries accumulate in one scratch
-    /// region, and the whole region is rolled back once it outgrows a
-    /// quarter of the node budget (rollback keeps memo entries over
-    /// surviving nodes, so frequent collection stays cheap while keeping
-    /// the node store — and with it every operation — small). Any persistent fixpoint computed mid-query
-    /// re-bases the region (see [`SymbolicModel::mark_persistent`]).
+    /// Runs `f` as a *scratch* query on `pd`, the product taken out of the
+    /// cache: its result is extracted to non-BDD form (a verdict, a
+    /// witness valuation sequence), so the nodes it creates are garbage.
+    /// Its intermediate handles are not rebuild roots, so no rebuild runs
+    /// inside the scope. On exit every live handle is a root again, and
+    /// the same trigger the fixpoint loop heads check runs here
+    /// ([`SymbolicModel::maybe_rebuild`]) — so consecutive queries share
+    /// warm operation memos until the store outgrows the trigger, and
+    /// one compaction then collects all of their garbage at once.
     pub(crate) fn scratch<T>(
         &mut self,
-        f: impl FnOnce(&mut SymbolicModel) -> Result<T, SymbolicError>,
+        pd: &mut ProductData,
+        f: impl FnOnce(&mut SymbolicModel, &mut ProductData) -> Result<T, SymbolicError>,
     ) -> Result<T, SymbolicError> {
-        if self.scratch_base.is_none() {
-            self.scratch_base = Some(self.man.checkpoint());
-        }
         self.scratch_depth += 1;
-        let result = f(self);
+        let result = f(self, pd);
         self.scratch_depth -= 1;
-        if let Some(base) = self.scratch_base {
-            if self.man.node_count() - base.nodes() > self.options.node_limit / 4 {
-                self.man.rollback(&base);
-                // Rollback keeps memo entries over surviving nodes warm;
-                // if even those outgrow the node budget's order of
-                // magnitude, trade the warmth for the memory.
-                if self.man.cache_entries() > self.options.node_limit {
-                    self.man.clear_op_caches();
-                }
-            }
-        }
-        result
+        // Collect even after a refusal, so a caller that survives it does
+        // not find the store still over budget.
+        let rebuilt = self.maybe_rebuild(pd, &mut []);
+        let value = result?;
+        rebuilt?;
+        Ok(value)
     }
 
     /// Fails closed once the manager outgrows its budget; called between
     /// fixpoint steps so the error surfaces before memory pressure does.
-    /// (Operation memos are not part of the refusal: they are trimmed at
-    /// scratch-rollback boundaries — see [`SymbolicModel::scratch`] — and
-    /// a single query's cache growth is collateral of its node growth,
-    /// which this limit bounds.)
+    /// (Operation memos are not part of the refusal: every rebuild drops
+    /// them, and a single query's cache growth is collateral of its node
+    /// growth, which this limit bounds.)
     pub(crate) fn check_limit(&self) -> Result<(), SymbolicError> {
         match dic_fault::hit(dic_fault::Site::BddAlloc) {
             Some(dic_fault::FaultKind::NodeLimit) => {
@@ -552,13 +523,11 @@ impl SymbolicModel {
         Ok(())
     }
 
-    /// Cumulative dynamic-reordering and node-store statistics (the
-    /// sifting counters are zero under [`ReorderMode::Off`]; the GC and
-    /// peak figures come straight from the manager and are always live).
+    /// Cumulative rebuild and node-store statistics (the sifting counters
+    /// are zero under [`ReorderMode::Off`]; the peak comes straight from
+    /// the manager).
     pub fn reorder_stats(&self) -> ReorderStats {
         ReorderStats {
-            gc_collections: self.man.gc_collections(),
-            gc_freed: self.man.gc_freed_nodes(),
             peak_nodes: self.man.peak_node_count(),
             ..self.reorder_stats
         }
@@ -602,55 +571,36 @@ impl SymbolicModel {
         }
     }
 
-    /// Reorders the BDD variables by constrained group sifting when the
-    /// manager has outgrown the current trigger — the hook every symbolic
-    /// fixpoint loop calls between steps.
+    /// Rebuilds the manager over its root set once the node store reaches
+    /// the trigger — the only garbage collection the append-only manager
+    /// has — sifting the variable order when [`ReorderMode::Auto`] is set
+    /// and the live size warrants it. Checked at every fixpoint loop head
+    /// and at every scratch exit.
     ///
     /// Safety contract (see the module docs of [`crate::check`]): this may
     /// only run where the complete set of live handles is known — the
     /// model's encodings, every cached product, the product currently
     /// taken out of the cache (`pd`), and the running fixpoint's local
     /// handles (`live`), which are remapped in place. It therefore never
-    /// fires inside a scratch scope (the running query holds untracked
-    /// intermediates, and a reorder would invalidate the scratch
-    /// checkpoint). A reorder drops every handle outside the root set —
-    /// the only garbage collection the append-only manager has — and
-    /// re-bases the scratch region.
-    pub(crate) fn maybe_reorder(
+    /// fires inside a scratch scope, whose running query holds untracked
+    /// intermediates. A rebuild drops every handle outside the root set.
+    pub(crate) fn maybe_rebuild(
         &mut self,
         pd: &mut ProductData,
         live: &mut [Bdd],
     ) -> Result<(), SymbolicError> {
-        if self.options.reorder == ReorderMode::Off || self.scratch_depth > 0 {
-            return Ok(());
-        }
-        // Trigger on the *persistent base*: the prefix of the store below
-        // any open scratch region. Growth inside the region is batched
-        // scratch the rollback machinery will reclaim with its memos kept
-        // warm — collecting it here would defeat that batching and pay a
-        // rebuild for it. But the batch budget is `node_limit / 4`
-        // (see [`SymbolicModel::scratch`]): anything past that is not
-        // healthy batching — it is a persistent fixpoint ballooning above
-        // a stale checkpoint (a lazily-forced `hull_rings`, say) — so the
-        // effective base tracks it and reordering re-arms.
-        let base_nodes = match self.scratch_base {
-            None => self.man.node_count(),
-            Some(cp) => cp.nodes().max(
-                self.man
-                    .node_count()
-                    .saturating_sub(self.options.node_limit / 4),
-            ),
-        };
-        if base_nodes < self.reorder_next {
+        if self.scratch_depth > 0 || self.man.node_count() < self.rebuild_next {
             return Ok(());
         }
 
         let t0 = dic_trace::Stopwatch::start();
-        // One extract-and-rebuild pass: it always collects garbage (the
-        // only collection this manager has), and runs the sifting search
-        // only when the *live* size has at least doubled since the last
-        // sift — ordering cost grows with live nodes, garbage does not.
+        // One extract-and-rebuild pass: it always collects garbage, and
+        // runs the sifting search only when the *live* size has at least
+        // doubled since the last sift — ordering cost grows with live
+        // nodes, garbage does not.
         let outcome = self.run_rebuild(pd, live);
+        self.reorder_stats.gc_collections += 1;
+        self.reorder_stats.gc_freed += outcome.store_before - self.man.node_count();
         if outcome.sifted {
             self.sift_next = outcome.live_after.saturating_mul(2).max(REORDER_SIFT_MIN);
             self.reorder_stats.count += 1;
@@ -660,8 +610,10 @@ impl SymbolicModel {
             self.reorder_stats.compactions += 1;
         }
         if dic_trace::enabled() {
-            // Every rebuild compacts; a sifting search on top is a reorder.
+            // Every rebuild compacts and collects; a sifting search on top
+            // is a reorder.
             dic_trace::count(dic_trace::Counter::BddCompactions, 1);
+            dic_trace::count(dic_trace::Counter::BddGcCollections, 1);
             if outcome.sifted {
                 dic_trace::count(dic_trace::Counter::BddReorders, 1);
             }
@@ -675,20 +627,22 @@ impl SymbolicModel {
                 ],
             );
         }
-        // Checkpoints into the old node store are meaningless now; the
-        // rebuild already collected everything outside the root set.
-        self.scratch_base = None;
-        self.reorder_next = outcome
+        let growth = self
+            .options
+            .reorder_trigger
+            .min(self.options.node_limit / 4);
+        self.rebuild_next = outcome
             .live_after
             .saturating_mul(2)
-            .max(outcome.live_after + self.options.reorder_trigger);
+            .max(outcome.live_after + growth);
         self.check_limit()
     }
 
     /// One rebuild pass over the full root set — every handle the model,
     /// the cached products, the taken-out product `pd` and the running
-    /// fixpoint (`live`) hold — sifting when the live size warrants it
-    /// (`sift_next`), remapping every root in place.
+    /// fixpoint (`live`) hold — sifting when [`ReorderMode::Auto`] is set
+    /// and the live size warrants it (`sift_next`), remapping every root
+    /// in place.
     fn run_rebuild(&mut self, pd: &mut ProductData, live: &mut [Bdd]) -> dic_logic::ReorderOutcome {
         let mut roots: Vec<Bdd> = Vec::new();
         self.visit_model_roots(&mut |b| roots.push(*b));
@@ -716,9 +670,11 @@ impl SymbolicModel {
                 top: false,
             });
         }
-        let outcome = self
-            .man
-            .reorder_groups_min_live(&groups, &roots, self.sift_next);
+        let sift_at = match self.options.reorder {
+            ReorderMode::Auto => self.sift_next,
+            ReorderMode::Off => usize::MAX,
+        };
+        let outcome = self.man.reorder_groups_min_live(&groups, &roots, sift_at);
 
         self.visit_model_roots(&mut |b| outcome.remap(b));
         for cached in self.products.values_mut() {

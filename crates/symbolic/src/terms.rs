@@ -56,17 +56,16 @@ impl SymbolicModel {
         };
         self.with_product(base, &base_gbas, |m, pd| {
             // The extension captures the base's hull and reachable set:
-            // force both (they can reorder) before the scratch region.
+            // force both (they can rebuild) before the scratch scope.
             pd.hull(m)?;
             // The whole extended product is scratch: its verdict is a
             // plain bool and its witness a plain valuation sequence, so
-            // nothing it creates must outlive the call — without
-            // reclamation, each closure check would permanently consume
-            // node budget in the append-only manager. Collection is
-            // batched ([`SymbolicModel::scratch`]): consecutive checks
-            // share one region, so the operation memos over the common
-            // base conjuncts stay warm across candidates.
-            m.scratch(|m| {
+            // nothing it creates must outlive the call. Its nodes stay in
+            // the store as garbage until the trigger fires at some scope
+            // exit ([`SymbolicModel::scratch`]), so consecutive checks
+            // keep the operation memos over the common base conjuncts
+            // warm.
+            m.scratch(pd, |m, pd| {
                 ProductData::build(m, &extra_gbas, Some(pd))?.decide(m)
             })
         })
@@ -91,7 +90,7 @@ impl SymbolicModel {
         };
         self.with_product(base, &gbas, |m, pd| {
             pd.ensure_fixpoints(m, true)?;
-            m.scratch(|m| {
+            m.scratch(pd, |m, pd| {
                 let Some((frames, goal)) = cube_frames(m, pd, cube)? else {
                     return Ok(None);
                 };
@@ -122,7 +121,7 @@ impl SymbolicModel {
         };
         let run = |m: &mut SymbolicModel, pd: &mut ProductData| {
             pd.ensure_fixpoints(m, false)?;
-            m.scratch(|m| Ok(cube_frames(m, pd, cube)?.is_some()))
+            m.scratch(pd, |m, pd| Ok(cube_frames(m, pd, cube)?.is_some()))
         };
         match anchored {
             None => self.with_product(base, &base_gbas, run),

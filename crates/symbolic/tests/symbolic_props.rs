@@ -243,14 +243,15 @@ fn node_limit_fails_closed_mid_analysis() {
 
 #[test]
 fn forced_reorders_preserve_verdicts_and_order_invariants() {
-    // A trigger of 1 fires a reorder at (almost) every fixpoint step, the
-    // harshest schedule possible: every cached product, memoized fixpoint
-    // and in-flight local must be remapped correctly or the engine
-    // corrupts silently. Verdicts and witnesses must match the
-    // reorder-free engine's, and the aut-bits-on-top / curr-next
-    // adjacency invariants must survive every single reorder.
+    // A trigger of 1 fires a rebuild at (almost) every fixpoint step and
+    // scratch exit, the harshest schedule possible: every cached product,
+    // memoized fixpoint and in-flight local must be remapped correctly or
+    // the engine corrupts silently. Verdicts and witnesses must match the
+    // rebuild-free engine's, both when the rebuilds sift and when they
+    // only compact (`ReorderMode::Off`), and the aut-bits-on-top /
+    // curr-next adjacency invariants must survive every single rebuild.
     let mut rng = XorShift64::new(0x0051_17ED);
-    let mut total_reorders = 0usize;
+    let (mut total_reorders, mut total_compactions) = (0usize, 0usize);
     for case in 0..25 {
         let (t, m) = random_module(&mut rng, 2, 3);
         let atoms: Vec<SignalId> = m.signals().into_iter().collect();
@@ -266,45 +267,69 @@ fn forced_reorders_preserve_verdicts_and_order_invariants() {
         .expect("builds");
         let baseline = plain.satisfiable_conj(&formulas).expect("within limits");
 
-        let mut stressed = SymbolicModel::from_module(
-            &m,
-            &t,
-            &[],
-            SymbolicOptions {
-                reorder_trigger: 1,
-                ..SymbolicOptions::default()
-            },
-        )
-        .expect("builds");
-        let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
-        stressed.assert_order_invariants();
-        // A conjunct unsatisfiable before translation builds no product,
-        // so not every case reorders — but the batch must.
-        total_reorders += stressed.reorder_stats().count;
-        assert_eq!(
-            baseline.is_some(),
-            verdict.is_some(),
-            "reordering changed a verdict on case {case}: {:?}",
-            formulas
-                .iter()
-                .map(|f| f.display(&t).to_string())
-                .collect::<Vec<_>>()
-        );
-        if let Some(w) = verdict {
-            for f in &formulas {
-                assert!(
-                    f.holds_on(&w),
-                    "witness after reorders violates {} (case {case})",
-                    f.display(&t)
-                );
+        for mode in [
+            dic_symbolic::ReorderMode::Auto,
+            dic_symbolic::ReorderMode::Off,
+        ] {
+            let mut stressed = SymbolicModel::from_module(
+                &m,
+                &t,
+                &[],
+                SymbolicOptions {
+                    reorder_trigger: 1,
+                    ..SymbolicOptions::default()
+                }
+                .with_reorder(mode),
+            )
+            .expect("builds");
+            let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
+            stressed.assert_order_invariants();
+            // A conjunct unsatisfiable before translation builds no
+            // product, so not every case rebuilds — but the batch must.
+            let stats = stressed.reorder_stats();
+            match mode {
+                dic_symbolic::ReorderMode::Auto => total_reorders += stats.count,
+                dic_symbolic::ReorderMode::Off => {
+                    assert_eq!(
+                        stats.count, 0,
+                        "no sift under ReorderMode::Off (case {case})"
+                    );
+                    total_compactions += stats.compactions;
+                }
             }
+            assert_eq!(
+                baseline.is_some(),
+                verdict.is_some(),
+                "rebuilding ({mode}) changed a verdict on case {case}: {:?}",
+                formulas
+                    .iter()
+                    .map(|f| f.display(&t).to_string())
+                    .collect::<Vec<_>>()
+            );
+            if let Some(w) = verdict {
+                for f in &formulas {
+                    assert!(
+                        f.holds_on(&w),
+                        "witness after rebuilds ({mode}) violates {} (case {case})",
+                        f.display(&t)
+                    );
+                }
+            }
+            // Querying again reuses the (remapped) cached product.
+            let again = stressed.satisfiable_conj(&formulas).expect("within limits");
+            assert_eq!(
+                again.is_some(),
+                baseline.is_some(),
+                "repeat query ({mode}, case {case})"
+            );
         }
-        // Querying again reuses the (remapped) cached product.
-        let again = stressed.satisfiable_conj(&formulas).expect("within limits");
-        assert_eq!(again.is_some(), baseline.is_some(), "repeat query (case {case})");
     }
     assert!(
         total_reorders > 0,
         "trigger 1 must fire reorders across the batch"
+    );
+    assert!(
+        total_compactions > 0,
+        "trigger 1 must compact across the batch under ReorderMode::Off"
     );
 }

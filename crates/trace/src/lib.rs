@@ -146,8 +146,9 @@ pub enum Counter {
     /// Compacting rebuilds (every reorder compacts; compaction can also
     /// run without a sift).
     BddCompactions,
-    /// Generational scratch-region collections (checkpoint rollbacks that
-    /// actually freed nodes).
+    /// Garbage collections: every rebuild of the BDD manager, sifting or
+    /// not — equal to `bdd.compactions`, kept because the benchmark probe
+    /// reads it.
     BddGcCollections,
     /// Image/preimage steps computed through a partitioned (clustered)
     /// transition relation.

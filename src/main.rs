@@ -203,17 +203,14 @@ fn reorder_option(args: &[String]) -> Result<ReorderMode, String> {
     }
 }
 
-/// `--partition off|auto`. Returns `None` when the flag is absent so the
-/// `SPECMATCHER_BDD_PARTITION` environment override (or the `auto`
-/// default) stays in effect; an explicit flag wins over the environment.
-fn partition_option(args: &[String]) -> Result<Option<PartitionMode>, String> {
+/// `--partition off|auto` (default `auto`).
+fn partition_option(args: &[String]) -> Result<PartitionMode, String> {
     match option(args, "--partition") {
         None if args.iter().any(|a| a == "--partition") => {
             Err("--partition needs a value: off or auto".into())
         }
-        None => Ok(None),
+        None => Ok(PartitionMode::default()),
         Some(s) => PartitionMode::parse(s)
-            .map(Some)
             .ok_or_else(|| format!("unknown partition mode {s:?}; use off or auto")),
     }
 }
@@ -349,14 +346,12 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
     let bmc = bmc_option(args)?;
     let (profile, trace_out) = trace_options(args)?;
     arm_governance(args)?;
-    let mut matcher = SpecMatcher::new(GapConfig::default())
+    let matcher = SpecMatcher::new(GapConfig::default())
         .with_backend(backend)
         .with_reorder(reorder)
+        .with_partition(partition)
         .with_jobs(jobs)
         .with_bmc(bmc);
-    if let Some(p) = partition {
-        matcher = matcher.with_partition(p);
-    }
     let run_span = dic_trace::span("check");
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(Design, dic_core::CoverageRun), CliError> {
@@ -486,15 +481,13 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
     }
     let json = args.iter().any(|a| a == "--json");
     let mut json_rows = Vec::new();
-    let mut matcher = SpecMatcher::new(GapConfig::default())
+    let matcher = SpecMatcher::new(GapConfig::default())
         .with_tm_style(TmStyle::Enumerated)
         .with_backend(backend)
         .with_reorder(reorder)
+        .with_partition(partition)
         .with_jobs(jobs)
         .with_bmc(bmc);
-    if let Some(p) = partition {
-        matcher = matcher.with_partition(p);
-    }
     println!(
         "{:<14} {:>9} {:>9} {:>9} {:>12} {:>12} {:>12}",
         "Circuit", "RTL props", "primary", "gap", "Primary (s)", "TM (s)", "Gap (s)"
@@ -570,16 +563,14 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
 fn cmd_table1_quick(
     backend: Backend,
     reorder: ReorderMode,
-    partition: Option<PartitionMode>,
+    partition: PartitionMode,
 ) -> Result<ExitCode, CliError> {
     use dic_core::{CoverageModel, SymbolicOptions};
 
-    let mut options = SymbolicOptions::from_env()
+    let options = SymbolicOptions::from_env()
         .map_err(|e| core_err(CoreError::Symbolic(e)))?
-        .with_reorder(reorder);
-    if let Some(p) = partition {
-        options = options.with_partition(p);
-    }
+        .with_reorder(reorder)
+        .with_partition(partition);
 
     // (design, primary coverage holds?)
     let rows: Vec<(Design, bool)> = vec![
@@ -632,13 +623,10 @@ fn cmd_table1_quick(
     // gap report must fall back to the Theorem 2 hole with non-empty
     // uncovered terms.
     let smoke_matcher = || {
-        let mut m = SpecMatcher::new(GapConfig::default())
+        SpecMatcher::new(GapConfig::default())
             .with_backend(backend)
-            .with_reorder(reorder);
-        if let Some(p) = partition {
-            m = m.with_partition(p);
-        }
-        m
+            .with_reorder(reorder)
+            .with_partition(partition)
     };
     let mut ex2 = mal::ex2();
     let run = ex2

@@ -1,10 +1,12 @@
-//! Dynamic variable reordering must be *invisible* in every answer: on
-//! random coverage problems, the full pipeline with `--reorder off` and
-//! with reordering forced at a tiny trigger must produce identical
-//! verdicts, byte-identical gap-property sets, and witnesses that replay
-//! on the concrete modules. (The witnesses themselves may differ — the
-//! deterministic BDD walks follow the variable order — but everything
-//! semantic must not.)
+//! Dynamic variable reordering and garbage collection must be
+//! *invisible* in every answer: on random coverage problems, the full
+//! pipeline with `--reorder off` at the default trigger (no rebuild on
+//! models this small), with reordering forced at a tiny trigger, and with
+//! compaction-only collection forced at the same trigger must produce
+//! identical verdicts, byte-identical gap-property sets, and witnesses
+//! that replay on the concrete modules. (The witnesses themselves may
+//! differ — the deterministic BDD walks follow the variable order — but
+//! everything semantic must not.)
 //!
 //! Also pins the per-phase `Backend::Auto` choices the two-axis crossover
 //! (state bits × predicted product width) makes for the packaged designs:
@@ -13,7 +15,8 @@
 
 use proptest::prelude::*;
 use specmatcher::core::{
-    Backend, CoverageModel, GapConfig, ReorderMode, SpecMatcher, SymbolicOptions,
+    Backend, CoverageModel, CoverageRun, GapConfig, PropertyReport, ReorderMode, SpecMatcher,
+    SymbolicOptions,
 };
 use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
@@ -110,11 +113,54 @@ fn replay(model: &CoverageModel, table: &SignalTable, witness: &specmatcher::ltl
     }
 }
 
+/// Asserts that `run` (on `model`) gives `plain`'s answers: the same
+/// verdicts and the same ordered gap-property sets, with witnesses that
+/// replay on the modules.
+fn assert_same_answers(
+    t: &SignalTable,
+    plain: &CoverageRun,
+    run: &CoverageRun,
+    model: &CoverageModel,
+    what: &str,
+) {
+    assert_eq!(plain.all_covered(), run.all_covered(), "verdicts ({what})");
+    // Byte-identical gap-property sets, *in order* — the canonical
+    // candidate enumeration plus semantic closure verdicts must make the
+    // report a function of the model, not of the variable order the
+    // engine happened to settle on or of when it collected garbage.
+    let render = |rep: &PropertyReport| {
+        rep.gap_properties
+            .iter()
+            .map(|g| {
+                format!(
+                    "{} @{} +{} {}",
+                    g.formula.display(t),
+                    g.position,
+                    g.offset,
+                    g.literal.display(t)
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    for (rp, rr) in plain.properties.iter().zip(&run.properties) {
+        assert_eq!(rp.covered, rr.covered, "per-property verdict ({what})");
+        assert_eq!(render(rp), render(rr), "gap property sets diverge ({what})");
+        // Witnesses may differ but must replay on the modules.
+        if let Some(w) = &rr.witness {
+            replay(model, t, w);
+        }
+        for g in &rr.gap_properties {
+            assert!(!rr.formula.holds_on(&g.witness), "gap witness ({what})");
+            replay(model, t, &g.witness);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full-pipeline equivalence of `--reorder off` vs reorders forced at
-    /// every fixpoint step.
+    /// Full-pipeline equivalence of `--reorder off` vs rebuilds forced at
+    /// every fixpoint step and scratch exit, sifting or compacting only.
     #[test]
     fn reorder_is_invisible_on_random_coverage_problems(seed in 1u64..100_000) {
         let (t, arch, rtl) = random_problem(seed);
@@ -136,53 +182,21 @@ proptest! {
             .check_with_model(&arch, &rtl, &t, &plain)
             .expect("reorder-off pipeline runs");
 
-        let stressed = build(SymbolicOptions {
-            reorder_trigger: 1,
-            ..SymbolicOptions::default()
-        });
-        let run_auto = matcher
-            .check_with_model(&arch, &rtl, &t, &stressed)
-            .expect("reorder-auto pipeline runs");
-
-        prop_assert_eq!(
-            run_off.all_covered(),
-            run_auto.all_covered(),
-            "verdicts (seed {})",
-            seed
-        );
-        for (ro, ra) in run_off.properties.iter().zip(&run_auto.properties) {
-            prop_assert_eq!(ro.covered, ra.covered, "per-property verdict (seed {})", seed);
-            // Byte-identical gap-property sets, *in order* — the canonical
-            // candidate enumeration plus semantic closure verdicts must
-            // make the report a function of the model, not of the
-            // variable order the engine happened to settle on.
-            let render = |rep: &specmatcher::core::PropertyReport| {
-                rep.gap_properties
-                    .iter()
-                    .map(|g| {
-                        format!(
-                            "{} @{} +{} {}",
-                            g.formula.display(&t),
-                            g.position,
-                            g.offset,
-                            g.literal.display(&t)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            };
-            prop_assert_eq!(
-                render(ro),
-                render(ra),
-                "gap property sets diverge under reordering (seed {})",
-                seed
-            );
-            // Witnesses may differ but must replay on the modules.
-            if let Some(w) = &ra.witness {
-                replay(&stressed, &t, w);
+        for mode in [ReorderMode::Auto, ReorderMode::Off] {
+            let stressed = build(SymbolicOptions {
+                reorder_trigger: 1,
+                ..SymbolicOptions::default()
             }
-            for g in &ra.gap_properties {
-                prop_assert!(!ra.formula.holds_on(&g.witness));
-                replay(&stressed, &t, &g.witness);
+            .with_reorder(mode));
+            let run = matcher
+                .check_with_model(&arch, &rtl, &t, &stressed)
+                .expect("stressed pipeline runs");
+            let what = format!("seed {seed}, trigger 1, --reorder {mode}");
+            assert_same_answers(&t, &run_off, &run, &stressed, &what);
+            let stats = stressed.reorder_stats().expect("symbolic model");
+            if mode == ReorderMode::Off {
+                prop_assert_eq!(stats.count, 0, "no sift under --reorder off ({})", what);
+                prop_assert!(stats.compactions > 0, "trigger 1 must collect ({})", what);
             }
         }
     }
