@@ -7,9 +7,10 @@
 //! hold while the automaton sits in them; acceptance is generalized, one
 //! set per `Until` subformula.
 
+use crate::hashing::FastMap;
 use dic_logic::{Lit, SignalId, Valuation};
 use dic_ltl::{Ltl, LtlNode};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Interned subformula id inside the translator.
 type Fid = u32;
@@ -252,6 +253,12 @@ pub struct GbaStats {
 ///
 /// The formula is first brought into U/R-core NNF, so any [`Ltl`] is
 /// accepted. See the [crate-level example](crate).
+///
+/// # Panics
+///
+/// Panics if the formula has more than 32 distinct `Until` subformulas
+/// (acceptance bits are a `u32`); `dic_core` refuses such specs before
+/// translating anything.
 pub fn translate(formula: &Ltl) -> Gba {
     Translator::new(true).run(&formula.core_nnf())
 }
@@ -261,36 +268,116 @@ pub fn translate(formula: &Ltl) -> Gba {
 /// baseline — what the engines consumed before the automaton reduction
 /// pipeline existed, kept as the `pre` side of the benchmark accounting
 /// ([`crate::translation_reduction`]).
+///
+/// # Panics
+///
+/// As for [`translate`].
 pub fn translate_unreduced(formula: &Ltl) -> Gba {
     Translator::new(false).run(&formula.core_nnf())
-}
-
-/// A tableau node during construction.
-#[derive(Clone, Debug)]
-struct Node {
-    incoming: BTreeSet<usize>, // node ids; INIT marks initial edges
-    new: BTreeSet<Fid>,
-    old: BTreeSet<Fid>,
-    next: BTreeSet<Fid>,
 }
 
 /// Pseudo node id marking "incoming from init".
 const INIT: usize = usize::MAX;
 
+/// Sentinel of [`Translator::complement`]: the literal's negation does
+/// not occur in the closure.
+const NO_FID: Fid = Fid::MAX;
+
+/// The three `Fid` sets of a tableau node, as offsets into
+/// [`Node::sets`].
+const NEW: usize = 0;
+const OLD: usize = 1;
+const NEXT: usize = 2;
+
+/// A tableau node under expansion.
+///
+/// `New`, `Old` and `Next` are fixed-width bitsets over the interned
+/// closure, stored back to back in one allocation. A node under expansion
+/// has exactly one incoming edge; edges into a *finished* node accumulate
+/// in [`Translator::succs`] instead.
+#[derive(Clone, Debug)]
+struct Node {
+    /// The finished node this one was seeded from, or [`INIT`].
+    incoming: usize,
+    /// `New | Old | Next`, `sets.len() / 3` words each.
+    sets: Box<[u64]>,
+}
+
+impl Node {
+    fn width(&self) -> usize {
+        self.sets.len() / 3
+    }
+
+    fn part(&self, set: usize) -> &[u64] {
+        let w = self.width();
+        &self.sets[set * w..(set + 1) * w]
+    }
+
+    fn contains(&self, set: usize, f: Fid) -> bool {
+        let w = self.width();
+        self.sets[set * w + f as usize / 64] >> (f % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, set: usize, f: Fid) {
+        let w = self.width();
+        self.sets[set * w + f as usize / 64] |= 1 << (f % 64);
+    }
+
+    fn remove(&mut self, set: usize, f: Fid) {
+        let w = self.width();
+        self.sets[set * w + f as usize / 64] &= !(1 << (f % 64));
+    }
+
+    /// The lowest `Fid` of `set` — the `BTreeSet` order the expansion has
+    /// always followed, which fixes the node numbering.
+    fn first(&self, set: usize) -> Option<Fid> {
+        self.part(set)
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != 0)
+            .map(|(i, &word)| (i * 64) as Fid + word.trailing_zeros())
+    }
+}
+
+/// The set bits of a bitset, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
 struct Translator {
     formulas: Vec<FKind>,
     ids: HashMap<Ltl, Fid>,
-    /// Finished tableau nodes keyed by their *cover*: the literal
-    /// constraints, acceptance bits and next-obligations that determine
-    /// the emitted state. Two nodes whose `Old` sets differ only in
+    /// Per `Fid`: for a literal, the `Fid` of its negation if the closure
+    /// contains it, else [`NO_FID`]; [`NO_FID`] for every non-literal.
+    complement: Vec<Fid>,
+    /// Bit `f` set ⇔ `formulas[f]` is a literal.
+    literal_mask: Vec<u64>,
+    /// Finished tableau nodes keyed by their *cover*: `Old ∩ literals`,
+    /// the acceptance bits and `Next`, which together determine the
+    /// emitted state. Two nodes whose `Old` sets differ only in
     /// discharged Boolean structure (`And`/`Or`/`True` entries, or
     /// `Until`s whose acceptance status coincides) are cover-equivalent
     /// and merge here — the original GPVW `(Old, Next)` key keeps them
-    /// apart and emits duplicate states.
-    done: HashMap<(Vec<Lit>, u32, Vec<Fid>), usize>,
-    /// Legacy `(Old, Next)` node key, used when pruning is off.
-    done_legacy: HashMap<(Vec<Fid>, Vec<Fid>), usize>,
-    nodes: Vec<Node>,
+    /// apart and emits duplicate states. With pruning off the key is that
+    /// legacy `(Old, Next)` pair.
+    done: FastMap<Box<[u64]>, usize>,
+    /// Scratch buffer the cover key is built in before each lookup.
+    key: Vec<u64>,
+    /// The emitted states, by finished-node id.
+    states: Vec<GbaState>,
+    /// Successors per finished node (unsorted, may repeat).
+    succs: Vec<Vec<u32>>,
+    /// Finished nodes with an edge from init (unsorted, may repeat).
+    initial: Vec<u32>,
     /// Until subformulas (fid of the Until, fid of its right operand).
     untils: Vec<(Fid, Fid)>,
     /// Whether the on-the-fly prunes (cover merging, branch subsumption,
@@ -303,15 +390,20 @@ impl Translator {
         Translator {
             formulas: Vec::new(),
             ids: HashMap::new(),
-            done: HashMap::new(),
-            done_legacy: HashMap::new(),
-            nodes: Vec::new(),
+            complement: Vec::new(),
+            literal_mask: Vec::new(),
+            done: FastMap::default(),
+            key: Vec::new(),
+            states: Vec::new(),
+            succs: Vec::new(),
+            initial: Vec::new(),
             untils: Vec::new(),
             prune,
         }
     }
 
-    /// Interns a core-NNF formula, decomposing it structurally.
+    /// Interns a core-NNF formula, decomposing it structurally; children
+    /// get their ids before their parent.
     fn intern(&mut self, f: &Ltl) -> Fid {
         if let Some(&id) = self.ids.get(f) {
             return id;
@@ -340,39 +432,69 @@ impl Translator {
             }
         };
         let id = self.formulas.len() as Fid;
-        self.formulas.push(kind.clone());
-        self.ids.insert(f.clone(), id);
         if let FKind::Until(_, b) = kind {
             self.untils.push((id, b));
         }
+        self.formulas.push(kind);
+        self.ids.insert(f.clone(), id);
         id
+    }
+
+    /// Fills the per-`Fid` tables once the closure is complete.
+    fn index_literals(&mut self) {
+        let n = self.formulas.len();
+        let mut by_lit: FastMap<(SignalId, bool), Fid> = FastMap::default();
+        self.literal_mask = vec![0; n.div_ceil(64).max(1)];
+        for (f, kind) in self.formulas.iter().enumerate() {
+            if let FKind::Lit(s, p) = *kind {
+                by_lit.insert((s, p), f as Fid);
+                self.literal_mask[f / 64] |= 1 << (f % 64);
+            }
+        }
+        self.complement = self
+            .formulas
+            .iter()
+            .map(|kind| match *kind {
+                FKind::Lit(s, p) => by_lit.get(&(s, !p)).copied().unwrap_or(NO_FID),
+                _ => NO_FID,
+            })
+            .collect();
     }
 
     fn run(mut self, formula: &Ltl) -> Gba {
         let root = self.intern(formula);
-        let start = Node {
-            incoming: BTreeSet::from([INIT]),
-            new: BTreeSet::from([root]),
-            old: BTreeSet::new(),
-            next: BTreeSet::new(),
+        assert!(self.untils.len() <= 32, "more than 32 Until subformulas");
+        self.index_literals();
+        let mut start = Node {
+            incoming: INIT,
+            sets: vec![0; 3 * self.literal_mask.len()].into_boxed_slice(),
         };
+        start.insert(NEW, root);
         // Explicit worklist: the recursive formulation of GPVW nests one
         // stack frame per processed formula *and* per generated node, which
         // overflows the native stack on moderately sized formulas.
         let mut work = vec![start];
         while let Some(node) = work.pop() {
-            self.expand_step(node, &mut work);
+            match node.first(NEW) {
+                Some(eta) => self.expand_step(node, eta, &mut work),
+                None => self.finish_node(node, &mut work),
+            }
         }
         self.finish()
     }
 
     /// The literal constraints a finished node's `Old` set induces.
-    fn literals_of(&self, old: &BTreeSet<Fid>) -> Vec<Lit> {
-        let mut literals: Vec<Lit> = old
+    fn literals_of(&self, node: &Node) -> Vec<Lit> {
+        let old = node.part(OLD);
+        let lits: Vec<u64> = old
             .iter()
-            .filter_map(|&f| match self.formulas[f as usize] {
-                FKind::Lit(s, p) => Some(Lit::new(s, p)),
-                _ => None,
+            .zip(&self.literal_mask)
+            .map(|(o, m)| o & m)
+            .collect();
+        let mut literals: Vec<Lit> = ones(&lits)
+            .map(|f| match self.formulas[f] {
+                FKind::Lit(s, p) => Lit::new(s, p),
+                _ => unreachable!("literal mask holds literals only"),
             })
             .collect();
         literals.sort();
@@ -381,10 +503,10 @@ impl Translator {
 
     /// The acceptance bits a finished node's `Old` set induces: for Until
     /// θ = aUb with index j, the state is in F_j iff θ ∉ Old or b ∈ Old.
-    fn acc_of(&self, old: &BTreeSet<Fid>) -> u32 {
+    fn acc_of(&self, node: &Node) -> u32 {
         let mut acc = 0u32;
         for (j, &(theta, b)) in self.untils.iter().enumerate() {
-            if !old.contains(&theta) || old.contains(&b) {
+            if !node.contains(OLD, theta) || node.contains(OLD, b) {
                 acc |= 1 << j;
             }
         }
@@ -395,220 +517,179 @@ impl Translator {
     /// node (cover key when pruning, the legacy `(Old, Next)` key
     /// otherwise) or emit it and queue its successor seed.
     fn finish_node(&mut self, mut node: Node, work: &mut Vec<Node>) {
-        let found = if self.prune {
-            let key = (
-                self.literals_of(&node.old),
-                self.acc_of(&node.old),
-                node.next.iter().copied().collect::<Vec<_>>(),
-            );
-            self.done.get(&key).copied()
-        } else {
-            let key = (
-                node.old.iter().copied().collect::<Vec<_>>(),
-                node.next.iter().copied().collect::<Vec<_>>(),
-            );
-            self.done_legacy.get(&key).copied()
-        };
-        if let Some(existing) = found {
-            let incoming = std::mem::take(&mut node.incoming);
-            self.nodes[existing].incoming.extend(incoming);
-            return;
-        }
-        let id = self.nodes.len();
-        self.nodes.push(node.clone());
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
         if self.prune {
-            let key = (
-                self.literals_of(&node.old),
-                self.acc_of(&node.old),
-                node.next.iter().copied().collect::<Vec<_>>(),
-            );
-            self.done.insert(key, id);
+            let old = node.part(OLD).iter().zip(&self.literal_mask);
+            key.extend(old.map(|(o, m)| o & m));
+            key.push(u64::from(self.acc_of(&node)));
+            key.extend_from_slice(node.part(NEXT));
         } else {
-            let key = (
-                node.old.iter().copied().collect::<Vec<_>>(),
-                node.next.iter().copied().collect::<Vec<_>>(),
-            );
-            self.done_legacy.insert(key, id);
+            key.extend_from_slice(&node.sets[node.width()..]);
         }
-        work.push(Node {
-            incoming: BTreeSet::from([id]),
-            new: node.next.clone(),
-            old: BTreeSet::new(),
-            next: BTreeSet::new(),
-        });
+        let incoming = node.incoming;
+        let id = match self.done.get(key.as_slice()) {
+            Some(&existing) => existing,
+            None => {
+                let id = self.states.len();
+                self.states.push(GbaState {
+                    literals: self.literals_of(&node),
+                    acc: self.acc_of(&node),
+                });
+                self.succs.push(Vec::new());
+                self.done.insert(key.as_slice().into(), id);
+                // The successor seed reuses the node's allocation:
+                // `New = Next`, `Old = Next = ∅`.
+                let w = node.width();
+                node.sets.copy_within(NEXT * w.., NEW * w);
+                node.sets[w..].fill(0);
+                node.incoming = id;
+                work.push(node);
+                id
+            }
+        };
+        self.key = key;
+        if incoming == INIT {
+            self.initial.push(id as u32);
+        } else {
+            self.succs[incoming].push(id as u32);
+        }
     }
 
-    /// One GPVW expansion step; pushes follow-up nodes on `work`.
-    fn expand_step(&mut self, mut node: Node, work: &mut Vec<Node>) {
-        let Some(&eta) = node.new.iter().next() else {
-            self.finish_node(node, work);
-            return;
-        };
-        node.new.remove(&eta);
-        match self.formulas[eta as usize].clone() {
+    /// One GPVW expansion step on `eta`, the lowest formula of `New`;
+    /// pushes follow-up nodes on `work`.
+    fn expand_step(&self, mut node: Node, eta: Fid, work: &mut Vec<Node>) {
+        node.remove(NEW, eta);
+        match &self.formulas[eta as usize] {
             FKind::False => { /* contradiction: drop the node */ }
             FKind::True => {
                 work.push(node);
             }
-            FKind::Lit(sig, pol) => {
+            FKind::Lit(..) => {
                 // Contradiction with Old?
-                if self.lit_contradicts(&node.old, sig, pol) {
+                let neg = self.complement[eta as usize];
+                if neg != NO_FID && node.contains(OLD, neg) {
                     return;
                 }
-                node.old.insert(eta);
+                node.insert(OLD, eta);
                 work.push(node);
             }
             FKind::And(parts) => {
                 // A part whose negation is already in Old kills the whole
                 // node — drop it before expanding the rest.
-                if parts.iter().any(|&p| self.fid_contradicts(&node.old, p)) {
+                if parts.iter().any(|&p| self.fid_contradicts(&node, p)) {
                     return;
                 }
-                for p in parts {
-                    if !node.old.contains(&p) {
-                        node.new.insert(p);
+                for &p in parts {
+                    if !node.contains(OLD, p) {
+                        node.insert(NEW, p);
                     }
                 }
-                node.old.insert(eta);
+                node.insert(OLD, eta);
                 work.push(node);
             }
             FKind::Or(parts) => {
-                node.old.insert(eta);
-                for p in parts {
+                node.insert(OLD, eta);
+                for &p in parts {
                     // Literal-contradictory alternatives die later anyway;
                     // skipping them here avoids expanding their subtree.
-                    if self.fid_contradicts(&node.old, p) {
+                    if self.fid_contradicts(&node, p) {
                         continue;
                     }
                     let mut branch = node.clone();
-                    if !branch.old.contains(&p) {
-                        branch.new.insert(p);
+                    if !branch.contains(OLD, p) {
+                        branch.insert(NEW, p);
                     }
                     work.push(branch);
                 }
             }
-            FKind::Next(g) => {
-                node.old.insert(eta);
-                node.next.insert(g);
+            &FKind::Next(g) => {
+                node.insert(OLD, eta);
+                node.insert(NEXT, g);
                 work.push(node);
             }
-            FKind::Until(a, b) => {
-                node.old.insert(eta);
-                let b_known = self.prune && node.old.contains(&b);
+            &FKind::Until(a, b) => {
+                node.insert(OLD, eta);
+                let b_known = self.prune && node.contains(OLD, b);
                 // Branch 1: b holds now.
-                if !self.fid_contradicts(&node.old, b) {
+                if !self.fid_contradicts(&node, b) {
                     let mut sat = node.clone();
-                    if !sat.old.contains(&b) {
-                        sat.new.insert(b);
+                    if !sat.contains(OLD, b) {
+                        sat.insert(NEW, b);
                     }
                     work.push(sat);
                 }
                 // Branch 2: a holds now, Until postponed. When b already
                 // holds, branch 1 is this very node with strictly weaker
                 // obligations — the postponement is subsumed and skipped.
-                if !b_known && !self.fid_contradicts(&node.old, a) {
+                if !b_known && !self.fid_contradicts(&node, a) {
                     let mut wait = node;
-                    if !wait.old.contains(&a) {
-                        wait.new.insert(a);
+                    if !wait.contains(OLD, a) {
+                        wait.insert(NEW, a);
                     }
-                    wait.next.insert(eta);
+                    wait.insert(NEXT, eta);
                     work.push(wait);
                 }
             }
-            FKind::Release(a, b) => {
-                node.old.insert(eta);
-                let discharged =
-                    self.prune && node.old.contains(&a) && node.old.contains(&b);
+            &FKind::Release(a, b) => {
+                node.insert(OLD, eta);
+                let discharged = self.prune && node.contains(OLD, a) && node.contains(OLD, b);
                 // Branch 1: a & b hold now (release discharged).
-                if ![a, b]
-                    .iter()
-                    .any(|&p| self.fid_contradicts(&node.old, p))
-                {
+                if ![a, b].iter().any(|&p| self.fid_contradicts(&node, p)) {
                     let mut done = node.clone();
                     for p in [a, b] {
-                        if !done.old.contains(&p) {
-                            done.new.insert(p);
+                        if !done.contains(OLD, p) {
+                            done.insert(NEW, p);
                         }
                     }
                     work.push(done);
                 }
                 // Branch 2: b holds now, Release postponed — subsumed by
                 // branch 1 when the release is already discharged.
-                if !discharged && !self.fid_contradicts(&node.old, b) {
+                if !discharged && !self.fid_contradicts(&node, b) {
                     let mut wait = node;
-                    if !wait.old.contains(&b) {
-                        wait.new.insert(b);
+                    if !wait.contains(OLD, b) {
+                        wait.insert(NEW, b);
                     }
-                    wait.next.insert(eta);
+                    wait.insert(NEXT, eta);
                     work.push(wait);
                 }
             }
         }
     }
 
-    /// Whether adding the literal `(sig, pol)` to a node with `Old = old`
-    /// would contradict an already-recorded literal.
-    fn lit_contradicts(&self, old: &BTreeSet<Fid>, sig: SignalId, pol: bool) -> bool {
-        self.lookup_lit(sig, !pol)
-            .is_some_and(|neg| old.contains(&neg))
-    }
-
-    /// Whether the interned formula `f` is a literal contradicting `old`
-    /// (an early-drop prune; always false in legacy mode, where the
-    /// contradiction surfaces when the literal is processed).
-    fn fid_contradicts(&self, old: &BTreeSet<Fid>, f: Fid) -> bool {
+    /// Whether the interned formula `f` is a literal contradicting the
+    /// node's `Old`, or `false` (an early-drop prune; always false in
+    /// legacy mode, where the contradiction surfaces when the literal is
+    /// processed).
+    fn fid_contradicts(&self, node: &Node, f: Fid) -> bool {
         if !self.prune {
             return false;
         }
         match self.formulas[f as usize] {
-            FKind::Lit(s, p) => self.lit_contradicts(old, s, p),
+            FKind::Lit(..) => {
+                let neg = self.complement[f as usize];
+                neg != NO_FID && node.contains(OLD, neg)
+            }
             FKind::False => true,
             _ => false,
         }
     }
 
-    /// Finds the interned id of a literal if it exists.
-    fn lookup_lit(&self, sig: SignalId, pol: bool) -> Option<Fid> {
-        // Linear scan is fine: formula closures are small.
-        self.formulas.iter().position(|k| match k {
-            FKind::Lit(s, p) => *s == sig && *p == pol,
-            _ => false,
-        }).map(|i| i as Fid)
-    }
-
     fn finish(self) -> Gba {
-        let n = self.nodes.len();
-        let n_acc = self.untils.len() as u32;
-        assert!(n_acc <= 32, "more than 32 Until subformulas");
-        let mut states = Vec::with_capacity(n);
-        for node in &self.nodes {
-            states.push(GbaState {
-                literals: self.literals_of(&node.old),
-                acc: self.acc_of(&node.old),
-            });
-        }
-        let mut initial = Vec::new();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (id, node) in self.nodes.iter().enumerate() {
-            for &inc in &node.incoming {
-                if inc == INIT {
-                    initial.push(id as u32);
-                } else {
-                    succs[inc].push(id as u32);
-                }
-            }
-        }
+        let mut succs = self.succs;
         for s in &mut succs {
             s.sort_unstable();
             s.dedup();
         }
+        let mut initial = self.initial;
         initial.sort_unstable();
         initial.dedup();
         Gba {
-            states,
+            states: self.states,
             initial,
             succs,
-            n_acc,
+            n_acc: self.untils.len() as u32,
         }
     }
 }

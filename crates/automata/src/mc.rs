@@ -102,7 +102,12 @@ impl GbaCache {
             let mut translate_key = || {
                 missed = true;
                 let _span = dic_trace::span("automata.translate");
-                Arc::new(reduce(&translate(&key)))
+                let raw = {
+                    let _tableau = dic_trace::span("automata.tableau");
+                    translate(&key)
+                };
+                let _reduce = dic_trace::span("automata.reduce");
+                Arc::new(reduce(&raw))
             };
             if key == *formula {
                 translate_key()

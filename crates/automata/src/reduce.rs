@@ -29,7 +29,8 @@
 //! is one of the two ingredients of the byte-identical cross-backend gap
 //! sets (the other being the witness-independent candidate enumeration).
 
-use crate::gba::{Gba, GbaState, GbaStats};
+use crate::gba::{ones, Gba, GbaState, GbaStats};
+use dic_logic::Lit;
 
 /// Size accounting of one [`reduce_with_stats`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,68 +246,130 @@ fn trim(g: &Gba) -> Gba {
     restrict(g, &keep)
 }
 
-/// Whether `a`'s literal constraints are a subset of `b`'s (both sorted).
-fn lits_subset(a: &GbaState, b: &GbaState) -> bool {
-    let (a, b) = (a.literals(), b.literals());
-    let mut i = 0;
-    for l in a {
-        while i < b.len() && b[i] < *l {
-            i += 1;
-        }
-        if i == b.len() || b[i] != *l {
-            return false;
-        }
-        i += 1;
-    }
-    true
+/// The direct-simulation relation, one bitset row per state: bit `q` of
+/// row `r` is set ⇔ `q` simulates `r`.
+struct Simulation {
+    /// Words per row.
+    width: usize,
+    rows: Vec<u64>,
 }
 
-/// The direct-simulation relation: `sim[q * n + r]` ⇔ `q` simulates `r`.
-fn direct_simulation(g: &Gba) -> Vec<bool> {
+impl Simulation {
+    fn row(&self, r: usize) -> &[u64] {
+        &self.rows[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Whether `q` simulates `r`.
+    fn simulates(&self, q: usize, r: usize) -> bool {
+        self.rows[r * self.width + q / 64] >> (q % 64) & 1 == 1
+    }
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The greatest direct simulation of `g`, computed word-parallel.
+///
+/// Seed: `q` may simulate `r` when `q`'s literals are a subset of `r`'s
+/// (no literal of `q` lies outside `r`'s) and `q`'s acceptance bits a
+/// superset of `r`'s — both read off per-literal and per-acceptance-set
+/// membership bitsets. Refinement: `q` keeps simulating `r` only while
+/// every successor `r2` of `r` is simulated by some successor of `q`,
+/// i.e. `q ∈ pred(row(r2))` for every `r2`; the rows shrink until
+/// nothing changes, which is the same greatest fixpoint the pairwise
+/// definition describes.
+fn direct_simulation(g: &Gba) -> Simulation {
     let n = g.num_states();
-    let mut sim = vec![false; n * n];
-    for q in 0..n {
-        for r in 0..n {
-            let (sq, sr) = (g.state(q as u32), g.state(r as u32));
-            // q must accept at least r's words: weaker literal
-            // constraints, stronger acceptance membership.
-            sim[q * n + r] = lits_subset(sq, sr)
-                && sq.acc_bits() & sr.acc_bits() == sr.acc_bits();
+    let width = n.div_ceil(64).max(1);
+    let mut all = vec![0u64; width];
+    (0..n).for_each(|q| set_bit(&mut all, q));
+    let mut lits: Vec<Lit> = g
+        .states()
+        .iter()
+        .flat_map(|st| st.literals().iter().copied())
+        .collect();
+    lits.sort_unstable();
+    lits.dedup();
+    // has[i]: the states carrying literal lits[i]; in_acc[j]: the states
+    // in acceptance set j.
+    let mut has = vec![0u64; lits.len() * width];
+    let n_acc = g.num_acceptance_sets() as usize;
+    let mut in_acc = vec![0u64; n_acc * width];
+    for (q, st) in g.states().iter().enumerate() {
+        for l in st.literals() {
+            let i = lits.binary_search(l).expect("collected above");
+            set_bit(&mut has[i * width..(i + 1) * width], q);
+        }
+        for j in (0..n_acc).filter(|&j| st.in_acceptance_set(j as u32)) {
+            set_bit(&mut in_acc[j * width..(j + 1) * width], q);
         }
     }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for q in 0..n {
-            for r in 0..n {
-                if !sim[q * n + r] {
-                    continue;
-                }
-                let ok = g.successors(r as u32).iter().all(|&r2| {
-                    g.successors(q as u32)
-                        .iter()
-                        .any(|&q2| sim[q2 as usize * n + r2 as usize])
-                });
-                if !ok {
-                    sim[q * n + r] = false;
-                    changed = true;
-                }
+    let mut rows = Vec::with_capacity(n * width);
+    for (r, st) in g.states().iter().enumerate() {
+        let mut row = all.clone();
+        for (i, l) in lits.iter().enumerate() {
+            if st.literals().binary_search(l).is_err() {
+                let carriers = &has[i * width..(i + 1) * width];
+                row.iter_mut().zip(carriers).for_each(|(x, c)| *x &= !c);
             }
         }
+        for j in (0..n_acc).filter(|&j| st.in_acceptance_set(j as u32)) {
+            let members = &in_acc[j * width..(j + 1) * width];
+            row.iter_mut().zip(members).for_each(|(x, m)| *x &= m);
+        }
+        debug_assert!(row[r / 64] >> (r % 64) & 1 == 1, "{r} simulates itself");
+        rows.extend(row);
     }
-    sim
+    let mut pred = vec![0u64; n * width];
+    for q in 0..n {
+        for &q2 in g.successors(q as u32) {
+            let q2 = q2 as usize;
+            set_bit(&mut pred[q2 * width..(q2 + 1) * width], q);
+        }
+    }
+    let mut sim = Simulation { width, rows };
+    // can[r2]: the states with some successor simulating r2.
+    let mut can = vec![0u64; n * width];
+    let mut next = vec![0u64; width];
+    loop {
+        for r2 in 0..n {
+            let acc = &mut can[r2 * width..(r2 + 1) * width];
+            acc.fill(0);
+            for q2 in ones(sim.row(r2)) {
+                let p = &pred[q2 * width..(q2 + 1) * width];
+                acc.iter_mut().zip(p).for_each(|(x, y)| *x |= y);
+            }
+        }
+        let mut changed = false;
+        for r in 0..n {
+            next.copy_from_slice(sim.row(r));
+            for &r2 in g.successors(r as u32) {
+                let c = &can[r2 as usize * width..(r2 as usize + 1) * width];
+                next.iter_mut().zip(c).for_each(|(x, y)| *x &= y);
+            }
+            let row = &mut sim.rows[r * width..(r + 1) * width];
+            if *row != next[..] {
+                row.copy_from_slice(&next);
+                changed = true;
+            }
+        }
+        if !changed {
+            return sim;
+        }
+    }
 }
 
 /// Drops every element of `targets` whose representative is strictly
 /// simulated by another element's representative (keeping maximal
 /// elements, which the language-preservation argument needs).
-fn prune_dominated(targets: &mut Vec<u32>, rep: &[u32], sim: &[bool], n: usize) {
+fn prune_dominated(targets: &mut Vec<u32>, rep: &[u32], sim: &Simulation) {
     let snapshot = targets.clone();
     targets.retain(|&t| {
         !snapshot.iter().any(|&t2| {
             t2 != t && {
                 let (a, b) = (rep[t2 as usize] as usize, rep[t as usize] as usize);
-                sim[a * n + b] && !sim[b * n + a]
+                sim.simulates(a, b) && !sim.simulates(b, a)
             }
         })
     });
@@ -320,12 +383,14 @@ fn quotient(g: &Gba) -> Gba {
     }
     let sim = direct_simulation(g);
     // Class representative: the smallest mutually simulating state.
-    let mut rep = vec![0u32; n];
-    for q in 0..n {
-        rep[q] = (0..=q)
-            .find(|&r| sim[q * n + r] && sim[r * n + q])
-            .expect("q simulates itself") as u32;
-    }
+    let rep: Vec<u32> = (0..n)
+        .map(|q| {
+            ones(sim.row(q))
+                .take_while(|&r| r <= q)
+                .find(|&r| sim.simulates(q, r))
+                .expect("q simulates itself") as u32
+        })
+        .collect();
     let mut class_ids: Vec<u32> = rep.clone();
     class_ids.sort_unstable();
     class_ids.dedup();
@@ -335,10 +400,7 @@ fn quotient(g: &Gba) -> Gba {
             .expect("representative is a class id") as u32
     };
 
-    let states: Vec<GbaState> = class_ids
-        .iter()
-        .map(|&r| g.state(r).clone())
-        .collect();
+    let states: Vec<GbaState> = class_ids.iter().map(|&r| g.state(r).clone()).collect();
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); class_ids.len()];
     for q in 0..n as u32 {
         let c = class_index(q) as usize;
@@ -349,7 +411,7 @@ fn quotient(g: &Gba) -> Gba {
     let mut initial: Vec<u32> = g.initial().iter().map(|&q| rep[q as usize]).collect();
     initial.sort_unstable();
     initial.dedup();
-    prune_dominated(&mut initial, &rep, &sim, n);
+    prune_dominated(&mut initial, &rep, &sim);
     let mut initial: Vec<u32> = initial.into_iter().map(class_index).collect();
     initial.sort_unstable();
 
@@ -358,7 +420,7 @@ fn quotient(g: &Gba) -> Gba {
         .map(|mut edges| {
             edges.sort_unstable();
             edges.dedup();
-            prune_dominated(&mut edges, &rep, &sim, n);
+            prune_dominated(&mut edges, &rep, &sim);
             let mut edges: Vec<u32> = edges.into_iter().map(class_index).collect();
             edges.sort_unstable();
             edges
@@ -533,6 +595,142 @@ mod tests {
 
     fn parse(t: &mut SignalTable, src: &str) -> Ltl {
         Ltl::parse(src, t).expect("parse")
+    }
+
+    /// Whether `a`'s literal constraints are a subset of `b`'s (both sorted).
+    fn lits_subset(a: &GbaState, b: &GbaState) -> bool {
+        let (a, b) = (a.literals(), b.literals());
+        let mut i = 0;
+        for l in a {
+            while i < b.len() && b[i] < *l {
+                i += 1;
+            }
+            if i == b.len() || b[i] != *l {
+                return false;
+            }
+            i += 1;
+        }
+        true
+    }
+
+    /// The pairwise direct simulation, straight from its definition:
+    /// `sim[q * n + r]` ⇔ `q` simulates `r`. The reference that
+    /// [`direct_simulation`] must reproduce exactly.
+    fn direct_simulation_reference(g: &Gba) -> Vec<bool> {
+        let n = g.num_states();
+        let mut sim = vec![false; n * n];
+        for q in 0..n {
+            for r in 0..n {
+                let (sq, sr) = (g.state(q as u32), g.state(r as u32));
+                sim[q * n + r] =
+                    lits_subset(sq, sr) && sq.acc_bits() & sr.acc_bits() == sr.acc_bits();
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for q in 0..n {
+                for r in 0..n {
+                    if !sim[q * n + r] {
+                        continue;
+                    }
+                    let ok = g.successors(r as u32).iter().all(|&r2| {
+                        g.successors(q as u32)
+                            .iter()
+                            .any(|&q2| sim[q2 as usize * n + r2 as usize])
+                    });
+                    if !ok {
+                        sim[q * n + r] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        sim
+    }
+
+    fn assert_simulation_matches_reference(g: &Gba, what: &str) {
+        let n = g.num_states();
+        let fast = direct_simulation(g);
+        let reference = direct_simulation_reference(g);
+        for q in 0..n {
+            for r in 0..n {
+                assert_eq!(
+                    fast.simulates(q, r),
+                    reference[q * n + r],
+                    "{what}: simulation of {r} by {q} differs ({n} states)"
+                );
+            }
+        }
+    }
+
+    /// A random automaton: `n` states over two signals, consistent
+    /// literal sets, up to two acceptance sets and up to three successors
+    /// per state (dead ends included).
+    fn random_gba(rng: &mut XorShift64, n: usize) -> Gba {
+        let signals = [
+            dic_logic::SignalId::from_index(0),
+            dic_logic::SignalId::from_index(1),
+        ];
+        let n_acc = rng.below(3) as u32;
+        let states = (0..n)
+            .map(|_| {
+                let literals = signals
+                    .iter()
+                    .filter_map(|&s| match rng.below(3) {
+                        0 => None,
+                        k => Some(Lit::new(s, k == 1)),
+                    })
+                    .collect();
+                let acc = (rng.next_u64() as u32) & ((1 << n_acc) - 1);
+                GbaState::new(literals, acc)
+            })
+            .collect();
+        let succs = (0..n)
+            .map(|_| {
+                let mut edges: Vec<u32> = (0..rng.below(4)).map(|_| rng.below(n) as u32).collect();
+                edges.sort_unstable();
+                edges.dedup();
+                edges
+            })
+            .collect();
+        Gba::from_parts(states, vec![0], succs, n_acc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The word-parallel simulation equals the pairwise reference on
+        /// random automata of up to 200 states, so rows of one to four
+        /// words are all exercised.
+        #[test]
+        fn simulation_matches_reference_on_random_automata(seed in 1u64..100_000) {
+            let mut rng = XorShift64::new(seed);
+            let n = 1 + rng.below(200);
+            let g = random_gba(&mut rng, n);
+            assert_simulation_matches_reference(&g, &format!("seed {seed}"));
+        }
+    }
+
+    /// The same on raw tableaus of random formulas and their negations —
+    /// the automata the reduction actually receives; several exceed 64
+    /// states.
+    #[test]
+    fn simulation_matches_reference_on_raw_tableaus() {
+        let mut t = SignalTable::new();
+        let atoms = vec![t.intern("p"), t.intern("q"), t.intern("r")];
+        let mut widest = 0;
+        for seed in 1..150u64 {
+            let f = random_formula(&mut XorShift64::new(seed), &atoms, 8 + (seed % 8) as usize);
+            for g in [translate(&f), translate(&Ltl::not(f.clone()))] {
+                widest = widest.max(g.num_states());
+                assert_simulation_matches_reference(&g, &format!("{f:?}"));
+            }
+        }
+        assert!(
+            widest > 64,
+            "corpus must reach multi-word rows, widest {widest}"
+        );
     }
 
     /// Language check by word sampling: every automaton run denotes the

@@ -29,6 +29,20 @@ pub enum CoreError {
         /// Name of the offending signal.
         name: String,
     },
+    /// The automata for an intent and the RTL properties could need more
+    /// generalized acceptance sets (one per `Until` subformula) than the
+    /// engines can pack: more than
+    /// [`MAX_ACCEPTANCE_SETS`](crate::MAX_ACCEPTANCE_SETS).
+    TooManyAcceptanceSets {
+        /// The property contributing the most sets.
+        property: String,
+        /// Its contribution.
+        property_sets: u32,
+        /// The intent whose automata would overflow.
+        intent: String,
+        /// The bound for that intent's automata and products.
+        sets: u32,
+    },
 }
 
 impl CoreError {
@@ -37,8 +51,8 @@ impl CoreError {
     /// and cooperative deadline trips stop cleanly between steps, so the
     /// run can keep every verdict settled before them and report the rest
     /// as unknown. Configuration and spec errors (`InvalidEnv`,
-    /// `UnknownArchSignal`, netlist failures) stay
-    /// fatal — there is nothing partial about a run that was never valid.
+    /// `UnknownArchSignal`, `TooManyAcceptanceSets`, netlist failures)
+    /// stay fatal — there is nothing partial about a run that was never valid.
     pub fn is_degradable(&self) -> bool {
         matches!(
             self,
@@ -78,6 +92,18 @@ impl fmt::Display for CoreError {
                 "architectural signal {name} does not appear in the RTL specification \
                  (Assumption 1 requires AP_A to be a subset of AP_R)"
             ),
+            CoreError::TooManyAcceptanceSets {
+                property,
+                property_sets,
+                intent,
+                sets,
+            } => write!(
+                f,
+                "too many Until subformulas: the automata for intent {intent} could need \
+                 {sets} acceptance sets (one per Until), above the limit of {}; property \
+                 {property} alone contributes {property_sets}",
+                crate::MAX_ACCEPTANCE_SETS
+            ),
         }
     }
 }
@@ -89,7 +115,7 @@ impl Error for CoreError {
             CoreError::Fsm(e) => Some(e),
             CoreError::Symbolic(e) => Some(e),
             CoreError::InvalidEnv(_) => None,
-            CoreError::UnknownArchSignal { .. } => None,
+            CoreError::UnknownArchSignal { .. } | CoreError::TooManyAcceptanceSets { .. } => None,
         }
     }
 }

@@ -81,7 +81,7 @@ pub use model::CoverageModel;
 pub use pipeline::{
     CoverageRun, JobsStats, PhaseCounters, PhaseTimings, PropertyReport, SpecMatcher,
 };
-pub use spec::{ArchSpec, Property, RtlSpec};
+pub use spec::{ArchSpec, Property, RtlSpec, MAX_ACCEPTANCE_SETS};
 pub use terms::{uncovered_terms, uncovered_terms_with_runs};
 pub use tm::TmStyle;
 pub use weaken::{

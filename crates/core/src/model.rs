@@ -114,7 +114,11 @@ impl CoverageModel {
     /// * [`CoreError::Symbolic`] if the symbolic encoding exceeds its node
     ///   budget — or if `SPECMATCHER_BDD_NODE_LIMIT` is set to garbage,
     /// * [`CoreError::UnknownArchSignal`] if an architectural signal appears
-    ///   nowhere in the RTL spec (Assumption 1).
+    ///   nowhere in the RTL spec (Assumption 1),
+    /// * [`CoreError::TooManyAcceptanceSets`] if the automata for an intent
+    ///   and the RTL properties could carry more than
+    ///   [`MAX_ACCEPTANCE_SETS`](crate::MAX_ACCEPTANCE_SETS)
+    ///   acceptance sets.
     pub fn build_with_backend(
         arch: &ArchSpec,
         rtl: &RtlSpec,
@@ -155,6 +159,8 @@ impl CoverageModel {
                 });
             }
         }
+
+        crate::spec::check_acceptance_sets(arch, rtl)?;
 
         let module_refs: Vec<&Module> = rtl.concrete().iter().collect();
         let composed = Module::compose("M", &module_refs, table)?;
@@ -578,18 +584,51 @@ impl<'m> GapEngine<'m> {
         extra: &[dic_ltl::Ltl],
         bmc: &mut Option<BmcSession<'m>>,
     ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-        let model = self.model;
-        match self.engine {
-            Engine::Symbolic => {
-                if model.bmc_mode == BmcMode::Auto {
-                    if let Some(run) = model.bmc_refute(base, extra, bmc) {
-                        return Ok(Some(run));
-                    }
-                }
-                model.with_symbolic(|sym| sym.satisfiable_factored(base, extra))
-            }
-            Engine::Explicit => Ok(model.satisfiable_factored(base, extra)),
+        if let Some(run) = self.bounded_refutation(base, extra, bmc) {
+            return Ok(Some(run));
         }
+        self.fixpoint(base, extra)
+    }
+
+    /// The bounded SAT tier of [`GapEngine::closure`] alone: a refuting
+    /// run, or `None` when the tier is off, skipped (explicit engine) or
+    /// inconclusive.
+    pub(crate) fn bounded_refutation(
+        self,
+        base: &[dic_ltl::Ltl],
+        extra: &[dic_ltl::Ltl],
+        bmc: &mut Option<BmcSession<'m>>,
+    ) -> Option<dic_ltl::LassoWord> {
+        if self.engine == Engine::Symbolic && self.model.bmc_mode == BmcMode::Auto {
+            self.model.bmc_refute(base, extra, bmc)
+        } else {
+            None
+        }
+    }
+
+    /// The unbounded fixpoint tier of [`GapEngine::closure`] alone.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GapEngine::closure`].
+    pub(crate) fn fixpoint(
+        self,
+        base: &[dic_ltl::Ltl],
+        extra: &[dic_ltl::Ltl],
+    ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
+        match self.engine {
+            Engine::Symbolic => self
+                .model
+                .with_symbolic(|sym| sym.satisfiable_factored(base, extra)),
+            Engine::Explicit => Ok(self.model.satisfiable_factored(base, extra)),
+        }
+    }
+
+    /// Whether closure fixpoints on this engine run one at a time: the
+    /// symbolic engine's one `BddManager` is single-threaded (see
+    /// [`Backend::fixpoint_parallelism`](crate::Backend::fixpoint_parallelism)).
+    pub(crate) fn serializes_fixpoints(self) -> bool {
+        self.engine == Engine::Symbolic
     }
 
     /// Bounded-scenario query with witness: is some run of

@@ -375,6 +375,36 @@ enum Verdict {
     /// No run of `M ⊨ R ∧ ¬fa` satisfies the weakened property: it
     /// closes the gap (Definition 3).
     Closing(Ltl),
+    /// The merge stopped before reaching this candidate (budget full,
+    /// deadline, earlier error) while it waited for its fixpoint turn:
+    /// the verdict would be discarded, so it was never computed.
+    Released,
+}
+
+/// A candidate's view of the merge's accepted formulas, for the
+/// subsumption screen.
+#[derive(Clone, Copy)]
+struct Accepted<'a> {
+    /// The accepted formulas when the candidate was claimed: exact on
+    /// the sequential path, possibly stale on a worker (see
+    /// [`WeakestMerge`] for why staleness is sound).
+    snapshot: &'a [Ltl],
+    /// On an engine whose fixpoints serialize, the wait for this
+    /// candidate's fixpoint turn (see [`verify_parallel`]): it blocks
+    /// until every earlier candidate is merged and returns the accepted
+    /// formulas at that point, or `None` once the merge no longer needs
+    /// this candidate's verdict.
+    turn: Option<&'a dyn Fn() -> Option<Vec<Ltl>>>,
+}
+
+impl<'a> Accepted<'a> {
+    /// The exact accepted set of the sequential scan.
+    fn current(accepted: &'a [Ltl]) -> Self {
+        Accepted {
+            snapshot: accepted,
+            turn: None,
+        }
+    }
 }
 
 /// Per-worker verification scratch. Each worker owns its pool, probe
@@ -421,16 +451,16 @@ fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
 
 /// Verifies one candidate against the model: apply, word-screen against
 /// the worker's bad-run pool, subsumption screen against the accepted
-/// formulas, directed refutation probe, then the full closure fixpoint.
-///
-/// `accepted` is a (possibly stale) snapshot of the merge's accepted
-/// formulas; see [`WeakestMerge`] for why staleness is sound.
+/// formulas, directed refutation probe, the bounded SAT tier, then —
+/// after waiting for the candidate's turn where `accepted` has one, and
+/// screening again against the accepted set of that turn — the full
+/// closure fixpoint.
 fn verify_candidate<'m>(
     fa: &Ltl,
     cand: &Candidate,
     base: &[Ltl],
     engine: GapEngine<'m>,
-    accepted: &[Ltl],
+    accepted: Accepted<'_>,
     screen_words: &[LassoWord],
     state: &mut WorkerState<'m>,
 ) -> Result<Verdict, CoreError> {
@@ -449,13 +479,16 @@ fn verify_candidate<'m>(
     // it as (at best) equivalent to the earlier `g`. Confirming closure
     // by formula implication replaces a whole-product fixpoint per
     // redundant candidate.
-    if accepted
-        .iter()
-        .any(|g| implies_screened(&weakened, g, screen_words))
-    {
-        if dic_trace::enabled() {
+    let subsumed = |accepted: &[Ltl]| {
+        let hit = accepted
+            .iter()
+            .any(|g| implies_screened(&weakened, g, screen_words));
+        if hit && dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::GapImplicationSettled, 1);
         }
+        hit
+    };
+    if subsumed(accepted.snapshot) {
         return Ok(Verdict::Subsumed);
     }
     // Directed cheap refutation before the full closure fixpoint: a
@@ -484,11 +517,28 @@ fn verify_candidate<'m>(
     if dic_trace::enabled() {
         dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
     }
-    // The full closure check. With `BmcMode::Auto`, `closure` itself
-    // fronts this with the bounded SAT tier — a shallow refuting lasso
-    // comes back without running either fixpoint engine, and lands in
-    // the shared bad-run pool exactly like a fixpoint counterexample.
-    match engine.closure(base, std::slice::from_ref(&weakened), &mut state.bmc)? {
+    // The closure check, tier by tier (`GapEngine::closure` split open).
+    // With `BmcMode::Auto` the bounded SAT tier goes first — a shallow
+    // refuting lasso comes back without running either fixpoint engine,
+    // and lands in the bad-run pool exactly like a fixpoint
+    // counterexample.
+    let extra = std::slice::from_ref(&weakened);
+    if let Some(run) = engine.bounded_refutation(base, extra, &mut state.bmc) {
+        state.bad_runs.push(run);
+        return Ok(Verdict::NotClosing);
+    }
+    // Only a candidate the SAT tier could not refute waits for its turn:
+    // the turn's accepted set is exactly the sequential scan's, so a
+    // closing candidate runs its fixpoint only if the sequential scan
+    // would have run it too.
+    if let Some(turn) = accepted.turn {
+        match turn() {
+            None => return Ok(Verdict::Released),
+            Some(current) if subsumed(&current) => return Ok(Verdict::Subsumed),
+            Some(_) => {}
+        }
+    }
+    match engine.fixpoint(base, extra)? {
         Some(run) => {
             state.bad_runs.push(run);
             Ok(Verdict::NotClosing)
@@ -612,7 +662,7 @@ fn verify_candidate_guarded<'m>(
     cand: &Candidate,
     base: &[Ltl],
     engine: GapEngine<'m>,
-    accepted: &[Ltl],
+    accepted: Accepted<'_>,
     screen_words: &[LassoWord],
     state: &mut WorkerState<'m>,
 ) -> Guarded {
@@ -725,7 +775,7 @@ fn verify_sequential(
             cand,
             base,
             engine,
-            &accepted,
+            Accepted::current(&accepted),
             screen_words,
             &mut state,
         ) {
@@ -774,9 +824,18 @@ fn verify_sequential(
 ///
 /// On the symbolic engine the closure fixpoints serialize on the
 /// engine's internal lock (the one `BddManager` is single-threaded); the
-/// workers still overlap all word-level screens and act as the queue that
-/// coordinating thread drains. See
-/// [`JobsStats::gap_fixpoints`](crate::JobsStats::gap_fixpoints).
+/// workers still overlap all word-level screens and bounded SAT queries
+/// and act as the queue that coordinating thread drains. See
+/// [`JobsStats::gap_fixpoints`](crate::JobsStats::gap_fixpoints). Since
+/// they run one at a time anyway, they also run in canonical order: a
+/// worker whose candidate needs a fixpoint waits for the merge frontier
+/// to reach that candidate and screens it once more against the accepted
+/// set of that moment — exactly the sequential scan's. So the workers run
+/// exactly the sequential scan's closing fixpoints, instead of also the
+/// redundant closers a stale snapshot let through, and the engine's BDD
+/// work (and with it the process's memory) no longer depends on which
+/// worker was faster. The wait cannot deadlock: the lowest in-flight
+/// candidate's turn has always come.
 #[allow(clippy::too_many_arguments)]
 fn verify_parallel(
     fa: &Ltl,
@@ -789,7 +848,7 @@ fn verify_parallel(
     jobs: usize,
 ) -> Result<VerifyOutcome, CoreError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Mutex, PoisonError};
+    use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 
     let total = candidates.len();
     let next = AtomicUsize::new(0);
@@ -797,10 +856,16 @@ fn verify_parallel(
     // moves to the budget point once the antichain fills (or to 0 on an
     // error), releasing the workers early.
     let cutoff = AtomicUsize::new(total);
-    // Accepted formulas, republished by the merge after every accept for
-    // the workers' subsumption screen. Stale reads are sound (see
-    // [`WeakestMerge`]); the screen only ever *adds* fixpoint savings.
-    let subsumers: Mutex<Vec<Ltl>> = Mutex::new(Vec::new());
+    // The merge's progress, republished after every verdict it takes for
+    // the workers' subsumption screen and fixpoint turns. Stale reads are
+    // sound (see [`WeakestMerge`]); the screen only ever *adds* fixpoint
+    // savings. `advanced` wakes the workers waiting for a turn.
+    let progress = Mutex::new(MergeProgress {
+        frontier: 0,
+        accepted: Vec::new(),
+    });
+    let advanced = Condvar::new();
+    let ordered = engine.serializes_fixpoints();
     let (tx, rx) = mpsc::channel::<(usize, Guarded)>();
 
     // Workers run on their own threads, outside the coordinator's
@@ -812,7 +877,8 @@ fn verify_parallel(
             let tx = tx.clone();
             let next = &next;
             let cutoff = &cutoff;
-            let subsumers = &subsumers;
+            let progress = &progress;
+            let advanced = &advanced;
             scope.spawn(move || {
                 let mut worker_span = dic_trace::span_with_parent("gap.worker", parent_span);
                 let mut state = WorkerState::new(seed_runs);
@@ -824,19 +890,33 @@ fn verify_parallel(
                         break;
                     }
                     claimed += 1;
-                    // Poison-tolerant: the snapshot is a fully-assigned
-                    // `Vec` under the lock, so a panicking worker cannot
-                    // leave it half-written.
-                    let accepted = subsumers
+                    // Poison-tolerant: the progress is fully assigned under
+                    // the lock, so a panicking worker cannot leave it
+                    // half-written.
+                    let snapshot = progress
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
+                        .accepted
                         .clone();
+                    let turn = || {
+                        let mut seen = progress.lock().unwrap_or_else(PoisonError::into_inner);
+                        while seen.frontier < i && i < cutoff.load(Ordering::SeqCst) {
+                            seen = advanced
+                                .wait(seen)
+                                .unwrap_or_else(PoisonError::into_inner);
+                        }
+                        (i < cutoff.load(Ordering::SeqCst)).then(|| seen.accepted.clone())
+                    };
+                    let accepted = Accepted {
+                        snapshot: &snapshot,
+                        turn: ordered.then_some(&turn as &dyn Fn() -> Option<Vec<Ltl>>),
+                    };
                     let verdict = verify_candidate_guarded(
                         fa,
                         &candidates[i],
                         base,
                         engine,
-                        &accepted,
+                        accepted,
                         screen_words,
                         &mut state,
                     );
@@ -890,8 +970,10 @@ fn verify_parallel(
                     }
                     Guarded::Settled(Verdict::Closing(formula)) => {
                         merge.offer(candidates[frontier].clone(), formula);
-                        *subsumers.lock().unwrap_or_else(PoisonError::into_inner) =
-                            merge.formulas();
+                        progress
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .accepted = merge.formulas();
                         if merge.is_full() {
                             cutoff.store(frontier + 1, Ordering::SeqCst);
                         }
@@ -900,6 +982,13 @@ fn verify_parallel(
                 }
                 frontier += 1;
             }
+            // After every cutoff move too, so a worker waiting past the
+            // cutoff is released.
+            progress
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .frontier = frontier;
+            advanced.notify_all();
         }
         match error {
             Some(e) => Err(e),
@@ -925,6 +1014,14 @@ fn verify_parallel(
             }
         }
     })
+}
+
+/// What the parallel merge has published to its workers: how far the
+/// in-order frontier has advanced, and the accepted formulas at that
+/// point.
+struct MergeProgress {
+    frontier: usize,
+    accepted: Vec<Ltl>,
 }
 
 /// Attaches the demonstrating run per accepted candidate: a run matching

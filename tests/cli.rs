@@ -670,6 +670,69 @@ fn iff_chains_at_the_size_limit_still_check() {
     assert!(stdout.contains("COVERED"), "{stdout}");
 }
 
+/// `(r1 U (r2 U (r1 U … d1)))` with `n` nested operators `op`.
+fn nested(n: usize, op: &str) -> String {
+    (0..n).fold("d1".to_owned(), |acc, i| {
+        format!("({} {op} {acc})", ["r1", "r2"][i % 2])
+    })
+}
+
+/// Runs `check` on mal-ex1's packaged netlist and spec with `line`
+/// appended to the spec.
+fn check_mal_ex1_plus(line: &str, tag: &str, backend: &str) -> std::process::Output {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let spec = std::fs::read_to_string(format!("{data}/mal_ex1.spec")).expect("packaged spec");
+    let dir = std::env::temp_dir().join(format!("specmatcher-sets-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let spec_path = dir.join("sets.spec");
+    std::fs::write(&spec_path, format!("{spec}{line}\n")).expect("write spec");
+    let out = specmatcher(&[
+        "check",
+        "--snl",
+        &format!("{data}/mal_ex1.snl"),
+        "--spec",
+        spec_path.to_str().expect("utf8 path"),
+        "--backend",
+        backend,
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn too_many_untils_are_usage_errors_not_panics() {
+    // 32 nested `U`s in one RTL property overflowed the explicit
+    // product's 32-bit acceptance mask (a panic, exit 101); 33 nested
+    // `R`s in an intent overflowed the tableau of its negation on both
+    // engines. Both are refused up front, on every backend.
+    for (tag, line, sets) in [
+        ("u32", format!("rtl DEEP = {}", nested(32, "U")), 32),
+        ("r33", format!("arch DEEP = {}", nested(33, "R")), 33),
+    ] {
+        for backend in ["explicit", "symbolic"] {
+            let out = check_mal_ex1_plus(&line, &format!("{tag}-{backend}"), backend);
+            let stderr = String::from_utf8(out.stderr).expect("utf8");
+            assert_eq!(out.status.code(), Some(2), "{tag} {backend}: {stderr}");
+            assert!(
+                stderr.contains(&format!("property DEEP alone contributes {sets}"))
+                    && stderr.contains("above the limit of 32"),
+                "{tag} {backend}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sixteen_nested_untils_still_check() {
+    let line = format!("rtl DEEP = {}", nested(16, "U"));
+    for backend in ["explicit", "symbolic"] {
+        let out = check_mal_ex1_plus(&line, &format!("u16-{backend}"), backend);
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert_eq!(out.status.code(), Some(0), "{backend}: {stdout}");
+        assert!(stdout.contains("COVERED"), "{backend}: {stdout}");
+    }
+}
+
 #[test]
 fn fsm_dump_is_dot() {
     let out = specmatcher(&["fsm", "--design", "mal-ex1"]);

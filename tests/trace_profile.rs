@@ -171,6 +171,29 @@ fn every_pipeline_phase_span_is_present() {
         .expect("present");
     assert_eq!(verify.parent, gap_find.id, "gap.verify nests in phase.gap_find");
 
+    // Every translation miss splits into its tableau and its reduction,
+    // both inside the miss's own span.
+    let translate_ids: Vec<u64> = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "automata.translate")
+        .map(|s| s.id)
+        .collect();
+    for child in ["automata.tableau", "automata.reduce"] {
+        let spans: Vec<_> = data.spans.iter().filter(|s| s.name == child).collect();
+        assert_eq!(
+            spans.len(),
+            translate_ids.len(),
+            "one {child} per translation miss"
+        );
+        for s in spans {
+            assert!(
+                translate_ids.contains(&s.parent),
+                "{child} must nest under automata.translate"
+            );
+        }
+    }
+
     // Counter attribution: the gap phase did the candidate work.
     let counters = run.counters.expect("traced");
     assert!(counters.gap_find.get(trace::Counter::GapCandidatesEnumerated) > 0);
@@ -216,6 +239,46 @@ fn parallel_workers_attach_to_the_verify_span() {
         .map(|(_, v)| *v)
         .sum();
     assert!(claimed > 0, "workers recorded their claimed candidates");
+}
+
+/// Closing fixpoints run by the gap workers of one traced `mal-ex2` check.
+fn closing_fixpoints(backend: Backend, jobs: usize) -> u64 {
+    trace::set_enabled(true);
+    trace::reset();
+    mal::ex2()
+        .check(
+            &SpecMatcher::new(GapConfig::default())
+                .with_backend(backend)
+                .with_jobs(jobs),
+        )
+        .expect("runs");
+    trace::set_enabled(false);
+    trace::capture()
+        .spans
+        .iter()
+        .filter(|s| s.name == "gap.worker")
+        .flat_map(|s| &s.meta)
+        .filter(|(k, _)| k == "closing")
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// Symbolic fixpoints serialize, so the workers take them in canonical
+/// order and screen each candidate against the sequential scan's
+/// accepted set: no worker count or schedule lets a redundant closer
+/// through to a fixpoint.
+#[test]
+fn symbolic_workers_run_only_the_sequential_closing_fixpoints() {
+    let _guard = exclusive();
+    let counts: Vec<u64> = [2, 4, 2, 4]
+        .into_iter()
+        .map(|jobs| closing_fixpoints(Backend::Symbolic, jobs))
+        .collect();
+    assert!(counts[0] > 0, "mal-ex2 has closing candidates");
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "closing fixpoints varied with the schedule: {counts:?}"
+    );
 }
 
 #[test]
