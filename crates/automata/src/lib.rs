@@ -50,9 +50,9 @@ pub use degeneralize::degeneralize;
 pub use gba::{code_bits, translate, translate_unreduced, Gba};
 pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use mc::{
-    holds_in, materialize_product, reduction_enabled, satisfiable_in, satisfiable_in_conj,
-    satisfiable_in_conj_cached, satisfiable_in_conj_gbas, translate_cached, translation_reduction,
-    GbaCache, ProductSystem, Verdict,
+    holds_in, is_satisfiable_in_conj_cached, materialize_product, reduction_enabled,
+    satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_cached, satisfiable_in_conj_gbas,
+    translate_cached, translation_reduction, GbaCache, ProductSystem, Verdict,
 };
 pub use sat::{
     equivalent, implies, is_satisfiable, is_satisfiable_ndfs, is_valid, stronger_than, witness,

@@ -2,11 +2,10 @@
 
 use crate::gba::{translate, Gba};
 use crate::hashing::FastMap;
-use crate::product::{find_accepting_lasso, Product};
+use crate::product::{find_accepting_lasso, has_accepting_lasso, MultiProduct, Product, SccGraph};
 use crate::reduce::{reduce, reduce_with_stats, ReductionStats};
 use crate::system::TransitionSystem;
 use dic_ltl::{LassoWord, Ltl};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Whether the automaton reduction pipeline (formula rewriting before the
@@ -198,17 +197,7 @@ impl Verdict {
 /// `satisfiable_in(&and([not(a), r]), m)` returns a witness.
 pub fn satisfiable_in<S: TransitionSystem>(formula: &Ltl, sys: &S) -> Option<LassoWord> {
     let gba = translate_cached(formula);
-    let product = Product {
-        sys,
-        gba: gba.as_ref(),
-    };
-    let mask = product.joint_mask();
-    let (states, loop_start) = find_accepting_lasso(&product, mask)?;
-    let word_states = states
-        .iter()
-        .map(|&(k, _q)| sys.label(k).clone())
-        .collect();
-    Some(LassoWord::new(word_states, loop_start).expect("lasso has a loop"))
+    conj_product_lasso(&[gba.as_ref()], sys)
 }
 
 /// Existential query for a *conjunction*: is there a run of `sys` satisfying
@@ -251,24 +240,40 @@ pub fn satisfiable_in_conj_gbas<S: TransitionSystem>(
     conj_product_lasso(gbas, sys)
 }
 
+/// Verdict-only [`satisfiable_in_conj_cached`]: the same search, stopped
+/// at the accepting SCC, with no lasso built.
+pub fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
+    formulas: &[Ltl],
+    sys: &S,
+    cache: &GbaCache,
+) -> bool {
+    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
+    let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
+    let _span = dic_trace::span("explicit.search");
+    if let [gba] = refs[..] {
+        let product = Product { sys, gba };
+        has_accepting_lasso(&product, product.joint_mask())
+    } else {
+        let product = MultiProduct::new(sys, &refs);
+        has_accepting_lasso(&product, product.full_mask())
+    }
+}
+
+/// The emptiness search of a conjunction query, plus its witness. The
+/// automata are translated by the caller, outside the `explicit.search`
+/// span.
 fn conj_product_lasso<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<LassoWord> {
-    use crate::product::MultiProduct;
+    let _span = dic_trace::span("explicit.search");
     // Single-conjunct queries (the candidate-closure hot path) skip the
     // tuple-interning machinery entirely.
-    if let [gba] = gbas {
+    let (states, loop_start) = if let [gba] = gbas {
         let product = Product { sys, gba };
-        let mask = product.joint_mask();
-        let (states, loop_start) = find_accepting_lasso(&product, mask)?;
-        let word_states = states.iter().map(|&(k, _q)| sys.label(k).clone()).collect();
-        return Some(LassoWord::new(word_states, loop_start).expect("lasso has a loop"));
-    }
-    let product = MultiProduct::new(sys, gbas);
-    let mask = product.full_mask();
-    let (states, loop_start) = find_accepting_lasso(&product, mask)?;
-    let word_states = states
-        .iter()
-        .map(|&(k, _t)| sys.label(k).clone())
-        .collect();
+        find_accepting_lasso(&product, product.joint_mask())?
+    } else {
+        let product = MultiProduct::new(sys, gbas);
+        find_accepting_lasso(&product, product.full_mask())?
+    };
+    let word_states = states.iter().map(|&(k, _)| sys.label(k).clone()).collect();
     Some(LassoWord::new(word_states, loop_start).expect("lasso has a loop"))
 }
 
@@ -317,6 +322,7 @@ pub struct ProductSystem {
     label_of: Vec<u32>,
     bits: Vec<u32>,
     n_acc: u32,
+    n_transitions: usize,
 }
 
 impl ProductSystem {
@@ -327,7 +333,7 @@ impl ProductSystem {
 
     /// Number of materialized transitions.
     pub fn num_transitions(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.n_transitions
     }
 
     /// Whether the product is empty (the base system cannot satisfy the
@@ -344,8 +350,8 @@ impl TransitionSystem for ProductSystem {
         self.initial.clone()
     }
 
-    fn successors(&self, state: u32) -> Vec<u32> {
-        self.succs[state as usize].clone()
+    fn for_each_successor(&self, state: u32, f: impl FnMut(u32)) {
+        self.succs[state as usize].iter().copied().for_each(f);
     }
 
     fn label(&self, state: u32) -> &dic_logic::Valuation {
@@ -358,6 +364,18 @@ impl TransitionSystem for ProductSystem {
 
     fn acc_bits(&self, state: u32) -> u32 {
         self.bits[state as usize]
+    }
+
+    /// Per state: a successor list, a label id and acceptance bits; plus
+    /// every stored edge and pooled label.
+    fn dense_states(&self) -> Option<(u32, usize)> {
+        use std::mem::size_of;
+        let n = self.succs.len();
+        let per_state = size_of::<Vec<u32>>() + 2 * size_of::<u32>();
+        let bytes = n * per_state
+            + self.n_transitions * size_of::<u32>()
+            + self.labels.len() * size_of::<dic_logic::Valuation>();
+        Some((n as u32, bytes))
     }
 }
 
@@ -372,15 +390,13 @@ pub fn materialize_product<S: TransitionSystem>(
     sys: &S,
     cache: &GbaCache,
 ) -> ProductSystem {
-    use crate::product::{MultiProduct, SccGraph};
-
     let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
     let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
     let product = MultiProduct::new(sys, &refs);
     let n_acc = product.full_mask().count_ones();
 
-    let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut label_ids: HashMap<u32, u32> = HashMap::new();
+    let mut ids: FastMap<(u32, u32), u32> = FastMap::default();
+    let mut label_ids: FastMap<u32, u32> = FastMap::default();
     let mut out = ProductSystem {
         initial: Vec::new(),
         succs: Vec::new(),
@@ -388,6 +404,7 @@ pub fn materialize_product<S: TransitionSystem>(
         label_of: Vec::new(),
         bits: Vec::new(),
         n_acc,
+        n_transitions: 0,
     };
     // Worklist entries carry (product node, interned id).
     let mut work: Vec<((u32, u32), u32)> = Vec::new();
@@ -416,16 +433,20 @@ pub fn materialize_product<S: TransitionSystem>(
             out.initial.push(id);
         }
     }
+    let mut succ = Vec::new();
     while let Some((node, id)) = work.pop() {
-        let mut edges: Vec<u32> = product
-            .succs(node)
-            .into_iter()
-            .map(|m| intern(m, &mut out, &mut work))
+        succ.clear();
+        product.succs_into(node, &mut succ);
+        let mut edges: Vec<u32> = succ
+            .iter()
+            .map(|&m| intern(m, &mut out, &mut work))
             .collect();
         edges.sort_unstable();
         edges.dedup();
+        out.n_transitions += edges.len();
         out.succs[id as usize] = edges;
     }
+    dic_trace::gauge_max(dic_trace::Gauge::ExplicitProductStates, out.succs.len() as u64);
     out
 }
 

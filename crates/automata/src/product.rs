@@ -5,23 +5,51 @@
 //! non-trivial SCC covers every acceptance bit; the witness is assembled as
 //! a lasso: shortest path to the SCC, then a cycle inside it that touches
 //! one state per acceptance set.
+//!
+//! The kernel numbers nodes by DFS discovery order and keeps every
+//! per-node fact (lowlink, stack membership, acceptance bits, self-loop) in
+//! flat vectors indexed by that number. One index maps a node to its
+//! number: a flat array over the graph's dense keys where it has them
+//! (`SccGraph::key_space`), a hash map otherwise. Witnesses depend only on
+//! the order in which roots and successors are visited, never on the index,
+//! so both index kinds return the same lasso.
 
 use crate::gba::Gba;
-use crate::hashing::{FastMap, FastSet};
+use crate::hashing::FastMap;
 use crate::system::TransitionSystem;
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::hash::Hash;
 
 /// An implicitly-represented rooted graph with per-node acceptance bits.
 pub(crate) trait SccGraph {
     /// Node type (small and copyable).
     type Node: Copy + Eq + Hash;
-    /// Root nodes the search starts from.
+    /// Root nodes the search starts from, in search order.
     fn roots(&self) -> Vec<Self::Node>;
-    /// Successors of a node.
-    fn succs(&self, n: Self::Node) -> Vec<Self::Node>;
+    /// Appends the successors of `n` to `out`, in search order.
+    fn succs_into(&self, n: Self::Node, out: &mut Vec<Self::Node>);
     /// Acceptance bits of a node.
     fn bits(&self, n: Self::Node) -> u32;
+
+    /// `Some(space)` when [`SccGraph::key`] maps every node injectively
+    /// into `0..space`, so the search may index nodes by a flat array of
+    /// `space` slots; `None` keeps a hashed index.
+    fn key_space(&self) -> Option<usize> {
+        None
+    }
+
+    /// The dense key of a node; called only when
+    /// [`SccGraph::key_space`] is `Some`.
+    fn key(&self, _n: Self::Node) -> usize {
+        unreachable!("a graph without a key space has no dense keys")
+    }
+
+    /// Successors of a node, in search order.
+    fn succs(&self, n: Self::Node) -> Vec<Self::Node> {
+        let mut out = Vec::new();
+        self.succs_into(n, &mut out);
+        out
+    }
 }
 
 /// The product of a transition system and a GBA.
@@ -57,21 +85,32 @@ impl<S: TransitionSystem> SccGraph for Product<'_, S> {
         out
     }
 
-    fn succs(&self, (k, q): Self::Node) -> Vec<Self::Node> {
-        let mut out = Vec::new();
-        for k2 in self.sys.successors(k) {
+    fn succs_into(&self, (k, q): Self::Node, out: &mut Vec<Self::Node>) {
+        let next = self.gba.successors(q);
+        self.sys.for_each_successor(k, |k2| {
             let label = self.sys.label(k2);
-            for &q2 in self.gba.successors(q) {
+            for &q2 in next {
                 if self.gba.state(q2).compatible(label) {
                     out.push((k2, q2));
                 }
             }
-        }
-        out
+        });
     }
 
     fn bits(&self, (k, q): Self::Node) -> u32 {
         self.sys.acc_bits(k) | self.gba.state(q).acc_bits() << self.sys.num_acc_sets()
+    }
+
+    /// `|S|·|Q|` slots, when the system's states are dense and the array
+    /// takes no more memory than the system itself keeps.
+    fn key_space(&self) -> Option<usize> {
+        let (states, bytes) = self.sys.dense_states()?;
+        let space = (states as usize).checked_mul(self.gba.num_states())?;
+        (space.checked_mul(std::mem::size_of::<u32>())? <= bytes).then_some(space)
+    }
+
+    fn key(&self, (k, q): Self::Node) -> usize {
+        k as usize * self.gba.num_states() + q as usize
     }
 }
 
@@ -114,38 +153,55 @@ pub(crate) struct MultiProduct<'a, S: TransitionSystem> {
     /// Bit offset of each explicit automaton's acceptance sets.
     offsets: Vec<u32>,
     /// Interned (safety bitmasks, explicit states) tuples.
-    tuples: std::cell::RefCell<TupleTable>,
+    tuples: RefCell<TupleTable>,
+    /// Reused buffers of successor generation.
+    scratch: RefCell<Scratch>,
 }
 
-/// One interned product tuple: a bitmask per safety automaton, a state per
-/// explicit automaton.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Tuple {
-    safety: Vec<u64>,
-    explicit: Vec<u32>,
-}
-
-/// Interning table for product tuples.
+/// Interning table for product tuples. A tuple is one word per safety
+/// automaton (its state bitmask) followed by one per explicit automaton
+/// (its state); tuples are stored flat, `width` words each, in id order.
 #[derive(Default)]
-pub(crate) struct TupleTable {
-    by_tuple: FastMap<Tuple, u32>,
-    tuples: Vec<Tuple>,
+struct TupleTable {
+    by_key: FastMap<Box<[u64]>, u32>,
+    words: Vec<u64>,
+    width: usize,
+    /// Acceptance bits of each tuple's explicit states, at their offsets.
+    bits: Vec<u32>,
 }
 
 impl TupleTable {
-    fn intern(&mut self, t: Tuple) -> u32 {
-        if let Some(&id) = self.by_tuple.get(&t) {
+    /// The id of `key`, interned with `bits()` on first sight.
+    fn intern(&mut self, key: &[u64], bits: impl FnOnce() -> u32) -> u32 {
+        if let Some(&id) = self.by_key.get(key) {
             return id;
         }
-        let id = self.tuples.len() as u32;
-        self.tuples.push(t.clone());
-        self.by_tuple.insert(t, id);
+        let id = self.bits.len() as u32;
+        self.words.extend_from_slice(key);
+        self.bits.push(bits());
+        self.by_key.insert(key.into(), id);
         id
     }
 
-    fn get(&self, id: u32) -> Tuple {
-        self.tuples[id as usize].clone()
+    fn tuple(&self, id: u32) -> &[u64] {
+        let at = id as usize * self.width;
+        &self.words[at..at + self.width]
     }
+}
+
+/// Successor-generation buffers of a [`MultiProduct`].
+#[derive(Default)]
+struct Scratch {
+    /// The source tuple, copied out of the table before it grows.
+    prev: Vec<u64>,
+    /// The tuple under construction.
+    key: Vec<u64>,
+    /// Compatible states of each explicit component, one after another.
+    choices: Vec<u32>,
+    /// End of each component's run in `choices`.
+    ends: Vec<usize>,
+    /// Current choice of each component while enumerating branches.
+    cursor: Vec<usize>,
 }
 
 impl<'a, S: TransitionSystem> MultiProduct<'a, S> {
@@ -168,12 +224,17 @@ impl<'a, S: TransitionSystem> MultiProduct<'a, S> {
             total += g.num_acceptance_sets();
         }
         assert!(total <= 32, "too many Until subformulas across the spec");
+        let tuples = TupleTable {
+            width: safety.len() + explicit.len(),
+            ..TupleTable::default()
+        };
         MultiProduct {
             sys,
             safety,
             explicit,
             offsets,
-            tuples: std::cell::RefCell::new(TupleTable::default()),
+            tuples: RefCell::new(tuples),
+            scratch: RefCell::default(),
         }
     }
 
@@ -220,57 +281,88 @@ impl<'a, S: TransitionSystem> MultiProduct<'a, S> {
         (next != 0).then_some(next)
     }
 
-    /// All explicit-component continuations compatible with `label`;
-    /// `states` is `None` for the initial step.
-    fn explicit_branches(&self, states: Option<&[u32]>, label: &dic_logic::Valuation) -> Vec<Vec<u32>> {
-        let mut partial: Vec<Vec<u32>> = vec![Vec::with_capacity(self.explicit.len())];
-        for (i, g) in self.explicit.iter().enumerate() {
-            let sources: Vec<u32> = match states {
-                None => g.initial().to_vec(),
-                Some(t) => g.successors(t[i]).to_vec(),
-            };
-            let mut next = Vec::new();
-            for t in &partial {
-                for &q2 in &sources {
-                    if g.state(q2).compatible(label) {
-                        let mut t2 = t.clone();
-                        t2.push(q2);
-                        next.push(t2);
-                    }
-                }
-            }
-            partial = next;
-            if partial.is_empty() {
-                break;
-            }
+    /// Acceptance bits of the explicit states in `tuple`.
+    fn explicit_bits(&self, tuple: &[u64]) -> u32 {
+        let states = &tuple[self.safety.len()..];
+        let mut bits = 0;
+        for ((g, &q), &off) in self.explicit.iter().zip(states).zip(&self.offsets) {
+            bits |= g.state(q as u32).acc_bits() << off;
         }
-        partial
+        bits
     }
 
-    /// Builds all product continuations into system state `k`.
-    fn continuations(&self, k: u32, prev: Option<&Tuple>, out: &mut Vec<(u32, u32)>) {
+    /// Appends every product continuation into system state `k` to `out`;
+    /// `prev` is the source tuple, `None` for the initial step. Branches
+    /// come in lexicographic order of the explicit components' choices,
+    /// the first component most significant.
+    fn continuations(
+        &self,
+        k: u32,
+        prev: Option<&[u64]>,
+        scratch: &mut Scratch,
+        table: &mut TupleTable,
+        out: &mut Vec<(u32, u32)>,
+    ) {
         let label = self.sys.label(k);
         // Safety components are deterministic: advance every bitmask, give
         // up on this branch as soon as one dies.
-        let mut safety = Vec::with_capacity(self.safety.len());
+        scratch.key.clear();
         for (i, g) in self.safety.iter().enumerate() {
             let (mask, initial) = match prev {
                 None => (0, true),
-                Some(t) => (t.safety[i], false),
+                Some(t) => (t[i], false),
             };
             match Self::step_safety(g, mask, label, initial) {
-                Some(next) => safety.push(next),
+                Some(next) => scratch.key.push(next),
                 None => return,
             }
         }
-        let branches = self.explicit_branches(prev.map(|t| t.explicit.as_slice()), label);
-        let mut table = self.tuples.borrow_mut();
-        for explicit in branches {
-            let id = table.intern(Tuple {
-                safety: safety.clone(),
-                explicit,
-            });
+        let n_safety = self.safety.len();
+        scratch.choices.clear();
+        scratch.ends.clear();
+        for (i, g) in self.explicit.iter().enumerate() {
+            let sources = match prev {
+                None => g.initial(),
+                Some(t) => g.successors(t[n_safety + i] as u32),
+            };
+            let begin = scratch.choices.len();
+            for &q2 in sources {
+                if g.state(q2).compatible(label) {
+                    scratch.choices.push(q2);
+                }
+            }
+            if scratch.choices.len() == begin {
+                return;
+            }
+            scratch.ends.push(scratch.choices.len());
+        }
+        let Scratch {
+            key,
+            choices,
+            ends,
+            cursor,
+            ..
+        } = scratch;
+        cursor.clear();
+        cursor.extend(std::iter::once(0).chain(ends.iter().copied()).take(ends.len()));
+        loop {
+            key.truncate(n_safety);
+            key.extend(cursor.iter().map(|&c| u64::from(choices[c])));
+            let id = table.intern(key, || self.explicit_bits(key));
             out.push((k, id));
+            // Odometer step, last component fastest.
+            let mut i = cursor.len();
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                cursor[i] += 1;
+                if cursor[i] < ends[i] {
+                    break;
+                }
+                cursor[i] = if i == 0 { 0 } else { ends[i - 1] };
+            }
         }
     }
 }
@@ -280,28 +372,28 @@ impl<S: TransitionSystem> SccGraph for MultiProduct<'_, S> {
 
     fn roots(&self) -> Vec<Self::Node> {
         let mut out = Vec::new();
+        let mut scratch = self.scratch.borrow_mut();
+        let mut table = self.tuples.borrow_mut();
         for k in self.sys.initial_states() {
-            self.continuations(k, None, &mut out);
+            self.continuations(k, None, &mut scratch, &mut table, &mut out);
         }
         out
     }
 
-    fn succs(&self, (k, tid): Self::Node) -> Vec<Self::Node> {
-        let tuple = self.tuples.borrow().get(tid);
-        let mut out = Vec::new();
-        for k2 in self.sys.successors(k) {
-            self.continuations(k2, Some(&tuple), &mut out);
-        }
-        out
+    fn succs_into(&self, (k, tid): Self::Node, out: &mut Vec<Self::Node>) {
+        let mut scratch = self.scratch.borrow_mut();
+        let mut table = self.tuples.borrow_mut();
+        let mut prev = std::mem::take(&mut scratch.prev);
+        prev.clear();
+        prev.extend_from_slice(table.tuple(tid));
+        self.sys.for_each_successor(k, |k2| {
+            self.continuations(k2, Some(&prev), &mut scratch, &mut table, out);
+        });
+        scratch.prev = prev;
     }
 
     fn bits(&self, (k, tid): Self::Node) -> u32 {
-        let tuple = self.tuples.borrow().get(tid);
-        let mut bits = self.sys.acc_bits(k);
-        for ((g, &q), &off) in self.explicit.iter().zip(&tuple.explicit).zip(&self.offsets) {
-            bits |= g.state(q).acc_bits() << off;
-        }
-        bits
+        self.sys.acc_bits(k) | self.tuples.borrow().bits[tid as usize]
     }
 }
 
@@ -317,213 +409,549 @@ impl SccGraph for GbaGraph<'_> {
         self.0.initial().to_vec()
     }
 
-    fn succs(&self, n: u32) -> Vec<u32> {
-        self.0.successors(n).to_vec()
+    fn succs_into(&self, n: u32, out: &mut Vec<u32>) {
+        out.extend_from_slice(self.0.successors(n));
     }
 
     fn bits(&self, n: u32) -> u32 {
         self.0.state(n).acc_bits()
     }
+
+    fn key_space(&self) -> Option<usize> {
+        Some(self.0.num_states())
+    }
+
+    fn key(&self, n: u32) -> usize {
+        n as usize
+    }
 }
+
+/// A lasso `(states, loop_start)`: `states[loop_start..]` is the cycle
+/// (the successor of the last state is `states[loop_start]`).
+pub(crate) type Lasso<N> = (Vec<N>, usize);
 
 /// Searches for an accepting lasso: a path from a root to a cycle whose
-/// states jointly cover `full_mask`. Returns `(states, loop_start)` where
-/// `states[loop_start..]` is the cycle (the successor of the last state is
-/// `states[loop_start]`).
-pub(crate) fn find_accepting_lasso<G: SccGraph>(
-    g: &G,
-    full_mask: u32,
-) -> Option<(Vec<G::Node>, usize)> {
-    let scc = find_accepting_scc(g, full_mask)?;
-    let scc_set: FastSet<G::Node> = scc.iter().copied().collect();
-    let entry = scc[0];
+/// states jointly cover `full_mask`.
+pub(crate) fn find_accepting_lasso<G: SccGraph>(g: &G, full_mask: u32) -> Option<Lasso<G::Node>> {
+    let mut search = Search::new(g);
+    let scc = search.accepting_scc(full_mask)?;
+    Some(search.lasso(&scc, full_mask))
+}
 
-    // Prefix: BFS from roots to the SCC entry node.
-    let prefix = bfs_path(g.roots(), |n| n == entry, |n| g.succs(n))?;
+/// Whether [`find_accepting_lasso`] would find a lasso, decided by the
+/// same search stopped at the accepting SCC: no lasso is built.
+pub(crate) fn has_accepting_lasso<G: SccGraph>(g: &G, full_mask: u32) -> bool {
+    Search::new(g).accepting_scc(full_mask).is_some()
+}
 
-    // Cycle inside the SCC covering all bits, returning to `entry`.
-    let in_scc = |n: &G::Node| scc_set.contains(n);
-    let mut cycle: Vec<G::Node> = vec![entry];
-    let mut covered = g.bits(entry);
-    let mut cur = entry;
-    while covered & full_mask != full_mask {
-        let missing = full_mask & !covered;
-        // Walk to any node providing a missing bit, staying in the SCC.
-        let hop = bfs_path(
-            vec![cur],
-            |n| g.bits(n) & missing != 0,
+/// The search's one node → id index.
+enum NodeIndex<N> {
+    /// Flat over the graph's dense keys: `slots[key]` is `id + 1`, and `0`
+    /// marks a node not seen yet.
+    Dense(Vec<u32>),
+    Hashed(FastMap<N, u32>),
+}
+
+/// Where a lasso BFS stops.
+#[derive(Clone, Copy)]
+enum Goal {
+    /// At this node.
+    Node(u32),
+    /// At any node carrying one of these acceptance bits.
+    AnyBit(u32),
+}
+
+/// Unseen slot of a BFS parent array.
+const UNSEEN: u32 = u32::MAX;
+
+/// State of one emptiness search and of its lasso extraction.
+struct Search<'g, G: SccGraph> {
+    g: &'g G,
+    index: NodeIndex<G::Node>,
+    /// Nodes by id. Ids `0..visited` number the nodes the Tarjan search
+    /// discovered, in DFS order (they double as Tarjan's indices); the
+    /// prefix BFS of a lasso may append nodes the search never reached.
+    nodes: Vec<G::Node>,
+    /// Per Tarjan id: acceptance bits, recorded once at discovery.
+    bits: Vec<u32>,
+    /// Per Tarjan id: lowlink.
+    low: Vec<u32>,
+    /// Per Tarjan id: whether the node is on the Tarjan stack.
+    on_stack: Vec<bool>,
+    /// Per Tarjan id: whether the node has an edge to itself.
+    self_loop: Vec<bool>,
+    /// Number of nodes the Tarjan search numbered.
+    visited: u32,
+    /// Successor buffer reused by every BFS step.
+    succ: Vec<G::Node>,
+}
+
+impl<'g, G: SccGraph> Search<'g, G> {
+    fn new(g: &'g G) -> Self {
+        let index = match g.key_space() {
+            Some(space) => NodeIndex::Dense(vec![0; space]),
+            None => NodeIndex::Hashed(FastMap::default()),
+        };
+        Search {
+            g,
+            index,
+            nodes: Vec::new(),
+            bits: Vec::new(),
+            low: Vec::new(),
+            on_stack: Vec::new(),
+            self_loop: Vec::new(),
+            visited: 0,
+            succ: Vec::new(),
+        }
+    }
+
+    /// The id of `n`, if it has one.
+    fn id_of(&self, n: G::Node) -> Option<u32> {
+        match &self.index {
+            NodeIndex::Dense(slots) => slots[self.g.key(n)].checked_sub(1),
+            NodeIndex::Hashed(map) => map.get(&n).copied(),
+        }
+    }
+
+    /// Gives `n` the next id.
+    fn push_node(&mut self, n: G::Node) -> u32 {
+        let id = self.nodes.len() as u32;
+        match &mut self.index {
+            NodeIndex::Dense(slots) => slots[self.g.key(n)] = id + 1,
+            NodeIndex::Hashed(map) => {
+                map.insert(n, id);
+            }
+        }
+        self.nodes.push(n);
+        id
+    }
+
+    /// The id of `n`, numbering it first if it has none.
+    fn intern(&mut self, n: G::Node) -> u32 {
+        match self.id_of(n) {
+            Some(id) => id,
+            None => self.push_node(n),
+        }
+    }
+
+    /// Numbers a node the Tarjan search discovers and pushes it on the
+    /// Tarjan stack.
+    fn discover(&mut self, n: G::Node, stack: &mut Vec<u32>) -> u32 {
+        let id = self.push_node(n);
+        self.bits.push(self.g.bits(n));
+        self.low.push(id);
+        self.on_stack.push(true);
+        self.self_loop.push(false);
+        stack.push(id);
+        id
+    }
+
+    /// Iterative Tarjan search; returns the ids of the first reachable SCC
+    /// that is non-trivial (contains an edge) and covers `full_mask`, in
+    /// Tarjan-stack pop order (the most recently discovered member first).
+    fn accepting_scc(&mut self, full_mask: u32) -> Option<Vec<u32>> {
+        /// An open DFS frame; its successors are `arena[start..]` up to the
+        /// next frame's `start`, and `next` is the first unvisited one.
+        struct Frame {
+            id: u32,
+            start: usize,
+            next: usize,
+        }
+        let g = self.g;
+        let mut arena: Vec<G::Node> = Vec::new();
+        let mut call: Vec<Frame> = Vec::new();
+        let mut stack: Vec<u32> = Vec::new();
+        let mut found = None;
+
+        'roots: for root in g.roots() {
+            if self.id_of(root).is_some() {
+                continue;
+            }
+            let id = self.discover(root, &mut stack);
+            let start = arena.len();
+            g.succs_into(root, &mut arena);
+            call.push(Frame {
+                id,
+                start,
+                next: start,
+            });
+
+            while let Some(frame) = call.last_mut() {
+                if frame.next < arena.len() {
+                    let child = arena[frame.next];
+                    frame.next += 1;
+                    let parent = frame.id as usize;
+                    match self.id_of(child) {
+                        None => {
+                            let id = self.discover(child, &mut stack);
+                            let start = arena.len();
+                            g.succs_into(child, &mut arena);
+                            call.push(Frame {
+                                id,
+                                start,
+                                next: start,
+                            });
+                        }
+                        Some(c) => {
+                            let c = c as usize;
+                            if c == parent {
+                                self.self_loop[c] = true;
+                            }
+                            if self.on_stack[c] {
+                                self.low[parent] = self.low[parent].min(c as u32);
+                            }
+                        }
+                    }
+                } else {
+                    // Post-order: pop the frame, maybe emit its SCC.
+                    let Frame { id, start, .. } = call.pop().expect("non-empty");
+                    arena.truncate(start);
+                    let node = id as usize;
+                    if let Some(parent) = call.last() {
+                        let p = parent.id as usize;
+                        self.low[p] = self.low[p].min(self.low[node]);
+                    }
+                    if self.low[node] == id {
+                        // The stack holds ids in increasing order, so the
+                        // SCC is the suffix starting at `id`.
+                        let at = stack.iter().rposition(|&m| m == id).expect("scc root");
+                        let mut bits = 0u32;
+                        for &m in &stack[at..] {
+                            bits |= self.bits[m as usize];
+                            self.on_stack[m as usize] = false;
+                        }
+                        // Accepting? Needs all bits and at least one edge.
+                        let nontrivial = stack.len() - at > 1 || self.self_loop[node];
+                        if bits & full_mask == full_mask && nontrivial {
+                            found = Some(stack[at..].iter().rev().copied().collect());
+                            break 'roots;
+                        }
+                        stack.truncate(at);
+                    }
+                }
+            }
+        }
+        self.visited = self.nodes.len() as u32;
+        // Every distinct state this search visited has an id: flush the
+        // count once, not per node.
+        if dic_trace::enabled() {
+            dic_trace::count(
+                dic_trace::Counter::ExplicitStatesExpanded,
+                u64::from(self.visited),
+            );
+        }
+        found
+    }
+
+    /// The lasso through the accepting SCC `scc` (as returned by
+    /// [`Search::accepting_scc`]): the shortest path from the roots to the
+    /// SCC's first member, then a cycle inside the SCC that covers
+    /// `full_mask` and returns to that member.
+    fn lasso(&mut self, scc: &[u32], full_mask: u32) -> Lasso<G::Node> {
+        let entry = scc[0];
+        let mut in_scc = vec![false; self.visited as usize];
+        for &m in scc {
+            in_scc[m as usize] = true;
+        }
+
+        // Prefix: BFS from roots to the SCC entry node.
+        let roots: Vec<u32> = self.g.roots().into_iter().map(|n| self.intern(n)).collect();
+        let prefix = self
+            .bfs(&roots, Goal::Node(entry), None)
+            .expect("the Tarjan search reached the entry from a root");
+
+        // Cycle inside the SCC covering all bits, returning to `entry`.
+        let mut cycle: Vec<u32> = vec![entry];
+        let mut covered = self.bits[entry as usize];
+        let mut cur = entry;
+        while covered & full_mask != full_mask {
+            let missing = full_mask & !covered;
+            // Walk to any node providing a missing bit, staying in the SCC.
+            let hop = self
+                .bfs(&[cur], Goal::AnyBit(missing), Some(&in_scc))
+                .expect("SCC covers the mask, so a provider is reachable inside it");
+            for &n in &hop[1..] {
+                covered |= self.bits[n as usize];
+                cycle.push(n);
+            }
+            cur = *cycle.last().expect("non-empty");
+        }
+        // Close the cycle back to `entry` with at least one edge.
+        let mut starts = Vec::new();
+        self.scc_succs(cur, &in_scc, &mut starts);
+        let back = self
+            .bfs(&starts, Goal::Node(entry), Some(&in_scc))
+            .expect("SCC is strongly connected");
+        cycle.extend(back);
+        // `cycle` now starts and ends at `entry`; drop the duplicate.
+        debug_assert!(cycle[0] == *cycle.last().expect("non-empty"));
+        cycle.pop();
+
+        let mut states = prefix;
+        states.pop(); // prefix ends at entry; the cycle re-adds it
+        let loop_start = states.len();
+        states.extend(cycle);
+        let states = states.iter().map(|&id| self.nodes[id as usize]).collect();
+        (states, loop_start)
+    }
+
+    /// Appends the ids of `id`'s successors that lie in the SCC to `out`,
+    /// in successor order.
+    fn scc_succs(&mut self, id: u32, in_scc: &[bool], out: &mut Vec<u32>) {
+        let mut succ = std::mem::take(&mut self.succ);
+        succ.clear();
+        self.g.succs_into(self.nodes[id as usize], &mut succ);
+        for &m in &succ {
+            // Every successor of an SCC member was numbered by the search.
+            if let Some(m) = self.id_of(m).filter(|&m| in_scc.get(m as usize) == Some(&true)) {
+                out.push(m);
+            }
+        }
+        self.succ = succ;
+    }
+
+    /// BFS from `starts` to the first node meeting `goal`, over the whole
+    /// graph (`in_scc = None`) or inside the SCC marked in `in_scc`;
+    /// returns the path of ids, start and goal included.
+    fn bfs(&mut self, starts: &[u32], goal: Goal, in_scc: Option<&[bool]>) -> Option<Vec<u32>> {
+        // `parent[id]` is the BFS parent; a start is its own parent.
+        let mut parent = vec![UNSEEN; self.nodes.len()];
+        let mut queue: Vec<u32> = Vec::new();
+        for &s in starts {
+            if parent[s as usize] == UNSEEN {
+                parent[s as usize] = s;
+                queue.push(s);
+            }
+        }
+        let mut succ = std::mem::take(&mut self.succ);
+        let mut path = None;
+        let mut head = 0;
+        while let Some(&n) = queue.get(head) {
+            head += 1;
+            let reached = match goal {
+                Goal::Node(target) => n == target,
+                Goal::AnyBit(mask) => self.bits[n as usize] & mask != 0,
+            };
+            if reached {
+                let mut p = vec![n];
+                let mut cur = n;
+                while parent[cur as usize] != cur {
+                    cur = parent[cur as usize];
+                    p.push(cur);
+                }
+                p.reverse();
+                path = Some(p);
+                break;
+            }
+            succ.clear();
+            self.g.succs_into(self.nodes[n as usize], &mut succ);
+            for &m in &succ {
+                let m = match in_scc {
+                    None => self.intern(m),
+                    Some(in_scc) => match self.id_of(m) {
+                        Some(m) if in_scc.get(m as usize) == Some(&true) => m,
+                        _ => continue,
+                    },
+                };
+                if m as usize >= parent.len() {
+                    parent.resize(self.nodes.len(), UNSEEN);
+                }
+                if parent[m as usize] == UNSEEN {
+                    parent[m as usize] = n;
+                    queue.push(m);
+                }
+            }
+        }
+        self.succ = succ;
+        path
+    }
+}
+
+/// The hashed Tarjan search and BFS lasso the kernel above replaced, kept
+/// as the reference its witnesses and visit counts are checked against.
+#[cfg(test)]
+mod reference {
+    use super::{Lasso, SccGraph};
+    use crate::hashing::{FastMap, FastSet};
+    use std::collections::VecDeque;
+    use std::hash::Hash;
+
+    /// The lasso (as [`super::find_accepting_lasso`]) and the number of
+    /// distinct nodes the Tarjan search numbered.
+    pub(super) fn find_accepting_lasso<G: SccGraph>(
+        g: &G,
+        full_mask: u32,
+    ) -> (Option<Lasso<G::Node>>, u32) {
+        let (scc, visited) = find_accepting_scc(g, full_mask);
+        let Some(scc) = scc else {
+            return (None, visited);
+        };
+        let scc_set: FastSet<G::Node> = scc.iter().copied().collect();
+        let entry = scc[0];
+        let prefix = bfs_path(g.roots(), |n| n == entry, |n| g.succs(n)).expect("reached");
+        let in_scc = |n: &G::Node| scc_set.contains(n);
+        let mut cycle: Vec<G::Node> = vec![entry];
+        let mut covered = g.bits(entry);
+        let mut cur = entry;
+        while covered & full_mask != full_mask {
+            let missing = full_mask & !covered;
+            let hop = bfs_path(
+                vec![cur],
+                |n| g.bits(n) & missing != 0,
+                |n| g.succs(n).into_iter().filter(in_scc).collect(),
+            )
+            .expect("provider inside the SCC");
+            for n in hop.into_iter().skip(1) {
+                covered |= g.bits(n);
+                cycle.push(n);
+            }
+            cur = *cycle.last().expect("non-empty");
+        }
+        let back = bfs_path(
+            g.succs(cur).into_iter().filter(in_scc).collect(),
+            |n| n == entry,
             |n| g.succs(n).into_iter().filter(in_scc).collect(),
         )
-        .expect("SCC covers the mask, so a provider is reachable inside it");
-        for n in hop.into_iter().skip(1) {
-            covered |= g.bits(n);
-            cycle.push(n);
-        }
-        cur = *cycle.last().expect("non-empty");
+        .expect("SCC is strongly connected");
+        cycle.extend(back);
+        cycle.pop();
+        let mut states = prefix;
+        states.pop();
+        let loop_start = states.len();
+        states.extend(cycle);
+        (Some((states, loop_start)), visited)
     }
-    // Close the cycle back to `entry` with at least one edge.
-    let back = bfs_path(
-        g.succs(cur).into_iter().filter(in_scc).collect(),
-        |n| n == entry,
-        |n| g.succs(n).into_iter().filter(in_scc).collect(),
-    )
-    .expect("SCC is strongly connected");
-    cycle.extend(back);
-    // `cycle` now starts and ends at `entry`; drop the duplicate.
-    debug_assert!(cycle[0] == *cycle.last().expect("non-empty"));
-    cycle.pop();
 
-    let mut states = prefix;
-    states.pop(); // prefix ends at entry; the cycle re-adds it
-    let loop_start = states.len();
-    states.extend(cycle);
-    Some((states, loop_start))
-}
-
-/// BFS from `starts` to the first node satisfying `goal`; returns the full
-/// path including start and goal.
-fn bfs_path<N, FG, FS>(starts: Vec<N>, goal: FG, succs: FS) -> Option<Vec<N>>
-where
-    N: Copy + Eq + Hash,
-    FG: Fn(N) -> bool,
-    FS: Fn(N) -> Vec<N>,
-{
-    let mut parent: FastMap<N, Option<N>> = FastMap::default();
-    let mut queue = VecDeque::new();
-    for s in starts {
-        if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(s) {
-            e.insert(None);
-            queue.push_back(s);
-        }
-    }
-    while let Some(n) = queue.pop_front() {
-        if goal(n) {
-            let mut path = vec![n];
-            let mut cur = n;
-            while let Some(Some(p)) = parent.get(&cur) {
-                path.push(*p);
-                cur = *p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for m in succs(n) {
-            if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(m) {
-                e.insert(Some(n));
-                queue.push_back(m);
+    fn bfs_path<N, FG, FS>(starts: Vec<N>, goal: FG, succs: FS) -> Option<Vec<N>>
+    where
+        N: Copy + Eq + Hash,
+        FG: Fn(N) -> bool,
+        FS: Fn(N) -> Vec<N>,
+    {
+        let mut parent: FastMap<N, Option<N>> = FastMap::default();
+        let mut queue = VecDeque::new();
+        for s in starts {
+            if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(s) {
+                e.insert(None);
+                queue.push_back(s);
             }
         }
-    }
-    None
-}
-
-/// Iterative Tarjan SCC search; returns the members of the first reachable
-/// SCC that is non-trivial (contains an edge) and covers `full_mask`.
-fn find_accepting_scc<G: SccGraph>(g: &G, full_mask: u32) -> Option<Vec<G::Node>> {
-    #[derive(Clone)]
-    struct Frame<N> {
-        node: N,
-        succs: Vec<N>,
-        next_child: usize,
-    }
-    let mut index: FastMap<G::Node, u32> = FastMap::default();
-    let mut lowlink: FastMap<G::Node, u32> = FastMap::default();
-    let mut on_stack: FastSet<G::Node> = FastSet::default();
-    let mut stack: Vec<G::Node> = Vec::new();
-    let mut counter: u32 = 0;
-    let mut call: Vec<Frame<G::Node>> = Vec::new();
-
-    for root in g.roots() {
-        if index.contains_key(&root) {
-            continue;
+        while let Some(n) = queue.pop_front() {
+            if goal(n) {
+                let mut path = vec![n];
+                let mut cur = n;
+                while let Some(Some(p)) = parent.get(&cur) {
+                    path.push(*p);
+                    cur = *p;
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for m in succs(n) {
+                if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(m) {
+                    e.insert(Some(n));
+                    queue.push_back(m);
+                }
+            }
         }
-        // Push root frame.
-        index.insert(root, counter);
-        lowlink.insert(root, counter);
-        counter += 1;
-        stack.push(root);
-        on_stack.insert(root);
-        call.push(Frame {
-            node: root,
-            succs: g.succs(root),
-            next_child: 0,
-        });
+        None
+    }
 
-        while let Some(frame) = call.last_mut() {
-            if frame.next_child < frame.succs.len() {
-                let child = frame.succs[frame.next_child];
-                frame.next_child += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = index.entry(child) {
-                    e.insert(counter);
-                    lowlink.insert(child, counter);
-                    counter += 1;
-                    stack.push(child);
-                    on_stack.insert(child);
-                    call.push(Frame {
-                        node: child,
-                        succs: g.succs(child),
-                        next_child: 0,
-                    });
-                } else if on_stack.contains(&child) {
+    fn find_accepting_scc<G: SccGraph>(g: &G, full_mask: u32) -> (Option<Vec<G::Node>>, u32) {
+        struct Frame<N> {
+            node: N,
+            succs: Vec<N>,
+            next_child: usize,
+        }
+        let mut index: FastMap<G::Node, u32> = FastMap::default();
+        let mut lowlink: FastMap<G::Node, u32> = FastMap::default();
+        let mut on_stack: FastSet<G::Node> = FastSet::default();
+        let mut stack: Vec<G::Node> = Vec::new();
+        let mut counter: u32 = 0;
+        let mut call: Vec<Frame<G::Node>> = Vec::new();
+        for root in g.roots() {
+            if index.contains_key(&root) {
+                continue;
+            }
+            index.insert(root, counter);
+            lowlink.insert(root, counter);
+            counter += 1;
+            stack.push(root);
+            on_stack.insert(root);
+            call.push(Frame {
+                node: root,
+                succs: g.succs(root),
+                next_child: 0,
+            });
+            while let Some(frame) = call.last_mut() {
+                if frame.next_child < frame.succs.len() {
+                    let child = frame.succs[frame.next_child];
+                    frame.next_child += 1;
+                    if let std::collections::hash_map::Entry::Vacant(e) = index.entry(child) {
+                        e.insert(counter);
+                        lowlink.insert(child, counter);
+                        counter += 1;
+                        stack.push(child);
+                        on_stack.insert(child);
+                        call.push(Frame {
+                            node: child,
+                            succs: g.succs(child),
+                            next_child: 0,
+                        });
+                    } else if on_stack.contains(&child) {
+                        let node = frame.node;
+                        let low = lowlink[&node].min(index[&child]);
+                        lowlink.insert(node, low);
+                    }
+                } else {
                     let node = frame.node;
-                    let low = lowlink[&node].min(index[&child]);
-                    lowlink.insert(node, low);
-                }
-            } else {
-                // Post-order: pop frame, maybe emit SCC.
-                let node = frame.node;
-                let frame_done = call.pop().expect("non-empty");
-                debug_assert!(frame_done.node == node);
-                if let Some(parent) = call.last() {
-                    let low = lowlink[&parent.node].min(lowlink[&node]);
-                    lowlink.insert(parent.node, low);
-                }
-                if lowlink[&node] == index[&node] {
-                    // Pop the SCC rooted at `node`.
-                    let mut members = Vec::new();
-                    loop {
-                        let m = stack.pop().expect("scc member");
-                        on_stack.remove(&m);
-                        members.push(m);
-                        if m == node {
-                            break;
-                        }
+                    call.pop();
+                    if let Some(parent) = call.last() {
+                        let low = lowlink[&parent.node].min(lowlink[&node]);
+                        lowlink.insert(parent.node, low);
                     }
-                    // Accepting? Needs all bits and at least one edge.
-                    let mut bits = 0u32;
-                    for &m in &members {
-                        bits |= g.bits(m);
-                    }
-                    if bits & full_mask == full_mask {
-                        let nontrivial = members.len() > 1
-                            || g.succs(members[0]).contains(&members[0]);
-                        if nontrivial {
-                            // `counter` numbered every distinct state this
-                            // search visited: flush it once, not per node.
-                            if dic_trace::enabled() {
-                                dic_trace::count(
-                                    dic_trace::Counter::ExplicitStatesExpanded,
-                                    u64::from(counter),
-                                );
+                    if lowlink[&node] == index[&node] {
+                        let mut members = Vec::new();
+                        loop {
+                            let m = stack.pop().expect("scc member");
+                            on_stack.remove(&m);
+                            members.push(m);
+                            if m == node {
+                                break;
                             }
-                            return Some(members);
+                        }
+                        let mut bits = 0u32;
+                        for &m in &members {
+                            bits |= g.bits(m);
+                        }
+                        if bits & full_mask == full_mask {
+                            let nontrivial = members.len() > 1
+                                || g.succs(members[0]).contains(&members[0]);
+                            if nontrivial {
+                                return (Some(members), counter);
+                            }
                         }
                     }
                 }
             }
         }
+        (None, counter)
     }
-    if dic_trace::enabled() {
-        dic_trace::count(dic_trace::Counter::ExplicitStatesExpanded, u64::from(counter));
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::{materialize_product, GbaCache};
+    use dic_fsm::Kripke;
+    use dic_logic::{BoolExpr, SignalId, SignalTable};
+    use dic_ltl::random::{random_formula, XorShift64};
+    use dic_ltl::Ltl;
+    use dic_netlist::ModuleBuilder;
+    use proptest::prelude::*;
 
-    /// A tiny hand-built graph for direct SCC testing.
+    /// A tiny hand-built graph for direct SCC testing, with dense keys
+    /// (wrap it in [`Hashed`] for the hashed index).
     struct Toy {
         roots: Vec<u32>,
         edges: Vec<Vec<u32>>,
@@ -535,12 +963,52 @@ mod tests {
         fn roots(&self) -> Vec<u32> {
             self.roots.clone()
         }
-        fn succs(&self, n: u32) -> Vec<u32> {
-            self.edges[n as usize].clone()
+        fn succs_into(&self, n: u32, out: &mut Vec<u32>) {
+            out.extend_from_slice(&self.edges[n as usize]);
         }
         fn bits(&self, n: u32) -> u32 {
             self.bits[n as usize]
         }
+        fn key_space(&self) -> Option<usize> {
+            Some(self.edges.len())
+        }
+        fn key(&self, n: u32) -> usize {
+            n as usize
+        }
+    }
+
+    /// Any graph with its dense index switched off.
+    struct Hashed<'a, G>(&'a G);
+
+    impl<G: SccGraph> SccGraph for Hashed<'_, G> {
+        type Node = G::Node;
+        fn roots(&self) -> Vec<G::Node> {
+            self.0.roots()
+        }
+        fn succs_into(&self, n: G::Node, out: &mut Vec<G::Node>) {
+            self.0.succs_into(n, out);
+        }
+        fn bits(&self, n: G::Node) -> u32 {
+            self.0.bits(n)
+        }
+    }
+
+    /// The kernel's lasso and visit count, checked against the reference
+    /// search and against the verdict-only entry point.
+    fn assert_matches_reference<G: SccGraph>(g: &G, mask: u32) -> Option<Lasso<G::Node>>
+    where
+        G::Node: std::fmt::Debug,
+    {
+        let mut search = Search::new(g);
+        let scc = search.accepting_scc(mask);
+        let visited = search.visited;
+        let lasso = scc.map(|scc| search.lasso(&scc, mask));
+        let (expected, expected_visited) = reference::find_accepting_lasso(g, mask);
+        assert_eq!(lasso, expected, "lasso differs from the reference");
+        assert_eq!(visited, expected_visited, "visit count differs from the reference");
+        assert_eq!(has_accepting_lasso(g, mask), lasso.is_some());
+        assert_eq!(find_accepting_lasso(g, mask), lasso);
+        lasso
     }
 
     #[test]
@@ -565,6 +1033,7 @@ mod tests {
             bits: vec![1, 1],
         };
         assert!(find_accepting_lasso(&g, 1).is_none());
+        assert!(!has_accepting_lasso(&g, 1));
     }
 
     #[test]
@@ -637,5 +1106,143 @@ mod tests {
             bits |= g.bits(s);
         }
         assert_eq!(bits & 0b11, 0b11);
+    }
+
+    #[test]
+    fn prefix_may_run_through_nodes_the_search_never_reached() {
+        // Root 0 reaches the accepting loop {3, 4} the long way; root 1,
+        // never expanded because the search stops first, is one step from
+        // it. The loop is entered at 4 (the last member discovered), and
+        // the shortest prefix to it starts at root 1.
+        let g = Toy {
+            roots: vec![0, 1],
+            edges: vec![vec![2], vec![3], vec![5], vec![4], vec![3], vec![3]],
+            bits: vec![0, 0, 0, 1, 0, 0],
+        };
+        let (states, loop_start) = assert_matches_reference(&g, 1).expect("accepting");
+        assert_eq!(assert_matches_reference(&Hashed(&g), 1), Some((states.clone(), loop_start)));
+        assert_eq!((&states[..loop_start], &states[loop_start..]), (&[1, 3][..], &[4, 3][..]));
+    }
+
+    /// The flat index is taken exactly when it fits in the memory the
+    /// system itself keeps, and random products land on both sides.
+    #[test]
+    fn dense_index_only_where_it_fits_the_system_storage() {
+        let (mut dense, mut hashed) = (0, 0);
+        for seed in 1..40 {
+            let mut rng = XorShift64::new(seed);
+            let (k, atoms) = random_kripke(&mut rng);
+            let gba = crate::translate(&random_formula(&mut rng, &atoms, 8));
+            let (states, bytes) = k.dense_states().expect("Kripke states are dense");
+            let slots = states as usize * gba.num_states();
+            let fits = slots * std::mem::size_of::<u32>() <= bytes;
+            let key_space = (Product { sys: &k, gba: &gba }).key_space();
+            assert_eq!(key_space, fits.then_some(slots));
+            if fits {
+                dense += 1;
+            } else {
+                hashed += 1;
+            }
+        }
+        assert!(dense > 0 && hashed > 0, "dense {dense}, hashed {hashed}");
+    }
+
+    /// A random rooted graph: self-loops, duplicate roots and edges, and
+    /// multi-bit acceptance masks.
+    fn random_graph(rng: &mut XorShift64) -> (Toy, u32) {
+        let n = 1 + rng.below(14);
+        let n_acc = rng.below(4) as u32;
+        let edges = (0..n)
+            .map(|_| (0..rng.below(4)).map(|_| rng.below(n) as u32).collect())
+            .collect();
+        let bits = (0..n)
+            .map(|_| {
+                if n_acc == 0 {
+                    0
+                } else {
+                    (rng.next_u64() as u32) & mask_of(n_acc)
+                }
+            })
+            .collect();
+        let roots = (0..1 + rng.below(4)).map(|_| rng.below(n) as u32).collect();
+        (Toy { roots, edges, bits }, mask_of(n_acc))
+    }
+
+    /// A random two-input, two-latch netlist as a Kripke structure, with
+    /// its four signals as formula atoms.
+    fn random_kripke(rng: &mut XorShift64) -> (Kripke, Vec<SignalId>) {
+        let mut t = SignalTable::new();
+        let mut b = ModuleBuilder::new("random", &mut t);
+        let a = b.input("a");
+        let c = b.input("c");
+        let l0 = b.table().intern("l0");
+        let l1 = b.table().intern("l1");
+        let atoms = vec![a, c, l0, l1];
+        let expr = |rng: &mut XorShift64| {
+            let x = BoolExpr::var(atoms[rng.below(4)]);
+            let y = BoolExpr::var(atoms[rng.below(4)]);
+            match rng.below(4) {
+                0 => BoolExpr::and([x, y.not()]),
+                1 => BoolExpr::or([x, y]),
+                2 => BoolExpr::xor(x, y),
+                _ => x.not(),
+            }
+        };
+        let n0 = expr(rng);
+        let n1 = expr(rng);
+        b.latch("l0", n0, rng.flip());
+        b.latch("l1", n1, false);
+        let m = b.finish().expect("valid netlist");
+        let k = Kripke::from_module(&m, &t, &[]).expect("fits");
+        (k, atoms)
+    }
+
+    /// Every query shape the explicit engine issues over `sys`: a single
+    /// formula, and a conjunction of two, through both index kinds.
+    fn check_queries<S: TransitionSystem>(sys: &S, fs: &[Ltl], cache: &GbaCache) {
+        let gbas: Vec<_> = fs.iter().map(|f| cache.get(f)).collect();
+        let single = Product { sys, gba: &gbas[0] };
+        let mask = single.joint_mask();
+        let dense = assert_matches_reference(&single, mask);
+        assert_eq!(assert_matches_reference(&Hashed(&single), mask), dense);
+        let refs: Vec<&Gba> = gbas.iter().map(|g| g.as_ref()).collect();
+        let multi = MultiProduct::new(sys, &refs);
+        assert_matches_reference(&multi, multi.full_mask());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random graphs the kernel returns the reference's lasso and
+        /// visit count through either index.
+        #[test]
+        fn kernel_matches_reference_on_random_graphs(seed in 1u64..1_000_000) {
+            let mut rng = XorShift64::new(seed);
+            let (g, mask) = random_graph(&mut rng);
+            let dense = assert_matches_reference(&g, mask);
+            prop_assert_eq!(assert_matches_reference(&Hashed(&g), mask), dense);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random formulas over random Kripke structures and over the
+        /// products materialized from them: the kernel agrees with the
+        /// reference on every query shape and index kind.
+        #[test]
+        fn kernel_matches_reference_on_random_products(
+            seed in 1u64..1_000_000,
+            budget in 2usize..9,
+        ) {
+            let mut rng = XorShift64::new(seed);
+            let (k, atoms) = random_kripke(&mut rng);
+            let cache = GbaCache::new();
+            let fs: Vec<Ltl> = (0..3).map(|_| random_formula(&mut rng, &atoms, budget)).collect();
+            check_queries(&k, &fs[..2], &cache);
+            let base = materialize_product(&fs[2..], &k, &cache);
+            prop_assert!(base.dense_states().is_some());
+            check_queries(&base, &fs[..2], &cache);
+        }
     }
 }

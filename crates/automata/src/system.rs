@@ -13,8 +13,9 @@ use dic_ltl::LassoWord;
 pub trait TransitionSystem {
     /// The initial states.
     fn initial_states(&self) -> Vec<u32>;
-    /// The successors of `state`.
-    fn successors(&self, state: u32) -> Vec<u32>;
+    /// Calls `f` on each successor of `state`, in a fixed order, without
+    /// allocating.
+    fn for_each_successor(&self, state: u32, f: impl FnMut(u32));
     /// The valuation labelling `state`.
     fn label(&self, state: u32) -> &Valuation;
 
@@ -32,6 +33,15 @@ pub trait TransitionSystem {
     fn acc_bits(&self, _state: u32) -> u32 {
         0
     }
+
+    /// `Some((n, bytes))` when the states are exactly `0..n` and the system
+    /// keeps at least `bytes` bytes to store them. An emptiness search over
+    /// a product with this system then indexes its nodes by a flat array
+    /// instead of a hash map, provided the array takes no more than
+    /// `bytes`; `None` (the default) always keeps the hash map.
+    fn dense_states(&self) -> Option<(u32, usize)> {
+        None
+    }
 }
 
 impl TransitionSystem for Kripke {
@@ -39,12 +49,18 @@ impl TransitionSystem for Kripke {
         Kripke::initial_states(self).collect()
     }
 
-    fn successors(&self, state: u32) -> Vec<u32> {
-        Kripke::successors(self, state).collect()
+    fn for_each_successor(&self, state: u32, f: impl FnMut(u32)) {
+        Kripke::successors(self, state).for_each(f);
     }
 
     fn label(&self, state: u32) -> &Valuation {
         Kripke::label(self, state)
+    }
+
+    /// One stored label per state.
+    fn dense_states(&self) -> Option<(u32, usize)> {
+        let n = self.num_states();
+        Some((n as u32, n * std::mem::size_of::<Valuation>()))
     }
 }
 
@@ -96,12 +112,18 @@ impl TransitionSystem for WordSystem {
         vec![0]
     }
 
-    fn successors(&self, state: u32) -> Vec<u32> {
-        vec![self.word.succ(state as usize) as u32]
+    fn for_each_successor(&self, state: u32, mut f: impl FnMut(u32)) {
+        f(self.word.succ(state as usize) as u32);
     }
 
     fn label(&self, state: u32) -> &Valuation {
         self.word.at(state as usize)
+    }
+
+    /// One stored valuation per position.
+    fn dense_states(&self) -> Option<(u32, usize)> {
+        let n = self.word.len();
+        Some((n as u32, n * std::mem::size_of::<Valuation>()))
     }
 }
 
@@ -118,9 +140,14 @@ mod tests {
         hi.set(p, true);
         let w = LassoWord::new(vec![Valuation::all_false(t.len()), hi], 1).expect("word");
         let sys = WordSystem::new(w);
+        let succs = |s: u32| {
+            let mut out = Vec::new();
+            sys.for_each_successor(s, |t| out.push(t));
+            out
+        };
         assert_eq!(sys.initial_states(), vec![0]);
-        assert_eq!(sys.successors(0), vec![1]);
-        assert_eq!(sys.successors(1), vec![1], "last position loops");
+        assert_eq!(succs(0), vec![1]);
+        assert_eq!(succs(1), vec![1], "last position loops");
         assert!(sys.label(1).get(p));
     }
 }

@@ -470,28 +470,38 @@ impl CoverageModel {
         base: &[dic_ltl::Ltl],
         extra: &[dic_ltl::Ltl],
     ) -> Option<dic_ltl::LassoWord> {
-        let product = {
-            // Poison-tolerant: the memo only ever holds fully-built
-            // `Arc<ProductSystem>` values, so a worker that panicked while
-            // holding the lock cannot have left a half-entry behind.
-            let mut products = self
-                .products
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match products.get(base) {
-                Some(p) => Arc::clone(p),
-                None => {
-                    let p = Arc::new(dic_automata::materialize_product(
-                        base,
-                        self.kripke(),
-                        &self.cache,
-                    ));
-                    products.insert(base.to_vec(), Arc::clone(&p));
-                    p
-                }
-            }
-        };
+        let product = self.base_product(base);
         dic_automata::satisfiable_in_conj_cached(extra, product.as_ref(), &self.cache)
+    }
+
+    /// Verdict-only [`CoverageModel::satisfiable_factored`]: the same
+    /// search, stopped at its verdict, with no witness built.
+    fn satisfiable_factored_verdict(&self, base: &[dic_ltl::Ltl], extra: &[dic_ltl::Ltl]) -> bool {
+        let product = self.base_product(base);
+        dic_automata::is_satisfiable_in_conj_cached(extra, product.as_ref(), &self.cache)
+    }
+
+    /// The memoized product of `M` with `base`, materialized on first use.
+    fn base_product(&self, base: &[dic_ltl::Ltl]) -> Arc<dic_automata::ProductSystem> {
+        // Poison-tolerant: the memo only ever holds fully-built
+        // `Arc<ProductSystem>` values, so a worker that panicked while
+        // holding the lock cannot have left a half-entry behind.
+        let mut products = self
+            .products
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match products.get(base) {
+            Some(p) => Arc::clone(p),
+            None => {
+                let p = Arc::new(dic_automata::materialize_product(
+                    base,
+                    self.kripke(),
+                    &self.cache,
+                ));
+                products.insert(base.to_vec(), Arc::clone(&p));
+                p
+            }
+        }
     }
 
     /// The composed concrete module `M`.
@@ -662,7 +672,8 @@ impl<'m> GapEngine<'m> {
     /// Verdict-only variant of [`GapEngine::scenario`]: the
     /// generalization loop of Algorithm 1 needs thousands of these, and
     /// skipping witness extraction keeps each to a handful of constrained
-    /// images on the symbolic engine.
+    /// images on the symbolic engine, and to the SCC search on the
+    /// explicit one.
     ///
     /// # Errors
     ///
@@ -679,8 +690,7 @@ impl<'m> GapEngine<'m> {
                 .with_symbolic(|sym| sym.factored_cube_sat(base, anchored, cube)),
             Engine::Explicit => Ok(self
                 .model
-                .satisfiable_factored(base, &anchored_extras(anchored, cube))
-                .is_some()),
+                .satisfiable_factored_verdict(base, &anchored_extras(anchored, cube))),
         }
     }
 

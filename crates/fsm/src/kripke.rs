@@ -118,6 +118,7 @@ impl Kripke {
             dic_trace::count(dic_trace::Counter::ExplicitStatesExpanded, labels.len() as u64);
             build_span.meta("states", labels.len() as u64);
             build_span.meta("latch_states", latch_keys.len() as u64);
+            dic_trace::gauge_max(dic_trace::Gauge::ExplicitKripkeStates, labels.len() as u64);
         }
         Ok(Kripke {
             state_vars,

@@ -14,11 +14,21 @@
 //!
 //! Identifiers match `[A-Za-z_][A-Za-z0-9_.\[\]]*`, which is enough for
 //! flattened hierarchical names like `u1.q` or `data[3]`.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels, counting both the
+//! parser's own recursion (parentheses, `!`, the right operand of `->`)
+//! and the depth of the tree it builds (every operator, including the
+//! left-nested chains of `^` and `<->`). A pathological input then fails
+//! with a [`ParseBoolExprError`] instead of overflowing the stack of the
+//! parser or of the passes that walk the expression afterwards.
 
 use crate::expr::BoolExpr;
 use crate::signal::SignalTable;
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting [`BoolExpr::parse`] accepts.
+pub const MAX_NESTING: usize = 256;
 
 /// Error produced when parsing a Boolean expression fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -150,7 +160,12 @@ struct Parser<'a> {
     pos: usize,
     table: &'a mut SignalTable,
     src_len: usize,
+    /// Current recursion level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
+
+/// A parsed subexpression and the nesting depth of its tree.
+type Sub = (BoolExpr, usize);
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<&Tok> {
@@ -182,71 +197,123 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn iff(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
-        let mut lhs = self.imp()?;
+    fn too_deep(position: usize) -> ParseBoolExprError {
+        ParseBoolExprError {
+            position,
+            message: format!("expression nests deeper than {MAX_NESTING} levels"),
+        }
+    }
+
+    /// The depth of an operator node over operands at most `depth` deep,
+    /// refused past [`MAX_NESTING`].
+    fn deeper(depth: usize, position: usize) -> Result<usize, ParseBoolExprError> {
+        if depth >= MAX_NESTING {
+            Err(Self::too_deep(position))
+        } else {
+            Ok(depth + 1)
+        }
+    }
+
+    /// Runs `f` one recursion level deeper, refusing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Sub, ParseBoolExprError>,
+    ) -> Result<Sub, ParseBoolExprError> {
+        if self.depth == MAX_NESTING {
+            return Err(Self::too_deep(self.here()));
+        }
+        self.depth += 1;
+        let sub = f(self);
+        self.depth -= 1;
+        sub
+    }
+
+    fn iff(&mut self) -> Result<Sub, ParseBoolExprError> {
+        let (mut lhs, mut depth) = self.imp()?;
         while self.peek() == Some(&Tok::Iff) {
+            let position = self.here();
             self.pos += 1;
-            let rhs = self.imp()?;
+            let (rhs, d) = self.imp()?;
+            depth = Self::deeper(depth.max(d), position)?;
             lhs = BoolExpr::iff(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn imp(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
-        let lhs = self.or()?;
+    fn imp(&mut self) -> Result<Sub, ParseBoolExprError> {
+        let (lhs, d) = self.or()?;
         if self.peek() == Some(&Tok::Imp) {
+            let position = self.here();
             self.pos += 1;
-            let rhs = self.imp()?; // right associative
-            Ok(BoolExpr::implies(lhs, rhs))
+            let (rhs, e) = self.nested(Self::imp)?; // right associative
+            Ok((BoolExpr::implies(lhs, rhs), Self::deeper(d.max(e), position)?))
         } else {
-            Ok(lhs)
+            Ok((lhs, d))
         }
     }
 
-    fn or(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
-        let mut parts = vec![self.xor()?];
+    fn or(&mut self) -> Result<Sub, ParseBoolExprError> {
+        let position = self.here();
+        let (first, mut depth) = self.xor()?;
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::Or) {
             self.pos += 1;
-            parts.push(self.xor()?);
+            let (part, d) = self.xor()?;
+            depth = depth.max(d);
+            parts.push(part);
         }
-        Ok(BoolExpr::or(parts))
+        if parts.len() > 1 {
+            depth = Self::deeper(depth, position)?;
+        }
+        Ok((BoolExpr::or(parts), depth))
     }
 
-    fn xor(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
-        let mut lhs = self.and()?;
+    fn xor(&mut self) -> Result<Sub, ParseBoolExprError> {
+        let (mut lhs, mut depth) = self.and()?;
         while self.peek() == Some(&Tok::Xor) {
+            let position = self.here();
             self.pos += 1;
-            let rhs = self.and()?;
+            let (rhs, d) = self.and()?;
+            depth = Self::deeper(depth.max(d), position)?;
             lhs = BoolExpr::xor(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
-        let mut parts = vec![self.unary()?];
+    fn and(&mut self) -> Result<Sub, ParseBoolExprError> {
+        let position = self.here();
+        let (first, mut depth) = self.unary()?;
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::And) {
             self.pos += 1;
-            parts.push(self.unary()?);
+            let (part, d) = self.unary()?;
+            depth = depth.max(d);
+            parts.push(part);
         }
-        Ok(BoolExpr::and(parts))
+        if parts.len() > 1 {
+            depth = Self::deeper(depth, position)?;
+        }
+        Ok((BoolExpr::and(parts), depth))
     }
 
-    fn unary(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+    fn unary(&mut self) -> Result<Sub, ParseBoolExprError> {
         if self.peek() == Some(&Tok::Not) {
+            let position = self.here();
             self.pos += 1;
-            return Ok(self.unary()?.not());
+            let (e, d) = self.nested(Self::unary)?;
+            return Ok((e.not(), Self::deeper(d, position)?));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+    fn atom(&mut self) -> Result<Sub, ParseBoolExprError> {
         let position = self.here();
         match self.bump() {
-            Some(Tok::Ident(name)) => Ok(BoolExpr::var(self.table.intern(&name))),
-            Some(Tok::True) => Ok(BoolExpr::tt()),
-            Some(Tok::False) => Ok(BoolExpr::ff()),
+            Some(Tok::Ident(name)) => Ok((BoolExpr::var(self.table.intern(&name)), 0)),
+            Some(Tok::True) => Ok((BoolExpr::tt(), 0)),
+            Some(Tok::False) => Ok((BoolExpr::ff(), 0)),
             Some(Tok::LParen) => {
-                let e = self.iff()?;
+                let e = self.nested(Self::iff)?;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(e)
             }
@@ -263,8 +330,9 @@ impl BoolExpr {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseBoolExprError`] on malformed input; the error carries
-    /// the byte offset of the failure.
+    /// Returns [`ParseBoolExprError`] on malformed input or on input
+    /// nesting deeper than [`MAX_NESTING`]; the error carries the byte
+    /// offset of the failure.
     ///
     /// # Example
     ///
@@ -285,8 +353,9 @@ impl BoolExpr {
             pos: 0,
             table,
             src_len: src.len(),
+            depth: 0,
         };
-        let e = p.iff()?;
+        let (e, _) = p.iff()?;
         if p.pos != p.toks.len() {
             return Err(ParseBoolExprError {
                 position: p.here(),
@@ -366,6 +435,27 @@ mod tests {
         let mut t = SignalTable::new();
         assert!(BoolExpr::parse("a b", &mut t).is_err());
         assert!(BoolExpr::parse("(a", &mut t).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_overflowed() {
+        let mut t = SignalTable::new();
+        let deep = |open: &str, mid: &str, n: usize| open.repeat(n) + "a" + &mid.repeat(n);
+        let chain = |op: &str, n: usize| vec!["a"; n + 1].join(op);
+        for (src, at_limit) in [
+            (deep("(", ")", 100_000), deep("(", ")", MAX_NESTING)),
+            (deep("!", "", 100_000), deep("!", "", MAX_NESTING)),
+            (chain(" -> ", 100_000), chain(" -> ", MAX_NESTING)),
+            (chain(" ^ ", 100_000), chain(" ^ ", MAX_NESTING)),
+            (chain(" <-> ", 100_000), chain(" <-> ", MAX_NESTING)),
+            (deep("a & (", ")", 100_000), deep("a & (", ")", MAX_NESTING - 1)),
+        ] {
+            let err = BoolExpr::parse(&src, &mut t).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{}", err.message);
+            assert!(BoolExpr::parse(&at_limit, &mut t).is_ok());
+        }
+        // Width is not depth.
+        assert!(BoolExpr::parse(&chain(" & ", 100_000), &mut t).is_ok());
     }
 
     #[test]

@@ -354,23 +354,35 @@ pub enum Gauge {
     BddLiveNodes,
     /// High-water mark of [`Gauge::BddLiveNodes`].
     BddPeakNodes,
+    /// States of the largest explicit Kripke structure built.
+    ExplicitKripkeStates,
+    /// States of the largest base product the explicit engine
+    /// materialized.
+    ExplicitProductStates,
 }
 
 impl Gauge {
     /// Every gauge, in canonical order.
-    pub const ALL: [Gauge; NUM_GAUGES] = [Gauge::BddLiveNodes, Gauge::BddPeakNodes];
+    pub const ALL: [Gauge; NUM_GAUGES] = [
+        Gauge::BddLiveNodes,
+        Gauge::BddPeakNodes,
+        Gauge::ExplicitKripkeStates,
+        Gauge::ExplicitProductStates,
+    ];
 
     /// The gauge's stable dotted name.
     pub const fn name(self) -> &'static str {
         match self {
             Gauge::BddLiveNodes => "bdd.live_nodes",
             Gauge::BddPeakNodes => "bdd.peak_nodes",
+            Gauge::ExplicitKripkeStates => "explicit.kripke_states",
+            Gauge::ExplicitProductStates => "explicit.product_states",
         }
     }
 }
 
 /// Number of distinct gauges.
-pub const NUM_GAUGES: usize = 2;
+pub const NUM_GAUGES: usize = 4;
 
 static GAUGES: [AtomicU64; NUM_GAUGES] = [const { AtomicU64::new(0) }; NUM_GAUGES];
 

@@ -733,6 +733,70 @@ fn sixteen_nested_untils_still_check() {
     }
 }
 
+/// Generated `.snl` and `.spec` files — garbage, deep nestings, and
+/// well-formed files with random formulas — always end in the exit-code
+/// contract (0..=3), never in a panic (101) or an abort (134). The `.spec`
+/// reader lives in the binary, so only the CLI can exercise it.
+#[test]
+fn generated_input_files_keep_the_exit_code_contract() {
+    use specmatcher::ltl::random::{random_formula, XorShift64};
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let good_snl = std::fs::read_to_string(format!("{data}/mal_ex1.snl")).expect("packaged snl");
+    let mut rng = XorShift64::new(0x5eed);
+    let mut garbage = |n: usize| -> String {
+        const PIECES: &[&str] = &[
+            "(", ")", "!", "&", "|", "->", "G", "X", "U", "r1", "n1", "=", " ", "\n", "arch", "rtl",
+            "module", "assign", "latch", "endmodule", "#",
+        ];
+        (0..n).map(|_| PIECES[rng.below(PIECES.len())]).collect()
+    };
+    let deep = |open: &str, close: &str| format!("{}r1{}", open.repeat(5000), close.repeat(5000));
+    let snls = [
+        good_snl.clone(),
+        garbage(200),
+        good_snl.replace("assign g1 = n1 & !cwait", &format!("assign g1 = {}", deep("!(", ")"))),
+        good_snl.replace("endmodule", ""),
+    ];
+    let mut t = specmatcher::logic::SignalTable::new();
+    let atoms: Vec<_> = ["r1", "r2", "n1", "d1", "hit"].iter().map(|a| t.intern(a)).collect();
+    let mut formula_rng = XorShift64::new(0xf00d);
+    let mut formula = || random_formula(&mut formula_rng, &atoms, 6).display(&t).to_string();
+    // Assumption 1 needs every architectural signal in the RTL suite.
+    let all = "rtl ALL = G(r1 -> X n1) & G(r2 -> F d1) & G F hit";
+    let specs = [
+        format!("arch A = {}\nrtl R = {}\n{all}\n", formula(), formula()),
+        format!("arch A = {}\n{all}\n", formula()),
+        format!("arch A = {}\n{all}\n", deep("X (", ")")),
+        garbage(120),
+    ];
+    let dir = std::env::temp_dir().join(format!("specmatcher-gen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    for (i, snl) in snls.iter().enumerate() {
+        for (j, spec) in specs.iter().enumerate() {
+            let snl_path = dir.join(format!("{i}.snl"));
+            let spec_path = dir.join(format!("{j}.spec"));
+            std::fs::write(&snl_path, snl).expect("write snl");
+            std::fs::write(&spec_path, spec).expect("write spec");
+            let out = specmatcher(&[
+                "check",
+                "--timeout",
+                "20",
+                "--snl",
+                snl_path.to_str().expect("utf8 path"),
+                "--spec",
+                spec_path.to_str().expect("utf8 path"),
+            ]);
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0..=3)),
+                "snl {i} x spec {j} exited {code:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fsm_dump_is_dot() {
     let out = specmatcher(&["fsm", "--design", "mal-ex1"]);

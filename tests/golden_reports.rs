@@ -11,7 +11,7 @@
 //! ```
 
 use specmatcher::core::{GapConfig, SpecMatcher};
-use specmatcher::designs::{mal, scaling, Design};
+use specmatcher::designs::{amba, mal, pipeline, scaling, Design};
 use std::path::PathBuf;
 
 /// Renders the full coverage report for `design` with the default
@@ -98,4 +98,19 @@ fn chain_gap_report_matches_golden() {
     // Gapped scaling fixture: exercises the Theorem 2 exact-hole fallback
     // (no structure-preserving property closes the off-by-one chain gap).
     assert_golden("chain_6_gap.txt", &normalized_report(&scaling::chain_design(6, true)));
+}
+
+#[test]
+fn pipeline_report_matches_golden() {
+    // Default backend (Auto resolves to explicit): pins the explicit
+    // engine's witness and gap properties on a second packaged design.
+    assert_golden("pipeline.txt", &normalized_report(&pipeline::pipeline12()));
+}
+
+#[test]
+#[ignore = "amba-ahb runs ~15 s on the explicit engine; the nightly lane runs ignored suites"]
+fn amba_ahb_report_matches_golden() {
+    // The largest packaged explicit design: every witness the explicit
+    // emptiness search produces on it is pinned.
+    assert_golden("amba_ahb.txt", &normalized_report(&amba::ahb29()));
 }

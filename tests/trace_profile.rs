@@ -301,6 +301,63 @@ fn symbolic_runs_count_bdd_work() {
     }
 }
 
+/// Every explicit emptiness search has its own span: present on explicit
+/// runs, under the gap verification (directly at one worker, through a
+/// `gap.worker` at two), and never around an automaton translation, which
+/// happens before the search starts. The explicit size gauges are set on
+/// traced runs only, like every other gauge.
+#[test]
+fn explicit_searches_have_their_own_span() {
+    let _guard = exclusive();
+    for (jobs, verify_parent) in [(1, "gap.verify"), (2, "gap.worker")] {
+        trace::set_enabled(true);
+        trace::reset();
+        mal::ex2()
+            .check(
+                &SpecMatcher::new(small_config())
+                    .with_backend(Backend::Explicit)
+                    .with_jobs(jobs),
+            )
+            .expect("runs");
+        trace::set_enabled(false);
+
+        let data = trace::capture();
+        let by_id: std::collections::HashMap<u64, &trace::SpanRecord> =
+            data.spans.iter().map(|s| (s.id, s)).collect();
+        let name_of = |id: u64| by_id.get(&id).map_or("", |s| s.name.as_str());
+        let searches: Vec<_> = data
+            .spans
+            .iter()
+            .filter(|s| s.name == "explicit.search")
+            .collect();
+        assert!(!searches.is_empty(), "no explicit.search span at --jobs {jobs}");
+        assert!(
+            searches.iter().any(|s| name_of(s.parent) == verify_parent),
+            "no explicit.search under {verify_parent} at --jobs {jobs}"
+        );
+        for t in data.spans.iter().filter(|s| s.name == "automata.translate") {
+            let mut up = t.parent;
+            while up != 0 {
+                assert_ne!(
+                    name_of(up),
+                    "explicit.search",
+                    "automata.translate nests in explicit.search"
+                );
+                up = by_id.get(&up).map_or(0, |s| s.parent);
+            }
+        }
+        assert!(trace::gauge_value(trace::Gauge::ExplicitKripkeStates) > 0);
+        assert!(trace::gauge_value(trace::Gauge::ExplicitProductStates) > 0);
+    }
+
+    trace::reset();
+    mal::ex2()
+        .check(&SpecMatcher::new(small_config()).with_backend(Backend::Explicit))
+        .expect("runs");
+    assert_eq!(trace::gauge_value(trace::Gauge::ExplicitKripkeStates), 0);
+    assert_eq!(trace::gauge_value(trace::Gauge::ExplicitProductStates), 0);
+}
+
 #[test]
 fn jsonl_stream_replays_into_the_live_tree() {
     let _guard = exclusive();
