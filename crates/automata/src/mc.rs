@@ -2,7 +2,9 @@
 
 use crate::gba::{translate, Gba};
 use crate::hashing::FastMap;
-use crate::product::{find_accepting_lasso, has_accepting_lasso, MultiProduct, Product, SccGraph};
+use crate::product::{
+    find_accepting_lasso, has_accepting_lasso, Lasso, MultiProduct, Product, SccGraph,
+};
 use crate::reduce::{reduce, reduce_with_stats, ReductionStats};
 use crate::system::TransitionSystem;
 use dic_ltl::{LassoWord, Ltl};
@@ -230,6 +232,18 @@ pub fn satisfiable_in_conj_cached<S: TransitionSystem>(
     conj_product_lasso(&refs, sys)
 }
 
+/// Verdict-only [`satisfiable_in_conj_cached`]: the same search, stopped
+/// at the accepting SCC, with no lasso built.
+pub fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
+    formulas: &[Ltl],
+    sys: &S,
+    cache: &GbaCache,
+) -> bool {
+    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
+    let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
+    conj_search(&refs, sys, false).is_some()
+}
+
 /// Existential conjunction query over caller-supplied automata — the hook
 /// the reduction-equivalence suite uses to run raw and reduced
 /// translations of the same conjunction against one system and compare.
@@ -240,39 +254,37 @@ pub fn satisfiable_in_conj_gbas<S: TransitionSystem>(
     conj_product_lasso(gbas, sys)
 }
 
-/// Verdict-only [`satisfiable_in_conj_cached`]: the same search, stopped
-/// at the accepting SCC, with no lasso built.
-pub fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
-    formulas: &[Ltl],
+/// The emptiness search of a conjunction query plus, when `witness` is
+/// set, its lasso: `None` when no run satisfies the conjunction,
+/// `Some(None)` for a verdict-only hit. The automata are translated by the
+/// caller, outside the `explicit.search` span.
+fn conj_search<S: TransitionSystem>(
+    gbas: &[&Gba],
     sys: &S,
-    cache: &GbaCache,
-) -> bool {
-    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
-    let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
-    let _span = dic_trace::span("explicit.search");
-    if let [gba] = refs[..] {
-        let product = Product { sys, gba };
-        has_accepting_lasso(&product, product.joint_mask())
-    } else {
-        let product = MultiProduct::new(sys, &refs);
-        has_accepting_lasso(&product, product.full_mask())
+    witness: bool,
+) -> Option<Option<Lasso<(u32, u32)>>> {
+    fn search<G: SccGraph>(g: &G, mask: u32, witness: bool) -> Option<Option<Lasso<G::Node>>> {
+        if witness {
+            find_accepting_lasso(g, mask).map(Some)
+        } else {
+            has_accepting_lasso(g, mask).then_some(None)
+        }
     }
-}
-
-/// The emptiness search of a conjunction query, plus its witness. The
-/// automata are translated by the caller, outside the `explicit.search`
-/// span.
-fn conj_product_lasso<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<LassoWord> {
     let _span = dic_trace::span("explicit.search");
     // Single-conjunct queries (the candidate-closure hot path) skip the
     // tuple-interning machinery entirely.
-    let (states, loop_start) = if let [gba] = gbas {
+    if let [gba] = gbas {
         let product = Product { sys, gba };
-        find_accepting_lasso(&product, product.joint_mask())?
+        search(&product, product.joint_mask(), witness)
     } else {
         let product = MultiProduct::new(sys, gbas);
-        find_accepting_lasso(&product, product.full_mask())?
-    };
+        search(&product, product.full_mask(), witness)
+    }
+}
+
+/// [`conj_search`] with its witness, as a word of the system's labels.
+fn conj_product_lasso<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<LassoWord> {
+    let (states, loop_start) = conj_search(gbas, sys, true)?.expect("a witness was asked for");
     let word_states = states.iter().map(|&(k, _)| sys.label(k).clone()).collect();
     Some(LassoWord::new(word_states, loop_start).expect("lasso has a loop"))
 }
@@ -322,7 +334,6 @@ pub struct ProductSystem {
     label_of: Vec<u32>,
     bits: Vec<u32>,
     n_acc: u32,
-    n_transitions: usize,
 }
 
 impl ProductSystem {
@@ -333,7 +344,7 @@ impl ProductSystem {
 
     /// Number of materialized transitions.
     pub fn num_transitions(&self) -> usize {
-        self.n_transitions
+        self.succs.iter().map(Vec::len).sum()
     }
 
     /// Whether the product is empty (the base system cannot satisfy the
@@ -365,18 +376,6 @@ impl TransitionSystem for ProductSystem {
     fn acc_bits(&self, state: u32) -> u32 {
         self.bits[state as usize]
     }
-
-    /// Per state: a successor list, a label id and acceptance bits; plus
-    /// every stored edge and pooled label.
-    fn dense_states(&self) -> Option<(u32, usize)> {
-        use std::mem::size_of;
-        let n = self.succs.len();
-        let per_state = size_of::<Vec<u32>>() + 2 * size_of::<u32>();
-        let bytes = n * per_state
-            + self.n_transitions * size_of::<u32>()
-            + self.labels.len() * size_of::<dic_logic::Valuation>();
-        Some((n as u32, bytes))
-    }
 }
 
 /// Materializes the reachable product of `sys` with the automata of
@@ -404,7 +403,6 @@ pub fn materialize_product<S: TransitionSystem>(
         label_of: Vec::new(),
         bits: Vec::new(),
         n_acc,
-        n_transitions: 0,
     };
     // Worklist entries carry (product node, interned id).
     let mut work: Vec<((u32, u32), u32)> = Vec::new();
@@ -443,7 +441,6 @@ pub fn materialize_product<S: TransitionSystem>(
             .collect();
         edges.sort_unstable();
         edges.dedup();
-        out.n_transitions += edges.len();
         out.succs[id as usize] = edges;
     }
     dic_trace::gauge_max(dic_trace::Gauge::ExplicitProductStates, out.succs.len() as u64);

@@ -8,11 +8,9 @@
 //!
 //! The kernel numbers nodes by DFS discovery order and keeps every
 //! per-node fact (lowlink, stack membership, acceptance bits, self-loop) in
-//! flat vectors indexed by that number. One index maps a node to its
-//! number: a flat array over the graph's dense keys where it has them
-//! (`SccGraph::key_space`), a hash map otherwise. Witnesses depend only on
-//! the order in which roots and successors are visited, never on the index,
-//! so both index kinds return the same lasso.
+//! flat vectors indexed by that number; one hash map takes a node to its
+//! number. Witnesses depend only on the order in which roots and
+//! successors are visited.
 
 use crate::gba::Gba;
 use crate::hashing::FastMap;
@@ -30,19 +28,6 @@ pub(crate) trait SccGraph {
     fn succs_into(&self, n: Self::Node, out: &mut Vec<Self::Node>);
     /// Acceptance bits of a node.
     fn bits(&self, n: Self::Node) -> u32;
-
-    /// `Some(space)` when [`SccGraph::key`] maps every node injectively
-    /// into `0..space`, so the search may index nodes by a flat array of
-    /// `space` slots; `None` keeps a hashed index.
-    fn key_space(&self) -> Option<usize> {
-        None
-    }
-
-    /// The dense key of a node; called only when
-    /// [`SccGraph::key_space`] is `Some`.
-    fn key(&self, _n: Self::Node) -> usize {
-        unreachable!("a graph without a key space has no dense keys")
-    }
 
     /// Successors of a node, in search order.
     fn succs(&self, n: Self::Node) -> Vec<Self::Node> {
@@ -99,18 +84,6 @@ impl<S: TransitionSystem> SccGraph for Product<'_, S> {
 
     fn bits(&self, (k, q): Self::Node) -> u32 {
         self.sys.acc_bits(k) | self.gba.state(q).acc_bits() << self.sys.num_acc_sets()
-    }
-
-    /// `|S|·|Q|` slots, when the system's states are dense and the array
-    /// takes no more memory than the system itself keeps.
-    fn key_space(&self) -> Option<usize> {
-        let (states, bytes) = self.sys.dense_states()?;
-        let space = (states as usize).checked_mul(self.gba.num_states())?;
-        (space.checked_mul(std::mem::size_of::<u32>())? <= bytes).then_some(space)
-    }
-
-    fn key(&self, (k, q): Self::Node) -> usize {
-        k as usize * self.gba.num_states() + q as usize
     }
 }
 
@@ -416,14 +389,6 @@ impl SccGraph for GbaGraph<'_> {
     fn bits(&self, n: u32) -> u32 {
         self.0.state(n).acc_bits()
     }
-
-    fn key_space(&self) -> Option<usize> {
-        Some(self.0.num_states())
-    }
-
-    fn key(&self, n: u32) -> usize {
-        n as usize
-    }
 }
 
 /// A lasso `(states, loop_start)`: `states[loop_start..]` is the cycle
@@ -444,14 +409,6 @@ pub(crate) fn has_accepting_lasso<G: SccGraph>(g: &G, full_mask: u32) -> bool {
     Search::new(g).accepting_scc(full_mask).is_some()
 }
 
-/// The search's one node → id index.
-enum NodeIndex<N> {
-    /// Flat over the graph's dense keys: `slots[key]` is `id + 1`, and `0`
-    /// marks a node not seen yet.
-    Dense(Vec<u32>),
-    Hashed(FastMap<N, u32>),
-}
-
 /// Where a lasso BFS stops.
 #[derive(Clone, Copy)]
 enum Goal {
@@ -467,7 +424,8 @@ const UNSEEN: u32 = u32::MAX;
 /// State of one emptiness search and of its lasso extraction.
 struct Search<'g, G: SccGraph> {
     g: &'g G,
-    index: NodeIndex<G::Node>,
+    /// Node → id.
+    index: FastMap<G::Node, u32>,
     /// Nodes by id. Ids `0..visited` number the nodes the Tarjan search
     /// discovered, in DFS order (they double as Tarjan's indices); the
     /// prefix BFS of a lasso may append nodes the search never reached.
@@ -488,13 +446,9 @@ struct Search<'g, G: SccGraph> {
 
 impl<'g, G: SccGraph> Search<'g, G> {
     fn new(g: &'g G) -> Self {
-        let index = match g.key_space() {
-            Some(space) => NodeIndex::Dense(vec![0; space]),
-            None => NodeIndex::Hashed(FastMap::default()),
-        };
         Search {
             g,
-            index,
+            index: FastMap::default(),
             nodes: Vec::new(),
             bits: Vec::new(),
             low: Vec::new(),
@@ -507,21 +461,13 @@ impl<'g, G: SccGraph> Search<'g, G> {
 
     /// The id of `n`, if it has one.
     fn id_of(&self, n: G::Node) -> Option<u32> {
-        match &self.index {
-            NodeIndex::Dense(slots) => slots[self.g.key(n)].checked_sub(1),
-            NodeIndex::Hashed(map) => map.get(&n).copied(),
-        }
+        self.index.get(&n).copied()
     }
 
     /// Gives `n` the next id.
     fn push_node(&mut self, n: G::Node) -> u32 {
         let id = self.nodes.len() as u32;
-        match &mut self.index {
-            NodeIndex::Dense(slots) => slots[self.g.key(n)] = id + 1,
-            NodeIndex::Hashed(map) => {
-                map.insert(n, id);
-            }
-        }
+        self.index.insert(n, id);
         self.nodes.push(n);
         id
     }
@@ -950,8 +896,7 @@ mod tests {
     use dic_netlist::ModuleBuilder;
     use proptest::prelude::*;
 
-    /// A tiny hand-built graph for direct SCC testing, with dense keys
-    /// (wrap it in [`Hashed`] for the hashed index).
+    /// A tiny hand-built graph for direct SCC testing.
     struct Toy {
         roots: Vec<u32>,
         edges: Vec<Vec<u32>>,
@@ -968,28 +913,6 @@ mod tests {
         }
         fn bits(&self, n: u32) -> u32 {
             self.bits[n as usize]
-        }
-        fn key_space(&self) -> Option<usize> {
-            Some(self.edges.len())
-        }
-        fn key(&self, n: u32) -> usize {
-            n as usize
-        }
-    }
-
-    /// Any graph with its dense index switched off.
-    struct Hashed<'a, G>(&'a G);
-
-    impl<G: SccGraph> SccGraph for Hashed<'_, G> {
-        type Node = G::Node;
-        fn roots(&self) -> Vec<G::Node> {
-            self.0.roots()
-        }
-        fn succs_into(&self, n: G::Node, out: &mut Vec<G::Node>) {
-            self.0.succs_into(n, out);
-        }
-        fn bits(&self, n: G::Node) -> u32 {
-            self.0.bits(n)
         }
     }
 
@@ -1120,31 +1043,7 @@ mod tests {
             bits: vec![0, 0, 0, 1, 0, 0],
         };
         let (states, loop_start) = assert_matches_reference(&g, 1).expect("accepting");
-        assert_eq!(assert_matches_reference(&Hashed(&g), 1), Some((states.clone(), loop_start)));
         assert_eq!((&states[..loop_start], &states[loop_start..]), (&[1, 3][..], &[4, 3][..]));
-    }
-
-    /// The flat index is taken exactly when it fits in the memory the
-    /// system itself keeps, and random products land on both sides.
-    #[test]
-    fn dense_index_only_where_it_fits_the_system_storage() {
-        let (mut dense, mut hashed) = (0, 0);
-        for seed in 1..40 {
-            let mut rng = XorShift64::new(seed);
-            let (k, atoms) = random_kripke(&mut rng);
-            let gba = crate::translate(&random_formula(&mut rng, &atoms, 8));
-            let (states, bytes) = k.dense_states().expect("Kripke states are dense");
-            let slots = states as usize * gba.num_states();
-            let fits = slots * std::mem::size_of::<u32>() <= bytes;
-            let key_space = (Product { sys: &k, gba: &gba }).key_space();
-            assert_eq!(key_space, fits.then_some(slots));
-            if fits {
-                dense += 1;
-            } else {
-                hashed += 1;
-            }
-        }
-        assert!(dense > 0 && hashed > 0, "dense {dense}, hashed {hashed}");
     }
 
     /// A random rooted graph: self-loops, duplicate roots and edges, and
@@ -1198,13 +1097,11 @@ mod tests {
     }
 
     /// Every query shape the explicit engine issues over `sys`: a single
-    /// formula, and a conjunction of two, through both index kinds.
+    /// formula, and a conjunction of two.
     fn check_queries<S: TransitionSystem>(sys: &S, fs: &[Ltl], cache: &GbaCache) {
         let gbas: Vec<_> = fs.iter().map(|f| cache.get(f)).collect();
         let single = Product { sys, gba: &gbas[0] };
-        let mask = single.joint_mask();
-        let dense = assert_matches_reference(&single, mask);
-        assert_eq!(assert_matches_reference(&Hashed(&single), mask), dense);
+        assert_matches_reference(&single, single.joint_mask());
         let refs: Vec<&Gba> = gbas.iter().map(|g| g.as_ref()).collect();
         let multi = MultiProduct::new(sys, &refs);
         assert_matches_reference(&multi, multi.full_mask());
@@ -1214,13 +1111,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// On random graphs the kernel returns the reference's lasso and
-        /// visit count through either index.
+        /// visit count.
         #[test]
         fn kernel_matches_reference_on_random_graphs(seed in 1u64..1_000_000) {
             let mut rng = XorShift64::new(seed);
             let (g, mask) = random_graph(&mut rng);
-            let dense = assert_matches_reference(&g, mask);
-            prop_assert_eq!(assert_matches_reference(&Hashed(&g), mask), dense);
+            assert_matches_reference(&g, mask);
         }
     }
 
@@ -1229,7 +1125,7 @@ mod tests {
 
         /// Random formulas over random Kripke structures and over the
         /// products materialized from them: the kernel agrees with the
-        /// reference on every query shape and index kind.
+        /// reference on every query shape.
         #[test]
         fn kernel_matches_reference_on_random_products(
             seed in 1u64..1_000_000,
@@ -1241,7 +1137,6 @@ mod tests {
             let fs: Vec<Ltl> = (0..3).map(|_| random_formula(&mut rng, &atoms, budget)).collect();
             check_queries(&k, &fs[..2], &cache);
             let base = materialize_product(&fs[2..], &k, &cache);
-            prop_assert!(base.dense_states().is_some());
             check_queries(&base, &fs[..2], &cache);
         }
     }

@@ -33,15 +33,6 @@ pub trait TransitionSystem {
     fn acc_bits(&self, _state: u32) -> u32 {
         0
     }
-
-    /// `Some((n, bytes))` when the states are exactly `0..n` and the system
-    /// keeps at least `bytes` bytes to store them. An emptiness search over
-    /// a product with this system then indexes its nodes by a flat array
-    /// instead of a hash map, provided the array takes no more than
-    /// `bytes`; `None` (the default) always keeps the hash map.
-    fn dense_states(&self) -> Option<(u32, usize)> {
-        None
-    }
 }
 
 impl TransitionSystem for Kripke {
@@ -55,12 +46,6 @@ impl TransitionSystem for Kripke {
 
     fn label(&self, state: u32) -> &Valuation {
         Kripke::label(self, state)
-    }
-
-    /// One stored label per state.
-    fn dense_states(&self) -> Option<(u32, usize)> {
-        let n = self.num_states();
-        Some((n as u32, n * std::mem::size_of::<Valuation>()))
     }
 }
 
@@ -118,12 +103,6 @@ impl TransitionSystem for WordSystem {
 
     fn label(&self, state: u32) -> &Valuation {
         self.word.at(state as usize)
-    }
-
-    /// One stored valuation per position.
-    fn dense_states(&self) -> Option<(u32, usize)> {
-        let n = self.word.len();
-        Some((n as u32, n * std::mem::size_of::<Valuation>()))
     }
 }
 

@@ -474,13 +474,6 @@ impl CoverageModel {
         dic_automata::satisfiable_in_conj_cached(extra, product.as_ref(), &self.cache)
     }
 
-    /// Verdict-only [`CoverageModel::satisfiable_factored`]: the same
-    /// search, stopped at its verdict, with no witness built.
-    fn satisfiable_factored_verdict(&self, base: &[dic_ltl::Ltl], extra: &[dic_ltl::Ltl]) -> bool {
-        let product = self.base_product(base);
-        dic_automata::is_satisfiable_in_conj_cached(extra, product.as_ref(), &self.cache)
-    }
-
     /// The memoized product of `M` with `base`, materialized on first use.
     fn base_product(&self, base: &[dic_ltl::Ltl]) -> Arc<dic_automata::ProductSystem> {
         // Poison-tolerant: the memo only ever holds fully-built
@@ -688,9 +681,11 @@ impl<'m> GapEngine<'m> {
             Engine::Symbolic => self
                 .model
                 .with_symbolic(|sym| sym.factored_cube_sat(base, anchored, cube)),
-            Engine::Explicit => Ok(self
-                .model
-                .satisfiable_factored_verdict(base, &anchored_extras(anchored, cube))),
+            Engine::Explicit => Ok(dic_automata::is_satisfiable_in_conj_cached(
+                &anchored_extras(anchored, cube),
+                self.model.base_product(base).as_ref(),
+                &self.model.cache,
+            )),
         }
     }
 

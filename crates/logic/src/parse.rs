@@ -15,12 +15,13 @@
 //! Identifiers match `[A-Za-z_][A-Za-z0-9_.\[\]]*`, which is enough for
 //! flattened hierarchical names like `u1.q` or `data[3]`.
 //!
-//! Nesting is capped at [`MAX_NESTING`] levels, counting both the
-//! parser's own recursion (parentheses, `!`, the right operand of `->`)
-//! and the depth of the tree it builds (every operator, including the
-//! left-nested chains of `^` and `<->`). A pathological input then fails
-//! with a [`ParseBoolExprError`] instead of overflowing the stack of the
-//! parser or of the passes that walk the expression afterwards.
+//! Nesting — parentheses, `!` and the right operands of `->` — is capped
+//! at [`MAX_NESTING`] levels, so a pathological input fails with a
+//! [`ParseBoolExprError`] instead of overflowing the stack of the parser
+//! or of the passes that walk the expression afterwards. Chains of the
+//! associative `^` and `<->` are built as balanced trees, so a chain of
+//! `n` operands adds only about `log2 n` levels, and `&`/`|` chains are
+//! flat: width is not nesting.
 
 use crate::expr::BoolExpr;
 use crate::signal::SignalTable;
@@ -160,12 +161,28 @@ struct Parser<'a> {
     pos: usize,
     table: &'a mut SignalTable,
     src_len: usize,
-    /// Current recursion level, bounded by [`MAX_NESTING`].
+    /// Current nesting level, bounded by [`MAX_NESTING`].
     depth: usize,
 }
 
-/// A parsed subexpression and the nesting depth of its tree.
-type Sub = (BoolExpr, usize);
+/// Joins the operands of an associative operator chain into a balanced
+/// tree by combining neighbours pairwise, so `n` operands nest only
+/// `⌈log2 n⌉` deep; chains of up to three operands come out left-nested,
+/// as a left fold would build them.
+fn balanced(mut parts: Vec<BoolExpr>, join: fn(BoolExpr, BoolExpr) -> BoolExpr) -> BoolExpr {
+    while parts.len() > 1 {
+        let mut level = Vec::with_capacity(parts.len().div_ceil(2));
+        let mut it = parts.into_iter();
+        while let Some(a) = it.next() {
+            level.push(match it.next() {
+                Some(b) => join(a, b),
+                None => a,
+            });
+        }
+        parts = level;
+    }
+    parts.pop().expect("a chain has an operand")
+}
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<&Tok> {
@@ -197,121 +214,84 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn too_deep(position: usize) -> ParseBoolExprError {
-        ParseBoolExprError {
-            position,
-            message: format!("expression nests deeper than {MAX_NESTING} levels"),
-        }
-    }
-
-    /// The depth of an operator node over operands at most `depth` deep,
-    /// refused past [`MAX_NESTING`].
-    fn deeper(depth: usize, position: usize) -> Result<usize, ParseBoolExprError> {
-        if depth >= MAX_NESTING {
-            Err(Self::too_deep(position))
-        } else {
-            Ok(depth + 1)
-        }
-    }
-
-    /// Runs `f` one recursion level deeper, refusing past [`MAX_NESTING`].
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
     fn nested(
         &mut self,
-        f: impl FnOnce(&mut Self) -> Result<Sub, ParseBoolExprError>,
-    ) -> Result<Sub, ParseBoolExprError> {
+        f: impl FnOnce(&mut Self) -> Result<BoolExpr, ParseBoolExprError>,
+    ) -> Result<BoolExpr, ParseBoolExprError> {
         if self.depth == MAX_NESTING {
-            return Err(Self::too_deep(self.here()));
+            return Err(ParseBoolExprError {
+                position: self.here(),
+                message: format!("expression nests deeper than {MAX_NESTING} levels"),
+            });
         }
         self.depth += 1;
-        let sub = f(self);
+        let e = f(self);
         self.depth -= 1;
-        sub
+        e
     }
 
-    fn iff(&mut self) -> Result<Sub, ParseBoolExprError> {
-        let (mut lhs, mut depth) = self.imp()?;
+    fn iff(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+        let mut parts = vec![self.imp()?];
         while self.peek() == Some(&Tok::Iff) {
-            let position = self.here();
             self.pos += 1;
-            let (rhs, d) = self.imp()?;
-            depth = Self::deeper(depth.max(d), position)?;
-            lhs = BoolExpr::iff(lhs, rhs);
+            parts.push(self.imp()?);
         }
-        Ok((lhs, depth))
+        Ok(balanced(parts, BoolExpr::iff))
     }
 
-    fn imp(&mut self) -> Result<Sub, ParseBoolExprError> {
-        let (lhs, d) = self.or()?;
+    fn imp(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+        let lhs = self.or()?;
         if self.peek() == Some(&Tok::Imp) {
-            let position = self.here();
             self.pos += 1;
-            let (rhs, e) = self.nested(Self::imp)?; // right associative
-            Ok((BoolExpr::implies(lhs, rhs), Self::deeper(d.max(e), position)?))
+            let rhs = self.nested(Self::imp)?; // right associative
+            Ok(BoolExpr::implies(lhs, rhs))
         } else {
-            Ok((lhs, d))
+            Ok(lhs)
         }
     }
 
-    fn or(&mut self) -> Result<Sub, ParseBoolExprError> {
-        let position = self.here();
-        let (first, mut depth) = self.xor()?;
-        let mut parts = vec![first];
+    fn or(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+        let mut parts = vec![self.xor()?];
         while self.peek() == Some(&Tok::Or) {
             self.pos += 1;
-            let (part, d) = self.xor()?;
-            depth = depth.max(d);
-            parts.push(part);
+            parts.push(self.xor()?);
         }
-        if parts.len() > 1 {
-            depth = Self::deeper(depth, position)?;
-        }
-        Ok((BoolExpr::or(parts), depth))
+        Ok(BoolExpr::or(parts))
     }
 
-    fn xor(&mut self) -> Result<Sub, ParseBoolExprError> {
-        let (mut lhs, mut depth) = self.and()?;
+    fn xor(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+        let mut parts = vec![self.and()?];
         while self.peek() == Some(&Tok::Xor) {
-            let position = self.here();
             self.pos += 1;
-            let (rhs, d) = self.and()?;
-            depth = Self::deeper(depth.max(d), position)?;
-            lhs = BoolExpr::xor(lhs, rhs);
+            parts.push(self.and()?);
         }
-        Ok((lhs, depth))
+        Ok(balanced(parts, BoolExpr::xor))
     }
 
-    fn and(&mut self) -> Result<Sub, ParseBoolExprError> {
-        let position = self.here();
-        let (first, mut depth) = self.unary()?;
-        let mut parts = vec![first];
+    fn and(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
+        let mut parts = vec![self.unary()?];
         while self.peek() == Some(&Tok::And) {
             self.pos += 1;
-            let (part, d) = self.unary()?;
-            depth = depth.max(d);
-            parts.push(part);
+            parts.push(self.unary()?);
         }
-        if parts.len() > 1 {
-            depth = Self::deeper(depth, position)?;
-        }
-        Ok((BoolExpr::and(parts), depth))
+        Ok(BoolExpr::and(parts))
     }
 
-    fn unary(&mut self) -> Result<Sub, ParseBoolExprError> {
+    fn unary(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
         if self.peek() == Some(&Tok::Not) {
-            let position = self.here();
             self.pos += 1;
-            let (e, d) = self.nested(Self::unary)?;
-            return Ok((e.not(), Self::deeper(d, position)?));
+            return Ok(self.nested(Self::unary)?.not());
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Sub, ParseBoolExprError> {
+    fn atom(&mut self) -> Result<BoolExpr, ParseBoolExprError> {
         let position = self.here();
         match self.bump() {
-            Some(Tok::Ident(name)) => Ok((BoolExpr::var(self.table.intern(&name)), 0)),
-            Some(Tok::True) => Ok((BoolExpr::tt(), 0)),
-            Some(Tok::False) => Ok((BoolExpr::ff(), 0)),
+            Some(Tok::Ident(name)) => Ok(BoolExpr::var(self.table.intern(&name))),
+            Some(Tok::True) => Ok(BoolExpr::tt()),
+            Some(Tok::False) => Ok(BoolExpr::ff()),
             Some(Tok::LParen) => {
                 let e = self.nested(Self::iff)?;
                 self.expect(&Tok::RParen, "')'")?;
@@ -355,7 +335,7 @@ impl BoolExpr {
             src_len: src.len(),
             depth: 0,
         };
-        let (e, _) = p.iff()?;
+        let e = p.iff()?;
         if p.pos != p.toks.len() {
             return Err(ParseBoolExprError {
                 position: p.here(),
@@ -446,16 +426,41 @@ mod tests {
             (deep("(", ")", 100_000), deep("(", ")", MAX_NESTING)),
             (deep("!", "", 100_000), deep("!", "", MAX_NESTING)),
             (chain(" -> ", 100_000), chain(" -> ", MAX_NESTING)),
-            (chain(" ^ ", 100_000), chain(" ^ ", MAX_NESTING)),
-            (chain(" <-> ", 100_000), chain(" <-> ", MAX_NESTING)),
-            (deep("a & (", ")", 100_000), deep("a & (", ")", MAX_NESTING - 1)),
+            (deep("a & (", ")", 100_000), deep("a & (", ")", MAX_NESTING)),
         ] {
             let err = BoolExpr::parse(&src, &mut t).unwrap_err();
             assert!(err.message.contains("nests deeper"), "{}", err.message);
             assert!(BoolExpr::parse(&at_limit, &mut t).is_ok());
         }
         // Width is not depth.
-        assert!(BoolExpr::parse(&chain(" & ", 100_000), &mut t).is_ok());
+        for op in [" & ", " | ", " ^ ", " <-> "] {
+            assert!(BoolExpr::parse(&chain(op, 100_000), &mut t).is_ok(), "{op}");
+        }
+    }
+
+    #[test]
+    fn balanced_chains_keep_their_meaning() {
+        let mut t = SignalTable::new();
+        let names: Vec<String> = (0..9).map(|i| format!("a{i}")).collect();
+        let ids: Vec<_> = names.iter().map(|a| t.intern(a)).collect();
+        for n in 1..=names.len() {
+            let xor = BoolExpr::parse(&names[..n].join(" ^ "), &mut t).expect("xor chain");
+            let iff = BoolExpr::parse(&names[..n].join(" <-> "), &mut t).expect("iff chain");
+            for bits in 0..1u64 << names.len() {
+                let mut v = Valuation::all_false(t.len());
+                v.assign_key(&ids, bits);
+                let ones = (bits & ((1 << n) - 1)).count_ones() as usize;
+                let parity = !ones.is_multiple_of(2);
+                // A left fold of `<->` over n operands is true iff the
+                // number of false operands is even.
+                let even_zeros = (n - ones).is_multiple_of(2);
+                assert_eq!(xor.eval(&v), parity, "{n}-operand ^ under {v:?}");
+                assert_eq!(iff.eval(&v), even_zeros, "{n}-operand <-> under {v:?}");
+            }
+        }
+        // Up to three operands the tree is the left fold's.
+        let left = BoolExpr::parse("(a0 ^ a1) ^ a2", &mut t).expect("parse");
+        assert_eq!(BoolExpr::parse("a0 ^ a1 ^ a2", &mut t).expect("parse"), left);
     }
 
     #[test]

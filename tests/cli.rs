@@ -798,6 +798,39 @@ fn generated_input_files_keep_the_exit_code_contract() {
 }
 
 #[test]
+fn wide_xor_assigns_still_check() {
+    // A flat 1,000-operand `^` chain is width, not nesting: it must not
+    // hit the expression parser's nesting cap. The 998 copies of `n1`
+    // cancel and the trailing `0` folds away, so `g1` keeps its meaning
+    // and mal-ex1 stays covered.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let snl = std::fs::read_to_string(format!("{data}/mal_ex1.snl")).expect("packaged snl");
+    let chain = format!("(n1 & !cwait){} ^ 0", " ^ n1".repeat(998));
+    let wide = snl.replace("assign g1 = n1 & !cwait", &format!("assign g1 = {chain}"));
+    assert_ne!(wide, snl, "the packaged netlist assigns g1");
+    let dir = std::env::temp_dir().join(format!("specmatcher-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let snl_path = dir.join("wide.snl");
+    std::fs::write(&snl_path, wide).expect("write snl");
+    let out = specmatcher(&[
+        "check",
+        "--snl",
+        snl_path.to_str().expect("utf8 path"),
+        "--spec",
+        &format!("{data}/mal_ex1.spec"),
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("COVERED"), "{stdout}");
+}
+
+#[test]
 fn fsm_dump_is_dot() {
     let out = specmatcher(&["fsm", "--design", "mal-ex1"]);
     assert!(out.status.success());
