@@ -50,7 +50,7 @@ pub use degeneralize::degeneralize;
 pub use gba::{code_bits, translate, translate_unreduced, Gba};
 pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use mc::{
-    holds_in, is_satisfiable_in_conj_cached, materialize_product, reduction_enabled,
+    holds_in, is_satisfiable_cube, materialize_product, reduction_enabled, satisfiable_cube,
     satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_cached, satisfiable_in_conj_gbas,
     translate_cached, translation_reduction, GbaCache, ProductSystem, Verdict,
 };

@@ -4,10 +4,11 @@ use crate::gba::{translate, Gba};
 use crate::hashing::FastMap;
 use crate::product::{
     find_accepting_lasso, has_accepting_lasso, Lasso, MultiProduct, Product, SccGraph,
+    SystemGraph,
 };
 use crate::reduce::{reduce, reduce_with_stats, ReductionStats};
-use crate::system::TransitionSystem;
-use dic_ltl::{LassoWord, Ltl};
+use crate::system::{CubeView, TransitionSystem};
+use dic_ltl::{LassoWord, Ltl, TemporalCube};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Whether the automaton reduction pipeline (formula rewriting before the
@@ -233,8 +234,11 @@ pub fn satisfiable_in_conj_cached<S: TransitionSystem>(
 }
 
 /// Verdict-only [`satisfiable_in_conj_cached`]: the same search, stopped
-/// at the accepting SCC, with no lasso built.
-pub fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
+/// at the accepting SCC, with no lasso built. With `cube.to_ltl()` among
+/// the formulas it is the translated form of [`is_satisfiable_cube`], kept
+/// as its reference.
+#[cfg(test)]
+pub(crate) fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
     formulas: &[Ltl],
     sys: &S,
     cache: &GbaCache,
@@ -242,6 +246,37 @@ pub fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
     let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
     let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
     conj_search(&refs, sys, false).is_some()
+}
+
+/// Bounded-scenario query: is there a run of `sys` that satisfies
+/// `anchor` (when given) and matches `cube` at time 0? Returns a witness
+/// lasso if so.
+///
+/// Semantically `satisfiable_in_conj_cached(&[anchor, cube.to_ltl()], …)`,
+/// but the cube never becomes an automaton: the search runs over the
+/// system's runs that match the cube (a `CubeView`, which filters states
+/// by the cube's literals at their time), in product with the anchor's
+/// automaton alone. The step 2(a) loop of Algorithm 1 asks about a
+/// thousand of these against one memoized base product, one fresh cube
+/// each.
+pub fn satisfiable_cube<S: TransitionSystem>(
+    sys: &S,
+    anchor: Option<&Ltl>,
+    cube: &TemporalCube,
+    cache: &GbaCache,
+) -> Option<LassoWord> {
+    cube_search(sys, anchor, cube, cache, true).map(|w| w.expect("a witness was asked for"))
+}
+
+/// Verdict-only [`satisfiable_cube`]: the same search, stopped at the
+/// accepting SCC, with no lasso built.
+pub fn is_satisfiable_cube<S: TransitionSystem>(
+    sys: &S,
+    anchor: Option<&Ltl>,
+    cube: &TemporalCube,
+    cache: &GbaCache,
+) -> bool {
+    cube_search(sys, anchor, cube, cache, false).is_some()
 }
 
 /// Existential conjunction query over caller-supplied automata — the hook
@@ -254,22 +289,25 @@ pub fn satisfiable_in_conj_gbas<S: TransitionSystem>(
     conj_product_lasso(gbas, sys)
 }
 
-/// The emptiness search of a conjunction query plus, when `witness` is
-/// set, its lasso: `None` when no run satisfies the conjunction,
-/// `Some(None)` for a verdict-only hit. The automata are translated by the
-/// caller, outside the `explicit.search` span.
+/// The emptiness search of `g` plus, when `witness` is set, its lasso:
+/// `None` when `g` has no accepting lasso, `Some(None)` for a
+/// verdict-only hit.
+fn search<G: SccGraph>(g: &G, mask: u32, witness: bool) -> Option<Option<Lasso<G::Node>>> {
+    if witness {
+        find_accepting_lasso(g, mask).map(Some)
+    } else {
+        has_accepting_lasso(g, mask).then_some(None)
+    }
+}
+
+/// The emptiness search of a conjunction query, as [`search`]. The
+/// automata are translated by the caller, outside the `explicit.search`
+/// span.
 fn conj_search<S: TransitionSystem>(
     gbas: &[&Gba],
     sys: &S,
     witness: bool,
 ) -> Option<Option<Lasso<(u32, u32)>>> {
-    fn search<G: SccGraph>(g: &G, mask: u32, witness: bool) -> Option<Option<Lasso<G::Node>>> {
-        if witness {
-            find_accepting_lasso(g, mask).map(Some)
-        } else {
-            has_accepting_lasso(g, mask).then_some(None)
-        }
-    }
     let _span = dic_trace::span("explicit.search");
     // Single-conjunct queries (the candidate-closure hot path) skip the
     // tuple-interning machinery entirely.
@@ -282,11 +320,50 @@ fn conj_search<S: TransitionSystem>(
     }
 }
 
+/// A lasso of `sys` states as the word of their labels.
+fn lasso_word<S: TransitionSystem>(
+    sys: &S,
+    states: impl IntoIterator<Item = u32>,
+    loop_start: usize,
+) -> LassoWord {
+    let word_states = states.into_iter().map(|k| sys.label(k).clone()).collect();
+    LassoWord::new(word_states, loop_start).expect("lasso has a loop")
+}
+
 /// [`conj_search`] with its witness, as a word of the system's labels.
 fn conj_product_lasso<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<LassoWord> {
     let (states, loop_start) = conj_search(gbas, sys, true)?.expect("a witness was asked for");
-    let word_states = states.iter().map(|&(k, _)| sys.label(k).clone()).collect();
-    Some(LassoWord::new(word_states, loop_start).expect("lasso has a loop"))
+    Some(lasso_word(sys, states.iter().map(|&(k, _)| k), loop_start))
+}
+
+/// The search of a bounded-scenario query ([`satisfiable_cube`]), as
+/// [`search`], with the lasso as a word. With an anchor it is the product
+/// of the cube view with the anchor's automaton; without one, the view
+/// alone, searched as a plain graph.
+fn cube_search<S: TransitionSystem>(
+    sys: &S,
+    anchor: Option<&Ltl>,
+    cube: &TemporalCube,
+    cache: &GbaCache,
+    witness: bool,
+) -> Option<Option<LassoWord>> {
+    let view = CubeView::new(sys, cube);
+    match anchor.map(|f| cache.get(f)) {
+        Some(gba) => {
+            let lasso = conj_search(&[gba.as_ref()], &view, witness)?;
+            Some(lasso.map(|(states, loop_start)| {
+                lasso_word(&view, states.iter().map(|&(k, _)| k), loop_start)
+            }))
+        }
+        None => {
+            let graph = SystemGraph(&view);
+            let lasso = {
+                let _span = dic_trace::span("explicit.search");
+                search(&graph, graph.mask(), witness)?
+            };
+            Some(lasso.map(|(states, loop_start)| lasso_word(&view, states, loop_start)))
+        }
+    }
 }
 
 /// A transition system materialized from the product of a base system with

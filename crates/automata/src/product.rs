@@ -87,6 +87,33 @@ impl<S: TransitionSystem> SccGraph for Product<'_, S> {
     }
 }
 
+/// A transition system alone as a graph: the emptiness search of a query
+/// that conjoins no automaton.
+pub(crate) struct SystemGraph<'a, S: TransitionSystem>(pub &'a S);
+
+impl<S: TransitionSystem> SystemGraph<'_, S> {
+    /// The system's fairness mask.
+    pub fn mask(&self) -> u32 {
+        mask_of(self.0.num_acc_sets())
+    }
+}
+
+impl<S: TransitionSystem> SccGraph for SystemGraph<'_, S> {
+    type Node = u32;
+
+    fn roots(&self) -> Vec<u32> {
+        self.0.initial_states()
+    }
+
+    fn succs_into(&self, n: u32, out: &mut Vec<u32>) {
+        self.0.for_each_successor(n, |m| out.push(m));
+    }
+
+    fn bits(&self, n: u32) -> u32 {
+        self.0.acc_bits(n)
+    }
+}
+
 /// The bitmask with the low `n` bits set.
 fn mask_of(n: u32) -> u32 {
     if n >= 32 {
@@ -888,11 +915,14 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mc::{materialize_product, GbaCache};
+    use crate::mc::{
+        is_satisfiable_cube, is_satisfiable_in_conj_cached, materialize_product,
+        satisfiable_cube, satisfiable_in_conj_cached, GbaCache,
+    };
     use dic_fsm::Kripke;
-    use dic_logic::{BoolExpr, SignalId, SignalTable};
+    use dic_logic::{BoolExpr, Lit, SignalId, SignalTable};
     use dic_ltl::random::{random_formula, XorShift64};
-    use dic_ltl::Ltl;
+    use dic_ltl::{Ltl, TemporalCube};
     use dic_netlist::ModuleBuilder;
     use proptest::prelude::*;
 
@@ -1138,6 +1168,78 @@ mod tests {
             check_queries(&k, &fs[..2], &cache);
             let base = materialize_product(&fs[2..], &k, &cache);
             check_queries(&base, &fs[..2], &cache);
+        }
+    }
+
+    /// A random temporal cube over `atoms`, up to five cycles deep: the
+    /// empty cube one time in five, and one time in five a cube that pins
+    /// the latch `l1` (reset low) high at time 0, which no initial state
+    /// satisfies.
+    fn random_cube(rng: &mut XorShift64, atoms: &[SignalId]) -> TemporalCube {
+        if rng.below(5) == 0 {
+            return TemporalCube::top();
+        }
+        let mut cube = if rng.below(4) == 0 {
+            TemporalCube::from_lits([(0, Lit::pos(atoms[3]))]).expect("one literal")
+        } else {
+            TemporalCube::top()
+        };
+        for _ in 0..rng.below(6) {
+            let lit = Lit::new(atoms[rng.below(atoms.len())], rng.flip());
+            if let Some(more) = cube.and_lit(rng.below(6), lit) {
+                cube = more;
+            }
+        }
+        cube
+    }
+
+    /// Every bounded-scenario query shape over `sys`, against the cube's
+    /// translation: the verdict agrees, every witness matches the cube and
+    /// satisfies the anchor and `baked` (the formulas `sys` carries), and
+    /// without an anchor the witness is the translated query's own.
+    fn check_cube_queries<S: TransitionSystem>(
+        sys: &S,
+        anchor: Option<&Ltl>,
+        cube: &TemporalCube,
+        baked: &[Ltl],
+        cache: &GbaCache,
+    ) {
+        let translated: Vec<Ltl> = anchor.cloned().into_iter().chain([cube.to_ltl()]).collect();
+        let expected = is_satisfiable_in_conj_cached(&translated, sys, cache);
+        assert_eq!(is_satisfiable_cube(sys, anchor, cube, cache), expected, "{cube:?}");
+        let witness = satisfiable_cube(sys, anchor, cube, cache);
+        assert_eq!(witness.is_some(), expected, "{cube:?}");
+        if let Some(w) = witness {
+            assert!(cube.holds_on(&w, 0), "witness misses {cube:?}");
+            for f in anchor.into_iter().chain(baked) {
+                assert!(f.holds_on(&w), "witness misses {f:?}");
+            }
+            if anchor.is_none() {
+                assert_eq!(Some(w), satisfiable_in_conj_cached(&translated, sys, cache));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random cubes, with and without a random anchor, over random
+        /// Kripke structures and over products materialized from them:
+        /// the cube view answers as the translated cube does.
+        #[test]
+        fn cube_queries_match_the_translated_cube(
+            seed in 1u64..1_000_000,
+            budget in 2usize..7,
+        ) {
+            let mut rng = XorShift64::new(seed);
+            let (k, atoms) = random_kripke(&mut rng);
+            let cache = GbaCache::new();
+            let cube = random_cube(&mut rng, &atoms);
+            let anchor = rng.flip().then(|| random_formula(&mut rng, &atoms, budget));
+            let baked = random_formula(&mut rng, &atoms, budget);
+            check_cube_queries(&k, anchor.as_ref(), &cube, &[], &cache);
+            let base = materialize_product(std::slice::from_ref(&baked), &k, &cache);
+            check_cube_queries(&base, anchor.as_ref(), &cube, &[baked], &cache);
         }
     }
 }

@@ -2,14 +2,15 @@
 
 use dic_fsm::Kripke;
 use dic_logic::Valuation;
-use dic_ltl::LassoWord;
+use dic_ltl::{LassoWord, TemporalCube};
 
 /// What the model checker needs from a model: initial states, successors
 /// and signal-valuation labels.
 ///
-/// Implemented by [`dic_fsm::Kripke`] (netlist semantics) and by
+/// Implemented by [`dic_fsm::Kripke`] (netlist semantics), by
 /// [`WordSystem`] (a single lasso word, used to replay witnesses and as a
-/// test oracle bridge).
+/// test oracle bridge) and by `CubeView` (a system's runs that match a
+/// temporal cube).
 pub trait TransitionSystem {
     /// The initial states.
     fn initial_states(&self) -> Vec<u32>;
@@ -103,6 +104,102 @@ impl TransitionSystem for WordSystem {
 
     fn label(&self, state: u32) -> &Valuation {
         self.word.at(state as usize)
+    }
+}
+
+/// The runs of a base system that match a temporal cube at time 0.
+///
+/// A state is a base state `k` paired with the time `t` it is reached
+/// at, `t` capped at `cube.depth() + 1` (past every literal), numbered
+/// `k << shift | t`. Only the states whose label satisfies the cube's
+/// literals at their time exist: the roots and successors of the base are
+/// filtered, in the base's order, and fairness bits pass through. So a
+/// bounded-scenario query needs no automaton for its cube. The empty
+/// cube's view is the base itself, with the base's state numbers.
+pub(crate) struct CubeView<'a, S> {
+    base: &'a S,
+    cube: &'a TemporalCube,
+    /// The cube's literals at time `t` are `cube.lits()[starts[t]..starts[t + 1]]`;
+    /// the range is empty at `t = cap`.
+    starts: Vec<usize>,
+    /// The time of the states past the cube's last literal (0 for the
+    /// empty cube).
+    cap: u32,
+    /// Bits of a state number that hold its time.
+    shift: u32,
+}
+
+impl<'a, S: TransitionSystem> CubeView<'a, S> {
+    /// The view of `base` constrained by `cube`.
+    pub(crate) fn new(base: &'a S, cube: &'a TemporalCube) -> Self {
+        let cap = if cube.is_empty() {
+            0
+        } else {
+            u32::try_from(cube.depth() + 1).expect("cube depth fits a state number")
+        };
+        let lits = cube.lits();
+        let starts = (0..=cap as usize + 1)
+            .map(|t| lits.partition_point(|&(u, _)| u < t))
+            .collect();
+        CubeView {
+            base,
+            cube,
+            starts,
+            cap,
+            shift: u32::BITS - cap.leading_zeros(),
+        }
+    }
+
+    /// Whether `label` satisfies the cube's literals at time `t`.
+    fn matches(&self, t: u32, label: &Valuation) -> bool {
+        let t = t as usize;
+        self.cube.lits()[self.starts[t]..self.starts[t + 1]]
+            .iter()
+            .all(|&(_, l)| l.eval(label))
+    }
+
+    /// The number of the state `(k, t)`.
+    fn state(&self, k: u32, t: u32) -> u32 {
+        u32::try_from(u64::from(k) << self.shift | u64::from(t))
+            .expect("cube view state fits a state number")
+    }
+
+    /// The base state of `state`.
+    fn base_state(&self, state: u32) -> u32 {
+        state >> self.shift
+    }
+}
+
+impl<S: TransitionSystem> TransitionSystem for CubeView<'_, S> {
+    fn initial_states(&self) -> Vec<u32> {
+        self.base
+            .initial_states()
+            .into_iter()
+            .filter(|&k| self.matches(0, self.base.label(k)))
+            .map(|k| self.state(k, 0))
+            .collect()
+    }
+
+    fn for_each_successor(&self, state: u32, mut f: impl FnMut(u32)) {
+        let time = ((1u64 << self.shift) - 1) as u32;
+        let t = ((state & time) + 1).min(self.cap);
+        self.base.for_each_successor(self.base_state(state), |k| {
+            if self.matches(t, self.base.label(k)) {
+                f(self.state(k, t));
+            }
+        });
+    }
+
+    fn label(&self, state: u32) -> &Valuation {
+        self.base.label(self.base_state(state))
+    }
+
+    fn num_acc_sets(&self) -> u32 {
+        self.base.num_acc_sets()
+    }
+
+    fn acc_bits(&self, state: u32) -> u32 {
+        self.base.acc_bits(self.base_state(state))
     }
 }
 

@@ -635,10 +635,13 @@ impl<'m> GapEngine<'m> {
     }
 
     /// Bounded-scenario query with witness: is some run of
-    /// `M ⊨ base ∧ anchored` matching `cube` in its first cycles? On the
-    /// symbolic engine the cube is pushed through the cached product's
-    /// frontier BDDs (no automaton is ever built for it); on the explicit
-    /// engine it becomes an extra conjunct of the factored query.
+    /// `M ⊨ base ∧ anchored` matching `cube` in its first cycles? Neither
+    /// engine builds an automaton for the cube. The symbolic engine pushes
+    /// it through the cached product's frontier BDDs; the explicit engine
+    /// searches the memoized `base` product with its states filtered by
+    /// the cube's literals at their time (see
+    /// [`dic_automata::satisfiable_cube`]), in product with `anchored`'s
+    /// automaton alone.
     ///
     /// # Errors
     ///
@@ -656,9 +659,12 @@ impl<'m> GapEngine<'m> {
                 self.model
                     .with_symbolic(|sym| sym.satisfiable_factored_cube(&full, cube))
             }
-            Engine::Explicit => Ok(self
-                .model
-                .satisfiable_factored(base, &anchored_extras(anchored, cube))),
+            Engine::Explicit => Ok(dic_automata::satisfiable_cube(
+                self.model.base_product(base).as_ref(),
+                anchored,
+                cube,
+                &self.model.cache,
+            )),
         }
     }
 
@@ -681,9 +687,10 @@ impl<'m> GapEngine<'m> {
             Engine::Symbolic => self
                 .model
                 .with_symbolic(|sym| sym.factored_cube_sat(base, anchored, cube)),
-            Engine::Explicit => Ok(dic_automata::is_satisfiable_in_conj_cached(
-                &anchored_extras(anchored, cube),
+            Engine::Explicit => Ok(dic_automata::is_satisfiable_cube(
                 self.model.base_product(base).as_ref(),
+                anchored,
+                cube,
                 &self.model.cache,
             )),
         }
@@ -709,19 +716,6 @@ impl<'m> GapEngine<'m> {
             engine: Engine::Explicit,
         })
     }
-}
-
-/// The explicit engine's form of a scenario query's extra conjuncts: the
-/// anchor (if any) and the cube as a formula.
-fn anchored_extras(
-    anchored: Option<&dic_ltl::Ltl>,
-    cube: &dic_ltl::TemporalCube,
-) -> Vec<dic_ltl::Ltl> {
-    anchored
-        .cloned()
-        .into_iter()
-        .chain([cube.to_ltl()])
-        .collect()
 }
 
 #[cfg(test)]

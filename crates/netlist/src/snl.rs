@@ -208,6 +208,10 @@ fn build(p: Pending, table: &mut SignalTable) -> Result<Module, NetlistError> {
     b.finish()
 }
 
+/// Bytes of an offending expression a parse error quotes; a longer one is
+/// cut there and its length given instead.
+const ECHO_BYTES: usize = 64;
+
 fn parse_expr(
     src: &str,
     table: &mut SignalTable,
@@ -215,8 +219,21 @@ fn parse_expr(
 ) -> Result<BoolExpr, NetlistError> {
     BoolExpr::parse(src, table).map_err(|e| NetlistError::Parse {
         line,
-        message: format!("in expression {src:?}: {e}"),
+        message: format!("in expression {}: {e}", echo(src)),
     })
+}
+
+/// `src` quoted, or its first [`ECHO_BYTES`] bytes (to a character
+/// boundary) quoted, then `…` and its length.
+fn echo(src: &str) -> String {
+    if src.len() <= ECHO_BYTES {
+        return format!("{src:?}");
+    }
+    let mut cut = ECHO_BYTES;
+    while !src.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    format!("{:?}… ({} bytes)", &src[..cut], src.len())
 }
 
 #[cfg(test)]
@@ -348,5 +365,23 @@ endmodule
         assert!(ms2[0].latches()[0].init());
         // Same structure: identical SNL after a second round trip.
         assert_eq!(printed, ms2[0].to_snl(&t));
+    }
+
+    #[test]
+    fn long_expressions_are_echoed_cut() {
+        assert_eq!(echo("a & b"), "\"a & b\"");
+        // The cut backs off to a character boundary.
+        let long = format!("{}é{}", "a".repeat(ECHO_BYTES - 1), "b".repeat(100));
+        let shown = echo(&long);
+        assert_eq!(shown, format!("{:?}… ({} bytes)", "a".repeat(ECHO_BYTES - 1), long.len()));
+        let mut t = SignalTable::new();
+        let deep = format!("{}x{}", "!(".repeat(1000), ")".repeat(1000));
+        let src = format!("module m\n input x\n output y\n assign y = {deep}\nendmodule\n");
+        match parse_snl(&src, &mut t) {
+            Err(e @ NetlistError::Parse { line: 4, .. }) => {
+                assert!(e.to_string().len() < 200, "{e}");
+            }
+            other => panic!("expected a parse error on line 4, got {other:?}"),
+        }
     }
 }

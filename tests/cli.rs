@@ -798,6 +798,33 @@ fn generated_input_files_keep_the_exit_code_contract() {
 }
 
 #[test]
+fn deep_assign_errors_stay_short() {
+    // A parse error quotes only the head of the offending expression: a
+    // 100k-deep `assign` is refused with a line number, not echoed whole.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let snl = std::fs::read_to_string(format!("{data}/mal_ex1.snl")).expect("packaged snl");
+    let deep = format!("{}r1{}", "!(".repeat(100_000), ")".repeat(100_000));
+    let bad = snl.replace("assign g1 = n1 & !cwait", &format!("assign g1 = {deep}"));
+    assert_ne!(bad, snl, "the packaged netlist assigns g1");
+    let dir = std::env::temp_dir().join(format!("specmatcher-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let snl_path = dir.join("deep.snl");
+    std::fs::write(&snl_path, bad).expect("write snl");
+    let out = specmatcher(&[
+        "check",
+        "--snl",
+        snl_path.to_str().expect("utf8 path"),
+        "--spec",
+        &format!("{data}/mal_ex1.spec"),
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("line 9"), "{stderr}");
+    assert!(stderr.len() < 1024, "{} bytes of stderr", stderr.len());
+}
+
+#[test]
 fn wide_xor_assigns_still_check() {
     // A flat 1,000-operand `^` chain is width, not nesting: it must not
     // hit the expression parser's nesting cap. The 998 copies of `n1`

@@ -10,7 +10,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_reports
 //! ```
 
-use specmatcher::core::{GapConfig, SpecMatcher};
+use specmatcher::core::{Backend, GapConfig, SpecMatcher};
 use specmatcher::designs::{amba, mal, pipeline, scaling, Design};
 use std::path::PathBuf;
 
@@ -108,9 +108,49 @@ fn pipeline_report_matches_golden() {
 }
 
 #[test]
-#[ignore = "amba-ahb runs ~15 s on the explicit engine; the nightly lane runs ignored suites"]
 fn amba_ahb_report_matches_golden() {
     // The largest packaged explicit design: every witness the explicit
     // emptiness search produces on it is pinned.
     assert_golden("amba_ahb.txt", &normalized_report(&amba::ahb29()));
+}
+
+/// The per-gap-property witnesses of an explicit run, one line each, in
+/// the text the `--json` report gives their states. The text report omits
+/// them.
+fn gap_witnesses(name: &str, design: &Design) -> String {
+    let run = design
+        .check(&SpecMatcher::new(GapConfig::default()).with_backend(Backend::Explicit))
+        .expect("packaged design runs");
+    let mut out = format!("design {name}\n");
+    for p in &run.properties {
+        for g in &p.gap_properties {
+            let states: Vec<String> = g
+                .witness
+                .states()
+                .iter()
+                .map(|v| v.display(&design.table).to_string())
+                .collect();
+            out.push_str(&format!(
+                "  {} | {}\n    loop_start {}: [{}]\n",
+                p.name,
+                g.formula.display(&design.table),
+                g.witness.loop_start(),
+                states.join("; ")
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn gap_property_witnesses_match_golden() {
+    // The witnesses attached to gap properties come from the explicit
+    // engine's bounded-scenario lasso search.
+    let text = [
+        gap_witnesses("mal-ex2", &mal::ex2()),
+        gap_witnesses("pipeline", &pipeline::pipeline12()),
+        gap_witnesses("chain-6-gap", &scaling::chain_design(6, true)),
+    ]
+    .concat();
+    assert_golden("gap_witnesses.txt", &text);
 }
