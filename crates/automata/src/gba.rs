@@ -40,7 +40,7 @@ pub struct GbaState {
 
 impl GbaState {
     /// Creates a state from its literal constraints and acceptance-set
-    /// bitmask (used by the [degeneralization](fn@crate::degeneralize)).
+    /// bitmask (used by the [reductions](mod@crate::reduce)).
     pub fn new(literals: Vec<Lit>, acc: u32) -> Self {
         GbaState { literals, acc }
     }
@@ -93,7 +93,7 @@ pub struct Gba {
 
 impl Gba {
     /// Assembles an automaton from explicit parts (used by the
-    /// [degeneralization](fn@crate::degeneralize)).
+    /// [reductions](mod@crate::reduce)).
     ///
     /// # Panics
     ///

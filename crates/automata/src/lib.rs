@@ -36,17 +36,14 @@
 //! # }
 //! ```
 
-pub mod degeneralize;
 pub mod gba;
 pub mod hashing;
 pub mod mc;
-pub mod ndfs;
 pub mod product;
 pub mod reduce;
 pub mod sat;
 pub mod system;
 
-pub use degeneralize::degeneralize;
 pub use gba::{code_bits, translate, translate_unreduced, Gba};
 pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use mc::{
@@ -54,7 +51,5 @@ pub use mc::{
     satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_cached, satisfiable_in_conj_gbas,
     translate_cached, translation_reduction, GbaCache, ProductSystem, Verdict,
 };
-pub use sat::{
-    equivalent, implies, is_satisfiable, is_satisfiable_ndfs, is_valid, stronger_than, witness,
-};
+pub use sat::{equivalent, implies, is_satisfiable, is_valid, stronger_than, witness};
 pub use system::{TransitionSystem, WordSystem};

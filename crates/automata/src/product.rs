@@ -30,6 +30,7 @@ pub(crate) trait SccGraph {
     fn bits(&self, n: Self::Node) -> u32;
 
     /// Successors of a node, in search order.
+    #[cfg(test)]
     fn succs(&self, n: Self::Node) -> Vec<Self::Node> {
         let mut out = Vec::new();
         self.succs_into(n, &mut out);

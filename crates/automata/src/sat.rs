@@ -40,20 +40,6 @@ pub fn is_valid(formula: &Ltl) -> bool {
     !is_satisfiable(&Ltl::not(formula.clone()))
 }
 
-/// [`is_satisfiable`] decided by the independent engine: degeneralization
-/// ([`crate::degeneralize`](fn@crate::degeneralize)) followed by nested-DFS emptiness
-/// ([`crate::ndfs`]) instead of Tarjan over generalized acceptance.
-///
-/// Same verdicts by construction; exercised against [`is_satisfiable`]
-/// throughout the test suite as an engine cross-check, and available to
-/// callers who want a second opinion from a disjoint code path.
-pub fn is_satisfiable_ndfs(formula: &Ltl) -> bool {
-    let gba = translate_cached(formula);
-    let ba = crate::degeneralize::degeneralize(&gba);
-    let any_cycle = ba.num_acceptance_sets() == 0;
-    crate::ndfs::find_accepting_lasso_ndfs(&GbaGraph(&ba), any_cycle).is_some()
-}
-
 /// Whether `f ⇒ g` is valid (every word satisfying `f` satisfies `g`).
 pub fn implies(f: &Ltl, g: &Ltl) -> bool {
     !is_satisfiable(&Ltl::and([f.clone(), Ltl::not(g.clone())]))
@@ -155,26 +141,6 @@ mod tests {
             let f = parse(&mut t, src);
             let w = witness(&f, t.len()).expect("satisfiable");
             assert!(f.holds_on(&w), "witness for {src} does not satisfy it");
-        }
-    }
-
-    #[test]
-    fn ndfs_engine_agrees_with_tarjan() {
-        let mut t = SignalTable::new();
-        for src in [
-            "p U q",
-            "G F p & G F !p",
-            "G p & F !p",
-            "(p U q) & G !q",
-            "G(p -> F q) & F G p",
-            "p & !p",
-        ] {
-            let f = parse(&mut t, src);
-            assert_eq!(
-                is_satisfiable(&f),
-                is_satisfiable_ndfs(&f),
-                "engines disagree on {src}"
-            );
         }
     }
 

@@ -62,8 +62,40 @@ use dic_fsm::extract_fsm;
 use dic_logic::SignalTable;
 use dic_ltl::Ltl;
 use dic_netlist::parse_snl;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `print!` to standard output through [`write_stdout`]: evaluates to
+/// `Result<(), CliError>` instead of panicking on a failed write.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The one stdout writer every report line goes through. A reader that
+/// went away (`| head`) drops the rest of the output, and the run ends
+/// with the exit code it would have returned anyway (Rust ignores
+/// SIGPIPE, so every later write fails the same quiet way); any other
+/// write failure (a full disk, `> /dev/full`) is an exit-2 error, like
+/// an unwritable `--trace-out` path.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::Usage(format!("cannot write the report: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// A CLI failure, carrying its exit-code class: usage/spec errors exit 2,
 /// engine resource refusals exit 3 (so scripts can retry with a bigger
@@ -140,11 +172,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "fsm" => cmd_fsm(&args[1..]),
         "list" => {
             for d in table1_designs() {
-                println!("{}", d.name);
+                outln!("{}", d.name)?;
             }
-            println!("{}", mal::ex1().name);
-            println!("chain-<n>        (scaling: n-stage latch chain, covered)");
-            println!("chain-<n>-gap    (scaling: off-by-one intent, gapped)");
+            outln!("{}", mal::ex1().name)?;
+            outln!("chain-<n>        (scaling: n-stage latch chain, covered)")?;
+            outln!("chain-<n>-gap    (scaling: off-by-one intent, gapped)")?;
             Ok(ExitCode::SUCCESS)
         }
         "--help" | "-h" | "help" => {
@@ -247,7 +279,7 @@ fn emit_trace_sinks(
         if profile_to_stderr {
             eprint!("{tree}");
         } else {
-            print!("{tree}");
+            out!("{tree}")?;
         }
     }
     if let Some(path) = trace_out {
@@ -413,9 +445,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
         }
     };
     if json {
-        println!("{}", run.to_json(&design.table));
+        outln!("{}", run.to_json(&design.table))?;
     } else {
-        print!("{}", run.render(&design.table));
+        out!("{}", run.render(&design.table))?;
     }
     if let Some(reason) = &run.incomplete {
         // Mirror the reason on stderr so scripts that only watch the exit
@@ -438,6 +470,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
 
 type NamedProps = Vec<(String, Ltl)>;
 
+/// Parses a spec file. Every property needs a non-empty name that is
+/// unique within its kind (`arch` or `rtl`): reports and JSON entries are
+/// keyed by it.
 fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedProps), String> {
     let mut arch = Vec::new();
     let mut rtl = Vec::new();
@@ -454,11 +489,22 @@ fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedPr
             .ok_or(format!("line {}: expected NAME = FORMULA", lineno + 1))?;
         let formula = Ltl::parse(formula_src.trim(), table)
             .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        match kind {
-            "arch" => arch.push((name.trim().to_owned(), formula)),
-            "rtl" => rtl.push((name.trim().to_owned(), formula)),
+        let list = match kind {
+            "arch" => &mut arch,
+            "rtl" => &mut rtl,
             other => return Err(format!("line {}: unknown kind {other:?}", lineno + 1)),
+        };
+        let name = name.trim();
+        if name.is_empty() {
+            return Err(format!("line {}: {kind} property has an empty name", lineno + 1));
         }
+        if list.iter().any(|(seen, _)| seen == name) {
+            return Err(format!(
+                "line {}: duplicate {kind} property name {name:?}",
+                lineno + 1
+            ));
+        }
+        list.push((name.to_owned(), formula));
     }
     if arch.is_empty() {
         return Err("spec file declares no architectural (arch) property".into());
@@ -488,10 +534,10 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
         .with_partition(partition)
         .with_jobs(jobs)
         .with_bmc(bmc);
-    println!(
+    outln!(
         "{:<14} {:>9} {:>9} {:>9} {:>12} {:>12} {:>12}",
         "Circuit", "RTL props", "primary", "gap", "Primary (s)", "TM (s)", "Gap (s)"
-    );
+    )?;
     let mut incomplete_designs: Vec<String> = Vec::new();
     for design in table1_designs() {
         let design_span = dic_trace::span("design.check");
@@ -500,7 +546,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
         if let Some(reason) = &run.incomplete {
             incomplete_designs.push(format!("{}: {reason}", design.name));
         }
-        println!(
+        outln!(
             "{:<14} {:>9} {:>9} {:>9} {:>12.4} {:>12.4} {:>12.4}",
             design.name,
             run.num_rtl_properties,
@@ -509,7 +555,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
             run.timings.primary.as_secs_f64(),
             run.timings.tm_build.as_secs_f64(),
             run.timings.gap_find.as_secs_f64(),
-        );
+        )?;
         if json {
             let fingerprint = dic_bench::gap_fingerprint(&run, &design.table);
             json_rows.push((
@@ -536,12 +582,11 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
             dic_bench::bench_table1_json(backend, &json_rows),
         )
         .map_err(|e| format!("{}: {e}", dic_bench::BENCH_TABLE1_PATH))?;
-        println!();
-        println!("wrote {}", dic_bench::BENCH_TABLE1_PATH);
+        outln!("\nwrote {}", dic_bench::BENCH_TABLE1_PATH)?;
     }
     if !incomplete_designs.is_empty() {
         for line in &incomplete_designs {
-            println!("incomplete: {line}");
+            outln!("incomplete: {line}")?;
         }
         trace_abort(false);
         emit_trace_sinks(profile, trace_out.as_deref(), false)?;
@@ -582,10 +627,10 @@ fn cmd_table1_quick(
         (scaling::chain_design(24, false), true),
         (scaling::chain_design(22, true), false),
     ];
-    println!(
+    outln!(
         "{:<14} {:>9} {:>9} {:>12}  verdict",
         "Circuit", "RTL props", "backend", "Primary (s)"
-    );
+    )?;
     let mut ok = true;
     for (design, expect_covered) in rows {
         let t0 = dic_trace::Stopwatch::start();
@@ -603,7 +648,7 @@ fn cmd_table1_quick(
         let covered = witness.is_none();
         let verdict_ok = covered == expect_covered;
         ok &= verdict_ok;
-        println!(
+        outln!(
             "{:<14} {:>9} {:>9} {:>12.4}  {}{}",
             design.name,
             design.rtl.num_properties(),
@@ -611,7 +656,7 @@ fn cmd_table1_quick(
             t0.elapsed().as_secs_f64(),
             if covered { "covered" } else { "gap" },
             if verdict_ok { "" } else { "  << UNEXPECTED" },
-        );
+        )?;
     }
     if !ok {
         return Err("quick table1 verdicts diverged from the pinned expectations".into());
@@ -640,13 +685,13 @@ fn cmd_table1_quick(
             .iter()
             .any(|g| dic_automata::equivalent(&g.formula, u))
     };
-    println!(
+    outln!(
         "mal-ex2 gap smoke ({} backend): {} weakest properties, paper U {}, adapted U {}",
         run.backend,
         rep.gap_properties.len(),
         if has(&u_hit) { "found" } else { "MISSING" },
         if has(&u_g2) { "found" } else { "MISSING" },
-    );
+    )?;
     if rep.covered || !has(&u_hit) || !has(&u_g2) {
         return Err("mal-ex2 gap smoke lost a pinned paper gap property".into());
     }
@@ -656,12 +701,12 @@ fn cmd_table1_quick(
             .check(&smoke_matcher())
             .map_err(|e| ctx_err("chain-22-gap", e))?;
         let rep = &run.properties[0];
-        println!(
+        outln!(
             "chain-22-gap gap smoke ({} backend): {} uncovered terms, exact-hole fallback {}",
             run.backend,
             rep.uncovered_terms.len(),
             if rep.gap_properties.is_empty() { "active" } else { "inactive" },
-        );
+        )?;
         if rep.covered || rep.uncovered_terms.is_empty() {
             return Err("chain-22-gap gap smoke produced no uncovered terms".into());
         }
@@ -674,8 +719,8 @@ fn cmd_fsm(args: &[String]) -> Result<ExitCode, CliError> {
     let design = find_design(name)?;
     for module in design.rtl.concrete() {
         let fsm = extract_fsm(module, &design.table, true).map_err(|e| e.to_string())?;
-        println!("// module {} ({} states)", module.name(), fsm.num_states());
-        println!("{}", fsm.to_dot(&design.table));
+        outln!("// module {} ({} states)", module.name(), fsm.num_states())?;
+        outln!("{}", fsm.to_dot(&design.table))?;
     }
     Ok(ExitCode::SUCCESS)
 }

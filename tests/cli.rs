@@ -600,10 +600,17 @@ fn check_mal_ex1_with_arch(arch: &str, tag: &str) -> std::process::Output {
         .filter(|l| l.starts_with("rtl "))
         .map(|l| format!("{l}\n"))
         .collect();
+    check_mal_ex1_spec(&format!("arch A = {arch}\n{rtl}"), tag)
+}
+
+/// Runs `check` on the packaged mal-ex1 netlist against the spec text
+/// `spec`.
+fn check_mal_ex1_spec(spec: &str, tag: &str) -> std::process::Output {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
     let dir = std::env::temp_dir().join(format!("specmatcher-deep-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let spec_path = dir.join("deep.spec");
-    std::fs::write(&spec_path, format!("arch A = {arch}\n{rtl}")).expect("write spec");
+    std::fs::write(&spec_path, spec).expect("write spec");
     let out = specmatcher(&[
         "check",
         "--snl",
@@ -865,6 +872,105 @@ fn fsm_dump_is_dot() {
     assert!(stdout.contains("digraph fsm"));
     assert!(stdout.contains("->"));
     assert!(stdout.contains("module"));
+}
+
+/// Property names key the report and its JSON entries, so a spec file
+/// may neither leave one empty nor repeat one within its kind; both are
+/// usage errors naming the line. The same name in `arch` and `rtl` stays
+/// legal, and the packaged spec still checks.
+#[test]
+fn spec_property_names_must_be_present_and_unique() {
+    for (spec, tag, needle) in [
+        (
+            "arch A = G(r1 -> X n1)\narch A = G(r2 -> X n2)\nrtl R1 = G(r1 -> X n1)\n",
+            "dup-arch",
+            "line 2: duplicate arch property name \"A\"",
+        ),
+        (
+            "arch A = G(r1 -> X n1)\nrtl R1 = G(r1 -> X n1)\n\nrtl R1 = G F hit\n",
+            "dup-rtl",
+            "line 4: duplicate rtl property name \"R1\"",
+        ),
+        (
+            "arch = G(r1 -> X n1)\nrtl R1 = G(r1 -> X n1)\n",
+            "empty-arch",
+            "line 1: arch property has an empty name",
+        ),
+        (
+            "arch A = G(r1 -> X n1)\nrtl  = G(r1 -> X n1)\n",
+            "empty-rtl",
+            "line 2: rtl property has an empty name",
+        ),
+    ] {
+        let out = check_mal_ex1_spec(spec, tag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+        assert!(stderr.contains(needle), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: no report for a refused spec");
+    }
+
+    let out = check_mal_ex1_spec("arch A = G(r1 -> X n1)\nrtl A = G(r1 -> X n1)\n", "cross-kind");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let out = specmatcher(&[
+        "check",
+        "--snl",
+        &format!("{data}/mal_ex1.snl"),
+        "--spec",
+        &format!("{data}/mal_ex1.spec"),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+/// Spawns the binary with its stdout pipe closed before it writes and
+/// returns the exit code and stderr.
+fn run_with_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A reader that goes away (`| head`) ends the run quietly with the exit
+/// code it would have returned; it never panics.
+#[test]
+fn closed_stdout_pipe_keeps_the_exit_code() {
+    for (args, code) in [
+        (&["fsm", "--design", "mal-ex1"][..], 0),
+        (&["check", "--design", "mal-ex2", "--json"][..], 1),
+    ] {
+        let (status, stderr) = run_with_closed_stdout(args);
+        assert_eq!(status, Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Any other stdout failure is an exit-2 error that says what failed.
+#[test]
+fn unwritable_stdout_exits_two() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no /dev/full on this platform
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
+        .args(["check", "--design", "mal-ex1"])
+        .stdout(full)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("specmatcher: cannot write the report: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
