@@ -98,9 +98,11 @@ impl Backend {
     /// structures, so every worker fixpoints freely. The symbolic
     /// engine's one `BddManager` is single-threaded: its fixpoints
     /// serialize on the engine lock, effectively one at a time — the
-    /// workers still overlap the word-level screens and act as the
-    /// queue a coordinating thread drains. Reported in the run's jobs
-    /// statistics so the serialization is visible, not silent.
+    /// workers still overlap the word-level screens and the bounded SAT
+    /// queries, and there is no coordinating thread: every worker,
+    /// the calling thread included, runs the same claim–verify–merge
+    /// loop. Reported in the run's jobs statistics so the serialization
+    /// is visible, not silent.
     pub fn fixpoint_parallelism(self, workers: usize) -> usize {
         match self {
             Backend::Symbolic => workers.min(1),

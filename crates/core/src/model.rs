@@ -627,13 +627,6 @@ impl<'m> GapEngine<'m> {
         }
     }
 
-    /// Whether closure fixpoints on this engine run one at a time: the
-    /// symbolic engine's one `BddManager` is single-threaded (see
-    /// [`Backend::fixpoint_parallelism`](crate::Backend::fixpoint_parallelism)).
-    pub(crate) fn serializes_fixpoints(self) -> bool {
-        self.engine == Engine::Symbolic
-    }
-
     /// Bounded-scenario query with witness: is some run of
     /// `M ⊨ base ∧ anchored` matching `cube` in its first cycles? Neither
     /// engine builds an automaton for the cube. The symbolic engine pushes

@@ -62,12 +62,14 @@ pub struct JobsStats {
     /// query per property; parallelizing across properties is a ROADMAP
     /// item, not this refactor).
     pub primary: usize,
-    /// Workers fanned out over gap-phase candidate verification.
+    /// Workers on gap-phase candidate verification, the calling thread
+    /// included.
     pub gap_workers: usize,
     /// Closure *fixpoints* that can run concurrently on the model's engine:
     /// equals `gap_workers` on the explicit engine, 1 on the symbolic
     /// engine (the one `BddManager` is single-threaded — workers still
-    /// overlap the word-level screens). See
+    /// overlap the word-level screens and SAT queries). Every worker
+    /// verifies candidates; none coordinates. See
     /// [`Backend::fixpoint_parallelism`].
     pub gap_fixpoints: usize,
 }

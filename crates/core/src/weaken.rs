@@ -33,6 +33,7 @@ use dic_ltl::{LassoWord, Ltl, LtlNode, Polarity, Position, TemporalCube};
 use dic_sat::BmcSession;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs for the gap-finding pipeline (Algorithm 1).
 #[derive(Clone, Debug)]
@@ -161,8 +162,8 @@ pub struct UnknownGap {
 /// The gap phase's outcome under graceful degradation
 /// ([`find_gap_outcome`]): the confirmed weakest gap properties, any
 /// candidates left unknown, and — when the scan stopped early on a
-/// deadline — the reason. Because candidates are verified (and the merge
-/// frontier advances) strictly in canonical order, the confirmed set of a
+/// deadline — the reason. Because candidates are claimed and merged
+/// strictly in canonical order, the confirmed set of a
 /// stopped scan is exactly what a fault-free scan had accepted at the
 /// same stop point: a canonical-order *prefix* of its scan, never a
 /// different selection.
@@ -311,34 +312,20 @@ pub fn find_gap_outcome(
         signals.extend(model.observable().iter().copied());
         random_words(&signals)
     };
-    // Stage 2 + 3: per-candidate verification, then the deterministic
-    // merge. One worker runs both inline (the merge's early exit then
-    // prunes exactly like the historical sequential loop); more workers
-    // fan stage 2 out and the merge runs on the coordinating thread.
+    // Stage 2 + 3: per-candidate verification and the deterministic
+    // merge, on one worker or fanned out (see [`Verifier`]).
     let jobs = config.effective_jobs().min(candidates.len().max(1));
     let verify_span = dic_trace::span("gap.verify");
-    let verified = if jobs <= 1 {
-        verify_sequential(
-            fa,
-            &candidates,
-            seed_runs,
-            &base,
-            engine,
-            &screen_words,
-            config.max_gap_properties,
-        )?
-    } else {
-        verify_parallel(
-            fa,
-            &candidates,
-            seed_runs,
-            &base,
-            engine,
-            &screen_words,
-            config.max_gap_properties,
-            jobs,
-        )?
-    };
+    let verified = Verifier::new(
+        fa,
+        &candidates,
+        seed_runs,
+        &base,
+        engine,
+        &screen_words,
+        config.max_gap_properties,
+    )
+    .run(jobs)?;
     drop(verify_span);
     if dic_trace::enabled() && !verified.unknown.is_empty() {
         dic_trace::count(
@@ -356,55 +343,27 @@ pub fn find_gap_outcome(
 }
 
 /// Outcome of verifying one candidate, a function of the candidate alone
-/// (plus, for [`Verdict::Subsumed`], formulas already accepted by the
-/// merge — see the soundness note there).
+/// (plus, for [`Verdict::Subsumed`], the closers before it — see the
+/// soundness note there).
+#[derive(Clone)]
 enum Verdict {
-    /// Degenerate candidate: the smart constructors absorbed the
-    /// augmentation (or the position vanished).
+    /// Nothing to merge: a degenerate candidate (the smart constructors
+    /// absorbed the augmentation, or the position vanished), or one the
+    /// scan stopped before while it waited
+    /// ([`Verifier::await_earlier`]), whose verdict is discarded.
     Skip,
     /// Some genuine bad run of `M ⊨ R ∧ ¬fa` satisfies the weakened
     /// property, so it cannot close the gap. *Which* run refuted it is a
     /// worker-local detail; the verdict itself is semantic.
     NotClosing,
-    /// The weakened property implies a formula the merge had already
-    /// accepted when this candidate was verified. That proves closure
-    /// without a fixpoint (every run it admits is admitted by a closing
-    /// formula) — and guarantees the merge drops it, so the formula is
-    /// not carried.
+    /// The weakened property implies the formula of an earlier closing
+    /// candidate. That proves closure without a fixpoint (every run it
+    /// admits is admitted by a closing formula) — and guarantees the
+    /// merge drops it, so the formula is not carried.
     Subsumed,
     /// No run of `M ⊨ R ∧ ¬fa` satisfies the weakened property: it
     /// closes the gap (Definition 3).
     Closing(Ltl),
-    /// The merge stopped before reaching this candidate (budget full,
-    /// deadline, earlier error) while it waited for its fixpoint turn:
-    /// the verdict would be discarded, so it was never computed.
-    Released,
-}
-
-/// A candidate's view of the merge's accepted formulas, for the
-/// subsumption screen.
-#[derive(Clone, Copy)]
-struct Accepted<'a> {
-    /// The accepted formulas when the candidate was claimed: exact on
-    /// the sequential path, possibly stale on a worker (see
-    /// [`WeakestMerge`] for why staleness is sound).
-    snapshot: &'a [Ltl],
-    /// On an engine whose fixpoints serialize, the wait for this
-    /// candidate's fixpoint turn (see [`verify_parallel`]): it blocks
-    /// until every earlier candidate is merged and returns the accepted
-    /// formulas at that point, or `None` once the merge no longer needs
-    /// this candidate's verdict.
-    turn: Option<&'a dyn Fn() -> Option<Vec<Ltl>>>,
-}
-
-impl<'a> Accepted<'a> {
-    /// The exact accepted set of the sequential scan.
-    fn current(accepted: &'a [Ltl]) -> Self {
-        Accepted {
-            snapshot: accepted,
-            turn: None,
-        }
-    }
 }
 
 /// Per-worker verification scratch. Each worker owns its pool, probe
@@ -449,104 +408,6 @@ fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
     !refuted && dic_automata::implies(f, g)
 }
 
-/// Verifies one candidate against the model: apply, word-screen against
-/// the worker's bad-run pool, subsumption screen against the accepted
-/// formulas, directed refutation probe, the bounded SAT tier, then —
-/// after waiting for the candidate's turn where `accepted` has one, and
-/// screening again against the accepted set of that turn — the full
-/// closure fixpoint.
-fn verify_candidate<'m>(
-    fa: &Ltl,
-    cand: &Candidate,
-    base: &[Ltl],
-    engine: GapEngine<'m>,
-    accepted: Accepted<'_>,
-    screen_words: &[LassoWord],
-    state: &mut WorkerState<'m>,
-) -> Result<Verdict, CoreError> {
-    let Some(weakened) = apply(fa, cand) else {
-        return Ok(Verdict::Skip);
-    };
-    if weakened == *fa {
-        return Ok(Verdict::Skip); // smart constructors absorbed the change
-    }
-    if state.bad_runs.iter().any(|run| weakened.holds_on(run)) {
-        return Ok(Verdict::NotClosing); // a known bad run slips through
-    }
-    // Subsumption by an already-accepted closing formula: if
-    // `weakened ⇒ g` for a closing `g`, every run the candidate admits is
-    // admitted by `g`, so the candidate closes too — and the merge drops
-    // it as (at best) equivalent to the earlier `g`. Confirming closure
-    // by formula implication replaces a whole-product fixpoint per
-    // redundant candidate.
-    let subsumed = |accepted: &[Ltl]| {
-        let hit = accepted
-            .iter()
-            .any(|g| implies_screened(&weakened, g, screen_words));
-        if hit && dic_trace::enabled() {
-            dic_trace::count(dic_trace::Counter::GapImplicationSettled, 1);
-        }
-        hit
-    };
-    if subsumed(accepted.snapshot) {
-        return Ok(Verdict::Subsumed);
-    }
-    // Directed cheap refutation before the full closure fixpoint: a
-    // bad run exhibiting the *negated* augmentation at the candidate's
-    // position usually satisfies the weakened property outright (the
-    // strengthened antecedent never fires / the weakened consequent is
-    // not exercised), and any bad run satisfying the candidate refutes
-    // closure by word evaluation alone. The probe is one bounded-cube
-    // query against the memoized `R ∧ ¬fa` base product; when the run
-    // it finds does not settle the candidate, the full check below
-    // still decides it — the probe is an early exit, never an oracle.
-    let probe_at = (cand.x_depth + cand.offset, cand.literal.negated());
-    if state.probed.insert(probe_at) {
-        let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
-        if let Some(run) = engine.scenario(base, None, &probe)? {
-            state.bad_runs.push(run);
-            let run = state.bad_runs.last().expect("just pushed");
-            if weakened.holds_on(run) {
-                if dic_trace::enabled() {
-                    dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
-                }
-                return Ok(Verdict::NotClosing);
-            }
-        }
-    }
-    if dic_trace::enabled() {
-        dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
-    }
-    // The closure check, tier by tier (`GapEngine::closure` split open).
-    // With `BmcMode::Auto` the bounded SAT tier goes first — a shallow
-    // refuting lasso comes back without running either fixpoint engine,
-    // and lands in the bad-run pool exactly like a fixpoint
-    // counterexample.
-    let extra = std::slice::from_ref(&weakened);
-    if let Some(run) = engine.bounded_refutation(base, extra, &mut state.bmc) {
-        state.bad_runs.push(run);
-        return Ok(Verdict::NotClosing);
-    }
-    // Only a candidate the SAT tier could not refute waits for its turn:
-    // the turn's accepted set is exactly the sequential scan's, so a
-    // closing candidate runs its fixpoint only if the sequential scan
-    // would have run it too.
-    if let Some(turn) = accepted.turn {
-        match turn() {
-            None => return Ok(Verdict::Released),
-            Some(current) if subsumed(&current) => return Ok(Verdict::Subsumed),
-            Some(_) => {}
-        }
-    }
-    match engine.fixpoint(base, extra)? {
-        Some(run) => {
-            state.bad_runs.push(run);
-            Ok(Verdict::NotClosing)
-        }
-        None => Ok(Verdict::Closing(weakened)),
-    }
-}
-
 /// The deterministic merge (stage 3): consumes *closing* verdicts in
 /// canonical candidate order and maintains the running weakest antichain
 /// under the strength order of Definition 2.
@@ -570,7 +431,10 @@ fn verify_candidate<'m>(
 /// sound: a formula is only ever removed in favor of a strictly weaker
 /// one, so `f ⇒ g` with `g` accepted at any point implies `f ⇒ h` for
 /// some `h` accepted at every later point — a [`Verdict::Subsumed`]
-/// candidate stays dropped no matter how the antichain evolves.
+/// candidate stays dropped no matter how the antichain evolves. By the
+/// same transitivity, the accepted set before candidate `j` subsumes `j`
+/// exactly when `j` implies the formula of some closing candidate before
+/// it, accepted or not.
 struct WeakestMerge<'a> {
     accepted: Vec<(Candidate, Ltl)>,
     screen_words: &'a [LassoWord],
@@ -619,15 +483,12 @@ impl<'a> WeakestMerge<'a> {
         }
         self.accepted.push((cand, formula));
     }
-
-    fn into_closing(self) -> Vec<(Candidate, Ltl)> {
-        self.accepted
-    }
 }
 
-/// What the guarded per-candidate driver concluded: a settled verdict, an
-/// unresolvable candidate, a scan-wide deadline stop, or a genuinely
-/// fatal error.
+/// What the guarded per-candidate verification concluded: a settled
+/// verdict, an unresolvable candidate, a scan-wide deadline stop, or a
+/// genuinely fatal error.
+#[derive(Clone)]
 enum Guarded {
     Settled(Verdict),
     /// The candidate could not be settled (degradable refusal, caught
@@ -651,78 +512,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The graceful-degradation wrapper around [`verify_candidate`]: hosts
-/// the `gap.worker` injection site and the per-candidate deadline
-/// checkpoint, isolates panics with `catch_unwind`, and retries a
-/// symbolic `NodeLimit` refusal on the explicit engine (lazily built,
-/// when the model's explicit-hostility axes allow) before giving the
-/// candidate up as unknown.
-fn verify_candidate_guarded<'m>(
-    fa: &Ltl,
-    cand: &Candidate,
-    base: &[Ltl],
-    engine: GapEngine<'m>,
-    accepted: Accepted<'_>,
-    screen_words: &[LassoWord],
-    state: &mut WorkerState<'m>,
-) -> Guarded {
-    let forced = dic_fault::hit(dic_fault::Site::GapWorker);
-    match forced {
-        Some(dic_fault::FaultKind::Deadline) => return Guarded::DeadlineStop,
-        Some(dic_fault::FaultKind::SatUnknown) => {
-            return Guarded::Unknown("injected fault: inconclusive verdict".to_string())
-        }
-        _ => {}
-    }
-    if dic_fault::deadline_expired() {
-        return Guarded::DeadlineStop;
-    }
-    // One guarded attempt on `e`. The injected panic fires *inside* the
-    // unwind scope, so it exercises exactly the isolation an organic
-    // worker panic would.
-    let attempt = |e: GapEngine<'m>, state: &mut WorkerState<'m>, inject_panic: bool| {
-        catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                dic_fault::injected_panic();
-            }
-            verify_candidate(fa, cand, base, e, accepted, screen_words, state)
-        }))
-        .map_err(|payload| panic_message(payload.as_ref()))
-    };
-    // An injected NodeLimit takes the organic refusal path verbatim.
-    let first = if forced == Some(dic_fault::FaultKind::NodeLimit) {
-        Ok(Err(CoreError::Symbolic(
-            dic_symbolic::SymbolicError::NodeLimit {
-                nodes: 0,
-                cache_entries: 0,
-                limit: 0,
-            },
-        )))
-    } else {
-        attempt(engine, state, forced == Some(dic_fault::FaultKind::Panic))
-    };
-    let settle = |outcome: Result<Result<Verdict, CoreError>, String>| match outcome {
-        Err(panic_msg) => Guarded::Unknown(format!("worker panic caught: {panic_msg}")),
-        Ok(Ok(verdict)) => Guarded::Settled(verdict),
-        Ok(Err(e)) if e.is_deadline() => Guarded::DeadlineStop,
-        Ok(Err(e)) if e.is_degradable() => Guarded::Unknown(e.to_string()),
-        Ok(Err(e)) => Guarded::Fatal(e),
-    };
-    let node_limited = matches!(
-        first,
-        Ok(Err(CoreError::Symbolic(
-            dic_symbolic::SymbolicError::NodeLimit { .. }
-        )))
-    );
-    if let Some(explicit) = node_limited.then(|| engine.explicit_fallback()).flatten() {
-        if dic_trace::enabled() {
-            dic_trace::event("gap.retry_explicit", &[]);
-        }
-        return settle(attempt(explicit, state, false));
-    }
-    settle(first)
-}
-
 /// Result of a verification scan: the accepted antichain plus the
 /// degradation ledger the caller folds into the [`GapOutcome`].
 struct VerifyOutcome {
@@ -731,297 +520,456 @@ struct VerifyOutcome {
     incomplete: Option<String>,
 }
 
-fn deadline_reason(unverified: usize) -> String {
-    format!("deadline exceeded during gap verification; {unverified} candidates unverified")
+/// The verification scan's shared state, behind [`Verifier::scan`].
+struct Scan<'a> {
+    /// The next candidate to claim; claims follow canonical order.
+    next: usize,
+    /// The first candidate whose verdict the merge no longer needs: the
+    /// one after the candidate that filled the budget, the first deadline
+    /// trip in canonical order, or 0 after a fatal error. Starts at the
+    /// candidate count and only ever moves down.
+    cutoff: usize,
+    /// Every candidate before the frontier has been merged.
+    frontier: usize,
+    /// Delivered verdicts by candidate index; `None` while a candidate is
+    /// unclaimed or in flight.
+    verdicts: Vec<Option<Guarded>>,
+    merge: WeakestMerge<'a>,
+    unknown: Vec<UnknownGap>,
+    incomplete: Option<String>,
+    error: Option<CoreError>,
 }
 
-/// Records an unsettled candidate, skipping degenerates the smart
-/// constructors would have absorbed anyway.
-fn push_unknown(unknown: &mut Vec<UnknownGap>, fa: &Ltl, cand: &Candidate, diagnostic: String) {
-    if let Some(formula) = apply(fa, cand) {
-        if formula != *fa {
-            unknown.push(UnknownGap {
-                formula,
-                diagnostic,
-            });
-        }
+impl Scan<'_> {
+    /// Whether candidate `i` closes the gap; `None` while it is in flight.
+    fn closes(&self, i: usize) -> Option<bool> {
+        self.verdicts[i]
+            .as_ref()
+            .map(|v| matches!(v, Guarded::Settled(Verdict::Closing(_) | Verdict::Subsumed)))
+    }
+
+    /// Whether the antichain could fill before candidate `j` is merged:
+    /// each candidate between the frontier and `j` that is in flight or
+    /// closing may add one formula, unless `cannot_close` says otherwise.
+    fn may_fill_before(&self, j: usize, cannot_close: impl Fn(usize) -> bool) -> bool {
+        let pending = (self.frontier..j)
+            .filter(|&i| {
+                !cannot_close(i)
+                    && matches!(
+                        self.verdicts[i],
+                        None | Some(Guarded::Settled(Verdict::Closing(_)))
+                    )
+            })
+            .count();
+        self.merge.accepted.len() + pending >= self.merge.budget
     }
 }
 
-/// One-worker verification: the verify/merge stages run interleaved on
-/// the calling thread, so the merge's budget exit stops verification at
-/// exactly the candidate the historical sequential loop stopped at —
-/// the refactor is free when `jobs == 1`.
-fn verify_sequential(
-    fa: &Ltl,
-    candidates: &[Candidate],
-    seed_runs: &[LassoWord],
-    base: &[Ltl],
-    engine: GapEngine<'_>,
-    screen_words: &[LassoWord],
-    budget: usize,
-) -> Result<VerifyOutcome, CoreError> {
-    let mut state = WorkerState::new(seed_runs);
-    let mut merge = WeakestMerge::new(screen_words, budget);
-    let mut accepted: Vec<Ltl> = Vec::new();
-    let mut unknown: Vec<UnknownGap> = Vec::new();
-    let mut incomplete = None;
-    for (idx, cand) in candidates.iter().enumerate() {
-        if merge.is_full() {
-            break;
-        }
-        match verify_candidate_guarded(
-            fa,
-            cand,
+/// The gap phase's verification scan (stages 2 + 3). `jobs` workers —
+/// the calling thread and `jobs − 1` scoped threads — claim candidates in
+/// canonical order from one [`Scan`], each with its own [`WorkerState`].
+/// Whichever worker delivers the verdict at the merge frontier advances
+/// the merge, strictly in canonical order, so the result — including the
+/// point the scan stops at and the first error in canonical order — is
+/// the same for every worker count.
+///
+/// Before a closure fixpoint a worker waits for exactly what the
+/// sequential scan's decision on its candidate depends on
+/// ([`Verifier::await_earlier`]), so every worker count runs the
+/// sequential scan's closing fixpoints, on either engine. With one worker
+/// nothing is ever in flight before the claimed candidate, the waits
+/// return at once, and the loop is the sequential scan.
+struct Verifier<'a, 'm> {
+    candidates: &'a [Candidate],
+    /// Each candidate applied to `fa`; `None` when it is degenerate.
+    weakened: Vec<Option<Ltl>>,
+    seed_runs: &'a [LassoWord],
+    base: &'a [Ltl],
+    engine: GapEngine<'m>,
+    screen_words: &'a [LassoWord],
+    scan: Mutex<Scan<'a>>,
+    /// Signalled after every delivery, which is also when the frontier
+    /// and the cutoff move.
+    delivered: Condvar,
+}
+
+impl<'a, 'm> Verifier<'a, 'm> {
+    fn new(
+        fa: &'a Ltl,
+        candidates: &'a [Candidate],
+        seed_runs: &'a [LassoWord],
+        base: &'a [Ltl],
+        engine: GapEngine<'m>,
+        screen_words: &'a [LassoWord],
+        budget: usize,
+    ) -> Self {
+        let weakened = candidates
+            .iter()
+            .map(|cand| apply(fa, cand).filter(|w| w != fa))
+            .collect();
+        Verifier {
+            candidates,
+            weakened,
+            seed_runs,
             base,
             engine,
-            Accepted::current(&accepted),
             screen_words,
-            &mut state,
-        ) {
-            Guarded::Settled(Verdict::Closing(formula)) => {
-                merge.offer(cand.clone(), formula);
-                accepted = merge.formulas();
-            }
-            Guarded::Settled(_) => {}
-            Guarded::Unknown(diagnostic) => push_unknown(&mut unknown, fa, cand, diagnostic),
-            Guarded::DeadlineStop => {
-                incomplete = Some(deadline_reason(candidates.len() - idx));
-                for rest in &candidates[idx..] {
-                    push_unknown(
-                        &mut unknown,
-                        fa,
-                        rest,
-                        "deadline exceeded before this candidate was verified".to_owned(),
-                    );
-                }
-                break;
-            }
-            Guarded::Fatal(e) => return Err(e),
+            scan: Mutex::new(Scan {
+                next: 0,
+                cutoff: candidates.len(),
+                frontier: 0,
+                verdicts: vec![None; candidates.len()],
+                merge: WeakestMerge::new(screen_words, budget),
+                unknown: Vec::new(),
+                incomplete: None,
+                error: None,
+            }),
+            delivered: Condvar::new(),
         }
     }
-    Ok(VerifyOutcome {
-        closing: merge.into_closing(),
-        unknown,
-        incomplete,
-    })
-}
 
-/// Fan-out verification: `jobs` scoped workers claim candidates from a
-/// shared index in canonical order, each owning its bad-run pool and
-/// probe memo ([`WorkerState`]); verdicts stream back to this thread,
-/// which advances a merge frontier strictly in canonical order. The
-/// frontier applies the budget and the subsumption post-pass only to
-/// in-order verdicts, so the result — including the point verification
-/// stops — is byte-identical to the one-worker path.
-///
-/// Errors propagate deterministically too: the first error *in canonical
-/// order* reached by the frontier wins (exactly the one the sequential
-/// scan would have hit), the cutoff releases the workers, and the error
-/// surfaces after they drain — a worker-thread resource refusal
-/// (state-space limit, BDD node budget) reaches the caller as the same
-/// [`CoreError`] it would raise inline.
-///
-/// On the symbolic engine the closure fixpoints serialize on the
-/// engine's internal lock (the one `BddManager` is single-threaded); the
-/// workers still overlap all word-level screens and bounded SAT queries
-/// and act as the queue that coordinating thread drains. See
-/// [`JobsStats::gap_fixpoints`](crate::JobsStats::gap_fixpoints). Since
-/// they run one at a time anyway, they also run in canonical order: a
-/// worker whose candidate needs a fixpoint waits for the merge frontier
-/// to reach that candidate and screens it once more against the accepted
-/// set of that moment — exactly the sequential scan's. So the workers run
-/// exactly the sequential scan's closing fixpoints, instead of also the
-/// redundant closers a stale snapshot let through, and the engine's BDD
-/// work (and with it the process's memory) no longer depends on which
-/// worker was faster. The wait cannot deadlock: the lowest in-flight
-/// candidate's turn has always come.
-#[allow(clippy::too_many_arguments)]
-fn verify_parallel(
-    fa: &Ltl,
-    candidates: &[Candidate],
-    seed_runs: &[LassoWord],
-    base: &[Ltl],
-    engine: GapEngine<'_>,
-    screen_words: &[LassoWord],
-    budget: usize,
-    jobs: usize,
-) -> Result<VerifyOutcome, CoreError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+    /// Poison-tolerant: candidate panics are caught inside
+    /// [`Verifier::verify_guarded`], which never holds the lock.
+    fn lock(&self) -> MutexGuard<'_, Scan<'a>> {
+        self.scan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-    let total = candidates.len();
-    let next = AtomicUsize::new(0);
-    // First candidate index whose verdict the merge no longer needs:
-    // moves to the budget point once the antichain fills (or to 0 on an
-    // error), releasing the workers early.
-    let cutoff = AtomicUsize::new(total);
-    // The merge's progress, republished after every verdict it takes for
-    // the workers' subsumption screen and fixpoint turns. Stale reads are
-    // sound (see [`WeakestMerge`]); the screen only ever *adds* fixpoint
-    // savings. `advanced` wakes the workers waiting for a turn.
-    let progress = Mutex::new(MergeProgress {
-        frontier: 0,
-        accepted: Vec::new(),
-    });
-    let advanced = Condvar::new();
-    let ordered = engine.serializes_fixpoints();
-    let (tx, rx) = mpsc::channel::<(usize, Guarded)>();
-
-    // Workers run on their own threads, outside the coordinator's
-    // thread-local span stack — attach their spans to the verify span
-    // explicitly so the profile tree keeps per-worker busy time.
-    let parent_span = dic_trace::current_span_id();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            let cutoff = &cutoff;
-            let progress = &progress;
-            let advanced = &advanced;
-            scope.spawn(move || {
-                let mut worker_span = dic_trace::span_with_parent("gap.worker", parent_span);
-                let mut state = WorkerState::new(seed_runs);
-                let mut claimed = 0u64;
-                let mut closing = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= total || i >= cutoff.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    claimed += 1;
-                    // Poison-tolerant: the progress is fully assigned under
-                    // the lock, so a panicking worker cannot leave it
-                    // half-written.
-                    let snapshot = progress
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .accepted
-                        .clone();
-                    let turn = || {
-                        let mut seen = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                        while seen.frontier < i && i < cutoff.load(Ordering::SeqCst) {
-                            seen = advanced
-                                .wait(seen)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                        (i < cutoff.load(Ordering::SeqCst)).then(|| seen.accepted.clone())
-                    };
-                    let accepted = Accepted {
-                        snapshot: &snapshot,
-                        turn: ordered.then_some(&turn as &dyn Fn() -> Option<Vec<Ltl>>),
-                    };
-                    let verdict = verify_candidate_guarded(
-                        fa,
-                        &candidates[i],
-                        base,
-                        engine,
-                        accepted,
-                        screen_words,
-                        &mut state,
-                    );
-                    if matches!(verdict, Guarded::Settled(Verdict::Closing(_))) {
-                        closing += 1;
-                    }
-                    if tx.send((i, verdict)).is_err() {
-                        break;
-                    }
-                }
-                if dic_trace::enabled() {
-                    worker_span.meta("claimed", claimed);
-                    worker_span.meta("closing", closing);
-                }
-            });
+    /// Runs the scan on `jobs` workers and folds it into its outcome.
+    fn run(self, jobs: usize) -> Result<VerifyOutcome, CoreError> {
+        // Spawned workers run outside this thread's span stack: attach
+        // every worker span to the verify span explicitly.
+        let parent_span = dic_trace::current_span_id();
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(|| self.work(parent_span));
+            }
+            self.work(parent_span);
+        });
+        let scan = self
+            .scan
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = scan.error {
+            return Err(e);
         }
-        drop(tx);
+        let mut unknown = scan.unknown;
+        if scan.incomplete.is_some() {
+            // Everything at or past the first in-order deadline trip is
+            // unverified, even if a worker delivered a verdict for it.
+            unknown.extend(
+                self.weakened[scan.cutoff..]
+                    .iter()
+                    .flatten()
+                    .map(|f| UnknownGap {
+                        formula: f.clone(),
+                        diagnostic: "deadline exceeded before this candidate was verified"
+                            .to_owned(),
+                    }),
+            );
+        }
+        Ok(VerifyOutcome {
+            closing: scan.merge.accepted,
+            unknown,
+            incomplete: scan.incomplete,
+        })
+    }
 
-        let mut merge = WeakestMerge::new(screen_words, budget);
-        let mut slots: Vec<Option<Guarded>> = Vec::new();
-        slots.resize_with(total, || None);
-        let mut frontier = 0usize;
-        let mut error: Option<CoreError> = None;
-        let mut unknown: Vec<UnknownGap> = Vec::new();
-        let mut incomplete = None;
-        // Drain until every worker exits (the scope joins them anyway);
-        // verdicts past the cutoff are received and discarded.
-        for (i, verdict) in rx {
-            if slots[i].is_none() {
-                slots[i] = Some(verdict);
-            }
-            while frontier < cutoff.load(Ordering::SeqCst) {
-                let Some(slot) = slots[frontier].take() else {
-                    break; // the canonical next verdict is still in flight
-                };
-                match slot {
-                    Guarded::Fatal(e) => {
-                        error = Some(e);
-                        cutoff.store(0, Ordering::SeqCst);
-                    }
-                    Guarded::DeadlineStop => {
-                        // The scan stops at the first in-order trip: every
-                        // verdict before it merged, everything after is
-                        // unverified — the same stop point the sequential
-                        // scan reports.
-                        incomplete = Some(deadline_reason(total - frontier));
-                        cutoff.store(frontier, Ordering::SeqCst);
-                    }
-                    Guarded::Unknown(diagnostic) => {
-                        push_unknown(&mut unknown, fa, &candidates[frontier], diagnostic);
-                    }
-                    Guarded::Settled(Verdict::Closing(formula)) => {
-                        merge.offer(candidates[frontier].clone(), formula);
-                        progress
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .accepted = merge.formulas();
-                        if merge.is_full() {
-                            cutoff.store(frontier + 1, Ordering::SeqCst);
-                        }
-                    }
-                    Guarded::Settled(_) => {}
+    /// One worker: claims candidates until the merge needs no more,
+    /// verifies each, and delivers its verdict.
+    fn work(&self, parent_span: u64) {
+        let mut worker_span = dic_trace::span_with_parent("gap.worker", parent_span);
+        let mut state = WorkerState::new(self.seed_runs);
+        let (mut claimed, mut closing) = (0u64, 0u64);
+        loop {
+            let (i, accepted, since) = {
+                let mut scan = self.lock();
+                let i = scan.next;
+                if i >= scan.cutoff {
+                    break;
                 }
-                frontier += 1;
+                scan.next += 1;
+                (i, scan.merge.formulas(), scan.frontier)
+            };
+            claimed += 1;
+            let verdict = self.verify_guarded(i, &accepted, since, &mut state);
+            if matches!(verdict, Guarded::Settled(Verdict::Closing(_))) {
+                closing += 1;
             }
-            // After every cutoff move too, so a worker waiting past the
-            // cutoff is released.
-            progress
-                .lock()
+            let mut scan = self.lock();
+            scan.verdicts[i] = Some(verdict);
+            self.advance(&mut scan);
+            drop(scan);
+            self.delivered.notify_all();
+        }
+        if dic_trace::enabled() {
+            worker_span.meta("claimed", claimed);
+            worker_span.meta("closing", closing);
+        }
+    }
+
+    /// Merges the delivered verdicts at the frontier, in canonical order,
+    /// until one is still in flight or the cutoff is reached.
+    fn advance(&self, scan: &mut Scan<'a>) {
+        while scan.frontier < scan.cutoff {
+            let f = scan.frontier;
+            let Some(verdict) = scan.verdicts[f].clone() else {
+                break; // the canonical next verdict is still in flight
+            };
+            scan.frontier += 1;
+            match verdict {
+                Guarded::Settled(Verdict::Closing(formula)) => {
+                    scan.merge.offer(self.candidates[f].clone(), formula);
+                    if scan.merge.is_full() {
+                        scan.cutoff = f + 1;
+                    }
+                }
+                // Counted here rather than where it is decided, so the
+                // count covers exactly the candidates the scan reaches.
+                Guarded::Settled(Verdict::Subsumed) if dic_trace::enabled() => {
+                    dic_trace::count(dic_trace::Counter::GapImplicationSettled, 1);
+                }
+                Guarded::Settled(_) => {}
+                Guarded::Unknown(diagnostic) => {
+                    if let Some(formula) = &self.weakened[f] {
+                        scan.unknown.push(UnknownGap {
+                            formula: formula.clone(),
+                            diagnostic,
+                        });
+                    }
+                }
+                Guarded::DeadlineStop => {
+                    scan.incomplete = Some(format!(
+                        "deadline exceeded during gap verification; {} candidates unverified",
+                        self.candidates.len() - f
+                    ));
+                    scan.cutoff = f;
+                }
+                Guarded::Fatal(e) => {
+                    scan.error = Some(e);
+                    scan.cutoff = 0;
+                }
+            }
+        }
+    }
+
+    /// The graceful-degradation wrapper around
+    /// [`Verifier::verify_candidate`]: hosts the `gap.worker` injection
+    /// site and the per-candidate deadline checkpoint, isolates panics
+    /// with `catch_unwind`, and retries a symbolic `NodeLimit` refusal on
+    /// the explicit engine (lazily built, when the model's
+    /// explicit-hostility axes allow) before giving the candidate up as
+    /// unknown.
+    fn verify_guarded(
+        &self,
+        i: usize,
+        accepted: &[Ltl],
+        since: usize,
+        state: &mut WorkerState<'m>,
+    ) -> Guarded {
+        let forced = dic_fault::hit(dic_fault::Site::GapWorker);
+        match forced {
+            Some(dic_fault::FaultKind::Deadline) => return Guarded::DeadlineStop,
+            Some(dic_fault::FaultKind::SatUnknown) => {
+                return Guarded::Unknown("injected fault: inconclusive verdict".to_string())
+            }
+            _ => {}
+        }
+        if dic_fault::deadline_expired() {
+            return Guarded::DeadlineStop;
+        }
+        // One guarded attempt on `e`. The injected panic fires *inside*
+        // the unwind scope, so it exercises exactly the isolation an
+        // organic worker panic would.
+        let attempt = |e: GapEngine<'m>, state: &mut WorkerState<'m>, inject_panic: bool| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if inject_panic {
+                    dic_fault::injected_panic();
+                }
+                self.verify_candidate(i, e, accepted, since, state)
+            }))
+            .map_err(|payload| panic_message(payload.as_ref()))
+        };
+        // An injected NodeLimit takes the organic refusal path verbatim.
+        let first = if forced == Some(dic_fault::FaultKind::NodeLimit) {
+            Ok(Err(CoreError::Symbolic(
+                dic_symbolic::SymbolicError::NodeLimit {
+                    nodes: 0,
+                    cache_entries: 0,
+                    limit: 0,
+                },
+            )))
+        } else {
+            attempt(
+                self.engine,
+                state,
+                forced == Some(dic_fault::FaultKind::Panic),
+            )
+        };
+        let settle = |outcome: Result<Result<Verdict, CoreError>, String>| match outcome {
+            Err(panic_msg) => Guarded::Unknown(format!("worker panic caught: {panic_msg}")),
+            Ok(Ok(verdict)) => Guarded::Settled(verdict),
+            Ok(Err(e)) if e.is_deadline() => Guarded::DeadlineStop,
+            Ok(Err(e)) if e.is_degradable() => Guarded::Unknown(e.to_string()),
+            Ok(Err(e)) => Guarded::Fatal(e),
+        };
+        let node_limited = matches!(
+            first,
+            Ok(Err(CoreError::Symbolic(
+                dic_symbolic::SymbolicError::NodeLimit { .. }
+            )))
+        );
+        if let Some(explicit) = node_limited
+            .then(|| self.engine.explicit_fallback())
+            .flatten()
+        {
+            if dic_trace::enabled() {
+                dic_trace::event("gap.retry_explicit", &[]);
+            }
+            return settle(attempt(explicit, state, false));
+        }
+        settle(first)
+    }
+
+    /// Verifies candidate `i` on `engine`: word-screen against the
+    /// worker's bad-run pool, subsumption screen against the `accepted`
+    /// snapshot (taken at frontier `since`), directed refutation probe,
+    /// the bounded SAT tier, then — after
+    /// [`await_earlier`](Verifier::await_earlier) — the full closure
+    /// fixpoint.
+    fn verify_candidate(
+        &self,
+        i: usize,
+        engine: GapEngine<'m>,
+        accepted: &[Ltl],
+        since: usize,
+        state: &mut WorkerState<'m>,
+    ) -> Result<Verdict, CoreError> {
+        let Some(weakened) = &self.weakened[i] else {
+            return Ok(Verdict::Skip);
+        };
+        if state.bad_runs.iter().any(|run| weakened.holds_on(run)) {
+            return Ok(Verdict::NotClosing); // a known bad run slips through
+        }
+        // Subsumption by an already-accepted closing formula: if
+        // `weakened ⇒ g` for a closing `g`, every run the candidate admits
+        // is admitted by `g`, so the candidate closes too — and the merge
+        // drops it as (at best) equivalent to the earlier `g`. Confirming
+        // closure by formula implication replaces a whole-product
+        // fixpoint per redundant candidate.
+        if accepted
+            .iter()
+            .any(|g| implies_screened(weakened, g, self.screen_words))
+        {
+            return Ok(Verdict::Subsumed);
+        }
+        // Directed cheap refutation before the full closure fixpoint: a
+        // bad run exhibiting the *negated* augmentation at the candidate's
+        // position usually satisfies the weakened property outright (the
+        // strengthened antecedent never fires / the weakened consequent is
+        // not exercised), and any bad run satisfying the candidate refutes
+        // closure by word evaluation alone. The probe is one bounded-cube
+        // query against the memoized `R ∧ ¬fa` base product; when the run
+        // it finds does not settle the candidate, the full check below
+        // still decides it — the probe is an early exit, never an oracle.
+        let cand = &self.candidates[i];
+        let probe_at = (cand.x_depth + cand.offset, cand.literal.negated());
+        if state.probed.insert(probe_at) {
+            let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
+            if let Some(run) = engine.scenario(self.base, None, &probe)? {
+                state.bad_runs.push(run);
+                let run = state.bad_runs.last().expect("just pushed");
+                if weakened.holds_on(run) {
+                    if dic_trace::enabled() {
+                        dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
+                    }
+                    return Ok(Verdict::NotClosing);
+                }
+            }
+        }
+        if dic_trace::enabled() {
+            dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
+        }
+        // The closure check, tier by tier (`GapEngine::closure` split
+        // open). With `BmcMode::Auto` the bounded SAT tier goes first — a
+        // shallow refuting lasso comes back without running either
+        // fixpoint engine, and lands in the bad-run pool exactly like a
+        // fixpoint counterexample.
+        let extra = std::slice::from_ref(weakened);
+        if let Some(run) = engine.bounded_refutation(self.base, extra, &mut state.bmc) {
+            state.bad_runs.push(run);
+            return Ok(Verdict::NotClosing);
+        }
+        if let Some(verdict) = self.await_earlier(i, since, weakened, &state.bad_runs) {
+            return Ok(verdict);
+        }
+        match engine.fixpoint(self.base, extra)? {
+            Some(run) => {
+                state.bad_runs.push(run);
+                Ok(Verdict::NotClosing)
+            }
+            None => Ok(Verdict::Closing(weakened.clone())),
+        }
+    }
+
+    /// The wait before candidate `j`'s closure fixpoint, on what the
+    /// sequential scan's decision on `j` depends on; returns the verdict
+    /// that makes the fixpoint unnecessary, or `None` to run it.
+    ///
+    /// * *Subsumption.* The sequential scan drops `j` iff `j` implies the
+    ///   formula of an earlier closing candidate (see [`WeakestMerge`]).
+    ///   The accepted snapshot covered the candidates before `since`;
+    ///   this checks the rest and waits for each one still in flight that
+    ///   `j` implies. A closer is never refuted by a pool word, a probe
+    ///   or the SAT tier, so subsumption by an in-flight closer is the
+    ///   only thing a stale snapshot misses.
+    /// * *Budget.* While the candidates between the frontier and `j` could
+    ///   fill the antichain, the sequential scan might stop before `j`:
+    ///   wait for the frontier to settle that.
+    ///
+    /// Neither wait is held for an earlier candidate that cannot close:
+    /// a degenerate one, or one a run of this worker's `bad_runs`
+    /// satisfies. Waits only ever go to earlier candidates, so the lowest
+    /// in-flight candidate never waits and the scan cannot deadlock. When
+    /// the cutoff passes `j` meanwhile, its verdict is discarded: `Skip`.
+    fn await_earlier(
+        &self,
+        j: usize,
+        since: usize,
+        weakened: &Ltl,
+        bad_runs: &[LassoWord],
+    ) -> Option<Verdict> {
+        let refuted: Vec<bool> = self.weakened[since..j]
+            .iter()
+            .map(|w| {
+                w.as_ref()
+                    .is_none_or(|f| bad_runs.iter().any(|run| f.holds_on(run)))
+            })
+            .collect();
+        let cannot_close = |i: usize| i >= since && refuted[i - since];
+        let wait_while = |blocked: &dyn Fn(&Scan<'a>) -> bool| {
+            self.delivered
+                .wait_while(self.lock(), |scan| j < scan.cutoff && blocked(scan))
                 .unwrap_or_else(PoisonError::into_inner)
-                .frontier = frontier;
-            advanced.notify_all();
-        }
-        match error {
-            Some(e) => Err(e),
-            None => {
-                if incomplete.is_some() {
-                    // Mirror the sequential stop point: everything at or
-                    // past the first in-order deadline trip is unverified,
-                    // even if an out-of-order worker verdict arrived for it.
-                    for rest in &candidates[cutoff.load(Ordering::SeqCst)..] {
-                        push_unknown(
-                            &mut unknown,
-                            fa,
-                            rest,
-                            "deadline exceeded before this candidate was verified".to_owned(),
-                        );
-                    }
-                }
-                Ok(VerifyOutcome {
-                    closing: merge.into_closing(),
-                    unknown,
-                    incomplete,
-                })
+        };
+        for (i, earlier) in (since..j).zip(&self.weakened[since..j]) {
+            let Some(earlier) = earlier.as_ref().filter(|_| !cannot_close(i)) else {
+                continue;
+            };
+            let may_close = self.lock().closes(i) != Some(false);
+            if !may_close || !implies_screened(weakened, earlier, self.screen_words) {
+                continue;
+            }
+            let scan = wait_while(&|scan| scan.closes(i).is_none());
+            if j >= scan.cutoff {
+                return Some(Verdict::Skip);
+            }
+            if scan.closes(i) == Some(true) {
+                return Some(Verdict::Subsumed);
             }
         }
-    })
-}
-
-/// What the parallel merge has published to its workers: how far the
-/// in-order frontier has advanced, and the accepted formulas at that
-/// point.
-struct MergeProgress {
-    frontier: usize,
-    accepted: Vec<Ltl>,
+        let scan = wait_while(&|scan| scan.may_fill_before(j, cannot_close));
+        (j >= scan.cutoff).then_some(Verdict::Skip)
+    }
 }
 
 /// Attaches the demonstrating run per accepted candidate: a run matching

@@ -97,6 +97,22 @@ fn write_stdout(args: std::fmt::Arguments) -> Result<(), CliError> {
     }
 }
 
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one stderr writer every diagnostic goes through. It drops write
+/// errors: stderr only mirrors what the exit code already says, so an
+/// unwritable stderr (`2>/dev/full`, a closed pipe) ends the run with its
+/// own exit code instead of a panic.
+fn write_stderr(args: std::fmt::Arguments) {
+    let mut stderr = std::io::stderr().lock();
+    let _ = stderr.write_fmt(args).and_then(|()| stderr.flush());
+}
+
 /// A CLI failure, carrying its exit-code class: usage/spec errors exit 2,
 /// engine resource refusals exit 3 (so scripts can retry with a bigger
 /// budget or another backend instead of fixing their invocation).
@@ -144,18 +160,18 @@ fn main() -> ExitCode {
     // defaulting path: a typoed SPECMATCHER_* setting is a usage error
     // (exit 2), never a silently defaulted run.
     if let Err(msg) = dic_core::validate_env() {
-        eprintln!("specmatcher: {msg}");
+        errln!("specmatcher: {msg}");
         return ExitCode::from(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
         Err(CliError::Usage(msg)) => {
-            eprintln!("specmatcher: {msg}");
+            errln!("specmatcher: {msg}");
             ExitCode::from(2)
         }
         Err(CliError::Resource(msg)) => {
-            eprintln!("specmatcher: {msg}");
+            errln!("specmatcher: {msg}");
             ExitCode::from(3)
         }
     }
@@ -188,7 +204,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn print_usage() {
-    eprintln!(
+    errln!(
         "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--reorder off|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\nreorder:  auto = dynamic BDD variable reordering (group sifting; default),\n          off  = keep the static variable order\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (cap SPECMATCHER_BDD_CLUSTER_SIZE; default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (depth SPECMATCHER_BMC_DEPTH, default 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
@@ -277,7 +293,7 @@ fn emit_trace_sinks(
     if profile {
         let tree = dic_trace::render_profile();
         if profile_to_stderr {
-            eprint!("{tree}");
+            write_stderr(format_args!("{tree}"));
         } else {
             out!("{tree}")?;
         }
@@ -430,7 +446,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
             if let Err(CliError::Usage(m) | CliError::Resource(m)) =
                 emit_trace_sinks(profile, trace_out.as_deref(), json)
             {
-                eprintln!("specmatcher: {m}");
+                errln!("specmatcher: {m}");
             }
             return Err(e);
         }
@@ -439,7 +455,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
             if let Err(CliError::Usage(m) | CliError::Resource(m)) =
                 emit_trace_sinks(profile, trace_out.as_deref(), json)
             {
-                eprintln!("specmatcher: {m}");
+                errln!("specmatcher: {m}");
             }
             std::panic::resume_unwind(payload);
         }
@@ -452,7 +468,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
     if let Some(reason) = &run.incomplete {
         // Mirror the reason on stderr so scripts that only watch the exit
         // code and stderr still see why the run degraded.
-        eprintln!("specmatcher: incomplete: {reason}");
+        errln!("specmatcher: incomplete: {reason}");
         trace_abort(false);
     }
     // Under --json the profile tree goes to stderr so stdout stays pure

@@ -3,7 +3,7 @@
 //! SNL + spec files, JSON output and the FSM dump.
 
 use std::io::Write as _;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn specmatcher(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_specmatcher"))
@@ -971,6 +971,49 @@ fn unwritable_stdout_exits_two() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("specmatcher: cannot write the report: "), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn unwritable_stderr_keeps_the_exit_code() {
+    // Every diagnostic goes through one stderr writer that drops write
+    // errors: the usage error, `--help`, the `--profile` tree under
+    // `--json` and the `incomplete:` mirror all end with the run's own
+    // exit code, never a panic (exit 101).
+    if std::fs::metadata("/dev/full").is_err() {
+        return; // no /dev/full on this platform
+    }
+    let cases: [(&[&str], Option<&str>, i32); 5] = [
+        (&["check", "--design", "no-such"], None, 2),
+        (
+            &["check", "--design", "mal-ex2", "--timeout", "0.01"],
+            None,
+            2,
+        ),
+        (&["--help"], None, 0),
+        (
+            &["check", "--design", "mal-ex2", "--profile", "--json"],
+            None,
+            1,
+        ),
+        (
+            &["check", "--design", "mal-ex2"],
+            Some("gap.worker:3:deadline"),
+            1,
+        ),
+    ];
+    for (args, fault, code) in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("opens /dev/full");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_specmatcher"));
+        cmd.args(args).stdout(Stdio::null()).stderr(full);
+        if let Some(fault) = fault {
+            cmd.env("SPECMATCHER_FAULT", fault);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(code), "{args:?} (fault {fault:?})");
+    }
 }
 
 #[test]

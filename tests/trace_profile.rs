@@ -124,6 +124,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The gap scan's dependency waits on random problems: at four
+    /// workers each engine reports what one worker reports, and runs the
+    /// same closing fixpoints and implication settlements — with a budget
+    /// small enough to fill (the budget wait) and with the default one.
+    #[test]
+    fn four_workers_run_the_sequential_scan(seed in 1u64..100_000) {
+        let _guard = exclusive();
+        let (t, arch, rtl) = random_problem(seed);
+        for backend in [Backend::Explicit, Backend::Symbolic] {
+            for budget in [2, GapConfig::default().max_gap_properties] {
+                let config = GapConfig {
+                    max_gap_properties: budget,
+                    ..small_config()
+                };
+                let run = |jobs: usize| {
+                    trace::set_enabled(true);
+                    trace::reset();
+                    let report = SpecMatcher::new(config.clone())
+                        .with_backend(backend)
+                        .with_jobs(jobs)
+                        .check(&arch, &rtl, &t)
+                        .expect("runs");
+                    trace::set_enabled(false);
+                    let reports: Vec<Vec<String>> =
+                        report.properties.iter().map(|p| fingerprint(p, &t)).collect();
+                    (reports, scan_counts())
+                };
+                prop_assert_eq!(
+                    run(1),
+                    run(4),
+                    "seed {}, {} backend, budget {}",
+                    seed, backend, budget
+                );
+            }
+        }
+    }
+}
+
 /// Names of all recorded spans.
 fn span_names(data: &trace::TraceData) -> Vec<String> {
     data.spans.iter().map(|s| s.name.clone()).collect()
@@ -241,8 +282,25 @@ fn parallel_workers_attach_to_the_verify_span() {
     assert!(claimed > 0, "workers recorded their claimed candidates");
 }
 
-/// Closing fixpoints run by the gap workers of one traced `mal-ex2` check.
-fn closing_fixpoints(backend: Backend, jobs: usize) -> u64 {
+/// The closing fixpoints the gap workers of the last traced run ran, and
+/// the candidates it settled by implication.
+fn scan_counts() -> (u64, u64) {
+    let closing = trace::capture()
+        .spans
+        .iter()
+        .filter(|s| s.name == "gap.worker")
+        .flat_map(|s| &s.meta)
+        .filter(|(k, _)| k == "closing")
+        .map(|(_, v)| *v)
+        .sum();
+    (
+        closing,
+        trace::counter_value(trace::Counter::GapImplicationSettled),
+    )
+}
+
+/// [`scan_counts`] of one traced `mal-ex2` check.
+fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
     trace::set_enabled(true);
     trace::reset();
     mal::ex2()
@@ -253,32 +311,29 @@ fn closing_fixpoints(backend: Backend, jobs: usize) -> u64 {
         )
         .expect("runs");
     trace::set_enabled(false);
-    trace::capture()
-        .spans
-        .iter()
-        .filter(|s| s.name == "gap.worker")
-        .flat_map(|s| &s.meta)
-        .filter(|(k, _)| k == "closing")
-        .map(|(_, v)| *v)
-        .sum()
+    scan_counts()
 }
 
-/// Symbolic fixpoints serialize, so the workers take them in canonical
-/// order and screen each candidate against the sequential scan's
-/// accepted set: no worker count or schedule lets a redundant closer
-/// through to a fixpoint.
+/// Before a closure fixpoint, a worker waits for the earlier candidates
+/// its candidate's sequential decision depends on, so on either engine no
+/// worker count or schedule lets a redundant closer through to a
+/// fixpoint: the closing fixpoints and the candidates settled by
+/// implication are the one-worker scan's.
 #[test]
-fn symbolic_workers_run_only_the_sequential_closing_fixpoints() {
+fn workers_run_only_the_sequential_closing_fixpoints() {
     let _guard = exclusive();
-    let counts: Vec<u64> = [2, 4, 2, 4]
-        .into_iter()
-        .map(|jobs| closing_fixpoints(Backend::Symbolic, jobs))
-        .collect();
-    assert!(counts[0] > 0, "mal-ex2 has closing candidates");
-    assert!(
-        counts.iter().all(|&c| c == counts[0]),
-        "closing fixpoints varied with the schedule: {counts:?}"
-    );
+    for backend in [Backend::Explicit, Backend::Symbolic] {
+        let counts: Vec<(u64, u64)> = [1, 2, 4, 2, 4]
+            .into_iter()
+            .map(|jobs| closing_fixpoints(backend, jobs))
+            .collect();
+        assert!(counts[0].0 > 0, "mal-ex2 has closing candidates");
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{backend:?}: (closing fixpoints, implication-settled) varied with \
+             the worker count (--jobs 1, 2, 4, 2, 4): {counts:?}"
+        );
+    }
 }
 
 #[test]
@@ -302,14 +357,13 @@ fn symbolic_runs_count_bdd_work() {
 }
 
 /// Every explicit emptiness search has its own span: present on explicit
-/// runs, under the gap verification (directly at one worker, through a
-/// `gap.worker` at two), and never around an automaton translation, which
+/// runs, under a `gap.worker` span at every worker count, and never around an automaton translation, which
 /// happens before the search starts. The explicit size gauges are set on
 /// traced runs only, like every other gauge.
 #[test]
 fn explicit_searches_have_their_own_span() {
     let _guard = exclusive();
-    for (jobs, verify_parent) in [(1, "gap.verify"), (2, "gap.worker")] {
+    for jobs in [1, 2] {
         trace::set_enabled(true);
         trace::reset();
         mal::ex2()
@@ -332,8 +386,8 @@ fn explicit_searches_have_their_own_span() {
             .collect();
         assert!(!searches.is_empty(), "no explicit.search span at --jobs {jobs}");
         assert!(
-            searches.iter().any(|s| name_of(s.parent) == verify_parent),
-            "no explicit.search under {verify_parent} at --jobs {jobs}"
+            searches.iter().any(|s| name_of(s.parent) == "gap.worker"),
+            "no explicit.search under gap.worker at --jobs {jobs}"
         );
         for t in data.spans.iter().filter(|s| s.name == "automata.translate") {
             let mut up = t.parent;
