@@ -16,8 +16,8 @@ pub enum CoreError {
     /// The symbolic engine exceeded its resource budget (or was handed a
     /// signal it cannot interpret).
     Symbolic(SymbolicError),
-    /// An environment override (`SPECMATCHER_JOBS`,
-    /// `SPECMATCHER_BMC_DEPTH`) failed its strict parse. Fail-closed
+    /// An environment override (`SPECMATCHER_JOBS`) failed its strict
+    /// parse. Fail-closed
     /// like the CLI's flag errors: a typo must not silently select a
     /// default.
     InvalidEnv(String),

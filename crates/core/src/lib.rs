@@ -72,7 +72,7 @@ pub mod weaken;
 pub use backend::{
     predicted_product_cost, Backend, AUTO_SYMBOLIC_BITS, AUTO_SYMBOLIC_PRODUCT_COST,
 };
-pub use bmc::{bmc_depth_from_env, BmcMode, MAX_BMC_DEPTH};
+pub use bmc::BmcMode;
 pub use dic_symbolic::{PartitionMode, ReorderMode, ReorderStats, SymbolicOptions};
 pub use error::CoreError;
 pub use hole::{closes_gap, closure_witness, exact_hole};
@@ -91,29 +91,26 @@ pub use weaken::{
 
 /// The `SPECMATCHER_*` environment variables the program reads.
 /// [`validate_env`] rejects every other `SPECMATCHER_*` name.
-const KNOWN_ENV: [&str; 6] = [
-    "SPECMATCHER_BDD_CLUSTER_SIZE",
+const KNOWN_ENV: [&str; 4] = [
     "SPECMATCHER_BDD_NODE_LIMIT",
-    "SPECMATCHER_BMC_DEPTH",
     "SPECMATCHER_FAULT",
     "SPECMATCHER_JOBS",
     "SPECMATCHER_TIMEOUT",
 ];
 
 /// Startup audit of every `SPECMATCHER_*` override with a strict parse:
-/// `SPECMATCHER_JOBS`, `SPECMATCHER_BMC_DEPTH`,
-/// `SPECMATCHER_BDD_NODE_LIMIT`, `SPECMATCHER_BDD_CLUSTER_SIZE`,
+/// `SPECMATCHER_JOBS`, `SPECMATCHER_BDD_NODE_LIMIT`,
 /// `SPECMATCHER_TIMEOUT` and `SPECMATCHER_FAULT`. Any other
 /// `SPECMATCHER_*` name — a typo, or a retired knob — is rejected too, so
 /// it cannot be silently ignored. Returns the first offending setting's
 /// message.
 ///
 /// Model construction re-validates these fail-closed, but the library
-/// paths that merely *read* them (`GapConfig::effective_jobs`, the BMC
-/// depth resolution) deliberately swallow garbage and fall back to
-/// defaults — safe only because every binary entry point calls this (or
-/// builds a model) before any of those reads. Binaries should treat an
-/// `Err` as a usage error (exit 2).
+/// paths that merely *read* them (`GapConfig::effective_jobs`)
+/// deliberately swallow garbage and fall back to defaults — safe only
+/// because every binary entry point calls this (or builds a model) before
+/// any of those reads. Binaries should treat an `Err` as a usage error
+/// (exit 2).
 ///
 /// # Errors
 ///
@@ -132,7 +129,6 @@ pub fn validate_env() -> Result<(), String> {
         ));
     }
     backend::jobs_from_env()?;
-    bmc::bmc_depth_from_env()?;
     SymbolicOptions::from_env().map_err(|e| e.to_string())?;
     dic_fault::timeout_from_env()?;
     dic_fault::fault_from_env()?;

@@ -58,9 +58,6 @@ pub struct CoverageModel {
     /// Whether gap queries first try the bounded SAT refutation tier
     /// ([`BmcMode::Auto`] by default; see [`GapEngine::closure`]).
     bmc_mode: BmcMode,
-    /// Unroll depth of the SAT tier (`SPECMATCHER_BMC_DEPTH` override or
-    /// [`dic_sat::DEFAULT_BMC_DEPTH`], resolved at build time).
-    bmc_depth: usize,
 }
 
 /// A resolved engine: what [`Backend::Auto`] becomes at build time.
@@ -146,9 +143,8 @@ impl CoverageModel {
         // Strict environment validation, fail-closed like the symbolic
         // options' node-limit parse: a typo in an override must surface
         // as a usage error before any analysis runs, never silently
-        // select a default worker count or unroll depth.
+        // select a default worker count.
         crate::backend::jobs_from_env().map_err(CoreError::InvalidEnv)?;
-        crate::bmc::bmc_depth_from_env().map_err(CoreError::InvalidEnv)?;
 
         // Assumption 1: AP_A ⊆ AP_R.
         let ap_r = rtl.alphabet();
@@ -255,7 +251,6 @@ impl CoverageModel {
             cache: dic_automata::GbaCache::new(),
             products: Mutex::new(HashMap::new()),
             bmc_mode: BmcMode::default(),
-            bmc_depth: crate::bmc::effective_bmc_depth(),
         })
     }
 
@@ -428,7 +423,13 @@ impl CoverageModel {
         dic_trace::count(dic_trace::Counter::BmcQueries, 1);
         let mut session = match slot.take() {
             Some(s) if s.base() == base => s,
-            _ => BmcSession::new(&self.composed, &self.table, &self.free, base, self.bmc_depth),
+            _ => BmcSession::new(
+                &self.composed,
+                &self.table,
+                &self.free,
+                base,
+                dic_sat::DEFAULT_BMC_DEPTH,
+            ),
         };
         let run = session.query(extra);
         *slot = Some(session);
@@ -560,8 +561,7 @@ impl<'m> GapEngine<'m> {
     ///
     /// With [`BmcMode::Auto`] (the default) a bounded SAT refutation runs
     /// *before* the symbolic fixpoint engine: if a lasso satisfying the
-    /// whole conjunction exists within the model's unroll depth
-    /// (`SPECMATCHER_BMC_DEPTH`, default [`dic_sat::DEFAULT_BMC_DEPTH`]),
+    /// whole conjunction exists within [`dic_sat::DEFAULT_BMC_DEPTH`] steps,
     /// the SAT tier finds it, replays it through the netlist evaluator,
     /// and returns it without ever touching a fixpoint. An inconclusive
     /// bound (UNSAT within the depth, or the per-query conflict budget)

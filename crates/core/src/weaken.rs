@@ -55,15 +55,6 @@ pub struct GapConfig {
     /// have been found (gap-closure checks of *closing* candidates explore
     /// the whole product and dominate the runtime on wide models).
     pub max_gap_properties: usize,
-    /// Skip the structured-weakening phase entirely when a variable
-    /// instance of the intent sits deeper than this many `X` operators.
-    /// A candidate for a deep intent pairs an `X`-obligation chain of
-    /// that length with the design registers, which blows up the closure
-    /// product on *either* engine (the `chain-<n>-gap` family past
-    /// roughly a dozen stages) — such intents report their uncovered
-    /// terms and Theorem 2's exact hole instead. The bound is a property
-    /// of the formula alone, so both backends skip identically.
-    pub max_intent_depth: usize,
     /// Worker threads for candidate closure verification (the parallel
     /// stage of Algorithm 1). `0` — the default — resolves through
     /// [`GapConfig::effective_jobs`]: `SPECMATCHER_JOBS` when set, the
@@ -83,11 +74,20 @@ impl Default for GapConfig {
             max_candidates: 128,
             max_offset: 2,
             max_gap_properties: 24,
-            max_intent_depth: 8,
             jobs: 0,
         }
     }
 }
+
+/// The structured-weakening phase is skipped entirely when a variable
+/// instance of the intent sits deeper than this many `X` operators. A
+/// candidate for a deep intent pairs an `X`-obligation chain of that
+/// length with the design registers, which blows up the closure product
+/// on *either* engine (the `chain-<n>-gap` family past roughly a dozen
+/// stages) — such intents report their uncovered terms and Theorem 2's
+/// exact hole instead. The bound is a property of the formula alone, so
+/// both engines skip identically.
+const MAX_INTENT_DEPTH: usize = 8;
 
 impl GapConfig {
     /// Resolves [`GapConfig::jobs`]: an explicit setting wins, then a
@@ -276,11 +276,10 @@ pub fn find_gap_outcome(
         return Ok(GapOutcome::complete(Vec::new()));
     }
     let occurrences = fa.atom_occurrences();
-    if occurrences.iter().any(|o| o.x_depth > config.max_intent_depth) {
+    if occurrences.iter().any(|o| o.x_depth > MAX_INTENT_DEPTH) {
         // Deep-X intent: every closure product pairs an obligation chain
         // of that depth with the design registers — a cliff for either
-        // engine. Report the exact hole instead (see
-        // [`GapConfig::max_intent_depth`]).
+        // engine. Report the exact hole instead (see [`MAX_INTENT_DEPTH`]).
         return Ok(GapOutcome::complete(Vec::new()));
     }
     // Stage 1: canonical candidate enumeration, fixed up front. Every
@@ -353,8 +352,8 @@ enum Verdict {
     /// ([`Verifier::await_earlier`]), whose verdict is discarded.
     Skip,
     /// Some genuine bad run of `M ⊨ R ∧ ¬fa` satisfies the weakened
-    /// property, so it cannot close the gap. *Which* run refuted it is a
-    /// worker-local detail; the verdict itself is semantic.
+    /// property, so it cannot close the gap. *Which* run refuted it
+    /// depends on the schedule; the verdict itself is semantic.
     NotClosing,
     /// The weakened property implies the formula of an earlier closing
     /// candidate. That proves closure without a fixpoint (every run it
@@ -364,38 +363,6 @@ enum Verdict {
     /// No run of `M ⊨ R ∧ ¬fa` satisfies the weakened property: it
     /// closes the gap (Definition 3).
     Closing(Ltl),
-}
-
-/// Per-worker verification scratch. Each worker owns its pool, probe
-/// memo and bounded-tier session outright, so no verdict ever depends on
-/// what another worker happened to discover first: every pooled run is a
-/// genuine bad run (rejections are sound regardless of pool content), the
-/// probe memo only suppresses *repeat* probes within one worker, and a
-/// session answer is a re-verified run or no verdict at all.
-struct WorkerState<'m> {
-    /// Known bad runs — runs of `M` satisfying `R ∧ ¬fa`. Seeded with the
-    /// term-enumeration runs; every failed closure check and probe hit
-    /// contributes one more. A candidate that holds on any pooled run is
-    /// rejected by a word evaluation instead of a model check.
-    bad_runs: Vec<LassoWord>,
-    /// Directed refutation probes already answered by this worker, per
-    /// probed (time, literal) pair.
-    probed: BTreeSet<(usize, Lit)>,
-    /// The incremental bounded-refutation session for this worker's
-    /// `R ∧ ¬fa` base, built by the first closure query that reaches the
-    /// SAT tier. Only ever taken out for the duration of one query (see
-    /// [`GapEngine::closure`]): a panic mid-query leaves it `None`.
-    bmc: Option<BmcSession<'m>>,
-}
-
-impl WorkerState<'_> {
-    fn new(seed_runs: &[LassoWord]) -> Self {
-        WorkerState {
-            bad_runs: seed_runs.to_vec(),
-            probed: BTreeSet::new(),
-            bmc: None,
-        }
-    }
 }
 
 /// `f ⇒ g`, decided by the automata procedure behind a sample-word
@@ -538,9 +505,23 @@ struct Scan<'a> {
     unknown: Vec<UnknownGap>,
     incomplete: Option<String>,
     error: Option<CoreError>,
+    /// Known bad runs — runs of `M` satisfying `R ∧ ¬fa` — shared by
+    /// every worker. Seeded with the term-enumeration runs; every probe
+    /// hit, SAT-tier run and refuting fixpoint adds one. Every pooled run
+    /// is a genuine bad run, so a rejection is sound whichever worker
+    /// found the run, and no verdict depends on the schedule.
+    pool: Vec<LassoWord>,
+    /// The (time, literal) pairs a directed refutation probe has been
+    /// issued for, by any worker.
+    probed: BTreeSet<(usize, Lit)>,
 }
 
 impl Scan<'_> {
+    /// Whether a pooled bad run satisfies `f`, which then cannot close.
+    fn refutes(&self, f: &Ltl) -> bool {
+        self.pool.iter().any(|run| f.holds_on(run))
+    }
+
     /// Whether candidate `i` closes the gap; `None` while it is in flight.
     fn closes(&self, i: usize) -> Option<bool> {
         self.verdicts[i]
@@ -567,11 +548,12 @@ impl Scan<'_> {
 
 /// The gap phase's verification scan (stages 2 + 3). `jobs` workers —
 /// the calling thread and `jobs − 1` scoped threads — claim candidates in
-/// canonical order from one [`Scan`], each with its own [`WorkerState`].
-/// Whichever worker delivers the verdict at the merge frontier advances
-/// the merge, strictly in canonical order, so the result — including the
-/// point the scan stops at and the first error in canonical order — is
-/// the same for every worker count.
+/// canonical order from one [`Scan`], which also holds the bad-run pool
+/// and the probe memo they share; a worker's own state is only its
+/// incremental BMC session. Whichever worker delivers the verdict at the
+/// merge frontier advances the merge, strictly in canonical order, so the
+/// result — including the point the scan stops at and the first error in
+/// canonical order — is the same for every worker count.
 ///
 /// Before a closure fixpoint a worker waits for exactly what the
 /// sequential scan's decision on its candidate depends on
@@ -583,7 +565,6 @@ struct Verifier<'a, 'm> {
     candidates: &'a [Candidate],
     /// Each candidate applied to `fa`; `None` when it is degenerate.
     weakened: Vec<Option<Ltl>>,
-    seed_runs: &'a [LassoWord],
     base: &'a [Ltl],
     engine: GapEngine<'m>,
     screen_words: &'a [LassoWord],
@@ -597,7 +578,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
     fn new(
         fa: &'a Ltl,
         candidates: &'a [Candidate],
-        seed_runs: &'a [LassoWord],
+        seed_runs: &[LassoWord],
         base: &'a [Ltl],
         engine: GapEngine<'m>,
         screen_words: &'a [LassoWord],
@@ -610,7 +591,6 @@ impl<'a, 'm> Verifier<'a, 'm> {
         Verifier {
             candidates,
             weakened,
-            seed_runs,
             base,
             engine,
             screen_words,
@@ -623,13 +603,17 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 unknown: Vec::new(),
                 incomplete: None,
                 error: None,
+                pool: seed_runs.to_vec(),
+                probed: BTreeSet::new(),
             }),
             delivered: Condvar::new(),
         }
     }
 
     /// Poison-tolerant: candidate panics are caught inside
-    /// [`Verifier::verify_guarded`], which never holds the lock.
+    /// [`Verifier::verify_guarded`], and a verification holds the lock
+    /// only for a single read, push or insert, so a panic there leaves the
+    /// scan consistent.
     fn lock(&self) -> MutexGuard<'_, Scan<'a>> {
         self.scan.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -678,7 +662,10 @@ impl<'a, 'm> Verifier<'a, 'm> {
     /// verifies each, and delivers its verdict.
     fn work(&self, parent_span: u64) {
         let mut worker_span = dic_trace::span_with_parent("gap.worker", parent_span);
-        let mut state = WorkerState::new(self.seed_runs);
+        // Built by the first closure query that reaches the SAT tier, and
+        // only ever taken out for the duration of one query (see
+        // [`GapEngine::closure`]): a panic mid-query leaves it `None`.
+        let mut bmc: Option<BmcSession<'m>> = None;
         let (mut claimed, mut closing) = (0u64, 0u64);
         loop {
             let (i, accepted, since) = {
@@ -691,7 +678,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 (i, scan.merge.formulas(), scan.frontier)
             };
             claimed += 1;
-            let verdict = self.verify_guarded(i, &accepted, since, &mut state);
+            let verdict = self.verify_guarded(i, &accepted, since, &mut bmc);
             if matches!(verdict, Guarded::Settled(Verdict::Closing(_))) {
                 closing += 1;
             }
@@ -764,7 +751,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
         i: usize,
         accepted: &[Ltl],
         since: usize,
-        state: &mut WorkerState<'m>,
+        bmc: &mut Option<BmcSession<'m>>,
     ) -> Guarded {
         let forced = dic_fault::hit(dic_fault::Site::GapWorker);
         match forced {
@@ -780,12 +767,12 @@ impl<'a, 'm> Verifier<'a, 'm> {
         // One guarded attempt on `e`. The injected panic fires *inside*
         // the unwind scope, so it exercises exactly the isolation an
         // organic worker panic would.
-        let attempt = |e: GapEngine<'m>, state: &mut WorkerState<'m>, inject_panic: bool| {
+        let attempt = |e: GapEngine<'m>, bmc: &mut Option<BmcSession<'m>>, inject_panic: bool| {
             catch_unwind(AssertUnwindSafe(|| {
                 if inject_panic {
                     dic_fault::injected_panic();
                 }
-                self.verify_candidate(i, e, accepted, since, state)
+                self.verify_candidate(i, e, accepted, since, bmc)
             }))
             .map_err(|payload| panic_message(payload.as_ref()))
         };
@@ -801,7 +788,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
         } else {
             attempt(
                 self.engine,
-                state,
+                bmc,
                 forced == Some(dic_fault::FaultKind::Panic),
             )
         };
@@ -825,29 +812,28 @@ impl<'a, 'm> Verifier<'a, 'm> {
             if dic_trace::enabled() {
                 dic_trace::event("gap.retry_explicit", &[]);
             }
-            return settle(attempt(explicit, state, false));
+            return settle(attempt(explicit, bmc, false));
         }
         settle(first)
     }
 
-    /// Verifies candidate `i` on `engine`: word-screen against the
-    /// worker's bad-run pool, subsumption screen against the `accepted`
-    /// snapshot (taken at frontier `since`), directed refutation probe,
-    /// the bounded SAT tier, then — after
-    /// [`await_earlier`](Verifier::await_earlier) — the full closure
-    /// fixpoint.
+    /// Verifies candidate `i` on `engine`: word-screen against the shared
+    /// bad-run pool, subsumption screen against the `accepted` snapshot
+    /// (taken at frontier `since`), directed refutation probe, the bounded
+    /// SAT tier, then — after [`await_earlier`](Verifier::await_earlier)
+    /// and a second pool screen — the full closure fixpoint.
     fn verify_candidate(
         &self,
         i: usize,
         engine: GapEngine<'m>,
         accepted: &[Ltl],
         since: usize,
-        state: &mut WorkerState<'m>,
+        bmc: &mut Option<BmcSession<'m>>,
     ) -> Result<Verdict, CoreError> {
         let Some(weakened) = &self.weakened[i] else {
             return Ok(Verdict::Skip);
         };
-        if state.bad_runs.iter().any(|run| weakened.holds_on(run)) {
+        if self.lock().refutes(weakened) {
             return Ok(Verdict::NotClosing); // a known bad run slips through
         }
         // Subsumption by an already-accepted closing formula: if
@@ -873,12 +859,12 @@ impl<'a, 'm> Verifier<'a, 'm> {
         // still decides it — the probe is an early exit, never an oracle.
         let cand = &self.candidates[i];
         let probe_at = (cand.x_depth + cand.offset, cand.literal.negated());
-        if state.probed.insert(probe_at) {
+        if self.lock().probed.insert(probe_at) {
             let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
             if let Some(run) = engine.scenario(self.base, None, &probe)? {
-                state.bad_runs.push(run);
-                let run = state.bad_runs.last().expect("just pushed");
-                if weakened.holds_on(run) {
+                let refuted = weakened.holds_on(&run);
+                self.lock().pool.push(run);
+                if refuted {
                     if dic_trace::enabled() {
                         dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
                     }
@@ -895,16 +881,20 @@ impl<'a, 'm> Verifier<'a, 'm> {
         // fixpoint engine, and lands in the bad-run pool exactly like a
         // fixpoint counterexample.
         let extra = std::slice::from_ref(weakened);
-        if let Some(run) = engine.bounded_refutation(self.base, extra, &mut state.bmc) {
-            state.bad_runs.push(run);
+        if let Some(run) = engine.bounded_refutation(self.base, extra, bmc) {
+            self.lock().pool.push(run);
             return Ok(Verdict::NotClosing);
         }
-        if let Some(verdict) = self.await_earlier(i, since, weakened, &state.bad_runs) {
+        if let Some(verdict) = self.await_earlier(i, since, weakened) {
             return Ok(verdict);
+        }
+        // Other workers may have pooled runs while this one waited.
+        if self.lock().refutes(weakened) {
+            return Ok(Verdict::NotClosing);
         }
         match engine.fixpoint(self.base, extra)? {
             Some(run) => {
-                state.bad_runs.push(run);
+                self.lock().pool.push(run);
                 Ok(Verdict::NotClosing)
             }
             None => Ok(Verdict::Closing(weakened.clone())),
@@ -927,24 +917,18 @@ impl<'a, 'm> Verifier<'a, 'm> {
     ///   wait for the frontier to settle that.
     ///
     /// Neither wait is held for an earlier candidate that cannot close:
-    /// a degenerate one, or one a run of this worker's `bad_runs`
-    /// satisfies. Waits only ever go to earlier candidates, so the lowest
-    /// in-flight candidate never waits and the scan cannot deadlock. When
-    /// the cutoff passes `j` meanwhile, its verdict is discarded: `Skip`.
-    fn await_earlier(
-        &self,
-        j: usize,
-        since: usize,
-        weakened: &Ltl,
-        bad_runs: &[LassoWord],
-    ) -> Option<Verdict> {
-        let refuted: Vec<bool> = self.weakened[since..j]
-            .iter()
-            .map(|w| {
-                w.as_ref()
-                    .is_none_or(|f| bad_runs.iter().any(|run| f.holds_on(run)))
-            })
-            .collect();
+    /// a degenerate one, or one a pooled run satisfies. Waits only ever go
+    /// to earlier candidates, so the lowest in-flight candidate never
+    /// waits and the scan cannot deadlock. When the cutoff passes `j`
+    /// meanwhile, its verdict is discarded: `Skip`.
+    fn await_earlier(&self, j: usize, since: usize, weakened: &Ltl) -> Option<Verdict> {
+        let refuted: Vec<bool> = {
+            let scan = self.lock();
+            self.weakened[since..j]
+                .iter()
+                .map(|w| w.as_ref().is_none_or(|f| scan.refutes(f)))
+                .collect()
+        };
         let cannot_close = |i: usize| i >= since && refuted[i - since];
         let wait_while = |blocked: &dyn Fn(&Scan<'a>) -> bool| {
             self.delivered
@@ -977,7 +961,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
 /// realizable verbatim), otherwise a *seeded* run — term-matching first,
 /// then the first seed — otherwise any bad run. Candidates sharing a
 /// motivating term share the run (one query per distinct term). Only
-/// deterministic sources are consulted — never the verification pools,
+/// deterministic sources are consulted — never the verification pool,
 /// whose content depends on worker scheduling — so the reported
 /// witnesses are identical for every worker count.
 fn attach_witnesses(
@@ -1350,6 +1334,121 @@ mod tests {
             );
             // The demonstrating run is a genuine bad run.
             assert!(!fa.holds_on(&gaps[0].witness));
+        }
+    }
+
+    /// `gapped`'s canonical candidates and `R ∧ ¬fa` base, for driving a
+    /// [`Verifier`] by hand.
+    fn gapped_scan() -> (ArchSpec, RtlSpec, CoverageModel, Vec<Candidate>, Vec<Ltl>) {
+        let (_t, arch, rtl, model) = gapped();
+        let fa = arch.properties()[0].formula();
+        let config = GapConfig::default();
+        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let candidates = push_candidates(fa, &terms, model.observable(), &config);
+        let base = rtl
+            .formulas()
+            .iter()
+            .cloned()
+            .chain([Ltl::not(fa.clone())])
+            .collect();
+        (arch, rtl, model, candidates, base)
+    }
+
+    /// The first candidate that does not close, with the bad run its
+    /// closure fixpoint returns — what a worker pools on refuting it.
+    fn first_refuted(verifier: &Verifier<'_, '_>) -> (usize, LassoWord) {
+        verifier
+            .weakened
+            .iter()
+            .enumerate()
+            .find_map(|(k, w)| {
+                let run = verifier
+                    .engine
+                    .fixpoint(verifier.base, std::slice::from_ref(w.as_ref()?))
+                    .expect("runs")?;
+                Some((k, run))
+            })
+            .expect("some candidate does not close")
+    }
+
+    /// The pool belongs to the scan, not to a worker: a run that another
+    /// worker's fixpoint pooled rejects a later candidate by a word
+    /// evaluation — before the directed probe, whose shared memo stays
+    /// empty, and so before any fixpoint.
+    #[test]
+    fn a_pooled_run_rejects_later_candidates_without_a_fixpoint() {
+        let (arch, _rtl, model, candidates, base) = gapped_scan();
+        let fa = arch.properties()[0].formula();
+        let engine = model.gap_engine().expect("engine");
+        let verifier = || Verifier::new(fa, &candidates, &[], &base, engine, &[], 24);
+        let weakened = verifier().weakened;
+        let (k, run) = first_refuted(&verifier());
+        let j = (k + 1..candidates.len())
+            .find(|&j| weakened[j].as_ref().is_some_and(|w| w.holds_on(&run)))
+            .expect("the run refutes a later candidate too");
+        // Candidate `j` is claimed at the frontier, after `k` was merged.
+        let claim = |pooled: bool| {
+            let v = verifier();
+            {
+                let mut scan = v.lock();
+                (scan.next, scan.frontier) = (j + 1, j);
+                if pooled {
+                    scan.pool.push(run.clone());
+                }
+            }
+            let verdict = v.verify_candidate(j, engine, &[], j, &mut None);
+            let probed = !v.lock().probed.is_empty();
+            (matches!(verdict, Ok(Verdict::NotClosing)), probed)
+        };
+        assert_eq!(claim(true), (true, false), "the pooled run settles j alone");
+        assert!(claim(false).1, "without it, j reaches the probe");
+    }
+
+    /// `await_earlier`'s "cannot close" test reads the shared pool. With
+    /// one budget slot, candidate `k + 1` waits for the in-flight `k`,
+    /// which could fill it — unless a pooled run refutes `k`.
+    #[test]
+    fn await_earlier_does_not_wait_on_a_candidate_the_pool_refutes() {
+        let (arch, _rtl, model, candidates, base) = gapped_scan();
+        let fa = arch.properties()[0].formula();
+        let engine = model.gap_engine().expect("engine");
+        let verifier = || Verifier::new(fa, &candidates, &[], &base, engine, &[], 1);
+        let (k, run) = first_refuted(&verifier());
+        let j = k + 1;
+        for pooled in [false, true] {
+            let v = verifier();
+            {
+                let mut scan = v.lock();
+                (scan.next, scan.frontier) = (j + 1, k);
+                if pooled {
+                    scan.pool.push(run.clone());
+                }
+            }
+            let weakened = v.weakened[j].clone().expect("non-degenerate");
+            // A watchdog ends a wait that nothing else would: it moves the
+            // cutoff, which turns the verdict into `Skip`.
+            let (done, watchdog) = std::sync::mpsc::channel::<()>();
+            let patience = std::time::Duration::from_millis(if pooled { 30_000 } else { 200 });
+            let verdict = std::thread::scope(|s| {
+                let v = &v;
+                s.spawn(move || {
+                    if watchdog.recv_timeout(patience).is_err() {
+                        v.lock().cutoff = 0;
+                        v.delivered.notify_all();
+                    }
+                });
+                let verdict = v.await_earlier(j, k, &weakened);
+                let _ = done.send(());
+                verdict
+            });
+            if pooled {
+                assert!(verdict.is_none(), "k cannot close: no wait");
+            } else {
+                assert!(
+                    matches!(verdict, Some(Verdict::Skip)),
+                    "k could fill the budget: waited until released"
+                );
+            }
         }
     }
 

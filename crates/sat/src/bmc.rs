@@ -62,8 +62,7 @@ use dic_netlist::Module;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Default unroll depth of the bounded tier (`SPECMATCHER_BMC_DEPTH`
-/// overrides it).
+/// Unroll depth of the bounded tier.
 pub const DEFAULT_BMC_DEPTH: usize = 16;
 
 /// Conflict budget per bounded query: exhausting it abandons the query

@@ -40,12 +40,6 @@ pub enum SymbolicError {
         /// The offending value, verbatim.
         value: String,
     },
-    /// The `SPECMATCHER_BDD_CLUSTER_SIZE` environment variable is set to
-    /// something that is not a positive node count.
-    InvalidClusterSize {
-        /// The offending value, verbatim.
-        value: String,
-    },
     /// A formula mentions a signal the model neither drives nor declares
     /// free, so the engine cannot assign it a meaning.
     ///
@@ -79,11 +73,6 @@ impl fmt::Display for SymbolicError {
                 f,
                 "invalid SPECMATCHER_BDD_NODE_LIMIT value {value:?}: expected a \
                  positive node count, optionally with a K or M suffix (e.g. 96M)"
-            ),
-            SymbolicError::InvalidClusterSize { value } => write!(
-                f,
-                "invalid SPECMATCHER_BDD_CLUSTER_SIZE value {value:?}: expected a \
-                 positive node count, optionally with a K or M suffix (e.g. 5K)"
             ),
             SymbolicError::UnknownSignal { name } => write!(
                 f,

@@ -211,31 +211,22 @@ impl Default for SymbolicOptions {
 }
 
 impl SymbolicOptions {
-    /// The default options with the two BDD environment overrides
-    /// applied, each strict-parsed (unset means the default):
-    ///
-    /// * `SPECMATCHER_BDD_NODE_LIMIT` — the node budget, a count with an
-    ///   optional `K`/`M` suffix (`24M`, `96m`, `500K`); an escape hatch
-    ///   for models just past [`DEFAULT_NODE_LIMIT`] on machines with
-    ///   memory to spare (the limit exists to fail closed, not to cap
-    ///   capability);
-    /// * `SPECMATCHER_BDD_CLUSTER_SIZE` — the cluster-size cap, a count
-    ///   with the same suffixes.
+    /// The default options with the `SPECMATCHER_BDD_NODE_LIMIT`
+    /// override applied, strict-parsed (unset means the default): the
+    /// node budget, a count with an optional `K`/`M` suffix (`24M`, `96m`,
+    /// `500K`); an escape hatch for models just past
+    /// [`DEFAULT_NODE_LIMIT`] on machines with memory to spare (the limit
+    /// exists to fail closed, not to cap capability).
     ///
     /// # Errors
     ///
-    /// [`SymbolicError::InvalidNodeLimit`] or
-    /// [`SymbolicError::InvalidClusterSize`] when a variable is set but
+    /// [`SymbolicError::InvalidNodeLimit`] when the variable is set but
     /// does not parse — a typo'd override must not silently become the
     /// default it was meant to replace.
     pub fn from_env() -> Result<Self, SymbolicError> {
         let mut opts = SymbolicOptions::default();
         if let Ok(v) = std::env::var("SPECMATCHER_BDD_NODE_LIMIT") {
             opts.node_limit = parse_node_limit(&v)?;
-        }
-        if let Ok(v) = std::env::var("SPECMATCHER_BDD_CLUSTER_SIZE") {
-            opts.cluster_size =
-                parse_scaled_count(&v).ok_or(SymbolicError::InvalidClusterSize { value: v })?;
         }
         Ok(opts)
     }
@@ -257,24 +248,18 @@ impl SymbolicOptions {
 /// Parses a node-limit value: a positive integer with an optional `K`/`M`
 /// (×10³/×10⁶) suffix, case-insensitive.
 fn parse_node_limit(v: &str) -> Result<usize, SymbolicError> {
-    parse_scaled_count(v).ok_or_else(|| SymbolicError::InvalidNodeLimit { value: v.to_owned() })
-}
-
-/// Parses a positive count with an optional `K`/`M` (×10³/×10⁶) suffix,
-/// case-insensitive; `None` on anything else.
-fn parse_scaled_count(v: &str) -> Option<usize> {
+    let invalid = || SymbolicError::InvalidNodeLimit { value: v.to_owned() };
     let s = v.trim();
     let (digits, scale) = match s.as_bytes().last() {
         Some(b'k' | b'K') => (&s[..s.len() - 1], 1_000usize),
         Some(b'm' | b'M') => (&s[..s.len() - 1], 1_000_000usize),
         _ => (s, 1),
     };
-    let n: usize = digits.trim().parse().ok()?;
-    let limit = n.checked_mul(scale)?;
-    if limit == 0 {
-        return None;
+    let n: usize = digits.trim().parse().map_err(|_| invalid())?;
+    match n.checked_mul(scale) {
+        Some(limit) if limit > 0 => Ok(limit),
+        _ => Err(invalid()),
     }
-    Some(limit)
 }
 
 /// A netlist encoded as BDDs: variable banks, partitioned transition

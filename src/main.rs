@@ -15,16 +15,15 @@
 //! either threshold). `--reorder` controls the symbolic engine's dynamic
 //! variable reordering (`auto`, the default, or `off`). `--partition`
 //! controls the symbolic engine's conjunctively partitioned transition
-//! relation (`auto`, the default: greedy clustering up to
-//! `SPECMATCHER_BDD_CLUSTER_SIZE` nodes per cluster; `off` keeps one
-//! conjunct per latch/automaton) — the reported property sets are
+//! relation (`auto`, the default: greedy clustering up to a fixed
+//! per-cluster node cap; `off` keeps one conjunct per latch/automaton) — the reported property sets are
 //! byte-identical either way. `--jobs` sets the
 //! worker-thread count for Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
 //! `--bmc` controls the bounded SAT refutation tier fronting the
-//! gap-phase closure fixpoints (`auto`, the default, or `off`; depth via
-//! `SPECMATCHER_BMC_DEPTH`, default 16) — the reported gap properties
+//! gap-phase closure fixpoints (`auto`, the default, or `off`; unroll
+//! depth 16) — the reported gap properties
 //! are byte-identical either way, only the time to reach them changes.
 //! `--profile` appends the `dic_trace` span/counter tree to the report
 //! and `--trace-out <path>` writes the run as a replayable JSONL event
@@ -205,7 +204,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     errln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--reorder off|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\nreorder:  auto = dynamic BDD variable reordering (group sifting; default),\n          off  = keep the static variable order\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (cap SPECMATCHER_BDD_CLUSTER_SIZE; default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (depth SPECMATCHER_BMC_DEPTH, default 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--reorder off|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\nreorder:  auto = dynamic BDD variable reordering (group sifting; default),\n          off  = keep the static variable order\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
 

@@ -4,11 +4,14 @@
 //! offset, attribution term and witness), on random problems and on the
 //! packaged Table 1 designs alike.
 //!
-//! This is the acid test for the parallel closure stage: the sequential
-//! path merges inline with an early budget exit, the parallel path fans
-//! verification out over workers with per-worker run pools and merges
-//! verdicts in canonical order on the coordinator — they share no
-//! scheduling, so agreement here pins the deterministic-merge contract.
+//! This is the acid test for the parallel closure stage. Every worker
+//! count runs one loop: workers claim candidates in canonical order,
+//! share one bad-run pool and probe memo, wait only on the earlier
+//! candidates a verdict depends on, and whichever worker delivers the
+//! frontier's verdict advances the merge in canonical order. At
+//! `--jobs 1` nothing is ever in flight; at `--jobs N` the claims, waits
+//! and pooled runs follow the thread schedule, so agreement here pins the
+//! deterministic-merge contract.
 
 use proptest::prelude::*;
 use specmatcher::core::{CoverageModel, GapConfig, PropertyReport, SpecMatcher};
