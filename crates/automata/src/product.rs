@@ -419,6 +419,58 @@ impl SccGraph for GbaGraph<'_> {
     }
 }
 
+/// The synchronous product of two automata as a graph. A node is a pair
+/// of states whose literal constraints do not clash, so some letter
+/// satisfies both, and an accepting lasso of the product denotes a word
+/// both automata accept: this decides the satisfiability of a conjunction
+/// from the automata of its conjuncts. The second automaton's acceptance
+/// bits sit above the first's.
+pub(crate) struct GbaPairGraph<'a>(pub &'a Gba, pub &'a Gba);
+
+impl GbaPairGraph<'_> {
+    /// The joint acceptance mask, or `None` when the two automata have
+    /// more than 32 acceptance sets between them.
+    pub fn joint_mask(&self) -> Option<u32> {
+        let total = self.0.num_acceptance_sets() + self.1.num_acceptance_sets();
+        (total <= 32).then(|| mask_of(total))
+    }
+
+    /// Appends the pairs of `lefts × rights` whose literal constraints do
+    /// not clash, left-major.
+    fn push_joint(&self, lefts: &[u32], rights: &[u32], out: &mut Vec<(u32, u32)>) {
+        for &p in lefts {
+            let lits = self.0.state(p).literals();
+            for &q in rights {
+                let right = self.1.state(q).literals();
+                if !lits.iter().any(|l| right.contains(&l.negated())) {
+                    out.push((p, q));
+                }
+            }
+        }
+    }
+}
+
+impl SccGraph for GbaPairGraph<'_> {
+    type Node = (u32, u32); // (left state, right state)
+
+    fn roots(&self) -> Vec<Self::Node> {
+        let mut out = Vec::new();
+        self.push_joint(self.0.initial(), self.1.initial(), &mut out);
+        out
+    }
+
+    fn succs_into(&self, (p, q): Self::Node, out: &mut Vec<Self::Node>) {
+        self.push_joint(self.0.successors(p), self.1.successors(q), out);
+    }
+
+    fn bits(&self, (p, q): Self::Node) -> u32 {
+        // A 32-set left automaton leaves no room above it, and then the
+        // right one has no sets: its bits are all zero.
+        let high = self.1.state(q).acc_bits();
+        self.0.state(p).acc_bits() | high.checked_shl(self.0.num_acceptance_sets()).unwrap_or(0)
+    }
+}
+
 /// A lasso `(states, loop_start)`: `states[loop_start..]` is the cycle
 /// (the successor of the last state is `states[loop_start]`).
 pub(crate) type Lasso<N> = (Vec<N>, usize);

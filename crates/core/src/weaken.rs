@@ -834,6 +834,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
             return Ok(Verdict::Skip);
         };
         if self.lock().refutes(weakened) {
+            dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
             return Ok(Verdict::NotClosing); // a known bad run slips through
         }
         // Subsumption by an already-accepted closing formula: if
@@ -865,15 +866,10 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 let refuted = weakened.holds_on(&run);
                 self.lock().pool.push(run);
                 if refuted {
-                    if dic_trace::enabled() {
-                        dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
-                    }
+                    dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
                     return Ok(Verdict::NotClosing);
                 }
             }
-        }
-        if dic_trace::enabled() {
-            dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
         }
         // The closure check, tier by tier (`GapEngine::closure` split
         // open). With `BmcMode::Auto` the bounded SAT tier goes first — a
@@ -890,8 +886,10 @@ impl<'a, 'm> Verifier<'a, 'm> {
         }
         // Other workers may have pooled runs while this one waited.
         if self.lock().refutes(weakened) {
+            dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
             return Ok(Verdict::NotClosing);
         }
+        dic_trace::count(dic_trace::Counter::GapFixpointVerified, 1);
         match engine.fixpoint(self.base, extra)? {
             Some(run) => {
                 self.lock().pool.push(run);

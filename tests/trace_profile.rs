@@ -282,25 +282,30 @@ fn parallel_workers_attach_to_the_verify_span() {
     assert!(claimed > 0, "workers recorded their claimed candidates");
 }
 
-/// The closing fixpoints the gap workers of the last traced run ran, and
-/// the candidates it settled by implication.
-fn scan_counts() -> (u64, u64) {
-    let closing = trace::capture()
+/// The sum of one meta field over the gap workers of the last traced run.
+fn worker_meta(key: &str) -> u64 {
+    trace::capture()
         .spans
         .iter()
         .filter(|s| s.name == "gap.worker")
         .flat_map(|s| &s.meta)
-        .filter(|(k, _)| k == "closing")
+        .filter(|(k, _)| k == key)
         .map(|(_, v)| *v)
-        .sum();
+        .sum()
+}
+
+/// The closing fixpoints the gap workers of the last traced run ran, and
+/// the candidates it settled by implication.
+fn scan_counts() -> (u64, u64) {
     (
-        closing,
+        worker_meta("closing"),
         trace::counter_value(trace::Counter::GapImplicationSettled),
     )
 }
 
-/// [`scan_counts`] of one traced `mal-ex2` check.
-fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
+/// Runs one traced `mal-ex2` check with the default gap configuration;
+/// its trace stays in the process-global state.
+fn trace_mal_ex2(backend: Backend, jobs: usize) {
     trace::set_enabled(true);
     trace::reset();
     mal::ex2()
@@ -311,7 +316,73 @@ fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
         )
         .expect("runs");
     trace::set_enabled(false);
+}
+
+/// [`scan_counts`] of one traced `mal-ex2` check.
+fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
+    trace_mal_ex2(backend, jobs);
     scan_counts()
+}
+
+/// Each gap tier counts the candidates it settles, pinned on `mal-ex2`
+/// at `--jobs 1`: the 90 claimed candidates split into 51 rejected by a
+/// pooled run or a directed probe, 6 settled by implication, 8 refuted
+/// by the bounded SAT tier (symbolic only; the explicit engine has no
+/// SAT tier) and the rest verified by a closure fixpoint, 25 of which
+/// close.
+#[test]
+fn gap_tier_counters_count_what_each_tier_settles() {
+    let _guard = exclusive();
+    for (backend, bmc_refuted, fixpoints) in
+        [(Backend::Explicit, 0, 33), (Backend::Symbolic, 8, 25)]
+    {
+        trace_mal_ex2(backend, 1);
+        let tiers = [
+            trace::Counter::GapProbeRefuted,
+            trace::Counter::GapImplicationSettled,
+            trace::Counter::BmcRefuted,
+            trace::Counter::GapFixpointVerified,
+        ]
+        .map(trace::counter_value);
+        assert_eq!(
+            (worker_meta("claimed"), tiers),
+            (90, [51, 6, bmc_refuted, fixpoints]),
+            "{backend:?}: (claimed, [probe_refuted, implication_settled, bmc.refuted, \
+             fixpoint_verified])"
+        );
+    }
+}
+
+/// Implication checks have their own span: on `mal-ex2` at `--jobs 1`
+/// they run under the gap worker on both engines, and on the product of
+/// two automata, never through an explicit model search.
+#[test]
+fn implication_checks_have_their_own_span() {
+    let _guard = exclusive();
+    for backend in [Backend::Explicit, Backend::Symbolic] {
+        trace_mal_ex2(backend, 1);
+        let data = trace::capture();
+        let by_id: std::collections::HashMap<u64, &trace::SpanRecord> =
+            data.spans.iter().map(|s| (s.id, s)).collect();
+        let name_of = |id: u64| by_id.get(&id).map_or("", |s| s.name.as_str());
+        assert!(
+            data.spans
+                .iter()
+                .any(|s| s.name == "automata.implies" && name_of(s.parent) == "gap.worker"),
+            "{backend:?}: no automata.implies under gap.worker"
+        );
+        for search in data.spans.iter().filter(|s| s.name == "explicit.search") {
+            let mut up = search.parent;
+            while up != 0 {
+                assert_ne!(
+                    name_of(up),
+                    "automata.implies",
+                    "{backend:?}: explicit.search nests in automata.implies"
+                );
+                up = by_id.get(&up).map_or(0, |s| s.parent);
+            }
+        }
+    }
 }
 
 /// Before a closure fixpoint, a worker waits for the earlier candidates
