@@ -312,7 +312,7 @@ fn conj_search<S: TransitionSystem>(
     // Single-conjunct queries (the candidate-closure hot path) skip the
     // tuple-interning machinery entirely.
     if let [gba] = gbas {
-        let product = Product { sys, gba };
+        let product = Product::new(sys, gba);
         search(&product, product.joint_mask(), witness)
     } else {
         let product = MultiProduct::new(sys, gbas);
@@ -444,6 +444,14 @@ impl TransitionSystem for ProductSystem {
 
     fn label(&self, state: u32) -> &dic_logic::Valuation {
         &self.labels[self.label_of[state as usize] as usize]
+    }
+
+    fn label_id(&self, state: u32) -> u32 {
+        self.label_of[state as usize]
+    }
+
+    fn num_label_ids(&self) -> usize {
+        self.labels.len()
     }
 
     fn num_acc_sets(&self) -> u32 {

@@ -39,12 +39,72 @@ pub(crate) trait SccGraph {
 }
 
 /// The product of a transition system and a GBA.
+///
+/// A product node pairs a system state with an automaton state whose
+/// literals its label satisfies. That test goes through a table filled on
+/// first sight of each label id ([`TransitionSystem::label_id`]): one row
+/// of `⌈|Q|/64⌉` words per label, bit `q` set iff state `q` is compatible
+/// with the label. A base product has far fewer labels than edges, so
+/// each edge pays one bit test per automaton successor instead of a scan
+/// of that successor's literals. Successors keep `gba.successors(q)`
+/// order, so the search visits what a literal scan would, in that order.
 pub(crate) struct Product<'a, S: TransitionSystem> {
-    pub sys: &'a S,
-    pub gba: &'a Gba,
+    sys: &'a S,
+    gba: &'a Gba,
+    compat: RefCell<CompatTable>,
 }
 
-impl<S: TransitionSystem> Product<'_, S> {
+/// The label-indexed compatibility rows of a [`Product`].
+struct CompatTable {
+    /// Words per row: `⌈|Q|/64⌉`.
+    words: usize,
+    /// Per label id: 1 + the start of its row in `rows`, or 0 while the
+    /// row is unfilled (so the vector starts zeroed).
+    slot: Vec<u32>,
+    /// The filled rows, `words` words each, in fill order.
+    rows: Vec<u64>,
+}
+
+impl CompatTable {
+    /// The start in `rows` of the row of `state`'s label, filled first if
+    /// this is the label's first sight.
+    fn row<S: TransitionSystem>(&mut self, sys: &S, gba: &Gba, state: u32) -> usize {
+        let id = sys.label_id(state) as usize;
+        if let Some(start) = self.slot[id].checked_sub(1) {
+            return start as usize;
+        }
+        let start = self.rows.len();
+        self.rows.resize(start + self.words, 0);
+        let label = sys.label(state);
+        for q in 0..gba.num_states() as u32 {
+            if gba.state(q).compatible(label) {
+                self.rows[start + (q / 64) as usize] |= 1 << (q % 64);
+            }
+        }
+        self.slot[id] = u32::try_from(start + 1).expect("label rows fit u32");
+        start
+    }
+
+    /// Whether automaton state `q` is set in the row starting at `row`.
+    fn has(&self, row: usize, q: u32) -> bool {
+        self.rows[row + (q / 64) as usize] >> (q % 64) & 1 != 0
+    }
+}
+
+impl<'a, S: TransitionSystem> Product<'a, S> {
+    pub fn new(sys: &'a S, gba: &'a Gba) -> Self {
+        let compat = CompatTable {
+            words: gba.num_states().div_ceil(64),
+            slot: vec![0; sys.num_label_ids()],
+            rows: Vec::new(),
+        };
+        Product {
+            sys,
+            gba,
+            compat: RefCell::new(compat),
+        }
+    }
+
     /// The joint acceptance mask: system fairness bits first, then the
     /// automaton's acceptance sets.
     pub fn joint_mask(&self) -> u32 {
@@ -59,11 +119,12 @@ impl<S: TransitionSystem> SccGraph for Product<'_, S> {
     type Node = (u32, u32); // (system state, automaton state)
 
     fn roots(&self) -> Vec<Self::Node> {
+        let mut compat = self.compat.borrow_mut();
         let mut out = Vec::new();
         for k in self.sys.initial_states() {
-            let label = self.sys.label(k);
+            let row = compat.row(self.sys, self.gba, k);
             for &q in self.gba.initial() {
-                if self.gba.state(q).compatible(label) {
+                if compat.has(row, q) {
                     out.push((k, q));
                 }
             }
@@ -72,11 +133,12 @@ impl<S: TransitionSystem> SccGraph for Product<'_, S> {
     }
 
     fn succs_into(&self, (k, q): Self::Node, out: &mut Vec<Self::Node>) {
+        let mut compat = self.compat.borrow_mut();
         let next = self.gba.successors(q);
         self.sys.for_each_successor(k, |k2| {
-            let label = self.sys.label(k2);
+            let row = compat.row(self.sys, self.gba, k2);
             for &q2 in next {
-                if self.gba.state(q2).compatible(label) {
+                if compat.has(row, q2) {
                     out.push((k2, q2));
                 }
             }
@@ -798,9 +860,52 @@ impl<'g, G: SccGraph> Search<'g, G> {
 #[cfg(test)]
 mod reference {
     use super::{Lasso, SccGraph};
+    use crate::gba::Gba;
     use crate::hashing::{FastMap, FastSet};
+    use crate::system::TransitionSystem;
     use std::collections::VecDeque;
     use std::hash::Hash;
+
+    /// The product the label-indexed [`super::Product`] replaced: every
+    /// pair of system successor and automaton successor scans the
+    /// automaton state's literals against the system state's label.
+    pub(super) struct LiteralProduct<'a, S> {
+        pub sys: &'a S,
+        pub gba: &'a Gba,
+    }
+
+    impl<S: TransitionSystem> SccGraph for LiteralProduct<'_, S> {
+        type Node = (u32, u32);
+
+        fn roots(&self) -> Vec<Self::Node> {
+            let mut out = Vec::new();
+            for k in self.sys.initial_states() {
+                let label = self.sys.label(k);
+                for &q in self.gba.initial() {
+                    if self.gba.state(q).compatible(label) {
+                        out.push((k, q));
+                    }
+                }
+            }
+            out
+        }
+
+        fn succs_into(&self, (k, q): Self::Node, out: &mut Vec<Self::Node>) {
+            let next = self.gba.successors(q);
+            self.sys.for_each_successor(k, |k2| {
+                let label = self.sys.label(k2);
+                for &q2 in next {
+                    if self.gba.state(q2).compatible(label) {
+                        out.push((k2, q2));
+                    }
+                }
+            });
+        }
+
+        fn bits(&self, (k, q): Self::Node) -> u32 {
+            self.sys.acc_bits(k) | self.gba.state(q).acc_bits() << self.sys.num_acc_sets()
+        }
+    }
 
     /// The lasso (as [`super::find_accepting_lasso`]) and the number of
     /// distinct nodes the Tarjan search numbered.
@@ -972,6 +1077,7 @@ mod tests {
         is_satisfiable_cube, is_satisfiable_in_conj_cached, materialize_product,
         satisfiable_cube, satisfiable_in_conj_cached, GbaCache,
     };
+    use crate::system::CubeView;
     use dic_fsm::Kripke;
     use dic_logic::{BoolExpr, Lit, SignalId, SignalTable};
     use dic_ltl::random::{random_formula, XorShift64};
@@ -1179,12 +1285,42 @@ mod tests {
         (k, atoms)
     }
 
+    /// The label-indexed product of `sys` and `gba` against the literal
+    /// scan it replaced: the same roots, the same successors of every node
+    /// the search reached, and the lasso and visit count of the reference
+    /// search over the literal scan.
+    fn assert_product_matches_literal_scan<S: TransitionSystem>(sys: &S, gba: &Gba) {
+        let product = Product::new(sys, gba);
+        let literal = reference::LiteralProduct { sys, gba };
+        let mask = product.joint_mask();
+        assert_eq!(
+            product.roots(),
+            literal.roots(),
+            "roots differ from the literal scan"
+        );
+        let lasso = assert_matches_reference(&product, mask);
+        let (expected, expected_visited) = reference::find_accepting_lasso(&literal, mask);
+        assert_eq!(lasso, expected, "lasso differs from the literal scan's");
+        let mut search = Search::new(&product);
+        search.accepting_scc(mask);
+        assert_eq!(
+            search.visited, expected_visited,
+            "visit count differs from the literal scan's"
+        );
+        for &n in &search.nodes {
+            assert_eq!(
+                product.succs(n),
+                literal.succs(n),
+                "successors of {n:?} differ"
+            );
+        }
+    }
+
     /// Every query shape the explicit engine issues over `sys`: a single
     /// formula, and a conjunction of two.
     fn check_queries<S: TransitionSystem>(sys: &S, fs: &[Ltl], cache: &GbaCache) {
         let gbas: Vec<_> = fs.iter().map(|f| cache.get(f)).collect();
-        let single = Product { sys, gba: &gbas[0] };
-        assert_matches_reference(&single, single.joint_mask());
+        assert_product_matches_literal_scan(sys, &gbas[0]);
         let refs: Vec<&Gba> = gbas.iter().map(|g| g.as_ref()).collect();
         let multi = MultiProduct::new(sys, &refs);
         assert_matches_reference(&multi, multi.full_mask());
@@ -1224,6 +1360,40 @@ mod tests {
         }
     }
 
+    /// An automaton past 64 states needs two-word compatibility rows: the
+    /// label-indexed product still matches the literal scan, over a Kripke
+    /// structure and over a product materialized from it.
+    #[test]
+    fn wide_automata_match_the_literal_scan() {
+        let mut rng = XorShift64::new(7);
+        let (k, atoms) = random_kripke(&mut rng);
+        let cache = GbaCache::new();
+        let deep = Ltl::next_n(Ltl::atom(atoms[1]), 66);
+        let fs = [
+            Ltl::finally(Ltl::and([Ltl::atom(atoms[2]), deep.clone()])),
+            Ltl::or([deep, Ltl::globally(Ltl::atom(atoms[0]))]),
+        ];
+        for f in &fs {
+            let gba = cache.get(f);
+            let product = Product::new(&k, &gba);
+            let mut search = Search::new(&product);
+            search.accepting_scc(product.joint_mask());
+            assert!(
+                search.nodes.iter().any(|&(_, q)| q >= 64),
+                "the search reaches no automaton state past 64"
+            );
+            assert_product_matches_literal_scan(&k, &gba);
+        }
+        let base = materialize_product(
+            &[Ltl::globally(Ltl::finally(Ltl::atom(atoms[0])))],
+            &k,
+            &cache,
+        );
+        for f in &fs {
+            assert_product_matches_literal_scan(&base, &cache.get(f));
+        }
+    }
+
     /// A random temporal cube over `atoms`, up to five cycles deep: the
     /// empty cube one time in five, and one time in five a cube that pins
     /// the latch `l1` (reset low) high at time 0, which no initial state
@@ -1257,6 +1427,9 @@ mod tests {
         baked: &[Ltl],
         cache: &GbaCache,
     ) {
+        if let Some(f) = anchor {
+            assert_product_matches_literal_scan(&CubeView::new(sys, cube), &cache.get(f));
+        }
         let translated: Vec<Ltl> = anchor.cloned().into_iter().chain([cube.to_ltl()]).collect();
         let expected = is_satisfiable_in_conj_cached(&translated, sys, cache);
         assert_eq!(is_satisfiable_cube(sys, anchor, cube, cache), expected, "{cube:?}");

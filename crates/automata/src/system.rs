@@ -19,6 +19,13 @@ pub trait TransitionSystem {
     fn for_each_successor(&self, state: u32, f: impl FnMut(u32));
     /// The valuation labelling `state`.
     fn label(&self, state: u32) -> &Valuation;
+    /// A small number standing for `state`'s label: states with the same
+    /// id have the same label (equal labels may still get distinct ids).
+    /// Ids lie below [`num_label_ids`](TransitionSystem::num_label_ids),
+    /// so a product search can tabulate per-label facts in a flat array.
+    fn label_id(&self, state: u32) -> u32;
+    /// The bound on [`label_id`](TransitionSystem::label_id).
+    fn num_label_ids(&self) -> usize;
 
     /// Number of *fairness* (generalized acceptance) sets the system itself
     /// imposes: a path of the system counts as a run only if it visits each
@@ -47,6 +54,14 @@ impl TransitionSystem for Kripke {
 
     fn label(&self, state: u32) -> &Valuation {
         Kripke::label(self, state)
+    }
+
+    fn label_id(&self, state: u32) -> u32 {
+        state
+    }
+
+    fn num_label_ids(&self) -> usize {
+        self.num_states()
     }
 }
 
@@ -104,6 +119,14 @@ impl TransitionSystem for WordSystem {
 
     fn label(&self, state: u32) -> &Valuation {
         self.word.at(state as usize)
+    }
+
+    fn label_id(&self, state: u32) -> u32 {
+        state
+    }
+
+    fn num_label_ids(&self) -> usize {
+        self.word.len()
     }
 }
 
@@ -192,6 +215,14 @@ impl<S: TransitionSystem> TransitionSystem for CubeView<'_, S> {
 
     fn label(&self, state: u32) -> &Valuation {
         self.base.label(self.base_state(state))
+    }
+
+    fn label_id(&self, state: u32) -> u32 {
+        self.base.label_id(self.base_state(state))
+    }
+
+    fn num_label_ids(&self) -> usize {
+        self.base.num_label_ids()
     }
 
     fn num_acc_sets(&self) -> u32 {

@@ -33,7 +33,7 @@ use dic_ltl::{LassoWord, Ltl, LtlNode, Polarity, Position, TemporalCube};
 use dic_sat::BmcSession;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Tuning knobs for the gap-finding pipeline (Algorithm 1).
 #[derive(Clone, Debug)]
@@ -305,7 +305,7 @@ pub fn find_gap_outcome(
         .collect();
     // Deterministic sample words over the property atoms and the whole
     // candidate-literal universe, used to refute implications between
-    // candidates cheaply (subsumption screen and merge).
+    // candidates cheaply (subsumption screen and merge; see [`Screen`]).
     let screen_words = {
         let mut signals: BTreeSet<dic_logic::SignalId> = fa.atoms();
         signals.extend(model.observable().iter().copied());
@@ -362,22 +362,58 @@ enum Verdict {
     Subsumed,
     /// No run of `M ⊨ R ∧ ¬fa` satisfies the weakened property: it
     /// closes the gap (Definition 3).
-    Closing(Ltl),
+    Closing,
 }
 
-/// `f ⇒ g`, decided by the automata procedure behind a sample-word
-/// screen: a word satisfying `f` but not `g` refutes the implication
-/// outright, and only unrefuted pairs pay for the automata check. The
+/// The sample-word screen in front of every implication between
+/// candidates: a screen word satisfying `f` but not `g` refutes `f ⇒ g`
+/// outright, and only unrefuted pairs pay for the automata check. A
+/// candidate's *signature* has bit `w` set iff its weakening holds on
+/// screen word `w`; it is computed at most once per run, by whichever
+/// worker needs it first, so each screen is one mask operation. The
 /// screen never changes the answer — words refute soundly — so the
 /// result is deterministic and identical on every worker.
-fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
-    let refuted = screen_words.iter().any(|w| f.holds_on(w) && !g.holds_on(w));
-    !refuted && dic_automata::implies(f, g)
+struct Screen<'a> {
+    /// At most [`SCREEN_WORDS`] sample words.
+    words: &'a [LassoWord],
+    /// Per candidate: its signature, once computed.
+    signatures: Vec<OnceLock<u64>>,
+}
+
+impl<'a> Screen<'a> {
+    fn new(words: &'a [LassoWord], candidates: usize) -> Self {
+        assert!(
+            words.len() <= SCREEN_WORDS,
+            "one signature bit per screen word"
+        );
+        Screen {
+            words,
+            signatures: (0..candidates).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The signature of candidate `i`, whose weakening is `f`.
+    fn signature(&self, i: usize, f: &Ltl) -> u64 {
+        *self.signatures[i].get_or_init(|| {
+            let _span = dic_trace::span("gap.screen");
+            self.words
+                .iter()
+                .enumerate()
+                .fold(0, |sig, (w, word)| sig | u64::from(f.holds_on(word)) << w)
+        })
+    }
+
+    /// Whether a screen word refutes `f ⇒ g`, for candidates `i` and `j`
+    /// with weakenings `f` and `g`.
+    fn refutes(&self, (i, f): (usize, &Ltl), (j, g): (usize, &Ltl)) -> bool {
+        self.signature(i, f) & !self.signature(j, g) != 0
+    }
 }
 
 /// The deterministic merge (stage 3): consumes *closing* verdicts in
 /// canonical candidate order and maintains the running weakest antichain
-/// under the strength order of Definition 2.
+/// under the strength order of Definition 2. Closers are held by
+/// candidate index; their formulas are the candidates' weakenings.
 ///
 /// For each offered formula `f`, in order:
 ///
@@ -402,53 +438,35 @@ fn implies_screened(f: &Ltl, g: &Ltl, screen_words: &[LassoWord]) -> bool {
 /// same transitivity, the accepted set before candidate `j` subsumes `j`
 /// exactly when `j` implies the formula of some closing candidate before
 /// it, accepted or not.
-struct WeakestMerge<'a> {
-    accepted: Vec<(Candidate, Ltl)>,
-    screen_words: &'a [LassoWord],
+struct WeakestMerge {
+    /// Indices of the accepted closers, in acceptance order.
+    accepted: Vec<usize>,
     budget: usize,
 }
 
-impl<'a> WeakestMerge<'a> {
-    fn new(screen_words: &'a [LassoWord], budget: usize) -> Self {
-        WeakestMerge {
-            accepted: Vec::new(),
-            screen_words,
-            budget,
-        }
-    }
-
+impl WeakestMerge {
     fn is_full(&self) -> bool {
         self.accepted.len() >= self.budget
     }
 
-    /// Snapshot of the accepted formulas, for the workers' subsumption
-    /// screen.
-    fn formulas(&self) -> Vec<Ltl> {
-        self.accepted.iter().map(|(_, g)| g.clone()).collect()
-    }
-
-    fn offer(&mut self, cand: Candidate, formula: Ltl) {
-        let words = self.screen_words;
-        if self
-            .accepted
-            .iter()
-            .any(|(_, g)| implies_screened(&formula, g, words))
-        {
+    /// Offers closer `f`; `implies(a, b)` decides whether closer `a`'s
+    /// formula implies closer `b`'s.
+    fn offer(&mut self, f: usize, implies: impl Fn(usize, usize) -> bool) {
+        if self.accepted.iter().any(|&g| implies(f, g)) {
             return; // equivalent to or strictly stronger than an accepted g
         }
-        // The refund: `formula` implies no accepted formula (checked
-        // above), so any accepted `g ⇒ formula` is strictly stronger and
-        // Definition 2 drops it in favor of the weaker newcomer.
+        // The refund: `f` implies no accepted formula (checked above), so
+        // any accepted `g ⇒ f` is strictly stronger and Definition 2 drops
+        // it in favor of the weaker newcomer.
         let before = self.accepted.len();
-        self.accepted
-            .retain(|(_, g)| !implies_screened(g, &formula, words));
+        self.accepted.retain(|&g| !implies(g, f));
         if dic_trace::enabled() {
             dic_trace::count(
                 dic_trace::Counter::GapBudgetRefunds,
                 (before - self.accepted.len()) as u64,
             );
         }
-        self.accepted.push((cand, formula));
+        self.accepted.push(f);
     }
 }
 
@@ -488,7 +506,7 @@ struct VerifyOutcome {
 }
 
 /// The verification scan's shared state, behind [`Verifier::scan`].
-struct Scan<'a> {
+struct Scan {
     /// The next candidate to claim; claims follow canonical order.
     next: usize,
     /// The first candidate whose verdict the merge no longer needs: the
@@ -501,7 +519,7 @@ struct Scan<'a> {
     /// Delivered verdicts by candidate index; `None` while a candidate is
     /// unclaimed or in flight.
     verdicts: Vec<Option<Guarded>>,
-    merge: WeakestMerge<'a>,
+    merge: WeakestMerge,
     unknown: Vec<UnknownGap>,
     incomplete: Option<String>,
     error: Option<CoreError>,
@@ -516,7 +534,7 @@ struct Scan<'a> {
     probed: BTreeSet<(usize, Lit)>,
 }
 
-impl Scan<'_> {
+impl Scan {
     /// Whether a pooled bad run satisfies `f`, which then cannot close.
     fn refutes(&self, f: &Ltl) -> bool {
         self.pool.iter().any(|run| f.holds_on(run))
@@ -526,7 +544,7 @@ impl Scan<'_> {
     fn closes(&self, i: usize) -> Option<bool> {
         self.verdicts[i]
             .as_ref()
-            .map(|v| matches!(v, Guarded::Settled(Verdict::Closing(_) | Verdict::Subsumed)))
+            .map(|v| matches!(v, Guarded::Settled(Verdict::Closing | Verdict::Subsumed)))
     }
 
     /// Whether the antichain could fill before candidate `j` is merged:
@@ -538,7 +556,7 @@ impl Scan<'_> {
                 !cannot_close(i)
                     && matches!(
                         self.verdicts[i],
-                        None | Some(Guarded::Settled(Verdict::Closing(_)))
+                        None | Some(Guarded::Settled(Verdict::Closing))
                     )
             })
             .count();
@@ -567,8 +585,8 @@ struct Verifier<'a, 'm> {
     weakened: Vec<Option<Ltl>>,
     base: &'a [Ltl],
     engine: GapEngine<'m>,
-    screen_words: &'a [LassoWord],
-    scan: Mutex<Scan<'a>>,
+    screen: Screen<'a>,
+    scan: Mutex<Scan>,
     /// Signalled after every delivery, which is also when the frontier
     /// and the cutoff move.
     delivered: Condvar,
@@ -593,13 +611,16 @@ impl<'a, 'm> Verifier<'a, 'm> {
             weakened,
             base,
             engine,
-            screen_words,
+            screen: Screen::new(screen_words, candidates.len()),
             scan: Mutex::new(Scan {
                 next: 0,
                 cutoff: candidates.len(),
                 frontier: 0,
                 verdicts: vec![None; candidates.len()],
-                merge: WeakestMerge::new(screen_words, budget),
+                merge: WeakestMerge {
+                    accepted: Vec::new(),
+                    budget,
+                },
                 unknown: Vec::new(),
                 incomplete: None,
                 error: None,
@@ -614,8 +635,21 @@ impl<'a, 'm> Verifier<'a, 'm> {
     /// [`Verifier::verify_guarded`], and a verification holds the lock
     /// only for a single read, push or insert, so a panic there leaves the
     /// scan consistent.
-    fn lock(&self) -> MutexGuard<'_, Scan<'a>> {
+    fn lock(&self) -> MutexGuard<'_, Scan> {
         self.scan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether candidate `i`'s weakening implies candidate `j`'s: the
+    /// automata procedure decides the pairs the [`Screen`] does not
+    /// refute.
+    fn implies_screened(&self, i: usize, j: usize) -> bool {
+        let formula = |k: usize| {
+            self.weakened[k]
+                .as_ref()
+                .expect("screened candidates apply")
+        };
+        let (f, g) = (formula(i), formula(j));
+        !self.screen.refutes((i, f), (j, g)) && dic_automata::implies(f, g)
     }
 
     /// Runs the scan on `jobs` workers and folds it into its outcome.
@@ -651,8 +685,17 @@ impl<'a, 'm> Verifier<'a, 'm> {
                     }),
             );
         }
+        let closing = scan
+            .merge
+            .accepted
+            .iter()
+            .map(|&i| {
+                let formula = self.weakened[i].clone().expect("closers apply");
+                (self.candidates[i].clone(), formula)
+            })
+            .collect();
         Ok(VerifyOutcome {
-            closing: scan.merge.accepted,
+            closing,
             unknown,
             incomplete: scan.incomplete,
         })
@@ -675,11 +718,11 @@ impl<'a, 'm> Verifier<'a, 'm> {
                     break;
                 }
                 scan.next += 1;
-                (i, scan.merge.formulas(), scan.frontier)
+                (i, scan.merge.accepted.clone(), scan.frontier)
             };
             claimed += 1;
             let verdict = self.verify_guarded(i, &accepted, since, &mut bmc);
-            if matches!(verdict, Guarded::Settled(Verdict::Closing(_))) {
+            if matches!(verdict, Guarded::Settled(Verdict::Closing)) {
                 closing += 1;
             }
             let mut scan = self.lock();
@@ -696,7 +739,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
 
     /// Merges the delivered verdicts at the frontier, in canonical order,
     /// until one is still in flight or the cutoff is reached.
-    fn advance(&self, scan: &mut Scan<'a>) {
+    fn advance(&self, scan: &mut Scan) {
         while scan.frontier < scan.cutoff {
             let f = scan.frontier;
             let Some(verdict) = scan.verdicts[f].clone() else {
@@ -704,8 +747,8 @@ impl<'a, 'm> Verifier<'a, 'm> {
             };
             scan.frontier += 1;
             match verdict {
-                Guarded::Settled(Verdict::Closing(formula)) => {
-                    scan.merge.offer(self.candidates[f].clone(), formula);
+                Guarded::Settled(Verdict::Closing) => {
+                    scan.merge.offer(f, |a, b| self.implies_screened(a, b));
                     if scan.merge.is_full() {
                         scan.cutoff = f + 1;
                     }
@@ -749,7 +792,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
     fn verify_guarded(
         &self,
         i: usize,
-        accepted: &[Ltl],
+        accepted: &[usize],
         since: usize,
         bmc: &mut Option<BmcSession<'m>>,
     ) -> Guarded {
@@ -818,15 +861,16 @@ impl<'a, 'm> Verifier<'a, 'm> {
     }
 
     /// Verifies candidate `i` on `engine`: word-screen against the shared
-    /// bad-run pool, subsumption screen against the `accepted` snapshot
-    /// (taken at frontier `since`), directed refutation probe, the bounded
-    /// SAT tier, then — after [`await_earlier`](Verifier::await_earlier)
-    /// and a second pool screen — the full closure fixpoint.
+    /// bad-run pool, subsumption screen against the `accepted` closers (a
+    /// snapshot taken at frontier `since`), directed refutation probe, the
+    /// bounded SAT tier, then — after
+    /// [`await_earlier`](Verifier::await_earlier) and a second pool screen
+    /// — the full closure fixpoint.
     fn verify_candidate(
         &self,
         i: usize,
         engine: GapEngine<'m>,
-        accepted: &[Ltl],
+        accepted: &[usize],
         since: usize,
         bmc: &mut Option<BmcSession<'m>>,
     ) -> Result<Verdict, CoreError> {
@@ -843,10 +887,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
         // drops it as (at best) equivalent to the earlier `g`. Confirming
         // closure by formula implication replaces a whole-product
         // fixpoint per redundant candidate.
-        if accepted
-            .iter()
-            .any(|g| implies_screened(weakened, g, self.screen_words))
-        {
+        if accepted.iter().any(|&g| self.implies_screened(i, g)) {
             return Ok(Verdict::Subsumed);
         }
         // Directed cheap refutation before the full closure fixpoint: a
@@ -881,7 +922,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
             self.lock().pool.push(run);
             return Ok(Verdict::NotClosing);
         }
-        if let Some(verdict) = self.await_earlier(i, since, weakened) {
+        if let Some(verdict) = self.await_earlier(i, since) {
             return Ok(verdict);
         }
         // Other workers may have pooled runs while this one waited.
@@ -895,7 +936,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 self.lock().pool.push(run);
                 Ok(Verdict::NotClosing)
             }
-            None => Ok(Verdict::Closing(weakened.clone())),
+            None => Ok(Verdict::Closing),
         }
     }
 
@@ -919,7 +960,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
     /// to earlier candidates, so the lowest in-flight candidate never
     /// waits and the scan cannot deadlock. When the cutoff passes `j`
     /// meanwhile, its verdict is discarded: `Skip`.
-    fn await_earlier(&self, j: usize, since: usize, weakened: &Ltl) -> Option<Verdict> {
+    fn await_earlier(&self, j: usize, since: usize) -> Option<Verdict> {
         let refuted: Vec<bool> = {
             let scan = self.lock();
             self.weakened[since..j]
@@ -928,17 +969,14 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 .collect()
         };
         let cannot_close = |i: usize| i >= since && refuted[i - since];
-        let wait_while = |blocked: &dyn Fn(&Scan<'a>) -> bool| {
+        let wait_while = |blocked: &dyn Fn(&Scan) -> bool| {
             self.delivered
                 .wait_while(self.lock(), |scan| j < scan.cutoff && blocked(scan))
                 .unwrap_or_else(PoisonError::into_inner)
         };
-        for (i, earlier) in (since..j).zip(&self.weakened[since..j]) {
-            let Some(earlier) = earlier.as_ref().filter(|_| !cannot_close(i)) else {
-                continue;
-            };
-            let may_close = self.lock().closes(i) != Some(false);
-            if !may_close || !implies_screened(weakened, earlier, self.screen_words) {
+        for i in since..j {
+            let may_close = !cannot_close(i) && self.lock().closes(i) != Some(false);
+            if !may_close || !self.implies_screened(j, i) {
                 continue;
             }
             let scan = wait_while(&|scan| scan.closes(i).is_none());
@@ -1139,7 +1177,12 @@ fn apply(fa: &Ltl, cand: &Candidate) -> Option<Ltl> {
     fa.replace_at(&cand.position, replacement)
 }
 
-/// A fixed-seed pseudo-random sample of lasso words over `signals`.
+/// Number of sample words [`random_words`] draws: one bit each in a
+/// candidate's screen signature ([`Screen`]).
+const SCREEN_WORDS: usize = 64;
+
+/// A fixed-seed pseudo-random sample of [`SCREEN_WORDS`] lasso words over
+/// `signals`.
 fn random_words(signals: &BTreeSet<dic_logic::SignalId>) -> Vec<LassoWord> {
     let n = signals.iter().map(|s| s.index() + 1).max().unwrap_or(1);
     let signals: Vec<_> = signals.iter().copied().collect();
@@ -1150,8 +1193,8 @@ fn random_words(signals: &BTreeSet<dic_logic::SignalId>) -> Vec<LassoWord> {
         state ^= state << 17;
         state
     };
-    let mut words = Vec::with_capacity(64);
-    for _ in 0..64 {
+    let mut words = Vec::with_capacity(SCREEN_WORDS);
+    for _ in 0..SCREEN_WORDS {
         let len = 4 + (next() % 8) as usize;
         let loop_start = (next() % len as u64) as usize;
         let states: Vec<dic_logic::Valuation> = (0..len)
@@ -1176,7 +1219,8 @@ mod tests {
     use crate::model::CoverageModel;
     use crate::spec::{ArchSpec, RtlSpec};
     use crate::terms::{uncovered_terms, uncovered_terms_with_runs};
-    use dic_logic::SignalTable;
+    use dic_logic::{SignalId, SignalTable};
+    use dic_ltl::random::{random_formula, XorShift64};
     use dic_netlist::ModuleBuilder;
 
     /// The `en` gap fixture: A = G(req -> XX q), R = G(req & en -> X a),
@@ -1422,7 +1466,6 @@ mod tests {
                     scan.pool.push(run.clone());
                 }
             }
-            let weakened = v.weakened[j].clone().expect("non-degenerate");
             // A watchdog ends a wait that nothing else would: it moves the
             // cutoff, which turns the verdict into `Skip`.
             let (done, watchdog) = std::sync::mpsc::channel::<()>();
@@ -1435,7 +1478,7 @@ mod tests {
                         v.delivered.notify_all();
                     }
                 });
-                let verdict = v.await_earlier(j, k, &weakened);
+                let verdict = v.await_earlier(j, k);
                 let _ = done.send(());
                 verdict
             });
@@ -1447,6 +1490,76 @@ mod tests {
                     "k could fill the budget: waited until released"
                 );
             }
+        }
+    }
+
+    /// Requires the signature screen to refute exactly the pairs the
+    /// word-by-word screen refutes, among every ordered pair of `fa`'s
+    /// candidate weakenings over `observable`, on the words
+    /// `find_gap_outcome` draws for them. An unrefuted pair goes to the
+    /// same automata check either way, so `implies_screened` answers as
+    /// before. Returns the number of weakenings.
+    fn assert_screen_matches_word_by_word(fa: &Ltl, observable: &BTreeSet<SignalId>) -> usize {
+        let config = GapConfig::default();
+        let weakened: Vec<Ltl> = push_candidates(fa, &[], observable, &config)
+            .iter()
+            .take(config.max_candidates)
+            .filter_map(|cand| apply(fa, cand).filter(|w| w != fa))
+            .collect();
+        let mut signals = fa.atoms();
+        signals.extend(observable.iter().copied());
+        let words = random_words(&signals);
+        let screen = Screen::new(&words, weakened.len());
+        // The word-by-word screen the signatures replaced refutes `f ⇒ g`
+        // when some word satisfies `f` but not `g`; each formula's truth
+        // on each word is evaluated once here, not once per pair.
+        let truth: Vec<Vec<bool>> = weakened
+            .iter()
+            .map(|f| words.iter().map(|w| f.holds_on(w)).collect())
+            .collect();
+        for (i, f) in weakened.iter().enumerate() {
+            for (j, g) in weakened.iter().enumerate() {
+                let refuted = (0..words.len()).any(|w| truth[i][w] && !truth[j][w]);
+                assert_eq!(screen.refutes((i, f), (j, g)), refuted, "{f:?} => {g:?}");
+            }
+        }
+        weakened.len()
+    }
+
+    /// The signature screen answers as the word-by-word screen did, on
+    /// mal-ex2's candidates and on random intents over four signals.
+    #[test]
+    fn signature_screen_matches_the_word_by_word_screen() {
+        // mal-ex2, rebuilt from the packaged design's parts.
+        let d = dic_designs::mal::ex2();
+        let arch = ArchSpec::new(
+            d.arch
+                .properties()
+                .iter()
+                .map(|p| (p.name(), p.formula().clone())),
+        );
+        let rtl = RtlSpec::new(
+            d.rtl
+                .properties()
+                .iter()
+                .map(|p| (p.name(), p.formula().clone())),
+            d.rtl.concrete().iter().cloned(),
+        );
+        let model = CoverageModel::build(&arch, &rtl, &d.table).unwrap();
+        let fa = arch.properties()[0].formula();
+        assert_eq!(
+            assert_screen_matches_word_by_word(fa, model.observable()),
+            128
+        );
+
+        let mut t = SignalTable::new();
+        let atoms: Vec<SignalId> = (0..4).map(|k| t.intern(&format!("s{k}"))).collect();
+        let observable: BTreeSet<SignalId> = atoms.iter().copied().collect();
+        for seed in 1..=32 {
+            let mut rng = XorShift64::new(seed);
+            let budget = 4 + rng.below(4);
+            let fa = random_formula(&mut rng, &atoms, budget);
+            assert_screen_matches_word_by_word(&fa, &observable);
         }
     }
 

@@ -353,6 +353,64 @@ fn gap_tier_counters_count_what_each_tier_settles() {
     }
 }
 
+/// The explicit kernel's visit order, pinned: at `--jobs 1`, mal-ex2's
+/// explicit searches number exactly these many states on each engine
+/// (on the symbolic engine, its scenario and implication searches). A
+/// search that visited roots or successors in another order, or reached
+/// other nodes, would move them.
+#[test]
+fn explicit_visit_counts_are_pinned_at_one_job() {
+    let _guard = exclusive();
+    for (backend, states) in [(Backend::Explicit, 140_351), (Backend::Symbolic, 2_302)] {
+        trace_mal_ex2(backend, 1);
+        assert_eq!(
+            trace::counter_value(trace::Counter::ExplicitStatesExpanded),
+            states,
+            "{backend:?}: explicit.states_expanded"
+        );
+    }
+}
+
+/// Each candidate's screen signature is computed at most once, inside
+/// its gap worker: on `mal-ex2` every `gap.screen` span is a child of
+/// `gap.worker`, on both engines and at one and two workers, and there
+/// are no more of them than candidates.
+#[test]
+fn screen_signatures_are_computed_under_the_gap_worker() {
+    let _guard = exclusive();
+    for backend in [Backend::Explicit, Backend::Symbolic] {
+        for jobs in [1, 2] {
+            trace_mal_ex2(backend, jobs);
+            let data = trace::capture();
+            let by_id: std::collections::HashMap<u64, &trace::SpanRecord> =
+                data.spans.iter().map(|s| (s.id, s)).collect();
+            let name_of = |id: u64| by_id.get(&id).map_or("", |s| s.name.as_str());
+            let screens: Vec<_> = data
+                .spans
+                .iter()
+                .filter(|s| s.name == "gap.screen")
+                .collect();
+            assert!(
+                !screens.is_empty(),
+                "{backend:?} --jobs {jobs}: no gap.screen span"
+            );
+            for screen in &screens {
+                assert_eq!(
+                    name_of(screen.parent),
+                    "gap.worker",
+                    "{backend:?} --jobs {jobs}: gap.screen outside gap.worker"
+                );
+            }
+            let candidates = trace::counter_value(trace::Counter::GapCandidatesEnumerated);
+            assert!(
+                screens.len() as u64 <= candidates,
+                "{backend:?} --jobs {jobs}: {} signatures for {candidates} candidates",
+                screens.len()
+            );
+        }
+    }
+}
+
 /// Implication checks have their own span: on `mal-ex2` at `--jobs 1`
 /// they run under the gap worker on both engines, and on the product of
 /// two automata, never through an explicit model search.
