@@ -13,7 +13,8 @@
 //!   when `T_M` feeds further reasoning rather than a report.
 //!
 //! The paper's Table 1 "TM building" column times the enumerated
-//! construction; the ablation bench compares both.
+//! construction. `dic_designs`' latch-chain tests compare how the two
+//! grow with the latch count.
 
 use dic_fsm::{extract_fsm, Fsm, FsmError};
 use dic_logic::{Cube, SignalTable};

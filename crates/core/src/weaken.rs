@@ -877,7 +877,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
         let Some(weakened) = &self.weakened[i] else {
             return Ok(Verdict::Skip);
         };
-        if self.lock().refutes(weakened) {
+        if self.pool_refutes(weakened) {
             dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
             return Ok(Verdict::NotClosing); // a known bad run slips through
         }
@@ -903,7 +903,11 @@ impl<'a, 'm> Verifier<'a, 'm> {
         let probe_at = (cand.x_depth + cand.offset, cand.literal.negated());
         if self.lock().probed.insert(probe_at) {
             let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
-            if let Some(run) = engine.scenario(self.base, None, &probe)? {
+            let found = {
+                let _span = dic_trace::span("gap.probe");
+                engine.scenario(self.base, None, &probe)?
+            };
+            if let Some(run) = found {
                 let refuted = weakened.holds_on(&run);
                 self.lock().pool.push(run);
                 if refuted {
@@ -926,7 +930,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
             return Ok(verdict);
         }
         // Other workers may have pooled runs while this one waited.
-        if self.lock().refutes(weakened) {
+        if self.pool_refutes(weakened) {
             dic_trace::count(dic_trace::Counter::GapProbeRefuted, 1);
             return Ok(Verdict::NotClosing);
         }
@@ -938,6 +942,12 @@ impl<'a, 'm> Verifier<'a, 'm> {
             }
             None => Ok(Verdict::Closing),
         }
+    }
+
+    /// Whether a pooled bad run satisfies `f`, which then cannot close.
+    fn pool_refutes(&self, f: &Ltl) -> bool {
+        let _span = dic_trace::span("gap.pool_screen");
+        self.lock().refutes(f)
     }
 
     /// The wait before candidate `j`'s closure fixpoint, on what the
@@ -962,6 +972,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
     /// meanwhile, its verdict is discarded: `Skip`.
     fn await_earlier(&self, j: usize, since: usize) -> Option<Verdict> {
         let refuted: Vec<bool> = {
+            let _span = dic_trace::span("gap.pool_screen");
             let scan = self.lock();
             self.weakened[since..j]
                 .iter()

@@ -7,8 +7,10 @@
 //!
 //! * [`mal`] — the Memory Arbitration Logic of the paper's Figures 2–4:
 //!   [`mal::ex1`] (coverage holds), [`mal::ex2`] (the rewired variant with
-//!   a genuine coverage gap, Example 2), and [`mal::mal26`], the
-//!   26-RTL-property four-requester version measured in Table 1.
+//!   a genuine coverage gap, Example 2), and the family [`mal::mal`]`(k)`
+//!   of `k`-requester versions, k = 2..=6, named by property count:
+//!   mal-11, mal-18, mal-26, mal-35 and mal-45. [`mal::mal26`], the
+//!   four-requester member, is the one measured in Table 1.
 //! * [`simple`] — the one-latch model of Example 3 / Figure 5, used to
 //!   demonstrate `T_M` extraction.
 //! * [`amba`] — a simplified ARM AMBA AHB subsystem: fixed-priority
@@ -17,8 +19,8 @@
 //! * [`pipeline`] — a synthetic pipelined memory-port controller with 12
 //!   RTL properties standing in for the proprietary "Intel Design" row of
 //!   Table 1 (see DESIGN.md for the substitution rationale).
-//! * [`scaling`] — parameterized latch chains and arbiters for the
-//!   state-explosion experiments discussed in the paper's Section 5.
+//! * [`scaling`] — parameterized latch chains for the state-explosion
+//!   experiments discussed in the paper's Section 5.
 
 pub mod amba;
 pub mod mal;

@@ -223,22 +223,45 @@ pub fn adapted_gap_property(design: &mut Design) -> Ltl {
     .expect("the adapted U parses")
 }
 
-/// The Table 1 MAL: four requesters, 26 RTL properties, Ex. 2 topology
-/// (so the architectural priority property has a genuine gap and the full
-/// Algorithm 1 pipeline runs, as in the paper's measurements).
-pub fn mal26() -> Design {
-    let n = 4;
-    let mut table = SignalTable::new();
-    let l1 = cache_logic(&mut table, n, "cwait");
+/// The channel counts [`mal`] accepts.
+pub const CHANNELS: std::ops::RangeInclusive<usize> = 2..=6;
 
-    // Registered request masks for all four channels, plus the composite
-    // busy indicator (see the `ex2` comment: masks stall on `cwait` only,
+/// The name of [`mal`]`(k)`: `mal-<p>`, after its `p` = 5k + k(k−1)/2 RTL
+/// properties, as the paper names its four-requester row mal-26.
+pub fn name(k: usize) -> String {
+    format!("mal-{}", 5 * k + k * (k - 1) / 2)
+}
+
+/// The Table 1 MAL: four requesters, 26 RTL properties — [`mal`]`(4)`.
+pub fn mal26() -> Design {
+    mal(4)
+}
+
+/// The MAL with `k` request channels, Ex. 2 topology (so the architectural
+/// priority property has a genuine gap and the full Algorithm 1 pipeline
+/// runs, as in the paper's measurements), and the suite of mal-26 written
+/// for `k` channels: grants `G1..Gk`, completions `C1..Ck`, priority
+/// blocking `B2..Bk`, pairwise grant exclusion `X1..`, busy silence
+/// `W1..Wk`, contrapositive completions `K2..Kk`, then `INIT` and `FAIR`.
+/// That is 5k + k(k−1)/2 properties over 4k + 1 state bits (the `p`/`n`
+/// latches plus the free `hit`, `r` and arbiter-driven `g` inputs).
+///
+/// # Panics
+///
+/// If `k` is outside [`CHANNELS`].
+pub fn mal(k: usize) -> Design {
+    assert!(CHANNELS.contains(&k), "MAL channel counts are {CHANNELS:?}");
+    let mut table = SignalTable::new();
+    let l1 = cache_logic(&mut table, k, "cwait");
+
+    // Registered request masks for every channel, plus the composite busy
+    // indicator (see the `ex2` comment: masks stall on `cwait` only,
     // `wait` covers every in-flight stage).
     let m1 = {
         let mut b = ModuleBuilder::new("M1", &mut table);
         let cwait = b.input("cwait");
-        let gs: Vec<_> = (1..=n).map(|i| b.input(&format!("g{i}"))).collect();
-        let ns: Vec<_> = (1..=n)
+        let gs: Vec<_> = (1..=k).map(|i| b.input(&format!("g{i}"))).collect();
+        let ns: Vec<_> = (1..=k)
             .map(|i| b.table().intern(&format!("n{i}")))
             .collect();
         let wait = b.or_gate(
@@ -246,7 +269,7 @@ pub fn mal26() -> Design {
             ns.iter().chain(gs.iter()).copied().chain([cwait]),
             [],
         );
-        for i in 1..=n {
+        for i in 1..=k {
             let r = b.input(&format!("r{i}"));
             b.latch(
                 &format!("n{i}"),
@@ -254,53 +277,60 @@ pub fn mal26() -> Design {
                 false,
             );
         }
-        for i in 1..=n {
-            let id = b.table().intern(&format!("n{i}"));
+        for &id in &ns {
             b.mark_output(id);
         }
         b.mark_output(wait);
         b.finish().expect("M1 is a valid netlist")
     };
 
-    let mut props: Vec<(String, Ltl)> = Vec::new();
-    {
-        let mut p = |src: &str| Ltl::parse(src, &mut table).expect("static property parses");
-        // Grants: strict priority n1 > n2 > n3 > n4, stalled on cache busy.
-        props.push(("G1".into(), p("G(n1 & !cwait -> X g1)")));
-        props.push(("G2".into(), p("G(!n1 & n2 & !cwait -> X g2)")));
-        props.push(("G3".into(), p("G(!n1 & !n2 & n3 & !cwait -> X g3)")));
-        props.push(("G4".into(), p("G(!n1 & !n2 & !n3 & n4 & !cwait -> X g4)")));
-        // Completions: no grant without a decision.
-        for i in 1..=n {
-            props.push((format!("C{i}"), p(&format!("G(!n{i} -> X !g{i})"))));
-        }
-        // Priority blocking.
-        props.push(("B2".into(), p("G(n1 -> X !g2)")));
-        props.push(("B3".into(), p("G(n1 | n2 -> X !g3)")));
-        props.push(("B4".into(), p("G(n1 | n2 | n3 -> X !g4)")));
-        // Pairwise grant exclusion.
-        let mut k = 0;
-        for i in 1..=n {
-            for j in (i + 1)..=n {
-                k += 1;
-                props.push((format!("X{k}"), p(&format!("G !(g{i} & g{j})"))));
-            }
-        }
-        // Silence while the cache is busy.
-        for i in 1..=n {
-            props.push((format!("W{i}"), p(&format!("G(cwait -> X !g{i})"))));
-        }
-        // Contrapositive completions (redundant in meaning, present in the
-        // suite as written by the validation team).
-        for i in 2..=n {
-            props.push((format!("K{i}"), p(&format!("G(X g{i} -> n{i})"))));
-        }
-        // Reset and cache fairness.
-        props.push(("INIT".into(), p("!g1 & !g2 & !g3 & !g4")));
-        props.push(("FAIR".into(), p("G F hit")));
+    let mut props: Vec<(String, String)> = Vec::new();
+    // Grants: strict priority n1 > n2 > …, stalled on cache busy.
+    for i in 1..=k {
+        let mut ante: Vec<String> = (1..i).map(|j| format!("!n{j}")).collect();
+        ante.extend([format!("n{i}"), "!cwait".to_owned()]);
+        props.push((
+            format!("G{i}"),
+            format!("G({} -> X g{i})", ante.join(" & ")),
+        ));
     }
-    assert_eq!(props.len(), 26, "Table 1 row must carry 26 RTL properties");
+    // Completions: no grant without a decision.
+    for i in 1..=k {
+        props.push((format!("C{i}"), format!("G(!n{i} -> X !g{i})")));
+    }
+    // Priority blocking.
+    for i in 2..=k {
+        let higher: Vec<String> = (1..i).map(|j| format!("n{j}")).collect();
+        props.push((
+            format!("B{i}"),
+            format!("G({} -> X !g{i})", higher.join(" | ")),
+        ));
+    }
+    // Pairwise grant exclusion.
+    for (x, (i, j)) in (1..=k)
+        .flat_map(|i| ((i + 1)..=k).map(move |j| (i, j)))
+        .enumerate()
+    {
+        props.push((format!("X{}", x + 1), format!("G !(g{i} & g{j})")));
+    }
+    // Silence while the cache is busy.
+    for i in 1..=k {
+        props.push((format!("W{i}"), format!("G(cwait -> X !g{i})")));
+    }
+    // Contrapositive completions (redundant in meaning, present in the
+    // suite as written by the validation team).
+    for i in 2..=k {
+        props.push((format!("K{i}"), format!("G(X g{i} -> n{i})")));
+    }
+    // Reset and cache fairness.
+    let init: Vec<String> = (1..=k).map(|i| format!("!g{i}")).collect();
+    props.push(("INIT".to_owned(), init.join(" & ")));
+    props.push(("FAIR".to_owned(), "G F hit".to_owned()));
 
+    let props: Vec<(String, Ltl)> = props
+        .into_iter()
+        .map(|(name, src)| (name, Ltl::parse(&src, &mut table).expect("property parses")))
+        .collect();
     let a = Ltl::parse(
         "G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))",
         &mut table,
@@ -308,10 +338,12 @@ pub fn mal26() -> Design {
     .expect("A parses");
 
     Design {
-        name: "mal-26",
+        // Leaked like `scaling::chain_design`'s name: a handful of calls
+        // per process.
+        name: Box::leak(name(k).into_boxed_str()),
         arch: ArchSpec::new([("A", a)]),
         rtl: RtlSpec::new(
-            props.iter().map(|(n, f)| (n.as_str(), f.clone())),
+            props.iter().map(|(name, f)| (name.as_str(), f.clone())),
             [m1, l1],
         ),
         table,
@@ -465,5 +497,82 @@ mod tests {
     fn mal26_property_count() {
         let d = mal26();
         assert_eq!(d.rtl.num_properties(), 26);
+    }
+
+    /// mal-26's suite as hand-written before the family generator.
+    const MAL26_SUITE: [(&str, &str); 26] = [
+        ("G1", "G(n1 & !cwait -> X g1)"),
+        ("G2", "G(!n1 & n2 & !cwait -> X g2)"),
+        ("G3", "G(!n1 & !n2 & n3 & !cwait -> X g3)"),
+        ("G4", "G(!n1 & !n2 & !n3 & n4 & !cwait -> X g4)"),
+        ("C1", "G(!n1 -> X !g1)"),
+        ("C2", "G(!n2 -> X !g2)"),
+        ("C3", "G(!n3 -> X !g3)"),
+        ("C4", "G(!n4 -> X !g4)"),
+        ("B2", "G(n1 -> X !g2)"),
+        ("B3", "G(n1 | n2 -> X !g3)"),
+        ("B4", "G(n1 | n2 | n3 -> X !g4)"),
+        ("X1", "G !(g1 & g2)"),
+        ("X2", "G !(g1 & g3)"),
+        ("X3", "G !(g1 & g4)"),
+        ("X4", "G !(g2 & g3)"),
+        ("X5", "G !(g2 & g4)"),
+        ("X6", "G !(g3 & g4)"),
+        ("W1", "G(cwait -> X !g1)"),
+        ("W2", "G(cwait -> X !g2)"),
+        ("W3", "G(cwait -> X !g3)"),
+        ("W4", "G(cwait -> X !g4)"),
+        ("K2", "G(X g2 -> n2)"),
+        ("K3", "G(X g3 -> n3)"),
+        ("K4", "G(X g4 -> n4)"),
+        ("INIT", "!g1 & !g2 & !g3 & !g4"),
+        ("FAIR", "G F hit"),
+    ];
+
+    #[test]
+    fn mal4_is_the_hand_written_mal26_suite() {
+        let d = mal(4);
+        assert_eq!(d.name, "mal-26");
+        let signals: Vec<&str> = d.table.iter().map(|(_, name)| name).collect();
+        assert_eq!(
+            signals,
+            [
+                "hit", "g1", "g2", "g3", "g4", "p1", "p2", "p3", "p4", "bare", "d1", "d2", "d3",
+                "d4", "cwait", "n1", "n2", "n3", "n4", "wait", "r1", "r2", "r3", "r4",
+            ]
+        );
+        let mut table = d.table.clone();
+        let want: Vec<(&str, Ltl)> = MAL26_SUITE
+            .iter()
+            .map(|&(name, src)| (name, Ltl::parse(src, &mut table).expect("parses")))
+            .collect();
+        let got: Vec<(&str, Ltl)> = d
+            .rtl
+            .properties()
+            .iter()
+            .map(|p| (p.name(), p.formula().clone()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(table.len(), d.table.len(), "the suite reads no new signal");
+    }
+
+    #[test]
+    fn family_sizes_follow_the_channel_count() {
+        for k in CHANNELS {
+            let d = mal(k);
+            assert_eq!(d.name, name(k));
+            assert_eq!(d.rtl.num_properties(), 5 * k + k * (k - 1) / 2);
+            let modules: Vec<&Module> = d.rtl.concrete().iter().collect();
+            let composed = Module::compose("M", &modules, &d.table).expect("composes");
+            assert_eq!(
+                composed.latches().len() + composed.inputs().len(),
+                4 * k + 1,
+                "mal({k}) state bits"
+            );
+        }
+        assert_eq!(
+            CHANNELS.map(name).collect::<Vec<_>>(),
+            ["mal-11", "mal-18", "mal-26", "mal-35", "mal-45"]
+        );
     }
 }

@@ -3,18 +3,20 @@
 //! The paper's Section 5 warns: *"If we bring in larger RTL blocks into the
 //! picture, we will have state explosion in two of the steps. Firstly, the
 //! primary coverage question requires model checking on the RTL blocks.
-//! Secondly, the building time for T_M will go up."* These generators make
-//! that quantitative: latch chains for `T_M` growth, wider arbiters for
-//! model-checking growth.
+//! Secondly, the building time for T_M will go up."* These latch chains
+//! make that quantitative: `T_M` growth (see
+//! `enumerated_tm_grows_much_faster_than_relational`) and state spaces past
+//! the explicit engine's limit. The MAL family with more requesters is
+//! [`crate::mal::mal`].
 
 use crate::Design;
 use dic_core::{ArchSpec, RtlSpec};
-use dic_logic::{BoolExpr, SignalTable};
+use dic_logic::SignalTable;
 use dic_ltl::Ltl;
 use dic_netlist::{Module, ModuleBuilder};
 
 /// An `n`-stage latch chain `q1 <= a, q2 <= q1, …` (2^n FSM states under a
-/// free input). Used by the `tm_scaling` bench.
+/// free input): the concrete module of [`chain_design`].
 pub fn latch_chain(n: usize) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
     let mut b = ModuleBuilder::new("chain", &mut t);
@@ -24,26 +26,6 @@ pub fn latch_chain(n: usize) -> (SignalTable, Module) {
     }
     b.mark_output(prev);
     let m = b.finish().expect("chain is a valid netlist");
-    (t, m)
-}
-
-/// A shift-register *pair* with a comparator wire, giving denser transition
-/// structure than [`latch_chain`] (two independent inputs).
-pub fn twin_chain(n: usize) -> (SignalTable, Module) {
-    let mut t = SignalTable::new();
-    let mut b = ModuleBuilder::new("twin", &mut t);
-    let mut pa = b.input("a");
-    let mut pb = b.input("b");
-    for i in 1..=n {
-        pa = b.latch_from(&format!("qa{i}"), pa, false);
-        pb = b.latch_from(&format!("qb{i}"), pb, i % 2 == 1);
-    }
-    let eq = b.wire(
-        "match",
-        BoolExpr::xor(BoolExpr::var(pa), BoolExpr::var(pb)).not(),
-    );
-    b.mark_output(eq);
-    let m = b.finish().expect("twin chain is a valid netlist");
     (t, m)
 }
 
@@ -81,138 +63,6 @@ pub fn chain_design(n: usize, gapped: bool) -> Design {
     }
 }
 
-/// The MAL generalized to `n` request channels (Ex. 2 topology), with the
-/// proportional property suite. Used by the `mc_scaling` bench: the
-/// primary coverage question grows with `n` on both the model side
-/// (latches + free inputs) and the spec side (property count).
-pub fn wide_mal(n: usize) -> Design {
-    assert!((2..=4).contains(&n), "supported widths: 2..=4");
-    let mut table = SignalTable::new();
-
-    // Cache logic for n channels (same structure as mal::cache_logic, which
-    // is private to the mal module; duplicated minimal variant here).
-    let l1 = {
-        let mut b = ModuleBuilder::new("L1", &mut table);
-        let hit = b.input("hit");
-        let gs: Vec<_> = (1..=n).map(|i| b.input(&format!("g{i}"))).collect();
-        let ps: Vec<_> = (1..=n)
-            .map(|i| b.table().intern(&format!("p{i}")))
-            .collect();
-        let bare = b.wire(
-            "bare",
-            BoolExpr::and(
-                [BoolExpr::var(hit)]
-                    .into_iter()
-                    .chain(gs.iter().map(|&g| BoolExpr::var(g).not())),
-            ),
-        );
-        for i in 0..n {
-            let di = b.wire(
-                &format!("d{}", i + 1),
-                BoolExpr::or([
-                    BoolExpr::and([BoolExpr::var(gs[i]), BoolExpr::var(hit)]),
-                    BoolExpr::and([BoolExpr::var(ps[i]), BoolExpr::var(bare)]),
-                ]),
-            );
-            b.mark_output(di);
-            b.latch(
-                &format!("p{}", i + 1),
-                BoolExpr::and([
-                    BoolExpr::or([
-                        BoolExpr::and([BoolExpr::var(gs[i]), BoolExpr::var(hit).not()]),
-                        BoolExpr::var(ps[i]),
-                    ]),
-                    BoolExpr::and([BoolExpr::var(ps[i]), BoolExpr::var(bare)]).not(),
-                ]),
-                false,
-            );
-        }
-        let w = b.wire(
-            "cwait",
-            BoolExpr::or(ps.iter().map(|&p| BoolExpr::var(p))),
-        );
-        b.mark_output(w);
-        b.finish().expect("L1 is a valid netlist")
-    };
-
-    let m1 = {
-        let mut b = ModuleBuilder::new("M1", &mut table);
-        let cwait = b.input("cwait");
-        let gs: Vec<_> = (1..=n).map(|i| b.input(&format!("g{i}"))).collect();
-        let ns: Vec<_> = (1..=n)
-            .map(|i| b.table().intern(&format!("n{i}")))
-            .collect();
-        let wait = b.or_gate(
-            "wait",
-            ns.iter().chain(gs.iter()).copied().chain([cwait]),
-            [],
-        );
-        for i in 1..=n {
-            let r = b.input(&format!("r{i}"));
-            b.latch(
-                &format!("n{i}"),
-                BoolExpr::and([BoolExpr::var(r), BoolExpr::var(cwait).not()]),
-                false,
-            );
-        }
-        for i in 1..=n {
-            let id = b.table().intern(&format!("n{i}"));
-            b.mark_output(id);
-        }
-        b.mark_output(wait);
-        b.finish().expect("M1 is a valid netlist")
-    };
-
-    let mut props: Vec<(String, Ltl)> = Vec::new();
-    {
-        let mut p = |name: String, src: String, props: &mut Vec<(String, Ltl)>| {
-            props.push((name, Ltl::parse(&src, &mut table).expect("parses")));
-        };
-        for i in 1..=n {
-            let higher: Vec<String> = (1..i).map(|j| format!("!n{j}")).collect();
-            let ante = if higher.is_empty() {
-                format!("n{i} & !cwait")
-            } else {
-                format!("{} & n{i} & !cwait", higher.join(" & "))
-            };
-            p(format!("G{i}"), format!("G({ante} -> X g{i})"), &mut props);
-            p(format!("C{i}"), format!("G(!n{i} -> X !g{i})"), &mut props);
-            p(format!("W{i}"), format!("G(cwait -> X !g{i})"), &mut props);
-        }
-        for i in 1..=n {
-            for j in (i + 1)..=n {
-                p(
-                    format!("X{i}{j}"),
-                    format!("G !(g{i} & g{j})"),
-                    &mut props,
-                );
-            }
-        }
-        let init = (1..=n)
-            .map(|i| format!("!g{i}"))
-            .collect::<Vec<_>>()
-            .join(" & ");
-        p("INIT".to_owned(), init, &mut props);
-        p("FAIR".to_owned(), "G F hit".to_owned(), &mut props);
-    }
-
-    let a = Ltl::parse(
-        "G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))",
-        &mut table,
-    )
-    .expect("A parses");
-
-    Design {
-        name: "wide-mal",
-        arch: ArchSpec::new([("A", a)]),
-        rtl: RtlSpec::new(
-            props.iter().map(|(nm, f)| (nm.as_str(), f.clone())),
-            [m1, l1],
-        ),
-        table,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,19 +88,6 @@ mod tests {
         // Enumerated blows up exponentially; relational stays linear.
         assert!(e5 > 3 * e3, "enumerated: {e3} -> {e5}");
         assert!(r5 < 2 * r3 + 16, "relational: {r3} -> {r5}");
-    }
-
-    #[test]
-    fn twin_chain_has_comparator() {
-        let (t, m) = twin_chain(2);
-        assert!(t.lookup("match").is_some());
-        assert_eq!(m.latches().len(), 4);
-    }
-
-    #[test]
-    fn wide_mal_scales_property_count() {
-        assert!(wide_mal(2).rtl.num_properties() < wide_mal(3).rtl.num_properties());
-        assert!(wide_mal(3).rtl.num_properties() < wide_mal(4).rtl.num_properties());
     }
 
     #[test]

@@ -216,11 +216,6 @@ impl BddManager {
         }
     }
 
-    /// The current variable order, top level first.
-    pub fn var_order(&self) -> &[u32] {
-        &self.level_to_var
-    }
-
     /// The signal behind a variable index.
     ///
     /// # Panics
@@ -643,30 +638,6 @@ impl BddManager {
         self.ite(f, g, g.complement())
     }
 
-    /// N-ary conjunction.
-    pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        for f in fs {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// N-ary disjunction.
-    pub fn or_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = Bdd::FALSE;
-        for f in fs {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
-    }
-
     /// Restriction `f[signal := value]`.
     pub fn restrict(&mut self, f: Bdd, signal: SignalId, value: bool) -> Bdd {
         let var = self.var_index(signal);
@@ -706,14 +677,6 @@ impl BddManager {
     pub fn exists_all(&mut self, mut f: Bdd, signals: &[SignalId]) -> Bdd {
         for &s in signals {
             f = self.exists(f, s);
-        }
-        f
-    }
-
-    /// Universal quantification over several signals.
-    pub fn forall_all(&mut self, mut f: Bdd, signals: &[SignalId]) -> Bdd {
-        for &s in signals {
-            f = self.forall(f, s);
         }
         f
     }

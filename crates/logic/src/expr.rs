@@ -55,14 +55,6 @@ impl BoolExpr {
         BoolExpr::Const(false)
     }
 
-    /// The constant value of this expression, if it is one.
-    pub fn as_const(&self) -> Option<bool> {
-        match self {
-            BoolExpr::Const(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// A signal variable.
     pub fn var(id: SignalId) -> Self {
         BoolExpr::Var(id)

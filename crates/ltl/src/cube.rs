@@ -11,7 +11,7 @@
 use crate::formula::Ltl;
 use crate::semantics::LassoWord;
 use dic_logic::{Bdd, BddManager, Cube, Lit, SignalId, SignalTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A positioned literal: `X^time literal`.
@@ -330,28 +330,6 @@ fn quantify_eliminate(
         }
     }
     pv.bdd_to_dnf(&mut man, f)
-}
-
-/// Groups cubes by depth and renders them, for reports.
-pub fn display_cubes(cubes: &[TemporalCube], table: &SignalTable) -> String {
-    let mut by_len: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for c in cubes {
-        by_len
-            .entry(c.depth())
-            .or_default()
-            .push(c.display(table).to_string());
-    }
-    let mut out = String::new();
-    for (_, mut group) in by_len {
-        group.sort();
-        for g in group {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&g);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -492,22 +492,6 @@ impl<'t> ModuleBuilder<'t> {
         self.wire(name, BoolExpr::var(a).not())
     }
 
-    /// XOR gate.
-    pub fn xor_gate(&mut self, name: &str, a: SignalId, b: SignalId) -> SignalId {
-        self.wire(name, BoolExpr::xor(BoolExpr::var(a), BoolExpr::var(b)))
-    }
-
-    /// 2:1 multiplexer: `sel ? a : b`.
-    pub fn mux_gate(&mut self, name: &str, sel: SignalId, a: SignalId, b: SignalId) -> SignalId {
-        self.wire(
-            name,
-            BoolExpr::or([
-                BoolExpr::and([BoolExpr::var(sel), BoolExpr::var(a)]),
-                BoolExpr::and([BoolExpr::var(sel).not(), BoolExpr::var(b)]),
-            ]),
-        )
-    }
-
     /// Buffer (an alias wire).
     pub fn buf_gate(&mut self, name: &str, a: SignalId) -> SignalId {
         self.wire(name, BoolExpr::var(a))

@@ -105,11 +105,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from explicit per-cycle valuations.
-    pub fn from_states(states: Vec<Valuation>) -> Self {
-        Trace { states }
-    }
-
     /// The recorded valuations.
     pub fn states(&self) -> &[Valuation] {
         &self.states

@@ -190,6 +190,10 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 outln!("{}", d.name)?;
             }
             outln!("{}", mal::ex1().name)?;
+            outln!(
+                "mal-<p>          (MAL family, p RTL properties: {})",
+                mal_family()
+            )?;
             outln!("chain-<n>        (scaling: n-stage latch chain, covered)")?;
             outln!("chain-<n>-gap    (scaling: off-by-one intent, gapped)")?;
             Ok(ExitCode::SUCCESS)
@@ -377,11 +381,28 @@ fn find_design(name: &str) -> Result<Design, String> {
         }
         return Err(format!("unknown design {name:?}; chain stages must be 1..=62"));
     }
+    // So is the mal-<p> family, named by property count.
+    if name
+        .strip_prefix("mal-")
+        .is_some_and(|p| p.parse::<usize>().is_ok())
+    {
+        let family = mal_family();
+        return mal::CHANNELS
+            .into_iter()
+            .find(|&k| mal::name(k) == name)
+            .map(mal::mal)
+            .ok_or_else(|| format!("unknown design {name:?}; the MAL family is {family}"));
+    }
     let mut all = table1_designs();
     all.push(mal::ex1());
     all.into_iter()
         .find(|d| d.name == name)
         .ok_or_else(|| format!("unknown design {name:?}; see `specmatcher list`"))
+}
+
+/// The MAL family's names, e.g. `mal-11, mal-18, …`.
+fn mal_family() -> String {
+    mal::CHANNELS.map(mal::name).collect::<Vec<_>>().join(", ")
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {

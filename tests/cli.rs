@@ -20,6 +20,34 @@ fn list_names_the_packaged_designs() {
     for name in ["mal-26", "pipeline", "amba-ahb", "mal-ex2", "mal-ex1"] {
         assert!(stdout.contains(name), "missing {name} in: {stdout}");
     }
+    let family = stdout
+        .lines()
+        .filter(|l| l.starts_with("mal-<p>"))
+        .collect::<Vec<_>>();
+    assert_eq!(family.len(), 1, "one MAL family line in: {stdout}");
+    assert!(
+        family[0].ends_with("mal-11, mal-18, mal-26, mal-35, mal-45)"),
+        "{}",
+        family[0]
+    );
+}
+
+#[test]
+fn mal_family_members_check_and_others_are_refused() {
+    let out = specmatcher(&["check", "--design", "mal-11"]);
+    assert_eq!(out.status.code(), Some(1), "mal-11 has a gap");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("NOT covered"), "{stdout}");
+    assert!(stdout.contains("gap properties"), "{stdout}");
+
+    let out = specmatcher(&["check", "--design", "mal-27"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(
+        stderr.contains("unknown design \"mal-27\"")
+            && stderr.contains("mal-11, mal-18, mal-26, mal-35, mal-45"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -411,6 +411,35 @@ fn screen_signatures_are_computed_under_the_gap_worker() {
     }
 }
 
+/// The directed probe and the bad-run pool screens have their own spans,
+/// inside the gap worker: on `mal-ex2` every `gap.probe` and
+/// `gap.pool_screen` span is a child of `gap.worker`, on both engines and
+/// at one and two workers.
+#[test]
+fn probes_and_pool_screens_nest_under_the_gap_worker() {
+    let _guard = exclusive();
+    for backend in [Backend::Explicit, Backend::Symbolic] {
+        for jobs in [1, 2] {
+            trace_mal_ex2(backend, jobs);
+            let data = trace::capture();
+            let by_id: std::collections::HashMap<u64, &trace::SpanRecord> =
+                data.spans.iter().map(|s| (s.id, s)).collect();
+            let name_of = |id: u64| by_id.get(&id).map_or("", |s| s.name.as_str());
+            for name in ["gap.probe", "gap.pool_screen"] {
+                let spans: Vec<_> = data.spans.iter().filter(|s| s.name == name).collect();
+                assert!(!spans.is_empty(), "{backend:?} --jobs {jobs}: no {name} span");
+                for span in spans {
+                    assert_eq!(
+                        name_of(span.parent),
+                        "gap.worker",
+                        "{backend:?} --jobs {jobs}: {name} outside gap.worker"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Implication checks have their own span: on `mal-ex2` at `--jobs 1`
 /// they run under the gap worker on both engines, and on the product of
 /// two automata, never through an explicit model search.
