@@ -7,7 +7,7 @@
 //! hold while the automaton sits in them; acceptance is generalized, one
 //! set per `Until` subformula.
 
-use crate::hashing::FastMap;
+use dic_logic::hashing::FastMap;
 use dic_logic::{Lit, SignalId, Valuation};
 use dic_ltl::{Ltl, LtlNode};
 use std::collections::HashMap;

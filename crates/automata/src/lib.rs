@@ -37,7 +37,6 @@
 //! ```
 
 pub mod gba;
-pub mod hashing;
 pub mod mc;
 pub mod product;
 pub mod reduce;

@@ -1,7 +1,7 @@
 //! The model checker: universal and existential LTL queries over a model.
 
 use crate::gba::{translate, Gba};
-use crate::hashing::FastMap;
+use dic_logic::hashing::FastMap;
 use crate::product::{
     find_accepting_lasso, has_accepting_lasso, Lasso, MultiProduct, Product, SccGraph,
     SystemGraph,
@@ -37,7 +37,7 @@ pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
 /// Coverage analysis model-checks conjunctions sharing most conjuncts (the
 /// RTL properties `R` and `¬FA` appear in every candidate-closure query of
 /// Algorithm 1), so the translations are interned once and shared. The
-/// table is keyed by formula hash through [`crate::hashing`]'s
+/// table is keyed by formula hash through [`dic_logic::hashing`]'s
 /// multiplicative hasher — formula keys are program-built structures, not
 /// adversarial input, so the DoS-resistant default hasher buys nothing on
 /// this hot path — and is internally synchronized.

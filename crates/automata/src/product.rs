@@ -13,7 +13,7 @@
 //! successors are visited.
 
 use crate::gba::Gba;
-use crate::hashing::FastMap;
+use dic_logic::hashing::FastMap;
 use crate::system::TransitionSystem;
 use std::cell::RefCell;
 use std::hash::Hash;
@@ -861,7 +861,7 @@ impl<'g, G: SccGraph> Search<'g, G> {
 mod reference {
     use super::{Lasso, SccGraph};
     use crate::gba::Gba;
-    use crate::hashing::{FastMap, FastSet};
+    use dic_logic::hashing::{FastMap, FastSet};
     use crate::system::TransitionSystem;
     use std::collections::VecDeque;
     use std::hash::Hash;

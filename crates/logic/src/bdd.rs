@@ -30,6 +30,19 @@
 //! reachable from the given roots, drops the operation memos and hands
 //! back an old→new handle map.
 //!
+//! # Tables
+//!
+//! The unique table and the `ite`/`and_exists`/`rename` memos are
+//! [`FastMap`]s, hashed with the fixed multiplicative
+//! [`NodeHasher`](crate::hashing::NodeHasher) instead of SipHash: every
+//! `mk` and every memo probe hashes one key, and the keys are node-index
+//! triples the manager assigned itself, so flood resistance buys nothing.
+//! The hasher decides only where an entry sits, never which entries
+//! exist, so node numbering, results and counters do not depend on it.
+//! Nor does any output depend on iteration order: the only walks over
+//! such tables are the rebuild's (see [`mod@crate::reorder`]), which
+//! sorts each level by its child edges before numbering it.
+//!
 //! Variables are registered per [`SignalId`] on first use; the variable
 //! *order* starts as the registration order but is decoupled from variable
 //! identity through a level map, so [`BddManager::reorder_groups`] can
@@ -40,6 +53,7 @@
 
 use crate::cube::{Cube, Lit};
 use crate::expr::BoolExpr;
+use crate::hashing::{FastMap, FastSet};
 use crate::signal::SignalId;
 use crate::valuation::Valuation;
 use std::collections::HashMap;
@@ -134,8 +148,8 @@ pub(crate) struct Node {
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     /// Unique table: `(var, lo, hi)` in canonical form → node index.
-    pub(crate) unique: HashMap<(u32, u32, u32), u32>,
-    ite_cache: HashMap<(u32, u32, u32), u32>,
+    pub(crate) unique: FastMap<(u32, u32, u32), u32>,
+    ite_cache: FastMap<(u32, u32, u32), u32>,
     var_to_signal: Vec<SignalId>,
     signal_to_var: HashMap<SignalId, u32>,
     /// Variable id → level in the current order (level 0 is the top).
@@ -150,10 +164,10 @@ pub struct BddManager {
     /// source variable id (level-independent).
     pub(crate) pairings: Vec<Vec<(u32, u32)>>,
     /// Memo for `and_exists`, keyed by `(set, f, g)` with `f <= g`.
-    and_exists_cache: HashMap<(u32, u32, u32), u32>,
+    and_exists_cache: FastMap<(u32, u32, u32), u32>,
     /// Memo for `rename`, keyed by `(pairing, f)` with `f` regular
     /// (renaming commutes with complement).
-    rename_cache: HashMap<(u32, u32), u32>,
+    rename_cache: FastMap<(u32, u32), u32>,
     /// High-water mark of the node store, including garbage a later
     /// rebuild collected (the trace gauge only sees peaks while tracing is
     /// on; this one is always exact).
@@ -963,7 +977,7 @@ impl BddManager {
     /// (requires `l -> u`). Returns the cover and its BDD `d` with
     /// `l -> d` and `d -> u`.
     pub fn isop(&mut self, l: Bdd, u: Bdd) -> (Vec<Cube>, Bdd) {
-        debug_assert!(self.implies(l, u).is_true(), "ISOP requires l -> u");
+        debug_assert!(self.entails(l, u), "ISOP requires l -> u");
         if l.is_false() {
             return (Vec::new(), Bdd::FALSE);
         }
@@ -1009,6 +1023,35 @@ impl BddManager {
         let var_bdd = self.mk(v, Bdd::FALSE, Bdd::TRUE);
         let d = self.ite(var_bdd, hi, lo);
         (cover, d)
+    }
+
+    /// Whether `l -> u` holds, decided by a read-only walk of both graphs
+    /// (`l ∧ ¬u` has no path to true) that creates no node, touches no
+    /// memo and counts nothing — so a debug build's precondition checks
+    /// do exactly the BDD work a release build does.
+    fn entails(&self, l: Bdd, u: Bdd) -> bool {
+        fn disjoint(m: &BddManager, f: Bdd, g: Bdd, done: &mut FastSet<(u32, u32)>) -> bool {
+            if f.is_false() || g.is_false() || f == g.complement() {
+                return true;
+            }
+            if f.is_true() || g.is_true() || f == g {
+                return false;
+            }
+            let (f, g) = if f <= g { (f, g) } else { (g, f) };
+            if done.contains(&(f.0, g.0)) {
+                return true;
+            }
+            let (fv, gv) = (m.top_var(f), m.top_var(g));
+            let v = if m.level_of(fv) <= m.level_of(gv) { fv } else { gv };
+            let (f0, f1) = m.cofactors(f, v);
+            let (g0, g1) = m.cofactors(g, v);
+            let r = disjoint(m, f0, g0, done) && disjoint(m, f1, g1, done);
+            if r {
+                done.insert((f.0, g.0));
+            }
+            r
+        }
+        disjoint(self, l, u.complement(), &mut FastSet::default())
     }
 
     /// Converts `f` back into a [`BoolExpr`] (as an irredundant SOP).
@@ -1418,6 +1461,36 @@ mod tests {
         // Handles stay canonical after clearing.
         let f2 = m.and(a, b);
         assert_eq!(f2, _f);
+    }
+
+    #[test]
+    fn entails_matches_implies_without_counted_work() {
+        let (_t, mut m, ids) = setup();
+        let v: Vec<Bdd> = ids.iter().map(|&s| m.var_for_signal(s)).collect();
+        let mut fs = vec![Bdd::TRUE, Bdd::FALSE];
+        for i in 0..v.len() {
+            for j in i + 1..v.len() {
+                let (and, or, xor) = (m.and(v[i], v[j]), m.or(v[i], v[j]), m.xor(v[i], v[j]));
+                fs.extend([v[i], and, or, xor, and.complement(), xor.complement()]);
+            }
+        }
+        let abc = m.and(fs[5], v[2]);
+        fs.push(abc);
+        // The read-only walk allocates nothing and touches no memo.
+        let (nodes, memo) = (m.node_count(), m.cache_entries());
+        let walked: Vec<bool> = fs
+            .iter()
+            .flat_map(|&f| fs.iter().map(move |&g| (f, g)))
+            .map(|(f, g)| m.entails(f, g))
+            .collect();
+        assert_eq!((m.node_count(), m.cache_entries()), (nodes, memo));
+        let mut k = 0;
+        for &f in &fs {
+            for &g in &fs {
+                assert_eq!(walked[k], m.implies(f, g).is_true(), "{f:?} -> {g:?}");
+                k += 1;
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,19 @@
-//! A fast non-cryptographic hasher for the emptiness search.
+//! A fast non-cryptographic hasher for the workspace's hot tables.
 //!
-//! The Tarjan/BFS working sets are keyed by small `Copy` node ids
-//! (`u32` pairs). `std`'s default SipHash is DoS-resistant but an order of
-//! magnitude slower than needed for these hot loops; this multiplicative
-//! mixer (the classic Fibonacci-hashing construction) is more than
-//! sufficient for graph-search working sets, where keys are program-chosen
-//! and adversarial collisions are not a concern.
+//! The tables it keys hold small `Copy` ids the program itself chose:
+//! BDD node triples in [`BddManager`](crate::BddManager)'s unique table and
+//! operation memos, the sifting workspace's per-level tables, the explicit
+//! emptiness search's node indices, the translation cache's formula
+//! hashes. `std`'s default SipHash is DoS-resistant but several times
+//! slower than these loops need; this multiplicative mixer (the classic
+//! Fibonacci-hashing construction) is enough where no key comes from an
+//! adversary.
+//!
+//! Collisions cost time, never correctness, and the hash is a fixed
+//! function of the key (no per-process seed). No output depends on a
+//! table's iteration order either: every consumer that walks a table
+//! sorts what it reads first (the BDD rebuild sorts each level by its
+//! child edges).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

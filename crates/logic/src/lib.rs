@@ -11,7 +11,11 @@
 //! * [`Bdd`] / [`BddManager`] — a reduced ordered binary decision diagram
 //!   engine with quantification and irredundant sum-of-products extraction
 //!   (used for FSM input-cube merging and for the universal quantification
-//!   step 2(b) of the paper's Algorithm 1).
+//!   step 2(b) of the paper's Algorithm 1),
+//! * [`hashing`] — [`FastMap`](hashing::FastMap)/[`FastSet`](hashing::FastSet),
+//!   the fixed multiplicative hasher behind the BDD unique table and memos
+//!   and the other crates' hot tables (keys are program-chosen ids, so
+//!   SipHash's flood resistance buys nothing there).
 //!
 //! # Example
 //!
@@ -38,6 +42,7 @@
 pub mod bdd;
 pub mod cube;
 pub mod expr;
+pub mod hashing;
 pub mod parse;
 pub mod reorder;
 pub mod signal;

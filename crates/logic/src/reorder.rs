@@ -29,9 +29,15 @@
 //! Handles not in the root set are invalidated: the rebuild doubles as
 //! the manager's only garbage collection ([`BddManager::compact`] is the
 //! same rebuild without the search).
+//!
+//! The workspace's tables are [`FastMap`]s like the manager's. A level
+//! swap visits its upper level in hash order, which decides arena slots
+//! but not which nodes exist, so live counts — and with them every
+//! sifting decision — are hasher-independent; the rebuild numbers each
+//! level in sorted order.
 
 use crate::bdd::{Bdd, BddManager, Node, TERMINAL_VAR};
-use std::collections::HashMap;
+use crate::hashing::FastMap;
 
 /// One sifting group: variables that move through the order as a single
 /// adjacent block (their relative order never changes).
@@ -63,7 +69,7 @@ pub struct ReorderOutcome {
     pub sifted: bool,
     /// Old root handle → new root handle. Every handle passed in `roots`
     /// has an entry; any handle *not* passed is dangling after the call.
-    map: HashMap<u32, u32>,
+    map: FastMap<u32, u32>,
 }
 
 impl ReorderOutcome {
@@ -114,7 +120,7 @@ struct Workspace {
     /// Per-variable unique table, canonical `(lo, hi)` edge pair → arena
     /// index. The values of `unique[v]` are exactly the live nodes
     /// labelled `v`.
-    unique: Vec<HashMap<(u32, u32), u32>>,
+    unique: Vec<FastMap<(u32, u32), u32>>,
     var_to_level: Vec<u32>,
     level_to_var: Vec<u32>,
     /// Live interior nodes (terminal excluded).
@@ -379,7 +385,7 @@ impl BddManager {
         let mut ws = Workspace {
             nodes: vec![WsNode { var: TERMINAL_VAR, lo: 0, hi: 0, refs: 1 }],
             free: Vec::new(),
-            unique: vec![HashMap::new(); nvars],
+            unique: vec![FastMap::default(); nvars],
             var_to_level: self.var_to_level.clone(),
             level_to_var: self.level_to_var.clone(),
             live: 0,
@@ -388,7 +394,7 @@ impl BddManager {
         // Edges translate by mapping the index and carrying the
         // complement bit across: canonical in the manager iff canonical
         // in the workspace.
-        let mut into_ws: HashMap<u32, u32> = HashMap::from([(0, 0)]);
+        let mut into_ws: FastMap<u32, u32> = FastMap::from_iter([(0, 0)]);
         for &root in roots {
             self.extract(root, &mut ws, &mut into_ws);
         }
@@ -454,13 +460,14 @@ impl BddManager {
         let store_before = self.nodes.len();
         let mut nodes: Vec<Node> = vec![Node { var: TERMINAL_VAR, lo: 0, hi: 0 }];
         nodes.reserve(live_after);
-        let mut unique: HashMap<(u32, u32, u32), u32> = HashMap::with_capacity(live_after);
+        let mut unique: FastMap<(u32, u32, u32), u32> =
+            FastMap::with_capacity_and_hasher(live_after, Default::default());
         // workspace node index → new manager node index. Indices are
         // assigned bottom-up, sorting each level by the (already
         // translated) child edges — deterministic regardless of hash-map
         // iteration order. Complement bits ride along on the edges, so
         // canonicity is preserved verbatim.
-        let mut out_of_ws: HashMap<u32, u32> = HashMap::from([(0, 0)]);
+        let mut out_of_ws: FastMap<u32, u32> = FastMap::from_iter([(0, 0)]);
         for lvl in (0..nvars).rev() {
             let var = ws.level_to_var[lvl];
             let mut level_nodes: Vec<(u32, u32, u32)> = ws.unique[var as usize]
@@ -481,7 +488,7 @@ impl BddManager {
                 out_of_ws.insert(ws_idx, new);
             }
         }
-        let map: HashMap<u32, u32> = roots
+        let map: FastMap<u32, u32> = roots
             .iter()
             .map(|r| {
                 let new_idx = out_of_ws[&into_ws[&(r.raw() >> 1)]];
@@ -525,7 +532,7 @@ impl BddManager {
     /// post-order, so deep BDDs cannot overflow the call stack). Keyed by
     /// node index — a function and its complement share one workspace
     /// node, exactly as they share one manager node.
-    fn extract(&self, root: Bdd, ws: &mut Workspace, into_ws: &mut HashMap<u32, u32>) {
+    fn extract(&self, root: Bdd, ws: &mut Workspace, into_ws: &mut FastMap<u32, u32>) {
         let mut stack = vec![(root.raw() >> 1, false)];
         while let Some((n, expanded)) = stack.pop() {
             if into_ws.contains_key(&n) {

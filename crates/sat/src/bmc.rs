@@ -52,14 +52,26 @@
 //! only ever grows, so they stay sound in later queries; a learned clause
 //! that depended on a candidate contains its `¬act` and is satisfied once
 //! that candidate is retired.
+//!
+//! Retiring also marks the candidate's variables (`act` and everything
+//! allocated after it) as non-decision, so later queries never branch on
+//! them. That is sound because every clause mentioning one of them
+//! carries `¬act`: the candidate's own clauses by construction — [`Cnf`]
+//! shares no gate across batches except the base's constant, so a
+//! candidate's gates are defined inside its own batch — and every learned
+//! clause that resolved on one of them, because `act` is an assumption
+//! (a decision without a reason) that analysis and minimization never
+//! resolve away. Once `¬act` is a unit, all those clauses are satisfied
+//! whatever the retired variables hold; the model fills them from their
+//! saved phase, and [`BmcSession::query`] reads only base variables.
 
-use crate::cnf::{Cnf, SatLit};
+use crate::cnf::{Cnf, SatLit, Var};
 use crate::solver::{SatResult, Solver};
 use dic_automata::{translate_cached, Gba};
+use dic_logic::hashing::FastMap;
 use dic_logic::{BoolExpr, SignalId, SignalTable, Valuation};
 use dic_ltl::{LassoWord, Ltl};
 use dic_netlist::Module;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Unroll depth of the bounded tier.
@@ -234,7 +246,13 @@ impl<'a> BmcSession<'a> {
         let _solve_span = dic_trace::span("bmc.solve");
         let result = solver.solve_assuming(act.as_slice(), Some(BMC_CONFLICT_BUDGET));
         if let Some(act) = act {
+            // Retire the candidate: `¬act` satisfies each of its clauses,
+            // so its variables (act's and every later one) need never be
+            // decided again.
             solver.add_clause([act.negated()]);
+            for v in act.var().index()..solver.num_vars() {
+                solver.set_non_decision(Var(v as u32));
+            }
         }
         let SatResult::Sat(model) = result else {
             return None;
@@ -263,10 +281,10 @@ struct Encoder<'a> {
     /// `input_vars[t][i]`: nondet input `i` at `t`.
     input_vars: Vec<Vec<SatLit>>,
     /// Wire definitions per position, filled during model encoding.
-    wire_vars: Vec<HashMap<SignalId, SatLit>>,
+    wire_vars: Vec<FastMap<SignalId, SatLit>>,
     /// Signal → latch/input index maps.
-    latch_index: HashMap<SignalId, usize>,
-    input_index: HashMap<SignalId, usize>,
+    latch_index: FastMap<SignalId, usize>,
+    input_index: FastMap<SignalId, usize>,
     /// One-hot loop selectors `l_0 .. l_{depth-1}`.
     selectors: Vec<SatLit>,
     /// Prefix-or of the selectors: `inloop[t] ⇔ ⋁_{j ≤ t} l_j`.
@@ -290,7 +308,7 @@ impl<'a> Encoder<'a> {
             cnf: Cnf::new(),
             latch_vars: Vec::new(),
             input_vars: Vec::new(),
-            wire_vars: vec![HashMap::new(); depth + 1],
+            wire_vars: vec![FastMap::default(); depth + 1],
             latch_index,
             input_index,
             selectors: Vec::new(),
@@ -745,6 +763,43 @@ mod tests {
         assert!(session.query(std::slice::from_ref(&never)).is_some());
         assert!(session.query(std::slice::from_ref(&eventually)).is_none());
         assert!(session.query(std::slice::from_ref(&never)).is_some());
+    }
+
+    #[test]
+    fn retired_candidate_variables_are_never_decided() {
+        // Between base queries the session retires ever wider candidates
+        // (an `X`-chain of growing depth over the latch module). Without
+        // non-decision marking, a base query would decide every retired
+        // variable, since ¬act leaves each of them free; with it, a base
+        // query decides at most every base variable once per conflict.
+        let mut t = SignalTable::new();
+        let m = latch_module(&mut t);
+        let cands: Vec<Ltl> = (1..=6)
+            .map(|depth| {
+                let chain = format!("F(q{})", " & X(a".repeat(depth) + &")".repeat(depth));
+                Ltl::parse(&chain, &mut t).unwrap()
+            })
+            .collect();
+        let mut session = BmcSession::new(&m, &t, &[], &[], 12);
+        assert!(session.query(&[]).is_some());
+        let solver = |s: &BmcSession| s.solver.as_ref().expect("built").stats();
+        let base_vars = session.solver.as_ref().expect("built").num_vars() as u64;
+        for (i, cand) in cands.iter().enumerate() {
+            assert!(session.query(std::slice::from_ref(cand)).is_some());
+            let before = solver(&session);
+            assert!(session.query(&[]).is_some());
+            let after = solver(&session);
+            let (decisions, conflicts) =
+                (after.decisions - before.decisions, after.conflicts - before.conflicts);
+            assert!(
+                decisions <= (conflicts + 1) * base_vars,
+                "base query after {} retired candidates: {decisions} decisions, \
+                 {conflicts} conflicts over {base_vars} base variables",
+                i + 1
+            );
+        }
+        let retired = session.solver.as_ref().expect("built").num_vars() as u64 - base_vars;
+        assert!(retired > 4 * base_vars, "candidates too narrow to tell: {retired} retired");
     }
 
     #[test]

@@ -20,8 +20,12 @@
 //! tier runs or not — see `DESIGN.md` §"Bounded refutation tier".
 //!
 //! Everything here is dependency-free and deterministic: watched-literal
-//! propagation, first-UIP learning, VSIDS-style decay with ties broken by
-//! variable index, and a fixed conflict budget per query.
+//! propagation with blocker literals, first-UIP learning with recursive
+//! clause minimization, VSIDS-style decay with ties broken by variable
+//! index, phase saving, and a fixed conflict budget per query. A retired
+//! candidate's variables become non-decision variables, so later queries
+//! never branch on them; the solver stays a deterministic function of
+//! its call sequence.
 //!
 //! # Example
 //!

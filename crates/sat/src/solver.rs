@@ -1,19 +1,33 @@
 //! A small conflict-driven clause-learning SAT solver.
 //!
-//! Classic MiniSat-style architecture, dependency-free and deterministic:
+//! Classic MiniSat-style architecture (Eén & Sörensson, *An extensible
+//! SAT-solver*, SAT 2003), dependency-free and deterministic:
 //!
 //! * **two watched literals** per clause for unit propagation, over one
-//!   flat literal arena (a clause is a `(start, len)` window into it),
+//!   flat literal arena (a clause is a `(start, len)` window into it);
+//!   each watch carries a **blocker literal** (another literal of the
+//!   clause), and a watch whose blocker is true is kept without reading
+//!   the arena,
 //! * **first-UIP conflict analysis** with learned-clause assertion and
-//!   non-chronological backjumping,
+//!   non-chronological backjumping; every learned clause is **minimized
+//!   recursively** (MiniSat's `litRedundant`): a literal whose reason
+//!   chain bottoms out in the clause's other literals is dropped,
 //! * **VSIDS-style decisions**: per-variable activities bumped on conflict
 //!   participation and decayed geometrically, kept in a binary heap
 //!   ordered by *(activity descending, variable index ascending)* — the
-//!   highest-activity unassigned variable wins and ties go to the
-//!   smallest index, so the solver is a deterministic function of the
-//!   clause list, which the byte-identical-output contract of the BMC
-//!   tier leans on,
-//! * geometric **restarts** (activities survive, the trail resets),
+//!   highest-activity unassigned decision variable wins and ties go to
+//!   the smallest index,
+//! * **phase saving**: backtracking records each unassigned variable's
+//!   last value, and a decision tries that phase (false before a variable
+//!   was ever assigned — runs and automaton codes are sparse, so
+//!   negatives satisfy most constraints at once),
+//! * **non-decision variables** (`Solver::set_non_decision`): never
+//!   picked by the decision heuristic; a model fills any left unassigned
+//!   from its saved phase. Sound when every clause mentioning such a
+//!   variable is already satisfied — the bounded tier's retired
+//!   candidates (see [`BmcSession`](crate::BmcSession)),
+//! * geometric **restarts** (activities and phases survive, the trail
+//!   resets),
 //! * **incremental use**: [`Solver::new_var`] and [`Solver::add_clause`]
 //!   extend the formula between solves, and [`Solver::solve_assuming`]
 //!   decides it under assumption literals. Learned clauses are consequences
@@ -26,6 +40,11 @@
 //! fall through to the unbounded engines instead of stalling on a hard
 //! instance. The budget is part of the input, so verdicts stay
 //! deterministic.
+//!
+//! **Determinism.** No step reads a clock, a hash or an address: the
+//! solver is a deterministic function of its call sequence (variables,
+//! clauses in order, decision flags, assumptions and budgets), which the
+//! byte-identical-output contract of the BMC tier leans on.
 
 use crate::cnf::{Cnf, SatLit, Var};
 
@@ -66,16 +85,26 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Clauses learned from first-UIP analysis.
     pub learned_clauses: u64,
-    /// Unit propagations performed.
+    /// Watch-list entries propagation visited (blocker hits included).
     pub propagations: u64,
+}
+
+/// A watch-list entry: a clause watching a literal, plus a blocker —
+/// another literal of the clause. While the blocker is true the clause is
+/// satisfied and propagation skips it without touching the arena.
+#[derive(Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: SatLit,
 }
 
 /// Sentinel heap position of a variable outside the decision heap.
 const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// The decision heap: a binary max-heap of variables ordered by
-/// *(activity descending, index ascending)*. Every unassigned variable is
-/// in it; assigned ones are dropped lazily when they surface at the top.
+/// *(activity descending, index ascending)*. Every unassigned decision
+/// variable is in it; assigned and non-decision ones are dropped lazily
+/// when they surface at the top.
 #[derive(Default)]
 struct VarOrder {
     heap: Vec<u32>,
@@ -188,9 +217,9 @@ pub struct Solver {
     arena: Vec<SatLit>,
     /// Clause windows into `arena`, by clause index.
     clauses: Vec<ClauseRef>,
-    /// `watches[lit.code()]`: indices of clauses currently watching `lit`
-    /// (they must be revisited when `lit` becomes false).
-    watches: Vec<Vec<u32>>,
+    /// `watches[lit.code()]`: the clauses currently watching `¬lit` (they
+    /// must be revisited when `lit` becomes true), each with its blocker.
+    watches: Vec<Vec<Watch>>,
     /// Assignment per variable: `None` unassigned.
     assign: Vec<Option<bool>>,
     /// Assigned literals in assignment order.
@@ -208,8 +237,17 @@ pub struct Solver {
     var_inc: f64,
     /// Decision candidates in pick order.
     order: VarOrder,
+    /// Saved phase per variable: its value when backtracking last
+    /// unassigned it (false before that). Decisions try it first.
+    phase: Vec<bool>,
+    /// Whether the decision heuristic may pick the variable.
+    decision: Vec<bool>,
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch for learned-clause minimization: the literals still to
+    /// expand, and every literal marked `seen` (cleared after analysis).
+    analyze_stack: Vec<SatLit>,
+    analyze_toclear: Vec<SatLit>,
     /// Set when the clause database itself is unsatisfiable (an empty
     /// clause, or a conflict with no decision on the trail). Permanent:
     /// clauses are only ever added.
@@ -249,7 +287,11 @@ impl Solver {
             activity: Vec::new(),
             var_inc: 1.0,
             order: VarOrder::default(),
+            phase: Vec::new(),
+            decision: Vec::new(),
             seen: Vec::new(),
+            analyze_stack: Vec::new(),
+            analyze_toclear: Vec::new(),
             unsat: false,
             stats: SolverStats::default(),
         };
@@ -275,8 +317,9 @@ impl Solver {
         self.num_vars
     }
 
-    /// Allocates a fresh variable (activity zero, so it is decided after
-    /// every bumped variable and after every older zero-activity one).
+    /// Allocates a fresh decision variable (activity zero, so it is
+    /// decided after every bumped variable and after every older
+    /// zero-activity one; saved phase false).
     pub fn new_var(&mut self) -> Var {
         let v = self.num_vars as u32;
         self.num_vars += 1;
@@ -286,9 +329,26 @@ impl Solver {
         self.reason.push(NO_REASON);
         self.level.push(0);
         self.activity.push(0.0);
+        self.phase.push(false);
+        self.decision.push(true);
         self.seen.push(false);
         self.order.grow(v, &self.activity);
         Var(v)
+    }
+
+    /// Takes `v` out of the decision heuristic for good (every variable
+    /// starts as a decision variable).
+    ///
+    /// A non-decision variable is assigned only by propagation; one still
+    /// unassigned when every decision variable is takes its saved phase in
+    /// the model. That model satisfies the formula only if every clause
+    /// mentioning a non-decision variable is satisfied by the rest of the
+    /// assignment — the caller's contract. A [`BmcSession`](crate::BmcSession)
+    /// meets it for a retired candidate: each of the candidate's clauses,
+    /// learned ones included, carries the literal its unit `¬act` makes
+    /// true.
+    pub(crate) fn set_non_decision(&mut self, v: Var) {
+        self.decision[v.index()] = false;
     }
 
     /// Adds a clause between solves (the solver always returns to
@@ -340,11 +400,12 @@ impl Solver {
     }
 
     /// Stores a clause of two or more literals in the arena and watches
-    /// its first two; returns its index.
+    /// its first two, each with the other as blocker; returns its index.
     fn attach(&mut self, lits: &[SatLit]) -> u32 {
         let idx = self.clauses.len() as u32;
-        self.watches[lits[0].negated().code()].push(idx);
-        self.watches[lits[1].negated().code()].push(idx);
+        for (w, other) in [(lits[0], lits[1]), (lits[1], lits[0])] {
+            self.watches[w.negated().code()].push(Watch { clause: idx, blocker: other });
+        }
         self.clauses.push(ClauseRef {
             start: self.arena.len() as u32,
             len: lits.len() as u32,
@@ -373,17 +434,26 @@ impl Solver {
     /// Propagates until fixpoint; returns the conflicting clause index, if
     /// any.
     fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
+        let mut conflict = None;
+        while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             // Clauses watching ¬p (registered under `watches[p]`) must
-            // find a new watch or become unit.
+            // find a new watch or become unit. Kept watches are compacted
+            // to the front in their original order.
             let false_lit = p.negated();
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
-            let mut i = 0;
+            let (mut i, mut j) = (0, 0);
             while i < ws.len() {
                 self.stats.propagations += 1;
-                let ci = ws[i];
+                let w = ws[i];
+                i += 1;
+                if self.value(w.blocker) == Some(true) {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
+                }
+                let ci = w.clause;
                 let lits = self.clauses[ci as usize].range();
                 let (w0, w1) = (lits.start, lits.start + 1);
                 // Normalize: the false literal sits at position 1.
@@ -392,42 +462,35 @@ impl Solver {
                 }
                 debug_assert_eq!(self.arena[w1], false_lit);
                 let first = self.arena[w0];
-                if self.value(first) == Some(true) {
-                    i += 1; // already satisfied, keep the watch
+                let kept = Watch { clause: ci, blocker: first };
+                if first != w.blocker && self.value(first) == Some(true) {
+                    ws[j] = kept;
+                    j += 1;
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
-                let mut moved = false;
-                for k in w1 + 1..lits.end {
-                    let l = self.arena[k];
-                    if self.value(l) != Some(false) {
-                        self.arena.swap(w1, k);
-                        self.watches[l.negated().code()].push(ci);
-                        ws.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                let free = (w1 + 1..lits.end).find(|&k| self.value(self.arena[k]) != Some(false));
+                if let Some(k) = free {
+                    self.arena.swap(w1, k);
+                    self.watches[self.arena[w1].negated().code()].push(kept);
                     continue;
                 }
-                // Unit or conflicting.
-                match self.value(first) {
-                    None => {
-                        self.enqueue(first, ci);
-                        i += 1;
-                    }
-                    Some(false) => {
-                        // Conflict: restore the watch list and report.
-                        self.watches[p.code()] = ws;
-                        return Some(ci);
-                    }
-                    Some(true) => unreachable!("checked above"),
+                // Unit or conflicting: the watch stays either way.
+                ws[j] = kept;
+                j += 1;
+                if self.value(first) == Some(false) {
+                    conflict = Some(ci);
+                    self.qhead = self.trail.len();
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    break;
                 }
+                self.enqueue(first, ci);
             }
+            ws.truncate(j);
             self.watches[p.code()] = ws;
         }
-        None
+        conflict
     }
 
     fn bump(&mut self, v: usize) {
@@ -490,9 +553,27 @@ impl Solver {
             debug_assert_ne!(confl, NO_REASON);
             p = Some(lit);
         }
-        for l in &learnt[1..] {
+        // Minimize: drop every literal whose reason chain ends in the
+        // clause's other literals (decisions and assumptions always stay).
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&learnt[1..]);
+        let levels = learnt[1..]
+            .iter()
+            .fold(0, |acc, l| acc | self.abstract_level(l.var().index()));
+        let mut kept = 1;
+        for k in 1..learnt.len() {
+            let l = learnt[k];
+            if self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l, levels) {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
+        let toclear = std::mem::take(&mut self.analyze_toclear);
+        for l in &toclear {
             self.seen[l.var().index()] = false;
         }
+        self.analyze_toclear = toclear;
         // Backjump to the second-highest level in the clause.
         let mut back = 0;
         let mut at = 1;
@@ -509,6 +590,48 @@ impl Solver {
         (learnt, back)
     }
 
+    /// A 32-bit signature of `v`'s decision level, for the cheap "can
+    /// this reason chain stay inside the clause's levels" test.
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
+    }
+
+    /// Whether `p` (a literal of the learned clause, with a reason) is
+    /// implied by the clause's other literals: every path back through
+    /// reasons ends in a `seen` literal or at level 0. Iterative; literals
+    /// proved redundant on the way stay `seen` (in `analyze_toclear`), a
+    /// failed attempt unmarks what it marked.
+    fn lit_redundant(&mut self, p: SatLit, levels: u32) -> bool {
+        self.analyze_stack.clear();
+        self.analyze_stack.push(p);
+        let top = self.analyze_toclear.len();
+        while let Some(q) = self.analyze_stack.pop() {
+            let reason = self.reason[q.var().index()];
+            debug_assert_ne!(reason, NO_REASON);
+            // Position 0 of a reason clause is the literal it implied.
+            for k in self.clauses[reason as usize].range().skip(1) {
+                let r = self.arena[k];
+                let v = r.var().index();
+                if self.seen[v] || self.level[v] == 0 {
+                    continue;
+                }
+                if self.reason[v] != NO_REASON && self.abstract_level(v) & levels != 0 {
+                    self.seen[v] = true;
+                    self.analyze_stack.push(r);
+                    self.analyze_toclear.push(r);
+                } else {
+                    for l in self.analyze_toclear.drain(top..) {
+                        self.seen[l.var().index()] = false;
+                    }
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Undoes every decision level above `level`, saving each unassigned
+    /// variable's phase.
     fn cancel_until(&mut self, level: u32) {
         while self.decision_level() > level {
             let start = self.trail_lim.pop().expect("level > 0");
@@ -516,7 +639,8 @@ impl Solver {
                 let v = l.var().index();
                 self.assign[v] = None;
                 self.reason[v] = NO_REASON;
-                if !self.order.contains(v as u32) {
+                self.phase[v] = l.is_pos();
+                if self.decision[v] && !self.order.contains(v as u32) {
                     self.order.insert(v as u32, &self.activity);
                 }
             }
@@ -535,15 +659,17 @@ impl Solver {
         self.enqueue(learnt[0], idx);
     }
 
-    /// The unassigned variable with the highest activity; ties break
-    /// toward the smallest index (the determinism contract). Assigned
-    /// variables surfacing at the top of the heap are dropped; backtracking
-    /// re-inserts them.
+    /// The unassigned decision variable with the highest activity; ties
+    /// break toward the smallest index (the determinism contract).
+    /// Assigned and non-decision variables surfacing at the top of the
+    /// heap are dropped; backtracking re-inserts the decision ones.
     fn pick_branch(&mut self) -> Option<Var> {
         let pick = loop {
             match self.order.pop(&self.activity) {
                 None => break None,
-                Some(v) if self.assign[v as usize].is_none() => break Some(v),
+                Some(v) if self.assign[v as usize].is_none() && self.decision[v as usize] => {
+                    break Some(v)
+                }
                 Some(_) => {}
             }
         };
@@ -562,7 +688,7 @@ impl Solver {
     fn pick_branch_linear(&self) -> Option<u32> {
         let mut best: Option<(f64, usize)> = None;
         for v in 0..self.num_vars {
-            if self.assign[v].is_none() {
+            if self.assign[v].is_none() && self.decision[v] {
                 let a = self.activity[v];
                 match best {
                     Some((ba, _)) if ba >= a => {}
@@ -673,21 +799,20 @@ impl Solver {
                     },
                     None => match self.pick_branch() {
                         None => {
+                            // Every decision variable is assigned; a
+                            // non-decision one left open takes its phase.
                             let model = self
                                 .assign
                                 .iter()
-                                .map(|a| a.expect("complete assignment"))
+                                .zip(&self.phase)
+                                .map(|(a, &phase)| a.unwrap_or(phase))
                                 .collect();
                             self.cancel_until(0);
                             return SatResult::Sat(model);
                         }
                         Some(v) => {
                             self.stats.decisions += 1;
-                            // Deterministic polarity: try false first
-                            // (runs and automaton codes are sparse, so
-                            // negatives satisfy most constraints
-                            // immediately).
-                            SatLit::neg(v)
+                            SatLit::new(v, self.phase[v.index()])
                         }
                     },
                 };
@@ -910,8 +1035,95 @@ mod tests {
             .all(|c| c.iter().any(|l| model[l.var().index()] == l.is_pos()))
     }
 
+    #[test]
+    fn non_decision_variables_are_never_picked() {
+        // A guarded "candidate" over x0..x7, retired by the unit ¬act and
+        // its variables marked non-decision: the solver decides only the
+        // base variables (the test build also checks each pick against
+        // the linear-scan rule, which skips non-decision variables), and
+        // the model still satisfies every clause.
+        let mut cnf = Cnf::new();
+        let base = lits(&mut cnf, 3);
+        cnf.add_clause([base[0], base[1], base[2]]);
+        let mut s = Solver::new(cnf);
+        let act = SatLit::pos(s.new_var());
+        let xs: Vec<SatLit> = (0..8).map(|_| SatLit::pos(s.new_var())).collect();
+        let mut all = vec![vec![base[0], base[1], base[2]], vec![act.negated()]];
+        for w in xs.windows(2) {
+            all.push(vec![act.negated(), w[0], w[1].negated()]);
+            all.push(vec![act.negated(), w[0].negated(), base[1]]);
+        }
+        for c in &all[2..] {
+            s.add_clause(c.iter().copied());
+        }
+        s.add_clause([act.negated()]);
+        for v in act.var().index()..s.num_vars() {
+            s.set_non_decision(Var(v as u32));
+        }
+        match s.solve(None) {
+            SatResult::Sat(m) => assert!(satisfies(&m, &all)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        assert!(s.stats().decisions <= 3, "decided a non-decision variable");
+    }
+
+    /// Whether some assignment of the `n` variables satisfies every clause
+    /// and every assumption: plain enumeration, the reference the random
+    /// test checks the solver against.
+    fn brute_force_sat(n: usize, clauses: &[Vec<SatLit>], assumptions: &[SatLit]) -> bool {
+        (0u32..1 << n).any(|bits| {
+            let model: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
+            satisfies(&model, clauses)
+                && assumptions.iter().all(|l| model[l.var().index()] == l.is_pos())
+        })
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Random CNFs of up to 12 variables, each solved under several
+        /// random assumption sets in turn (so learned clauses, saved
+        /// phases and minimized clauses carry over between calls): every
+        /// verdict equals brute-force enumeration, and every model
+        /// satisfies every clause and every assumption.
+        #[test]
+        fn random_cnfs_agree_with_brute_force(seed in 1u64..1_000_000) {
+            let mut rng = proptest::prelude::TestRng::new(seed);
+            let n = 1 + rng.below(12) as usize;
+            let mut cnf = Cnf::new();
+            let vars: Vec<Var> = (0..n).map(|_| cnf.new_var()).collect();
+            let clauses: Vec<Vec<SatLit>> = (0..rng.below(5 * n as u64 + 1))
+                .map(|_| random_clause(&mut rng, &vars))
+                .collect();
+            for c in &clauses {
+                cnf.add_clause(c.iter().copied());
+            }
+            let mut s = Solver::new(cnf);
+            for _ in 0..4 {
+                let assumptions: Vec<SatLit> = (0..rng.below(4))
+                    .map(|_| SatLit::new(vars[rng.below(n as u64) as usize], rng.below(2) == 0))
+                    .collect();
+                let got = s.solve_assuming(&assumptions, None);
+                proptest::prop_assert_eq!(
+                    matches!(got, SatResult::Sat(_)),
+                    brute_force_sat(n, &clauses, &assumptions),
+                    "verdict diverges from enumeration (seed {})",
+                    seed
+                );
+                if let SatResult::Sat(m) = &got {
+                    proptest::prop_assert!(
+                        satisfies(m, &clauses),
+                        "model violates a clause (seed {})",
+                        seed
+                    );
+                    proptest::prop_assert!(
+                        assumptions.iter().all(|l| m[l.var().index()] == l.is_pos()),
+                        "model violates an assumption (seed {})",
+                        seed
+                    );
+                }
+            }
+        }
 
         /// Incremental use agrees with one-shot solving: a base formula,
         /// then a sequence of candidate clause sets each guarded by a

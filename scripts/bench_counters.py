@@ -8,10 +8,10 @@ Usage (from the repository root, after `cargo build` and, for `--info`,
     scripts/bench_counters.py            # re-measure the gated rows
     scripts/bench_counters.py --info     # also the slow information-only rows
 
-Gated rows run the debug-profile binary, the one `cargo test` runs: its
-debug assertions do a little BDD work of their own (ISOP checks `l -> u`),
-so its `bdd.ite_ops` can exceed a release build's on the same row.
-Information-only rows run the release binary.
+Gated rows run the debug-profile binary, the one `cargo test` runs; debug
+assertions do no counted engine work, so a release build reads the same
+counters (CI runs the gate on both). Information-only rows run the release
+binary.
 
 Each row is one `specmatcher check ... --jobs 1 --trace-out <tmp>` process,
 so the process-wide automaton memo starts empty for every row. Gated rows

@@ -325,16 +325,18 @@ fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
 }
 
 /// Each gap tier counts the candidates it settles, pinned on `mal-ex2`
-/// at `--jobs 1`: the 90 claimed candidates split into 51 rejected by a
-/// pooled run or a directed probe, 6 settled by implication, 8 refuted
-/// by the bounded SAT tier (symbolic only; the explicit engine has no
-/// SAT tier) and the rest verified by a closure fixpoint, 25 of which
-/// close.
+/// at `--jobs 1`: the 90 claimed candidates split into those rejected by
+/// a pooled run or a directed probe (51 explicit, 55 symbolic), 6 settled
+/// by implication, those refuted by the bounded SAT tier (4; symbolic
+/// only, the explicit engine has no SAT tier) and the rest verified by a
+/// closure fixpoint, 25 of which close. On the symbolic engine, which
+/// runs the SAT tier returns decides how many later candidates the shared
+/// pool rejects before they reach it; the two together stay at 59.
 #[test]
 fn gap_tier_counters_count_what_each_tier_settles() {
     let _guard = exclusive();
-    for (backend, bmc_refuted, fixpoints) in
-        [(Backend::Explicit, 0, 33), (Backend::Symbolic, 8, 25)]
+    for (backend, probe_refuted, bmc_refuted, fixpoints) in
+        [(Backend::Explicit, 51, 0, 33), (Backend::Symbolic, 55, 4, 25)]
     {
         trace_mal_ex2(backend, 1);
         let tiers = [
@@ -346,10 +348,13 @@ fn gap_tier_counters_count_what_each_tier_settles() {
         .map(trace::counter_value);
         assert_eq!(
             (worker_meta("claimed"), tiers),
-            (90, [51, 6, bmc_refuted, fixpoints]),
+            (90, [probe_refuted, 6, bmc_refuted, fixpoints]),
             "{backend:?}: (claimed, [probe_refuted, implication_settled, bmc.refuted, \
              fixpoint_verified])"
         );
+        if backend == Backend::Symbolic {
+            assert_eq!(tiers[0] + tiers[2], 59, "pool and SAT rejections together");
+        }
     }
 }
 
