@@ -8,6 +8,11 @@
 //! * [`translate`] — the GPVW on-the-fly tableau construction (Gerth,
 //!   Peled, Vardi, Wolper 1995) from LTL to a generalized Büchi automaton
 //!   ([`Gba`]),
+//! * [`translate_cached`] — the rewritten, reduced translation through
+//!   the program's one translation memo, process-wide, which every engine
+//!   (explicit, symbolic, bounded SAT) and every query here goes through;
+//!   [`translate_all`] adds the screen for a conjunct with no initial
+//!   state,
 //! * [`TransitionSystem`] — the interface the checker needs from a model
 //!   (implemented by [`dic_fsm::Kripke`] and by [`WordSystem`], a
 //!   single-word system used for testing and witness replay),
@@ -47,8 +52,8 @@ pub use gba::{code_bits, translate, translate_unreduced, Gba};
 pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use mc::{
     holds_in, is_satisfiable_cube, materialize_product, reduction_enabled, satisfiable_cube,
-    satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_cached, satisfiable_in_conj_gbas,
-    translate_cached, translation_reduction, GbaCache, ProductSystem, Verdict,
+    satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_gbas, translate_all,
+    translate_cached, translation_reduction, ProductSystem, Verdict,
 };
 pub use sat::{equivalent, implies, is_satisfiable, is_valid, stronger_than, witness};
 pub use system::{TransitionSystem, WordSystem};

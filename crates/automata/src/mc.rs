@@ -32,7 +32,8 @@ pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
     }
 }
 
-/// A memo table for LTL → GBA translations.
+/// The memo table behind [`translate_cached`], the one LTL → GBA
+/// translation memo of the program.
 ///
 /// Coverage analysis model-checks conjunctions sharing most conjuncts (the
 /// RTL properties `R` and `¬FA` appear in every candidate-closure query of
@@ -48,32 +49,12 @@ pub fn translation_reduction(formula: &Ltl) -> ReductionStats {
 /// that panics leaves its cell empty (the next lookup retries it) and
 /// every other entry usable; a map lock poisoned by a panicking holder is
 /// recovered, since the map only ever holds fully inserted cells.
-///
-/// # Examples
-///
-/// ```
-/// use dic_automata::GbaCache;
-/// use dic_ltl::Ltl;
-/// use dic_logic::SignalTable;
-///
-/// let mut t = SignalTable::new();
-/// let f = Ltl::parse("G(p -> X q)", &mut t).unwrap();
-/// let cache = GbaCache::new();
-/// let first = cache.get(&f);
-/// let again = cache.get(&f);
-/// assert!(std::sync::Arc::ptr_eq(&first, &again));
-/// ```
 #[derive(Debug, Default)]
-pub struct GbaCache {
+struct GbaCache {
     map: Mutex<FastMap<Ltl, Arc<OnceLock<Arc<Gba>>>>>,
 }
 
 impl GbaCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The cell of `formula`, inserted empty on first sight.
     fn cell(&self, formula: &Ltl) -> Arc<OnceLock<Arc<Gba>>> {
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
@@ -96,7 +77,7 @@ impl GbaCache {
     /// formula is memoized as an alias afterwards: repeat lookups
     /// (Algorithm 1's hottest path issues thousands against the same few
     /// formulas) are a single hash, never a rewrite.
-    pub fn get(&self, formula: &Ltl) -> Arc<Gba> {
+    fn get(&self, formula: &Ltl) -> Arc<Gba> {
         let cell = self.cell(formula);
         let mut missed = false;
         let g = cell.get_or_init(|| {
@@ -130,7 +111,8 @@ impl GbaCache {
 
     /// Number of cached translations so far (distinct translations plus
     /// as-written aliases of rewritten formulas).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -138,34 +120,53 @@ impl GbaCache {
             .filter(|cell| cell.get().is_some())
             .count()
     }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Process-wide translation memo backing [`translate_cached`].
 static SHARED_TRANSLATIONS: OnceLock<GbaCache> = OnceLock::new();
 
-/// [`translate`] through a process-shared memo keyed by
+/// [`translate`] through the process-wide translation memo, keyed by
 /// formula hash.
 ///
-/// The pure-formula decision procedures ([`crate::implies`],
-/// [`crate::is_satisfiable`], …) are called hundreds of times per
-/// coverage run on a small set of recurring formulas (every candidate of
-/// Algorithm 1 is compared against the same intent and siblings); caching
-/// here means each distinct formula runs the GPVW tableau exactly once
-/// **per process** — the memo was per-thread once, which made N closure
-/// workers re-run the tableau N times on the same candidates. The
-/// [`GbaCache`] is internally synchronized (a miss holds only that
-/// formula's once-cell, so concurrent first lookups of one formula
-/// translate once while lookups of other formulas proceed);
+/// Every engine translates through here: the explicit product searches,
+/// the symbolic encodings, the bounded SAT tier and the pure-formula
+/// decision procedures ([`crate::implies`], [`crate::is_satisfiable`],
+/// …). They are called hundreds of times per coverage run on a small set
+/// of recurring formulas (every candidate of Algorithm 1 is compared
+/// against the same intent and siblings, and every closure query shares
+/// the `R` suite and `¬FA`); caching here means each distinct formula
+/// runs the GPVW tableau exactly once **per process**, whichever engine
+/// or gap worker asks first. The memo is internally synchronized (a miss
+/// holds only that formula's once-cell, so concurrent first lookups of
+/// one formula translate once while lookups of other formulas proceed);
 /// it is append-only for the life of the process — formula closures are
 /// small, so this trades a bounded amount of memory for the dominant
 /// translation cost.
 pub fn translate_cached(formula: &Ltl) -> Arc<Gba> {
-    SHARED_TRANSLATIONS.get_or_init(GbaCache::new).get(formula)
+    SHARED_TRANSLATIONS
+        .get_or_init(GbaCache::default)
+        .get(formula)
+}
+
+/// Translates every conjunct through [`translate_cached`], or `None` when
+/// some conjunct has no initial state (unsatisfiable on its own, e.g.
+/// `p ∧ ¬p`). Every conjunct is translated either way.
+///
+/// The symbolic engine and the bounded SAT refutation tier
+/// (`dic_sat::BmcSession`, which `dic_core` runs ahead of the symbolic
+/// closure fixpoints; `dic_sat::bounded_lasso` is its one-shot form, a
+/// reference for tests) screen their conjunctions through here before
+/// encoding anything. Since the translations come from the one memo, the
+/// engines and tiers encode the *same* reduced automata, which makes
+/// their verdicts comparable automaton for automaton, not just language
+/// for language. The explicit product searches need no screen: an
+/// automaton without initial states gives the product no root.
+pub fn translate_all(formulas: &[Ltl]) -> Option<Vec<Arc<Gba>>> {
+    let gbas: Vec<Arc<Gba>> = formulas.iter().map(translate_cached).collect();
+    if gbas.iter().any(|g| g.initial().is_empty()) {
+        return None;
+    }
+    Some(gbas)
 }
 
 /// Result of a universal check ([`holds_in`]).
@@ -220,30 +221,13 @@ pub fn satisfiable_in_conj<S: TransitionSystem>(
     conj_product_lasso(&refs, sys)
 }
 
-/// [`satisfiable_in_conj`] with memoized translations: repeated conjuncts
-/// (the `R` suite, `¬FA`) are translated once across all queries sharing
-/// `cache`.
-pub fn satisfiable_in_conj_cached<S: TransitionSystem>(
-    formulas: &[Ltl],
-    sys: &S,
-    cache: &GbaCache,
-) -> Option<LassoWord> {
-    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
-    let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
-    conj_product_lasso(&refs, sys)
-}
-
-/// Verdict-only [`satisfiable_in_conj_cached`]: the same search, stopped
-/// at the accepting SCC, with no lasso built. With `cube.to_ltl()` among
-/// the formulas it is the translated form of [`is_satisfiable_cube`], kept
-/// as its reference.
+/// Verdict-only [`satisfiable_in_conj`]: the same search, stopped at the
+/// accepting SCC, with no lasso built. With `cube.to_ltl()` among the
+/// formulas it is the translated form of [`is_satisfiable_cube`], kept as
+/// its reference.
 #[cfg(test)]
-pub(crate) fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
-    formulas: &[Ltl],
-    sys: &S,
-    cache: &GbaCache,
-) -> bool {
-    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
+pub(crate) fn is_satisfiable_in_conj<S: TransitionSystem>(formulas: &[Ltl], sys: &S) -> bool {
+    let gbas: Vec<Arc<Gba>> = formulas.iter().map(translate_cached).collect();
     let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
     conj_search(&refs, sys, false).is_some()
 }
@@ -252,7 +236,7 @@ pub(crate) fn is_satisfiable_in_conj_cached<S: TransitionSystem>(
 /// `anchor` (when given) and matches `cube` at time 0? Returns a witness
 /// lasso if so.
 ///
-/// Semantically `satisfiable_in_conj_cached(&[anchor, cube.to_ltl()], …)`,
+/// Semantically `satisfiable_in_conj(&[anchor, cube.to_ltl()], …)`,
 /// but the cube never becomes an automaton: the search runs over the
 /// system's runs that match the cube (a `CubeView`, which filters states
 /// by the cube's literals at their time), in product with the anchor's
@@ -263,9 +247,8 @@ pub fn satisfiable_cube<S: TransitionSystem>(
     sys: &S,
     anchor: Option<&Ltl>,
     cube: &TemporalCube,
-    cache: &GbaCache,
 ) -> Option<LassoWord> {
-    cube_search(sys, anchor, cube, cache, true).map(|w| w.expect("a witness was asked for"))
+    cube_search(sys, anchor, cube, true).map(|w| w.expect("a witness was asked for"))
 }
 
 /// Verdict-only [`satisfiable_cube`]: the same search, stopped at the
@@ -274,9 +257,8 @@ pub fn is_satisfiable_cube<S: TransitionSystem>(
     sys: &S,
     anchor: Option<&Ltl>,
     cube: &TemporalCube,
-    cache: &GbaCache,
 ) -> bool {
-    cube_search(sys, anchor, cube, cache, false).is_some()
+    cube_search(sys, anchor, cube, false).is_some()
 }
 
 /// Existential conjunction query over caller-supplied automata — the hook
@@ -344,11 +326,10 @@ fn cube_search<S: TransitionSystem>(
     sys: &S,
     anchor: Option<&Ltl>,
     cube: &TemporalCube,
-    cache: &GbaCache,
     witness: bool,
 ) -> Option<Option<LassoWord>> {
     let view = CubeView::new(sys, cube);
-    match anchor.map(|f| cache.get(f)) {
+    match anchor.map(translate_cached) {
         Some(gba) => {
             let lasso = conj_search(&[gba.as_ref()], &view, witness)?;
             Some(lasso.map(|(states, loop_start)| {
@@ -384,7 +365,7 @@ fn cube_search<S: TransitionSystem>(
 /// ```
 /// use dic_logic::{SignalTable, Valuation};
 /// use dic_ltl::{LassoWord, Ltl};
-/// use dic_automata::{materialize_product, satisfiable_in, GbaCache, WordSystem};
+/// use dic_automata::{materialize_product, satisfiable_in, WordSystem};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut t = SignalTable::new();
@@ -394,8 +375,7 @@ fn cube_search<S: TransitionSystem>(
 /// // A two-position word: !p then p forever.
 /// let w = LassoWord::new(vec![Valuation::all_false(1), hi], 1).expect("loop in range");
 /// let sys = WordSystem::new(w);
-/// let cache = GbaCache::new();
-/// let base = materialize_product(&[Ltl::parse("F p", &mut t)?], &sys, &cache);
+/// let base = materialize_product(&[Ltl::parse("F p", &mut t)?], &sys);
 /// // Querying against the base conjoins its constraint.
 /// assert!(satisfiable_in(&Ltl::parse("!p", &mut t)?, &base).is_some());
 /// assert!(satisfiable_in(&Ltl::parse("G !p", &mut t)?, &base).is_none());
@@ -469,12 +449,8 @@ impl TransitionSystem for ProductSystem {
 /// Satisfiability queries against the result are equivalent to queries
 /// against `sys` with `formulas` conjoined — the shared exploration is paid
 /// once. See [`ProductSystem`].
-pub fn materialize_product<S: TransitionSystem>(
-    formulas: &[Ltl],
-    sys: &S,
-    cache: &GbaCache,
-) -> ProductSystem {
-    let gbas: Vec<Arc<Gba>> = formulas.iter().map(|f| cache.get(f)).collect();
+pub fn materialize_product<S: TransitionSystem>(formulas: &[Ltl], sys: &S) -> ProductSystem {
+    let gbas: Vec<Arc<Gba>> = formulas.iter().map(translate_cached).collect();
     let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
     let product = MultiProduct::new(sys, &refs);
     let n_acc = product.full_mask().count_ones();
@@ -589,7 +565,7 @@ mod tests {
         let mut t = SignalTable::new();
         let f = parse(&mut t, "G(p -> X q)");
         let g = parse(&mut t, "F(p & q)");
-        let cache = GbaCache::new();
+        let cache = GbaCache::default();
         let before = cache.get(&f);
         // A panic while holding the map lock poisons it.
         let poisoned = std::thread::scope(|s| {

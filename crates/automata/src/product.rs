@@ -1074,8 +1074,8 @@ mod reference {
 mod tests {
     use super::*;
     use crate::mc::{
-        is_satisfiable_cube, is_satisfiable_in_conj_cached, materialize_product,
-        satisfiable_cube, satisfiable_in_conj_cached, GbaCache,
+        is_satisfiable_cube, is_satisfiable_in_conj, materialize_product, satisfiable_cube,
+        satisfiable_in_conj, translate_cached,
     };
     use crate::system::CubeView;
     use dic_fsm::Kripke;
@@ -1318,8 +1318,8 @@ mod tests {
 
     /// Every query shape the explicit engine issues over `sys`: a single
     /// formula, and a conjunction of two.
-    fn check_queries<S: TransitionSystem>(sys: &S, fs: &[Ltl], cache: &GbaCache) {
-        let gbas: Vec<_> = fs.iter().map(|f| cache.get(f)).collect();
+    fn check_queries<S: TransitionSystem>(sys: &S, fs: &[Ltl]) {
+        let gbas: Vec<_> = fs.iter().map(translate_cached).collect();
         assert_product_matches_literal_scan(sys, &gbas[0]);
         let refs: Vec<&Gba> = gbas.iter().map(|g| g.as_ref()).collect();
         let multi = MultiProduct::new(sys, &refs);
@@ -1352,11 +1352,10 @@ mod tests {
         ) {
             let mut rng = XorShift64::new(seed);
             let (k, atoms) = random_kripke(&mut rng);
-            let cache = GbaCache::new();
             let fs: Vec<Ltl> = (0..3).map(|_| random_formula(&mut rng, &atoms, budget)).collect();
-            check_queries(&k, &fs[..2], &cache);
-            let base = materialize_product(&fs[2..], &k, &cache);
-            check_queries(&base, &fs[..2], &cache);
+            check_queries(&k, &fs[..2]);
+            let base = materialize_product(&fs[2..], &k);
+            check_queries(&base, &fs[..2]);
         }
     }
 
@@ -1367,14 +1366,13 @@ mod tests {
     fn wide_automata_match_the_literal_scan() {
         let mut rng = XorShift64::new(7);
         let (k, atoms) = random_kripke(&mut rng);
-        let cache = GbaCache::new();
         let deep = Ltl::next_n(Ltl::atom(atoms[1]), 66);
         let fs = [
             Ltl::finally(Ltl::and([Ltl::atom(atoms[2]), deep.clone()])),
             Ltl::or([deep, Ltl::globally(Ltl::atom(atoms[0]))]),
         ];
         for f in &fs {
-            let gba = cache.get(f);
+            let gba = translate_cached(f);
             let product = Product::new(&k, &gba);
             let mut search = Search::new(&product);
             search.accepting_scc(product.joint_mask());
@@ -1384,13 +1382,9 @@ mod tests {
             );
             assert_product_matches_literal_scan(&k, &gba);
         }
-        let base = materialize_product(
-            &[Ltl::globally(Ltl::finally(Ltl::atom(atoms[0])))],
-            &k,
-            &cache,
-        );
+        let base = materialize_product(&[Ltl::globally(Ltl::finally(Ltl::atom(atoms[0])))], &k);
         for f in &fs {
-            assert_product_matches_literal_scan(&base, &cache.get(f));
+            assert_product_matches_literal_scan(&base, &translate_cached(f));
         }
     }
 
@@ -1425,15 +1419,14 @@ mod tests {
         anchor: Option<&Ltl>,
         cube: &TemporalCube,
         baked: &[Ltl],
-        cache: &GbaCache,
     ) {
         if let Some(f) = anchor {
-            assert_product_matches_literal_scan(&CubeView::new(sys, cube), &cache.get(f));
+            assert_product_matches_literal_scan(&CubeView::new(sys, cube), &translate_cached(f));
         }
         let translated: Vec<Ltl> = anchor.cloned().into_iter().chain([cube.to_ltl()]).collect();
-        let expected = is_satisfiable_in_conj_cached(&translated, sys, cache);
-        assert_eq!(is_satisfiable_cube(sys, anchor, cube, cache), expected, "{cube:?}");
-        let witness = satisfiable_cube(sys, anchor, cube, cache);
+        let expected = is_satisfiable_in_conj(&translated, sys);
+        assert_eq!(is_satisfiable_cube(sys, anchor, cube), expected, "{cube:?}");
+        let witness = satisfiable_cube(sys, anchor, cube);
         assert_eq!(witness.is_some(), expected, "{cube:?}");
         if let Some(w) = witness {
             assert!(cube.holds_on(&w, 0), "witness misses {cube:?}");
@@ -1441,7 +1434,7 @@ mod tests {
                 assert!(f.holds_on(&w), "witness misses {f:?}");
             }
             if anchor.is_none() {
-                assert_eq!(Some(w), satisfiable_in_conj_cached(&translated, sys, cache));
+                assert_eq!(Some(w), satisfiable_in_conj(&translated, sys));
             }
         }
     }
@@ -1459,13 +1452,12 @@ mod tests {
         ) {
             let mut rng = XorShift64::new(seed);
             let (k, atoms) = random_kripke(&mut rng);
-            let cache = GbaCache::new();
             let cube = random_cube(&mut rng, &atoms);
             let anchor = rng.flip().then(|| random_formula(&mut rng, &atoms, budget));
             let baked = random_formula(&mut rng, &atoms, budget);
-            check_cube_queries(&k, anchor.as_ref(), &cube, &[], &cache);
-            let base = materialize_product(std::slice::from_ref(&baked), &k, &cache);
-            check_cube_queries(&base, anchor.as_ref(), &cube, &[baked], &cache);
+            check_cube_queries(&k, anchor.as_ref(), &cube, &[]);
+            let base = materialize_product(std::slice::from_ref(&baked), &k);
+            check_cube_queries(&base, anchor.as_ref(), &cube, &[baked]);
         }
     }
 }

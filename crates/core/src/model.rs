@@ -23,7 +23,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// "`¬A ∧ R` is true in M".
 ///
 /// A model answers that question on one engine, selected by [`Backend`]:
-/// the explicit Kripke structure or the symbolic BDD model.
+/// the explicit Kripke structure or the symbolic BDD model. It memoizes
+/// the engine's products (the explicit base products, the symbolic
+/// product cache) but no automata: every translation goes through the
+/// process-wide [`dic_automata::translate_cached`].
 /// [`CoverageModel::build`] resolves [`Backend::Auto`] once, by state-bit
 /// count and predicted product cost (see
 /// [`CoverageModel::primary_backend`]), and both the primary coverage
@@ -52,7 +55,6 @@ pub struct CoverageModel {
     inputs: Vec<SignalId>,
     observable: BTreeSet<SignalId>,
     hidden: BTreeSet<SignalId>,
-    cache: dic_automata::GbaCache,
     /// Materialized base products, keyed by the baked-in conjunction.
     products: Mutex<HashMap<Vec<dic_ltl::Ltl>, Arc<dic_automata::ProductSystem>>>,
     /// Whether gap queries first try the bounded SAT refutation tier
@@ -248,7 +250,6 @@ impl CoverageModel {
             inputs: input_vars,
             observable,
             hidden,
-            cache: dic_automata::GbaCache::new(),
             products: Mutex::new(HashMap::new()),
             bmc_mode: BmcMode::default(),
         })
@@ -438,10 +439,11 @@ impl CoverageModel {
         Some(run)
     }
 
-    /// Existential query against the *explicit* model with memoized
-    /// automaton translations: is some run of `M` satisfying every formula
-    /// in `formulas`? Repeated conjuncts (the `R` suite, `¬FA`) are
-    /// translated once per model.
+    /// Existential query against the *explicit* model: is some run of `M`
+    /// satisfying every formula in `formulas`? The conjuncts translate
+    /// through [`dic_automata::translate_cached`], so repeated ones (the
+    /// `R` suite, `¬FA`) are translated once per process, whichever engine
+    /// or query met them first.
     ///
     /// # Panics
     ///
@@ -449,7 +451,7 @@ impl CoverageModel {
     /// [`CoverageModel::primary_query_anchored`] for engine-dispatched
     /// queries and [`CoverageModel::has_explicit`] to test availability.
     pub fn satisfiable(&self, formulas: &[dic_ltl::Ltl]) -> Option<dic_ltl::LassoWord> {
-        dic_automata::satisfiable_in_conj_cached(formulas, self.kripke(), &self.cache)
+        dic_automata::satisfiable_in_conj(formulas, self.kripke())
     }
 
     /// Factored existential query: is some run of `M` satisfying `base`
@@ -472,7 +474,7 @@ impl CoverageModel {
         extra: &[dic_ltl::Ltl],
     ) -> Option<dic_ltl::LassoWord> {
         let product = self.base_product(base);
-        dic_automata::satisfiable_in_conj_cached(extra, product.as_ref(), &self.cache)
+        dic_automata::satisfiable_in_conj(extra, product.as_ref())
     }
 
     /// The memoized product of `M` with `base`, materialized on first use.
@@ -487,11 +489,7 @@ impl CoverageModel {
         match products.get(base) {
             Some(p) => Arc::clone(p),
             None => {
-                let p = Arc::new(dic_automata::materialize_product(
-                    base,
-                    self.kripke(),
-                    &self.cache,
-                ));
+                let p = Arc::new(dic_automata::materialize_product(base, self.kripke()));
                 products.insert(base.to_vec(), Arc::clone(&p));
                 p
             }
@@ -544,7 +542,9 @@ impl CoverageModel {
 /// questions Algorithm 1 asks (closure, scenario, scenario verdict), the
 /// bounded SAT pre-filter, and the per-candidate explicit retry policy.
 /// Obtained from [`CoverageModel::gap_engine`]; a copy is as good as the
-/// original.
+/// original. Both engines take their automata from
+/// [`dic_automata::translate_cached`], so a formula the primary question
+/// or an implication screen already translated is a memo hit here.
 #[derive(Clone, Copy)]
 pub(crate) struct GapEngine<'m> {
     model: &'m CoverageModel,
@@ -656,7 +656,6 @@ impl<'m> GapEngine<'m> {
                 self.model.base_product(base).as_ref(),
                 anchored,
                 cube,
-                &self.model.cache,
             )),
         }
     }
@@ -684,7 +683,6 @@ impl<'m> GapEngine<'m> {
                 self.model.base_product(base).as_ref(),
                 anchored,
                 cube,
-                &self.model.cache,
             )),
         }
     }

@@ -56,7 +56,7 @@ pub enum Site {
     /// The per-candidate boundary of the gap-phase closure drivers in
     /// `weaken.rs` (`gap.worker`).
     GapWorker,
-    /// The BMC unrolling encoder in `bounded_lasso` (`bmc.encode`).
+    /// The BMC unrolling encoder in `BmcSession::query` (`bmc.encode`).
     BmcEncode,
 }
 

@@ -177,11 +177,6 @@ impl Kripke {
         self.latch_keys.len() << self.n_input_bits
     }
 
-    /// Number of distinct reachable latch valuations.
-    pub fn num_latch_states(&self) -> usize {
-        self.latch_keys.len()
-    }
-
     /// The initial states: reset latches, any input valuation.
     pub fn initial_states(&self) -> impl Iterator<Item = StateId> + '_ {
         0..(1u32 << self.n_input_bits)
@@ -220,7 +215,6 @@ mod tests {
         let m = simple(&mut t);
         let k = Kripke::from_module(&m, &t, &[]).expect("fits");
         assert_eq!(k.num_states(), 8); // 2 latch x 4 inputs
-        assert_eq!(k.num_latch_states(), 2);
         let a = t.lookup("a").unwrap();
         let c = t.lookup("c").unwrap();
         // Initial states have c = 0.

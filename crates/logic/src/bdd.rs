@@ -882,15 +882,6 @@ impl BddManager {
         out
     }
 
-    /// Universal quantification over raw variable indices (the dual of
-    /// [`BddManager::exists_vars`], for callers whose variables are not
-    /// all backed by table signals).
-    pub fn forall_vars(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        let nf = self.not(f);
-        let ex = self.exists_vars(nf, vars);
-        self.not(ex)
-    }
-
     /// Number of satisfying assignments over an `nvars`-variable universe.
     ///
     /// `nvars` must be at least the number of registered variables appearing
@@ -1362,19 +1353,6 @@ mod tests {
         assert_eq!(ncubes.len(), 1);
         let ncb = m.from_cube(&ncubes[0]);
         assert_eq!(ncb, nf);
-    }
-
-    #[test]
-    fn forall_vars_matches_forall_all() {
-        let (_t, mut m, ids) = setup();
-        let a = m.var_for_signal(ids[0]);
-        let b = m.var_for_signal(ids[1]);
-        let f = m.or(a, b);
-        let va = m.var_index(ids[0]);
-        assert_eq!(m.forall_vars(f, &[va]), m.forall(f, ids[0]));
-        let g = m.and(a, b);
-        let vb = m.var_index(ids[1]);
-        assert!(m.forall_vars(g, &[va, vb]).is_false());
     }
 
     #[test]

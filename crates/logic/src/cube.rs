@@ -223,44 +223,6 @@ impl Cube {
     pub fn display<'a>(&'a self, table: &'a SignalTable) -> DisplayCube<'a> {
         DisplayCube { cube: self, table }
     }
-
-    /// Enumerates the packed keys over `vars` (bit `i` ⇔ `vars[i]`) whose
-    /// valuations satisfy this cube. Cube literals on signals outside
-    /// `vars` are ignored. The result has `2^f` keys where `f` is the
-    /// number of `vars` the cube leaves free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` has more than 63 signals (packed keys are `u64`).
-    pub fn matching_keys(&self, vars: &[SignalId]) -> Vec<u64> {
-        assert!(vars.len() < 64, "packed keys are u64");
-        let mut fixed_mask = 0u64;
-        let mut fixed_bits = 0u64;
-        let mut free: Vec<u64> = Vec::new();
-        for (bit, &s) in vars.iter().enumerate() {
-            match self.polarity_of(s) {
-                Some(pol) => {
-                    fixed_mask |= 1 << bit;
-                    if pol {
-                        fixed_bits |= 1 << bit;
-                    }
-                }
-                None => free.push(1 << bit),
-            }
-        }
-        let mut out = Vec::with_capacity(1 << free.len());
-        for combo in 0u64..(1 << free.len()) {
-            let mut key = fixed_bits;
-            for (i, &bit) in free.iter().enumerate() {
-                if combo >> i & 1 == 1 {
-                    key |= bit;
-                }
-            }
-            out.push(key);
-        }
-        debug_assert!(out.iter().all(|k| k & fixed_mask == fixed_bits));
-        out
-    }
 }
 
 impl FromIterator<Lit> for Option<Cube> {
@@ -388,21 +350,5 @@ mod tests {
         let cube = Cube::from_lits([Lit::pos(a), Lit::neg(b)]).unwrap();
         assert_eq!(cube.display(&t).to_string(), "a & !b");
         assert_eq!(Cube::top().display(&t).to_string(), "true");
-    }
-
-    #[test]
-    fn matching_keys_enumerates_cover() {
-        let (_t, a, b, c) = sigs();
-        let vars = [a, b, c];
-        // a & !c over (a,b,c): bit0 = a fixed 1, bit2 = c fixed 0, b free.
-        let cube = Cube::from_lits([Lit::pos(a), Lit::neg(c)]).unwrap();
-        let mut keys = cube.matching_keys(&vars);
-        keys.sort_unstable();
-        assert_eq!(keys, vec![0b001, 0b011]);
-        // The empty cube matches every key.
-        assert_eq!(Cube::top().matching_keys(&vars).len(), 8);
-        // Literals outside `vars` are ignored.
-        let only_b = Cube::from_lits([Lit::pos(b)]).unwrap();
-        assert_eq!(only_b.matching_keys(&[a]).len(), 2);
     }
 }

@@ -76,19 +76,6 @@ impl Valuation {
         }
     }
 
-    /// Builds a valuation from an iterator of `(signal, value)` pairs over a
-    /// table of `len` signals; unmentioned signals are false.
-    pub fn from_pairs<I>(len: usize, pairs: I) -> Self
-    where
-        I: IntoIterator<Item = (SignalId, bool)>,
-    {
-        let mut v = Valuation::all_false(len);
-        for (id, val) in pairs {
-            v.set(id, val);
-        }
-        v
-    }
-
     /// Extracts the values of `ids` as a packed `u64` key (low bit = first
     /// id). Useful for indexing FSM states by latch subsets.
     ///
@@ -218,12 +205,5 @@ mod tests {
         let mut v = Valuation::all_false(t.len());
         v.set(b, true);
         assert_eq!(v.display(&t).to_string(), "a=0 b=1 c=0");
-    }
-
-    #[test]
-    fn from_pairs_defaults_false() {
-        let (t, a, _b, c) = table3();
-        let v = Valuation::from_pairs(t.len(), [(c, true), (a, false)]);
-        assert!(!v.get(a) && v.get(c));
     }
 }

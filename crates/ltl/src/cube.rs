@@ -113,18 +113,6 @@ impl TemporalCube {
         }
     }
 
-    /// The cube without any literal on `signal` (at any offset).
-    pub fn without_signal(&self, signal: SignalId) -> Self {
-        TemporalCube {
-            lits: self
-                .lits
-                .iter()
-                .copied()
-                .filter(|(_, l)| l.signal() != signal)
-                .collect(),
-        }
-    }
-
     /// Conjoins a positioned literal; `None` on contradiction.
     pub fn and_lit(&self, time: usize, lit: Lit) -> Option<Self> {
         let mut lits = self.lits.clone();
@@ -435,6 +423,5 @@ mod tests {
         assert_eq!(cube2.len(), 2);
         assert!(cube2.and_lit(1, Lit::pos(b)).is_none());
         assert_eq!(cube2.without(1, b), cube);
-        assert_eq!(cube2.without_signal(b), cube);
     }
 }

@@ -67,7 +67,7 @@
 
 use crate::cnf::{Cnf, SatLit, Var};
 use crate::solver::{SatResult, Solver};
-use dic_automata::{translate_cached, Gba};
+use dic_automata::{translate_all, Gba};
 use dic_logic::hashing::FastMap;
 use dic_logic::{BoolExpr, SignalId, SignalTable, Valuation};
 use dic_ltl::{LassoWord, Ltl};
@@ -124,7 +124,9 @@ pub fn bounded_lasso(
 pub struct BmcSession<'a> {
     table: &'a SignalTable,
     base: Vec<Ltl>,
-    base_gbas: Vec<Arc<Gba>>,
+    /// The base automata; `None` when some base conjunct has no initial
+    /// state, so no query has a run.
+    base_gbas: Option<Vec<Arc<Gba>>>,
     enc: Encoder<'a>,
     /// The solver over the base encoding, built on first use.
     solver: Option<Solver>,
@@ -149,7 +151,7 @@ impl<'a> BmcSession<'a> {
         BmcSession {
             table,
             base: base.to_vec(),
-            base_gbas: base.iter().map(translate_cached).collect(),
+            base_gbas: translate_all(base),
             enc: Encoder::new(module, free, depth),
             solver: None,
         }
@@ -165,18 +167,12 @@ impl<'a> BmcSession<'a> {
     /// re-verified run, `None` is no verdict. The candidate is retired
     /// before this returns, whatever the answer.
     pub fn query(&mut self, candidate: &[Ltl]) -> Option<LassoWord> {
-        let cand_gbas: Vec<Arc<Gba>> = candidate.iter().map(translate_cached).collect();
-        if self
-            .base_gbas
-            .iter()
-            .chain(&cand_gbas)
-            .any(|g| g.initial().is_empty())
-        {
+        let (Some(cand_gbas), Some(base_gbas)) = (translate_all(candidate), &self.base_gbas) else {
             // Some conjunct is unsatisfiable on its own: no run exists at
             // any depth. Still "no verdict" here — the unbounded engines
             // answer the query with the same `None` for free.
             return None;
-        }
+        };
         // `bmc.encode` injection site, crossed once per query: the tier
         // is refutation-only, so any non-panic kind degrades to `None`
         // ("no verdict"), which is sound by construction.
@@ -192,8 +188,7 @@ impl<'a> BmcSession<'a> {
             return None;
         }
         let mut span = dic_trace::span("bmc.encode");
-        let states: usize = self
-            .base_gbas
+        let states: usize = base_gbas
             .iter()
             .chain(&cand_gbas)
             .map(|g| g.num_states())
@@ -207,7 +202,7 @@ impl<'a> BmcSession<'a> {
         let mut clauses = 0;
         if self.solver.is_none() {
             self.enc.encode_model();
-            for g in &self.base_gbas {
+            for g in base_gbas {
                 self.enc.encode_automaton(g);
             }
             self.enc.encode_loop();

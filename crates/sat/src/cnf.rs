@@ -106,11 +106,6 @@ impl Cnf {
         self.num_vars as usize
     }
 
-    /// Number of clauses recorded so far.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// The recorded clauses.
     pub fn clauses(&self) -> &[Vec<SatLit>] {
         &self.clauses
@@ -264,7 +259,7 @@ mod tests {
         cnf.add_clause([a, a, b]);
         assert_eq!(cnf.clauses()[0].len(), 2, "duplicate dropped");
         cnf.add_clause([a, a.negated()]);
-        assert_eq!(cnf.num_clauses(), 1, "tautology dropped");
+        assert_eq!(cnf.clauses().len(), 1, "tautology dropped");
     }
 
     #[test]
@@ -274,7 +269,7 @@ mod tests {
         let t2 = cnf.lit_true();
         assert_eq!(t1, t2);
         assert_eq!(cnf.lit_false(), t1.negated());
-        assert_eq!(cnf.num_clauses(), 1);
+        assert_eq!(cnf.clauses().len(), 1);
     }
 
     #[test]

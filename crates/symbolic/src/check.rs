@@ -64,7 +64,7 @@
 
 use crate::error::SymbolicError;
 use crate::model::{PartitionMode, SymbolicModel};
-use dic_automata::{translate_cached, Gba};
+use dic_automata::{translate_all, Gba};
 use dic_logic::{Bdd, PairingId, SignalId, Valuation, VarSetId};
 use dic_ltl::{LassoWord, Ltl};
 use std::collections::HashMap;
@@ -264,24 +264,6 @@ impl SymbolicModel {
         }
         self.with_product(&full, &[], f)
     }
-}
-
-/// Translates every conjunct, or `None` when some conjunct has no initial
-/// state (unsatisfiable on its own).
-///
-/// The translations go through [`translate_cached`], so the symbolic
-/// engine, the explicit engine, and the bounded SAT refutation tier
-/// (`dic_sat::bounded_lasso`, which `dic_core` runs ahead of the closure
-/// fixpoints) all encode the *same* reduced automata — that sharing is
-/// what makes the tiers' verdicts comparable automaton-for-automaton, not
-/// just language-for-language. Public so callers layering their own query
-/// tiers can reuse the screen.
-pub fn translate_all(formulas: &[Ltl]) -> Option<Vec<Arc<Gba>>> {
-    let gbas: Vec<Arc<Gba>> = formulas.iter().map(translate_cached).collect();
-    if gbas.iter().any(|g| g.initial().is_empty()) {
-        return None;
-    }
-    Some(gbas)
 }
 
 /// Number of binary code bits for an `n`-state automaton (the shared

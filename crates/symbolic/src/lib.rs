@@ -53,7 +53,6 @@ pub mod error;
 pub mod model;
 pub mod terms;
 
-pub use check::translate_all;
 pub use error::SymbolicError;
 pub use model::{
     PartitionMode, ReorderMode, ReorderStats, SymbolicModel, SymbolicOptions, DEFAULT_CLUSTER_SIZE,

@@ -410,11 +410,6 @@ impl SymbolicModel {
         self.state_signals.len()
     }
 
-    /// Number of latch bits.
-    pub fn num_latches(&self) -> usize {
-        self.n_latches
-    }
-
     /// Live BDD nodes in the owned manager.
     pub fn node_count(&self) -> usize {
         self.man.node_count()
@@ -791,7 +786,6 @@ mod tests {
         let sm =
             SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
         assert_eq!(sm.state_bits(), 3); // c, a, b
-        assert_eq!(sm.num_latches(), 1);
         for i in 0..sm.state_bits() {
             assert_eq!(sm.next_var[i], sm.curr_var[i] + 1, "curr/next adjacent");
         }

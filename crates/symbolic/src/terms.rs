@@ -26,9 +26,10 @@
 //! for, which is what collapses the explicit engine's minutes-scale gap
 //! phase to seconds on wide models.
 
-use crate::check::{translate_all, ProductData};
+use crate::check::ProductData;
 use crate::error::SymbolicError;
 use crate::model::SymbolicModel;
+use dic_automata::translate_all;
 use dic_logic::Bdd;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
 

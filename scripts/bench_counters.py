@@ -5,8 +5,9 @@ counters that `tests/counter_gate.rs` holds every change to.
 Usage (from the repository root, after `cargo build` and, for `--info`,
 `cargo build --release`):
 
-    scripts/bench_counters.py            # re-measure the gated rows
-    scripts/bench_counters.py --info     # also the slow information-only rows
+    scripts/bench_counters.py                 # re-measure the gated rows
+    scripts/bench_counters.py --info          # also every information-only row
+    scripts/bench_counters.py --info mal-18   # also the named information rows
 
 Gated rows run the debug-profile binary, the one `cargo test` runs; debug
 assertions do no counted engine work, so a release build reads the same
@@ -18,8 +19,13 @@ so the process-wide automaton memo starts empty for every row. Gated rows
 record the work counters the gate compares; information-only rows (the MAL
 family curve on the symbolic engine) record phase seconds, fixpoints, the
 BDD peak and the exit code, and are kept as they are unless `--info` is
-given. A change that trades counters on purpose regenerates the file and
-says so in CHANGES.md.
+given. `--info` with row names re-runs only those rows (a row is named by
+its row name, `mal-18-symbolic`, or by its design, `mal-18`) and keeps the
+other rows' committed values and revision: the last row, mal-45, peaks at
+about 9.5 GB RSS before its node-budget refusal, so a routine refresh
+leaves it out. An unknown name exits 2 and lists the valid ones. A change
+that trades counters on purpose regenerates the file and says so in
+CHANGES.md.
 """
 import json
 import os
@@ -138,24 +144,48 @@ def info_row(name, args):
     }
 
 
+def info_names(args):
+    """The names an information row answers to: its row name and its design."""
+    row, check = args
+    return {row, check.split()[1]}
+
+
+def parse_info(argv):
+    """The information rows to re-run: none without `--info`, all with a
+    bare `--info`, else the named ones (exits 2 on an unknown name)."""
+    if "--info" not in argv:
+        return []
+    names = argv[argv.index("--info") + 1:]
+    if not names:
+        return INFO
+    valid = sorted(n for row in INFO for n in info_names(row))
+    unknown = [n for n in names if n not in valid]
+    if unknown:
+        print(f"unknown information row {', '.join(unknown)}; valid: {', '.join(valid)}",
+              file=sys.stderr)
+        sys.exit(2)
+    return [row for row in INFO if info_names(row) & set(names)]
+
+
 def main():
-    info = "--info" in sys.argv
-    for binary in [GATED_BIN] + ([INFO_BIN] if info else []):
+    rerun = parse_info(sys.argv[1:])
+    for binary in [GATED_BIN] + ([INFO_BIN] if rerun else []):
         if not os.path.exists(binary):
             sys.exit(f"{binary} missing: build it first")
     old = json.load(open(OUT)) if os.path.exists(OUT) else {}
+    info = {r["row"]: r for r in old.get("info", [])}
+    info.update({n: info_row(n, a) for n, a in rerun})
     doc = {
         "schema": SCHEMA,
         "revision": revision(),
         "command": command("<args>"),
         "tolerance": 0.02,
         "gated": [gated_row(n, a) for n, a in GATED],
-        "info": [info_row(n, a) for n, a in INFO] if info else old.get("info", []),
+        "info": [info[n] for n, _ in INFO if n in info],
+        "info_host": old.get("info_host"),
     }
-    if info:
+    if rerun:
         doc["info_host"] = f"{os.cpu_count()} logical CPUs, release build, traced, one run each"
-    else:
-        doc["info_host"] = old.get("info_host")
     with open(OUT, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -7,9 +7,7 @@
 //! `satisfiable(base ++ extra)` — same verdicts, and every returned
 //! witness must genuinely satisfy all conjuncts.
 
-use specmatcher::automata::{
-    materialize_product, satisfiable_in_conj, satisfiable_in_conj_cached, GbaCache,
-};
+use specmatcher::automata::{materialize_product, satisfiable_in_conj};
 use specmatcher::core::{ArchSpec, CoverageModel, RtlSpec};
 use specmatcher::fsm::Kripke;
 use specmatcher::logic::{BoolExpr, Lit, SignalTable};
@@ -56,7 +54,6 @@ fn materialized_base_agrees_with_direct_product() {
         t.lookup("q0").unwrap(),
         t.lookup("o").unwrap(),
     ];
-    let cache = GbaCache::new();
     let mut rng = XorShift64::new(0xDA7E_2006);
     let mut disagreements = 0;
     for round in 0..60 {
@@ -71,8 +68,8 @@ fn materialized_base_agrees_with_direct_product() {
         all.extend(extra.iter().cloned());
         let direct = satisfiable_in_conj(&all, &kripke);
 
-        let product = materialize_product(&base, &kripke, &cache);
-        let factored = satisfiable_in_conj_cached(&extra, &product, &cache);
+        let product = materialize_product(&base, &kripke);
+        let factored = satisfiable_in_conj(&extra, &product);
 
         if direct.is_some() != factored.is_some() {
             disagreements += 1;
@@ -96,15 +93,14 @@ fn materialized_base_agrees_with_direct_product() {
 fn empty_extra_queries_the_base_itself() {
     let (mut t, m) = fixture();
     let kripke = Kripke::from_module(&m, &t, &[]).expect("fits");
-    let cache = GbaCache::new();
     let sat = Ltl::parse("G F o", &mut t).expect("parses");
     let unsat = Ltl::parse("G o & G !o & F i0", &mut t).expect("parses");
 
-    let p_sat = materialize_product(&[sat], &kripke, &cache);
-    assert!(satisfiable_in_conj_cached(&[], &p_sat, &cache).is_some());
+    let p_sat = materialize_product(&[sat], &kripke);
+    assert!(satisfiable_in_conj(&[], &p_sat).is_some());
 
-    let p_unsat = materialize_product(&[unsat], &kripke, &cache);
-    assert!(satisfiable_in_conj_cached(&[], &p_unsat, &cache).is_none());
+    let p_unsat = materialize_product(&[unsat], &kripke);
+    assert!(satisfiable_in_conj(&[], &p_unsat).is_none());
 }
 
 #[test]
@@ -219,15 +215,14 @@ fn symbolic_extensions_match_flat_and_explicit() {
 fn product_system_reports_shape() {
     let (mut t, m) = fixture();
     let kripke = Kripke::from_module(&m, &t, &[]).expect("fits");
-    let cache = GbaCache::new();
     let f = Ltl::parse("G(i0 -> X q0)", &mut t).expect("parses");
-    let p = materialize_product(&[f], &kripke, &cache);
+    let p = materialize_product(&[f], &kripke);
     assert!(!p.is_empty());
     assert!(p.num_states() > 0);
     assert!(p.num_transitions() >= p.num_states(), "total transition relation");
 
     // A contradictory base materializes to an empty system.
     let f2 = Ltl::parse("o & !o", &mut t).expect("parses");
-    let p2 = materialize_product(&[f2], &kripke, &cache);
+    let p2 = materialize_product(&[f2], &kripke);
     assert!(p2.is_empty());
 }

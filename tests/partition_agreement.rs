@@ -19,7 +19,13 @@ use specmatcher::core::{ArchSpec, RtlSpec};
 use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
 use specmatcher::ltl::Ltl;
-use specmatcher::netlist::{Module, ModuleBuilder, Simulator};
+use specmatcher::netlist::{Module, ModuleBuilder};
+
+// Only the simulator replay oracle is shared: this suite keeps its own
+// problem generator, whose seeds and shapes differ from the common one.
+#[allow(dead_code)]
+mod common;
+use common::replay;
 
 /// Deterministically generates a small random module (same shape as the
 /// reorder-agreement suite, offset seeds so the two suites explore
@@ -82,33 +88,6 @@ fn random_problem(seed: u64) -> (SignalTable, ArchSpec, RtlSpec) {
         ArchSpec::new([("A", fa)]),
         RtlSpec::new(props.iter().map(|(n, f)| (n.as_str(), f.clone())), [m]),
     )
-}
-
-/// Replays a witness word against the composed module on the simulator.
-fn replay(model: &CoverageModel, table: &SignalTable, witness: &specmatcher::ltl::LassoWord) {
-    let composed = model.composed();
-    let mut sim = Simulator::new(composed, table).expect("simulates");
-    let driven: Vec<SignalId> = composed.driven_signals().into_iter().collect();
-    let inputs: Vec<SignalId> = model
-        .input_signals()
-        .iter()
-        .copied()
-        .filter(|s| !driven.contains(s))
-        .collect();
-    for (pos, expected) in witness.states().iter().enumerate() {
-        let stimulus: Vec<(SignalId, bool)> =
-            inputs.iter().map(|&i| (i, expected.get(i))).collect();
-        let settled = sim.settle(&stimulus).clone();
-        for &s in &driven {
-            assert_eq!(
-                settled.get(s),
-                expected.get(s),
-                "driven signal {} diverges at position {pos}",
-                table.name(s)
-            );
-        }
-        sim.step(&stimulus);
-    }
 }
 
 fn gap_render(rep: &specmatcher::core::PropertyReport, t: &SignalTable) -> Vec<String> {

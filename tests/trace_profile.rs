@@ -16,6 +16,7 @@ use specmatcher::core::{Backend, CoverageModel, GapConfig, PropertyReport, SpecM
 use specmatcher::designs::mal;
 use specmatcher::logic::SignalTable;
 use specmatcher::trace;
+use std::process::{Command, Stdio};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
@@ -191,7 +192,6 @@ fn every_pipeline_phase_span_is_present() {
         "gap.enumerate",
         "gap.verify",
         "fsm.kripke_build",
-        "automata.translate",
     ] {
         assert!(
             names.iter().any(|n| n == phase),
@@ -212,14 +212,68 @@ fn every_pipeline_phase_span_is_present() {
         .expect("present");
     assert_eq!(verify.parent, gap_find.id, "gap.verify nests in phase.gap_find");
 
-    // Every translation miss splits into its tableau and its reduction,
-    // both inside the miss's own span.
+    // Counter attribution: the gap phase did the candidate work.
+    let counters = run.counters.expect("traced");
+    assert!(counters.gap_find.get(trace::Counter::GapCandidatesEnumerated) > 0);
+    assert!(counters.gap_find.get(trace::Counter::GapFixpointVerified) > 0);
+    assert_eq!(counters.tm_build.get(trace::Counter::GapCandidatesEnumerated), 0);
+    assert!(
+        counters.primary.get(trace::Counter::ExplicitStatesExpanded) > 0
+            || counters.primary.get(trace::Counter::BddIteOps) > 0,
+        "the primary phase ran an engine"
+    );
+}
+
+/// The translation spans of a `mal-ex2` run in a fresh process. The
+/// translation memo is process-wide, so an in-process run after other
+/// tests may find every automaton translated already; a new
+/// `specmatcher check` process starts with an empty memo. Each miss is
+/// one `automata.translate` span with its tableau and its reduction
+/// inside, and the spans count `gba.cache_misses`. No translation runs
+/// inside an `explicit.search`, whose span times the search alone.
+#[test]
+fn translation_misses_have_their_own_spans() {
+    let path = std::env::temp_dir().join(format!("trace-profile-{}.jsonl", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
+        .args(["check", "--design", "mal-ex2", "--jobs", "1", "--trace-out"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("the CLI runs");
+    assert_eq!(status.code(), Some(1), "mal-ex2 is the gapped fixture");
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    let data = trace::parse_jsonl(&text).expect("the CLI's stream parses");
+
     let translate_ids: Vec<u64> = data
         .spans
         .iter()
         .filter(|s| s.name == "automata.translate")
         .map(|s| s.id)
         .collect();
+    let misses = data
+        .counters
+        .iter()
+        .find(|(name, _)| name == "gba.cache_misses")
+        .map_or(0, |&(_, v)| v);
+    assert!(misses > 0, "a fresh process translates");
+    assert_eq!(
+        translate_ids.len() as u64,
+        misses,
+        "one automata.translate per miss"
+    );
+    let by_id: std::collections::HashMap<u64, &trace::SpanRecord> =
+        data.spans.iter().map(|s| (s.id, s)).collect();
+    for &id in &translate_ids {
+        let mut up = by_id[&id].parent;
+        while let Some(s) = by_id.get(&up) {
+            assert_ne!(
+                s.name, "explicit.search",
+                "automata.translate nests in explicit.search"
+            );
+            up = s.parent;
+        }
+    }
     for child in ["automata.tableau", "automata.reduce"] {
         let spans: Vec<_> = data.spans.iter().filter(|s| s.name == child).collect();
         assert_eq!(
@@ -234,17 +288,6 @@ fn every_pipeline_phase_span_is_present() {
             );
         }
     }
-
-    // Counter attribution: the gap phase did the candidate work.
-    let counters = run.counters.expect("traced");
-    assert!(counters.gap_find.get(trace::Counter::GapCandidatesEnumerated) > 0);
-    assert!(counters.gap_find.get(trace::Counter::GapFixpointVerified) > 0);
-    assert_eq!(counters.tm_build.get(trace::Counter::GapCandidatesEnumerated), 0);
-    assert!(
-        counters.primary.get(trace::Counter::ExplicitStatesExpanded) > 0
-            || counters.primary.get(trace::Counter::BddIteOps) > 0,
-        "the primary phase ran an engine"
-    );
 }
 
 #[test]
