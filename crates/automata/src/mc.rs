@@ -232,27 +232,24 @@ pub(crate) fn is_satisfiable_in_conj<S: TransitionSystem>(formulas: &[Ltl], sys:
     conj_search(&refs, sys, false).is_some()
 }
 
-/// Bounded-scenario query: is there a run of `sys` that satisfies
-/// `anchor` (when given) and matches `cube` at time 0? Returns a witness
-/// lasso if so.
+/// Bounded-scenario query: is there a run of `sys` that matches `cube` at
+/// time 0? Returns a witness lasso if so.
 ///
-/// Semantically `satisfiable_in_conj(&[anchor, cube.to_ltl()], …)`,
-/// but the cube never becomes an automaton: the search runs over the
-/// system's runs that match the cube (a `CubeView`, which filters states
-/// by the cube's literals at their time), in product with the anchor's
-/// automaton alone. The step 2(a) loop of Algorithm 1 asks about a
-/// thousand of these against one memoized base product, one fresh cube
+/// Semantically `satisfiable_in_conj(&[cube.to_ltl()], …)`, but the cube
+/// never becomes an automaton: the search runs over the system's runs
+/// that match the cube (a `CubeView`, which filters states by the cube's
+/// literals at their time). The step 2(a) loop of Algorithm 1 asks about
+/// a thousand of these against one memoized base product, one fresh cube
 /// each.
-pub fn satisfiable_cube<S: TransitionSystem>(
-    sys: &S,
-    anchor: Option<&Ltl>,
-    cube: &TemporalCube,
-) -> Option<LassoWord> {
-    cube_search(sys, anchor, cube, true).map(|w| w.expect("a witness was asked for"))
+pub fn satisfiable_cube<S: TransitionSystem>(sys: &S, cube: &TemporalCube) -> Option<LassoWord> {
+    cube_search(sys, None, cube, true).map(|w| w.expect("a witness was asked for"))
 }
 
-/// Verdict-only [`satisfiable_cube`]: the same search, stopped at the
-/// accepting SCC, with no lasso built.
+/// Verdict-only [`satisfiable_cube`], which may also ask for a run that
+/// satisfies `anchor`: the view is then searched in product with the
+/// anchor's automaton alone, as
+/// `satisfiable_in_conj(&[anchor, cube.to_ltl()], …)` would be. The search
+/// stops at the accepting SCC, with no lasso built.
 pub fn is_satisfiable_cube<S: TransitionSystem>(
     sys: &S,
     anchor: Option<&Ltl>,
@@ -318,7 +315,7 @@ fn conj_product_lasso<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<Las
     Some(lasso_word(sys, states.iter().map(|&(k, _)| k), loop_start))
 }
 
-/// The search of a bounded-scenario query ([`satisfiable_cube`]), as
+/// The search of a bounded-scenario query ([`is_satisfiable_cube`]), as
 /// [`search`], with the lasso as a word. With an anchor it is the product
 /// of the cube view with the anchor's automaton; without one, the view
 /// alone, searched as a plain graph.

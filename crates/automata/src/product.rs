@@ -1411,9 +1411,9 @@ mod tests {
     }
 
     /// Every bounded-scenario query shape over `sys`, against the cube's
-    /// translation: the verdict agrees, every witness matches the cube and
-    /// satisfies the anchor and `baked` (the formulas `sys` carries), and
-    /// without an anchor the witness is the translated query's own.
+    /// translation: the verdict agrees, with or without an anchor; and
+    /// without one the witness matches the cube, satisfies `baked` (the
+    /// formulas `sys` carries) and is the translated query's own.
     fn check_cube_queries<S: TransitionSystem>(
         sys: &S,
         anchor: Option<&Ltl>,
@@ -1426,16 +1426,17 @@ mod tests {
         let translated: Vec<Ltl> = anchor.cloned().into_iter().chain([cube.to_ltl()]).collect();
         let expected = is_satisfiable_in_conj(&translated, sys);
         assert_eq!(is_satisfiable_cube(sys, anchor, cube), expected, "{cube:?}");
-        let witness = satisfiable_cube(sys, anchor, cube);
+        if anchor.is_some() {
+            return;
+        }
+        let witness = satisfiable_cube(sys, cube);
         assert_eq!(witness.is_some(), expected, "{cube:?}");
         if let Some(w) = witness {
             assert!(cube.holds_on(&w, 0), "witness misses {cube:?}");
-            for f in anchor.into_iter().chain(baked) {
+            for f in baked {
                 assert!(f.holds_on(&w), "witness misses {f:?}");
             }
-            if anchor.is_none() {
-                assert_eq!(Some(w), satisfiable_in_conj(&translated, sys));
-            }
+            assert_eq!(Some(w), satisfiable_in_conj(&translated, sys));
         }
     }
 

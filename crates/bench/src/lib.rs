@@ -30,8 +30,6 @@ pub struct TableRow {
     /// The backend that answered the primary questions and ran the gap
     /// phase.
     pub backend: Backend,
-    /// Dynamic-reordering statistics of the symbolic engine, if one ran.
-    pub reorder: Option<dic_core::ReorderStats>,
     /// Worker-thread accounting of the run (resolved `--jobs` /
     /// `SPECMATCHER_JOBS`, gap-phase fan-out, fixpoint concurrency).
     pub jobs: dic_core::JobsStats,

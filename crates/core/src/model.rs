@@ -102,7 +102,7 @@ impl CoverageModel {
     /// both phases: the primary question and Algorithm 1.
     ///
     /// Symbolic-engine options come from [`SymbolicOptions::from_env`]
-    /// (with defaults: the stock node budget, dynamic reordering on); use
+    /// (with defaults: the stock node budget and rebuild trigger); use
     /// [`CoverageModel::build_with_symbolic_options`] to override them.
     ///
     /// # Errors
@@ -129,7 +129,7 @@ impl CoverageModel {
     }
 
     /// Like [`CoverageModel::build_with_backend`] with explicit symbolic
-    /// engine options (node budget, reorder mode/trigger) instead of the
+    /// engine options (node budget, rebuild trigger, partition mode) instead of the
     /// environment defaults.
     ///
     /// # Errors
@@ -397,9 +397,9 @@ impl CoverageModel {
         Ok(f(guard.as_mut().expect("just built"))?)
     }
 
-    /// Cumulative dynamic-reordering statistics of the symbolic engine:
-    /// `None` when no symbolic engine was ever built, `Some(zeroed)` when
-    /// it was but never reordered.
+    /// Cumulative collection statistics of the symbolic engine: `None`
+    /// when no symbolic engine was ever built, `Some` with zero
+    /// collections when it was but never collected.
     pub fn reorder_stats(&self) -> Option<ReorderStats> {
         self.lock_symbolic().as_ref().map(|sym| sym.reorder_stats())
     }
@@ -627,14 +627,12 @@ impl<'m> GapEngine<'m> {
         }
     }
 
-    /// Bounded-scenario query with witness: is some run of
-    /// `M ⊨ base ∧ anchored` matching `cube` in its first cycles? Neither
-    /// engine builds an automaton for the cube. The symbolic engine pushes
-    /// it through the cached product's frontier BDDs; the explicit engine
-    /// searches the memoized `base` product with its states filtered by
-    /// the cube's literals at their time (see
-    /// [`dic_automata::satisfiable_cube`]), in product with `anchored`'s
-    /// automaton alone.
+    /// Bounded-scenario query with witness: is some run of `M ⊨ base`
+    /// matching `cube` in its first cycles? Neither engine builds an
+    /// automaton for the cube. The symbolic engine pushes it through the
+    /// cached product's frontier BDDs; the explicit engine searches the
+    /// memoized `base` product with its states filtered by the cube's
+    /// literals at their time (see [`dic_automata::satisfiable_cube`]).
     ///
     /// # Errors
     ///
@@ -642,19 +640,14 @@ impl<'m> GapEngine<'m> {
     pub(crate) fn scenario(
         self,
         base: &[dic_ltl::Ltl],
-        anchored: Option<&dic_ltl::Ltl>,
         cube: &dic_ltl::TemporalCube,
     ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
         match self.engine {
-            Engine::Symbolic => {
-                let full: Vec<dic_ltl::Ltl> =
-                    base.iter().cloned().chain(anchored.cloned()).collect();
-                self.model
-                    .with_symbolic(|sym| sym.satisfiable_factored_cube(&full, cube))
-            }
+            Engine::Symbolic => self
+                .model
+                .with_symbolic(|sym| sym.satisfiable_factored_cube(base, cube)),
             Engine::Explicit => Ok(dic_automata::satisfiable_cube(
                 self.model.base_product(base).as_ref(),
-                anchored,
                 cube,
             )),
         }

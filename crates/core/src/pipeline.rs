@@ -12,7 +12,7 @@ use crate::tm::{tm_for_modules, TmStyle};
 use crate::weaken::{find_gap_outcome, GapConfig, GapProperty, UnknownGap};
 use dic_logic::SignalTable;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
-use dic_symbolic::{PartitionMode, ReorderMode, ReorderStats, SymbolicOptions};
+use dic_symbolic::{PartitionMode, ReorderStats, SymbolicOptions};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -51,7 +51,7 @@ pub struct PhaseCounters {
 }
 
 /// Worker-thread accounting for the run, per phase — the parallel
-/// analogue of the reordering statistics: enough to see from a report
+/// analogue of the collection statistics: enough to see from a report
 /// whether the closure fan-out actually ran and how wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobsStats {
@@ -181,8 +181,8 @@ pub struct CoverageRun {
     /// Whether the bounded SAT refutation tier ran ahead of the closure
     /// fixpoints (the gap-property sets are identical either way).
     pub bmc: BmcMode,
-    /// Dynamic-reordering statistics of the symbolic engine (`None` when
-    /// no symbolic engine was built for this run).
+    /// Collection statistics of the symbolic engine (`None` when no
+    /// symbolic engine was built for this run).
     pub reorder: Option<ReorderStats>,
     /// Worker-thread accounting per phase.
     pub jobs: JobsStats,
@@ -227,13 +227,6 @@ impl CoverageRun {
             self.timings.gap_find
         );
         if let Some(r) = &self.reorder {
-            if r.count > 0 || r.compactions > 0 {
-                let _ = writeln!(
-                    out,
-                    "reordering: {} sifting reorders ({} -> {} live nodes summed across sifts), {} compactions",
-                    r.count, r.nodes_before, r.nodes_after, r.compactions
-                );
-            }
             if r.gc_collections > 0 || r.peak_nodes > 0 {
                 let _ = writeln!(
                     out,
@@ -262,20 +255,18 @@ pub struct SpecMatcher {
     config: GapConfig,
     tm_style: TmStyle,
     backend: Backend,
-    reorder: ReorderMode,
     partition: PartitionMode,
     bmc: BmcMode,
 }
 
 impl SpecMatcher {
     /// Creates a checker with the given gap-finding configuration (and the
-    /// default [`Backend::Auto`] engine selection with dynamic reordering).
+    /// default [`Backend::Auto`] engine selection).
     pub fn new(config: GapConfig) -> Self {
         SpecMatcher {
             config,
             tm_style: TmStyle::default(),
             backend: Backend::default(),
-            reorder: ReorderMode::default(),
             partition: PartitionMode::Auto,
             bmc: BmcMode::default(),
         }
@@ -303,19 +294,6 @@ impl SpecMatcher {
     /// The requested backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Selects the symbolic engine's dynamic-reordering mode
-    /// ([`ReorderMode::Auto`] by default; `Off` pins the static
-    /// registration order — mostly an A/B and debugging lever).
-    pub fn with_reorder(mut self, reorder: ReorderMode) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// The requested reorder mode.
-    pub fn reorder(&self) -> ReorderMode {
-        self.reorder
     }
 
     /// Selects the symbolic engine's transition-relation partitioning
@@ -375,14 +353,31 @@ impl SpecMatcher {
         rtl: &RtlSpec,
         table: &SignalTable,
     ) -> Result<CoverageRun, CoreError> {
+        let model = self.build_model(arch, rtl, table)?;
+        self.check_with_model(arch, rtl, table, &model)
+    }
+
+    /// The model [`SpecMatcher::check`] runs on: built for the requested
+    /// backend, with the symbolic options from the environment plus the
+    /// requested partition mode, and the requested bounded-refutation
+    /// mode set.
+    ///
+    /// # Errors
+    ///
+    /// Model-construction failures; see [`CoverageModel::build`].
+    pub fn build_model(
+        &self,
+        arch: &ArchSpec,
+        rtl: &RtlSpec,
+        table: &SignalTable,
+    ) -> Result<CoverageModel, CoreError> {
         let options = SymbolicOptions::from_env()
             .map_err(CoreError::Symbolic)?
-            .with_reorder(self.reorder)
             .with_partition(self.partition);
         let mut model =
             CoverageModel::build_with_symbolic_options(arch, rtl, table, self.backend, options)?;
         model.set_bmc_mode(self.bmc);
-        self.check_with_model(arch, rtl, table, &model)
+        Ok(model)
     }
 
     /// Like [`SpecMatcher::check`] but reusing a prebuilt model (the

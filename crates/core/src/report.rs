@@ -56,11 +56,6 @@ impl CoverageRun {
             None => w.null(),
             Some(r) => {
                 w.open_object();
-                w.field_u64("count", r.count as u64);
-                w.field_u64("compactions", r.compactions as u64);
-                // Summed across all sifting reorders (not a single pass).
-                w.field_u64("nodes_before_total", r.nodes_before as u64);
-                w.field_u64("nodes_after_total", r.nodes_after as u64);
                 // Collection figures: how many rebuilds ran and how many
                 // nodes they dropped, plus the true node-count high-water
                 // mark (which includes garbage collected since).

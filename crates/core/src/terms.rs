@@ -84,7 +84,7 @@ pub fn uncovered_terms_with_runs(
         if terms.len() >= config.max_terms || probed > 4 * config.max_terms {
             break;
         }
-        let Some(word) = engine.scenario(&base, None, &probe)? else {
+        let Some(word) = engine.scenario(&base, &probe)? else {
             continue;
         };
         // Anchor the violation: for G(body), locate the first window where

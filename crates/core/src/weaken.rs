@@ -905,7 +905,7 @@ impl<'a, 'm> Verifier<'a, 'm> {
             let probe = TemporalCube::from_lits([probe_at]).expect("single literal");
             let found = {
                 let _span = dic_trace::span("gap.probe");
-                engine.scenario(self.base, None, &probe)?
+                engine.scenario(self.base, &probe)?
             };
             if let Some(run) = found {
                 let refuted = weakened.holds_on(&run);
@@ -1034,7 +1034,7 @@ fn attach_witnesses(
         let queried = match term_runs.get(&cand.term) {
             Some(w) => w.clone(),
             None => {
-                let w = soft(engine.scenario(base, None, &cand.term))?;
+                let w = soft(engine.scenario(base, &cand.term))?;
                 term_runs.insert(cand.term.clone(), w.clone());
                 w
             }
@@ -1054,7 +1054,7 @@ fn attach_witnesses(
                 let fallback = match &any_run {
                     Some(w) => w.clone(),
                     None => {
-                        let w = soft(engine.scenario(base, None, &TemporalCube::top()))?;
+                        let w = soft(engine.scenario(base, &TemporalCube::top()))?;
                         any_run = Some(w.clone());
                         w
                     }

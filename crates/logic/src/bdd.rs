@@ -25,10 +25,10 @@
 //! # One collector
 //!
 //! The node store is append-only: nothing is freed until a caller that
-//! knows every live handle asks for a rebuild ([`BddManager::compact`] or
-//! [`BddManager::reorder_groups`]), which keeps exactly the functions
-//! reachable from the given roots, drops the operation memos and hands
-//! back an old→new handle map.
+//! knows every live handle asks for a compaction
+//! ([`BddManager::compact`]), which keeps exactly the functions reachable
+//! from the given roots, drops the operation memos and hands back an
+//! old→new handle map.
 //!
 //! # Tables
 //!
@@ -40,16 +40,17 @@
 //! The hasher decides only where an entry sits, never which entries
 //! exist, so node numbering, results and counters do not depend on it.
 //! Nor does any output depend on iteration order: the only walks over
-//! such tables are the rebuild's (see [`mod@crate::reorder`]), which
-//! sorts each level by its child edges before numbering it.
+//! such tables are the compaction's (see [`mod@crate::reorder`]), which
+//! sorts each variable's nodes by their child edges before numbering them.
 //!
-//! Variables are registered per [`SignalId`] on first use; the variable
-//! *order* starts as the registration order but is decoupled from variable
-//! identity through a level map, so [`BddManager::reorder_groups`] can
-//! change it without re-keying anything a client holds. All operations are
-//! memoized in the manager, so [`Bdd`] handles are plain indices that are
-//! cheap to copy and compare — two handles are equal iff they denote the
-//! same function.
+//! Variables are registered per [`SignalId`] on first use, and the
+//! variable *order* is the registration order: variable ids are levels,
+//! id 0 at the top, and no operation ever moves a variable. Clients that
+//! need an order (the symbolic engine's automaton bits on top, its
+//! adjacent current/next pairs) get it by registering variables in that
+//! order. All operations are memoized in the manager, so [`Bdd`] handles
+//! are plain indices that are cheap to copy and compare — two handles are
+//! equal iff they denote the same function.
 
 use crate::cube::{Cube, Lit};
 use crate::expr::BoolExpr;
@@ -108,10 +109,9 @@ impl Bdd {
     }
 }
 
+/// Variable of the terminal node: below every registered variable in the
+/// order.
 pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
-
-/// Level of the terminal pseudo-variable: below every real level.
-pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
 /// Largest storable node index: one bit of the handle is the complement
 /// tag.
@@ -152,17 +152,12 @@ pub struct BddManager {
     ite_cache: FastMap<(u32, u32, u32), u32>,
     var_to_signal: Vec<SignalId>,
     signal_to_var: HashMap<SignalId, u32>,
-    /// Variable id → level in the current order (level 0 is the top).
-    /// Identity at registration time; permuted by reordering.
-    pub(crate) var_to_level: Vec<u32>,
-    /// Level → variable id (the inverse of `var_to_level`).
-    pub(crate) level_to_var: Vec<u32>,
     /// Interned variable sets for [`BddManager::and_exists`], each sorted
-    /// by current level (re-sorted after every reorder).
-    pub(crate) var_sets: Vec<Vec<u32>>,
+    /// by variable id (the traversal order).
+    var_sets: Vec<Vec<u32>>,
     /// Interned variable pairings for [`BddManager::rename`], sorted by
-    /// source variable id (level-independent).
-    pub(crate) pairings: Vec<Vec<(u32, u32)>>,
+    /// source variable id.
+    pairings: Vec<Vec<(u32, u32)>>,
     /// Memo for `and_exists`, keyed by `(set, f, g)` with `f <= g`.
     and_exists_cache: FastMap<(u32, u32, u32), u32>,
     /// Memo for `rename`, keyed by `(pairing, f)` with `f` regular
@@ -212,22 +207,12 @@ impl BddManager {
         let v = u32::try_from(self.var_to_signal.len()).expect("too many BDD variables");
         self.var_to_signal.push(signal);
         self.signal_to_var.insert(signal, v);
-        // New variables enter at the bottom of the current order.
-        self.var_to_level.push(v);
-        self.level_to_var.push(v);
-        debug_assert_eq!(self.var_to_level.len(), self.var_to_signal.len());
         v
     }
 
-    /// The level (position in the current variable order, 0 = top) of a
-    /// registered variable. Levels change under
-    /// [`BddManager::reorder_groups`]; variable ids never do.
-    pub fn level_of(&self, var: u32) -> u32 {
-        if var == TERMINAL_VAR {
-            TERMINAL_LEVEL
-        } else {
-            self.var_to_level[var as usize]
-        }
+    /// Number of registered variables.
+    pub(crate) fn var_count(&self) -> usize {
+        self.var_to_signal.len()
     }
 
     /// The signal behind a variable index.
@@ -279,13 +264,11 @@ impl BddManager {
     /// returning its handle. Registering the same set again returns the
     /// existing handle.
     pub fn register_var_set(&mut self, vars: &[u32]) -> VarSetId {
-        // Sets are kept sorted by *current level* (the traversal order
-        // `and_exists` needs); equal sets sort identically under any one
-        // order, so interning still dedups. Reordering re-sorts every set.
+        // Sets are kept sorted by variable id, the traversal order
+        // `and_exists` needs, so equal sets intern to one entry.
         let mut sorted: Vec<u32> = vars.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        sorted.sort_by_key(|&v| self.var_to_level[v as usize]);
         if let Some(i) = self.var_sets.iter().position(|s| *s == sorted) {
             return VarSetId(i as u32);
         }
@@ -331,13 +314,11 @@ impl BddManager {
             }
             return Bdd(r);
         }
-        let (fv, gv) = (self.top_var(f), self.top_var(g));
-        let v = if self.level_of(fv) <= self.level_of(gv) { fv } else { gv };
-        let v_level = self.level_of(v);
-        // Quantified variables above the current level cannot occur below
-        // (`vars` is sorted by level).
+        let v = self.top_var(f).min(self.top_var(g));
+        // Quantified variables above `v` cannot occur below it (`vars` is
+        // sorted).
         let mut from = from;
-        while from < vars.len() && self.level_of(vars[from]) < v_level {
+        while from < vars.len() && vars[from] < v {
             from += 1;
         }
         let (f0, f1) = self.cofactors(f, v);
@@ -365,14 +346,12 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics unless the pairing is *order-preserving* under the current
-    /// variable order: sorting sources by level must also sort the targets
-    /// by level, and no target may collide with a source of a different
-    /// pair. (Current/next state variables allocated interleaved satisfy
-    /// this by construction; reordering preserves it as long as each
-    /// current/next pair moves as one block — exactly the group constraint
-    /// of [`BddManager::reorder_groups`]. The restriction is what keeps
-    /// renaming a single linear rebuild instead of a general compose.)
+    /// Panics unless the pairing is *order-preserving*: sorting the pairs
+    /// by source must also sort them by target, and no target may collide
+    /// with a source of a different pair. (Current/next state variables
+    /// registered interleaved satisfy this by construction. The
+    /// restriction is what keeps renaming a single linear rebuild instead
+    /// of a general compose.)
     pub fn register_pairing(&mut self, pairs: &[(u32, u32)]) -> PairingId {
         let mut sorted: Vec<(u32, u32)> = pairs.to_vec();
         sorted.sort_unstable();
@@ -384,7 +363,16 @@ impl BddManager {
                 w[0].0
             );
         }
-        self.assert_pairing_monotone(&sorted);
+        for w in sorted.windows(2) {
+            assert!(
+                w[0].1 < w[1].1,
+                "pairing is not order-preserving: {} -> {} but {} -> {}",
+                w[0].0,
+                w[0].1,
+                w[1].0,
+                w[1].1
+            );
+        }
         for &(from, to) in &sorted {
             assert!(
                 from == to || sorted.binary_search_by_key(&to, |&(f, _)| f).is_err(),
@@ -396,24 +384,6 @@ impl BddManager {
         }
         self.pairings.push(sorted);
         PairingId((self.pairings.len() - 1) as u32)
-    }
-
-    /// Checks that a pairing is order-preserving under the *current* levels:
-    /// walking the pairs by source level, the target levels must increase.
-    /// Called at registration and re-checked (debug) after every reorder.
-    pub(crate) fn assert_pairing_monotone(&self, pairs: &[(u32, u32)]) {
-        let mut by_level: Vec<(u32, u32)> = pairs.to_vec();
-        by_level.sort_by_key(|&(from, _)| self.level_of(from));
-        for w in by_level.windows(2) {
-            assert!(
-                self.level_of(w[0].1) < self.level_of(w[1].1),
-                "pairing is not order-preserving: {} -> {} but {} -> {}",
-                w[0].0,
-                w[0].1,
-                w[1].0,
-                w[1].1
-            );
-        }
     }
 
     /// Renames variables of `f` according to a registered pairing
@@ -455,21 +425,13 @@ impl BddManager {
             Err(_) => n.var,
         };
         debug_assert!(
-            self.level_of(self.top_var(lo)) > self.level_of(var)
-                && self.level_of(self.top_var(hi)) > self.level_of(var),
+            self.top_var(lo) > var && self.top_var(hi) > var,
             "pairing broke the variable order at {var}"
         );
         let r = self.mk(var, lo, hi);
         debug_assert!(!r.is_complement(), "renaming a regular edge stays regular");
         self.rename_cache.insert(key, r.0);
         Bdd(r.0 ^ c)
-    }
-
-    /// Existential quantification over raw variable indices (the symbolic
-    /// engine's state variables are not always backed by table signals).
-    pub fn exists_vars(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        let set = self.register_var_set(vars);
-        self.and_exists(f, Bdd::TRUE, set)
     }
 
     fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
@@ -522,19 +484,10 @@ impl BddManager {
         (Bdd(n.lo ^ c), Bdd(n.hi ^ c))
     }
 
-    /// The topmost (smallest-level) variable among the roots of `f`, `g`,
-    /// `h` — the branch variable of the `ite` recursion.
+    /// The topmost (smallest) variable among the roots of `f`, `g`, `h` —
+    /// the branch variable of the `ite` recursion.
     fn top_of_three(&self, f: Bdd, g: Bdd, h: Bdd) -> u32 {
-        let mut v = self.top_var(f);
-        let mut lv = self.level_of(v);
-        for cand in [self.top_var(g), self.top_var(h)] {
-            let cl = self.level_of(cand);
-            if cl < lv {
-                v = cand;
-                lv = cl;
-            }
-        }
-        v
+        self.top_var(f).min(self.top_var(g)).min(self.top_var(h))
     }
 
     /// Low/high cofactors of `f` with respect to variable `var`, assuming
@@ -660,7 +613,7 @@ impl BddManager {
 
     fn restrict_var(&mut self, f: Bdd, var: u32, value: bool) -> Bdd {
         let fv = self.top_var(f);
-        if self.level_of(fv) > self.level_of(var) {
+        if fv > var {
             // f does not depend on var (or is terminal).
             return f;
         }
@@ -774,7 +727,7 @@ impl BddManager {
     }
 
     /// The signals `f` actually depends on, in registration (variable-id)
-    /// order — stable across reorders.
+    /// order.
     pub fn support(&self, f: Bdd) -> Vec<SignalId> {
         self.support_vars(f)
             .into_iter()
@@ -783,7 +736,7 @@ impl BddManager {
     }
 
     /// The variable indices `f` actually depends on, in registration
-    /// (variable-id) order — stable across reorders.
+    /// (variable-id) order.
     ///
     /// Like [`BddManager::support`] but in terms of raw variables, for
     /// callers (the symbolic engine) whose variables are not all backed by
@@ -924,8 +877,8 @@ impl BddManager {
             let (lo_f, hi_f) = man.children(f);
             let lo = go(man, lo_f, nvars, cache);
             let hi = go(man, hi_f, nvars, cache);
-            let skipped_lo = man.level_gap(v, lo_f, nvars);
-            let skipped_hi = man.level_gap(v, hi_f, nvars);
+            let skipped_lo = man.var_below(lo_f, nvars) - v - 1;
+            let skipped_hi = man.var_below(hi_f, nvars) - v - 1;
             let c = shl_sat(lo, skipped_lo).saturating_add(shl_sat(hi, skipped_hi));
             cache.insert(f.0, c);
             c
@@ -933,25 +886,16 @@ impl BddManager {
         let mut cache = HashMap::new();
         let total = go(self, f, nvars, &mut cache);
         // Account for variables above the root.
-        shl_sat(total, self.level_gap_root(f, nvars))
+        shl_sat(total, self.var_below(f, nvars))
     }
 
-    fn level_gap(&self, var: u32, child: Bdd, nvars: u32) -> u32 {
-        let child_var = self.top_var(child);
-        let child_level = if child_var == TERMINAL_VAR {
-            nvars
-        } else {
-            self.level_of(child_var)
-        };
-        child_level - self.level_of(var) - 1
-    }
-
-    fn level_gap_root(&self, f: Bdd, nvars: u32) -> u32 {
-        let v = self.top_var(f);
-        if v == TERMINAL_VAR {
-            nvars
-        } else {
-            self.level_of(v)
+    /// The top variable of `f` for counting over an `nvars`-variable
+    /// universe: the terminal counts as variable `nvars`, just below the
+    /// last one.
+    fn var_below(&self, f: Bdd, nvars: u32) -> u32 {
+        match self.top_var(f) {
+            TERMINAL_VAR => nvars,
+            v => v,
         }
     }
 
@@ -975,8 +919,7 @@ impl BddManager {
         if u.is_true() {
             return (vec![Cube::top()], Bdd::TRUE);
         }
-        let (lv, uv) = (self.top_var(l), self.top_var(u));
-        let v = if self.level_of(lv) <= self.level_of(uv) { lv } else { uv };
+        let v = self.top_var(l).min(self.top_var(u));
         let sig = self.var_to_signal[v as usize];
         let (l0, l1) = self.cofactors(l, v);
         let (u0, u1) = self.cofactors(u, v);
@@ -1032,8 +975,7 @@ impl BddManager {
             if done.contains(&(f.0, g.0)) {
                 return true;
             }
-            let (fv, gv) = (m.top_var(f), m.top_var(g));
-            let v = if m.level_of(fv) <= m.level_of(gv) { fv } else { gv };
+            let v = m.top_var(f).min(m.top_var(g));
             let (f0, f1) = m.cofactors(f, v);
             let (g0, g1) = m.cofactors(g, v);
             let r = disjoint(m, f0, g0, done) && disjoint(m, f1, g1, done);
@@ -1353,16 +1295,6 @@ mod tests {
         assert_eq!(ncubes.len(), 1);
         let ncb = m.from_cube(&ncubes[0]);
         assert_eq!(ncb, nf);
-    }
-
-    #[test]
-    fn exists_vars_matches_exists_all() {
-        let (_t, mut m, ids) = setup();
-        let a = m.var_for_signal(ids[0]);
-        let b = m.var_for_signal(ids[1]);
-        let f = m.and(a, b);
-        let va = m.var_index(ids[0]);
-        assert_eq!(m.exists_vars(f, &[va]), m.exists(f, ids[0]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The tables it keys hold small `Copy` ids the program itself chose:
 //! BDD node triples in [`BddManager`](crate::BddManager)'s unique table and
-//! operation memos, the sifting workspace's per-level tables, the explicit
+//! operation memos, the explicit
 //! emptiness search's node indices, the translation cache's formula
 //! hashes. `std`'s default SipHash is DoS-resistant but several times
 //! slower than these loops need; this multiplicative mixer (the classic

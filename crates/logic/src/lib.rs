@@ -49,7 +49,7 @@ pub mod signal;
 pub mod valuation;
 
 pub use bdd::{Bdd, BddManager, PairingId, VarSetId};
-pub use reorder::{ReorderGroup, ReorderOutcome};
+pub use reorder::ReorderOutcome;
 pub use cube::{Cube, Lit};
 pub use expr::BoolExpr;
 pub use parse::ParseBoolExprError;

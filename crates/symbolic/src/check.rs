@@ -36,8 +36,8 @@
 //! # Rebuilds and the handle-safety contract
 //!
 //! Between fixpoint steps the engine may **rebuild** the BDD manager
-//! (`SymbolicModel::maybe_rebuild`): collect its garbage and, under
-//! `ReorderMode::Auto`, reorder the variables. A rebuild invalidates
+//! (`SymbolicModel::maybe_rebuild`): compact it over its live handles,
+//! collecting its garbage. A rebuild invalidates
 //! every [`Bdd`] handle not explicitly remapped. The contract every
 //! function in this module follows:
 //!
@@ -1072,7 +1072,7 @@ fn signal_lit(m: &mut SymbolicModel, s: SignalId, polarity: bool) -> Result<Bdd,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ReorderMode, SymbolicOptions};
+    use crate::model::SymbolicOptions;
     use dic_logic::{BoolExpr, SignalTable};
     use dic_ltl::random::{random_formula, XorShift64};
     use dic_netlist::{Module, ModuleBuilder};
@@ -1169,9 +1169,7 @@ mod tests {
                 continue;
             };
             let partition = [PartitionMode::Auto, PartitionMode::Off][round % 2];
-            let opts = SymbolicOptions::default()
-                .with_reorder(ReorderMode::Off)
-                .with_partition(partition);
+            let opts = SymbolicOptions::default().with_partition(partition);
             let mut sm = SymbolicModel::from_module(&module, &t, &[], opts).expect("builds");
             sm.with_product(&base, &base_g, |m, b0| {
                 b0.hull(m)?;

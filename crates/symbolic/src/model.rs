@@ -19,7 +19,7 @@
 
 use crate::check::ProductData;
 use crate::error::SymbolicError;
-use dic_logic::{Bdd, BddManager, BoolExpr, ReorderGroup, SignalId, SignalTable};
+use dic_logic::{Bdd, BddManager, BoolExpr, SignalId, SignalTable};
 use dic_ltl::Ltl;
 use dic_netlist::Module;
 use std::collections::HashMap;
@@ -38,12 +38,13 @@ use std::fmt;
 /// first rebuild trigger ([`REORDER_FIRST_TRIGGER`], capped at three
 /// quarters of the budget) sits between those peaks and this budget, so
 /// packaged runs never pay a rebuild and runs that would refuse get one
-/// collection (and, under [`ReorderMode::Auto`], a sift) first.
+/// collection first.
 pub const DEFAULT_NODE_LIMIT: usize = 24_000_000;
 
 /// Automaton state bits pre-allocated *above* the module variable banks.
 ///
-/// BDD variable order is registration order, and sets produced by the
+/// BDD variable order is registration order (nothing reorders it), and
+/// sets produced by the
 /// fair-cycle fixpoints are typically "multiplexers": a disjunction over
 /// automaton codes of per-code signal conditions. With the code bits at
 /// the top of the order such a set is the disjoint union of its branches
@@ -60,18 +61,11 @@ pub const AUT_BITS_ON_TOP: usize = 160;
 /// Deliberately high — a safety valve short of the default node budget
 /// ([`DEFAULT_NODE_LIMIT`]), not an eager policy: every rebuild clears
 /// the operation memos, and on fixpoint-heavy runs recomputing those
-/// dwarfs what a collection or a tighter order saves (amba-ahb
-/// forced-symbolic runs ~2.5× slower with an eager 1M trigger than with
-/// the static order, which peaks near 11–12 M nodes and fits the budget
-/// outright). Smaller budgets trigger at three quarters of the budget, so
-/// a run collects its garbage before it refuses.
+/// dwarfs what a collection saves (amba-ahb forced-symbolic peaks near
+/// 11–12 M nodes and fits the budget outright). Smaller budgets trigger
+/// at three quarters of the budget, so a run collects its garbage before
+/// it refuses.
 pub const REORDER_FIRST_TRIGGER: usize = 1 << 24;
-
-/// Minimum *live* node count before a triggered reorder runs the sifting
-/// search instead of a plain compaction. Below this, ordering cannot cost
-/// enough to repay a sifting pass; above it, sifting runs once per
-/// doubling of the live size.
-const REORDER_SIFT_MIN: usize = 1 << 16;
 
 /// Default cluster-size cap (BDD nodes) for the conjunctively partitioned
 /// transition relation (see [`PartitionMode`]).
@@ -120,28 +114,18 @@ impl fmt::Display for PartitionMode {
     }
 }
 
-/// When the symbolic engine runs dynamic variable reordering
-/// (constrained group sifting — see [`dic_logic::BddManager::reorder_groups`]).
+/// A retired dynamic-reordering switch, kept so the benchmark probe's
+/// calls still compile. The engine never reads it: the variable order is
+/// always the registration order, and a triggered rebuild only compacts.
+/// [`SymbolicOptions::with_reorder`] ignores its argument, so
+/// [`SymbolicOptions::reorder`] always reads [`ReorderMode::Off`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ReorderMode {
-    /// Never sift: the static registration order (automaton bits on top,
-    /// interleaved current/next banks) is used throughout. A triggered
-    /// rebuild only compacts.
-    Off,
-    /// Sift at triggered rebuilds once the live size warrants it.
+    /// The only mode the engine has: no reordering.
     #[default]
+    Off,
+    /// Accepted by [`SymbolicOptions::with_reorder`] and ignored.
     Auto,
-}
-
-impl ReorderMode {
-    /// Parses a CLI-style mode name.
-    pub fn parse(s: &str) -> Option<ReorderMode> {
-        match s {
-            "off" => Some(ReorderMode::Off),
-            "auto" => Some(ReorderMode::Auto),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ReorderMode {
@@ -156,16 +140,7 @@ impl fmt::Display for ReorderMode {
 /// Cumulative rebuild statistics for one symbolic model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReorderStats {
-    /// Number of sifting reorders performed.
-    pub count: usize,
-    /// Number of plain compactions (rebuilds without a sifting search).
-    pub compactions: usize,
-    /// Total live nodes across sifting reorders, before sifting.
-    pub nodes_before: usize,
-    /// Total live nodes across sifting reorders, after sifting.
-    pub nodes_after: usize,
-    /// Garbage collections: every rebuild, sifting or not (the sum of
-    /// `count` and `compactions`).
+    /// Garbage collections: every rebuild (each one a compaction).
     pub gc_collections: usize,
     /// Total nodes those rebuilds dropped from the store.
     pub gc_freed: usize,
@@ -183,10 +158,11 @@ pub struct SymbolicOptions {
     /// Fail-closed budget for live BDD nodes, checked between fixpoint
     /// steps (the symbolic analogue of `dic_fsm::KRIPKE_BIT_LIMIT`).
     pub node_limit: usize,
-    /// Dynamic variable reordering policy.
+    /// Retired; always [`ReorderMode::Off`] and never read by the engine
+    /// (see [`ReorderMode`]).
     pub reorder: ReorderMode,
     /// Node count arming the first automatic rebuild (tests lower it to
-    /// exercise collection and reordering on small models).
+    /// exercise collection on small models).
     pub reorder_trigger: usize,
     /// Transition-relation representation (clustered vs per-conjunct).
     pub partition: PartitionMode,
@@ -195,8 +171,9 @@ pub struct SymbolicOptions {
 }
 
 impl Default for SymbolicOptions {
-    /// The baked-in defaults: [`DEFAULT_NODE_LIMIT`], automatic
-    /// reordering. Environment overrides (which can be *invalid* and must
+    /// The baked-in defaults: [`DEFAULT_NODE_LIMIT`], the first rebuild at
+    /// [`REORDER_FIRST_TRIGGER`], clustered partitioning. Environment
+    /// overrides (which can be *invalid* and must
     /// error, not silently fall back) live in
     /// [`SymbolicOptions::from_env`].
     fn default() -> Self {
@@ -231,9 +208,10 @@ impl SymbolicOptions {
         Ok(opts)
     }
 
-    /// Returns the options with the given reorder mode.
-    pub fn with_reorder(mut self, mode: ReorderMode) -> Self {
-        self.reorder = mode;
+    /// Returns the options unchanged: `_mode` is ignored, like the rest
+    /// of [`ReorderMode`]. The method keeps the benchmark probe's call
+    /// working.
+    pub fn with_reorder(self, _mode: ReorderMode) -> Self {
         self
     }
 
@@ -312,9 +290,6 @@ pub struct SymbolicModel {
     /// Node-store size arming the next rebuild (see
     /// [`SymbolicModel::maybe_rebuild`]).
     rebuild_next: usize,
-    /// Live node count at which a triggered rebuild sifts instead of just
-    /// compacting (doubles after every sift).
-    sift_next: usize,
     reorder_stats: ReorderStats,
     pub(crate) options: SymbolicOptions,
 }
@@ -353,13 +328,14 @@ impl SymbolicModel {
             rebuild_next: options
                 .reorder_trigger
                 .min(options.node_limit - options.node_limit / 4),
-            sift_next: REORDER_SIFT_MIN.min(options.reorder_trigger),
             reorder_stats: ReorderStats::default(),
             options,
         };
 
-        // Automaton bits first: the top of the variable order (see
-        // [`AUT_BITS_ON_TOP`]).
+        // The variable order is the registration order, so the order
+        // invariants hold by construction: automaton bits first, at the
+        // top of the order (see [`AUT_BITS_ON_TOP`]), then one adjacent
+        // current/next pair per state signal.
         m.ensure_aut_bits(AUT_BITS_ON_TOP);
 
         // State signals: latches, then declared inputs, then free spec
@@ -503,9 +479,8 @@ impl SymbolicModel {
         Ok(())
     }
 
-    /// Cumulative rebuild and node-store statistics (the sifting counters
-    /// are zero under [`ReorderMode::Off`]; the peak comes straight from
-    /// the manager).
+    /// Cumulative rebuild and node-store statistics (the peak comes
+    /// straight from the manager).
     pub fn reorder_stats(&self) -> ReorderStats {
         ReorderStats {
             peak_nodes: self.man.peak_node_count(),
@@ -513,49 +488,9 @@ impl SymbolicModel {
         }
     }
 
-    /// Asserts the variable-order invariants the engine's correctness and
-    /// performance rest on, for tests and debugging:
-    ///
-    /// * every pre-allocated automaton bit pair sits inside the reserved
-    ///   top block of the order (aut-bits-on-top), and
-    /// * every current/next pair — automaton and module state alike — is
-    ///   level-adjacent in current-above-next order (what keeps bank
-    ///   renaming a linear rebuild).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an invariant is violated.
-    pub fn assert_order_invariants(&self) {
-        let top_pairs = self.aut_pool.len().min(AUT_BITS_ON_TOP);
-        let top_levels = 2 * top_pairs as u32;
-        for (i, &(c, n)) in self.aut_pool.iter().enumerate() {
-            let (lc, ln) = (self.man.level_of(c), self.man.level_of(n));
-            assert_eq!(ln, lc + 1, "aut pair {i} lost curr/next adjacency");
-            if i < AUT_BITS_ON_TOP {
-                assert!(
-                    ln < top_levels,
-                    "aut pair {i} left the top block (levels {lc}/{ln} >= {top_levels})"
-                );
-            }
-        }
-        for i in 0..self.state_signals.len() {
-            let (lc, ln) = (
-                self.man.level_of(self.curr_var[i]),
-                self.man.level_of(self.next_var[i]),
-            );
-            assert_eq!(ln, lc + 1, "state pair {i} lost curr/next adjacency");
-            assert!(
-                lc >= top_levels,
-                "state pair {i} intruded into the automaton top block"
-            );
-        }
-    }
-
-    /// Rebuilds the manager over its root set once the node store reaches
+    /// Compacts the manager over its root set once the node store reaches
     /// the trigger — the only garbage collection the append-only manager
-    /// has — sifting the variable order when [`ReorderMode::Auto`] is set
-    /// and the live size warrants it. Checked at every fixpoint loop head
-    /// and at every scratch exit.
+    /// has. Checked at every fixpoint loop head and at every scratch exit.
     ///
     /// Safety contract (see the module docs of [`crate::check`]): this may
     /// only run where the complete set of live handles is known — the
@@ -574,56 +509,6 @@ impl SymbolicModel {
         }
 
         let t0 = dic_trace::Stopwatch::start();
-        // One extract-and-rebuild pass: it always collects garbage, and
-        // runs the sifting search only when the *live* size has at least
-        // doubled since the last sift — ordering cost grows with live
-        // nodes, garbage does not.
-        let outcome = self.run_rebuild(pd, live);
-        self.reorder_stats.gc_collections += 1;
-        self.reorder_stats.gc_freed += outcome.store_before - self.man.node_count();
-        if outcome.sifted {
-            self.sift_next = outcome.live_after.saturating_mul(2).max(REORDER_SIFT_MIN);
-            self.reorder_stats.count += 1;
-            self.reorder_stats.nodes_before += outcome.live_before;
-            self.reorder_stats.nodes_after += outcome.live_after;
-        } else {
-            self.reorder_stats.compactions += 1;
-        }
-        if dic_trace::enabled() {
-            // Every rebuild compacts and collects; a sifting search on top
-            // is a reorder.
-            dic_trace::count(dic_trace::Counter::BddCompactions, 1);
-            dic_trace::count(dic_trace::Counter::BddGcCollections, 1);
-            if outcome.sifted {
-                dic_trace::count(dic_trace::Counter::BddReorders, 1);
-            }
-            dic_trace::event(
-                if outcome.sifted { "bdd.reorder" } else { "bdd.compact" },
-                &[
-                    ("store_before", outcome.store_before as u64),
-                    ("live_before", outcome.live_before as u64),
-                    ("live_after", outcome.live_after as u64),
-                    ("dur_ns", t0.elapsed().as_nanos() as u64),
-                ],
-            );
-        }
-        let growth = self
-            .options
-            .reorder_trigger
-            .min(self.options.node_limit / 4);
-        self.rebuild_next = outcome
-            .live_after
-            .saturating_mul(2)
-            .max(outcome.live_after + growth);
-        self.check_limit()
-    }
-
-    /// One rebuild pass over the full root set — every handle the model,
-    /// the cached products, the taken-out product `pd` and the running
-    /// fixpoint (`live`) hold — sifting when [`ReorderMode::Auto`] is set
-    /// and the live size warrants it (`sift_next`), remapping every root
-    /// in place.
-    fn run_rebuild(&mut self, pd: &mut ProductData, live: &mut [Bdd]) -> dic_logic::ReorderOutcome {
         let mut roots: Vec<Bdd> = Vec::new();
         self.visit_model_roots(&mut |b| roots.push(*b));
         for cached in self.products.values_mut() {
@@ -631,31 +516,7 @@ impl SymbolicModel {
         }
         pd.visit_roots(&mut |b| roots.push(*b));
         roots.extend_from_slice(live);
-
-        // Sifting groups: every current/next pair moves as one adjacent
-        // block; the pre-allocated automaton pairs only sift within their
-        // reserved top block (the aut-bits-on-top invariant the
-        // Emerson–Lei fixpoints depend on). Overflow automaton bits (past
-        // the pool) live below the banks and sift freely.
-        let mut groups = Vec::with_capacity(self.aut_pool.len() + self.state_signals.len());
-        for (i, &(c, n)) in self.aut_pool.iter().enumerate() {
-            groups.push(ReorderGroup {
-                vars: vec![c, n],
-                top: i < AUT_BITS_ON_TOP,
-            });
-        }
-        for i in 0..self.state_signals.len() {
-            groups.push(ReorderGroup {
-                vars: vec![self.curr_var[i], self.next_var[i]],
-                top: false,
-            });
-        }
-        let sift_at = match self.options.reorder {
-            ReorderMode::Auto => self.sift_next,
-            ReorderMode::Off => usize::MAX,
-        };
-        let outcome = self.man.reorder_groups_min_live(&groups, &roots, sift_at);
-
+        let outcome = self.man.compact(&roots);
         self.visit_model_roots(&mut |b| outcome.remap(b));
         for cached in self.products.values_mut() {
             cached.visit_roots(&mut |b| outcome.remap(b));
@@ -664,7 +525,27 @@ impl SymbolicModel {
         for b in live.iter_mut() {
             outcome.remap(b);
         }
-        outcome
+
+        self.reorder_stats.gc_collections += 1;
+        self.reorder_stats.gc_freed += outcome.store_before - self.man.node_count();
+        if dic_trace::enabled() {
+            dic_trace::count(dic_trace::Counter::BddCompactions, 1);
+            dic_trace::count(dic_trace::Counter::BddGcCollections, 1);
+            dic_trace::event(
+                "bdd.compact",
+                &[
+                    ("store_before", outcome.store_before as u64),
+                    ("live", outcome.live as u64),
+                    ("dur_ns", t0.elapsed().as_nanos() as u64),
+                ],
+            );
+        }
+        let growth = self
+            .options
+            .reorder_trigger
+            .min(self.options.node_limit / 4);
+        self.rebuild_next = outcome.live.saturating_mul(2).max(outcome.live + growth);
+        self.check_limit()
     }
 
     /// Visits every BDD handle the model itself keeps (product handles are
@@ -782,15 +663,36 @@ mod tests {
 
     #[test]
     fn banks_are_interleaved() {
+        // The variable order is the registration order: the pre-allocated
+        // automaton pairs take the lowest ids, every current/next pair is
+        // adjacent, and overflow automaton pairs land below the banks.
         let (t, m) = simple();
-        let sm =
+        let mut sm =
             SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
         assert_eq!(sm.state_bits(), 3); // c, a, b
-        for i in 0..sm.state_bits() {
-            assert_eq!(sm.next_var[i], sm.curr_var[i] + 1, "curr/next adjacent");
-        }
         assert_eq!(sm.trans_latches.len(), 1);
         assert!(!sm.init.is_false());
+        assert_eq!(sm.aut_pool.len(), AUT_BITS_ON_TOP);
+        for (i, &(c, n)) in sm.aut_pool.iter().enumerate() {
+            assert_eq!((c, n), (2 * i as u32, 2 * i as u32 + 1), "aut pair {i}");
+        }
+        let top = 2 * AUT_BITS_ON_TOP as u32;
+        for i in 0..sm.state_bits() {
+            assert!(
+                sm.curr_var[i] >= top,
+                "state pair {i} inside the automaton block"
+            );
+            assert_eq!(sm.next_var[i], sm.curr_var[i] + 1, "state pair {i}");
+        }
+        let last_state = sm.next_var.iter().copied().max().expect("state bits");
+        sm.ensure_aut_bits(AUT_BITS_ON_TOP + 2);
+        for &(c, n) in &sm.aut_pool[AUT_BITS_ON_TOP..] {
+            assert!(
+                c > last_state,
+                "overflow pair {c}/{n} must sit below the banks"
+            );
+            assert_eq!(n, c + 1, "overflow pair {c}/{n}");
+        }
     }
 
     #[test]

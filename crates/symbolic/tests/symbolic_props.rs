@@ -242,94 +242,67 @@ fn node_limit_fails_closed_mid_analysis() {
 }
 
 #[test]
-fn forced_reorders_preserve_verdicts_and_order_invariants() {
-    // A trigger of 1 fires a rebuild at (almost) every fixpoint step and
-    // scratch exit, the harshest schedule possible: every cached product,
-    // memoized fixpoint and in-flight local must be remapped correctly or
-    // the engine corrupts silently. Verdicts and witnesses must match the
-    // rebuild-free engine's, both when the rebuilds sift and when they
-    // only compact (`ReorderMode::Off`), and the aut-bits-on-top /
-    // curr-next adjacency invariants must survive every single rebuild.
+fn forced_compactions_preserve_verdicts() {
+    // A trigger of 1 fires a compaction at (almost) every fixpoint step
+    // and scratch exit, the harshest schedule possible: every cached
+    // product, memoized fixpoint and in-flight local must be remapped
+    // correctly or the engine corrupts silently. Verdicts and witnesses
+    // must match the rebuild-free engine's.
     let mut rng = XorShift64::new(0x0051_17ED);
-    let (mut total_reorders, mut total_compactions) = (0usize, 0usize);
+    let mut total_compactions = 0usize;
     for case in 0..25 {
         let (t, m) = random_module(&mut rng, 2, 3);
         let atoms: Vec<SignalId> = m.signals().into_iter().collect();
         let formulas: Vec<Ltl> = (0..1 + case % 3)
             .map(|_| random_formula(&mut rng, &atoms, 5))
             .collect();
-        let mut plain = SymbolicModel::from_module(
+        let mut plain =
+            SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
+        let baseline = plain.satisfiable_conj(&formulas).expect("within limits");
+        assert_eq!(plain.reorder_stats().gc_collections, 0, "case {case}");
+
+        let mut stressed = SymbolicModel::from_module(
             &m,
             &t,
             &[],
-            SymbolicOptions::default().with_reorder(dic_symbolic::ReorderMode::Off),
+            SymbolicOptions {
+                reorder_trigger: 1,
+                ..SymbolicOptions::default()
+            },
         )
         .expect("builds");
-        let baseline = plain.satisfiable_conj(&formulas).expect("within limits");
-
-        for mode in [
-            dic_symbolic::ReorderMode::Auto,
-            dic_symbolic::ReorderMode::Off,
-        ] {
-            let mut stressed = SymbolicModel::from_module(
-                &m,
-                &t,
-                &[],
-                SymbolicOptions {
-                    reorder_trigger: 1,
-                    ..SymbolicOptions::default()
-                }
-                .with_reorder(mode),
-            )
-            .expect("builds");
-            let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
-            stressed.assert_order_invariants();
-            // A conjunct unsatisfiable before translation builds no
-            // product, so not every case rebuilds — but the batch must.
-            let stats = stressed.reorder_stats();
-            match mode {
-                dic_symbolic::ReorderMode::Auto => total_reorders += stats.count,
-                dic_symbolic::ReorderMode::Off => {
-                    assert_eq!(
-                        stats.count, 0,
-                        "no sift under ReorderMode::Off (case {case})"
-                    );
-                    total_compactions += stats.compactions;
-                }
+        let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
+        // A conjunct unsatisfiable before translation builds no product,
+        // so not every case rebuilds — but the batch must.
+        total_compactions += stressed.reorder_stats().gc_collections;
+        assert_eq!(
+            baseline.is_some(),
+            verdict.is_some(),
+            "compacting changed a verdict on case {case}: {:?}",
+            formulas
+                .iter()
+                .map(|f| f.display(&t).to_string())
+                .collect::<Vec<_>>()
+        );
+        if let Some(w) = verdict {
+            for f in &formulas {
+                assert!(
+                    f.holds_on(&w),
+                    "witness after compactions violates {} (case {case})",
+                    f.display(&t)
+                );
             }
-            assert_eq!(
-                baseline.is_some(),
-                verdict.is_some(),
-                "rebuilding ({mode}) changed a verdict on case {case}: {:?}",
-                formulas
-                    .iter()
-                    .map(|f| f.display(&t).to_string())
-                    .collect::<Vec<_>>()
-            );
-            if let Some(w) = verdict {
-                for f in &formulas {
-                    assert!(
-                        f.holds_on(&w),
-                        "witness after rebuilds ({mode}) violates {} (case {case})",
-                        f.display(&t)
-                    );
-                }
-            }
-            // Querying again reuses the (remapped) cached product.
-            let again = stressed.satisfiable_conj(&formulas).expect("within limits");
-            assert_eq!(
-                again.is_some(),
-                baseline.is_some(),
-                "repeat query ({mode}, case {case})"
-            );
         }
+        // Querying again reuses the (remapped) cached product.
+        let again = stressed.satisfiable_conj(&formulas).expect("within limits");
+        assert_eq!(
+            again.is_some(),
+            baseline.is_some(),
+            "repeat query (case {case})"
+        );
     }
     assert!(
-        total_reorders > 0,
-        "trigger 1 must fire reorders across the batch"
-    );
-    assert!(
         total_compactions > 0,
-        "trigger 1 must compact across the batch under ReorderMode::Off"
+        "trigger 1 must compact across the batch"
     );
 }

@@ -12,7 +12,7 @@
 //!   expanded, Algorithm 1 verdict classes). Counters saturate at
 //!   `u64::MAX` instead of wrapping; gauges track a level and a peak.
 //! * **Events** — point-in-time occurrences with numeric fields
-//!   (reorders, compactions), attributed to the enclosing span.
+//!   (BDD compactions), attributed to the enclosing span.
 //!
 //! Everything funnels into three sinks: a rendered `profile:` tree
 //! ([`render_profile`]), a JSONL stream ([`write_jsonl`], replayable via
@@ -141,14 +141,14 @@ pub enum Counter {
     BddUniqueLookups,
     /// Unique-table probes that found an existing node.
     BddUniqueHits,
-    /// Sifting reorders realized by the symbolic engine.
+    /// Retired: the engine no longer reorders variables, so nothing
+    /// counts this and it always reads 0. Kept because the benchmark
+    /// probe reads it.
     BddReorders,
-    /// Compacting rebuilds (every reorder compacts; compaction can also
-    /// run without a sift).
+    /// Compacting rebuilds of the BDD manager.
     BddCompactions,
-    /// Garbage collections: every rebuild of the BDD manager, sifting or
-    /// not — equal to `bdd.compactions`, kept because the benchmark probe
-    /// reads it.
+    /// Garbage collections: every rebuild of the BDD manager — equal to
+    /// `bdd.compactions`, kept because the benchmark probe reads it.
     BddGcCollections,
     /// Image/preimage steps computed through a partitioned (clustered)
     /// transition relation.
@@ -439,7 +439,7 @@ pub struct SpanRecord {
 /// A point event, as recorded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Dotted event name (`bdd.reorder`, `bdd.compact`, …).
+    /// Dotted event name (`bdd.compact`, `run.aborted`, …).
     pub name: String,
     /// Timestamp, ns since the trace epoch.
     pub at_ns: u64,

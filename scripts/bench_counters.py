@@ -96,11 +96,20 @@ def run(binary, args):
 
 
 def revision():
-    """The measured revision: HEAD, plus `+changes` for a modified tree."""
-    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
-    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                           capture_output=True, text=True).stdout.strip()
-    return head.stdout.strip() + ("+changes" if dirty else "")
+    """The measured tree: `tree <id>`, the id `git write-tree` gives the
+    working tree (ignored files left out) without this script's own output
+    file, which cannot name the tree it is part of. It is staged into a
+    temporary index, so the real one is untouched. When nothing but this
+    file changes before the rows are committed, the commit gives the same
+    id: `GIT_INDEX_FILE=<tmp> sh -c 'git read-tree <commit> &&
+    git rm -q --cached BENCH_counters.json && git write-tree'`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        for cmd in (["git", "add", "-A"], ["git", "rm", "-q", "--cached", "--ignore-unmatch", OUT]):
+            subprocess.run(cmd, env=env, check=True, capture_output=True)
+        tree = subprocess.run(["git", "write-tree"], env=env, check=True, capture_output=True,
+                              text=True).stdout.strip()
+    return f"tree {tree[:12]}"
 
 
 def command(args):

@@ -1,9 +1,9 @@
 //! The `specmatcher` command-line tool.
 //!
 //! ```text
-//! specmatcher check --design <name> [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
-//! specmatcher check --snl <file> --spec <file> [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M]
-//! specmatcher table1 [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
+//! specmatcher check --design <name> [--backend B] [--partition P] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
+//! specmatcher check --snl <file> --spec <file> [--backend B] [--partition P] [--jobs N] [--bmc M]
+//! specmatcher table1 [--backend B] [--partition P] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
 //! specmatcher fsm --design <name>              dump concrete-module FSMs (DOT)
 //! specmatcher list                             list packaged designs
 //! ```
@@ -12,13 +12,12 @@
 //! question: `explicit` (state enumeration, refuses large models),
 //! `symbolic` (BDD reachability + fair cycles) or `auto` (the default:
 //! explicit for small state spaces and narrow products, symbolic past
-//! either threshold). `--reorder` controls the symbolic engine's dynamic
-//! variable reordering (`auto`, the default, or `off`). `--partition`
-//! controls the symbolic engine's conjunctively partitioned transition
-//! relation (`auto`, the default: greedy clustering up to a fixed
-//! per-cluster node cap; `off` keeps one conjunct per latch/automaton) — the reported property sets are
-//! byte-identical either way. `--jobs` sets the
-//! worker-thread count for Algorithm 1's candidate closure verification
+//! either threshold). `--partition` controls the symbolic engine's
+//! conjunctively partitioned transition relation (`auto`, the default:
+//! greedy clustering up to a fixed per-cluster node cap; `off` keeps one
+//! conjunct per latch/automaton) — the reported property sets are
+//! byte-identical either way. `--jobs` sets the worker-thread count for
+//! Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
 //! `--bmc` controls the bounded SAT refutation tier fronting the
@@ -32,7 +31,8 @@
 //! `SPECMATCHER_TIMEOUT`) arms a cooperative deadline checked between
 //! engine steps: on expiry the run degrades to a *partial report* —
 //! settled verdicts are kept, unresolved candidates are listed as
-//! `unknown`, and the report carries an `incomplete:` line.
+//! `unknown`, and the report carries an `incomplete:` line. Each flag may
+//! be given once; an unknown or repeated flag is a usage error.
 //!
 //! Exit codes: `0` — every architectural property is covered; `1` — a
 //! coverage gap was found and reported (including a partial run with at
@@ -53,8 +53,8 @@
 //! ```
 
 use dic_core::{
-    ArchSpec, Backend, BmcMode, CoreError, GapConfig, PartitionMode, ReorderMode, RtlSpec,
-    SpecMatcher, TmStyle,
+    ArchSpec, Backend, BmcMode, CoreError, GapConfig, PartitionMode, RtlSpec, SpecMatcher,
+    TmStyle,
 };
 use dic_designs::{mal, scaling, table1_designs, Design};
 use dic_fsm::extract_fsm;
@@ -208,81 +208,160 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     errln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--reorder off|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\nreorder:  auto = dynamic BDD variable reordering (group sifting; default),\n          off  = keep the static variable order\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
 
-fn option<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// Every flag a subcommand can take, with the values it takes for a flag
+/// that takes one (the "needs a value" hint) or `None` for a switch.
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--design", Some("a design name")),
+    ("--snl", Some("a netlist file")),
+    ("--spec", Some("a spec file")),
+    ("--backend", Some("explicit, symbolic or auto")),
+    ("--partition", Some("off or auto")),
+    ("--jobs", Some("a positive worker count")),
+    ("--bmc", Some("off or auto")),
+    ("--timeout", Some("a positive whole number of seconds")),
+    ("--trace-out", Some("a JSONL output path")),
+    ("--json", None),
+    ("--profile", None),
+    ("--quick", None),
+];
 
-fn backend_option(args: &[String]) -> Result<Backend, String> {
-    match option(args, "--backend") {
-        None if args.iter().any(|a| a == "--backend") => {
-            Err("--backend needs a value: explicit, symbolic or auto".into())
-        }
-        None => Ok(Backend::Auto),
-        Some(s) => Backend::parse(s)
-            .ok_or_else(|| format!("unknown backend {s:?}; use explicit, symbolic or auto")),
-    }
-}
+/// The engine and observability flags `check` and `table1` share.
+const RUN_FLAGS: [&str; 8] = [
+    "--backend",
+    "--partition",
+    "--jobs",
+    "--bmc",
+    "--timeout",
+    "--trace-out",
+    "--json",
+    "--profile",
+];
 
-fn bmc_option(args: &[String]) -> Result<BmcMode, String> {
-    match option(args, "--bmc") {
-        None if args.iter().any(|a| a == "--bmc") => {
-            Err("--bmc needs a value: off or auto".into())
-        }
-        None => Ok(BmcMode::Auto),
-        Some(s) => {
-            BmcMode::parse(s).ok_or_else(|| format!("unknown bmc mode {s:?}; use off or auto"))
-        }
-    }
-}
+/// A subcommand's flags, each given at most once: `(flag, value)`, with
+/// `None` for a switch.
+struct Flags<'a>(Vec<(&'static str, Option<&'a str>)>);
 
-fn reorder_option(args: &[String]) -> Result<ReorderMode, String> {
-    match option(args, "--reorder") {
-        None if args.iter().any(|a| a == "--reorder") => {
-            Err("--reorder needs a value: off or auto".into())
+impl<'a> Flags<'a> {
+    /// Parses `args` against the flags `cmd` accepts. An unknown or
+    /// repeated flag, a stray argument and a value-taking flag at the end
+    /// are usage errors that name the flag.
+    fn parse(cmd: &str, args: &'a [String], accepted: &[&str]) -> Result<Self, String> {
+        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(flag, hint)) = FLAGS.iter().find(|(f, _)| f == arg && accepted.contains(f))
+            else {
+                return Err(format!("{cmd} does not take {arg:?}; try --help"));
+            };
+            if given.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} given twice"));
+            }
+            let value = match hint {
+                Some(hint) => Some(
+                    rest.next()
+                        .ok_or_else(|| format!("{flag} needs a value: {hint}"))?
+                        .as_str(),
+                ),
+                None => None,
+            };
+            given.push((flag, value));
         }
-        None => Ok(ReorderMode::Auto),
-        Some(s) => {
-            ReorderMode::parse(s).ok_or_else(|| format!("unknown reorder mode {s:?}; use off or auto"))
-        }
+        Ok(Flags(given))
     }
-}
 
-/// `--partition off|auto` (default `auto`).
-fn partition_option(args: &[String]) -> Result<PartitionMode, String> {
-    match option(args, "--partition") {
-        None if args.iter().any(|a| a == "--partition") => {
-            Err("--partition needs a value: off or auto".into())
-        }
-        None => Ok(PartitionMode::default()),
-        Some(s) => PartitionMode::parse(s)
-            .ok_or_else(|| format!("unknown partition mode {s:?}; use off or auto")),
+    /// The value of a value-taking flag, if given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|&(_, v)| v)
     }
-}
 
-/// `--profile` / `--trace-out <path>` observability flags, shared by
-/// `check` and `table1`. Either flag turns `dic_trace` on for the run;
-/// with both absent the engines never pay more than the disabled-gate
-/// branch, so reports and timings are unchanged.
-fn trace_options(args: &[String]) -> Result<(bool, Option<String>), String> {
-    let profile = args.iter().any(|a| a == "--profile");
-    let trace_out = match option(args, "--trace-out") {
-        None if args.iter().any(|a| a == "--trace-out") => {
-            return Err("--trace-out needs a value: a JSONL output path".into());
-        }
-        other => other.map(str::to_owned),
-    };
-    if profile || trace_out.is_some() {
-        dic_trace::set_enabled(true);
-        dic_trace::reset();
+    /// Whether a switch was given.
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
     }
-    Ok((profile, trace_out))
+
+    /// A mode flag (`--backend`, `--partition`, `--bmc`) parsed by
+    /// `parse`, or the mode's default when absent.
+    fn mode<T: Default>(
+        &self,
+        flag: &str,
+        what: &str,
+        parse: fn(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.value(flag) {
+            None => Ok(T::default()),
+            Some(s) => parse(s).ok_or_else(|| {
+                let choices = FLAGS.iter().find(|(f, _)| *f == flag).and_then(|(_, h)| *h);
+                format!("unknown {what} {s:?}; use {}", choices.unwrap_or_default())
+            }),
+        }
+    }
+
+    /// The matcher the engine flags describe: `--backend`, `--partition`,
+    /// `--jobs` (absent → `0`, the default resolution; a positive integer
+    /// wins, anything else is a usage error) and `--bmc`.
+    fn matcher(&self) -> Result<SpecMatcher, String> {
+        let matcher = SpecMatcher::new(GapConfig::default())
+            .with_backend(self.mode("--backend", "backend", Backend::parse)?)
+            .with_partition(self.mode("--partition", "partition mode", PartitionMode::parse)?);
+        let jobs = match self.value("--jobs") {
+            None => 0,
+            Some(s) => match s.parse::<usize>() {
+                Ok(n) if n > 0 => n,
+                _ => {
+                    return Err(format!(
+                        "invalid --jobs {s:?}: expected a positive worker count"
+                    ))
+                }
+            },
+        };
+        Ok(matcher
+            .with_jobs(jobs)
+            .with_bmc(self.mode("--bmc", "bmc mode", BmcMode::parse)?))
+    }
+
+    /// `--profile` / `--trace-out <path>`. Either flag turns `dic_trace`
+    /// on for the run; with both absent the engines never pay more than
+    /// the disabled-gate branch, so reports and timings are unchanged.
+    fn trace(&self) -> (bool, Option<String>) {
+        let profile = self.has("--profile");
+        let trace_out = self.value("--trace-out").map(str::to_owned);
+        if profile || trace_out.is_some() {
+            dic_trace::set_enabled(true);
+            dic_trace::reset();
+        }
+        (profile, trace_out)
+    }
+
+    /// Arms the run-wide governors before any engine work: the
+    /// cooperative deadline (`--timeout`, a positive whole number of
+    /// seconds, else `SPECMATCHER_TIMEOUT`, else none) and the
+    /// deterministic fault plan (`SPECMATCHER_FAULT`; off in production).
+    fn arm_governance(&self) -> Result<(), CliError> {
+        let budget = match self.value("--timeout") {
+            None => dic_fault::timeout_from_env()?,
+            Some(s) => match s.parse::<u64>() {
+                Ok(n) if n > 0 => Some(Duration::from_secs(n)),
+                _ => {
+                    return Err(format!(
+                        "invalid --timeout {s:?}: expected a positive whole number of seconds"
+                    )
+                    .into())
+                }
+            },
+        };
+        if let Some(budget) = budget {
+            dic_fault::arm_deadline(budget);
+        }
+        dic_fault::arm_fault_from_env().map_err(CliError::Usage)?;
+        Ok(())
+    }
 }
 
 /// Emits the enabled trace sinks after a traced run: the rendered
@@ -308,36 +387,6 @@ fn emit_trace_sinks(
     Ok(())
 }
 
-/// `--timeout <secs>` run-deadline override, mirroring
-/// `SPECMATCHER_TIMEOUT`'s strict contract: absent → the environment
-/// setting (else no deadline), a positive whole number of seconds wins,
-/// anything else is a usage error.
-fn timeout_option(args: &[String]) -> Result<Option<Duration>, String> {
-    match option(args, "--timeout") {
-        None if args.iter().any(|a| a == "--timeout") => {
-            Err("--timeout needs a value: a positive whole number of seconds".into())
-        }
-        None => dic_fault::timeout_from_env(),
-        Some(s) => match s.parse::<u64>() {
-            Ok(n) if n > 0 => Ok(Some(Duration::from_secs(n))),
-            _ => Err(format!(
-                "invalid --timeout {s:?}: expected a positive whole number of seconds"
-            )),
-        },
-    }
-}
-
-/// Arms the run-wide governors before any engine work: the cooperative
-/// deadline (`--timeout`, else `SPECMATCHER_TIMEOUT`) and the
-/// deterministic fault plan (`SPECMATCHER_FAULT`; off in production).
-fn arm_governance(args: &[String]) -> Result<(), CliError> {
-    if let Some(budget) = timeout_option(args)? {
-        dic_fault::arm_deadline(budget);
-    }
-    dic_fault::arm_fault_from_env().map_err(CliError::Usage)?;
-    Ok(())
-}
-
 /// Records the structured abort marker so a `--trace-out` stream is
 /// terminated by a final `run.aborted` event on deadline/resource/panic
 /// paths (no-op with tracing disabled).
@@ -349,22 +398,6 @@ fn trace_abort(panicked: bool) {
             ("panic", panicked as u64),
         ],
     );
-}
-
-/// `--jobs N` worker-count override, mirroring `SPECMATCHER_JOBS`'s
-/// strict contract: absent → `Ok(0)` (auto resolution), a positive
-/// integer wins, anything else is a usage error.
-fn jobs_option(args: &[String]) -> Result<usize, String> {
-    match option(args, "--jobs") {
-        None if args.iter().any(|a| a == "--jobs") => {
-            Err("--jobs needs a value: a positive worker count".into())
-        }
-        None => Ok(0),
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("invalid --jobs {s:?}: expected a positive worker count")),
-        },
-    }
 }
 
 fn find_design(name: &str) -> Result<Design, String> {
@@ -406,31 +439,26 @@ fn mal_family() -> String {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
-    let json = args.iter().any(|a| a == "--json");
-    let backend = backend_option(args)?;
-    let reorder = reorder_option(args)?;
-    let partition = partition_option(args)?;
-    let jobs = jobs_option(args)?;
-    let bmc = bmc_option(args)?;
-    let (profile, trace_out) = trace_options(args)?;
-    arm_governance(args)?;
-    let matcher = SpecMatcher::new(GapConfig::default())
-        .with_backend(backend)
-        .with_reorder(reorder)
-        .with_partition(partition)
-        .with_jobs(jobs)
-        .with_bmc(bmc);
+    let accepted = [&RUN_FLAGS[..], &["--design", "--snl", "--spec"]].concat();
+    let flags = Flags::parse("check", args, &accepted)?;
+    let json = flags.has("--json");
+    let matcher = flags.matcher()?;
+    let (profile, trace_out) = flags.trace();
+    flags.arm_governance()?;
     let run_span = dic_trace::span("check");
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(Design, dic_core::CoverageRun), CliError> {
-            if let Some(name) = option(args, "--design") {
+            if let Some(name) = flags.value("--design") {
                 let design = find_design(name)?;
                 let run = design.check(&matcher).map_err(core_err)?;
                 Ok((design, run))
             } else {
-                let snl_path =
-                    option(args, "--snl").ok_or("check needs --design or --snl/--spec")?;
-                let spec_path = option(args, "--spec").ok_or("check needs --spec with --snl")?;
+                let snl_path = flags
+                    .value("--snl")
+                    .ok_or("check needs --design or --snl/--spec")?;
+                let spec_path = flags
+                    .value("--spec")
+                    .ok_or("check needs --spec with --snl")?;
                 let snl =
                     std::fs::read_to_string(snl_path).map_err(|e| format!("{snl_path}: {e}"))?;
                 let spec =
@@ -549,27 +577,20 @@ fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedPr
 }
 
 fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
-    let backend = backend_option(args)?;
-    let reorder = reorder_option(args)?;
-    let partition = partition_option(args)?;
-    let jobs = jobs_option(args)?;
-    let bmc = bmc_option(args)?;
-    let (profile, trace_out) = trace_options(args)?;
-    arm_governance(args)?;
-    if args.iter().any(|a| a == "--quick") {
-        let code = cmd_table1_quick(backend, reorder, partition)?;
+    let accepted = [&RUN_FLAGS[..], &["--quick"]].concat();
+    let flags = Flags::parse("table1", args, &accepted)?;
+    let matcher = flags.matcher()?;
+    let (profile, trace_out) = flags.trace();
+    flags.arm_governance()?;
+    if flags.has("--quick") {
+        let code = cmd_table1_quick(&matcher)?;
         emit_trace_sinks(profile, trace_out.as_deref(), false)?;
         return Ok(code);
     }
-    let json = args.iter().any(|a| a == "--json");
+    let json = flags.has("--json");
     let mut json_rows = Vec::new();
-    let matcher = SpecMatcher::new(GapConfig::default())
-        .with_tm_style(TmStyle::Enumerated)
-        .with_backend(backend)
-        .with_reorder(reorder)
-        .with_partition(partition)
-        .with_jobs(jobs)
-        .with_bmc(bmc);
+    let backend = matcher.backend();
+    let matcher = matcher.with_tm_style(TmStyle::Enumerated);
     outln!(
         "{:<14} {:>9} {:>9} {:>9} {:>12} {:>12} {:>12}",
         "Circuit", "RTL props", "primary", "gap", "Primary (s)", "TM (s)", "Gap (s)"
@@ -602,7 +623,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
                     tm_build: run.timings.tm_build,
                     gap_find: run.timings.gap_find,
                     backend: run.backend,
-                    reorder: run.reorder,
                     jobs: run.jobs,
                     counters: run.counters,
                     bmc: run.bmc,
@@ -641,18 +661,9 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
 /// backend). This is the CI smoke test: a backend-selection regression
 /// (wrong engine, wrong verdict, lost gap property) or a reintroduced
 /// state-explosion cliff fails the run instead of silently slowing it.
-fn cmd_table1_quick(
-    backend: Backend,
-    reorder: ReorderMode,
-    partition: PartitionMode,
-) -> Result<ExitCode, CliError> {
-    use dic_core::{CoverageModel, SymbolicOptions};
-
-    let options = SymbolicOptions::from_env()
-        .map_err(|e| core_err(CoreError::Symbolic(e)))?
-        .with_reorder(reorder)
-        .with_partition(partition);
-
+/// Every run goes through `matcher`, so the engine flags apply as they do
+/// to `check`.
+fn cmd_table1_quick(matcher: &SpecMatcher) -> Result<ExitCode, CliError> {
     // (design, primary coverage holds?)
     let rows: Vec<(Design, bool)> = vec![
         (mal::mal26(), false),
@@ -670,14 +681,9 @@ fn cmd_table1_quick(
     let mut ok = true;
     for (design, expect_covered) in rows {
         let t0 = dic_trace::Stopwatch::start();
-        let model = CoverageModel::build_with_symbolic_options(
-            &design.arch,
-            &design.rtl,
-            &design.table,
-            backend,
-            options,
-        )
-        .map_err(|e| ctx_err(design.name, e))?;
+        let model = matcher
+            .build_model(&design.arch, &design.rtl, &design.table)
+            .map_err(|e| ctx_err(design.name, e))?;
         let fa = design.arch.properties()[0].formula();
         let witness = dic_core::primary_coverage(fa, &design.rtl, &model)
             .map_err(|e| ctx_err(design.name, e))?;
@@ -703,16 +709,8 @@ fn cmd_table1_quick(
     // engine is symbolic — a chain design past the explicit limit, whose
     // gap report must fall back to the Theorem 2 hole with non-empty
     // uncovered terms.
-    let smoke_matcher = || {
-        SpecMatcher::new(GapConfig::default())
-            .with_backend(backend)
-            .with_reorder(reorder)
-            .with_partition(partition)
-    };
     let mut ex2 = mal::ex2();
-    let run = ex2
-        .check(&smoke_matcher())
-        .map_err(|e| ctx_err("mal-ex2", e))?;
+    let run = ex2.check(matcher).map_err(|e| ctx_err("mal-ex2", e))?;
     let rep = &run.properties[0];
     let u_hit = mal::paper_gap_property(&mut ex2);
     let u_g2 = mal::adapted_gap_property(&mut ex2);
@@ -731,10 +729,10 @@ fn cmd_table1_quick(
     if rep.covered || !has(&u_hit) || !has(&u_g2) {
         return Err("mal-ex2 gap smoke lost a pinned paper gap property".into());
     }
-    if backend != Backend::Explicit {
+    if matcher.backend() != Backend::Explicit {
         let chain = scaling::chain_design(22, true);
         let run = chain
-            .check(&smoke_matcher())
+            .check(matcher)
             .map_err(|e| ctx_err("chain-22-gap", e))?;
         let rep = &run.properties[0];
         outln!(
@@ -751,7 +749,8 @@ fn cmd_table1_quick(
 }
 
 fn cmd_fsm(args: &[String]) -> Result<ExitCode, CliError> {
-    let name = option(args, "--design").ok_or("fsm needs --design <name>")?;
+    let flags = Flags::parse("fsm", args, &["--design"])?;
+    let name = flags.value("--design").ok_or("fsm needs --design <name>")?;
     let design = find_design(name)?;
     for module in design.rtl.concrete() {
         let fsm = extract_fsm(module, &design.table, true).map_err(|e| e.to_string())?;

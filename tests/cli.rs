@@ -101,14 +101,58 @@ fn both_backends_honor_the_exit_code_contract() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("unknown backend"));
-    // So is an unknown reorder mode.
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--reorder", "sometimes"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("unknown reorder mode"));
-    // `--reorder off` still honors the verdict codes.
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--reorder", "off"]);
-    assert_eq!(out.status.code(), Some(0));
+}
+
+/// Every flag is known and given once: an unknown flag (the retired
+/// `--reorder`, a typo) or a repeated one is a usage error that names it,
+/// for `check` and `table1` alike, before any engine work.
+#[test]
+fn unknown_and_repeated_options_exit_two() {
+    for (args, needle) in [
+        ("check --design mal-ex1 --reorder off", "\"--reorder\""),
+        ("check --design mal-ex1 --jbos 2", "\"--jbos\""),
+        ("check --design mal-ex1 --jobs 1 --jobs 2", "--jobs given twice"),
+        ("check --design mal-ex1 mal-ex2", "\"mal-ex2\""),
+        ("table1 --quick --reorder off", "\"--reorder\""),
+        ("table1 --quick --jbos 2", "\"--jbos\""),
+        ("table1 --quick --jobs 1 --jobs 1", "--jobs given twice"),
+    ] {
+        let out = specmatcher(&args.split(' ').collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no report");
+    }
+}
+
+/// `table1 --quick` runs every check through the matcher the flags
+/// describe: on the symbolic engine, where bounded queries front the
+/// closure fixpoints, `--bmc off` leaves none, and `--jobs 3` runs three
+/// gap workers per gap phase.
+#[test]
+fn table1_quick_honors_jobs_and_bmc() {
+    let args = "table1 --quick --backend symbolic --bmc off --jobs 3 --profile";
+    let out = specmatcher(&args.split(' ').collect::<Vec<_>>());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(!stdout.contains("bmc.query"), "{stdout}");
+    let spans = |name: &str| -> usize {
+        stdout
+            .lines()
+            .filter(|l| l.trim_start().starts_with(&format!("{name} ")))
+            .map(|l| match l.split("(x").nth(1) {
+                Some(rest) => rest
+                    .split(')')
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .expect("count"),
+                None => 1,
+            })
+            .sum()
+    };
+    let (verify, workers) = (spans("gap.verify"), spans("gap.worker"));
+    assert!(verify > 0, "{stdout}");
+    assert_eq!(workers, 3 * verify, "{stdout}");
 }
 
 #[test]

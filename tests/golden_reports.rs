@@ -27,14 +27,13 @@ fn normalized_report(design: &Design) -> String {
         // span/counter tree (`--profile`) — durations and node counts,
         // all run dependent.
         .take_while(|l| !l.starts_with("profile:"))
-        // Wall-clock, reorder and worker statistics are machine/run
+        // Wall-clock and worker statistics are machine/run
         // dependent (jobs defaults to the machine's parallelism), and the
         // governance layer's degradation surfaces (`incomplete:` reasons,
         // `unknown` verdict lines) depend on budgets and deadlines the
         // golden runs don't pin.
         .filter(|l| {
             !l.starts_with("timings")
-                && !l.starts_with("reordering")
                 && !l.starts_with("jobs")
                 && !l.starts_with("incomplete:")
                 && !l.trim_start().starts_with("unknown")

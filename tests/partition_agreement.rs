@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use specmatcher::core::{
-    Backend, CoverageModel, GapConfig, PartitionMode, ReorderMode, SpecMatcher, SymbolicOptions,
+    Backend, CoverageModel, GapConfig, PartitionMode, SpecMatcher, SymbolicOptions,
 };
 use specmatcher::core::{ArchSpec, RtlSpec};
 use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
@@ -28,8 +28,8 @@ mod common;
 use common::replay;
 
 /// Deterministically generates a small random module (same shape as the
-/// reorder-agreement suite, offset seeds so the two suites explore
-/// different problems).
+/// collection-agreement suite in `reorder_agreement.rs`, offset seeds so
+/// the two suites explore different problems).
 fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
     let mut b = ModuleBuilder::new("rand", &mut t);
@@ -126,9 +126,7 @@ proptest! {
             CoverageModel::build_with_symbolic_options(&arch, &rtl, &t, Backend::Symbolic, opts)
                 .expect("symbolic model builds")
         };
-        // Reordering off in all three runs: this suite isolates the
-        // partitioning axis (the reorder suite covers the other one).
-        let base = SymbolicOptions::default().with_reorder(ReorderMode::Off);
+        let base = SymbolicOptions::default();
         let run_off = matcher
             .check_with_model(&arch, &rtl, &t, &build(
                 base.with_partition(PartitionMode::Off),
@@ -172,7 +170,7 @@ proptest! {
             SymbolicOptions {
                 partition: PartitionMode::Auto,
                 cluster_size: 2,
-                ..SymbolicOptions::default().with_reorder(ReorderMode::Off)
+                ..SymbolicOptions::default()
             },
         ).expect("symbolic model builds");
         for p in &run_tiny.properties {
