@@ -73,7 +73,7 @@ pub use backend::{
     predicted_product_cost, Backend, AUTO_SYMBOLIC_BITS, AUTO_SYMBOLIC_PRODUCT_COST,
 };
 pub use bmc::BmcMode;
-pub use dic_symbolic::{PartitionMode, ReorderMode, ReorderStats, SymbolicOptions};
+pub use dic_symbolic::{GcStats, ReorderMode, SymbolicOptions};
 pub use error::CoreError;
 pub use hole::{closes_gap, closure_witness, exact_hole};
 pub use intent::{close_gap_iteratively, uncovered_intent};

@@ -10,7 +10,7 @@ use dic_fsm::Kripke;
 use dic_logic::{SignalId, SignalTable};
 use dic_netlist::Module;
 use dic_sat::BmcSession;
-use dic_symbolic::{ReorderStats, SymbolicModel, SymbolicOptions};
+use dic_symbolic::{GcStats, SymbolicModel, SymbolicOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -400,8 +400,8 @@ impl CoverageModel {
     /// Cumulative collection statistics of the symbolic engine: `None`
     /// when no symbolic engine was ever built, `Some` with zero
     /// collections when it was but never collected.
-    pub fn reorder_stats(&self) -> Option<ReorderStats> {
-        self.lock_symbolic().as_ref().map(|sym| sym.reorder_stats())
+    pub fn gc_stats(&self) -> Option<GcStats> {
+        self.lock_symbolic().as_ref().map(|sym| sym.gc_stats())
     }
 
     /// The bounded tier of [`GapEngine::closure`]: a `k`-step SAT query

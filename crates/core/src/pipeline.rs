@@ -6,13 +6,13 @@ use crate::bmc::BmcMode;
 use crate::error::CoreError;
 use crate::hole::exact_hole;
 use crate::model::CoverageModel;
-use crate::spec::{ArchSpec, RtlSpec};
+use crate::spec::{ArchSpec, Property, RtlSpec};
 use crate::terms::uncovered_terms_with_runs;
 use crate::tm::{tm_for_modules, TmStyle};
 use crate::weaken::{find_gap_outcome, GapConfig, GapProperty, UnknownGap};
 use dic_logic::SignalTable;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
-use dic_symbolic::{PartitionMode, ReorderStats, SymbolicOptions};
+use dic_symbolic::{GcStats, SymbolicOptions};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -105,6 +105,30 @@ pub struct PropertyReport {
 }
 
 impl PropertyReport {
+    /// The report of a property whose verdict was not settled: `reason`
+    /// says what stopped the analysis.
+    fn unsettled(
+        prop: &Property,
+        rtl: &RtlSpec,
+        tm: &Ltl,
+        reason: String,
+        timings: PhaseTimings,
+    ) -> Self {
+        let fa = prop.formula();
+        PropertyReport {
+            name: prop.name().to_owned(),
+            formula: fa.clone(),
+            covered: false,
+            unknown: Some(reason),
+            witness: None,
+            uncovered_terms: Vec::new(),
+            gap_properties: Vec::new(),
+            unknown_gaps: Vec::new(),
+            exact_hole: exact_hole(fa, rtl, tm),
+            timings,
+        }
+    }
+
     /// Human-readable report.
     pub fn render(&self, table: &SignalTable) -> String {
         let mut out = String::new();
@@ -183,7 +207,7 @@ pub struct CoverageRun {
     pub bmc: BmcMode,
     /// Collection statistics of the symbolic engine (`None` when no
     /// symbolic engine was built for this run).
-    pub reorder: Option<ReorderStats>,
+    pub bdd_gc: Option<GcStats>,
     /// Worker-thread accounting per phase.
     pub jobs: JobsStats,
     /// Per-phase engine counter deltas; `None` unless `dic_trace` was
@@ -226,7 +250,7 @@ impl CoverageRun {
             self.timings.tm_build,
             self.timings.gap_find
         );
-        if let Some(r) = &self.reorder {
+        if let Some(r) = &self.bdd_gc {
             if r.gc_collections > 0 || r.peak_nodes > 0 {
                 let _ = writeln!(
                     out,
@@ -255,7 +279,6 @@ pub struct SpecMatcher {
     config: GapConfig,
     tm_style: TmStyle,
     backend: Backend,
-    partition: PartitionMode,
     bmc: BmcMode,
 }
 
@@ -267,7 +290,6 @@ impl SpecMatcher {
             config,
             tm_style: TmStyle::default(),
             backend: Backend::default(),
-            partition: PartitionMode::Auto,
             bmc: BmcMode::default(),
         }
     }
@@ -294,21 +316,6 @@ impl SpecMatcher {
     /// The requested backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Selects the symbolic engine's transition-relation partitioning
-    /// (the CLI's `--partition`): [`PartitionMode::Auto`] (greedy
-    /// conjunctive clustering) by default; `Off` keeps one conjunct per
-    /// latch/automaton. The reported property sets are byte-identical
-    /// either way — only node counts and time change.
-    pub fn with_partition(mut self, partition: PartitionMode) -> Self {
-        self.partition = partition;
-        self
-    }
-
-    /// The requested partition mode.
-    pub fn partition(&self) -> PartitionMode {
-        self.partition
     }
 
     /// Selects the bounded-refutation mode (the CLI's `--bmc`;
@@ -342,25 +349,30 @@ impl SpecMatcher {
     /// Runs the full analysis: primary coverage for every architectural
     /// property (Theorem 1), `T_M` construction (Definition 4), and — for
     /// every uncovered property — gap extraction and representation
-    /// (Algorithm 1, with Theorem 2 as fallback).
+    /// (Algorithm 1, with Theorem 2 as fallback). A model build refused
+    /// for resources or time degrades to a partial run, every verdict
+    /// unknown.
     ///
     /// # Errors
     ///
-    /// Model-construction failures; see [`CoverageModel::build`].
+    /// Model-construction failures other than those refusals; see
+    /// [`CoverageModel::build`].
     pub fn check(
         &self,
         arch: &ArchSpec,
         rtl: &RtlSpec,
         table: &SignalTable,
     ) -> Result<CoverageRun, CoreError> {
-        let model = self.build_model(arch, rtl, table)?;
-        self.check_with_model(arch, rtl, table, &model)
+        match self.build_model(arch, rtl, table) {
+            Ok(model) => self.check_with_model(arch, rtl, table, &model),
+            Err(e) if e.is_degradable() => self.run(arch, rtl, table, Err(&e)),
+            Err(e) => Err(e),
+        }
     }
 
     /// The model [`SpecMatcher::check`] runs on: built for the requested
-    /// backend, with the symbolic options from the environment plus the
-    /// requested partition mode, and the requested bounded-refutation
-    /// mode set.
+    /// backend, with the symbolic options from the environment and the
+    /// requested bounded-refutation mode set.
     ///
     /// # Errors
     ///
@@ -371,9 +383,7 @@ impl SpecMatcher {
         rtl: &RtlSpec,
         table: &SignalTable,
     ) -> Result<CoverageModel, CoreError> {
-        let options = SymbolicOptions::from_env()
-            .map_err(CoreError::Symbolic)?
-            .with_partition(self.partition);
+        let options = SymbolicOptions::from_env().map_err(CoreError::Symbolic)?;
         let mut model =
             CoverageModel::build_with_symbolic_options(arch, rtl, table, self.backend, options)?;
         model.set_bmc_mode(self.bmc);
@@ -394,6 +404,18 @@ impl SpecMatcher {
         table: &SignalTable,
         model: &CoverageModel,
     ) -> Result<CoverageRun, CoreError> {
+        self.run(arch, rtl, table, Ok(model))
+    }
+
+    /// The analysis on `model`, or, when the model build was refused for
+    /// resources or time, a partial run with every verdict unknown.
+    fn run(
+        &self,
+        arch: &ArchSpec,
+        rtl: &RtlSpec,
+        table: &SignalTable,
+        model: Result<&CoverageModel, &CoreError>,
+    ) -> Result<CoverageRun, CoreError> {
         let mut counters = dic_trace::enabled().then(PhaseCounters::default);
 
         // Phase: TM building (Definition 4) — once per design.
@@ -407,39 +429,48 @@ impl SpecMatcher {
             c.tm_build.merge(&b.delta_since());
         }
 
+        let backend = model.map_or(self.backend, CoverageModel::primary_backend);
         let requested_jobs = self.config.effective_jobs();
         let jobs = JobsStats {
             requested: requested_jobs,
             primary: 1,
             gap_workers: requested_jobs,
-            gap_fixpoints: model.primary_backend().fixpoint_parallelism(requested_jobs),
+            gap_fixpoints: backend.fixpoint_parallelism(requested_jobs),
         };
         let mut reports = Vec::with_capacity(arch.len());
         let mut total = PhaseTimings {
             tm_build,
             ..PhaseTimings::default()
         };
-        let mut incomplete: Option<String> = None;
+        let mut incomplete = model.err().map(|e| format!("{e} while building the model"));
         let mut deadline_hit = false;
         for prop in arch.properties() {
             let fa = prop.formula();
+            let model = match model {
+                Ok(model) => model,
+                Err(e) => {
+                    reports.push(PropertyReport::unsettled(
+                        prop,
+                        rtl,
+                        &tm,
+                        e.to_string(),
+                        PhaseTimings::default(),
+                    ));
+                    continue;
+                }
+            };
 
             // A deadline trip is terminal for the whole scan — later
             // properties would trip at their first checkpoint anyway, so
             // report them unknown without spinning the engines up again.
             if deadline_hit {
-                reports.push(PropertyReport {
-                    name: prop.name().to_owned(),
-                    formula: fa.clone(),
-                    covered: false,
-                    unknown: Some("deadline exceeded before this property was analyzed".into()),
-                    witness: None,
-                    uncovered_terms: Vec::new(),
-                    gap_properties: Vec::new(),
-                    unknown_gaps: Vec::new(),
-                    exact_hole: exact_hole(fa, rtl, &tm),
-                    timings: PhaseTimings::default(),
-                });
+                reports.push(PropertyReport::unsettled(
+                    prop,
+                    rtl,
+                    &tm,
+                    "deadline exceeded before this property was analyzed".into(),
+                    PhaseTimings::default(),
+                ));
                 continue;
             }
 
@@ -474,18 +505,7 @@ impl SpecMatcher {
                         ..PhaseTimings::default()
                     };
                     total.add(timings);
-                    reports.push(PropertyReport {
-                        name: prop.name().to_owned(),
-                        formula: fa.clone(),
-                        covered: false,
-                        unknown: Some(reason),
-                        witness: None,
-                        uncovered_terms: Vec::new(),
-                        gap_properties: Vec::new(),
-                        unknown_gaps: Vec::new(),
-                        exact_hole: exact_hole(fa, rtl, &tm),
-                        timings,
-                    });
+                    reports.push(PropertyReport::unsettled(prop, rtl, &tm, reason, timings));
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -570,9 +590,9 @@ impl SpecMatcher {
             tm,
             timings: total,
             num_rtl_properties: rtl.num_properties(),
-            backend: model.primary_backend(),
-            bmc: model.bmc_mode(),
-            reorder: model.reorder_stats(),
+            backend,
+            bmc: model.map_or(self.bmc, CoverageModel::bmc_mode),
+            bdd_gc: model.ok().and_then(CoverageModel::gc_stats),
             jobs,
             counters,
             incomplete,

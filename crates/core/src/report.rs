@@ -13,6 +13,7 @@
 //! {
 //!   "num_rtl_properties": 6,
 //!   "backend": "explicit",
+//!   "bdd_gc": null,
 //!   "jobs": {"requested": 4, "primary": 1, "gap_workers": 4, "gap_fixpoints": 4},
 //!   "timings": {"primary_s": 0.01, "tm_build_s": 0.002, "gap_find_s": 1.9},
 //!   "tm_size": 124,
@@ -51,8 +52,8 @@ impl CoverageRun {
         let backend = self.backend.to_string();
         w.field_str("backend", &backend);
         w.field_str("gap_backend", &backend);
-        w.key("reorder");
-        match &self.reorder {
+        w.key("bdd_gc");
+        match &self.bdd_gc {
             None => w.null(),
             Some(r) => {
                 w.open_object();

@@ -40,7 +40,7 @@
 //! The hasher decides only where an entry sits, never which entries
 //! exist, so node numbering, results and counters do not depend on it.
 //! Nor does any output depend on iteration order: the only walks over
-//! such tables are the compaction's (see [`mod@crate::reorder`]), which
+//! such tables are the compaction's (see [`mod@crate::compact`]), which
 //! sorts each variable's nodes by their child edges before numbering them.
 //!
 //! Variables are registered per [`SignalId`] on first use, and the

@@ -3,7 +3,7 @@
 //! The node store is append-only. [`BddManager::compact`] copies the
 //! subgraph reachable from the caller's roots into a fresh store, drops
 //! the operation memos and hands back an old→new root map
-//! ([`ReorderOutcome`]); every handle not passed as a root is dangling
+//! ([`CompactOutcome`]); every handle not passed as a root is dangling
 //! afterwards. The variable order is the order variables were registered
 //! in, so a compaction never moves a variable: registered variable sets
 //! and pairings stay valid as they are.
@@ -20,7 +20,7 @@ use crate::hashing::FastMap;
 
 /// Outcome of one [`BddManager::compact`] call.
 #[derive(Clone, Debug)]
-pub struct ReorderOutcome {
+pub struct CompactOutcome {
     /// Node-store size before the compaction: live nodes *plus* the
     /// garbage it collects, terminal included.
     pub store_before: usize,
@@ -32,7 +32,7 @@ pub struct ReorderOutcome {
     map: FastMap<u32, u32>,
 }
 
-impl ReorderOutcome {
+impl CompactOutcome {
     /// Rewrites a kept handle into the compacted manager.
     ///
     /// # Panics
@@ -47,7 +47,7 @@ impl ReorderOutcome {
     ///
     /// # Panics
     ///
-    /// As for [`ReorderOutcome::remap`].
+    /// As for [`CompactOutcome::remap`].
     pub fn lookup(&self, h: Bdd) -> Bdd {
         match self.map.get(&h.raw()) {
             Some(&n) => Bdd::from_raw(n),
@@ -58,13 +58,13 @@ impl ReorderOutcome {
 
 impl BddManager {
     /// Rebuilds the manager keeping only the functions reachable from
-    /// `roots`, and returns the handle map ([`ReorderOutcome`]).
+    /// `roots`, and returns the handle map ([`CompactOutcome`]).
     ///
     /// Every [`Bdd`] handle not passed in `roots` is invalidated. The
     /// operation memos are dropped (node indices change wholesale);
     /// variables, variable sets and pairings are untouched. Costs
     /// `O(live)` plus one word per node of the old store.
-    pub fn compact(&mut self, roots: &[Bdd]) -> ReorderOutcome {
+    pub fn compact(&mut self, roots: &[Bdd]) -> CompactOutcome {
         const UNSEEN: u32 = u32::MAX;
         // Old node index → new node index. The mark phase sets a visited
         // node to 0; the numbering phase overwrites that before any parent
@@ -122,7 +122,7 @@ impl BddManager {
         self.unique = unique;
         // Node indices changed wholesale: every memo entry is meaningless.
         self.clear_op_caches();
-        ReorderOutcome {
+        CompactOutcome {
             store_before,
             live,
             map,
@@ -137,7 +137,7 @@ mod tests {
     use crate::valuation::Valuation;
 
     #[test]
-    fn reorder_preserves_semantics() {
+    fn compaction_preserves_semantics() {
         // x0·y0 ∨ x1·y1 ∨ x2·y2 with garbage around it: the compaction
         // keeps exactly its nodes and its function.
         let mut t = SignalTable::new();
@@ -188,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn complemented_roots_survive_a_reorder() {
+    fn complemented_roots_survive_a_compaction() {
         // A root and its complement share nodes; both must remap, and the
         // remapped handles must still be each other's complement.
         let mut t = SignalTable::new();
@@ -233,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn quantification_and_rename_survive_a_reorder() {
+    fn quantification_and_rename_survive_a_compaction() {
         // Interleaved curr/next pairs (a,b) and (c,d); pairing a→b, c→d.
         let mut t = SignalTable::new();
         let ids: Vec<_> = ["a", "b", "c", "d"].iter().map(|n| t.intern(n)).collect();

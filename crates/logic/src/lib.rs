@@ -40,16 +40,16 @@
 //! ```
 
 pub mod bdd;
+pub mod compact;
 pub mod cube;
 pub mod expr;
 pub mod hashing;
 pub mod parse;
-pub mod reorder;
 pub mod signal;
 pub mod valuation;
 
 pub use bdd::{Bdd, BddManager, PairingId, VarSetId};
-pub use reorder::ReorderOutcome;
+pub use compact::CompactOutcome;
 pub use cube::{Cube, Lit};
 pub use expr::BoolExpr;
 pub use parse::ParseBoolExprError;

@@ -63,7 +63,7 @@
 //!   live handle is a root again.
 
 use crate::error::SymbolicError;
-use crate::model::{PartitionMode, SymbolicModel};
+use crate::model::SymbolicModel;
 use dic_automata::{translate_all, Gba};
 use dic_logic::{Bdd, PairingId, SignalId, Valuation, VarSetId};
 use dic_ltl::{LassoWord, Ltl};
@@ -93,17 +93,13 @@ pub(crate) struct AutEnc {
 /// per distinct conjunct list (see [`SymbolicModel::with_product`]).
 #[derive(Debug)]
 pub(crate) struct ProductData {
-    /// Transition conjuncts. Under [`PartitionMode::Off`] one per latch,
-    /// then one per automaton; under [`PartitionMode::Auto`] the same
-    /// list greedily merged into clusters of at most
+    /// Transition conjuncts: one per latch, then one per automaton,
+    /// greedily merged into clusters of at most
     /// [`crate::model::SymbolicOptions::cluster_size`] nodes each, so an
     /// image step runs one `and_exists` sweep per cluster instead of one
     /// per conjunct. Extended products reuse the base's clusters verbatim
     /// and cluster only their extension tail.
     conjuncts: Vec<Bdd>,
-    /// Whether `conjuncts` went through clustering (drives the
-    /// `bdd.partition_images` trace counter).
-    partitioned: bool,
     /// Support variables per conjunct (memoized: extended products reuse
     /// the base's supports instead of re-walking every conjunct BDD).
     supports: Vec<Vec<u32>>,
@@ -356,12 +352,8 @@ impl ProductData {
         // fewer and_exists sweeps over the (large) frontier per image —
         // the merge order is the fixed conjunct order, so the clustering
         // (and with it every downstream set) is deterministic.
-        let partitioned = m.options.partition == PartitionMode::Auto;
-        if partitioned && conjuncts.len() - base_len > 1 {
-            let tail = conjuncts.split_off(base_len);
-            let clustered = cluster_conjuncts(m, tail, m.options.cluster_size);
-            conjuncts.extend(clustered);
-        }
+        let tail = conjuncts.split_off(base_len);
+        conjuncts.extend(cluster_conjuncts(m, tail, m.options.cluster_size));
         for &c in &conjuncts[base_len..] {
             supports.push(m.man.support_vars(c));
         }
@@ -401,7 +393,6 @@ impl ProductData {
         m.check_limit()?;
         Ok(ProductData {
             conjuncts,
-            partitioned,
             supports,
             img_sets,
             img_tail,
@@ -532,7 +523,7 @@ impl ProductData {
     /// Successor image of `s` (a set over the current bank), restricted to
     /// `care` and the invariant.
     pub(crate) fn image(&self, m: &mut SymbolicModel, s: Bdd) -> Result<Bdd, SymbolicError> {
-        if self.partitioned && dic_trace::enabled() {
+        if dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::BddPartitionImages, 1);
         }
         let mut acc = m.man.and_exists(s, Bdd::TRUE, self.img_tail);
@@ -548,7 +539,7 @@ impl ProductData {
 
     /// Predecessor image of `s`, restricted to `care` and the invariant.
     pub(crate) fn preimage(&self, m: &mut SymbolicModel, s: Bdd) -> Result<Bdd, SymbolicError> {
-        if self.partitioned && dic_trace::enabled() {
+        if dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::BddPartitionImages, 1);
         }
         let shifted = m.man.rename(s, self.curr_to_next);
@@ -1072,7 +1063,7 @@ fn signal_lit(m: &mut SymbolicModel, s: SignalId, polarity: bool) -> Result<Bdd,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SymbolicOptions;
+    use crate::model::{SymbolicOptions, DEFAULT_CLUSTER_SIZE};
     use dic_logic::{BoolExpr, SignalTable};
     use dic_ltl::random::{random_formula, XorShift64};
     use dic_netlist::{Module, ModuleBuilder};
@@ -1168,8 +1159,10 @@ mod tests {
             let [Some(base_g), Some(anchor_g), Some(cand_g)] = gbas else {
                 continue;
             };
-            let partition = [PartitionMode::Auto, PartitionMode::Off][round % 2];
-            let opts = SymbolicOptions::default().with_partition(partition);
+            let opts = SymbolicOptions {
+                cluster_size: [DEFAULT_CLUSTER_SIZE, 1][round % 2],
+                ..SymbolicOptions::default()
+            };
             let mut sm = SymbolicModel::from_module(&module, &t, &[], opts).expect("builds");
             sm.with_product(&base, &base_g, |m, b0| {
                 b0.hull(m)?;
@@ -1185,6 +1178,55 @@ mod tests {
                 let mut new = ProductData::build(m, &cand_g, Some(&e1))?;
                 let mut old = reference(m, &cand_g, &r1, false)?;
                 assert_same(m, &mut new, &mut old, &format!("round {round} nested"))
+            })
+            .expect("within the node budget");
+            checked += 1;
+        }
+        assert!(checked >= 20, "only {checked} rounds translated");
+    }
+
+    #[test]
+    fn cluster_size_one_keeps_the_raw_conjunct_list() {
+        // `cluster_size: 1` is the per-conjunct relation the agreement
+        // suites compare clustering against: one conjunct per latch, then
+        // one transition conjunct per automaton, in that order, unmerged —
+        // for a base product and for an extension's tail alike.
+        let mut rng = XorShift64::new(0xC1_0057E4);
+        let mut checked = 0;
+        for _ in 0..40 {
+            let (t, module) = random_module(&mut rng);
+            let atoms: Vec<SignalId> = module.signals().into_iter().collect();
+            let mut formula = |budget| random_formula(&mut rng, &atoms, budget);
+            let base: Vec<Ltl> = (0..3).map(|_| formula(5)).collect();
+            let extra: Vec<Ltl> = (0..2).map(|_| formula(4)).collect();
+            let (Some(base_g), Some(extra_g)) = (translate_all(&base), translate_all(&extra))
+            else {
+                continue;
+            };
+            let opts = SymbolicOptions {
+                cluster_size: 1,
+                ..SymbolicOptions::default()
+            };
+            let mut sm = SymbolicModel::from_module(&module, &t, &[], opts).expect("builds");
+            let raw_trans = |m: &mut SymbolicModel, gbas: &[Arc<Gba>], mut bit: usize| {
+                let mut trans = Vec::new();
+                for g in gbas {
+                    let nbits = bits_for(g.num_states());
+                    let bits = m.aut_pool[bit..bit + nbits].to_vec();
+                    trans.push(encode_gba(m, g, &bits).expect("encodes").trans);
+                    bit += nbits;
+                }
+                trans
+            };
+            sm.with_product(&base, &base_g, |m, b0| {
+                let mut raw = m.trans_latches.clone();
+                raw.extend(raw_trans(m, &base_g, 0));
+                assert_eq!(b0.conjuncts, raw, "base product");
+                b0.hull(m)?;
+                let ext = ProductData::build(m, &extra_g, Some(b0))?;
+                raw.extend(raw_trans(m, &extra_g, b0.bits_used));
+                assert_eq!(ext.conjuncts, raw, "extended product");
+                Ok(())
             })
             .expect("within the node budget");
             checked += 1;

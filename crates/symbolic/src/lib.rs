@@ -55,6 +55,6 @@ pub mod terms;
 
 pub use error::SymbolicError;
 pub use model::{
-    PartitionMode, ReorderMode, ReorderStats, SymbolicModel, SymbolicOptions, DEFAULT_CLUSTER_SIZE,
-    DEFAULT_NODE_LIMIT, REORDER_FIRST_TRIGGER,
+    GcStats, PartitionMode, ReorderMode, SymbolicModel, SymbolicOptions, COMPACT_FIRST_TRIGGER,
+    DEFAULT_CLUSTER_SIZE, DEFAULT_NODE_LIMIT,
 };

@@ -35,7 +35,7 @@ use std::fmt;
 /// included (nothing is collected below the first rebuild trigger):
 /// amba-ahb forced-symbolic 10.95 M at `--jobs 1` and 11.58 M at
 /// `--jobs 2`, mal-26 8.14 M / 8.42 M, mal-ex2 symbolic ≈0.22–0.29 M. The
-/// first rebuild trigger ([`REORDER_FIRST_TRIGGER`], capped at three
+/// first rebuild trigger ([`COMPACT_FIRST_TRIGGER`], capped at three
 /// quarters of the budget) sits between those peaks and this budget, so
 /// packaged runs never pay a rebuild and runs that would refuse get one
 /// collection first.
@@ -65,10 +65,10 @@ pub const AUT_BITS_ON_TOP: usize = 160;
 /// 11–12 M nodes and fits the budget outright). Smaller budgets trigger
 /// at three quarters of the budget, so a run collects its garbage before
 /// it refuses.
-pub const REORDER_FIRST_TRIGGER: usize = 1 << 24;
+pub const COMPACT_FIRST_TRIGGER: usize = 1 << 24;
 
 /// Default cluster-size cap (BDD nodes) for the conjunctively partitioned
-/// transition relation (see [`PartitionMode`]).
+/// transition relation (see [`SymbolicOptions::cluster_size`]).
 ///
 /// The per-latch/per-automaton conjunct list is greedily merged into
 /// clusters no larger than this many nodes: each image step then runs one
@@ -77,40 +77,24 @@ pub const REORDER_FIRST_TRIGGER: usize = 1 << 24;
 /// magnitude while keeping each cluster small enough that the combined
 /// conjoin-and-quantify step stays local. Tuned on the packaged designs
 /// (the 20K–100K range is flat on amba-ahb, smaller caps ~15% slower,
-/// `off` ~2× slower; see DESIGN.md § "BDD core") — the n=4 caveat of
-/// every other crossover constant applies.
+/// the unclustered list ~2× slower; see DESIGN.md § "BDD core") — the n=4
+/// caveat of every other crossover constant applies.
 pub const DEFAULT_CLUSTER_SIZE: usize = 60_000;
 
-/// How the symbolic engine represents the product transition relation.
+/// A retired transition-relation switch, kept so the benchmark probe's
+/// provenance record still compiles. The engine always clusters the
+/// relation (see [`SymbolicOptions::cluster_size`]), so
+/// [`SymbolicOptions::partition`] always reads [`PartitionMode::Auto`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionMode {
-    /// One conjunct per latch and per automaton, uncombined — the maximal
-    /// partition (most early quantification, most passes per image).
-    Off,
-    /// Greedily cluster adjacent conjuncts up to
-    /// [`SymbolicOptions::cluster_size`] nodes each, re-deriving the
-    /// early-quantification schedules over the clusters.
+    /// The only mode the engine has: greedy clustering.
     #[default]
     Auto,
 }
 
-impl PartitionMode {
-    /// Parses a CLI-style mode name.
-    pub fn parse(s: &str) -> Option<PartitionMode> {
-        match s {
-            "off" => Some(PartitionMode::Off),
-            "auto" => Some(PartitionMode::Auto),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for PartitionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PartitionMode::Off => "off",
-            PartitionMode::Auto => "auto",
-        })
+        f.write_str("auto")
     }
 }
 
@@ -139,7 +123,7 @@ impl fmt::Display for ReorderMode {
 
 /// Cumulative rebuild statistics for one symbolic model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReorderStats {
+pub struct GcStats {
     /// Garbage collections: every rebuild (each one a compaction).
     pub gc_collections: usize,
     /// Total nodes those rebuilds dropped from the store.
@@ -163,16 +147,21 @@ pub struct SymbolicOptions {
     pub reorder: ReorderMode,
     /// Node count arming the first automatic rebuild (tests lower it to
     /// exercise collection on small models).
-    pub reorder_trigger: usize,
-    /// Transition-relation representation (clustered vs per-conjunct).
+    pub compact_trigger: usize,
+    /// Retired; always [`PartitionMode::Auto`] and never read by the
+    /// engine (see [`PartitionMode`]).
     pub partition: PartitionMode,
-    /// Cluster-size cap (BDD nodes) under [`PartitionMode::Auto`].
+    /// Cluster-size cap (BDD nodes) of the transition relation: adjacent
+    /// conjuncts merge while their conjunction stays within this many
+    /// nodes. At `1` only a conjunction of one node or a constant merges,
+    /// which keeps the per-latch/per-automaton conjuncts apart: the
+    /// unclustered relation tests compare clustering against.
     pub cluster_size: usize,
 }
 
 impl Default for SymbolicOptions {
     /// The baked-in defaults: [`DEFAULT_NODE_LIMIT`], the first rebuild at
-    /// [`REORDER_FIRST_TRIGGER`], clustered partitioning. Environment
+    /// [`COMPACT_FIRST_TRIGGER`], clustered partitioning. Environment
     /// overrides (which can be *invalid* and must
     /// error, not silently fall back) live in
     /// [`SymbolicOptions::from_env`].
@@ -180,7 +169,7 @@ impl Default for SymbolicOptions {
         SymbolicOptions {
             node_limit: DEFAULT_NODE_LIMIT,
             reorder: ReorderMode::default(),
-            reorder_trigger: REORDER_FIRST_TRIGGER,
+            compact_trigger: COMPACT_FIRST_TRIGGER,
             partition: PartitionMode::default(),
             cluster_size: DEFAULT_CLUSTER_SIZE,
         }
@@ -212,13 +201,6 @@ impl SymbolicOptions {
     /// of [`ReorderMode`]. The method keeps the benchmark probe's call
     /// working.
     pub fn with_reorder(self, _mode: ReorderMode) -> Self {
-        self
-    }
-
-    /// Returns the options with the given transition-relation partition
-    /// mode.
-    pub fn with_partition(mut self, mode: PartitionMode) -> Self {
-        self.partition = mode;
         self
     }
 }
@@ -290,7 +272,7 @@ pub struct SymbolicModel {
     /// Node-store size arming the next rebuild (see
     /// [`SymbolicModel::maybe_rebuild`]).
     rebuild_next: usize,
-    reorder_stats: ReorderStats,
+    gc_stats: GcStats,
     pub(crate) options: SymbolicOptions,
 }
 
@@ -326,9 +308,9 @@ impl SymbolicModel {
             products: HashMap::new(),
             scratch_depth: 0,
             rebuild_next: options
-                .reorder_trigger
+                .compact_trigger
                 .min(options.node_limit - options.node_limit / 4),
-            reorder_stats: ReorderStats::default(),
+            gc_stats: GcStats::default(),
             options,
         };
 
@@ -481,10 +463,10 @@ impl SymbolicModel {
 
     /// Cumulative rebuild and node-store statistics (the peak comes
     /// straight from the manager).
-    pub fn reorder_stats(&self) -> ReorderStats {
-        ReorderStats {
+    pub fn gc_stats(&self) -> GcStats {
+        GcStats {
             peak_nodes: self.man.peak_node_count(),
-            ..self.reorder_stats
+            ..self.gc_stats
         }
     }
 
@@ -526,8 +508,8 @@ impl SymbolicModel {
             outcome.remap(b);
         }
 
-        self.reorder_stats.gc_collections += 1;
-        self.reorder_stats.gc_freed += outcome.store_before - self.man.node_count();
+        self.gc_stats.gc_collections += 1;
+        self.gc_stats.gc_freed += outcome.store_before - self.man.node_count();
         if dic_trace::enabled() {
             dic_trace::count(dic_trace::Counter::BddCompactions, 1);
             dic_trace::count(dic_trace::Counter::BddGcCollections, 1);
@@ -542,7 +524,7 @@ impl SymbolicModel {
         }
         let growth = self
             .options
-            .reorder_trigger
+            .compact_trigger
             .min(self.options.node_limit / 4);
         self.rebuild_next = outcome.live.saturating_mul(2).max(outcome.live + growth);
         self.check_limit()

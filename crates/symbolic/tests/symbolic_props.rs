@@ -259,14 +259,14 @@ fn forced_compactions_preserve_verdicts() {
         let mut plain =
             SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
         let baseline = plain.satisfiable_conj(&formulas).expect("within limits");
-        assert_eq!(plain.reorder_stats().gc_collections, 0, "case {case}");
+        assert_eq!(plain.gc_stats().gc_collections, 0, "case {case}");
 
         let mut stressed = SymbolicModel::from_module(
             &m,
             &t,
             &[],
             SymbolicOptions {
-                reorder_trigger: 1,
+                compact_trigger: 1,
                 ..SymbolicOptions::default()
             },
         )
@@ -274,7 +274,7 @@ fn forced_compactions_preserve_verdicts() {
         let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
         // A conjunct unsatisfiable before translation builds no product,
         // so not every case rebuilds — but the batch must.
-        total_compactions += stressed.reorder_stats().gc_collections;
+        total_compactions += stressed.gc_stats().gc_collections;
         assert_eq!(
             baseline.is_some(),
             verdict.is_some(),

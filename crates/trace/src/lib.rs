@@ -1120,7 +1120,7 @@ mod tests {
             {
                 let mut phase = span("phase.primary");
                 phase.meta("conjuncts", 3);
-                event("bdd.reorder", &[("live_before", 100), ("live_after", 40)]);
+                event("bdd.compact", &[("live_before", 100), ("live_after", 40)]);
             }
             let _a = span("phase.gap_find");
             count(Counter::BddIteOps, 1234);
@@ -1137,7 +1137,7 @@ mod tests {
         assert!(tree.contains("[conjuncts=3]"));
         assert!(tree.contains("bdd.ite_ops"));
         assert!(tree.contains("bdd.peak_nodes"));
-        assert!(tree.contains("events: 1 (bdd.reorder x1)"));
+        assert!(tree.contains("events: 1 (bdd.compact x1)"));
     }
 
     #[test]

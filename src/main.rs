@@ -1,9 +1,9 @@
 //! The `specmatcher` command-line tool.
 //!
 //! ```text
-//! specmatcher check --design <name> [--backend B] [--partition P] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
-//! specmatcher check --snl <file> --spec <file> [--backend B] [--partition P] [--jobs N] [--bmc M]
-//! specmatcher table1 [--backend B] [--partition P] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
+//! specmatcher check --design <name> [--backend B] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
+//! specmatcher check --snl <file> --spec <file> [--backend B] [--jobs N] [--bmc M]
+//! specmatcher table1 [--backend B] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
 //! specmatcher fsm --design <name>              dump concrete-module FSMs (DOT)
 //! specmatcher list                             list packaged designs
 //! ```
@@ -12,11 +12,7 @@
 //! question: `explicit` (state enumeration, refuses large models),
 //! `symbolic` (BDD reachability + fair cycles) or `auto` (the default:
 //! explicit for small state spaces and narrow products, symbolic past
-//! either threshold). `--partition` controls the symbolic engine's
-//! conjunctively partitioned transition relation (`auto`, the default:
-//! greedy clustering up to a fixed per-cluster node cap; `off` keeps one
-//! conjunct per latch/automaton) — the reported property sets are
-//! byte-identical either way. `--jobs` sets the worker-thread count for
+//! either threshold). `--jobs` sets the worker-thread count for
 //! Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
@@ -52,10 +48,7 @@
 //! rtl FAIR = G F hit
 //! ```
 
-use dic_core::{
-    ArchSpec, Backend, BmcMode, CoreError, GapConfig, PartitionMode, RtlSpec, SpecMatcher,
-    TmStyle,
-};
+use dic_core::{ArchSpec, Backend, BmcMode, CoreError, GapConfig, RtlSpec, SpecMatcher, TmStyle};
 use dic_designs::{mal, scaling, table1_designs, Design};
 use dic_fsm::extract_fsm;
 use dic_logic::SignalTable;
@@ -144,9 +137,9 @@ fn ctx_err(name: &str, e: CoreError) -> CliError {
 
 fn core_err(e: CoreError) -> CliError {
     // Degradable errors (state-space and node-budget refusals, deadline
-    // trips) that still escape the pipeline's partial-report machinery —
-    // e.g. during model *construction*, before any verdict exists — are
-    // resource errors.
+    // trips) end in a partial report; one that still escapes the
+    // pipeline (only an enumerated `T_M` past the explicit limit can, and
+    // the CLI builds the relational one) is a resource error.
     if e.is_degradable() {
         CliError::Resource(e.to_string())
     } else {
@@ -208,7 +201,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     errln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
 
@@ -219,7 +212,6 @@ const FLAGS: &[(&str, Option<&str>)] = &[
     ("--snl", Some("a netlist file")),
     ("--spec", Some("a spec file")),
     ("--backend", Some("explicit, symbolic or auto")),
-    ("--partition", Some("off or auto")),
     ("--jobs", Some("a positive worker count")),
     ("--bmc", Some("off or auto")),
     ("--timeout", Some("a positive whole number of seconds")),
@@ -230,9 +222,8 @@ const FLAGS: &[(&str, Option<&str>)] = &[
 ];
 
 /// The engine and observability flags `check` and `table1` share.
-const RUN_FLAGS: [&str; 8] = [
+const RUN_FLAGS: [&str; 7] = [
     "--backend",
-    "--partition",
     "--jobs",
     "--bmc",
     "--timeout",
@@ -286,8 +277,8 @@ impl<'a> Flags<'a> {
         self.0.iter().any(|(f, _)| *f == flag)
     }
 
-    /// A mode flag (`--backend`, `--partition`, `--bmc`) parsed by
-    /// `parse`, or the mode's default when absent.
+    /// A mode flag (`--backend`, `--bmc`) parsed by `parse`, or the mode's
+    /// default when absent.
     fn mode<T: Default>(
         &self,
         flag: &str,
@@ -303,13 +294,12 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// The matcher the engine flags describe: `--backend`, `--partition`,
-    /// `--jobs` (absent → `0`, the default resolution; a positive integer
-    /// wins, anything else is a usage error) and `--bmc`.
+    /// The matcher the engine flags describe: `--backend`, `--jobs`
+    /// (absent → `0`, the default resolution; a positive integer wins,
+    /// anything else is a usage error) and `--bmc`.
     fn matcher(&self) -> Result<SpecMatcher, String> {
-        let matcher = SpecMatcher::new(GapConfig::default())
-            .with_backend(self.mode("--backend", "backend", Backend::parse)?)
-            .with_partition(self.mode("--partition", "partition mode", PartitionMode::parse)?);
+        let backend = self.mode("--backend", "backend", Backend::parse)?;
+        let matcher = SpecMatcher::new(GapConfig::default()).with_backend(backend);
         let jobs = match self.value("--jobs") {
             None => 0,
             Some(s) => match s.parse::<usize>() {

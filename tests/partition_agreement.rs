@@ -1,21 +1,20 @@
-//! Conjunctive transition-relation partitioning must be *invisible* in
-//! every answer: on random coverage problems, the full pipeline with
-//! `--partition off` (one conjunct per latch/automaton) and with greedy
-//! clustering forced at a tiny cluster cap (maximally different cluster
-//! boundaries) must produce identical verdicts, byte-identical
-//! gap-property sets, and witnesses that replay on the concrete modules.
+//! Clustering the conjunctively partitioned transition relation must be
+//! *invisible* in every answer: on random coverage problems, the full
+//! pipeline at `cluster_size: 1` (one conjunct per latch/automaton, the
+//! unclustered relation), at `cluster_size: 2` (maximally different
+//! cluster boundaries) and at the default cap must produce identical
+//! verdicts, byte-identical gap-property sets, and witnesses that replay
+//! on the concrete modules.
 //!
 //! Clustering changes only which conjuncts each `and_exists` sweep sees —
 //! the conjunction itself, and therefore every fixpoint, is unchanged.
 //! The heavier four-design Table 1 comparison (fingerprints diffed
-//! partition on vs off) runs in the nightly CI lane; here an `--ignored`
-//! test carries it for local runs.
+//! unclustered vs default) is an `--ignored` test, which the nightly CI
+//! lane runs.
 
 use proptest::prelude::*;
-use specmatcher::core::{
-    Backend, CoverageModel, GapConfig, PartitionMode, SpecMatcher, SymbolicOptions,
-};
 use specmatcher::core::{ArchSpec, RtlSpec};
+use specmatcher::core::{Backend, CoverageModel, GapConfig, SpecMatcher, SymbolicOptions};
 use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
 use specmatcher::ltl::Ltl;
@@ -28,7 +27,7 @@ mod common;
 use common::replay;
 
 /// Deterministically generates a small random module (same shape as the
-/// collection-agreement suite in `reorder_agreement.rs`, offset seeds so
+/// collection-agreement suite in `compaction_agreement.rs`, offset seeds so
 /// the two suites explore different problems).
 fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
@@ -108,7 +107,7 @@ fn gap_render(rep: &specmatcher::core::PropertyReport, t: &SignalTable) -> Vec<S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full-pipeline equivalence of `--partition off` vs clustering forced
+    /// Full-pipeline equivalence of the unclustered relation vs clustering
     /// at a pathologically small cluster cap (and the default cap).
     #[test]
     fn partitioning_is_invisible_on_random_coverage_problems(seed in 1u64..100_000) {
@@ -126,23 +125,19 @@ proptest! {
             CoverageModel::build_with_symbolic_options(&arch, &rtl, &t, Backend::Symbolic, opts)
                 .expect("symbolic model builds")
         };
-        let base = SymbolicOptions::default();
+        let clustered = |cluster_size| SymbolicOptions {
+            cluster_size,
+            ..SymbolicOptions::default()
+        };
         let run_off = matcher
-            .check_with_model(&arch, &rtl, &t, &build(
-                base.with_partition(PartitionMode::Off),
-            ))
-            .expect("partition-off pipeline runs");
+            .check_with_model(&arch, &rtl, &t, &build(clustered(1)))
+            .expect("unclustered pipeline runs");
         let run_tiny = matcher
-            .check_with_model(&arch, &rtl, &t, &build(SymbolicOptions {
-                partition: PartitionMode::Auto,
-                cluster_size: 2, // every merge overflows: cluster boundaries everywhere
-                ..base
-            }))
+            // Nearly every merge overflows: cluster boundaries everywhere.
+            .check_with_model(&arch, &rtl, &t, &build(clustered(2)))
             .expect("tiny-cluster pipeline runs");
         let run_auto = matcher
-            .check_with_model(&arch, &rtl, &t, &build(
-                base.with_partition(PartitionMode::Auto),
-            ))
+            .check_with_model(&arch, &rtl, &t, &build(SymbolicOptions::default()))
             .expect("default-cluster pipeline runs");
 
         for runs in [[&run_off, &run_tiny], [&run_off, &run_auto]] {
@@ -156,7 +151,7 @@ proptest! {
                 prop_assert_eq!(
                     gap_render(po, &t),
                     gap_render(pa, &t),
-                    "gap property sets diverge under partitioning (seed {})",
+                    "gap property sets diverge under clustering (seed {})",
                     seed
                 );
                 for g in &pa.gap_properties {
@@ -165,14 +160,7 @@ proptest! {
             }
         }
         // Witnesses may differ between representations but must replay.
-        let stressed = CoverageModel::build_with_symbolic_options(
-            &arch, &rtl, &t, Backend::Symbolic,
-            SymbolicOptions {
-                partition: PartitionMode::Auto,
-                cluster_size: 2,
-                ..SymbolicOptions::default()
-            },
-        ).expect("symbolic model builds");
+        let stressed = build(clustered(2));
         for p in &run_tiny.properties {
             if let Some(w) = &p.witness {
                 replay(&stressed, &t, w);
@@ -184,24 +172,39 @@ proptest! {
     }
 }
 
-/// The four Table 1 designs, gap fingerprints diffed partition on vs off.
-/// Slow (amba-ahb runs its full symbolic gap phase twice); the nightly CI
-/// lane runs it — locally: `cargo test --release -- --ignored table1`.
+/// The four Table 1 designs, gap fingerprints diffed unclustered
+/// (`cluster_size: 1`) vs the default cap. Slow (amba-ahb runs its full
+/// symbolic gap phase twice); the nightly CI lane runs it — locally:
+/// `cargo test --release -- --ignored table1`.
 #[test]
 #[ignore = "minutes-long; nightly CI lane runs it (see .github/workflows/ci.yml)"]
-fn table1_gap_fingerprints_agree_partition_on_vs_off() {
+fn table1_gap_fingerprints_agree_unclustered_vs_clustered() {
+    let matcher = SpecMatcher::new(GapConfig::default()).with_backend(Backend::Symbolic);
     for design in specmatcher::designs::table1_designs() {
+        let (arch, rtl, t) = (&design.arch, &design.rtl, &design.table);
         let mut fingerprints = Vec::new();
-        for mode in [PartitionMode::Off, PartitionMode::Auto] {
-            let matcher = SpecMatcher::new(GapConfig::default())
-                .with_backend(Backend::Symbolic)
-                .with_partition(mode);
-            let run = design.check(&matcher).expect("table1 design checks");
-            fingerprints.push(dic_bench::gap_fingerprint(&run, &design.table));
+        for cluster_size in [1, SymbolicOptions::default().cluster_size] {
+            let options = SymbolicOptions {
+                cluster_size,
+                ..SymbolicOptions::default()
+            };
+            let mut model = CoverageModel::build_with_symbolic_options(
+                arch,
+                rtl,
+                t,
+                Backend::Symbolic,
+                options,
+            )
+            .expect("table1 design builds");
+            model.set_bmc_mode(matcher.bmc());
+            let run = matcher
+                .check_with_model(arch, rtl, t, &model)
+                .expect("table1 design checks");
+            fingerprints.push(dic_bench::gap_fingerprint(&run, t));
         }
         assert_eq!(
             fingerprints[0], fingerprints[1],
-            "{}: gap fingerprints diverge partition off vs auto",
+            "{}: gap fingerprints diverge unclustered vs clustered",
             design.name
         );
     }
