@@ -722,7 +722,7 @@ mod tests {
     fn translate_globally() {
         let (gba, _t) = tr("G p");
         assert_eq!(gba.num_acceptance_sets(), 0); // G == false R p, no Until
-        // All reachable states require p and loop.
+                                                  // All reachable states require p and loop.
         for &q in gba.initial() {
             assert_eq!(gba.state(q).literals().len(), 1);
             assert!(!gba.successors(q).is_empty());
@@ -742,7 +742,11 @@ mod tests {
     #[test]
     fn contradictory_nodes_pruned() {
         let (gba, _t) = tr("p & !p");
-        assert_eq!(gba.initial().len(), 0, "unsatisfiable boolean has no states");
+        assert_eq!(
+            gba.initial().len(),
+            0,
+            "unsatisfiable boolean has no states"
+        );
     }
 
     #[test]

@@ -49,11 +49,11 @@ pub mod sat;
 pub mod system;
 
 pub use gba::{code_bits, translate, translate_unreduced, Gba};
-pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use mc::{
     holds_in, is_satisfiable_cube, materialize_product, reduction_enabled, satisfiable_cube,
-    satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_gbas, translate_all,
-    translate_cached, translation_reduction, ProductSystem, Verdict,
+    satisfiable_in, satisfiable_in_conj, satisfiable_in_conj_gbas, translate_all, translate_cached,
+    translation_reduction, ProductSystem, Verdict,
 };
+pub use reduce::{reduce, reduce_with_stats, ReductionStats};
 pub use sat::{equivalent, implies, is_satisfiable, is_valid, stronger_than, witness};
 pub use system::{TransitionSystem, WordSystem};

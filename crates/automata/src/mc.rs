@@ -1,13 +1,12 @@
 //! The model checker: universal and existential LTL queries over a model.
 
 use crate::gba::{translate, Gba};
-use dic_logic::hashing::FastMap;
 use crate::product::{
-    find_accepting_lasso, has_accepting_lasso, Lasso, MultiProduct, Product, SccGraph,
-    SystemGraph,
+    find_accepting_lasso, has_accepting_lasso, Lasso, MultiProduct, Product, SccGraph, SystemGraph,
 };
 use crate::reduce::{reduce, reduce_with_stats, ReductionStats};
 use crate::system::{CubeView, TransitionSystem};
+use dic_logic::hashing::FastMap;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -212,10 +211,7 @@ pub fn satisfiable_in<S: TransitionSystem>(formula: &Ltl, sys: &S) -> Option<Las
 /// intersection is explored on the fly, which scales to the paper's
 /// 26–29-property RTL suites where a single GPVW translation of the
 /// conjunction would explode.
-pub fn satisfiable_in_conj<S: TransitionSystem>(
-    formulas: &[Ltl],
-    sys: &S,
-) -> Option<LassoWord> {
+pub fn satisfiable_in_conj<S: TransitionSystem>(formulas: &[Ltl], sys: &S) -> Option<LassoWord> {
     let gbas: Vec<Arc<Gba>> = formulas.iter().map(translate_cached).collect();
     let refs: Vec<&Gba> = gbas.iter().map(Arc::as_ref).collect();
     conj_product_lasso(&refs, sys)
@@ -261,10 +257,7 @@ pub fn is_satisfiable_cube<S: TransitionSystem>(
 /// Existential conjunction query over caller-supplied automata — the hook
 /// the reduction-equivalence suite uses to run raw and reduced
 /// translations of the same conjunction against one system and compare.
-pub fn satisfiable_in_conj_gbas<S: TransitionSystem>(
-    gbas: &[&Gba],
-    sys: &S,
-) -> Option<LassoWord> {
+pub fn satisfiable_in_conj_gbas<S: TransitionSystem>(gbas: &[&Gba], sys: &S) -> Option<LassoWord> {
     conj_product_lasso(gbas, sys)
 }
 
@@ -464,24 +457,23 @@ pub fn materialize_product<S: TransitionSystem>(formulas: &[Ltl], sys: &S) -> Pr
     };
     // Worklist entries carry (product node, interned id).
     let mut work: Vec<((u32, u32), u32)> = Vec::new();
-    let mut intern = |node: (u32, u32),
-                      out: &mut ProductSystem,
-                      work: &mut Vec<((u32, u32), u32)>| {
-        if let Some(&id) = ids.get(&node) {
-            return id;
-        }
-        let id = out.succs.len() as u32;
-        ids.insert(node, id);
-        let label_id = *label_ids.entry(node.0).or_insert_with(|| {
-            out.labels.push(sys.label(node.0).clone());
-            (out.labels.len() - 1) as u32
-        });
-        out.succs.push(Vec::new());
-        out.label_of.push(label_id);
-        out.bits.push(product.bits(node));
-        work.push((node, id));
-        id
-    };
+    let mut intern =
+        |node: (u32, u32), out: &mut ProductSystem, work: &mut Vec<((u32, u32), u32)>| {
+            if let Some(&id) = ids.get(&node) {
+                return id;
+            }
+            let id = out.succs.len() as u32;
+            ids.insert(node, id);
+            let label_id = *label_ids.entry(node.0).or_insert_with(|| {
+                out.labels.push(sys.label(node.0).clone());
+                (out.labels.len() - 1) as u32
+            });
+            out.succs.push(Vec::new());
+            out.label_of.push(label_id);
+            out.bits.push(product.bits(node));
+            work.push((node, id));
+            id
+        };
 
     for root in product.roots() {
         let id = intern(root, &mut out, &mut work);
@@ -501,7 +493,10 @@ pub fn materialize_product<S: TransitionSystem>(formulas: &[Ltl], sys: &S) -> Pr
         edges.dedup();
         out.succs[id as usize] = edges;
     }
-    dic_trace::gauge_max(dic_trace::Gauge::ExplicitProductStates, out.succs.len() as u64);
+    dic_trace::gauge_max(
+        dic_trace::Gauge::ExplicitProductStates,
+        out.succs.len() as u64,
+    );
     out
 }
 
@@ -530,7 +525,11 @@ mod tests {
         let mut b = ModuleBuilder::new("simple", &mut t);
         let a = b.input("a");
         let bb = b.input("b");
-        b.latch("c", BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]), false);
+        b.latch(
+            "c",
+            BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]),
+            false,
+        );
         let m = b.finish().expect("valid");
         let k = Kripke::from_module(&m, &t, &[]).expect("fits");
         (t, k)
@@ -551,9 +550,8 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again));
         // The memo is process-shared: a worker thread's lookup returns
         // the very same translation instead of re-running the tableau.
-        let from_worker = std::thread::scope(|s| {
-            s.spawn(|| translate_cached(&f)).join().expect("worker")
-        });
+        let from_worker =
+            std::thread::scope(|s| s.spawn(|| translate_cached(&f)).join().expect("worker"));
         assert!(Arc::ptr_eq(&first, &from_worker));
     }
 
@@ -636,7 +634,7 @@ mod tests {
         let (mut t, k) = simple_kripke();
         let cases: Vec<Vec<&str>> = vec![
             vec!["G(a & b -> X c)", "F c"],
-            vec!["G !c", "F c"],                 // contradictory
+            vec!["G !c", "F c"], // contradictory
             vec!["a", "b", "X c", "X X !c"],
             vec!["G(a -> X c)", "G F a", "F !c"],
             vec!["G F b", "!c U c"],
@@ -683,10 +681,7 @@ mod tests {
         // G(a -> X !c) conflicts with a&b -> c next; runs choosing a&b
         // must be pruned, but a-free runs survive.
         let (mut t, k) = simple_kripke();
-        let fs = vec![
-            parse(&mut t, "G(a -> X !c)"),
-            parse(&mut t, "F (a & b)"),
-        ];
+        let fs = vec![parse(&mut t, "G(a -> X !c)"), parse(&mut t, "F (a & b)")];
         let w = satisfiable_in_conj(&fs, &k);
         // a&b forces c next, contradicting G(a -> X !c) *only if* a holds
         // then — a&b at time t with !a at t+1.. is fine unless c's rise
@@ -697,10 +692,7 @@ mod tests {
             }
         }
         // Fully contradictory: demand a&b always and a -> X !c.
-        let fs2 = vec![
-            parse(&mut t, "G(a & b)"),
-            parse(&mut t, "G(a -> X !c)"),
-        ];
+        let fs2 = vec![parse(&mut t, "G(a & b)"), parse(&mut t, "G(a -> X !c)")];
         assert!(satisfiable_in_conj(&fs2, &k).is_none());
     }
 
@@ -720,8 +712,8 @@ mod tests {
                 .collect()
         };
         // w = (p,!q) (!p,q) then loop (!p,!q)
-        let w = LassoWord::new(mk(&[(true, false), (false, true), (false, false)]), 2)
-            .expect("word");
+        let w =
+            LassoWord::new(mk(&[(true, false), (false, true), (false, false)]), 2).expect("word");
         let sys = WordSystem::new(w.clone());
         for src in ["p U q", "G p", "F q", "X q", "G(p -> X q)", "F G !p"] {
             let f = parse(&mut t, src);

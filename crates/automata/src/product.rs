@@ -13,8 +13,8 @@
 //! successors are visited.
 
 use crate::gba::Gba;
-use dic_logic::hashing::FastMap;
 use crate::system::TransitionSystem;
+use dic_logic::hashing::FastMap;
 use std::cell::RefCell;
 use std::hash::Hash;
 
@@ -407,7 +407,11 @@ impl<'a, S: TransitionSystem> MultiProduct<'a, S> {
             ..
         } = scratch;
         cursor.clear();
-        cursor.extend(std::iter::once(0).chain(ends.iter().copied()).take(ends.len()));
+        cursor.extend(
+            std::iter::once(0)
+                .chain(ends.iter().copied())
+                .take(ends.len()),
+        );
         loop {
             key.truncate(n_safety);
             key.extend(cursor.iter().map(|&c| u64::from(choices[c])));
@@ -791,7 +795,10 @@ impl<'g, G: SccGraph> Search<'g, G> {
         self.g.succs_into(self.nodes[id as usize], &mut succ);
         for &m in &succ {
             // Every successor of an SCC member was numbered by the search.
-            if let Some(m) = self.id_of(m).filter(|&m| in_scc.get(m as usize) == Some(&true)) {
+            if let Some(m) = self
+                .id_of(m)
+                .filter(|&m| in_scc.get(m as usize) == Some(&true))
+            {
                 out.push(m);
             }
         }
@@ -861,8 +868,8 @@ impl<'g, G: SccGraph> Search<'g, G> {
 mod reference {
     use super::{Lasso, SccGraph};
     use crate::gba::Gba;
-    use dic_logic::hashing::{FastMap, FastSet};
     use crate::system::TransitionSystem;
+    use dic_logic::hashing::{FastMap, FastSet};
     use std::collections::VecDeque;
     use std::hash::Hash;
 
@@ -1056,8 +1063,8 @@ mod reference {
                             bits |= g.bits(m);
                         }
                         if bits & full_mask == full_mask {
-                            let nontrivial = members.len() > 1
-                                || g.succs(members[0]).contains(&members[0]);
+                            let nontrivial =
+                                members.len() > 1 || g.succs(members[0]).contains(&members[0]);
                             if nontrivial {
                                 return (Some(members), counter);
                             }
@@ -1117,7 +1124,10 @@ mod tests {
         let lasso = scc.map(|scc| search.lasso(&scc, mask));
         let (expected, expected_visited) = reference::find_accepting_lasso(g, mask);
         assert_eq!(lasso, expected, "lasso differs from the reference");
-        assert_eq!(visited, expected_visited, "visit count differs from the reference");
+        assert_eq!(
+            visited, expected_visited,
+            "visit count differs from the reference"
+        );
         assert_eq!(has_accepting_lasso(g, mask), lasso.is_some());
         assert_eq!(find_accepting_lasso(g, mask), lasso);
         lasso
@@ -1232,7 +1242,10 @@ mod tests {
             bits: vec![0, 0, 0, 1, 0, 0],
         };
         let (states, loop_start) = assert_matches_reference(&g, 1).expect("accepting");
-        assert_eq!((&states[..loop_start], &states[loop_start..]), (&[1, 3][..], &[4, 3][..]));
+        assert_eq!(
+            (&states[..loop_start], &states[loop_start..]),
+            (&[1, 3][..], &[4, 3][..])
+        );
     }
 
     /// A random rooted graph: self-loops, duplicate roots and edges, and

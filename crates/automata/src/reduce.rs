@@ -213,7 +213,10 @@ fn trim(g: &Gba) -> Gba {
         let c = scc_of[q] as usize;
         scc_bits[c] |= g.state(q as u32).acc_bits();
         scc_size[c] += 1;
-        if g.successors(q as u32).iter().any(|&r| scc_of[r as usize] == scc_of[q]) {
+        if g.successors(q as u32)
+            .iter()
+            .any(|&r| scc_of[r as usize] == scc_of[q])
+        {
             scc_has_edge[c] = true;
         }
     }
@@ -498,8 +501,7 @@ fn minimize_acceptance(g: &Gba) -> Gba {
             }
             let a_subset = members[a].iter().zip(&members[b]).all(|(&x, &y)| !x || y);
             if a_subset {
-                let b_subset =
-                    members[b].iter().zip(&members[a]).all(|(&x, &y)| !x || y);
+                let b_subset = members[b].iter().zip(&members[a]).all(|(&x, &y)| !x || y);
                 if !b_subset || a < b {
                     keep[b] = false;
                     break;

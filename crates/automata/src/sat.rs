@@ -242,7 +242,10 @@ mod tests {
         let e = parse(&mut t, "F(p | q)");
         let f = parse(&mut t, "F p | F q");
         assert!(equivalent(&e, &f));
-        assert!(!equivalent(&parse(&mut t, "F(p & q)"), &parse(&mut t, "F p & F q")));
+        assert!(!equivalent(
+            &parse(&mut t, "F(p & q)"),
+            &parse(&mut t, "F p & F q")
+        ));
     }
 
     #[test]

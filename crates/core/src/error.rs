@@ -57,9 +57,7 @@ impl CoreError {
         matches!(
             self,
             CoreError::Fsm(_)
-                | CoreError::Symbolic(
-                    SymbolicError::NodeLimit { .. } | SymbolicError::Deadline
-                )
+                | CoreError::Symbolic(SymbolicError::NodeLimit { .. } | SymbolicError::Deadline)
         )
     }
 

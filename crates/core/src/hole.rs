@@ -14,10 +14,7 @@ use dic_ltl::Ltl;
 /// [`find_gap`](crate::find_gap).
 pub fn exact_hole(fa: &Ltl, rtl: &RtlSpec, tm: &Ltl) -> Ltl {
     let r = Ltl::and(rtl.formulas().iter().cloned());
-    Ltl::or([
-        fa.clone(),
-        Ltl::not(Ltl::and([r, tm.clone()])),
-    ])
+    Ltl::or([fa.clone(), Ltl::not(Ltl::and([r, tm.clone()]))])
 }
 
 /// Whether adding `candidate` to the RTL properties closes the coverage
@@ -99,7 +96,9 @@ mod tests {
         let (t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         // Gap: primary coverage fails.
-        assert!(crate::primary_coverage(fa, &rtl, &model).expect("runs").is_some());
+        assert!(crate::primary_coverage(fa, &rtl, &model)
+            .expect("runs")
+            .is_some());
         // Theorem 2 hole closes it.
         let tm = tm_for_modules(rtl.concrete(), &t, TmStyle::Relational).unwrap();
         let hole = exact_hole(fa, &rtl, &tm);
@@ -157,6 +156,8 @@ mod tests {
         let rtl = RtlSpec::new([("R1", r_prop)], [m]);
         let model = CoverageModel::build(&arch, &rtl, &t).unwrap();
         let fa = arch.properties()[0].formula();
-        assert!(crate::primary_coverage(fa, &rtl, &model).expect("runs").is_none());
+        assert!(crate::primary_coverage(fa, &rtl, &model)
+            .expect("runs")
+            .is_none());
     }
 }

@@ -59,10 +59,7 @@ pub fn uncovered_intent(
     // shadow keeps the AP_A-visible part. Soundness is unaffected: every
     // candidate is verified to close the gap by model checking.
     let ap_a = arch.alphabet();
-    let all_signals: BTreeSet<_> = terms
-        .iter()
-        .flat_map(TemporalCube::signals)
-        .collect();
+    let all_signals: BTreeSet<_> = terms.iter().flat_map(TemporalCube::signals).collect();
     let hidden: BTreeSet<_> = all_signals.difference(&ap_a).copied().collect();
     let projected = if hidden.is_empty() {
         terms
@@ -217,9 +214,11 @@ mod tests {
         let rtl = RtlSpec::new([("R1", r_prop)], [m]);
         let model = CoverageModel::build(&arch, &rtl, &t).unwrap();
         let fa = arch.properties()[0].formula();
-        assert!(uncovered_intent(fa, &arch, &rtl, &model, &GapConfig::default())
-            .expect("runs")
-            .is_none());
+        assert!(
+            uncovered_intent(fa, &arch, &rtl, &model, &GapConfig::default())
+                .expect("runs")
+                .is_none()
+        );
     }
 
     #[test]
@@ -250,10 +249,9 @@ mod tests {
         let rtl = RtlSpec::new([("R1", r_prop)], [m]);
         let model = CoverageModel::build(&arch, &rtl, &t).unwrap();
         let fa = arch.properties()[0].formula();
-        let (formula, rounds) =
-            close_gap_iteratively(fa, &rtl, &model, &GapConfig::default(), 3)
-                .expect("runs")
-                .expect("covered: closes immediately");
+        let (formula, rounds) = close_gap_iteratively(fa, &rtl, &model, &GapConfig::default(), 3)
+            .expect("runs")
+            .expect("covered: closes immediately");
         assert_eq!(rounds, 0);
         assert_eq!(formula, Ltl::tt(), "covered intent needs no addition");
     }

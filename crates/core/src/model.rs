@@ -77,11 +77,7 @@ impl CoverageModel {
     /// # Errors
     ///
     /// As for [`CoverageModel::build_with_backend`].
-    pub fn build(
-        arch: &ArchSpec,
-        rtl: &RtlSpec,
-        table: &SignalTable,
-    ) -> Result<Self, CoreError> {
+    pub fn build(arch: &ArchSpec, rtl: &RtlSpec, table: &SignalTable) -> Result<Self, CoreError> {
         Self::build_with_backend(arch, rtl, table, Backend::Auto)
     }
 
@@ -210,7 +206,9 @@ impl CoverageModel {
                 let _ = kripke.set(Some(Kripke::from_module(&composed, table, &free)?));
             }
             Engine::Symbolic => {
-                symbolic = Some(SymbolicModel::from_module(&composed, table, &free, options)?);
+                symbolic = Some(SymbolicModel::from_module(
+                    &composed, table, &free, options,
+                )?);
             }
         }
 
@@ -233,10 +231,7 @@ impl CoverageModel {
                 .into_iter()
                 .filter(|s| driven.contains(s) || input_vars.contains(s)),
         );
-        let hidden: BTreeSet<SignalId> = term_signals
-            .difference(&observable)
-            .copied()
-            .collect();
+        let hidden: BTreeSet<SignalId> = term_signals.difference(&observable).copied().collect();
 
         Ok(CoverageModel {
             composed,
@@ -325,9 +320,8 @@ impl CoverageModel {
         anchor: &dic_ltl::Ltl,
     ) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
         match self.engine {
-            Engine::Symbolic => self.with_symbolic(|sym| {
-                sym.satisfiable_anchored(base, std::slice::from_ref(anchor))
-            }),
+            Engine::Symbolic => self
+                .with_symbolic(|sym| sym.satisfiable_anchored(base, std::slice::from_ref(anchor))),
             Engine::Explicit => {
                 let mut conj = base.to_vec();
                 conj.push(anchor.clone());
@@ -482,10 +476,7 @@ impl CoverageModel {
         // Poison-tolerant: the memo only ever holds fully-built
         // `Arc<ProductSystem>` values, so a worker that panicked while
         // holding the lock cannot have left a half-entry behind.
-        let mut products = self
-            .products
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut products = self.products.lock().unwrap_or_else(PoisonError::into_inner);
         match products.get(base) {
             Some(p) => Arc::clone(p),
             None => {
@@ -528,11 +519,7 @@ impl CoverageModel {
 
     /// Signals recorded in raw uncovered terms before quantification.
     pub fn term_signals(&self) -> Vec<SignalId> {
-        let mut v: Vec<SignalId> = self
-            .observable
-            .union(&self.hidden)
-            .copied()
-            .collect();
+        let mut v: Vec<SignalId> = self.observable.union(&self.hidden).copied().collect();
         v.sort();
         v
     }
@@ -768,8 +755,8 @@ mod tests {
 
         // Forced symbolic: no explicit structure, primary still answers,
         // and the verdict matches the explicit engine's.
-        let sym = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic)
-            .expect("builds");
+        let sym =
+            CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic).expect("builds");
         assert_eq!(sym.primary_backend(), Backend::Symbolic);
         assert!(!sym.has_explicit());
         let fa = arch.properties()[0].formula();
@@ -812,8 +799,8 @@ mod tests {
         let chain = b.finish().unwrap();
         let arch = ArchSpec::new([("A1", a.clone())]);
         let rtl = RtlSpec::new([("R1", a)], [chain]);
-        let wide = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic)
-            .expect("builds");
+        let wide =
+            CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic).expect("builds");
         assert!(wide.composed().state_signals().len() > AUTO_SYMBOLIC_BITS);
         let engine = wide.gap_engine().expect("symbolic engine builds");
         assert!(engine.explicit_fallback().is_none());
@@ -824,8 +811,8 @@ mod tests {
     #[should_panic(expected = "explicit backend not available")]
     fn kripke_accessor_guards_symbolic_models() {
         let (t, arch, rtl) = setup();
-        let sym = CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic)
-            .expect("builds");
+        let sym =
+            CoverageModel::build_with_backend(&arch, &rtl, &t, Backend::Symbolic).expect("builds");
         let _ = sym.kripke();
     }
 

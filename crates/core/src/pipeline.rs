@@ -132,7 +132,12 @@ impl PropertyReport {
     /// Human-readable report.
     pub fn render(&self, table: &SignalTable) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "property {}: {}", self.name, self.formula.display(table));
+        let _ = writeln!(
+            out,
+            "property {}: {}",
+            self.name,
+            self.formula.display(table)
+        );
         if let Some(reason) = &self.unknown {
             let _ = writeln!(out, "  UNKNOWN — verdict not settled: {reason}");
             return out;
@@ -223,7 +228,9 @@ impl CoverageRun {
     /// Whether every architectural property is covered. Unsettled verdicts
     /// count as not covered — a partial run never claims full coverage.
     pub fn all_covered(&self) -> bool {
-        self.properties.iter().all(|p| p.covered && p.unknown.is_none())
+        self.properties
+            .iter()
+            .all(|p| p.covered && p.unknown.is_none())
     }
 
     /// Whether at least one property was *settled* as not covered —
@@ -231,7 +238,9 @@ impl CoverageRun {
     /// for an incomplete run: a confirmed gap is actionable even when the
     /// scan was cut short.
     pub fn has_confirmed_gap(&self) -> bool {
-        self.properties.iter().any(|p| !p.covered && p.unknown.is_none())
+        self.properties
+            .iter()
+            .any(|p| !p.covered && p.unknown.is_none())
     }
 
     /// Renders all reports plus the timing summary.
@@ -419,7 +428,9 @@ impl SpecMatcher {
         let mut counters = dic_trace::enabled().then(PhaseCounters::default);
 
         // Phase: TM building (Definition 4) — once per design.
-        let base = counters.as_ref().map(|_| dic_trace::CounterSnapshot::capture());
+        let base = counters
+            .as_ref()
+            .map(|_| dic_trace::CounterSnapshot::capture());
         let tm_span = dic_trace::span("phase.tm_build");
         let tm_start = dic_trace::Stopwatch::start();
         let tm = tm_for_modules(rtl.concrete(), table, self.tm_style)?;
@@ -476,7 +487,9 @@ impl SpecMatcher {
 
             // Phase: primary coverage question (Theorem 1), answered by
             // the engine the model was built with.
-            let base = counters.as_ref().map(|_| dic_trace::CounterSnapshot::capture());
+            let base = counters
+                .as_ref()
+                .map(|_| dic_trace::CounterSnapshot::capture());
             let primary_span = dic_trace::span("phase.primary");
             let t0 = dic_trace::Stopwatch::start();
             let primary_result = crate::primary_coverage(fa, rtl, model);
@@ -517,7 +530,9 @@ impl SpecMatcher {
             // symbolic closure engine above it — so models past the
             // explicit state limit get structured gap reports too. The
             // enumeration runs seed the closure loop's bad-run pool.
-            let base = counters.as_ref().map(|_| dic_trace::CounterSnapshot::capture());
+            let base = counters
+                .as_ref()
+                .map(|_| dic_trace::CounterSnapshot::capture());
             let gap_span = dic_trace::span("phase.gap_find");
             let t1 = dic_trace::Stopwatch::start();
             let mut gap_incomplete: Option<String> = None;
@@ -532,10 +547,8 @@ impl SpecMatcher {
                                 (terms, outcome.properties, outcome.unknown)
                             }
                             Err(e) if e.is_degradable() => {
-                                gap_incomplete = Some(format!(
-                                    "{e} during gap extraction for {}",
-                                    prop.name()
-                                ));
+                                gap_incomplete =
+                                    Some(format!("{e} during gap extraction for {}", prop.name()));
                                 deadline_hit |= e.is_deadline();
                                 (terms, Vec::new(), Vec::new())
                             }
@@ -543,8 +556,10 @@ impl SpecMatcher {
                         }
                     }
                     Err(e) if e.is_degradable() => {
-                        gap_incomplete =
-                            Some(format!("{e} while enumerating uncovered terms for {}", prop.name()));
+                        gap_incomplete = Some(format!(
+                            "{e} while enumerating uncovered terms for {}",
+                            prop.name()
+                        ));
                         deadline_hit |= e.is_deadline();
                         (Vec::new(), Vec::new(), Vec::new())
                     }

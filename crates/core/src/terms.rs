@@ -102,8 +102,8 @@ pub fn uncovered_terms_with_runs(
         }
         // Queue opposite-value probes for the literals of the new term.
         for &(t, l) in cube.lits() {
-            let flipped = TemporalCube::from_lits([(t, l.negated())])
-                .expect("single literal is consistent");
+            let flipped =
+                TemporalCube::from_lits([(t, l.negated())]).expect("single literal is consistent");
             probes.push(flipped);
         }
         terms.push(cube);
@@ -243,8 +243,7 @@ mod tests {
             quantify: false,
             ..GapConfig::default()
         };
-        let (terms, runs) =
-            uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
+        let (terms, runs) = uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
         assert_eq!(terms.len(), runs.len());
         for (term, run) in terms.iter().zip(&runs) {
             assert!(term.holds_on(run, 0), "{term:?} must hold on its run");

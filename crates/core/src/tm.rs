@@ -161,7 +161,11 @@ mod tests {
         let mut b = ModuleBuilder::new("simple", t);
         let a = b.input("a");
         let bb = b.input("b");
-        b.latch("c", BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]), false);
+        b.latch(
+            "c",
+            BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]),
+            false,
+        );
         b.finish().expect("valid")
     }
 
@@ -256,12 +260,7 @@ mod tests {
         let mut t = SignalTable::new();
         let m1 = comb_block(&mut t);
         let m2 = example3(&mut t);
-        let tm = tm_for_modules(
-            &[m1, m2],
-            &t,
-            TmStyle::Relational,
-        )
-        .expect("builds");
+        let tm = tm_for_modules(&[m1, m2], &t, TmStyle::Relational).expect("builds");
         // Mentions signals of both modules.
         let atoms = tm.atoms();
         assert!(atoms.contains(&t.lookup("g1").unwrap()));

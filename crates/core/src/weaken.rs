@@ -1160,9 +1160,7 @@ fn push_candidates(
             }
         }
     }
-    out.sort_by_key(|(ur, pol, off, c)| {
-        (*ur, *pol, *off, c.position.path().to_vec(), c.literal)
-    });
+    out.sort_by_key(|(ur, pol, off, c)| (*ur, *pol, *off, c.position.path().to_vec(), c.literal));
     out.into_iter().map(|(_, _, _, c)| c).collect()
 }
 
@@ -1307,17 +1305,19 @@ mod tests {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let (terms, runs) =
-            uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
+        let (terms, runs) = uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
         let unseeded = find_gap(fa, &terms, &rtl, &model, &config).expect("runs");
-        let seeded =
-            find_gap_with_runs(fa, &terms, &runs, &rtl, &model, &config).expect("runs");
+        let seeded = find_gap_with_runs(fa, &terms, &runs, &rtl, &model, &config).expect("runs");
         let fmt = |gs: &[GapProperty]| {
             let mut v: Vec<String> = gs.iter().map(|g| format!("{:?}", g.formula)).collect();
             v.sort();
             v
         };
-        assert_eq!(fmt(&unseeded), fmt(&seeded), "seeding is a pure optimization");
+        assert_eq!(
+            fmt(&unseeded),
+            fmt(&seeded),
+            "seeding is a pure optimization"
+        );
     }
 
     /// Regression: a subsumed closing candidate must refund its
@@ -1368,8 +1368,8 @@ mod tests {
                 jobs,
                 ..GapConfig::default()
             };
-            let gaps = find_gap(fa, std::slice::from_ref(&term), &rtl, &model, &config)
-                .expect("runs");
+            let gaps =
+                find_gap(fa, std::slice::from_ref(&term), &rtl, &model, &config).expect("runs");
             let shown: Vec<String> = gaps.iter().map(|g| g.describe(&t)).collect();
             assert_eq!(
                 gaps.len(),

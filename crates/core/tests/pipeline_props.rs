@@ -55,10 +55,7 @@ fn random_problem(seed: u64) -> (SignalTable, ArchSpec, RtlSpec) {
         _ => "G(!req -> X !a)",
     };
     let arch = ArchSpec::new([("A", Ltl::parse(arch_src, &mut t).expect("parses"))]);
-    let rtl = RtlSpec::new(
-        [("R", Ltl::parse(rtl_src, &mut t).expect("parses"))],
-        [m],
-    );
+    let rtl = RtlSpec::new([("R", Ltl::parse(rtl_src, &mut t).expect("parses"))], [m]);
     (t, arch, rtl)
 }
 

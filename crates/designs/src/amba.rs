@@ -100,30 +100,62 @@ pub fn ahb29() -> Design {
         };
         for i in 1..=2u32 {
             // Masters: 8 properties each.
-            p(&format!("M{i}_START"),
-              &format!("G(hgrant{i} & hready & hbusreq{i} -> X htrans{i})"), &mut props);
-            p(&format!("M{i}_NOGRANT"),
-              &format!("G(!hgrant{i} -> X !htrans{i})"), &mut props);
-            p(&format!("M{i}_HOLD"),
-              &format!("G(htrans{i} & !hready & hgrant{i} -> X htrans{i})"), &mut props);
-            p(&format!("M{i}_REQHOLD"),
-              &format!("G(hbusreq{i} & !hgrant{i} -> X hbusreq{i})"), &mut props);
-            p(&format!("M{i}_DONE"),
-              &format!("G(htrans{i} & hready & !hbusreq{i} -> X !htrans{i})"), &mut props);
-            p(&format!("M{i}_NOREQ"),
-              &format!("G(!hbusreq{i} & !htrans{i} -> X !htrans{i})"), &mut props);
-            p(&format!("M{i}_INIT"),
-              &format!("!htrans{i} & !hbusreq{i}"), &mut props);
-            p(&format!("M{i}_CONT"),
-              &format!("G(htrans{i} & hready & hbusreq{i} & hgrant{i} -> X htrans{i})"), &mut props);
+            p(
+                &format!("M{i}_START"),
+                &format!("G(hgrant{i} & hready & hbusreq{i} -> X htrans{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_NOGRANT"),
+                &format!("G(!hgrant{i} -> X !htrans{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_HOLD"),
+                &format!("G(htrans{i} & !hready & hgrant{i} -> X htrans{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_REQHOLD"),
+                &format!("G(hbusreq{i} & !hgrant{i} -> X hbusreq{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_DONE"),
+                &format!("G(htrans{i} & hready & !hbusreq{i} -> X !htrans{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_NOREQ"),
+                &format!("G(!hbusreq{i} & !htrans{i} -> X !htrans{i})"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_INIT"),
+                &format!("!htrans{i} & !hbusreq{i}"),
+                &mut props,
+            );
+            p(
+                &format!("M{i}_CONT"),
+                &format!("G(htrans{i} & hready & hbusreq{i} & hgrant{i} -> X htrans{i})"),
+                &mut props,
+            );
         }
         // Slave: 6 properties.
-        p("S_IDLE_READY", "G(!htrans1 & !htrans2 -> X hready)", &mut props);
+        p(
+            "S_IDLE_READY",
+            "G(!htrans1 & !htrans2 -> X hready)",
+            &mut props,
+        );
         p("S_FAIR", "G F hready", &mut props);
         p("S_COMPLETE", "G(htrans1 | htrans2 -> F hready)", &mut props);
         p("S_INIT", "hready", &mut props);
         p("S_LIVE", "G(!hready -> F hready)", &mut props);
-        p("S_WAIT2", "G(!hready & X !hready -> X X hready)", &mut props);
+        p(
+            "S_WAIT2",
+            "G(!hready & X !hready -> X X hready)",
+            &mut props,
+        );
         // Protocol-level: 7 properties.
         p("P_TRANS_MUTEX", "G !(htrans1 & htrans2)", &mut props);
         p("P_OWN1", "G(X htrans1 -> hgrant1)", &mut props);
@@ -131,7 +163,11 @@ pub fn ahb29() -> Design {
         p("P_INIT", "!htrans1 & !htrans2", &mut props);
         p("P_GRANT_MUTEX", "G !(hgrant1 & hgrant2)", &mut props);
         p("P_SERVE1", "G(hbusreq1 -> F htrans1)", &mut props);
-        p("P_SERVE2", "G(hbusreq2 & !hbusreq1 -> F htrans2)", &mut props);
+        p(
+            "P_SERVE2",
+            "G(hbusreq2 & !hbusreq1 -> F htrans2)",
+            &mut props,
+        );
     }
     assert_eq!(props.len(), 29, "Table 1 row must carry 29 RTL properties");
 
@@ -169,9 +205,13 @@ mod tests {
         // directly (Auto also resolves explicit since the automaton
         // reduction pipeline moved the product-width crossover).
         let d = ahb29();
-        let model =
-            CoverageModel::build_with_backend(&d.arch, &d.rtl, &d.table, dic_core::Backend::Explicit)
-                .expect("builds");
+        let model = CoverageModel::build_with_backend(
+            &d.arch,
+            &d.rtl,
+            &d.table,
+            dic_core::Backend::Explicit,
+        )
+        .expect("builds");
         // The cone-of-influence reduction drops `hmaster` (no property
         // mentions it), leaving the two grant registers; 5 free signals.
         assert_eq!(model.kripke().state_vars().len(), 2);
@@ -184,9 +224,13 @@ mod tests {
         // otherwise coverage would hold vacuously. (Forced explicit: the
         // consistency check drives the explicit product directly.)
         let d = ahb29();
-        let model =
-            CoverageModel::build_with_backend(&d.arch, &d.rtl, &d.table, dic_core::Backend::Explicit)
-                .expect("builds");
+        let model = CoverageModel::build_with_backend(
+            &d.arch,
+            &d.rtl,
+            &d.table,
+            dic_core::Backend::Explicit,
+        )
+        .expect("builds");
         let w = dic_automata::satisfiable_in_conj(d.rtl.formulas(), model.kripke());
         assert!(w.is_some(), "the AHB property suite is contradictory");
     }

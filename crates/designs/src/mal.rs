@@ -331,11 +331,7 @@ pub fn mal(k: usize) -> Design {
         .into_iter()
         .map(|(name, src)| (name, Ltl::parse(&src, &mut table).expect("property parses")))
         .collect();
-    let a = Ltl::parse(
-        "G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))",
-        &mut table,
-    )
-    .expect("A parses");
+    let a = Ltl::parse("G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))", &mut table).expect("A parses");
 
     Design {
         // Leaked like `scaling::chain_design`'s name: a handful of calls

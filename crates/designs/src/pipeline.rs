@@ -92,16 +92,12 @@ pub fn pipeline12() -> Design {
     }
     assert_eq!(props.len(), 12, "Table 1 row must carry 12 RTL properties");
 
-    let a = Ltl::parse("G(req & !stall & !pend -> X X X fill)", &mut table)
-        .expect("A parses");
+    let a = Ltl::parse("G(req & !stall & !pend -> X X X fill)", &mut table).expect("A parses");
 
     Design {
         name: "pipeline",
         arch: ArchSpec::new([("A", a)]),
-        rtl: RtlSpec::new(
-            props.iter().map(|(n, f)| (n.as_str(), f.clone())),
-            [stage],
-        ),
+        rtl: RtlSpec::new(props.iter().map(|(n, f)| (n.as_str(), f.clone())), [stage]),
         table,
     }
 }

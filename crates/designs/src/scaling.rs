@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn chain_design_beyond_explicit_limit_needs_symbolic() {
-        use dic_core::{Backend, CoverageModel, CoreError};
+        use dic_core::{Backend, CoreError, CoverageModel};
         let d = chain_design(24, false);
         assert_eq!(d.name, "chain-24");
         // The explicit engine refuses this state space…

@@ -180,7 +180,10 @@ fn anchor() -> Instant {
 pub fn arm_deadline(budget: Duration) {
     let now = anchor().elapsed();
     let at = now.saturating_add(budget);
-    DEADLINE_AT_NS.store(at.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+    DEADLINE_AT_NS.store(
+        at.as_nanos().min(u64::MAX as u128) as u64,
+        Ordering::Relaxed,
+    );
     DEADLINE_ARMED.store(true, Ordering::Relaxed);
 }
 
@@ -196,8 +199,7 @@ pub fn deadline_expired() -> bool {
     if !DEADLINE_ARMED.load(Ordering::Relaxed) {
         return false;
     }
-    let expired =
-        anchor().elapsed().as_nanos() as u64 >= DEADLINE_AT_NS.load(Ordering::Relaxed);
+    let expired = anchor().elapsed().as_nanos() as u64 >= DEADLINE_AT_NS.load(Ordering::Relaxed);
     if expired && dic_trace::enabled() {
         dic_trace::count(dic_trace::Counter::DeadlineTrips, 1);
     }
@@ -244,8 +246,7 @@ pub fn hit(site: Site) -> Option<FaultKind> {
 #[cold]
 fn hit_slow(site: Site) -> Option<FaultKind> {
     let n = HITS[site as usize].fetch_add(1, Ordering::Relaxed) + 1;
-    if FAULT_SITE.load(Ordering::Relaxed) != site as usize
-        || FAULT_NTH.load(Ordering::Relaxed) != n
+    if FAULT_SITE.load(Ordering::Relaxed) != site as usize || FAULT_NTH.load(Ordering::Relaxed) != n
     {
         return None;
     }

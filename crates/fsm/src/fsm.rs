@@ -238,7 +238,11 @@ mod tests {
         let mut b = ModuleBuilder::new("simple", t);
         let a = b.input("a");
         let bb = b.input("b");
-        let c = b.latch("c", BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]), false);
+        let c = b.latch(
+            "c",
+            BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]),
+            false,
+        );
         b.mark_output(c);
         b.finish().expect("valid")
     }
@@ -311,12 +315,16 @@ mod tests {
         let b0 = b.table().intern("b0");
         let b1 = b.table().intern("b1");
         b.latch("b0", BoolExpr::var(b0).not(), false);
-        b.latch("b1", BoolExpr::xor(BoolExpr::var(b1), BoolExpr::var(b0)), false);
+        b.latch(
+            "b1",
+            BoolExpr::xor(BoolExpr::var(b1), BoolExpr::var(b0)),
+            false,
+        );
         let m = b.finish().expect("valid");
         let fsm = extract_fsm(&m, &t, true).expect("fits");
         assert_eq!(fsm.num_states(), 4);
         assert_eq!(fsm.num_transitions(), 4); // deterministic, no inputs
-        // Each state has exactly one successor, forming one cycle of length 4.
+                                              // Each state has exactly one successor, forming one cycle of length 4.
         let mut next = [usize::MAX; 4];
         for tr in fsm.transitions() {
             assert!(tr.guard.is_empty());

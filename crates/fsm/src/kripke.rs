@@ -115,7 +115,10 @@ impl Kripke {
         }
 
         if dic_trace::enabled() {
-            dic_trace::count(dic_trace::Counter::ExplicitStatesExpanded, labels.len() as u64);
+            dic_trace::count(
+                dic_trace::Counter::ExplicitStatesExpanded,
+                labels.len() as u64,
+            );
             build_span.meta("states", labels.len() as u64);
             build_span.meta("latch_states", latch_keys.len() as u64);
             dic_trace::gauge_max(dic_trace::Gauge::ExplicitKripkeStates, labels.len() as u64);
@@ -205,7 +208,11 @@ mod tests {
         let mut b = ModuleBuilder::new("simple", t);
         let a = b.input("a");
         let bb = b.input("b");
-        b.latch("c", BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]), false);
+        b.latch(
+            "c",
+            BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]),
+            false,
+        );
         b.finish().expect("valid")
     }
 

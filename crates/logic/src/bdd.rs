@@ -187,7 +187,11 @@ impl BddManager {
             ..BddManager::default()
         };
         // Index 0: the single terminal (constant true as a regular edge).
-        m.nodes.push(Node { var: TERMINAL_VAR, lo: 0, hi: 0 });
+        m.nodes.push(Node {
+            var: TERMINAL_VAR,
+            lo: 0,
+            hi: 0,
+        });
         m.peak_nodes = 1;
         m
     }
@@ -357,11 +361,7 @@ impl BddManager {
         sorted.sort_unstable();
         sorted.dedup();
         for w in sorted.windows(2) {
-            assert!(
-                w[0].0 != w[1].0,
-                "pairing maps variable {} twice",
-                w[0].0
-            );
+            assert!(w[0].0 != w[1].0, "pairing maps variable {} twice", w[0].0);
         }
         for w in sorted.windows(2) {
             assert!(
@@ -455,7 +455,11 @@ impl BddManager {
         let idx = self.nodes.len();
         assert!(idx <= MAX_NODE_INDEX, "BDD node store overflow");
         let n = idx as u32;
-        self.nodes.push(Node { var, lo: lo.0, hi: hi.0 });
+        self.nodes.push(Node {
+            var,
+            lo: lo.0,
+            hi: hi.0,
+        });
         self.unique.insert(key, n);
         if self.nodes.len() > self.peak_nodes {
             self.peak_nodes = self.nodes.len();
@@ -858,12 +862,7 @@ impl BddManager {
                 x << n
             }
         }
-        fn go(
-            man: &BddManager,
-            f: Bdd,
-            nvars: u32,
-            cache: &mut HashMap<u32, u128>,
-        ) -> u128 {
+        fn go(man: &BddManager, f: Bdd, nvars: u32, cache: &mut HashMap<u32, u128>) -> u128 {
             if f.is_false() {
                 return 0;
             }

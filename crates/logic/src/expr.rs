@@ -182,9 +182,7 @@ impl BoolExpr {
             BoolExpr::Not(e) => e.assign(signal, value).not(),
             BoolExpr::And(es) => BoolExpr::and(es.iter().map(|e| e.assign(signal, value))),
             BoolExpr::Or(es) => BoolExpr::or(es.iter().map(|e| e.assign(signal, value))),
-            BoolExpr::Xor(a, b) => {
-                BoolExpr::xor(a.assign(signal, value), b.assign(signal, value))
-            }
+            BoolExpr::Xor(a, b) => BoolExpr::xor(a.assign(signal, value), b.assign(signal, value)),
         }
     }
 
@@ -198,7 +196,9 @@ impl BoolExpr {
         match self {
             BoolExpr::Const(_) | BoolExpr::Var(_) => 1,
             BoolExpr::Not(e) => 1 + e.size(),
-            BoolExpr::And(es) | BoolExpr::Or(es) => 1 + es.iter().map(BoolExpr::size).sum::<usize>(),
+            BoolExpr::And(es) | BoolExpr::Or(es) => {
+                1 + es.iter().map(BoolExpr::size).sum::<usize>()
+            }
             BoolExpr::Xor(a, b) => 1 + a.size() + b.size(),
         }
     }
@@ -312,12 +312,24 @@ mod tests {
     #[test]
     fn constant_folding() {
         let (_t, a, ..) = sigs();
-        assert_eq!(BoolExpr::and([BoolExpr::tt(), BoolExpr::var(a)]), BoolExpr::var(a));
-        assert_eq!(BoolExpr::and([BoolExpr::ff(), BoolExpr::var(a)]), BoolExpr::ff());
+        assert_eq!(
+            BoolExpr::and([BoolExpr::tt(), BoolExpr::var(a)]),
+            BoolExpr::var(a)
+        );
+        assert_eq!(
+            BoolExpr::and([BoolExpr::ff(), BoolExpr::var(a)]),
+            BoolExpr::ff()
+        );
         assert_eq!(BoolExpr::or([BoolExpr::ff()]), BoolExpr::ff());
-        assert_eq!(BoolExpr::or([BoolExpr::tt(), BoolExpr::var(a)]), BoolExpr::tt());
+        assert_eq!(
+            BoolExpr::or([BoolExpr::tt(), BoolExpr::var(a)]),
+            BoolExpr::tt()
+        );
         assert_eq!(BoolExpr::var(a).not().not(), BoolExpr::var(a));
-        assert_eq!(BoolExpr::xor(BoolExpr::tt(), BoolExpr::var(a)), BoolExpr::var(a).not());
+        assert_eq!(
+            BoolExpr::xor(BoolExpr::tt(), BoolExpr::var(a)),
+            BoolExpr::var(a).not()
+        );
     }
 
     #[test]
@@ -364,7 +376,10 @@ mod tests {
     #[test]
     fn support_and_assign() {
         let (_t, a, b, c) = sigs();
-        let e = BoolExpr::and([BoolExpr::var(a), BoolExpr::or([BoolExpr::var(b), BoolExpr::var(c)])]);
+        let e = BoolExpr::and([
+            BoolExpr::var(a),
+            BoolExpr::or([BoolExpr::var(b), BoolExpr::var(c)]),
+        ]);
         assert_eq!(e.support().into_iter().collect::<Vec<_>>(), vec![a, b, c]);
         let e2 = e.assign(a, true);
         assert_eq!(e2.support().into_iter().collect::<Vec<_>>(), vec![b, c]);

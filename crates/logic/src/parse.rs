@@ -365,14 +365,23 @@ mod tests {
 
     #[test]
     fn precedence_and_over_or() {
-        assert!(eval_str("a | b & c", &[("a", true), ("b", false), ("c", false)]));
-        assert!(!eval_str("(a | b) & c", &[("a", true), ("b", false), ("c", false)]));
+        assert!(eval_str(
+            "a | b & c",
+            &[("a", true), ("b", false), ("c", false)]
+        ));
+        assert!(!eval_str(
+            "(a | b) & c",
+            &[("a", true), ("b", false), ("c", false)]
+        ));
     }
 
     #[test]
     fn implication_right_assoc() {
         // a -> b -> c  ==  a -> (b -> c); with a=1,b=0 it's true
-        assert!(eval_str("a -> b -> c", &[("a", true), ("b", false), ("c", false)]));
+        assert!(eval_str(
+            "a -> b -> c",
+            &[("a", true), ("b", false), ("c", false)]
+        ));
     }
 
     #[test]
@@ -389,7 +398,10 @@ mod tests {
 
     #[test]
     fn verilog_style_operators() {
-        assert!(eval_str("a && b || !c", &[("a", true), ("b", true), ("c", true)]));
+        assert!(eval_str(
+            "a && b || !c",
+            &[("a", true), ("b", true), ("c", true)]
+        ));
     }
 
     #[test]
@@ -460,7 +472,10 @@ mod tests {
         }
         // Up to three operands the tree is the left fold's.
         let left = BoolExpr::parse("(a0 ^ a1) ^ a2", &mut t).expect("parse");
-        assert_eq!(BoolExpr::parse("a0 ^ a1 ^ a2", &mut t).expect("parse"), left);
+        assert_eq!(
+            BoolExpr::parse("a0 ^ a1 ^ a2", &mut t).expect("parse"),
+            left
+        );
     }
 
     #[test]

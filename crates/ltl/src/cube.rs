@@ -131,16 +131,16 @@ impl TemporalCube {
 
     /// Whether the cube holds at position `offset` of the word.
     pub fn holds_on(&self, word: &LassoWord, offset: usize) -> bool {
-        self.lits
-            .iter()
-            .all(|(t, l)| l.eval(word.at(offset + t)))
+        self.lits.iter().all(|(t, l)| l.eval(word.at(offset + t)))
     }
 
     /// Converts to an LTL formula `⋀ X^t lit`.
     pub fn to_ltl(&self) -> Ltl {
-        Ltl::and(self.lits.iter().map(|(t, l)| {
-            Ltl::next_n(Ltl::literal(l.signal(), l.polarity()), *t)
-        }))
+        Ltl::and(
+            self.lits
+                .iter()
+                .map(|(t, l)| Ltl::next_n(Ltl::literal(l.signal(), l.polarity()), *t)),
+        )
     }
 
     /// Renders the cube with signal names (`r1 & XX!hit`).
@@ -214,9 +214,7 @@ impl PositionedVars {
         if let Some(&v) = self.fwd.get(&(signal, time)) {
             return v;
         }
-        let v = self
-            .table
-            .intern(&format!("@{}_{}", signal.index(), time));
+        let v = self.table.intern(&format!("@{}_{}", signal.index(), time));
         self.fwd.insert((signal, time), v);
         self.back.insert(v, (signal, time));
         v
@@ -284,19 +282,13 @@ impl PositionedVars {
 /// This is step 2(b) of Algorithm 1: positioned instances `(v, t)` are
 /// treated as independent Boolean variables (sound for bounded formulas),
 /// and `∀v. Φ = Φ[v:=0] ∧ Φ[v:=1]` is applied per instance via the BDD.
-pub fn forall_eliminate(
-    cubes: &[TemporalCube],
-    signals: &BTreeSet<SignalId>,
-) -> Vec<TemporalCube> {
+pub fn forall_eliminate(cubes: &[TemporalCube], signals: &BTreeSet<SignalId>) -> Vec<TemporalCube> {
     quantify_eliminate(cubes, signals, true)
 }
 
 /// Existentially quantifies out all instances of `signals`; the dual of
 /// [`forall_eliminate`], useful for over-approximating a gap.
-pub fn exists_eliminate(
-    cubes: &[TemporalCube],
-    signals: &BTreeSet<SignalId>,
-) -> Vec<TemporalCube> {
+pub fn exists_eliminate(cubes: &[TemporalCube], signals: &BTreeSet<SignalId>) -> Vec<TemporalCube> {
     quantify_eliminate(cubes, signals, false)
 }
 
@@ -344,9 +336,8 @@ mod tests {
     #[test]
     fn to_ltl_matches_cube_semantics() {
         let (t, a, b, _c) = sigs();
-        let cube =
-            TemporalCube::from_lits([(0, Lit::pos(a)), (1, Lit::neg(b)), (2, Lit::pos(b))])
-                .expect("consistent");
+        let cube = TemporalCube::from_lits([(0, Lit::pos(a)), (1, Lit::neg(b)), (2, Lit::pos(b))])
+            .expect("consistent");
         let f = cube.to_ltl();
         // Build a word: a at 0; !b at 1; b at 2; loop.
         let mut s0 = Valuation::all_false(t.len());

@@ -150,10 +150,7 @@ impl Ltl {
 
     /// `a <-> b`, kept as `(a -> b) & (b -> a)`.
     pub fn iff(a: Ltl, b: Ltl) -> Self {
-        Ltl::and([
-            Ltl::implies(a.clone(), b.clone()),
-            Ltl::implies(b, a),
-        ])
+        Ltl::and([Ltl::implies(a.clone(), b.clone()), Ltl::implies(b, a)])
     }
 
     /// Next. `X true == true`, `X false == false`.
@@ -535,10 +532,7 @@ impl DisplayLtl<'_> {
             }
             LtlNode::And(_) => 3,
             LtlNode::Until(..) | LtlNode::Release(..) => 4,
-            LtlNode::Not(_)
-            | LtlNode::Next(_)
-            | LtlNode::Globally(_)
-            | LtlNode::Finally(_) => 5,
+            LtlNode::Not(_) | LtlNode::Next(_) | LtlNode::Globally(_) | LtlNode::Finally(_) => 5,
             LtlNode::True | LtlNode::False | LtlNode::Atom(_) => 6,
         }
     }
@@ -652,7 +646,10 @@ mod tests {
         assert_eq!(Ltl::until(Ltl::tt(), a.clone()), Ltl::finally(a.clone()));
         assert_eq!(Ltl::release(Ltl::tt(), a.clone()), a);
         assert_eq!(Ltl::release(Ltl::ff(), a.clone()), Ltl::globally(a.clone()));
-        assert_eq!(Ltl::globally(Ltl::globally(a.clone())), Ltl::globally(a.clone()));
+        assert_eq!(
+            Ltl::globally(Ltl::globally(a.clone())),
+            Ltl::globally(a.clone())
+        );
         assert_eq!(Ltl::not(Ltl::not(a.clone())), a);
         assert_eq!(Ltl::next(Ltl::tt()), Ltl::tt());
     }

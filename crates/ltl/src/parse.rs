@@ -56,7 +56,11 @@ pub struct ParseLtlError {
 
 impl fmt::Display for ParseLtlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LTL parse error at byte {}: {}", self.position, self.message)
+        write!(
+            f,
+            "LTL parse error at byte {}: {}",
+            self.position, self.message
+        )
     }
 }
 
@@ -511,7 +515,13 @@ mod tests {
     fn nesting_is_capped() {
         let mut t = SignalTable::new();
         let deep = |open: &str, close: &str, n| format!("{}p{}", open.repeat(n), close.repeat(n));
-        let shapes = [("(", ")"), ("X ", ""), ("!", ""), ("p U ", ""), ("p -> ", "")];
+        let shapes = [
+            ("(", ")"),
+            ("X ", ""),
+            ("!", ""),
+            ("p U ", ""),
+            ("p -> ", ""),
+        ];
         for (open, close) in shapes {
             let at_limit = deep(open, close, MAX_NESTING);
             assert!(Ltl::parse(&at_limit, &mut t).is_ok(), "{open}");

@@ -237,15 +237,10 @@ mod tests {
         let occ = f
             .atom_occurrences()
             .into_iter()
-            .find(|o| {
-                matches!(o.subformula.node(), LtlNode::Atom(id) if t.name(*id) == "r2")
-            })
+            .find(|o| matches!(o.subformula.node(), LtlNode::Atom(id) if t.name(*id) == "r2"))
             .expect("r2 occurs");
         let r2 = occ.subformula.clone();
-        let strengthened = Ltl::and([
-            r2,
-            Ltl::next(Ltl::not(Ltl::atom(hit))),
-        ]);
+        let strengthened = Ltl::and([r2, Ltl::next(Ltl::not(Ltl::atom(hit)))]);
         let new = f.replace_at(&occ.position, strengthened).expect("replace");
         assert_eq!(
             new.display(&t).to_string(),

@@ -19,7 +19,11 @@ impl XorShift64 {
     /// Creates a generator from a non-zero seed (0 is mapped to a constant).
     pub fn new(seed: u64) -> Self {
         XorShift64 {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 

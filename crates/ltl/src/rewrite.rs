@@ -245,9 +245,7 @@ fn s_until(a: Ltl, b: Ltl) -> Ltl {
         // (a U b) U b == a U b.
         (LtlNode::Until(_, b2), _) if *b2 == b => return a,
         // X a U X b == X(a U b).
-        (LtlNode::Next(na), LtlNode::Next(nb)) => {
-            return s_next(s_until(na.clone(), nb.clone()))
-        }
+        (LtlNode::Next(na), LtlNode::Next(nb)) => return s_next(s_until(na.clone(), nb.clone())),
         _ => {}
     }
     // a ⇒ b makes the wait vacuous: a U b == b.
@@ -264,17 +262,13 @@ fn s_release(a: Ltl, b: Ltl) -> Ltl {
     }
     match (a.node(), b.node()) {
         (LtlNode::False, _) => return s_globally(b),
-        (LtlNode::True, _) | (_, LtlNode::True) | (_, LtlNode::False) => {
-            return Ltl::release(a, b)
-        }
+        (LtlNode::True, _) | (_, LtlNode::True) | (_, LtlNode::False) => return Ltl::release(a, b),
         // a R (a R b) == a R b.
         (_, LtlNode::Release(a2, _)) if *a2 == a => return b,
         // (a R b) R b == a R b.
         (LtlNode::Release(_, b2), _) if *b2 == b => return a,
         // X a R X b == X(a R b).
-        (LtlNode::Next(na), LtlNode::Next(nb)) => {
-            return s_next(s_release(na.clone(), nb.clone()))
-        }
+        (LtlNode::Next(na), LtlNode::Next(nb)) => return s_next(s_release(na.clone(), nb.clone())),
         _ => {}
     }
     // b ⇒ a releases immediately: a R b == b.
@@ -386,7 +380,9 @@ fn s_or<I: IntoIterator<Item = Ltl>>(parts: I) -> Ltl {
         }
     }
     // In a disjunction the *stronger* operand is absorbed by the weaker.
-    Ltl::or(drop_implied(out, |keep, cand| syntactically_implies(cand, keep)))
+    Ltl::or(drop_implied(out, |keep, cand| {
+        syntactically_implies(cand, keep)
+    }))
 }
 
 /// Repeatedly merges the first combinable pair until none combines
@@ -589,7 +585,13 @@ mod tests {
     #[test]
     fn suffix_invariants_detected_and_sound() {
         let mut t = SignalTable::new();
-        for src in ["G F p", "F G p", "G F p & F G q", "G F p | G F q", "X G F p"] {
+        for src in [
+            "G F p",
+            "F G p",
+            "G F p & F G q",
+            "G F p | G F q",
+            "X G F p",
+        ] {
             let f = parse(&mut t, src);
             assert!(suffix_invariant(&f.nnf()), "{src} should be invariant");
         }

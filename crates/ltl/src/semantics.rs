@@ -199,11 +199,7 @@ mod tests {
     use dic_logic::{SignalId, SignalTable};
 
     /// Builds a word from per-position sets of true signals.
-    fn word(
-        t: &SignalTable,
-        positions: &[&[SignalId]],
-        loop_start: usize,
-    ) -> LassoWord {
+    fn word(t: &SignalTable, positions: &[&[SignalId]], loop_start: usize) -> LassoWord {
         let states = positions
             .iter()
             .map(|sigs| {
@@ -279,10 +275,7 @@ mod tests {
             word(&t, &[&[], &[p], &[q]], 1),
         ];
         let f = Ltl::release(Ltl::atom(p), Ltl::atom(q));
-        let dual = Ltl::not(Ltl::until(
-            Ltl::not(Ltl::atom(p)),
-            Ltl::not(Ltl::atom(q)),
-        ));
+        let dual = Ltl::not(Ltl::until(Ltl::not(Ltl::atom(p)), Ltl::not(Ltl::atom(q))));
         for w in &words {
             assert_eq!(f.holds_on(w), dual.holds_on(w));
         }
@@ -300,10 +293,7 @@ mod tests {
         let b = Ltl::atom(q);
         // p U q == q | (p & X(p U q))
         let u = Ltl::until(a.clone(), b.clone());
-        let u_exp = Ltl::or([
-            b.clone(),
-            Ltl::and([a.clone(), Ltl::next(u.clone())]),
-        ]);
+        let u_exp = Ltl::or([b.clone(), Ltl::and([a.clone(), Ltl::next(u.clone())])]);
         // G p == p & X G p
         let g = Ltl::globally(a.clone());
         let g_exp = Ltl::and([a.clone(), Ltl::next(g.clone())]);

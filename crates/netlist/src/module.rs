@@ -309,7 +309,8 @@ impl Module {
             .copied()
             .filter(|o| driven.contains(o) || inputs.contains(o))
             .collect();
-        let topo = topo_sort(&wires, table).expect("a sub-netlist of an acyclic netlist is acyclic");
+        let topo =
+            topo_sort(&wires, table).expect("a sub-netlist of an acyclic netlist is acyclic");
         Module {
             name: format!("{}_coi", self.name),
             inputs,
@@ -409,7 +410,9 @@ fn topo_sort(wires: &[Wire], table: &SignalTable) -> Result<Vec<usize>, NetlistE
 
     let mut trail = Vec::new();
     for i in 0..wires.len() {
-        visit(i, wires, &by_output, &mut marks, &mut order, table, &mut trail)?;
+        visit(
+            i, wires, &by_output, &mut marks, &mut order, table, &mut trail,
+        )?;
     }
     Ok(order)
 }
@@ -618,10 +621,7 @@ mod tests {
         let a = b.input("a");
         b.buf_gate("x", a);
         b.buf_gate("x", a);
-        assert!(matches!(
-            b.finish(),
-            Err(NetlistError::DoubleDrive { .. })
-        ));
+        assert!(matches!(b.finish(), Err(NetlistError::DoubleDrive { .. })));
     }
 
     #[test]

@@ -154,12 +154,8 @@ pub fn parse_snl(src: &str, table: &mut SignalTable) -> Result<Vec<Module>, Netl
                     }
                     None => (rhs, false),
                 };
-                p.latches.push((
-                    name.trim().to_owned(),
-                    expr.trim().to_owned(),
-                    init,
-                    lineno,
-                ));
+                p.latches
+                    .push((name.trim().to_owned(), expr.trim().to_owned(), init, lineno));
             }
             other => {
                 return Err(NetlistError::Parse {
@@ -212,11 +208,7 @@ fn build(p: Pending, table: &mut SignalTable) -> Result<Module, NetlistError> {
 /// cut there and its length given instead.
 const ECHO_BYTES: usize = 64;
 
-fn parse_expr(
-    src: &str,
-    table: &mut SignalTable,
-    line: usize,
-) -> Result<BoolExpr, NetlistError> {
+fn parse_expr(src: &str, table: &mut SignalTable, line: usize) -> Result<BoolExpr, NetlistError> {
     BoolExpr::parse(src, table).map_err(|e| NetlistError::Parse {
         line,
         message: format!("in expression {}: {e}", echo(src)),
@@ -373,7 +365,10 @@ endmodule
         // The cut backs off to a character boundary.
         let long = format!("{}é{}", "a".repeat(ECHO_BYTES - 1), "b".repeat(100));
         let shown = echo(&long);
-        assert_eq!(shown, format!("{:?}… ({} bytes)", "a".repeat(ECHO_BYTES - 1), long.len()));
+        assert_eq!(
+            shown,
+            format!("{:?}… ({} bytes)", "a".repeat(ECHO_BYTES - 1), long.len())
+        );
         let mut t = SignalTable::new();
         let deep = format!("{}x{}", "!(".repeat(1000), ")".repeat(1000));
         let src = format!("module m\n input x\n output y\n assign y = {deep}\nendmodule\n");

@@ -371,13 +371,11 @@ impl<'a> Encoder<'a> {
             BoolExpr::Var(s) => self.signal_lit(*s, t),
             BoolExpr::Not(inner) => self.expr_lit(inner, t).negated(),
             BoolExpr::And(parts) => {
-                let lits: Vec<SatLit> =
-                    parts.iter().map(|p| self.expr_lit(p, t)).collect();
+                let lits: Vec<SatLit> = parts.iter().map(|p| self.expr_lit(p, t)).collect();
                 self.cnf.lit_and(&lits)
             }
             BoolExpr::Or(parts) => {
-                let lits: Vec<SatLit> =
-                    parts.iter().map(|p| self.expr_lit(p, t)).collect();
+                let lits: Vec<SatLit> = parts.iter().map(|p| self.expr_lit(p, t)).collect();
                 self.cnf.lit_or(&lits)
             }
             BoolExpr::Xor(a, b) => {
@@ -440,8 +438,7 @@ impl<'a> Encoder<'a> {
         // One-hot state variables per position.
         let mut at: Vec<Vec<SatLit>> = Vec::with_capacity(k + 1);
         for _t in 0..=k {
-            let row: Vec<SatLit> =
-                (0..n).map(|_| SatLit::pos(self.cnf.new_var())).collect();
+            let row: Vec<SatLit> = (0..n).map(|_| SatLit::pos(self.cnf.new_var())).collect();
             self.cnf.exactly_one(&row);
             at.push(row);
         }
@@ -596,8 +593,8 @@ mod tests {
         let mut t = SignalTable::new();
         let m = latch_module(&mut t);
         let f = Ltl::parse("F(q & X !q)", &mut t).unwrap();
-        let word =
-            bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), DEFAULT_BMC_DEPTH).expect("reachable");
+        let word = bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), DEFAULT_BMC_DEPTH)
+            .expect("reachable");
         assert!(f.holds_on(&word));
         // Replay: every consecutive pair respects the latch function
         // q' = a, and position 0 carries the reset value q = 0.
@@ -623,9 +620,7 @@ mod tests {
         let word = bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), 6).expect("satisfiable");
         assert!(f.holds_on(&word));
         let q = t.lookup("q").unwrap();
-        let loop_has_q = word.states()[word.loop_start()..]
-            .iter()
-            .any(|s| s.get(q));
+        let loop_has_q = word.states()[word.loop_start()..].iter().any(|s| s.get(q));
         assert!(loop_has_q, "acceptance must fall inside the period");
     }
 
@@ -639,7 +634,8 @@ mod tests {
         b.mark_output(y);
         let m = b.finish().unwrap();
         let f = Ltl::parse("G(x -> !y)", &mut t).unwrap();
-        let word = bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), 4).expect("tautology holds");
+        let word =
+            bounded_lasso(&m, &t, &[], std::slice::from_ref(&f), 4).expect("tautology holds");
         assert!(f.holds_on(&word));
     }
 
@@ -650,8 +646,9 @@ mod tests {
     ) -> (SignalTable, Module, Vec<SignalId>, SignalId) {
         let mut t = SignalTable::new();
         let mut b = ModuleBuilder::new("rand", &mut t);
-        let mut pool: Vec<SignalId> =
-            (0..1 + rng.below(3)).map(|i| b.input(&format!("i{i}"))).collect();
+        let mut pool: Vec<SignalId> = (0..1 + rng.below(3))
+            .map(|i| b.input(&format!("i{i}")))
+            .collect();
         let leaf = |pool: &[SignalId], rng: &mut dic_ltl::random::XorShift64| {
             let v = BoolExpr::var(pool[rng.below(pool.len())]);
             if rng.flip() {
@@ -784,8 +781,10 @@ mod tests {
             let before = solver(&session);
             assert!(session.query(&[]).is_some());
             let after = solver(&session);
-            let (decisions, conflicts) =
-                (after.decisions - before.decisions, after.conflicts - before.conflicts);
+            let (decisions, conflicts) = (
+                after.decisions - before.decisions,
+                after.conflicts - before.conflicts,
+            );
             assert!(
                 decisions <= (conflicts + 1) * base_vars,
                 "base query after {} retired candidates: {decisions} decisions, \
@@ -794,7 +793,10 @@ mod tests {
             );
         }
         let retired = session.solver.as_ref().expect("built").num_vars() as u64 - base_vars;
-        assert!(retired > 4 * base_vars, "candidates too narrow to tell: {retired} retired");
+        assert!(
+            retired > 4 * base_vars,
+            "candidates too narrow to tell: {retired} retired"
+        );
     }
 
     #[test]

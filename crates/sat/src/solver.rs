@@ -404,7 +404,10 @@ impl Solver {
     fn attach(&mut self, lits: &[SatLit]) -> u32 {
         let idx = self.clauses.len() as u32;
         for (w, other) in [(lits[0], lits[1]), (lits[1], lits[0])] {
-            self.watches[w.negated().code()].push(Watch { clause: idx, blocker: other });
+            self.watches[w.negated().code()].push(Watch {
+                clause: idx,
+                blocker: other,
+            });
         }
         self.clauses.push(ClauseRef {
             start: self.arena.len() as u32,
@@ -462,7 +465,10 @@ impl Solver {
                 }
                 debug_assert_eq!(self.arena[w1], false_lit);
                 let first = self.arena[w0];
-                let kept = Watch { clause: ci, blocker: first };
+                let kept = Watch {
+                    clause: ci,
+                    blocker: first,
+                };
                 if first != w.blocker && self.value(first) == Some(true) {
                     ws[j] = kept;
                     j += 1;
@@ -963,7 +969,10 @@ mod tests {
         let v = lits(&mut cnf, 2);
         cnf.add_clause([v[0], v[1]]);
         let mut s = Solver::new(cnf);
-        assert_eq!(s.solve_assuming(&[v[0].negated(), v[1].negated()], None), SatResult::Unsat);
+        assert_eq!(
+            s.solve_assuming(&[v[0].negated(), v[1].negated()], None),
+            SatResult::Unsat
+        );
         match s.solve_assuming(&[v[0].negated()], None) {
             SatResult::Sat(m) => assert!(!m[0] && m[1]),
             other => panic!("expected SAT, got {other:?}"),
@@ -989,7 +998,11 @@ mod tests {
         }
         s.add_clause([w.negated()]);
         assert_eq!(s.solve(None), SatResult::Unsat);
-        assert_eq!(s.solve_assuming(&[v[2]], None), SatResult::Unsat, "UNSAT is permanent");
+        assert_eq!(
+            s.solve_assuming(&[v[2]], None),
+            SatResult::Unsat,
+            "UNSAT is permanent"
+        );
     }
 
     #[test]
@@ -1018,14 +1031,22 @@ mod tests {
             spent = now;
         }
         assert_eq!(s.solve_assuming(&[act], None), SatResult::Unsat);
-        assert!(matches!(s.solve_assuming(&[act.negated()], Some(5)), SatResult::Sat(_)));
+        assert!(matches!(
+            s.solve_assuming(&[act.negated()], Some(5)),
+            SatResult::Sat(_)
+        ));
     }
 
     /// A deterministic random clause over `vars`, 1–4 literals.
     fn random_clause(rng: &mut proptest::prelude::TestRng, vars: &[Var]) -> Vec<SatLit> {
         let len = 1 + rng.below(4) as usize;
         (0..len)
-            .map(|_| SatLit::new(vars[rng.below(vars.len() as u64) as usize], rng.below(2) == 0))
+            .map(|_| {
+                SatLit::new(
+                    vars[rng.below(vars.len() as u64) as usize],
+                    rng.below(2) == 0,
+                )
+            })
             .collect()
     }
 
@@ -1074,7 +1095,9 @@ mod tests {
         (0u32..1 << n).any(|bits| {
             let model: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
             satisfies(&model, clauses)
-                && assumptions.iter().all(|l| model[l.var().index()] == l.is_pos())
+                && assumptions
+                    .iter()
+                    .all(|l| model[l.var().index()] == l.is_pos())
         })
     }
 

@@ -382,10 +382,16 @@ impl ProductData {
             .collect();
         let pre_tail = m.man.register_var_set(&pre_groups.unmentioned);
 
-        let pairs_n2c: Vec<(u32, u32)> =
-            all_next.iter().copied().zip(all_curr.iter().copied()).collect();
-        let pairs_c2n: Vec<(u32, u32)> =
-            all_curr.iter().copied().zip(all_next.iter().copied()).collect();
+        let pairs_n2c: Vec<(u32, u32)> = all_next
+            .iter()
+            .copied()
+            .zip(all_curr.iter().copied())
+            .collect();
+        let pairs_c2n: Vec<(u32, u32)> = all_curr
+            .iter()
+            .copied()
+            .zip(all_next.iter().copied())
+            .collect();
         let next_to_curr = m.man.register_pairing(&pairs_n2c);
         let curr_to_next = m.man.register_pairing(&pairs_c2n);
 
@@ -743,11 +749,7 @@ impl ProductData {
                     self.rings_to(m, z, fj)
                 })();
                 match family {
-                    Ok(rings) => self
-                        .fair_rings
-                        .as_mut()
-                        .expect("parked above")
-                        .push(rings),
+                    Ok(rings) => self.fair_rings.as_mut().expect("parked above").push(rings),
                     Err(e) => {
                         self.fair_rings = None;
                         return Err(e);

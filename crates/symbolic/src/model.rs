@@ -208,7 +208,9 @@ impl SymbolicOptions {
 /// Parses a node-limit value: a positive integer with an optional `K`/`M`
 /// (×10³/×10⁶) suffix, case-insensitive.
 fn parse_node_limit(v: &str) -> Result<usize, SymbolicError> {
-    let invalid = || SymbolicError::InvalidNodeLimit { value: v.to_owned() };
+    let invalid = || SymbolicError::InvalidNodeLimit {
+        value: v.to_owned(),
+    };
     let s = v.trim();
     let (digits, scale) = match s.as_bytes().last() {
         Some(b'k' | b'K') => (&s[..s.len() - 1], 1_000usize),
@@ -722,8 +724,16 @@ mod tests {
     #[test]
     fn tiny_node_limit_fails_closed() {
         let (t, m) = simple();
-        let err = SymbolicModel::from_module(&m, &t, &[], SymbolicOptions { node_limit: 2, ..SymbolicOptions::default() })
-            .expect_err("limit of 2 nodes cannot hold the relation");
+        let err = SymbolicModel::from_module(
+            &m,
+            &t,
+            &[],
+            SymbolicOptions {
+                node_limit: 2,
+                ..SymbolicOptions::default()
+            },
+        )
+        .expect_err("limit of 2 nodes cannot hold the relation");
         assert!(matches!(err, SymbolicError::NodeLimit { limit: 2, .. }));
     }
 }

@@ -56,8 +56,8 @@ fn symbolic_agrees_with_explicit_on_random_instances() {
         let k = Kripke::from_module(&m, &t, &free).expect("small module fits");
         let explicit = satisfiable_in_conj(&formulas, &k);
 
-        let mut sym = SymbolicModel::from_module(&m, &t, &free, SymbolicOptions::default())
-            .expect("builds");
+        let mut sym =
+            SymbolicModel::from_module(&m, &t, &free, SymbolicOptions::default()).expect("builds");
         let symbolic = sym.satisfiable_conj(&formulas).expect("within limits");
 
         assert_eq!(
@@ -229,8 +229,16 @@ fn node_limit_fails_closed_mid_analysis() {
     let m = b.finish().expect("valid");
     // The encoding itself fits in a few hundred nodes; the reachability
     // and fixpoint phases do not.
-    let mut sym = SymbolicModel::from_module(&m, &t, &[], SymbolicOptions { node_limit: 400, ..SymbolicOptions::default() })
-        .expect("encoding fits the tiny budget");
+    let mut sym = SymbolicModel::from_module(
+        &m,
+        &t,
+        &[],
+        SymbolicOptions {
+            node_limit: 400,
+            ..SymbolicOptions::default()
+        },
+    )
+    .expect("encoding fits the tiny budget");
     let f = Ltl::parse("G F match & G F !match", &mut t).expect("parses");
     let err = sym
         .satisfiable_conj(&[f])

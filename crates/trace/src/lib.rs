@@ -645,7 +645,14 @@ pub fn render_tree(data: &TraceData) -> String {
             .unwrap_or(0);
         for (depth, label, rest) in &lines {
             let pad = width - (2 * depth + label.len());
-            let _ = writeln!(out, "{}{}{}  {}", "  ".repeat(*depth), label, " ".repeat(pad), rest);
+            let _ = writeln!(
+                out,
+                "{}{}{}  {}",
+                "  ".repeat(*depth),
+                label,
+                " ".repeat(pad),
+                rest
+            );
         }
     }
 
@@ -677,7 +684,12 @@ pub fn render_tree(data: &TraceData) -> String {
         }
         by_name.sort();
         let summary: Vec<String> = by_name.iter().map(|(n, c)| format!("{n} x{c}")).collect();
-        let _ = writeln!(out, "  events: {} ({})", data.events.len(), summary.join(", "));
+        let _ = writeln!(
+            out,
+            "  events: {} ({})",
+            data.events.len(),
+            summary.join(", ")
+        );
     }
     out
 }
@@ -1013,7 +1025,9 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(true);
         reset();
         guard
@@ -1047,10 +1061,7 @@ mod tests {
         assert_eq!(counter_value(Counter::GapBudgetRefunds), u64::MAX);
         let snap = CounterSnapshot::capture();
         assert_eq!(snap.get(Counter::GapBudgetRefunds), u64::MAX);
-        assert_eq!(
-            snap.nonzero(),
-            vec![("gap.budget_refunds", u64::MAX)],
-        );
+        assert_eq!(snap.nonzero(), vec![("gap.budget_refunds", u64::MAX)],);
     }
 
     #[test]

@@ -12,7 +12,11 @@ use specmatcher::fsm::extract_fsm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = amba::ahb29();
-    println!("design: {} ({} RTL properties)", design.name, design.rtl.num_properties());
+    println!(
+        "design: {} ({} RTL properties)",
+        design.name,
+        design.rtl.num_properties()
+    );
 
     // The concrete arbiter, as the tool sees it.
     let arbiter = &design.rtl.concrete()[0];

@@ -13,9 +13,7 @@
 //!
 //! Run with `cargo run --release --example gap_anatomy`.
 
-use dic_core::{
-    closes_gap, find_gap, primary_coverage, uncovered_terms, CoverageModel, GapConfig,
-};
+use dic_core::{closes_gap, find_gap, primary_coverage, uncovered_terms, CoverageModel, GapConfig};
 use dic_designs::mal;
 use dic_ltl::LtlNode;
 use std::time::Instant;
@@ -29,7 +27,11 @@ fn main() {
     println!("== Design: {} (paper Fig. 4)", d.name);
     println!("architectural intent A = {}", fa.display(&d.table));
     for p in d.rtl.properties() {
-        println!("  RTL property {:>5} = {}", p.name(), p.formula().display(&d.table));
+        println!(
+            "  RTL property {:>5} = {}",
+            p.name(),
+            p.formula().display(&d.table)
+        );
     }
     for m in d.rtl.concrete() {
         println!(
@@ -48,7 +50,10 @@ fn main() {
         println!("covered — nothing to explain");
         return;
     };
-    println!("NOT covered; a run passing R but refuting A (loop at t{}):", run.loop_start());
+    println!(
+        "NOT covered; a run passing R but refuting A (loop at t{}):",
+        run.loop_start()
+    );
     for (i, st) in run.states().iter().enumerate() {
         let mark = if i == run.loop_start() { "->" } else { "  " };
         println!("  {mark} t{i}: {}", st.display(&d.table));
@@ -57,7 +62,11 @@ fn main() {
     // Phase 2 — uncovered terms UM (steps 2(a)/(b)).
     let t1 = Instant::now();
     let terms = uncovered_terms(fa, &d.rtl, &model, &config).expect("within backend limits");
-    println!("\n== Uncovered terms UM ({} terms, {:?}):", terms.len(), t1.elapsed());
+    println!(
+        "\n== Uncovered terms UM ({} terms, {:?}):",
+        terms.len(),
+        t1.elapsed()
+    );
     for term in &terms {
         println!("  {}", term.display(&d.table));
     }
@@ -95,5 +104,8 @@ fn main() {
         assert!(dic_automata::stronger_than(fa, &g.formula));
         assert!(closes_gap(&g.formula, fa, &d.rtl, &model).expect("within backend limits"));
     }
-    println!("\nall {} gap properties re-verified: weaker than A and gap-closing", gaps.len());
+    println!(
+        "\nall {} gap properties re-verified: weaker than A and gap-closing",
+        gaps.len()
+    );
 }

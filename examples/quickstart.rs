@@ -29,16 +29,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- T_M (Definition 4) ------------------------------------------------
     let tm_enum = enumerated_tm(&module, &table, true)?;
     let tm_rel = relational_tm(&module);
-    println!("T_M (enumerated, as in the paper):\n  {}", tm_enum.display(&table));
-    println!("T_M (relational, equivalent):\n  {}", tm_rel.display(&table));
+    println!(
+        "T_M (enumerated, as in the paper):\n  {}",
+        tm_enum.display(&table)
+    );
+    println!(
+        "T_M (relational, equivalent):\n  {}",
+        tm_rel.display(&table)
+    );
 
     // ---- A miniature coverage run ------------------------------------------
     // Architectural intent: if p and q then c two cycles later; RTL property
     // of the (unmodeled) front-end: p & q propagate to a & b.
-    let arch = ArchSpec::new([(
-        "A1",
-        Ltl::parse("G(p & q -> X X c)", &mut table)?,
-    )]);
+    let arch = ArchSpec::new([("A1", Ltl::parse("G(p & q -> X X c)", &mut table)?)]);
     let rtl = RtlSpec::new(
         [
             ("R1", Ltl::parse("G(p -> X a)", &mut table)?),
@@ -48,6 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let run = SpecMatcher::new(GapConfig::default()).check(&arch, &rtl, &table)?;
     println!("== coverage ==\n{}", run.render(&table));
-    assert!(run.all_covered(), "this decomposition is sound and complete");
+    assert!(
+        run.all_covered(),
+        "this decomposition is sound and complete"
+    );
     Ok(())
 }

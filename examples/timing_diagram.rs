@@ -32,15 +32,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The concrete modules (M1 + L1); the arbiter is property-specified, so
     // the simulation drives n1/n2 the way the properties dictate
     // (n1 follows r1 by one cycle, n2 follows !r1 & r2).
-    let composed = Module::compose("MAL", &[&design.rtl.concrete()[0], &design.rtl.concrete()[1]], t)?;
+    let composed = Module::compose(
+        "MAL",
+        &[&design.rtl.concrete()[0], &design.rtl.concrete()[1]],
+        t,
+    )?;
 
     println!("== Fig. 3(a): cache hit for r1 ==");
     let mut sim = Simulator::new(&composed, t)?;
     let trace = sim.run(&[
         // cycle 0: r1 pulses
-        vec![(r1, true), (r2, false), (hit, false), (n1, false), (n2, false)],
+        vec![
+            (r1, true),
+            (r2, false),
+            (hit, false),
+            (n1, false),
+            (n2, false),
+        ],
         // cycle 1: arbiter raises n1; cache hits immediately; r2 arrives
-        vec![(r1, false), (r2, true), (hit, true), (n1, true), (n2, false)],
+        vec![
+            (r1, false),
+            (r2, true),
+            (hit, true),
+            (n1, true),
+            (n2, false),
+        ],
         // cycle 2: d1 delivered; arbiter turns to r2
         vec![(r2, false), (hit, true), (n1, false), (n2, true)],
         // cycle 3: d2 delivered
@@ -53,9 +69,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulator::new(&composed, t)?;
     let trace = sim.run(&[
         // cycle 0: r1 pulses
-        vec![(r1, true), (r2, false), (hit, false), (n1, false), (n2, false)],
+        vec![
+            (r1, true),
+            (r2, false),
+            (hit, false),
+            (n1, false),
+            (n2, false),
+        ],
         // cycle 1: grant for r1 — but the cache misses
-        vec![(r1, false), (r2, true), (hit, false), (n1, true), (n2, false)],
+        vec![
+            (r1, false),
+            (r2, true),
+            (hit, false),
+            (n1, true),
+            (n2, false),
+        ],
         // cycles 2-3: wait holds; the arbiter decision for r2 is masked
         vec![(r2, false), (hit, false), (n1, false), (n2, true)],
         vec![(hit, false), (n2, true)],

@@ -371,8 +371,7 @@ fn emit_trace_sinks(
         }
     }
     if let Some(path) = trace_out {
-        dic_trace::write_jsonl(std::path::Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?;
+        dic_trace::write_jsonl(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(())
 }
@@ -402,7 +401,9 @@ fn find_design(name: &str) -> Result<Design, String> {
                 return Ok(scaling::chain_design(n, gapped));
             }
         }
-        return Err(format!("unknown design {name:?}; chain stages must be 1..=62"));
+        return Err(format!(
+            "unknown design {name:?}; chain stages must be 1..=62"
+        ));
     }
     // So is the mal-<p> family, named by property count.
     if name
@@ -550,7 +551,10 @@ fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedPr
         };
         let name = name.trim();
         if name.is_empty() {
-            return Err(format!("line {}: {kind} property has an empty name", lineno + 1));
+            return Err(format!(
+                "line {}: {kind} property has an empty name",
+                lineno + 1
+            ));
         }
         if list.iter().any(|(seen, _)| seen == name) {
             return Err(format!(
@@ -583,7 +587,13 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
     let matcher = matcher.with_tm_style(TmStyle::Enumerated);
     outln!(
         "{:<14} {:>9} {:>9} {:>9} {:>12} {:>12} {:>12}",
-        "Circuit", "RTL props", "primary", "gap", "Primary (s)", "TM (s)", "Gap (s)"
+        "Circuit",
+        "RTL props",
+        "primary",
+        "gap",
+        "Primary (s)",
+        "TM (s)",
+        "Gap (s)"
     )?;
     let mut incomplete_designs: Vec<String> = Vec::new();
     for design in table1_designs() {
@@ -666,7 +676,10 @@ fn cmd_table1_quick(matcher: &SpecMatcher) -> Result<ExitCode, CliError> {
     ];
     outln!(
         "{:<14} {:>9} {:>9} {:>12}  verdict",
-        "Circuit", "RTL props", "backend", "Primary (s)"
+        "Circuit",
+        "RTL props",
+        "backend",
+        "Primary (s)"
     )?;
     let mut ok = true;
     for (design, expect_covered) in rows {
@@ -729,7 +742,11 @@ fn cmd_table1_quick(matcher: &SpecMatcher) -> Result<ExitCode, CliError> {
             "chain-22-gap gap smoke ({} backend): {} uncovered terms, exact-hole fallback {}",
             run.backend,
             rep.uncovered_terms.len(),
-            if rep.gap_properties.is_empty() { "active" } else { "inactive" },
+            if rep.gap_properties.is_empty() {
+                "active"
+            } else {
+                "inactive"
+            },
         )?;
         if rep.covered || rep.uncovered_terms.is_empty() {
             return Err("chain-22-gap gap smoke produced no uncovered terms".into());

@@ -150,7 +150,12 @@ fn table1_conjunct_sizes_are_pinned() {
             assert_eq!(name, pin_name, "{design_name}: conjunct order drifted");
             let s = translation_reduction(f);
             assert_eq!(
-                (s.pre.states, s.post.states, s.pre.acceptance_sets, s.post.acceptance_sets),
+                (
+                    s.pre.states,
+                    s.post.states,
+                    s.pre.acceptance_sets,
+                    s.post.acceptance_sets
+                ),
                 (pre_s, post_s, pre_a, post_a),
                 "{design_name}/{name}: automaton sizes drifted (pre/post states, pre/post acc)"
             );
@@ -211,11 +216,7 @@ fn weakened_candidate_automata_shrink_hard() {
     // 4x product shrink (and with it the measured 14x explicit gap-phase
     // speedup) cannot silently regress.
     let mut t = specmatcher::logic::SignalTable::new();
-    let u = Ltl::parse(
-        "G(!wait & r1 & X((r1 & !g1) U r2) -> X(!d2 U d1))",
-        &mut t,
-    )
-    .expect("parse");
+    let u = Ltl::parse("G(!wait & r1 & X((r1 & !g1) U r2) -> X(!d2 U d1))", &mut t).expect("parse");
     let s = translation_reduction(&u);
     assert_eq!(s.pre.states, 48, "legacy tableau size drifted");
     assert!(

@@ -9,7 +9,9 @@
 //! strong evidence both implement the same semantics.
 
 use proptest::prelude::*;
-use specmatcher::core::{primary_coverage, Backend, BmcMode, CoverageModel, GapConfig, SpecMatcher};
+use specmatcher::core::{
+    primary_coverage, Backend, BmcMode, CoverageModel, GapConfig, SpecMatcher,
+};
 use specmatcher::ltl::Ltl;
 
 mod common;
@@ -316,21 +318,44 @@ fn bmc_panic_in_a_worker_leaves_later_verdicts_correct() {
         .expect("fault-free model builds");
     for (site, jobs) in [("bmc.encode", "1"), ("sat.solve", "2")] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_specmatcher"))
-            .args(["check", "--design", "mal-ex2", "--backend", "symbolic", "--jobs", jobs])
+            .args([
+                "check",
+                "--design",
+                "mal-ex2",
+                "--backend",
+                "symbolic",
+                "--jobs",
+                jobs,
+            ])
             .env("SPECMATCHER_FAULT", format!("{site}:3:panic"))
             .env("RUST_BACKTRACE", "0")
             .output()
             .expect("binary runs");
         let stdout = String::from_utf8(out.stdout).expect("utf8");
-        assert_eq!(out.status.code(), Some(1), "{site}: partial gap report\n{stdout}");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{site}: partial gap report\n{stdout}"
+        );
         let unknown: Vec<&str> = stdout.lines().filter(|l| l.contains("unknown:")).collect();
-        assert_eq!(unknown.len(), 1, "{site}: exactly the faulted candidate is unknown\n{stdout}");
-        assert!(unknown[0].contains("injected fault: panic"), "{site}: {}", unknown[0]);
+        assert_eq!(
+            unknown.len(),
+            1,
+            "{site}: exactly the faulted candidate is unknown\n{stdout}"
+        );
+        assert!(
+            unknown[0].contains("injected fault: panic"),
+            "{site}: {}",
+            unknown[0]
+        );
         let gap_lines: Vec<&str> = stdout
             .lines()
             .filter_map(|l| l.split_once("   [instance at ").map(|(f, _)| f.trim()))
             .collect();
-        assert!(gap_lines.len() > 10, "{site}: later candidates still settle\n{stdout}");
+        assert!(
+            gap_lines.len() > 10,
+            "{site}: later candidates still settle\n{stdout}"
+        );
         let mut table = design.table.clone();
         for text in gap_lines {
             let g = Ltl::parse(text, &mut table).expect("reported formula parses");

@@ -113,7 +113,10 @@ fn unknown_and_repeated_options_exit_two() {
         ("check --design mal-ex1 --reorder off", "\"--reorder\""),
         ("check --design mal-ex1 --partition auto", "\"--partition\""),
         ("check --design mal-ex1 --jbos 2", "\"--jbos\""),
-        ("check --design mal-ex1 --jobs 1 --jobs 2", "--jobs given twice"),
+        (
+            "check --design mal-ex1 --jobs 1 --jobs 2",
+            "--jobs given twice",
+        ),
         ("check --design mal-ex1 mal-ex2", "\"mal-ex2\""),
         ("table1 --quick --reorder off", "\"--reorder\""),
         ("table1 --quick --jbos 2", "\"--jbos\""),
@@ -255,7 +258,11 @@ fn invalid_jobs_are_rejected_loudly() {
     // missing value are usage errors.
     for bad in ["0", "-2", "four", "1.5"] {
         let out = specmatcher(&["check", "--design", "mal-ex1", "--jobs", bad]);
-        assert_eq!(out.status.code(), Some(2), "--jobs {bad:?} must be rejected");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--jobs {bad:?} must be rejected"
+        );
         let stderr = String::from_utf8(out.stderr).expect("utf8");
         assert!(stderr.contains("--jobs"), "--jobs {bad:?}: {stderr}");
     }
@@ -280,9 +287,16 @@ fn invalid_jobs_are_rejected_loudly() {
 
     // Good values run, are reported, and leave the verdict unchanged.
     let out = specmatcher(&["check", "--design", "mal-ex2", "--jobs", "2"]);
-    assert_eq!(out.status.code(), Some(1), "worker count never changes the verdict");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "worker count never changes the verdict"
+    );
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("jobs: 2 workers"), "report names the worker count");
+    assert!(
+        stdout.contains("jobs: 2 workers"),
+        "report names the worker count"
+    );
     let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
         .args(["check", "--design", "mal-ex1"])
         .env("SPECMATCHER_JOBS", "3")
@@ -306,11 +320,18 @@ fn bmc_flag_honors_the_exit_code_contract() {
     // the report names the mode it ran with.
     for mode in ["off", "auto"] {
         let out = specmatcher(&["check", "--design", "mal-ex1", "--bmc", mode]);
-        assert_eq!(out.status.code(), Some(0), "mal-ex1 covered under --bmc {mode}");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "mal-ex1 covered under --bmc {mode}"
+        );
         let out = specmatcher(&["check", "--design", "mal-ex2", "--bmc", mode]);
         assert_eq!(out.status.code(), Some(1), "mal-ex2 gap under --bmc {mode}");
         let stdout = String::from_utf8(out.stdout).expect("utf8");
-        assert!(stdout.contains(&format!("bmc {mode}")), "report names the mode");
+        assert!(
+            stdout.contains(&format!("bmc {mode}")),
+            "report names the mode"
+        );
     }
 }
 
@@ -332,8 +353,15 @@ fn worker_gap_refusals_degrade_to_explicit_retry() {
     for jobs in ["1", "4"] {
         let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
             .args([
-                "check", "--design", "mal-ex2", "--backend", "symbolic", "--bmc", "off",
-                "--jobs", jobs,
+                "check",
+                "--design",
+                "mal-ex2",
+                "--backend",
+                "symbolic",
+                "--bmc",
+                "off",
+                "--jobs",
+                jobs,
             ])
             .env("SPECMATCHER_BDD_NODE_LIMIT", "96K")
             .output()
@@ -367,10 +395,17 @@ fn timeout_with_partial_results_exits_one() {
         .env("SPECMATCHER_FAULT", "gap.worker:3:deadline")
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "settled gap + deadline => exit 1");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "settled gap + deadline => exit 1"
+    );
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("NOT covered"), "stdout: {stdout}");
-    assert!(stdout.contains("incomplete: deadline exceeded"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("incomplete: deadline exceeded"),
+        "stdout: {stdout}"
+    );
     assert!(stdout.contains("unknown: "), "stdout: {stdout}");
 
     // Wall-clock variant on the wide design. The budget is about half of
@@ -382,9 +417,15 @@ fn timeout_with_partial_results_exits_one() {
     // partial-report invariants are pinned here.
     let out = specmatcher(&["check", "--design", "mal-26", "--timeout", "5"]);
     let code = out.status.code().expect("exit code");
-    assert!(code == 1 || code == 3, "partial-run exit (1 or 3), got {code}");
+    assert!(
+        code == 1 || code == 3,
+        "partial-run exit (1 or 3), got {code}"
+    );
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("incomplete: deadline exceeded"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("incomplete: deadline exceeded"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]
@@ -402,7 +443,10 @@ fn timeout_with_nothing_confirmed_exits_three() {
     assert_eq!(out.status.code(), Some(3), "nothing settled => exit 3");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("UNKNOWN"), "stdout: {stdout}");
-    assert!(stdout.contains("incomplete: deadline exceeded"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("incomplete: deadline exceeded"),
+        "stdout: {stdout}"
+    );
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("incomplete"), "stderr: {stderr}");
 }
@@ -492,10 +536,10 @@ fn strict_governance_env_parsing() {
         assert!(stderr.contains("invalid SPECMATCHER_TIMEOUT"), "{stderr}");
     }
     for bad in [
-        "gap.worker",          // missing nth:kind
-        "gap.worker:0:panic",  // nth must be >= 1
-        "gap.walker:1:panic",  // unknown site
-        "gap.worker:1:oops",   // unknown kind
+        "gap.worker",         // missing nth:kind
+        "gap.worker:0:panic", // nth must be >= 1
+        "gap.walker:1:panic", // unknown site
+        "gap.worker:1:oops",  // unknown kind
         "gap.worker:one:panic",
         "",
     ] {
@@ -524,7 +568,11 @@ fn scaling_design_needs_the_symbolic_backend() {
 
     for backend in ["symbolic", "auto"] {
         let out = specmatcher(&["check", "--design", "chain-24", "--backend", backend]);
-        assert_eq!(out.status.code(), Some(0), "chain-24 covered under {backend}");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "chain-24 covered under {backend}"
+        );
         let stdout = String::from_utf8(out.stdout).expect("utf8");
         assert!(stdout.contains("COVERED"));
         assert!(stdout.contains("symbolic"), "report must name the backend");
@@ -677,7 +725,11 @@ fn formulas_at_the_nesting_limit_still_check() {
     let arch = format!("{}r1", "X ".repeat(limit));
     let out = check_mal_ex1_with_arch(&arch, "limit");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert_eq!(out.status.code(), Some(1), "X^{limit} r1 is a gap: {stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "X^{limit} r1 is a gap: {stdout}"
+    );
     assert!(stdout.contains("NOT covered"));
 }
 
@@ -789,8 +841,27 @@ fn generated_input_files_keep_the_exit_code_contract() {
     let mut rng = XorShift64::new(0x5eed);
     let mut garbage = |n: usize| -> String {
         const PIECES: &[&str] = &[
-            "(", ")", "!", "&", "|", "->", "G", "X", "U", "r1", "n1", "=", " ", "\n", "arch", "rtl",
-            "module", "assign", "latch", "endmodule", "#",
+            "(",
+            ")",
+            "!",
+            "&",
+            "|",
+            "->",
+            "G",
+            "X",
+            "U",
+            "r1",
+            "n1",
+            "=",
+            " ",
+            "\n",
+            "arch",
+            "rtl",
+            "module",
+            "assign",
+            "latch",
+            "endmodule",
+            "#",
         ];
         (0..n).map(|_| PIECES[rng.below(PIECES.len())]).collect()
     };
@@ -798,13 +869,23 @@ fn generated_input_files_keep_the_exit_code_contract() {
     let snls = [
         good_snl.clone(),
         garbage(200),
-        good_snl.replace("assign g1 = n1 & !cwait", &format!("assign g1 = {}", deep("!(", ")"))),
+        good_snl.replace(
+            "assign g1 = n1 & !cwait",
+            &format!("assign g1 = {}", deep("!(", ")")),
+        ),
         good_snl.replace("endmodule", ""),
     ];
     let mut t = specmatcher::logic::SignalTable::new();
-    let atoms: Vec<_> = ["r1", "r2", "n1", "d1", "hit"].iter().map(|a| t.intern(a)).collect();
+    let atoms: Vec<_> = ["r1", "r2", "n1", "d1", "hit"]
+        .iter()
+        .map(|a| t.intern(a))
+        .collect();
     let mut formula_rng = XorShift64::new(0xf00d);
-    let mut formula = || random_formula(&mut formula_rng, &atoms, 6).display(&t).to_string();
+    let mut formula = || {
+        random_formula(&mut formula_rng, &atoms, 6)
+            .display(&t)
+            .to_string()
+    };
     // Assumption 1 needs every architectural signal in the RTL suite.
     let all = "rtl ALL = G(r1 -> X n1) & G(r2 -> F d1) & G F hit";
     let specs = [
@@ -946,7 +1027,10 @@ fn spec_property_names_must_be_present_and_unique() {
         assert!(out.stdout.is_empty(), "{tag}: no report for a refused spec");
     }
 
-    let out = check_mal_ex1_spec("arch A = G(r1 -> X n1)\nrtl A = G(r1 -> X n1)\n", "cross-kind");
+    let out = check_mal_ex1_spec(
+        "arch A = G(r1 -> X n1)\nrtl A = G(r1 -> X n1)\n",
+        "cross-kind",
+    );
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -976,7 +1060,10 @@ fn run_with_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
         .expect("binary runs");
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("binary exits");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 /// A reader that goes away (`| head`) ends the run quietly with the exit
@@ -1006,7 +1093,10 @@ fn unwritable_stdout_exits_two() {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("specmatcher: cannot write the report: "), "{stderr}");
+    assert!(
+        stderr.contains("specmatcher: cannot write the report: "),
+        "{stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 

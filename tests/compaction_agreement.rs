@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use specmatcher::automata::translate_all;
+use specmatcher::core::{ArchSpec, RtlSpec};
 use specmatcher::core::{
     Backend, CoverageModel, CoverageRun, GapConfig, PropertyReport, SpecMatcher, SymbolicOptions,
 };
@@ -18,7 +19,6 @@ use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
 use specmatcher::ltl::random::{random_formula, XorShift64};
 use specmatcher::ltl::Ltl;
 use specmatcher::netlist::{Module, ModuleBuilder};
-use specmatcher::core::{ArchSpec, RtlSpec};
 
 // Only the simulator replay oracle is shared: this suite keeps its own
 // problem generator, whose seeds and shapes differ from the common one.
@@ -32,9 +32,7 @@ fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
     let mut b = ModuleBuilder::new("rand", &mut t);
     let n_inputs = 1 + rng.below(3);
-    let mut pool: Vec<SignalId> = (0..n_inputs)
-        .map(|i| b.input(&format!("i{i}")))
-        .collect();
+    let mut pool: Vec<SignalId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
 
     let leaf = |pool: &[SignalId], rng: &mut XorShift64| -> BoolExpr {
         let v = BoolExpr::var(pool[rng.below(pool.len())]);
@@ -201,13 +199,20 @@ fn auto_crossover_reflects_product_width() {
         Backend::Explicit,
         "amba gap"
     );
-    assert!(model.has_explicit(), "explicit structure carries Algorithm 1");
+    assert!(
+        model.has_explicit(),
+        "explicit structure carries Algorithm 1"
+    );
 
     // The narrower pipeline design (12 properties, cost ≈ 350) stays
     // explicit on both axes, as before.
     let pipe = specmatcher::designs::pipeline::pipeline12();
     let model = CoverageModel::build(&pipe.arch, &pipe.rtl, &pipe.table).expect("builds");
-    assert_eq!(model.primary_backend(), Backend::Explicit, "pipeline primary");
+    assert_eq!(
+        model.primary_backend(),
+        Backend::Explicit,
+        "pipeline primary"
+    );
     assert_eq!(
         model.gap_backend_choice(Backend::Auto),
         Backend::Explicit,
@@ -217,7 +222,11 @@ fn auto_crossover_reflects_product_width() {
     // mal-ex2 (6 properties) likewise.
     let ex2 = specmatcher::designs::mal::ex2();
     let model = CoverageModel::build(&ex2.arch, &ex2.rtl, &ex2.table).expect("builds");
-    assert_eq!(model.primary_backend(), Backend::Explicit, "mal-ex2 primary");
+    assert_eq!(
+        model.primary_backend(),
+        Backend::Explicit,
+        "mal-ex2 primary"
+    );
 
     // mal-26 still crosses over on the state-bit axis (17 bits > 14).
     let mal26 = specmatcher::designs::mal::mal26();

@@ -121,8 +121,10 @@ fn coverage_model_factored_matches_flat() {
     for _ in 0..40 {
         let extra = random_formula(&mut rng, &atoms, 5);
         let flat = model.satisfiable(&[r.clone(), Ltl::not(a.clone()), extra.clone()]);
-        let factored = model
-            .satisfiable_factored(&[r.clone(), Ltl::not(a.clone())], std::slice::from_ref(&extra));
+        let factored = model.satisfiable_factored(
+            &[r.clone(), Ltl::not(a.clone())],
+            std::slice::from_ref(&extra),
+        );
         assert_eq!(
             flat.is_some(),
             factored.is_some(),
@@ -134,7 +136,10 @@ fn coverage_model_factored_matches_flat() {
 /// Asserts that a witness of `conjuncts` satisfies every one of them.
 fn assert_witness(w: Option<&LassoWord>, conjuncts: &[Ltl], what: &str) {
     for f in conjuncts {
-        assert!(w.is_none_or(|w| f.holds_on(w)), "{what}: witness violates {f:?}");
+        assert!(
+            w.is_none_or(|w| f.holds_on(w)),
+            "{what}: witness violates {f:?}"
+        );
     }
 }
 
@@ -171,7 +176,10 @@ fn symbolic_extensions_match_flat_and_explicit() {
     let mut satisfiable = [0; 3];
     for round in 0..40 {
         let extra = random_formula(&mut rng, &atoms, 5);
-        for (k, base) in [vec![r.clone()], anchored_base.to_vec()].into_iter().enumerate() {
+        for (k, base) in [vec![r.clone()], anchored_base.to_vec()]
+            .into_iter()
+            .enumerate()
+        {
             let mut all = base.clone();
             all.push(extra.clone());
             let factored = sym
@@ -180,7 +188,11 @@ fn symbolic_extensions_match_flat_and_explicit() {
             let flat = sym.satisfiable_conj(&all).expect("within budget");
             let explicit = satisfiable_in_conj(&all, &kripke);
             let tag = format!("round {round} {}: extra = {extra:?}", paths[k]);
-            assert_eq!(factored.is_some(), flat.is_some(), "{tag}: factored vs flat");
+            assert_eq!(
+                factored.is_some(),
+                flat.is_some(),
+                "{tag}: factored vs flat"
+            );
             assert_eq!(factored.is_some(), explicit.is_some(), "{tag}: vs explicit");
             assert_witness(factored.as_ref(), &all, &tag);
             assert_witness(flat.as_ref(), &all, &tag);
@@ -219,7 +231,10 @@ fn product_system_reports_shape() {
     let p = materialize_product(&[f], &kripke);
     assert!(!p.is_empty());
     assert!(p.num_states() > 0);
-    assert!(p.num_transitions() >= p.num_states(), "total transition relation");
+    assert!(
+        p.num_transitions() >= p.num_states(),
+        "total transition relation"
+    );
 
     // A contradictory base materializes to an empty system.
     let f2 = Ltl::parse("o & !o", &mut t).expect("parses");

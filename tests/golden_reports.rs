@@ -96,7 +96,10 @@ fn mal_ex2_report_matches_golden() {
 fn chain_gap_report_matches_golden() {
     // Gapped scaling fixture: exercises the Theorem 2 exact-hole fallback
     // (no structure-preserving property closes the off-by-one chain gap).
-    assert_golden("chain_6_gap.txt", &normalized_report(&scaling::chain_design(6, true)));
+    assert_golden(
+        "chain_6_gap.txt",
+        &normalized_report(&scaling::chain_design(6, true)),
+    );
 }
 
 #[test]

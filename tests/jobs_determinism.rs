@@ -110,9 +110,17 @@ fn gap_formulas(design: &Design, jobs: usize) -> Vec<String> {
 /// Pins a design's exact ordered gap set at one worker and at four.
 fn assert_pinned(design: &Design, expected: &[&str]) {
     let one = gap_formulas(design, 1);
-    assert_eq!(one, expected, "{}: gap set drifted at --jobs 1", design.name);
+    assert_eq!(
+        one, expected,
+        "{}: gap set drifted at --jobs 1",
+        design.name
+    );
     let four = gap_formulas(design, 4);
-    assert_eq!(one, four, "{}: gap set depends on the worker count", design.name);
+    assert_eq!(
+        one, four,
+        "{}: gap set depends on the worker count",
+        design.name
+    );
 }
 
 #[test]

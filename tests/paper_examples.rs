@@ -50,7 +50,10 @@ fn ex4_paper_gap_property_closes() {
     let model = CoverageModel::build(&d.arch, &d.rtl, &d.table).expect("builds");
     let fa = d.arch.properties()[0].formula();
     assert!(stronger_than(fa, &u), "A is strictly stronger than U");
-    assert!(closes_gap(&u, fa, &d.rtl, &model).expect("runs"), "U closes the gap");
+    assert!(
+        closes_gap(&u, fa, &d.rtl, &model).expect("runs"),
+        "U closes the gap"
+    );
 }
 
 #[test]

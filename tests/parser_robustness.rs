@@ -14,9 +14,43 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// into the grammar often enough to matter.
 fn random_text(rng: &mut XorShift64, len: usize) -> String {
     const PIECES: &[&str] = &[
-        "(", ")", "!", "~", "&", "|", "^", "->", "<->", "-", "<", "X", "G", "F", "U", "R", "W",
-        "a", "b", "req", "0", "1", "true", " ", " ", "\n", "#", "=", "\u{e9}", "\u{0}",
-        "module", "input", "output", "assign", "latch", "init", "endmodule",
+        "(",
+        ")",
+        "!",
+        "~",
+        "&",
+        "|",
+        "^",
+        "->",
+        "<->",
+        "-",
+        "<",
+        "X",
+        "G",
+        "F",
+        "U",
+        "R",
+        "W",
+        "a",
+        "b",
+        "req",
+        "0",
+        "1",
+        "true",
+        " ",
+        " ",
+        "\n",
+        "#",
+        "=",
+        "\u{e9}",
+        "\u{0}",
+        "module",
+        "input",
+        "output",
+        "assign",
+        "latch",
+        "init",
+        "endmodule",
     ];
     let mut out = String::new();
     for _ in 0..len {
@@ -45,24 +79,34 @@ fn random_nesting(rng: &mut XorShift64, depth: usize, temporal: bool) -> String 
         out.push_str(op);
     }
     out.push('a');
-    let close = if rng.below(4) == 0 { rng.below(closers + 1) } else { closers };
+    let close = if rng.below(4) == 0 {
+        rng.below(closers + 1)
+    } else {
+        closers
+    };
     out.push_str(&")".repeat(close));
     out
 }
 
 /// A one-module SNL document whose `assign` is `expr`.
 fn snl_with(expr: &str) -> String {
-    format!("module m\n  input a b\n  output o\n  assign o = {expr}\n  latch q = o init 0\nendmodule\n")
+    format!(
+        "module m\n  input a b\n  output o\n  assign o = {expr}\n  latch q = o init 0\nendmodule\n"
+    )
 }
 
 /// Parses `src` both ways; each must return, and every error must name
 /// what went wrong.
 fn assert_parses_or_names_an_error(src: &str) {
     let ltl = catch_unwind(AssertUnwindSafe(|| {
-        Ltl::parse(src, &mut SignalTable::new()).map(|_| ()).map_err(|e| e.to_string())
+        Ltl::parse(src, &mut SignalTable::new())
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }));
     let snl = catch_unwind(AssertUnwindSafe(|| {
-        parse_snl(src, &mut SignalTable::new()).map(|_| ()).map_err(|e| e.to_string())
+        parse_snl(src, &mut SignalTable::new())
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }));
     for (what, result) in [("Ltl::parse", ltl), ("parse_snl", snl)] {
         match result {

@@ -33,9 +33,7 @@ fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
     let mut b = ModuleBuilder::new("rand", &mut t);
     let n_inputs = 1 + rng.below(3);
-    let mut pool: Vec<SignalId> = (0..n_inputs)
-        .map(|i| b.input(&format!("i{i}")))
-        .collect();
+    let mut pool: Vec<SignalId> = (0..n_inputs).map(|i| b.input(&format!("i{i}"))).collect();
 
     let leaf = |pool: &[SignalId], rng: &mut XorShift64| -> BoolExpr {
         let v = BoolExpr::var(pool[rng.below(pool.len())]);

@@ -210,13 +210,26 @@ fn every_pipeline_phase_span_is_present() {
         .iter()
         .find(|s| s.name == "gap.verify")
         .expect("present");
-    assert_eq!(verify.parent, gap_find.id, "gap.verify nests in phase.gap_find");
+    assert_eq!(
+        verify.parent, gap_find.id,
+        "gap.verify nests in phase.gap_find"
+    );
 
     // Counter attribution: the gap phase did the candidate work.
     let counters = run.counters.expect("traced");
-    assert!(counters.gap_find.get(trace::Counter::GapCandidatesEnumerated) > 0);
+    assert!(
+        counters
+            .gap_find
+            .get(trace::Counter::GapCandidatesEnumerated)
+            > 0
+    );
     assert!(counters.gap_find.get(trace::Counter::GapFixpointVerified) > 0);
-    assert_eq!(counters.tm_build.get(trace::Counter::GapCandidatesEnumerated), 0);
+    assert_eq!(
+        counters
+            .tm_build
+            .get(trace::Counter::GapCandidatesEnumerated),
+        0
+    );
     assert!(
         counters.primary.get(trace::Counter::ExplicitStatesExpanded) > 0
             || counters.primary.get(trace::Counter::BddIteOps) > 0,
@@ -302,7 +315,11 @@ fn parallel_workers_attach_to_the_verify_span() {
     trace::set_enabled(false);
 
     let data = trace::capture();
-    let workers: Vec<_> = data.spans.iter().filter(|s| s.name == "gap.worker").collect();
+    let workers: Vec<_> = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "gap.worker")
+        .collect();
     assert_eq!(workers.len(), 4, "one span per worker");
     let verify_ids: Vec<u64> = data
         .spans
@@ -378,9 +395,10 @@ fn closing_fixpoints(backend: Backend, jobs: usize) -> (u64, u64) {
 #[test]
 fn gap_tier_counters_count_what_each_tier_settles() {
     let _guard = exclusive();
-    for (backend, probe_refuted, bmc_refuted, fixpoints) in
-        [(Backend::Explicit, 51, 0, 33), (Backend::Symbolic, 55, 4, 25)]
-    {
+    for (backend, probe_refuted, bmc_refuted, fixpoints) in [
+        (Backend::Explicit, 51, 0, 33),
+        (Backend::Symbolic, 55, 4, 25),
+    ] {
         trace_mal_ex2(backend, 1);
         let tiers = [
             trace::Counter::GapProbeRefuted,
@@ -475,7 +493,10 @@ fn probes_and_pool_screens_nest_under_the_gap_worker() {
             let name_of = |id: u64| by_id.get(&id).map_or("", |s| s.name.as_str());
             for name in ["gap.probe", "gap.pool_screen"] {
                 let spans: Vec<_> = data.spans.iter().filter(|s| s.name == name).collect();
-                assert!(!spans.is_empty(), "{backend:?} --jobs {jobs}: no {name} span");
+                assert!(
+                    !spans.is_empty(),
+                    "{backend:?} --jobs {jobs}: no {name} span"
+                );
                 for span in spans {
                     assert_eq!(
                         name_of(span.parent),
@@ -557,7 +578,11 @@ fn symbolic_runs_count_bdd_work() {
     assert!(trace::counter_value(trace::Counter::BddUniqueLookups) > 0);
     assert!(trace::gauge_value(trace::Gauge::BddPeakNodes) > 0);
     let names = span_names(&trace::capture());
-    for span in ["symbolic.product_build", "symbolic.reachable", "symbolic.fair_hull"] {
+    for span in [
+        "symbolic.product_build",
+        "symbolic.reachable",
+        "symbolic.fair_hull",
+    ] {
         assert!(names.iter().any(|n| n == span), "span {span} missing");
     }
 }
@@ -590,7 +615,10 @@ fn explicit_searches_have_their_own_span() {
             .iter()
             .filter(|s| s.name == "explicit.search")
             .collect();
-        assert!(!searches.is_empty(), "no explicit.search span at --jobs {jobs}");
+        assert!(
+            !searches.is_empty(),
+            "no explicit.search span at --jobs {jobs}"
+        );
         assert!(
             searches.iter().any(|s| name_of(s.parent) == "gap.worker"),
             "no explicit.search under gap.worker at --jobs {jobs}"
@@ -630,8 +658,8 @@ fn jsonl_stream_replays_into_the_live_tree() {
     trace::set_enabled(false);
 
     let live = trace::render_profile();
-    let replayed = trace::parse_jsonl(&trace::to_jsonl(&trace::capture()))
-        .expect("own stream parses");
+    let replayed =
+        trace::parse_jsonl(&trace::to_jsonl(&trace::capture())).expect("own stream parses");
     assert_eq!(
         live,
         trace::render_tree(&replayed),

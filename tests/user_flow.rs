@@ -45,10 +45,7 @@ fn snl_coverage_flow_gap() {
     let mut t = SignalTable::new();
     let modules = parse_snl(GLUE_SNL, &mut t).expect("SNL parses");
     // Intent ignores the en gate: not covered without an en property.
-    let arch = ArchSpec::new([(
-        "A1",
-        Ltl::parse("G(req -> X q)", &mut t).expect("parses"),
-    )]);
+    let arch = ArchSpec::new([("A1", Ltl::parse("G(req -> X q)", &mut t).expect("parses"))]);
     let rtl = RtlSpec::new(
         [("TRIVIAL", Ltl::parse("G(q -> q)", &mut t).expect("parses"))],
         modules,

@@ -60,7 +60,10 @@ fn assert_replays(design: &specmatcher::designs::Design, backend: Backend) {
             .expect("builds");
     let fa = design.arch.properties()[0].formula();
     let Some(witness) = primary_coverage(fa, &design.rtl, &model).expect("within limits") else {
-        panic!("{} must have a coverage gap to produce a witness", design.name);
+        panic!(
+            "{} must have a coverage gap to produce a witness",
+            design.name
+        );
     };
     assert_word_replays(design, &model, &witness);
 }
@@ -78,8 +81,7 @@ fn mal_ex2_symbolic_witness_replays_on_simulator() {
 #[test]
 fn all_gapped_table1_witnesses_replay() {
     for design in table1_designs() {
-        let model =
-            CoverageModel::build(&design.arch, &design.rtl, &design.table).expect("builds");
+        let model = CoverageModel::build(&design.arch, &design.rtl, &design.table).expect("builds");
         let fa = design.arch.properties()[0].formula();
         if design.name == "mal-26" {
             continue; // minutes-scale explicit primary; see the test below
