@@ -8,7 +8,7 @@
 //! [`bench_table1_json`] writes the `BENCH_table1.json` document with the
 //! pre/post-reduction automaton sizes of [`design_reductions`].
 
-use dic_core::{Backend, BmcMode, CoverageRun};
+use dic_core::{Backend, CoverageRun};
 use dic_designs::Design;
 use dic_logic::SignalTable;
 use dic_ltl::Ltl;
@@ -36,20 +36,17 @@ pub struct TableRow {
     /// Per-phase engine counter deltas, when the run was traced
     /// (`dic_trace` enabled); `None` keeps the historical JSON shape.
     pub counters: Option<dic_core::PhaseCounters>,
-    /// The bounded-refutation mode of the run (`--bmc`).
-    pub bmc: BmcMode,
     /// The gap fingerprint: every reported gap property, rendered in
     /// report order ([`gap_fingerprint`]). The determinism contract says
-    /// this list is byte-identical across `--bmc` modes, backends and
-    /// `--jobs` counts; CI diffs it between nightly lanes.
+    /// this list is byte-identical across backends and `--jobs` counts.
     pub gap_fingerprint: Vec<String>,
 }
 
 /// The ordered gap-property fingerprint of a run: for every architectural
 /// property, each reported gap property's formula rendered against the
 /// design's signal table. Two runs with equal fingerprints reported the
-/// same gap content in the same order — the byte-identity CI pins across
-/// `--bmc on/off`, backends, and worker counts.
+/// same gap content in the same order — the byte-identity the tests pin
+/// across backends and worker counts.
 pub fn gap_fingerprint(run: &CoverageRun, table: &SignalTable) -> Vec<String> {
     run.properties
         .iter()
@@ -122,14 +119,13 @@ pub fn bench_table1_json(
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"rtl_properties\":{},\"primary_backend\":\"{}\",\
-             \"gap_backend\":\"{}\",\"bmc\":\"{}\",\"jobs\":{{\"requested\":{},\
+             \"gap_backend\":\"{}\",\"jobs\":{{\"requested\":{},\
              \"gap_workers\":{},\"gap_fixpoints\":{}}},\"phase_s\":{{\"primary\":{},\
              \"tm_build\":{},\"gap_find\":{}}},",
             row.circuit,
             row.num_rtl,
             row.backend,
             row.backend,
-            row.bmc,
             row.jobs.requested,
             row.jobs.gap_workers,
             row.jobs.gap_fixpoints,
@@ -138,8 +134,7 @@ pub fn bench_table1_json(
             row.gap_find.as_secs_f64(),
         );
         // The ordered gap fingerprint: what the byte-identity contract
-        // quantifies over. The nightly CI lane diffs this list between
-        // `--bmc off` and `--bmc auto` documents.
+        // quantifies over.
         out.push_str("\"gap_fingerprint\":[");
         for (j, g) in row.gap_fingerprint.iter().enumerate() {
             if j > 0 {

@@ -57,7 +57,6 @@
 //! ```
 
 pub mod backend;
-pub mod bmc;
 pub mod error;
 pub mod hole;
 pub mod intent;
@@ -72,12 +71,11 @@ pub mod weaken;
 pub use backend::{
     predicted_product_cost, Backend, AUTO_SYMBOLIC_BITS, AUTO_SYMBOLIC_PRODUCT_COST,
 };
-pub use bmc::BmcMode;
 pub use dic_symbolic::{GcStats, ReorderMode, SymbolicOptions};
 pub use error::CoreError;
 pub use hole::{closes_gap, closure_witness, exact_hole};
 pub use intent::{close_gap_iteratively, uncovered_intent};
-pub use model::CoverageModel;
+pub use model::{BmcMode, CoverageModel};
 pub use pipeline::{
     CoverageRun, JobsStats, PhaseCounters, PhaseTimings, PropertyReport, SpecMatcher,
 };
@@ -90,16 +88,15 @@ pub use weaken::{
 
 /// The `SPECMATCHER_*` environment variables the program reads.
 /// [`validate_env`] rejects every other `SPECMATCHER_*` name.
-const KNOWN_ENV: [&str; 4] = [
+const KNOWN_ENV: [&str; 3] = [
     "SPECMATCHER_BDD_NODE_LIMIT",
     "SPECMATCHER_FAULT",
     "SPECMATCHER_JOBS",
-    "SPECMATCHER_TIMEOUT",
 ];
 
 /// Startup audit of every `SPECMATCHER_*` override with a strict parse:
-/// `SPECMATCHER_JOBS`, `SPECMATCHER_BDD_NODE_LIMIT`,
-/// `SPECMATCHER_TIMEOUT` and `SPECMATCHER_FAULT`. Any other
+/// `SPECMATCHER_JOBS`, `SPECMATCHER_BDD_NODE_LIMIT` and
+/// `SPECMATCHER_FAULT`. Any other
 /// `SPECMATCHER_*` name — a typo, or a retired knob — is rejected too, so
 /// it cannot be silently ignored. Returns the first offending setting's
 /// message.
@@ -129,7 +126,6 @@ pub fn validate_env() -> Result<(), String> {
     }
     backend::jobs_from_env()?;
     SymbolicOptions::from_env().map_err(|e| e.to_string())?;
-    dic_fault::timeout_from_env()?;
     dic_fault::fault_from_env()?;
     Ok(())
 }

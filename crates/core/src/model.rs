@@ -3,7 +3,6 @@
 use crate::backend::{
     predicted_product_cost, Backend, AUTO_SYMBOLIC_BITS, AUTO_SYMBOLIC_PRODUCT_COST,
 };
-use crate::bmc::BmcMode;
 use crate::error::CoreError;
 use crate::spec::{ArchSpec, RtlSpec};
 use dic_fsm::Kripke;
@@ -12,6 +11,7 @@ use dic_netlist::Module;
 use dic_sat::BmcSession;
 use dic_symbolic::{GcStats, SymbolicModel, SymbolicOptions};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The model `M` of the paper's Definition 1: the synchronous composition
@@ -57,9 +57,25 @@ pub struct CoverageModel {
     hidden: BTreeSet<SignalId>,
     /// Materialized base products, keyed by the baked-in conjunction.
     products: Mutex<HashMap<Vec<dic_ltl::Ltl>, Arc<dic_automata::ProductSystem>>>,
-    /// Whether gap queries first try the bounded SAT refutation tier
-    /// ([`BmcMode::Auto`] by default; see [`GapEngine::closure`]).
-    bmc_mode: BmcMode,
+}
+
+/// A retired bounded-refutation switch, kept so the benchmark probe's
+/// calls still compile. The bounded SAT tier always runs ahead of the
+/// symbolic engine's closure fixpoints and never ahead of the explicit
+/// engine's; [`CoverageModel::set_bmc_mode`] and
+/// [`SpecMatcher::with_bmc`](crate::SpecMatcher::with_bmc) ignore their
+/// argument.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum BmcMode {
+    /// The only mode the gap phase has.
+    #[default]
+    Auto,
+}
+
+impl fmt::Display for BmcMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("auto")
+    }
 }
 
 /// A resolved engine: what [`Backend::Auto`] becomes at build time.
@@ -246,22 +262,15 @@ impl CoverageModel {
             observable,
             hidden,
             products: Mutex::new(HashMap::new()),
-            bmc_mode: BmcMode::default(),
         })
     }
 
-    /// Selects whether gap queries consult the bounded SAT refutation
-    /// tier first (the CLI's `--bmc`; [`BmcMode::Auto`] by default). The
-    /// reported gap-property sets are identical either way — the tier
-    /// only ever short-circuits verdicts the fixpoint engines would reach
-    /// themselves.
-    pub fn set_bmc_mode(&mut self, mode: BmcMode) {
-        self.bmc_mode = mode;
-    }
+    /// Does nothing: `_mode` is ignored (see [`BmcMode`]).
+    pub fn set_bmc_mode(&mut self, _mode: BmcMode) {}
 
-    /// The bounded-refutation mode gap queries run with.
+    /// Always [`BmcMode::Auto`] (see [`BmcMode`]).
     pub fn bmc_mode(&self) -> BmcMode {
-        self.bmc_mode
+        BmcMode::Auto
     }
 
     /// The engine answering primary coverage queries: [`Backend::Explicit`]
@@ -546,23 +555,13 @@ impl<'m> GapEngine<'m> {
     /// the product reuse the dominant performance lever of the whole gap
     /// phase.
     ///
-    /// With [`BmcMode::Auto`] (the default) a bounded SAT refutation runs
-    /// *before* the symbolic fixpoint engine: if a lasso satisfying the
-    /// whole conjunction exists within [`dic_sat::DEFAULT_BMC_DEPTH`] steps,
-    /// the SAT tier finds it, replays it through the netlist evaluator,
-    /// and returns it without ever touching a fixpoint. An inconclusive
-    /// bound (UNSAT within the depth, or the per-query conflict budget)
-    /// falls through, so verdicts are identical across modes — only the
-    /// engine that produces them changes. `bmc` holds the caller's
+    /// The bounded SAT tier ([`GapEngine::bounded_refutation`]) goes
+    /// first; only when it is inconclusive does the fixpoint tier
+    /// ([`GapEngine::fixpoint`]) run. `bmc` holds the caller's
     /// [`BmcSession`] for `base`: a gap worker keeps one across its
     /// candidates, so the unrolling and the base automata are encoded
     /// once per worker and what the solver learns carries over; a
-    /// one-off caller passes an empty slot. The tier is skipped on the
-    /// explicit engine: those models fit the enumerative engine precisely
-    /// because their fixpoints cost milliseconds, less than a single
-    /// unrolled SAT query, while each symbolic Emerson–Lei fixpoint costs
-    /// seconds. The gate is a pure function of the resolved engine, so
-    /// determinism is unaffected.
+    /// one-off caller passes an empty slot.
     ///
     /// # Errors
     ///
@@ -581,15 +580,28 @@ impl<'m> GapEngine<'m> {
     }
 
     /// The bounded SAT tier of [`GapEngine::closure`] alone: a refuting
-    /// run, or `None` when the tier is off, skipped (explicit engine) or
+    /// run, or `None` when the tier is skipped (explicit engine) or
     /// inconclusive.
+    ///
+    /// On the symbolic engine this asks for a lasso satisfying `base` and
+    /// `extra` within [`dic_sat::DEFAULT_BMC_DEPTH`] steps; a run it finds
+    /// is replayed through the netlist evaluator and returned without
+    /// touching a fixpoint. An inconclusive bound (UNSAT within the depth,
+    /// or the per-query conflict budget) proves nothing and falls through
+    /// to the fixpoint tier, so verdicts, and with them the reported gap
+    /// sets, are the ones the fixpoint engines alone would give. The tier
+    /// is skipped on the explicit engine: those models fit the enumerative
+    /// engine because their fixpoints cost milliseconds, less than one
+    /// unrolled SAT query (an ungated tier made mal-ex2 2.4× slower), while
+    /// each symbolic Emerson–Lei fixpoint costs seconds. The gate is a
+    /// pure function of the resolved engine, so determinism is unaffected.
     pub(crate) fn bounded_refutation(
         self,
         base: &[dic_ltl::Ltl],
         extra: &[dic_ltl::Ltl],
         bmc: &mut Option<BmcSession<'m>>,
     ) -> Option<dic_ltl::LassoWord> {
-        if self.engine == Engine::Symbolic && self.model.bmc_mode == BmcMode::Auto {
+        if self.engine == Engine::Symbolic {
             self.model.bmc_refute(base, extra, bmc)
         } else {
             None

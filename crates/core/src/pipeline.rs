@@ -2,10 +2,9 @@
 //! per-phase timing breakdown of the paper's Table 1.
 
 use crate::backend::Backend;
-use crate::bmc::BmcMode;
 use crate::error::CoreError;
 use crate::hole::exact_hole;
-use crate::model::CoverageModel;
+use crate::model::{BmcMode, CoverageModel};
 use crate::spec::{ArchSpec, Property, RtlSpec};
 use crate::terms::uncovered_terms_with_runs;
 use crate::tm::{tm_for_modules, TmStyle};
@@ -207,9 +206,6 @@ pub struct CoverageRun {
     /// phases (resolved from the matcher's requested backend at
     /// model-build time).
     pub backend: Backend,
-    /// Whether the bounded SAT refutation tier ran ahead of the closure
-    /// fixpoints (the gap-property sets are identical either way).
-    pub bmc: BmcMode,
     /// Collection statistics of the symbolic engine (`None` when no
     /// symbolic engine was built for this run).
     pub bdd_gc: Option<GcStats>,
@@ -251,10 +247,9 @@ impl CoverageRun {
         }
         let _ = writeln!(
             out,
-            "timings (primary backend {}, gap backend {}, bmc {}): primary {:?}, TM build {:?}, gap finding {:?}",
+            "timings (primary backend {}, gap backend {}): primary {:?}, TM build {:?}, gap finding {:?}",
             self.backend,
             self.backend,
-            self.bmc,
             self.timings.primary,
             self.timings.tm_build,
             self.timings.gap_find
@@ -288,7 +283,6 @@ pub struct SpecMatcher {
     config: GapConfig,
     tm_style: TmStyle,
     backend: Backend,
-    bmc: BmcMode,
 }
 
 impl SpecMatcher {
@@ -299,7 +293,6 @@ impl SpecMatcher {
             config,
             tm_style: TmStyle::default(),
             backend: Backend::default(),
-            bmc: BmcMode::default(),
         }
     }
 
@@ -327,22 +320,9 @@ impl SpecMatcher {
         self.backend
     }
 
-    /// Selects the bounded-refutation mode (the CLI's `--bmc`;
-    /// [`BmcMode::Auto`] by default). With `Auto`, every gap-phase closure
-    /// query first asks the SAT tier for a `k`-bounded refuting run and
-    /// only falls through to the fixpoint engines on an inconclusive
-    /// bound; the reported gap-property sets are byte-identical across
-    /// modes. Takes effect on the model [`SpecMatcher::check`] builds —
-    /// when reusing a prebuilt model via [`SpecMatcher::check_with_model`],
-    /// set [`CoverageModel::set_bmc_mode`] on it instead.
-    pub fn with_bmc(mut self, bmc: BmcMode) -> Self {
-        self.bmc = bmc;
+    /// Returns the matcher unchanged: `_bmc` is ignored (see [`BmcMode`]).
+    pub fn with_bmc(self, _bmc: BmcMode) -> Self {
         self
-    }
-
-    /// The requested bounded-refutation mode.
-    pub fn bmc(&self) -> BmcMode {
-        self.bmc
     }
 
     /// Overrides the closure-verification worker count (the CLI's
@@ -380,8 +360,7 @@ impl SpecMatcher {
     }
 
     /// The model [`SpecMatcher::check`] runs on: built for the requested
-    /// backend, with the symbolic options from the environment and the
-    /// requested bounded-refutation mode set.
+    /// backend, with the symbolic options from the environment.
     ///
     /// # Errors
     ///
@@ -393,10 +372,7 @@ impl SpecMatcher {
         table: &SignalTable,
     ) -> Result<CoverageModel, CoreError> {
         let options = SymbolicOptions::from_env().map_err(CoreError::Symbolic)?;
-        let mut model =
-            CoverageModel::build_with_symbolic_options(arch, rtl, table, self.backend, options)?;
-        model.set_bmc_mode(self.bmc);
-        Ok(model)
+        CoverageModel::build_with_symbolic_options(arch, rtl, table, self.backend, options)
     }
 
     /// Like [`SpecMatcher::check`] but reusing a prebuilt model (the
@@ -606,7 +582,6 @@ impl SpecMatcher {
             timings: total,
             num_rtl_properties: rtl.num_properties(),
             backend,
-            bmc: model.map_or(self.bmc, CoverageModel::bmc_mode),
             bdd_gc: model.ok().and_then(CoverageModel::gc_stats),
             jobs,
             counters,

@@ -93,10 +93,8 @@ pub fn uncovered_terms_with_runs(
         // somewhere (which every literal is irrelevant to).
         let (anchored, window) = anchor_violation(fa, &word);
         let depth = window + config.term_depth;
-        let mut cube = TemporalCube::from_word_prefix(&word, depth, &term_signals);
-        if config.generalize {
-            cube = generalize(engine, cube, rtl, &anchored, model)?;
-        }
+        let raw = TemporalCube::from_word_prefix(&word, depth, &term_signals);
+        let cube = generalize(engine, raw, rtl, &anchored, model)?;
         if terms.contains(&cube) {
             continue;
         }
@@ -110,18 +108,16 @@ pub fn uncovered_terms_with_runs(
         runs.push(word);
     }
 
-    if config.quantify {
-        let hidden = model.hidden();
-        if !hidden.is_empty() {
-            let universal = forall_eliminate(&terms, hidden);
-            // Universal elimination can collapse to `false` when scenarios
-            // pin hidden signals; fall back to the existential projection,
-            // which over-approximates but stays informative.
-            if !universal.is_empty() {
-                return Ok((universal, runs));
-            }
-            return Ok((exists_eliminate(&terms, hidden), runs));
+    let hidden = model.hidden();
+    if !hidden.is_empty() {
+        let universal = forall_eliminate(&terms, hidden);
+        // Universal elimination can collapse to `false` when scenarios
+        // pin hidden signals; fall back to the existential projection,
+        // which over-approximates but stays informative.
+        if !universal.is_empty() {
+            return Ok((universal, runs));
         }
+        return Ok((exists_eliminate(&terms, hidden), runs));
     }
     Ok((terms, runs))
 }
@@ -239,10 +235,10 @@ mod tests {
     fn runs_exhibit_their_terms() {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
-        let config = GapConfig {
-            quantify: false,
-            ..GapConfig::default()
-        };
+        // Quantification would rewrite the terms away from their runs; the
+        // fixture hides no signal, so the terms are the enumerated cubes.
+        assert!(model.hidden().is_empty());
+        let config = GapConfig::default();
         let (terms, runs) = uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
         assert_eq!(terms.len(), runs.len());
         for (term, run) in terms.iter().zip(&runs) {
@@ -255,26 +251,22 @@ mod tests {
     fn generalization_shrinks_terms() {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
-        let full = GapConfig {
-            generalize: false,
-            quantify: false,
-            max_terms: 1,
-            ..GapConfig::default()
-        };
-        let gen = GapConfig {
-            generalize: true,
-            quantify: false,
-            max_terms: 1,
-            ..GapConfig::default()
-        };
-        let raw = uncovered_terms(fa, &rtl, &model, &full).expect("runs");
-        let small = uncovered_terms(fa, &rtl, &model, &gen).expect("runs");
-        assert!(!raw.is_empty() && !small.is_empty());
+        let engine = model.gap_engine().expect("engine builds");
+        let mut base = rtl.formulas().to_vec();
+        base.push(Ltl::not(fa.clone()));
+        let word = engine
+            .scenario(&base, &TemporalCube::top())
+            .expect("runs")
+            .expect("the gap has a bad scenario");
+        let (anchored, window) = anchor_violation(fa, &word);
+        let depth = window + GapConfig::default().term_depth;
+        let raw = TemporalCube::from_word_prefix(&word, depth, &model.term_signals());
+        let small = generalize(engine, raw.clone(), &rtl, &anchored, &model).expect("runs");
         assert!(
-            small[0].len() < raw[0].len(),
+            small.len() < raw.len(),
             "generalization must drop literals ({} vs {})",
-            small[0].len(),
-            raw[0].len()
+            small.len(),
+            raw.len()
         );
     }
 

@@ -42,10 +42,6 @@ pub struct GapConfig {
     pub term_depth: usize,
     /// Maximum number of counterexample scenarios to enumerate.
     pub max_terms: usize,
-    /// Whether to generalize terms by literal dropping.
-    pub generalize: bool,
-    /// Whether to quantify hidden signals out of the terms (step 2(b)).
-    pub quantify: bool,
     /// Maximum number of weakening candidates to verify.
     pub max_candidates: usize,
     /// Largest `X` offset allowed between a variable instance and an
@@ -69,8 +65,6 @@ impl Default for GapConfig {
         GapConfig {
             term_depth: 3,
             max_terms: 6,
-            generalize: true,
-            quantify: true,
             max_candidates: 128,
             max_offset: 2,
             max_gap_properties: 24,
@@ -917,10 +911,10 @@ impl<'a, 'm> Verifier<'a, 'm> {
             }
         }
         // The closure check, tier by tier (`GapEngine::closure` split
-        // open). With `BmcMode::Auto` the bounded SAT tier goes first — a
-        // shallow refuting lasso comes back without running either
-        // fixpoint engine, and lands in the bad-run pool exactly like a
-        // fixpoint counterexample.
+        // open). The bounded SAT tier goes first — a shallow refuting
+        // lasso comes back without running either fixpoint engine, and
+        // lands in the bad-run pool exactly like a fixpoint
+        // counterexample.
         let extra = std::slice::from_ref(weakened);
         if let Some(run) = engine.bounded_refutation(self.base, extra, bmc) {
             self.lock().pool.push(run);

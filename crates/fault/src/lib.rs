@@ -319,22 +319,6 @@ pub fn arm_fault_from_env() -> Result<(), String> {
     Ok(())
 }
 
-/// Strict parse of `SPECMATCHER_TIMEOUT` (whole seconds, >= 1).
-/// `Ok(None)` when unset.
-pub fn timeout_from_env() -> Result<Option<Duration>, String> {
-    let raw = match std::env::var("SPECMATCHER_TIMEOUT") {
-        Ok(v) => v,
-        Err(_) => return Ok(None),
-    };
-    match raw.parse::<u64>() {
-        Ok(secs) if secs >= 1 => Ok(Some(Duration::from_secs(secs))),
-        _ => Err(format!(
-            "invalid SPECMATCHER_TIMEOUT value {raw:?}: expected a positive \
-             whole number of seconds"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

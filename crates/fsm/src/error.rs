@@ -19,9 +19,8 @@ pub enum FsmError {
         /// The configured limit on `state_bits + input_bits`.
         limit: usize,
     },
-    /// The cooperative wall-clock deadline (`--timeout` /
-    /// `SPECMATCHER_TIMEOUT`, armed through `dic_fault`) expired at an
-    /// expansion-batch checkpoint. The run degrades instead of thrashing:
+    /// The cooperative wall-clock deadline (`--timeout`, armed through
+    /// `dic_fault`) expired at an expansion-batch checkpoint. The run degrades instead of thrashing:
     /// the caller reports what it settled before the trip.
     Deadline,
 }

@@ -26,9 +26,8 @@ pub enum SymbolicError {
         /// The configured limit on `nodes`.
         limit: usize,
     },
-    /// The cooperative wall-clock deadline (`--timeout` /
-    /// `SPECMATCHER_TIMEOUT`, armed through `dic_fault`) expired at a
-    /// fixpoint-step or node-budget checkpoint. Like `NodeLimit`, this is
+    /// The cooperative wall-clock deadline (`--timeout`, armed through
+    /// `dic_fault`) expired at a fixpoint-step or node-budget checkpoint. Like `NodeLimit`, this is
     /// raised *between* steps, never mid-operation, so the manager stays
     /// consistent; the pipeline treats it as a degradable refusal and
     /// reports what it settled before the trip.

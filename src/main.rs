@@ -1,9 +1,9 @@
 //! The `specmatcher` command-line tool.
 //!
 //! ```text
-//! specmatcher check --design <name> [--backend B] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
-//! specmatcher check --snl <file> --spec <file> [--backend B] [--jobs N] [--bmc M]
-//! specmatcher table1 [--backend B] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
+//! specmatcher check --design <name> [--backend B] [--jobs N] [--json] [--profile] [--trace-out F]
+//! specmatcher check --snl <file> --spec <file> [--backend B] [--jobs N]
+//! specmatcher table1 [--backend B] [--jobs N] [--quick | --json] [--profile] [--trace-out F]
 //! specmatcher fsm --design <name>              dump concrete-module FSMs (DOT)
 //! specmatcher list                             list packaged designs
 //! ```
@@ -16,19 +16,15 @@
 //! Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
-//! `--bmc` controls the bounded SAT refutation tier fronting the
-//! gap-phase closure fixpoints (`auto`, the default, or `off`; unroll
-//! depth 16) — the reported gap properties
-//! are byte-identical either way, only the time to reach them changes.
 //! `--profile` appends the `dic_trace` span/counter tree to the report
 //! and `--trace-out <path>` writes the run as a replayable JSONL event
 //! stream; with both absent tracing stays disabled and output is
-//! byte-identical to earlier releases. `--timeout <secs>` (or
-//! `SPECMATCHER_TIMEOUT`) arms a cooperative deadline checked between
-//! engine steps: on expiry the run degrades to a *partial report* —
-//! settled verdicts are kept, unresolved candidates are listed as
-//! `unknown`, and the report carries an `incomplete:` line. Each flag may
-//! be given once; an unknown or repeated flag is a usage error.
+//! byte-identical to earlier releases. `--timeout <secs>` arms a
+//! cooperative deadline checked between engine steps: on expiry the run
+//! degrades to a *partial report* — settled verdicts are kept, unresolved
+//! candidates are listed as `unknown`, and the report carries an
+//! `incomplete:` line. Each flag may be given once; an unknown or
+//! repeated flag is a usage error.
 //!
 //! Exit codes: `0` — every architectural property is covered; `1` — a
 //! coverage gap was found and reported (including a partial run with at
@@ -48,7 +44,7 @@
 //! rtl FAIR = G F hit
 //! ```
 
-use dic_core::{ArchSpec, Backend, BmcMode, CoreError, GapConfig, RtlSpec, SpecMatcher, TmStyle};
+use dic_core::{ArchSpec, Backend, CoreError, GapConfig, RtlSpec, SpecMatcher, TmStyle};
 use dic_designs::{mal, scaling, table1_designs, Design};
 use dic_fsm::extract_fsm;
 use dic_logic::SignalTable;
@@ -201,7 +197,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     errln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (unroll depth 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--jobs N] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\ntimeout:  cooperative run deadline in seconds (default: none);\n          on expiry the run degrades to a partial report — settled\n          verdicts are kept, unresolved candidates are listed as\n          unknown, and the report carries an 'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
 
@@ -213,7 +209,6 @@ const FLAGS: &[(&str, Option<&str>)] = &[
     ("--spec", Some("a spec file")),
     ("--backend", Some("explicit, symbolic or auto")),
     ("--jobs", Some("a positive worker count")),
-    ("--bmc", Some("off or auto")),
     ("--timeout", Some("a positive whole number of seconds")),
     ("--trace-out", Some("a JSONL output path")),
     ("--json", None),
@@ -222,10 +217,9 @@ const FLAGS: &[(&str, Option<&str>)] = &[
 ];
 
 /// The engine and observability flags `check` and `table1` share.
-const RUN_FLAGS: [&str; 7] = [
+const RUN_FLAGS: [&str; 6] = [
     "--backend",
     "--jobs",
-    "--bmc",
     "--timeout",
     "--trace-out",
     "--json",
@@ -277,28 +271,15 @@ impl<'a> Flags<'a> {
         self.0.iter().any(|(f, _)| *f == flag)
     }
 
-    /// A mode flag (`--backend`, `--bmc`) parsed by `parse`, or the mode's
-    /// default when absent.
-    fn mode<T: Default>(
-        &self,
-        flag: &str,
-        what: &str,
-        parse: fn(&str) -> Option<T>,
-    ) -> Result<T, String> {
-        match self.value(flag) {
-            None => Ok(T::default()),
-            Some(s) => parse(s).ok_or_else(|| {
-                let choices = FLAGS.iter().find(|(f, _)| *f == flag).and_then(|(_, h)| *h);
-                format!("unknown {what} {s:?}; use {}", choices.unwrap_or_default())
-            }),
-        }
-    }
-
     /// The matcher the engine flags describe: `--backend`, `--jobs`
     /// (absent → `0`, the default resolution; a positive integer wins,
-    /// anything else is a usage error) and `--bmc`.
+    /// anything else is a usage error).
     fn matcher(&self) -> Result<SpecMatcher, String> {
-        let backend = self.mode("--backend", "backend", Backend::parse)?;
+        let backend = match self.value("--backend") {
+            None => Backend::default(),
+            Some(s) => Backend::parse(s)
+                .ok_or_else(|| format!("unknown backend {s:?}; use explicit, symbolic or auto"))?,
+        };
         let matcher = SpecMatcher::new(GapConfig::default()).with_backend(backend);
         let jobs = match self.value("--jobs") {
             None => 0,
@@ -311,9 +292,7 @@ impl<'a> Flags<'a> {
                 }
             },
         };
-        Ok(matcher
-            .with_jobs(jobs)
-            .with_bmc(self.mode("--bmc", "bmc mode", BmcMode::parse)?))
+        Ok(matcher.with_jobs(jobs))
     }
 
     /// `--profile` / `--trace-out <path>`. Either flag turns `dic_trace`
@@ -331,23 +310,14 @@ impl<'a> Flags<'a> {
 
     /// Arms the run-wide governors before any engine work: the
     /// cooperative deadline (`--timeout`, a positive whole number of
-    /// seconds, else `SPECMATCHER_TIMEOUT`, else none) and the
-    /// deterministic fault plan (`SPECMATCHER_FAULT`; off in production).
+    /// seconds; none when absent) and the deterministic fault plan
+    /// (`SPECMATCHER_FAULT`; off in production).
     fn arm_governance(&self) -> Result<(), CliError> {
-        let budget = match self.value("--timeout") {
-            None => dic_fault::timeout_from_env()?,
-            Some(s) => match s.parse::<u64>() {
-                Ok(n) if n > 0 => Some(Duration::from_secs(n)),
-                _ => {
-                    return Err(format!(
-                        "invalid --timeout {s:?}: expected a positive whole number of seconds"
-                    )
-                    .into())
-                }
-            },
-        };
-        if let Some(budget) = budget {
-            dic_fault::arm_deadline(budget);
+        if let Some(s) = self.value("--timeout") {
+            let secs = s.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
+                format!("invalid --timeout {s:?}: expected a positive whole number of seconds")
+            })?;
+            dic_fault::arm_deadline(Duration::from_secs(secs));
         }
         dic_fault::arm_fault_from_env().map_err(CliError::Usage)?;
         Ok(())
@@ -625,7 +595,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
                     backend: run.backend,
                     jobs: run.jobs,
                     counters: run.counters,
-                    bmc: run.bmc,
                     gap_fingerprint: fingerprint,
                 },
                 dic_bench::design_reductions(&design),

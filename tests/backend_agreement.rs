@@ -9,9 +9,7 @@
 //! strong evidence both implement the same semantics.
 
 use proptest::prelude::*;
-use specmatcher::core::{
-    primary_coverage, Backend, BmcMode, CoverageModel, GapConfig, SpecMatcher,
-};
+use specmatcher::core::{primary_coverage, Backend, CoverageModel, GapConfig, SpecMatcher};
 use specmatcher::ltl::Ltl;
 
 mod common;
@@ -168,56 +166,56 @@ proptest! {
     }
 }
 
-/// The ordered gap-set identity the `--bmc` contract promises, on a real
-/// Table 1 design: same gap properties, same order, same witnesses-free
-/// rendering, whether or not the SAT tier screens the closure fixpoints.
-/// The backend is forced symbolic because that is the (only) configuration
-/// where `BmcMode::Auto` fires — on the explicit engine the tier is gated
-/// off and the identity is trivial.
-fn assert_bmc_modes_agree(design: &specmatcher::designs::Design) {
-    let run_with = |bmc: BmcMode| {
-        let matcher = SpecMatcher::new(GapConfig {
-            max_terms: 3,
-            max_candidates: 32,
-            max_gap_properties: 4,
-            ..GapConfig::default()
-        })
-        .with_backend(Backend::Symbolic)
-        .with_bmc(bmc);
+/// The ordered gap-set identity across engines, on a real Table 1
+/// design: same gap properties, same order, same witness-free rendering
+/// from the explicit engine, which never runs the bounded SAT tier, and
+/// the symbolic engine, where the tier fronts every closure fixpoint. The
+/// primary witnesses and uncovered terms may differ between the engines,
+/// so only the gap fingerprints are compared.
+fn assert_backends_agree_on_gap_sets(design: &specmatcher::designs::Design) {
+    let run_on = |backend: Backend| {
+        let matcher = SpecMatcher::new(GapConfig::default()).with_backend(backend);
         design.check(&matcher).expect("packaged design runs")
     };
-    let off = run_with(BmcMode::Off);
-    let auto = run_with(BmcMode::Auto);
-    assert_eq!(off.all_covered(), auto.all_covered(), "{}", design.name);
+    let explicit = run_on(Backend::Explicit);
+    let symbolic = run_on(Backend::Symbolic);
     assert_eq!(
-        dic_bench::gap_fingerprint(&off, &design.table),
-        dic_bench::gap_fingerprint(&auto, &design.table),
-        "{}: ordered gap sets diverge between --bmc off and auto",
+        explicit.all_covered(),
+        symbolic.all_covered(),
+        "{}",
+        design.name
+    );
+    let fingerprint = dic_bench::gap_fingerprint(&explicit, &design.table);
+    assert!(!fingerprint.is_empty(), "{}: no gap reported", design.name);
+    assert_eq!(
+        fingerprint,
+        dic_bench::gap_fingerprint(&symbolic, &design.table),
+        "{}: ordered gap sets diverge between the explicit and symbolic engines",
         design.name
     );
 }
 
 #[test]
-fn bmc_modes_report_identical_gap_sets_on_the_toy_design() {
-    assert_bmc_modes_agree(&specmatcher::designs::mal::ex2());
+fn backends_report_identical_gap_sets_on_the_toy_design() {
+    assert_backends_agree_on_gap_sets(&specmatcher::designs::mal::ex2());
 }
 
 #[test]
-#[ignore = "two symbolic mal-26 pipelines, minutes-scale; nightly lane"]
-fn bmc_modes_report_identical_gap_sets_on_mal26() {
-    assert_bmc_modes_agree(&specmatcher::designs::mal::mal26());
+#[ignore = "explicit and symbolic mal-26 pipelines, ~2.5 min in release; nightly lane"]
+fn backends_report_identical_gap_sets_on_mal26() {
+    assert_backends_agree_on_gap_sets(&specmatcher::designs::mal::mal26());
 }
 
 #[test]
-#[ignore = "two forced-symbolic pipeline-12 runs, tens of seconds; nightly lane"]
-fn bmc_modes_report_identical_gap_sets_on_pipeline() {
-    assert_bmc_modes_agree(&specmatcher::designs::pipeline::pipeline12());
+#[ignore = "explicit and forced-symbolic pipeline-12 runs; nightly lane with the other Table 1 rows"]
+fn backends_report_identical_gap_sets_on_pipeline() {
+    assert_backends_agree_on_gap_sets(&specmatcher::designs::pipeline::pipeline12());
 }
 
 #[test]
-#[ignore = "two forced-symbolic amba-ahb gap phases, minutes-scale; nightly lane"]
-fn bmc_modes_report_identical_gap_sets_on_amba_ahb() {
-    assert_bmc_modes_agree(&specmatcher::designs::amba::ahb29());
+#[ignore = "explicit and forced-symbolic amba-ahb gap phases, ~15 s in release; nightly lane"]
+fn backends_report_identical_gap_sets_on_amba_ahb() {
+    assert_backends_agree_on_gap_sets(&specmatcher::designs::amba::ahb29());
 }
 
 proptest! {

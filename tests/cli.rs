@@ -112,6 +112,7 @@ fn unknown_and_repeated_options_exit_two() {
     for (args, needle) in [
         ("check --design mal-ex1 --reorder off", "\"--reorder\""),
         ("check --design mal-ex1 --partition auto", "\"--partition\""),
+        ("check --design mal-ex1 --bmc auto", "\"--bmc\""),
         ("check --design mal-ex1 --jbos 2", "\"--jbos\""),
         (
             "check --design mal-ex1 --jobs 1 --jobs 2",
@@ -131,16 +132,14 @@ fn unknown_and_repeated_options_exit_two() {
 }
 
 /// `table1 --quick` runs every check through the matcher the flags
-/// describe: on the symbolic engine, where bounded queries front the
-/// closure fixpoints, `--bmc off` leaves none, and `--jobs 3` runs three
-/// gap workers per gap phase.
+/// describe: on the symbolic engine bounded queries front the closure
+/// fixpoints, and `--jobs 3` runs three gap workers per gap phase.
 #[test]
-fn table1_quick_honors_jobs_and_bmc() {
-    let args = "table1 --quick --backend symbolic --bmc off --jobs 3 --profile";
+fn table1_quick_honors_jobs() {
+    let args = "table1 --quick --backend symbolic --jobs 3 --profile";
     let out = specmatcher(&args.split(' ').collect::<Vec<_>>());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(!stdout.contains("bmc.query"), "{stdout}");
     let spans = |name: &str| -> usize {
         stdout
             .lines()
@@ -157,6 +156,7 @@ fn table1_quick_honors_jobs_and_bmc() {
     };
     let (verify, workers) = (spans("gap.verify"), spans("gap.worker"));
     assert!(verify > 0, "{stdout}");
+    assert!(spans("bmc.query") > 0, "{stdout}");
     assert_eq!(workers, 3 * verify, "{stdout}");
 }
 
@@ -228,14 +228,16 @@ fn unknown_env_names_are_rejected_loudly() {
     // A SPECMATCHER_* name the program does not read — a typo, or a
     // retired knob — must not be silently ignored: usage error (2) naming
     // the variable, before any work. The retired knobs include the
-    // transition-relation partition mode, the BMC unroll depth and the
-    // BDD cluster cap.
+    // transition-relation partition mode, the BMC unroll depth, the BDD
+    // cluster cap and the deadline variable (`--timeout` is the only way
+    // to set a deadline).
     for (name, value) in [
         ("SPECMATCHER_NO_REDUCE", "1"),
         ("SPECMATCHER_REORDER_LOG", "1"),
         ("SPECMATCHER_BDD_PARTITION", "off"),
         ("SPECMATCHER_BMC_DEPTH", "16"),
         ("SPECMATCHER_BDD_CLUSTER_SIZE", "60K"),
+        ("SPECMATCHER_TIMEOUT", "5"),
         ("SPECMATCHER_JOSB", "4"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
@@ -306,51 +308,46 @@ fn invalid_jobs_are_rejected_loudly() {
 }
 
 #[test]
-fn bmc_flag_honors_the_exit_code_contract() {
-    // `--bmc` takes exactly off|auto; anything else (or a missing value)
-    // is a usage error.
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--bmc", "sometimes"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("bmc"), "stderr: {stderr}");
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--bmc"]);
-    assert_eq!(out.status.code(), Some(2), "--bmc needs a value");
-
-    // Both modes preserve the verdict contract on the toy designs, and
-    // the report names the mode it ran with.
-    for mode in ["off", "auto"] {
-        let out = specmatcher(&["check", "--design", "mal-ex1", "--bmc", mode]);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "mal-ex1 covered under --bmc {mode}"
-        );
-        let out = specmatcher(&["check", "--design", "mal-ex2", "--bmc", mode]);
-        assert_eq!(out.status.code(), Some(1), "mal-ex2 gap under --bmc {mode}");
-        let stdout = String::from_utf8(out.stdout).expect("utf8");
-        assert!(
-            stdout.contains(&format!("bmc {mode}")),
-            "report names the mode"
-        );
-    }
-}
-
-#[test]
 fn worker_gap_refusals_degrade_to_explicit_retry() {
     // A node budget that survives the model build, the primary question
-    // and term enumeration, but trips inside closure verification: under
-    // the governance layer the per-candidate refusal no longer aborts the
-    // run — each tripped candidate is retried on the explicit engine
-    // (mal-ex2 is well inside its limits), so the run completes with the
-    // full gap-property set and the ordinary gap exit code (1). Pinned
-    // with the SAT tier off: under `--bmc auto` the bounded refutations
-    // screen enough fixpoints that this budget never trips at all.
+    // and term enumeration, but trips inside closure verification: the
+    // per-candidate refusal does not abort the run. Each tripped candidate
+    // is retried on the explicit engine (mal-ex2 is well inside its
+    // limits), so the run completes with the full gap-property set, the
+    // report the default budget gives, and the ordinary gap exit code (1).
     //
-    // Budget re-derived for the complement-edge core: ≤64K trips before
-    // the workers even start (the shared anchored products alone exceed
-    // it); 96K lands inside the worker phase with ~25% margin on both
-    // sides, so the trip is schedule-independent.
+    // At 16K, 25 candidates trip and are retried at `--jobs 1` and
+    // `--jobs 4` alike; by 96K the bounded SAT tier and the collector keep
+    // every fixpoint inside the budget and nothing is retried, so the
+    // trace must show the retries, not just the exit code.
+    let plain = |jobs: &str| {
+        let out = specmatcher(&[
+            "check",
+            "--design",
+            "mal-ex2",
+            "--backend",
+            "symbolic",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(out.status.code(), Some(1));
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    let gap_lines = |report: &str| -> Vec<String> {
+        report
+            .lines()
+            .filter(|l| {
+                !["timings", "bdd gc:", "jobs:"]
+                    .iter()
+                    .any(|p| l.starts_with(p))
+            })
+            .map(str::to_owned)
+            .collect()
+    };
+    let dir = std::env::temp_dir().join(format!("specmatcher-retry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
     for jobs in ["1", "4"] {
+        let trace = dir.join(format!("jobs-{jobs}.jsonl"));
         let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
             .args([
                 "check",
@@ -358,12 +355,12 @@ fn worker_gap_refusals_degrade_to_explicit_retry() {
                 "mal-ex2",
                 "--backend",
                 "symbolic",
-                "--bmc",
-                "off",
                 "--jobs",
                 jobs,
+                "--trace-out",
             ])
-            .env("SPECMATCHER_BDD_NODE_LIMIT", "96K")
+            .arg(&trace)
+            .env("SPECMATCHER_BDD_NODE_LIMIT", "16K")
             .output()
             .expect("binary runs");
         assert_eq!(
@@ -373,14 +370,25 @@ fn worker_gap_refusals_degrade_to_explicit_retry() {
         );
         let stdout = String::from_utf8(out.stdout).expect("utf8");
         assert!(
-            stdout.contains("gap properties"),
-            "--jobs {jobs}: explicit retry must keep the gap report: {stdout}"
-        );
-        assert!(
             !stdout.contains("incomplete:"),
             "--jobs {jobs}: every candidate settles after retry: {stdout}"
         );
+        assert_eq!(
+            gap_lines(&stdout),
+            gap_lines(&plain(jobs)),
+            "--jobs {jobs}: the retried run must report what the default budget reports"
+        );
+        let events = std::fs::read_to_string(&trace).expect("trace written");
+        let retries = events
+            .lines()
+            .filter(|l| l.contains("\"name\":\"gap.retry_explicit\""))
+            .count();
+        assert!(
+            retries > 0,
+            "--jobs {jobs}: the budget must trip and be retried explicitly"
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -525,16 +533,6 @@ fn injected_worker_panic_is_isolated() {
 fn strict_governance_env_parsing() {
     // Typos in the governance overrides are usage errors (exit 2), never
     // silently defaulted runs.
-    for bad in ["0", "-3", "ten", "1.5", ""] {
-        let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
-            .args(["check", "--design", "mal-ex1"])
-            .env("SPECMATCHER_TIMEOUT", bad)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "SPECMATCHER_TIMEOUT={bad:?}");
-        let stderr = String::from_utf8(out.stderr).expect("utf8");
-        assert!(stderr.contains("invalid SPECMATCHER_TIMEOUT"), "{stderr}");
-    }
     for bad in [
         "gap.worker",         // missing nth:kind
         "gap.worker:0:panic", // nth must be >= 1
@@ -617,7 +615,6 @@ fn table1_json_writes_the_bench_trajectory() {
         "\"schema\":\"specmatcher-bench-table1/1\"",
         "\"name\":\"mal-26\"",
         "\"name\":\"amba-ahb\"",
-        "\"bmc\":\"auto\"",
         "\"gap_fingerprint\":[",
         "\"pre\":{\"states\":",
         "\"post\":{\"states\":",
@@ -625,6 +622,10 @@ fn table1_json_writes_the_bench_trajectory() {
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
+    assert!(
+        !json.contains("\"bmc\""),
+        "no bounded-refutation mode key: {json}"
+    );
     // The per-design totals must show the documented strict decrease on
     // the designs where the pipeline bites (amba-ahb: 152 -> 132 states).
     assert!(

@@ -32,7 +32,7 @@
 //! a query whose product passes a state bound.
 
 use specmatcher::core::{
-    closes_gap, primary_coverage, Backend, BmcMode, CoverageModel, GapConfig, RtlSpec, SpecMatcher,
+    closes_gap, primary_coverage, Backend, CoverageModel, GapConfig, RtlSpec, SpecMatcher,
 };
 use specmatcher::designs::Design;
 use specmatcher::logic::{SignalId, SignalTable, Valuation};
@@ -580,9 +580,8 @@ fn check_random_problem(seed: u64, tally: &mut Tally) {
         .collect();
 
     for backend in [Backend::Explicit, Backend::Symbolic] {
-        let mut model = CoverageModel::build_with_backend(&arch, &rtl, &t, backend)
+        let model = CoverageModel::build_with_backend(&arch, &rtl, &t, backend)
             .expect("random models fit both engines");
-        model.set_bmc_mode(BmcMode::Auto);
         if let Some(gap) = gap {
             let verdict = primary_coverage(fa, &rtl, &model).expect("within budget");
             assert_eq!(
@@ -605,7 +604,6 @@ fn check_random_problem(seed: u64, tally: &mut Tally) {
         }
         let run = SpecMatcher::new(random_gap_config())
             .with_backend(backend)
-            .with_bmc(BmcMode::Auto)
             .with_jobs(1)
             .check(&arch, &rtl, &t)
             .expect("random pipeline runs");

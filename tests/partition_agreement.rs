@@ -186,7 +186,7 @@ fn table1_gap_fingerprints_agree_unclustered_vs_clustered() {
                 cluster_size,
                 ..SymbolicOptions::default()
             };
-            let mut model = CoverageModel::build_with_symbolic_options(
+            let model = CoverageModel::build_with_symbolic_options(
                 arch,
                 rtl,
                 t,
@@ -194,7 +194,6 @@ fn table1_gap_fingerprints_agree_unclustered_vs_clustered() {
                 options,
             )
             .expect("table1 design builds");
-            model.set_bmc_mode(matcher.bmc());
             let run = matcher
                 .check_with_model(arch, rtl, t, &model)
                 .expect("table1 design checks");
