@@ -23,7 +23,9 @@ pub struct TableRow {
     pub num_rtl: usize,
     /// Primary coverage time.
     pub primary: Duration,
-    /// `T_M` build time (enumerated).
+    /// Build time of the paper's enumerated `T_M` (Definition 4), which
+    /// `specmatcher table1` measures itself: the pipeline builds the
+    /// relational form.
     pub tm_build: Duration,
     /// Gap finding time.
     pub gap_find: Duration,
@@ -31,10 +33,11 @@ pub struct TableRow {
     /// phase.
     pub backend: Backend,
     /// Worker-thread accounting of the run (resolved `--jobs` /
-    /// `SPECMATCHER_JOBS`, gap-phase fan-out, fixpoint concurrency).
+    /// `SPECMATCHER_JOBS`, fixpoint concurrency).
     pub jobs: dic_core::JobsStats,
     /// Per-phase engine counter deltas, when the run was traced
-    /// (`dic_trace` enabled); `None` keeps the historical JSON shape.
+    /// (`dic_trace` enabled); `None` keeps the historical JSON shape. The
+    /// `tm_build` phase counts the enumerated build of [`TableRow::tm_build`].
     pub counters: Option<dic_core::PhaseCounters>,
     /// The gap fingerprint: every reported gap property, rendered in
     /// report order ([`gap_fingerprint`]). The determinism contract says
@@ -118,16 +121,13 @@ pub fn bench_table1_json(
         }
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"rtl_properties\":{},\"primary_backend\":\"{}\",\
-             \"gap_backend\":\"{}\",\"jobs\":{{\"requested\":{},\
-             \"gap_workers\":{},\"gap_fixpoints\":{}}},\"phase_s\":{{\"primary\":{},\
+            "{{\"name\":\"{}\",\"rtl_properties\":{},\"backend\":\"{}\",\
+             \"jobs\":{{\"requested\":{},\"gap_fixpoints\":{}}},\"phase_s\":{{\"primary\":{},\
              \"tm_build\":{},\"gap_find\":{}}},",
             row.circuit,
             row.num_rtl,
             row.backend,
-            row.backend,
             row.jobs.requested,
-            row.jobs.gap_workers,
             row.jobs.gap_fixpoints,
             row.primary.as_secs_f64(),
             row.tm_build.as_secs_f64(),

@@ -68,7 +68,7 @@ mod tests {
     use super::*;
     use crate::model::CoverageModel;
     use crate::spec::{ArchSpec, RtlSpec};
-    use crate::tm::{tm_for_modules, TmStyle};
+    use crate::tm::tm_for_modules;
     use dic_logic::SignalTable;
     use dic_netlist::ModuleBuilder;
 
@@ -93,14 +93,14 @@ mod tests {
 
     #[test]
     fn gap_exists_and_theorem2_hole_closes_it() {
-        let (t, arch, rtl, model) = gapped();
+        let (_, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         // Gap: primary coverage fails.
         assert!(crate::primary_coverage(fa, &rtl, &model)
             .expect("runs")
             .is_some());
         // Theorem 2 hole closes it.
-        let tm = tm_for_modules(rtl.concrete(), &t, TmStyle::Relational).unwrap();
+        let tm = tm_for_modules(rtl.concrete());
         let hole = exact_hole(fa, &rtl, &tm);
         assert!(
             closes_gap(&hole, fa, &rtl, &model).expect("runs"),

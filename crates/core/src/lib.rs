@@ -81,7 +81,6 @@ pub use pipeline::{
 };
 pub use spec::{ArchSpec, Property, RtlSpec, MAX_ACCEPTANCE_SETS};
 pub use terms::{uncovered_terms, uncovered_terms_with_runs};
-pub use tm::TmStyle;
 pub use weaken::{
     find_gap, find_gap_outcome, find_gap_with_runs, GapConfig, GapOutcome, GapProperty, UnknownGap,
 };

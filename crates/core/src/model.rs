@@ -141,8 +141,8 @@ impl CoverageModel {
     }
 
     /// Like [`CoverageModel::build_with_backend`] with explicit symbolic
-    /// engine options (node budget, rebuild trigger, partition mode) instead of the
-    /// environment defaults.
+    /// engine options (node budget, rebuild trigger, cluster size) instead
+    /// of the environment defaults.
     ///
     /// # Errors
     ///

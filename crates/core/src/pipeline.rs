@@ -7,7 +7,7 @@ use crate::hole::exact_hole;
 use crate::model::{BmcMode, CoverageModel};
 use crate::spec::{ArchSpec, Property, RtlSpec};
 use crate::terms::uncovered_terms_with_runs;
-use crate::tm::{tm_for_modules, TmStyle};
+use crate::tm::tm_for_modules;
 use crate::weaken::{find_gap_outcome, GapConfig, GapProperty, UnknownGap};
 use dic_logic::SignalTable;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
@@ -21,7 +21,9 @@ use std::time::Duration;
 pub struct PhaseTimings {
     /// Answering the primary coverage question (Theorem 1 model checking).
     pub primary: Duration,
-    /// Building `T_M` for the concrete modules (Definition 4).
+    /// Building the relational `T_M` of the concrete modules
+    /// (Definition 4; `specmatcher table1` times the enumerated form
+    /// itself).
     pub tm_build: Duration,
     /// Finding and representing the coverage gap (Algorithm 1).
     pub gap_find: Duration,
@@ -43,29 +45,23 @@ impl PhaseTimings {
 pub struct PhaseCounters {
     /// Work answering the primary coverage questions (Theorem 1).
     pub primary: dic_trace::CounterSnapshot,
-    /// Work building `T_M` (Definition 4).
+    /// Work building the relational `T_M` (Definition 4).
     pub tm_build: dic_trace::CounterSnapshot,
     /// Work finding and representing the gap (Algorithm 1).
     pub gap_find: dic_trace::CounterSnapshot,
 }
 
-/// Worker-thread accounting for the run, per phase — the parallel
+/// Worker-thread accounting for the run's gap phase — the parallel
 /// analogue of the collection statistics: enough to see from a report
 /// whether the closure fan-out actually ran and how wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobsStats {
     /// The resolved worker count for candidate closure verification
-    /// ([`GapConfig::effective_jobs`]).
+    /// ([`GapConfig::effective_jobs`]), the calling thread included. The
+    /// primary coverage questions run on the calling thread alone.
     pub requested: usize,
-    /// Workers on the primary coverage question — always 1 (one Theorem 1
-    /// query per property; parallelizing across properties is a ROADMAP
-    /// item, not this refactor).
-    pub primary: usize,
-    /// Workers on gap-phase candidate verification, the calling thread
-    /// included.
-    pub gap_workers: usize,
     /// Closure *fixpoints* that can run concurrently on the model's engine:
-    /// equals `gap_workers` on the explicit engine, 1 on the symbolic
+    /// equals `requested` on the explicit engine, 1 on the symbolic
     /// engine (the one `BddManager` is single-threaded — workers still
     /// overlap the word-level screens and SAT queries). Every worker
     /// verifies candidates; none coordinates. See
@@ -165,10 +161,14 @@ impl PropertyReport {
             }
         }
         if self.gap_properties.is_empty() {
-            let _ = writeln!(
-                out,
-                "  no structure-preserving gap property found; exact hole (Thm 2):"
-            );
+            // With candidates left unverified, "none found" would claim
+            // more than the scan settled.
+            let lead = if self.unknown_gaps.is_empty() {
+                "no structure-preserving gap property found"
+            } else {
+                "no structure-preserving gap property confirmed (candidates unverified below)"
+            };
+            let _ = writeln!(out, "  {lead}; exact hole (Thm 2):");
             let _ = writeln!(out, "    {}", self.exact_hole.display(table));
         } else {
             let _ = writeln!(out, "  gap properties (weakest first):");
@@ -209,7 +209,7 @@ pub struct CoverageRun {
     /// Collection statistics of the symbolic engine (`None` when no
     /// symbolic engine was built for this run).
     pub bdd_gc: Option<GcStats>,
-    /// Worker-thread accounting per phase.
+    /// Worker-thread accounting of the gap phase.
     pub jobs: JobsStats,
     /// Per-phase engine counter deltas; `None` unless `dic_trace` was
     /// enabled for the run (e.g. the CLI's `--profile` / `--trace-out`).
@@ -247,12 +247,8 @@ impl CoverageRun {
         }
         let _ = writeln!(
             out,
-            "timings (primary backend {}, gap backend {}): primary {:?}, TM build {:?}, gap finding {:?}",
-            self.backend,
-            self.backend,
-            self.timings.primary,
-            self.timings.tm_build,
-            self.timings.gap_find
+            "timings (backend {}): primary {:?}, TM build {:?}, gap finding {:?}",
+            self.backend, self.timings.primary, self.timings.tm_build, self.timings.gap_find
         );
         if let Some(r) = &self.bdd_gc {
             if r.gc_collections > 0 || r.peak_nodes > 0 {
@@ -265,8 +261,8 @@ impl CoverageRun {
         }
         let _ = writeln!(
             out,
-            "jobs: {} workers (primary {}, gap verification {}, gap fixpoints {})",
-            self.jobs.requested, self.jobs.primary, self.jobs.gap_workers, self.jobs.gap_fixpoints
+            "jobs: {} workers (gap fixpoints {})",
+            self.jobs.requested, self.jobs.gap_fixpoints
         );
         if let Some(reason) = &self.incomplete {
             let _ = writeln!(out, "incomplete: {reason}");
@@ -281,7 +277,6 @@ impl CoverageRun {
 #[derive(Clone, Debug, Default)]
 pub struct SpecMatcher {
     config: GapConfig,
-    tm_style: TmStyle,
     backend: Backend,
 }
 
@@ -291,15 +286,8 @@ impl SpecMatcher {
     pub fn new(config: GapConfig) -> Self {
         SpecMatcher {
             config,
-            tm_style: TmStyle::default(),
             backend: Backend::default(),
         }
-    }
-
-    /// Overrides the `T_M` construction style (ablation hook).
-    pub fn with_tm_style(mut self, style: TmStyle) -> Self {
-        self.tm_style = style;
-        self
     }
 
     /// Selects the model-checking backend for *both* phases: the primary
@@ -336,7 +324,7 @@ impl SpecMatcher {
     }
 
     /// Runs the full analysis: primary coverage for every architectural
-    /// property (Theorem 1), `T_M` construction (Definition 4), and — for
+    /// property (Theorem 1), the relational `T_M` (Definition 4), and — for
     /// every uncovered property — gap extraction and representation
     /// (Algorithm 1, with Theorem 2 as fallback). A model build refused
     /// for resources or time degrades to a partial run, every verdict
@@ -354,7 +342,7 @@ impl SpecMatcher {
     ) -> Result<CoverageRun, CoreError> {
         match self.build_model(arch, rtl, table) {
             Ok(model) => self.check_with_model(arch, rtl, table, &model),
-            Err(e) if e.is_degradable() => self.run(arch, rtl, table, Err(&e)),
+            Err(e) if e.is_degradable() => self.run(arch, rtl, Err(&e)),
             Err(e) => Err(e),
         }
     }
@@ -377,19 +365,22 @@ impl SpecMatcher {
 
     /// Like [`SpecMatcher::check`] but reusing a prebuilt model (the
     /// benchmark harness separates model construction from the timed
-    /// phases).
+    /// phases). `_table` is the table `model` was built against; the
+    /// analysis itself no longer reads it.
     ///
     /// # Errors
     ///
-    /// `T_M` construction can exceed the explicit state-space limit.
+    /// Only failures that cannot degrade to a partial report (see
+    /// [`CoreError::is_degradable`]), such as a failed lazy build of the
+    /// gap-phase engine.
     pub fn check_with_model(
         &self,
         arch: &ArchSpec,
         rtl: &RtlSpec,
-        table: &SignalTable,
+        _table: &SignalTable,
         model: &CoverageModel,
     ) -> Result<CoverageRun, CoreError> {
-        self.run(arch, rtl, table, Ok(model))
+        self.run(arch, rtl, Ok(model))
     }
 
     /// The analysis on `model`, or, when the model build was refused for
@@ -398,18 +389,18 @@ impl SpecMatcher {
         &self,
         arch: &ArchSpec,
         rtl: &RtlSpec,
-        table: &SignalTable,
         model: Result<&CoverageModel, &CoreError>,
     ) -> Result<CoverageRun, CoreError> {
         let mut counters = dic_trace::enabled().then(PhaseCounters::default);
 
-        // Phase: TM building (Definition 4) — once per design.
+        // Phase: TM building (Definition 4, relational form) — once per
+        // design.
         let base = counters
             .as_ref()
             .map(|_| dic_trace::CounterSnapshot::capture());
         let tm_span = dic_trace::span("phase.tm_build");
         let tm_start = dic_trace::Stopwatch::start();
-        let tm = tm_for_modules(rtl.concrete(), table, self.tm_style)?;
+        let tm = tm_for_modules(rtl.concrete());
         let tm_build = tm_start.elapsed();
         drop(tm_span);
         if let (Some(c), Some(b)) = (counters.as_mut(), base.as_ref()) {
@@ -420,8 +411,6 @@ impl SpecMatcher {
         let requested_jobs = self.config.effective_jobs();
         let jobs = JobsStats {
             requested: requested_jobs,
-            primary: 1,
-            gap_workers: requested_jobs,
             gap_fixpoints: backend.fixpoint_parallelism(requested_jobs),
         };
         let mut reports = Vec::with_capacity(arch.len());
@@ -649,6 +638,35 @@ mod tests {
     }
 
     #[test]
+    fn unverified_candidates_are_not_rendered_as_none_found() {
+        let (mut t, _, rtl) = fixture(true);
+        let fa = Ltl::parse("G(req -> X X q)", &mut t).unwrap();
+        let mut rep = PropertyReport {
+            name: "A1".into(),
+            formula: fa.clone(),
+            covered: false,
+            unknown: None,
+            witness: None,
+            uncovered_terms: Vec::new(),
+            gap_properties: Vec::new(),
+            unknown_gaps: Vec::new(),
+            exact_hole: exact_hole(&fa, &rtl, &tm_for_modules(rtl.concrete())),
+            timings: PhaseTimings::default(),
+        };
+        assert!(rep
+            .render(&t)
+            .contains("no structure-preserving gap property found;"));
+        rep.unknown_gaps.push(UnknownGap {
+            formula: fa,
+            diagnostic: "injected".into(),
+        });
+        let text = rep.render(&t);
+        assert!(!text.contains("property found"), "{text}");
+        assert!(text.contains("gap property confirmed"), "{text}");
+        assert!(text.contains("unknown: "), "{text}");
+    }
+
+    #[test]
     fn timings_are_populated() {
         let (t, arch, rtl) = fixture(true);
         let run = SpecMatcher::new(GapConfig::default())
@@ -657,16 +675,5 @@ mod tests {
         assert!(run.timings.primary > Duration::ZERO);
         assert!(run.timings.gap_find > Duration::ZERO);
         assert_eq!(run.num_rtl_properties, 1);
-    }
-
-    #[test]
-    fn enumerated_style_also_works() {
-        let (t, arch, rtl) = fixture(false);
-        let run = SpecMatcher::new(GapConfig::default())
-            .with_tm_style(TmStyle::Enumerated)
-            .check(&arch, &rtl, &t)
-            .expect("runs");
-        assert!(run.all_covered());
-        assert!(run.tm.size() > 1);
     }
 }

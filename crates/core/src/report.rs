@@ -14,7 +14,7 @@
 //!   "num_rtl_properties": 6,
 //!   "backend": "explicit",
 //!   "bdd_gc": null,
-//!   "jobs": {"requested": 4, "primary": 1, "gap_workers": 4, "gap_fixpoints": 4},
+//!   "jobs": {"requested": 4, "gap_fixpoints": 4},
 //!   "timings": {"primary_s": 0.01, "tm_build_s": 0.002, "gap_find_s": 1.9},
 //!   "tm_size": 124,
 //!   "all_covered": false,
@@ -48,10 +48,8 @@ impl CoverageRun {
         let mut w = JsonWriter::new();
         w.open_object();
         w.field_u64("num_rtl_properties", self.num_rtl_properties as u64);
-        // One engine runs both phases; both keys name it.
-        let backend = self.backend.to_string();
-        w.field_str("backend", &backend);
-        w.field_str("gap_backend", &backend);
+        // One engine runs both phases.
+        w.field_str("backend", &self.backend.to_string());
         w.key("bdd_gc");
         match &self.bdd_gc {
             None => w.null(),
@@ -69,8 +67,6 @@ impl CoverageRun {
         w.key("jobs");
         w.open_object();
         w.field_u64("requested", self.jobs.requested as u64);
-        w.field_u64("primary", self.jobs.primary as u64);
-        w.field_u64("gap_workers", self.jobs.gap_workers as u64);
         w.field_u64("gap_fixpoints", self.jobs.gap_fixpoints as u64);
         w.close_object();
         w.key("timings");

@@ -12,59 +12,21 @@
 //!   smaller, language-equivalent (property-tested), and the better choice
 //!   when `T_M` feeds further reasoning rather than a report.
 //!
-//! The paper's Table 1 "TM building" column times the enumerated
-//! construction. `dic_designs`' latch-chain tests compare how the two
-//! grow with the latch count.
+//! The analysis pipeline builds the relational form ([`tm_for_modules`]);
+//! `specmatcher table1` times the enumerated one for the paper's Table 1
+//! "TM building" column. `dic_designs`' latch-chain tests compare how
+//! the two grow with the latch count.
 
 use dic_fsm::{extract_fsm, Fsm, FsmError};
 use dic_logic::{Cube, SignalTable};
 use dic_ltl::Ltl;
 use dic_netlist::Module;
 
-/// Which `T_M` construction to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TmStyle {
-    /// Explicit-FSM disjunction per the paper's Definition 4.
-    Enumerated,
-    /// Compact structural relations (equivalent, smaller).
-    #[default]
-    Relational,
-}
-
-/// Builds `T_M` for one module in the requested style.
-///
-/// # Errors
-///
-/// [`FsmError::TooLarge`] if the enumerated style is requested and the
-/// module's state space exceeds the explicit limit.
-pub fn tm_for_module(
-    module: &Module,
-    table: &SignalTable,
-    style: TmStyle,
-) -> Result<Ltl, FsmError> {
-    match style {
-        TmStyle::Enumerated => enumerated_tm(module, table, true),
-        TmStyle::Relational => Ok(relational_tm(module)),
-    }
-}
-
-/// Builds the conjunction of `T_M` formulas for several concurrent modules
+/// The conjunction of the relational `T_M` of several concurrent modules
 /// (the paper: "TM is then generated by taking conjunction of all these k
 /// properties").
-///
-/// # Errors
-///
-/// Propagates [`FsmError::TooLarge`] from the enumerated construction.
-pub fn tm_for_modules(
-    modules: &[Module],
-    table: &SignalTable,
-    style: TmStyle,
-) -> Result<Ltl, FsmError> {
-    let mut parts = Vec::with_capacity(modules.len());
-    for m in modules {
-        parts.push(tm_for_module(m, table, style)?);
-    }
-    Ok(Ltl::and(parts))
+pub fn tm_for_modules(modules: &[Module]) -> Ltl {
+    Ltl::and(modules.iter().map(relational_tm))
 }
 
 /// The compact structural `T_M`:
@@ -260,7 +222,7 @@ mod tests {
         let mut t = SignalTable::new();
         let m1 = comb_block(&mut t);
         let m2 = example3(&mut t);
-        let tm = tm_for_modules(&[m1, m2], &t, TmStyle::Relational).expect("builds");
+        let tm = tm_for_modules(&[m1, m2]);
         // Mentions signals of both modules.
         let atoms = tm.atoms();
         assert!(atoms.contains(&t.lookup("g1").unwrap()));

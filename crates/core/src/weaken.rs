@@ -156,9 +156,9 @@ pub struct UnknownGap {
 /// The gap phase's outcome under graceful degradation
 /// ([`find_gap_outcome`]): the confirmed weakest gap properties, any
 /// candidates left unknown, and — when the scan stopped early on a
-/// deadline — the reason. Because candidates are claimed and merged
-/// strictly in canonical order, the confirmed set of a
-/// stopped scan is exactly what a fault-free scan had accepted at the
+/// deadline or left candidates unknown — the reason. Because candidates
+/// are claimed and merged strictly in canonical order, the confirmed set
+/// of a stopped scan is exactly what a fault-free scan had accepted at the
 /// same stop point: a canonical-order *prefix* of its scan, never a
 /// different selection.
 #[derive(Clone, Debug)]
@@ -168,7 +168,8 @@ pub struct GapOutcome {
     /// Candidates whose verdict could not be settled.
     pub unknown: Vec<UnknownGap>,
     /// `Some(reason)` when the scan stopped before settling every
-    /// candidate (cooperative deadline); `None` for a complete run.
+    /// candidate (cooperative deadline) or left any candidate unknown;
+    /// `None` for a complete run.
     pub incomplete: Option<String>,
 }
 
@@ -688,10 +689,18 @@ impl<'a, 'm> Verifier<'a, 'm> {
                 (self.candidates[i].clone(), formula)
             })
             .collect();
+        // A scan that ran to its end can still leave candidates unknown
+        // (a worker panic, an inconclusive verdict, a refusal the explicit
+        // retry could not take over): the report is partial all the same.
+        let incomplete = scan.incomplete.or_else(|| {
+            let n = unknown.len();
+            let s = if n == 1 { "" } else { "s" };
+            (n > 0).then(|| format!("gap verification left {n} candidate{s} unverified"))
+        });
         Ok(VerifyOutcome {
             closing,
             unknown,
-            incomplete: scan.incomplete,
+            incomplete,
         })
     }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! specmatcher check --design <name> [--backend B] [--jobs N] [--json] [--profile] [--trace-out F]
 //! specmatcher check --snl <file> --spec <file> [--backend B] [--jobs N]
-//! specmatcher table1 [--backend B] [--jobs N] [--quick | --json] [--profile] [--trace-out F]
+//! specmatcher table1 [--backend B] [--jobs N] [--json] [--profile] [--trace-out F]
 //! specmatcher fsm --design <name>              dump concrete-module FSMs (DOT)
 //! specmatcher list                             list packaged designs
 //! ```
@@ -16,6 +16,8 @@
 //! Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
+//! `table1` times the paper's enumerated `T_M` (Definition 4) for its
+//! "TM (s)" column; the analysis itself uses the relational one.
 //! `--profile` appends the `dic_trace` span/counter tree to the report
 //! and `--trace-out <path>` writes the run as a replayable JSONL event
 //! stream; with both absent tracing stays disabled and output is
@@ -44,7 +46,7 @@
 //! rtl FAIR = G F hit
 //! ```
 
-use dic_core::{ArchSpec, Backend, CoreError, GapConfig, RtlSpec, SpecMatcher, TmStyle};
+use dic_core::{ArchSpec, Backend, CoreError, GapConfig, RtlSpec, SpecMatcher};
 use dic_designs::{mal, scaling, table1_designs, Design};
 use dic_fsm::extract_fsm;
 use dic_logic::SignalTable;
@@ -121,8 +123,6 @@ impl From<&str> for CliError {
     }
 }
 
-/// Classifies a pipeline error: state-space/node-budget refusals are
-/// resource errors, everything else is the caller's problem.
 /// [`core_err`] with a design-name prefix for batch runs.
 fn ctx_err(name: &str, e: CoreError) -> CliError {
     match core_err(e) {
@@ -131,11 +131,13 @@ fn ctx_err(name: &str, e: CoreError) -> CliError {
     }
 }
 
+/// Classifies an engine error: state-space/node-budget refusals are
+/// resource errors, everything else is the caller's problem.
 fn core_err(e: CoreError) -> CliError {
-    // Degradable errors (state-space and node-budget refusals, deadline
-    // trips) end in a partial report; one that still escapes the
-    // pipeline (only an enumerated `T_M` past the explicit limit can, and
-    // the CLI builds the relational one) is a resource error.
+    // The pipeline turns degradable errors (state-space and node-budget
+    // refusals, deadline trips) into a partial report; the one that
+    // reaches here is `table1`'s enumerated `T_M` past the explicit limit,
+    // a resource error.
     if e.is_degradable() {
         CliError::Resource(e.to_string())
     } else {
@@ -197,7 +199,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     errln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--jobs N] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\ntimeout:  cooperative run deadline in seconds (default: none);\n          on expiry the run degrades to a partial report — settled\n          verdicts are kept, unresolved candidates are listed as\n          unknown, and the report carries an 'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--jobs N] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\ntimeout:  cooperative run deadline in seconds (default: none);\n          on expiry the run degrades to a partial report — settled\n          verdicts are kept, unresolved candidates are listed as\n          unknown, and the report carries an 'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\neach option may be given once; an unknown or repeated option is a\nusage error (exit 2)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
 }
 
@@ -213,7 +215,6 @@ const FLAGS: &[(&str, Option<&str>)] = &[
     ("--trace-out", Some("a JSONL output path")),
     ("--json", None),
     ("--profile", None),
-    ("--quick", None),
 ];
 
 /// The engine and observability flags `check` and `table1` share.
@@ -541,26 +542,17 @@ fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedPr
 }
 
 fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
-    let accepted = [&RUN_FLAGS[..], &["--quick"]].concat();
-    let flags = Flags::parse("table1", args, &accepted)?;
+    let flags = Flags::parse("table1", args, &RUN_FLAGS)?;
     let matcher = flags.matcher()?;
     let (profile, trace_out) = flags.trace();
     flags.arm_governance()?;
-    if flags.has("--quick") {
-        let code = cmd_table1_quick(&matcher)?;
-        emit_trace_sinks(profile, trace_out.as_deref(), false)?;
-        return Ok(code);
-    }
     let json = flags.has("--json");
     let mut json_rows = Vec::new();
-    let backend = matcher.backend();
-    let matcher = matcher.with_tm_style(TmStyle::Enumerated);
     outln!(
-        "{:<14} {:>9} {:>9} {:>9} {:>12} {:>12} {:>12}",
+        "{:<14} {:>9} {:>9} {:>12} {:>12} {:>12}",
         "Circuit",
         "RTL props",
-        "primary",
-        "gap",
+        "backend",
         "Primary (s)",
         "TM (s)",
         "Gap (s)"
@@ -568,19 +560,38 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
     let mut incomplete_designs: Vec<String> = Vec::new();
     for design in table1_designs() {
         let design_span = dic_trace::span("design.check");
-        let run = design.check(&matcher).map_err(core_err)?;
+        let run = design
+            .check(&matcher)
+            .map_err(|e| ctx_err(design.name, e))?;
+        // The paper's "TM building" column times the enumerated `T_M` of
+        // Definition 4, not the relational one the analysis used.
+        let base = run
+            .counters
+            .as_ref()
+            .map(|_| dic_trace::CounterSnapshot::capture());
+        let tm_span = dic_trace::span("table1.enumerated_tm");
+        let t0 = dic_trace::Stopwatch::start();
+        for module in design.rtl.concrete() {
+            dic_core::tm::enumerated_tm(module, &design.table, true)
+                .map_err(|e| ctx_err(design.name, e.into()))?;
+        }
+        let tm_build = t0.elapsed();
+        drop(tm_span);
+        let mut counters = run.counters.clone();
+        if let (Some(c), Some(b)) = (counters.as_mut(), base) {
+            c.tm_build = b.delta_since();
+        }
         drop(design_span);
         if let Some(reason) = &run.incomplete {
             incomplete_designs.push(format!("{}: {reason}", design.name));
         }
         outln!(
-            "{:<14} {:>9} {:>9} {:>9} {:>12.4} {:>12.4} {:>12.4}",
+            "{:<14} {:>9} {:>9} {:>12.4} {:>12.4} {:>12.4}",
             design.name,
             run.num_rtl_properties,
             run.backend.to_string(),
-            run.backend.to_string(),
             run.timings.primary.as_secs_f64(),
-            run.timings.tm_build.as_secs_f64(),
+            tm_build.as_secs_f64(),
             run.timings.gap_find.as_secs_f64(),
         )?;
         if json {
@@ -590,11 +601,11 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
                     circuit: design.name.to_owned(),
                     num_rtl: run.num_rtl_properties,
                     primary: run.timings.primary,
-                    tm_build: run.timings.tm_build,
+                    tm_build,
                     gap_find: run.timings.gap_find,
                     backend: run.backend,
                     jobs: run.jobs,
-                    counters: run.counters,
+                    counters,
                     gap_fingerprint: fingerprint,
                 },
                 dic_bench::design_reductions(&design),
@@ -604,7 +615,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
     if json {
         std::fs::write(
             dic_bench::BENCH_TABLE1_PATH,
-            dic_bench::bench_table1_json(backend, &json_rows),
+            dic_bench::bench_table1_json(matcher.backend(), &json_rows),
         )
         .map_err(|e| format!("{}: {e}", dic_bench::BENCH_TABLE1_PATH))?;
         outln!("\nwrote {}", dic_bench::BENCH_TABLE1_PATH)?;
@@ -619,108 +630,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::from(3));
     }
     emit_trace_sinks(profile, trace_out.as_deref(), false)?;
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `table1 --quick`: the primary coverage question over the Table 1
-/// designs *plus* a scaling row the explicit engine cannot handle — with
-/// every verdict pinned — followed by a gap-phase smoke on the small
-/// designs whose structured gap content is known (the paper's Example 4
-/// properties must be among the reported weakest gap properties, per
-/// backend). This is the CI smoke test: a backend-selection regression
-/// (wrong engine, wrong verdict, lost gap property) or a reintroduced
-/// state-explosion cliff fails the run instead of silently slowing it.
-/// Every run goes through `matcher`, so the engine flags apply as they do
-/// to `check`.
-fn cmd_table1_quick(matcher: &SpecMatcher) -> Result<ExitCode, CliError> {
-    // (design, primary coverage holds?)
-    let rows: Vec<(Design, bool)> = vec![
-        (mal::mal26(), false),
-        (dic_designs::pipeline::pipeline12(), false),
-        (dic_designs::amba::ahb29(), false),
-        (mal::ex2(), false),
-        (mal::ex1(), true),
-        (scaling::chain_design(24, false), true),
-        (scaling::chain_design(22, true), false),
-    ];
-    outln!(
-        "{:<14} {:>9} {:>9} {:>12}  verdict",
-        "Circuit",
-        "RTL props",
-        "backend",
-        "Primary (s)"
-    )?;
-    let mut ok = true;
-    for (design, expect_covered) in rows {
-        let t0 = dic_trace::Stopwatch::start();
-        let model = matcher
-            .build_model(&design.arch, &design.rtl, &design.table)
-            .map_err(|e| ctx_err(design.name, e))?;
-        let fa = design.arch.properties()[0].formula();
-        let witness = dic_core::primary_coverage(fa, &design.rtl, &model)
-            .map_err(|e| ctx_err(design.name, e))?;
-        let covered = witness.is_none();
-        let verdict_ok = covered == expect_covered;
-        ok &= verdict_ok;
-        outln!(
-            "{:<14} {:>9} {:>9} {:>12.4}  {}{}",
-            design.name,
-            design.rtl.num_properties(),
-            model.primary_backend().to_string(),
-            t0.elapsed().as_secs_f64(),
-            if covered { "covered" } else { "gap" },
-            if verdict_ok { "" } else { "  << UNEXPECTED" },
-        )?;
-    }
-    if !ok {
-        return Err("quick table1 verdicts diverged from the pinned expectations".into());
-    }
-
-    // Gap-phase smoke: the full Algorithm 1 pipeline on mal-ex2, with the
-    // two paper-shaped weakest properties pinned, plus — whenever the gap
-    // engine is symbolic — a chain design past the explicit limit, whose
-    // gap report must fall back to the Theorem 2 hole with non-empty
-    // uncovered terms.
-    let mut ex2 = mal::ex2();
-    let run = ex2.check(matcher).map_err(|e| ctx_err("mal-ex2", e))?;
-    let rep = &run.properties[0];
-    let u_hit = mal::paper_gap_property(&mut ex2);
-    let u_g2 = mal::adapted_gap_property(&mut ex2);
-    let has = |u: &Ltl| {
-        rep.gap_properties
-            .iter()
-            .any(|g| dic_automata::equivalent(&g.formula, u))
-    };
-    outln!(
-        "mal-ex2 gap smoke ({} backend): {} weakest properties, paper U {}, adapted U {}",
-        run.backend,
-        rep.gap_properties.len(),
-        if has(&u_hit) { "found" } else { "MISSING" },
-        if has(&u_g2) { "found" } else { "MISSING" },
-    )?;
-    if rep.covered || !has(&u_hit) || !has(&u_g2) {
-        return Err("mal-ex2 gap smoke lost a pinned paper gap property".into());
-    }
-    if matcher.backend() != Backend::Explicit {
-        let chain = scaling::chain_design(22, true);
-        let run = chain
-            .check(matcher)
-            .map_err(|e| ctx_err("chain-22-gap", e))?;
-        let rep = &run.properties[0];
-        outln!(
-            "chain-22-gap gap smoke ({} backend): {} uncovered terms, exact-hole fallback {}",
-            run.backend,
-            rep.uncovered_terms.len(),
-            if rep.gap_properties.is_empty() {
-                "active"
-            } else {
-                "inactive"
-            },
-        )?;
-        if rep.covered || rep.uncovered_terms.is_empty() {
-            return Err("chain-22-gap gap smoke produced no uncovered terms".into());
-        }
-    }
     Ok(ExitCode::SUCCESS)
 }
 
