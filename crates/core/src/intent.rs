@@ -47,7 +47,7 @@ pub fn uncovered_intent(
     model: &CoverageModel,
     config: &GapConfig,
 ) -> Result<Option<GapProperty>, CoreError> {
-    let terms = uncovered_terms(fa, rtl, model, config)?;
+    let (terms, _) = uncovered_terms(fa, rtl, model, config)?;
     if terms.is_empty() {
         return Ok(None);
     }
@@ -69,7 +69,8 @@ pub fn uncovered_intent(
     if projected.is_empty() {
         return Ok(None);
     }
-    Ok(find_gap(fa, &projected, rtl, model, config)?
+    Ok(find_gap(fa, &projected, &[], rtl, model, config)?
+        .properties
         .into_iter()
         .find(|g| g.formula.atoms().is_subset(&ap_a)))
 }
@@ -104,12 +105,12 @@ pub fn close_gap_iteratively(
     }
     let mut current = fa.clone();
     for round in 1..=max_rounds {
-        let terms = uncovered_terms(&current, rtl, model, config)?;
+        let (terms, _) = uncovered_terms(&current, rtl, model, config)?;
         if terms.is_empty() {
             // No scenario found although the gap is open: give up.
             return Ok(None);
         }
-        let gaps = find_gap(&current, &terms, rtl, model, config)?;
+        let gaps = find_gap(&current, &terms, &[], rtl, model, config)?.properties;
         let mut best_closing = None;
         for g in &gaps {
             if closes_gap(&g.formula, fa, rtl, model)? {

@@ -80,10 +80,8 @@ pub use pipeline::{
     CoverageRun, JobsStats, PhaseCounters, PhaseTimings, PropertyReport, SpecMatcher,
 };
 pub use spec::{ArchSpec, Property, RtlSpec, MAX_ACCEPTANCE_SETS};
-pub use terms::{uncovered_terms, uncovered_terms_with_runs};
-pub use weaken::{
-    find_gap, find_gap_outcome, find_gap_with_runs, GapConfig, GapOutcome, GapProperty, UnknownGap,
-};
+pub use terms::uncovered_terms;
+pub use weaken::{find_gap, GapConfig, GapOutcome, GapProperty, UnknownGap};
 
 /// The `SPECMATCHER_*` environment variables the program reads.
 /// [`validate_env`] rejects every other `SPECMATCHER_*` name.

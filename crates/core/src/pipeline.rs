@@ -6,9 +6,9 @@ use crate::error::CoreError;
 use crate::hole::exact_hole;
 use crate::model::{BmcMode, CoverageModel};
 use crate::spec::{ArchSpec, Property, RtlSpec};
-use crate::terms::uncovered_terms_with_runs;
+use crate::terms::uncovered_terms;
 use crate::tm::tm_for_modules;
-use crate::weaken::{find_gap_outcome, GapConfig, GapProperty, UnknownGap};
+use crate::weaken::{find_gap, GapConfig, GapProperty, UnknownGap};
 use dic_logic::SignalTable;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
 use dic_symbolic::{GcStats, SymbolicOptions};
@@ -504,9 +504,9 @@ impl SpecMatcher {
             let (terms, gaps, unknown_gaps) = if covered {
                 (Vec::new(), Vec::new(), Vec::new())
             } else {
-                match uncovered_terms_with_runs(fa, rtl, model, &self.config) {
+                match uncovered_terms(fa, rtl, model, &self.config) {
                     Ok((terms, runs)) => {
-                        match find_gap_outcome(fa, &terms, &runs, rtl, model, &self.config) {
+                        match find_gap(fa, &terms, &runs, rtl, model, &self.config) {
                             Ok(outcome) => {
                                 gap_incomplete = outcome.incomplete;
                                 (terms, outcome.properties, outcome.unknown)

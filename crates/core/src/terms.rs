@@ -25,7 +25,8 @@ use crate::weaken::GapConfig;
 use dic_ltl::cube::{exists_eliminate, forall_eliminate};
 use dic_ltl::{LassoWord, Ltl, LtlNode, TemporalCube};
 
-/// Computes the uncovered terms `UM` for one architectural property.
+/// Computes the uncovered terms `UM` for one architectural property, and
+/// the counterexample runs they were enumerated from.
 ///
 /// Each returned cube `c` satisfies: some run of `M` consistent with `R`
 /// matches `c` at time 0 and violates `fa` — i.e. the gap is non-empty on
@@ -33,29 +34,16 @@ use dic_ltl::{LassoWord, Ltl, LtlNode, TemporalCube};
 /// makes the (window-anchored) violation impossible. Together the cubes
 /// cover every counterexample found within the enumeration budget.
 ///
+/// The runs are genuine runs of `M ⊨ R ∧ ¬fa`:
+/// [`find_gap`](crate::weaken::find_gap) seeds its bad-run pool with them,
+/// rejecting most non-closing weakening candidates by word evaluation
+/// before any closure model check runs.
+///
 /// # Errors
 ///
 /// [`CoreError::Symbolic`] when the lazy symbolic build or a query
 /// exceeds the node budget.
 pub fn uncovered_terms(
-    fa: &Ltl,
-    rtl: &RtlSpec,
-    model: &CoverageModel,
-    config: &GapConfig,
-) -> Result<Vec<TemporalCube>, CoreError> {
-    Ok(uncovered_terms_with_runs(fa, rtl, model, config)?.0)
-}
-
-/// Like [`uncovered_terms`], but also returns the counterexample runs the
-/// terms were enumerated from. The runs are genuine runs of
-/// `M ⊨ R ∧ ¬fa`: [`find_gap_with_runs`](crate::weaken::find_gap_with_runs)
-/// seeds its bad-run pool with them, rejecting most non-closing weakening
-/// candidates by word evaluation before any closure model check runs.
-///
-/// # Errors
-///
-/// As for [`uncovered_terms`].
-pub fn uncovered_terms_with_runs(
     fa: &Ltl,
     rtl: &RtlSpec,
     model: &CoverageModel,
@@ -217,7 +205,7 @@ mod tests {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
         assert!(!terms.is_empty(), "the gap must produce terms");
         // Every term, conjoined with R ∧ ¬FA, is satisfiable in M.
         for term in &terms {
@@ -239,7 +227,7 @@ mod tests {
         // fixture hides no signal, so the terms are the enumerated cubes.
         assert!(model.hidden().is_empty());
         let config = GapConfig::default();
-        let (terms, runs) = uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
+        let (terms, runs) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
         assert_eq!(terms.len(), runs.len());
         for (term, run) in terms.iter().zip(&runs) {
             assert!(term.holds_on(run, 0), "{term:?} must hold on its run");
@@ -283,7 +271,7 @@ mod tests {
         let arch = ArchSpec::new([("A1", a_prop)]);
         let rtl = RtlSpec::new([("R1", r_prop)], [m]);
         let model = CoverageModel::build(&arch, &rtl, &t).unwrap();
-        let terms = uncovered_terms(
+        let (terms, _) = uncovered_terms(
             arch.properties()[0].formula(),
             &rtl,
             &model,
@@ -300,7 +288,7 @@ mod tests {
         // module input, hence observable).
         let (t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
-        let terms = uncovered_terms(fa, &rtl, &model, &GapConfig::default()).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &GapConfig::default()).expect("runs");
         let en = t.lookup("en").unwrap();
         assert!(
             terms.iter().any(|c| c.signals().contains(&en)),
@@ -320,8 +308,8 @@ mod tests {
         let symbolic = CoverageModel::build_with_backend(&arch, &rtl, &t, crate::Backend::Symbolic)
             .expect("builds");
         let config = GapConfig::default();
-        let mut te = uncovered_terms(fa, &rtl, &explicit, &config).expect("explicit runs");
-        let mut ts = uncovered_terms(fa, &rtl, &symbolic, &config).expect("symbolic runs");
+        let (mut te, _) = uncovered_terms(fa, &rtl, &explicit, &config).expect("explicit runs");
+        let (mut ts, _) = uncovered_terms(fa, &rtl, &symbolic, &config).expect("symbolic runs");
         te.sort();
         ts.sort();
         assert_eq!(te, ts, "term sets must agree across backends");

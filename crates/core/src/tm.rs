@@ -58,19 +58,15 @@ pub fn relational_tm(module: &Module) -> Ltl {
 
 /// The paper's Definition 4: `T_M = L(S0) ∧ G(⋁ L(s) ∧ i ∧ X L(s'))` from
 /// the extracted FSM, conjoined with `G(w ↔ f)` for each combinational
-/// wire. With `merge_inputs`, transition guards are irredundant input
-/// cubes (as in the paper's minimized Example 3 formula) instead of raw
-/// minterms.
+/// wire. Transition guards are irredundant input cubes, as in the paper's
+/// minimized Example 3 formula.
 ///
 /// # Errors
 ///
 /// [`FsmError::TooLarge`] if the module's state space exceeds the explicit
-/// enumeration limit.
-pub fn enumerated_tm(
-    module: &Module,
-    table: &SignalTable,
-    merge_inputs: bool,
-) -> Result<Ltl, FsmError> {
+/// enumeration limit; [`FsmError::Deadline`] if the cooperative deadline
+/// passes during the enumeration.
+pub fn enumerated_tm(module: &Module, table: &SignalTable) -> Result<Ltl, FsmError> {
     let mut step = Vec::new();
     for w in module.wires() {
         step.push(Ltl::iff(
@@ -80,8 +76,9 @@ pub fn enumerated_tm(
     }
     let mut parts = Vec::new();
     if !module.latches().is_empty() {
-        let fsm = extract_fsm(module, table, merge_inputs)?;
-        parts.push(cube_to_ltl(&fsm.state_cube(fsm.initial())));
+        let fsm = extract_fsm(module, table)?;
+        // State 0 is the reset state.
+        parts.push(cube_to_ltl(&fsm.state_cube(0)));
         step.push(transition_disjunction(&fsm));
     }
     if !step.is_empty() {
@@ -113,7 +110,7 @@ fn cube_to_ltl(cube: &Cube) -> Ltl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dic_automata::{holds_in, satisfiable_in};
+    use dic_automata::{equivalent, holds_in, is_satisfiable};
     use dic_fsm::Kripke;
     use dic_logic::{BoolExpr, SignalTable};
     use dic_netlist::ModuleBuilder;
@@ -148,7 +145,7 @@ mod tests {
         let tm = relational_tm(&m);
         // Shape: G(g1 <-> n1 & !wait) — a single Globally.
         assert!(matches!(tm.node(), dic_ltl::LtlNode::Globally(_)));
-        let tm2 = enumerated_tm(&m, &t, true).expect("small");
+        let tm2 = enumerated_tm(&m, &t).expect("small");
         assert!(matches!(tm2.node(), dic_ltl::LtlNode::Globally(_)));
     }
 
@@ -161,57 +158,44 @@ mod tests {
         let m = example3(&mut t);
         let k = Kripke::from_module(&m, &t, &[]).expect("fits");
         let rel = relational_tm(&m);
-        let en = enumerated_tm(&m, &t, true).expect("small");
+        let en = enumerated_tm(&m, &t).expect("small");
         assert!(holds_in(&rel, &k).holds(), "relational TM must hold on M");
         assert!(holds_in(&en, &k).holds(), "enumerated TM must hold on M");
     }
 
     #[test]
     fn tm_styles_are_equivalent_on_runs() {
-        // Over the full universe (all signals free), relational and
-        // enumerated TM accept the same runs: their XOR is unsatisfiable
-        // against a universal structure over the involved signals.
+        // Over all infinite words, relational and enumerated TM accept
+        // the same runs.
         let mut t = SignalTable::new();
         let m = example3(&mut t);
         let rel = relational_tm(&m);
-        let en = enumerated_tm(&m, &t, true).expect("small");
-        let sigs: Vec<_> = m.signals().into_iter().collect();
-        let universe = Kripke::universal(&t, &sigs).expect("small");
-        let only_rel = Ltl::and([rel.clone(), Ltl::not(en.clone())]);
-        let only_en = Ltl::and([en, Ltl::not(rel)]);
-        assert!(satisfiable_in(&only_rel, &universe).is_none());
-        assert!(satisfiable_in(&only_en, &universe).is_none());
+        let en = enumerated_tm(&m, &t).expect("small");
+        assert!(equivalent(&rel, &en));
     }
 
     #[test]
     fn tm_characterizes_the_model_exactly() {
         // A run satisfying TM but violating the latch semantics must not
-        // exist: TM ∧ (a & b & X !c) is unsatisfiable over the universe.
+        // exist: TM ∧ (a & b & X !c) is unsatisfiable.
         let mut t = SignalTable::new();
         let m = example3(&mut t);
         let rel = relational_tm(&m);
-        let sigs: Vec<_> = m.signals().into_iter().collect();
-        let universe = Kripke::universal(&t, &sigs).expect("small");
         let bad = Ltl::parse("a & b & X !c", &mut t).expect("parse");
-        assert!(satisfiable_in(&Ltl::and([rel.clone(), bad]), &universe).is_none());
+        assert!(!is_satisfiable(&Ltl::and([rel.clone(), bad])));
         // But TM allows the legal behavior.
         let good = Ltl::parse("a & b & X c", &mut t).expect("parse");
-        assert!(satisfiable_in(&Ltl::and([rel, good]), &universe).is_some());
+        assert!(is_satisfiable(&Ltl::and([rel, good])));
     }
 
     #[test]
     fn initial_state_constrained() {
         let mut t = SignalTable::new();
         let m = example3(&mut t);
-        for tm in [
-            relational_tm(&m),
-            enumerated_tm(&m, &t, true).expect("small"),
-        ] {
-            let sigs: Vec<_> = m.signals().into_iter().collect();
-            let universe = Kripke::universal(&t, &sigs).expect("small");
+        for tm in [relational_tm(&m), enumerated_tm(&m, &t).expect("small")] {
             let c_now = Ltl::parse("c", &mut t).expect("parse");
             assert!(
-                satisfiable_in(&Ltl::and([tm, c_now]), &universe).is_none(),
+                !is_satisfiable(&Ltl::and([tm, c_now])),
                 "initial c=0 must be part of TM"
             );
         }
@@ -227,19 +211,5 @@ mod tests {
         let atoms = tm.atoms();
         assert!(atoms.contains(&t.lookup("g1").unwrap()));
         assert!(atoms.contains(&t.lookup("c").unwrap()));
-    }
-
-    #[test]
-    fn enumerated_tm_size_grows_without_merging() {
-        let mut t = SignalTable::new();
-        let m = example3(&mut t);
-        let merged = enumerated_tm(&m, &t, true).expect("small");
-        let raw = enumerated_tm(&m, &t, false).expect("small");
-        assert!(
-            merged.size() < raw.size(),
-            "guard merging must shrink TM ({} vs {})",
-            merged.size(),
-            raw.size()
-        );
     }
 }

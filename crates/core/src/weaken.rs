@@ -20,7 +20,7 @@
 //! keep their count down:
 //!
 //! * the bad-run pool is **seeded** with the runs term enumeration already
-//!   produced ([`find_gap_with_runs`]), so most non-closing candidates are
+//!   produced ([`find_gap`]'s `seed_runs`), so most non-closing candidates are
 //!   rejected by a word evaluation before any model check;
 //! * on the symbolic engine, every check reuses one cached design product
 //!   (`R ∧ ¬FA`) and re-encodes only the small candidate automaton.
@@ -154,7 +154,7 @@ pub struct UnknownGap {
 }
 
 /// The gap phase's outcome under graceful degradation
-/// ([`find_gap_outcome`]): the confirmed weakest gap properties, any
+/// ([`find_gap`]): the confirmed weakest gap properties, any
 /// candidates left unknown, and — when the scan stopped early on a
 /// deadline or left candidates unknown — the reason. Because candidates
 /// are claimed and merged strictly in canonical order, the confirmed set
@@ -163,7 +163,7 @@ pub struct UnknownGap {
 /// different selection.
 #[derive(Clone, Debug)]
 pub struct GapOutcome {
-    /// Confirmed gap properties (weakest first), as in [`find_gap`].
+    /// Confirmed gap properties (weakest first).
     pub properties: Vec<GapProperty>,
     /// Candidates whose verdict could not be settled.
     pub unknown: Vec<UnknownGap>,
@@ -201,61 +201,31 @@ struct Candidate {
 /// candidate closes the gap — callers then fall back to Theorem 2's
 /// [`exact_hole`](crate::exact_hole)).
 ///
-/// Candidate verification runs on the model's engine; both engines answer
-/// it on one memoized base product per property.
+/// The bad-run pool is seeded with `seed_runs`, known counterexample runs
+/// (the ones [`uncovered_terms`](crate::terms::uncovered_terms)
+/// enumerated; `&[]` for none). Every seeded run rejects — by a word
+/// evaluation — each candidate that still holds on it, so the expensive
+/// closure model checks are reached almost exclusively by candidates that
+/// actually close the gap, and the `max_gap_properties` budget is hit with
+/// far fewer full fixpoints. Candidate verification runs on the model's
+/// engine; both engines answer it on one memoized base product per
+/// property.
 ///
-/// # Errors
-///
-/// [`CoreError::Symbolic`] when the lazy symbolic build or a query
-/// exceeds the node budget.
-pub fn find_gap(
-    fa: &Ltl,
-    terms: &[TemporalCube],
-    rtl: &RtlSpec,
-    model: &CoverageModel,
-    config: &GapConfig,
-) -> Result<Vec<GapProperty>, CoreError> {
-    find_gap_with_runs(fa, terms, &[], rtl, model, config)
-}
-
-/// Like [`find_gap`], additionally seeding the bad-run pool with known
-/// counterexample runs (the ones
-/// [`uncovered_terms_with_runs`](crate::terms::uncovered_terms_with_runs)
-/// enumerated). Every seeded run rejects — by a word evaluation — each
-/// candidate that still holds on it, so the expensive closure model checks
-/// are reached almost exclusively by candidates that actually close the
-/// gap, and the `max_gap_properties` budget is hit with far fewer full
-/// fixpoints.
-///
-/// # Errors
-///
-/// As for [`find_gap`].
-pub fn find_gap_with_runs(
-    fa: &Ltl,
-    terms: &[TemporalCube],
-    seed_runs: &[LassoWord],
-    rtl: &RtlSpec,
-    model: &CoverageModel,
-    config: &GapConfig,
-) -> Result<Vec<GapProperty>, CoreError> {
-    find_gap_outcome(fa, terms, seed_runs, rtl, model, config).map(|o| o.properties)
-}
-
-/// The degradation-aware gap phase: like [`find_gap_with_runs`], but a
-/// deadline trip, a per-candidate resource refusal, or a worker panic
-/// mid-scan no longer aborts — the scan stops (or skips the candidate)
-/// and reports what it settled, with the remainder accounted for in
-/// [`GapOutcome::unknown`] / [`GapOutcome::incomplete`]. A per-candidate
-/// `NodeLimit` on the symbolic engine first retries that one candidate
-/// on the explicit engine (when the model's explicit-hostility axes
-/// allow) before marking it unknown; worker panics are isolated with
-/// `catch_unwind` and demoted to an unknown verdict plus diagnostic.
+/// The scan degrades instead of aborting: a deadline trip, a
+/// per-candidate resource refusal, or a worker panic mid-scan stops the
+/// scan (or skips the candidate) and reports what it settled, with the
+/// remainder accounted for in [`GapOutcome::unknown`] /
+/// [`GapOutcome::incomplete`]. A per-candidate `NodeLimit` on the symbolic
+/// engine first retries that one candidate on the explicit engine (when
+/// the model's explicit-hostility axes allow) before marking it unknown;
+/// worker panics are isolated with `catch_unwind` and demoted to an
+/// unknown verdict plus diagnostic.
 ///
 /// # Errors
 ///
 /// Only non-degradable failures: the lazy symbolic build and
 /// configuration/spec errors.
-pub fn find_gap_outcome(
+pub fn find_gap(
     fa: &Ltl,
     terms: &[TemporalCube],
     seed_runs: &[LassoWord],
@@ -1230,7 +1200,7 @@ mod tests {
     use crate::hole::closes_gap;
     use crate::model::CoverageModel;
     use crate::spec::{ArchSpec, RtlSpec};
-    use crate::terms::{uncovered_terms, uncovered_terms_with_runs};
+    use crate::terms::uncovered_terms;
     use dic_logic::{SignalId, SignalTable};
     use dic_ltl::random::{random_formula, XorShift64};
     use dic_netlist::ModuleBuilder;
@@ -1258,8 +1228,10 @@ mod tests {
         let (t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
-        let gaps = find_gap(fa, &terms, &rtl, &model, &config).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let gaps = find_gap(fa, &terms, &[], &rtl, &model, &config)
+            .expect("runs")
+            .properties;
         assert!(!gaps.is_empty(), "expected a structured gap property");
         for g in &gaps {
             // Weaker than FA and closes the gap — re-verify both.
@@ -1288,8 +1260,10 @@ mod tests {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
-        let gaps = find_gap(fa, &terms, &rtl, &model, &config).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let gaps = find_gap(fa, &terms, &[], &rtl, &model, &config)
+            .expect("runs")
+            .properties;
         // No kept candidate is strictly stronger than another kept one.
         for i in 0..gaps.len() {
             for j in 0..gaps.len() {
@@ -1308,9 +1282,13 @@ mod tests {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let (terms, runs) = uncovered_terms_with_runs(fa, &rtl, &model, &config).expect("runs");
-        let unseeded = find_gap(fa, &terms, &rtl, &model, &config).expect("runs");
-        let seeded = find_gap_with_runs(fa, &terms, &runs, &rtl, &model, &config).expect("runs");
+        let (terms, runs) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let unseeded = find_gap(fa, &terms, &[], &rtl, &model, &config)
+            .expect("runs")
+            .properties;
+        let seeded = find_gap(fa, &terms, &runs, &rtl, &model, &config)
+            .expect("runs")
+            .properties;
         let fmt = |gs: &[GapProperty]| {
             let mut v: Vec<String> = gs.iter().map(|g| format!("{:?}", g.formula)).collect();
             v.sort();
@@ -1371,8 +1349,9 @@ mod tests {
                 jobs,
                 ..GapConfig::default()
             };
-            let gaps =
-                find_gap(fa, std::slice::from_ref(&term), &rtl, &model, &config).expect("runs");
+            let gaps = find_gap(fa, std::slice::from_ref(&term), &[], &rtl, &model, &config)
+                .expect("runs")
+                .properties;
             let shown: Vec<String> = gaps.iter().map(|g| g.describe(&t)).collect();
             assert_eq!(
                 gaps.len(),
@@ -1399,7 +1378,7 @@ mod tests {
         let (_t, arch, rtl, model) = gapped();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
         let candidates = push_candidates(fa, &terms, model.observable(), &config);
         let base = rtl
             .formulas()
@@ -1510,7 +1489,7 @@ mod tests {
     /// Requires the signature screen to refute exactly the pairs the
     /// word-by-word screen refutes, among every ordered pair of `fa`'s
     /// candidate weakenings over `observable`, on the words
-    /// `find_gap_outcome` draws for them. An unrefuted pair goes to the
+    /// `find_gap` draws for them. An unrefuted pair goes to the
     /// same automata check either way, so `implies_screened` answers as
     /// before. Returns the number of weakenings.
     fn assert_screen_matches_word_by_word(fa: &Ltl, observable: &BTreeSet<SignalId>) -> usize {
@@ -1592,9 +1571,11 @@ mod tests {
         let model = CoverageModel::build(&arch, &rtl, &t).unwrap();
         let fa = arch.properties()[0].formula();
         let config = GapConfig::default();
-        let terms = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
+        let (terms, _) = uncovered_terms(fa, &rtl, &model, &config).expect("runs");
         assert!(terms.is_empty());
-        let gaps = find_gap(fa, &terms, &rtl, &model, &config).expect("runs");
+        let gaps = find_gap(fa, &terms, &[], &rtl, &model, &config)
+            .expect("runs")
+            .properties;
         assert!(gaps.is_empty());
     }
 }

@@ -73,7 +73,7 @@ mod tests {
         let (t, m) = latch_chain(4);
         assert_eq!(m.latches().len(), 4);
         assert_eq!(m.inputs().len(), 1);
-        let fsm = dic_fsm::extract_fsm(&m, &t, true).expect("fits");
+        let fsm = dic_fsm::extract_fsm(&m, &t).expect("fits");
         assert_eq!(fsm.num_states(), 16);
     }
 
@@ -81,8 +81,8 @@ mod tests {
     fn enumerated_tm_grows_much_faster_than_relational() {
         let (t3, m3) = latch_chain(3);
         let (t5, m5) = latch_chain(5);
-        let e3 = enumerated_tm(&m3, &t3, true).expect("fits").size();
-        let e5 = enumerated_tm(&m5, &t5, true).expect("fits").size();
+        let e3 = enumerated_tm(&m3, &t3).expect("fits").size();
+        let e5 = enumerated_tm(&m5, &t5).expect("fits").size();
         let r3 = relational_tm(&m3).size();
         let r5 = relational_tm(&m5).size();
         // Enumerated blows up exponentially; relational stays linear.

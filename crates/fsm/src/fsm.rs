@@ -1,9 +1,10 @@
 //! Explicit FSM extraction from a netlist module.
 
 use crate::error::FsmError;
-use dic_logic::{BddManager, Cube, Lit, SignalId, SignalTable, Valuation};
+use crate::kripke::reachable_latches;
+use dic_logic::{BddManager, Cube, Lit, SignalId, SignalTable};
 use dic_netlist::Module;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Bit budget for explicit enumeration (`state_bits + input_bits`).
@@ -23,17 +24,16 @@ pub struct FsmTransition {
 
 /// The explicit finite state machine of a concrete module.
 ///
-/// States are reachable latch valuations; transitions are guarded by input
-/// cubes. This is the `S_M = (I, O, S, S0, L, T)` of the paper's Section 3,
-/// with `L(s)` exposed as [`Fsm::state_cube`] and `T` as
-/// [`Fsm::transitions`].
+/// States are reachable latch valuations, state 0 being the reset state;
+/// transitions are guarded by input cubes. This is the
+/// `S_M = (I, O, S, S0, L, T)` of the paper's Section 3, with `L(s)`
+/// exposed as [`Fsm::state_cube`] and `T` as [`Fsm::transitions`].
 #[derive(Clone, Debug)]
 pub struct Fsm {
     state_vars: Vec<SignalId>,
     input_vars: Vec<SignalId>,
     /// Latch valuations (packed keys over `state_vars`), index = state id.
     states: Vec<u64>,
-    initial: usize,
     transitions: Vec<FsmTransition>,
 }
 
@@ -53,14 +53,9 @@ impl Fsm {
         self.states.len()
     }
 
-    /// Number of transitions (after any guard merging).
+    /// Number of transitions (after guard merging).
     pub fn num_transitions(&self) -> usize {
         self.transitions.len()
-    }
-
-    /// Index of the initial (reset) state.
-    pub fn initial(&self) -> usize {
-        self.initial
     }
 
     /// The packed latch valuation of state `id`.
@@ -91,11 +86,7 @@ impl Fsm {
         let mut out = String::from("digraph fsm {\n  rankdir=LR;\n");
         for (i, _key) in self.states.iter().enumerate() {
             let label = self.state_cube(i).display(table).to_string();
-            let shape = if i == self.initial {
-                "doublecircle"
-            } else {
-                "circle"
-            };
+            let shape = if i == 0 { "doublecircle" } else { "circle" };
             let _ = writeln!(out, "  s{i} [label=\"{label}\", shape={shape}];");
         }
         for t in &self.transitions {
@@ -109,23 +100,20 @@ impl Fsm {
 
 /// Extracts the explicit FSM of `module`.
 ///
-/// With `merge_inputs` set, input valuations leading from the same source to
-/// the same destination are merged into irredundant guard cubes via the BDD
-/// engine (the form used in the paper's Example 3, where the four minterm
-/// transitions collapse to guards `a & b` and `!(a & b)`); otherwise each
-/// transition carries a full input minterm.
+/// States are numbered in breadth-first order from reset. Input valuations
+/// leading from the same source to the same destination are merged into
+/// irredundant guard cubes via the BDD engine (the form used in the
+/// paper's Example 3, where the four minterm transitions collapse to
+/// guards `a & b` and `!(a & b)`).
 ///
 /// # Errors
 ///
 /// [`FsmError::TooLarge`] if `latches + inputs` exceeds
-/// [`EXPLICIT_BIT_LIMIT`] bits.
+/// [`EXPLICIT_BIT_LIMIT`] bits; [`FsmError::Deadline`] if the cooperative
+/// deadline passes while the reachable states are enumerated.
 ///
 /// See the [crate-level example](crate) for usage.
-pub fn extract_fsm(
-    module: &Module,
-    table: &SignalTable,
-    merge_inputs: bool,
-) -> Result<Fsm, FsmError> {
+pub fn extract_fsm(module: &Module, table: &SignalTable) -> Result<Fsm, FsmError> {
     let state_vars: Vec<SignalId> = module.state_signals();
     let input_vars: Vec<SignalId> = module.inputs().to_vec();
     if state_vars.len() + input_vars.len() > EXPLICIT_BIT_LIMIT {
@@ -136,58 +124,12 @@ pub fn extract_fsm(
         });
     }
 
-    // Reset state key.
-    let mut reset = Valuation::all_false(table.len());
-    module.apply_reset(&mut reset);
-    let init_key = reset.project_key(&state_vars);
-
-    let mut states = vec![init_key];
-    let mut index: HashMap<u64, usize> = HashMap::from([(init_key, 0)]);
-    // (from, to) -> input keys (for merging); or direct transition list.
-    let mut raw: Vec<(usize, u64, usize)> = Vec::new();
-    let mut work = vec![0usize];
-    let n_inputs = input_vars.len();
-    let mut scratch = Valuation::all_false(table.len());
-
-    while let Some(from) = work.pop() {
-        let from_key = states[from];
-        for input_key in 0..(1u64 << n_inputs) {
-            scratch.assign_key(&state_vars, from_key);
-            scratch.assign_key(&input_vars, input_key);
-            module.eval_wires(&mut scratch);
-            let next = module.next_latch_values(&scratch);
-            let mut to_key = 0u64;
-            for (bit, v) in next.iter().enumerate() {
-                if *v {
-                    to_key |= 1 << bit;
-                }
-            }
-            let to = *index.entry(to_key).or_insert_with(|| {
-                states.push(to_key);
-                work.push(states.len() - 1);
-                states.len() - 1
-            });
-            raw.push((from, input_key, to));
-        }
-    }
-
-    let transitions = if merge_inputs {
-        merge_guards(&raw, &input_vars)
-    } else {
-        raw.iter()
-            .map(|&(from, input_key, to)| FsmTransition {
-                from,
-                to,
-                guard: minterm(&input_vars, input_key),
-            })
-            .collect()
-    };
-
+    let (states, next_latch) = reachable_latches(module, table, &state_vars, &input_vars)?;
+    let transitions = merge_guards(&next_latch, &input_vars);
     Ok(Fsm {
         state_vars,
         input_vars,
         states,
-        initial: 0,
         transitions,
     })
 }
@@ -203,25 +145,31 @@ fn minterm(input_vars: &[SignalId], key: u64) -> Cube {
     .expect("one literal per signal")
 }
 
-/// Merges per-(from,to) input sets into irredundant cube covers.
-fn merge_guards(raw: &[(usize, u64, usize)], input_vars: &[SignalId]) -> Vec<FsmTransition> {
-    let mut grouped: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-    for &(from, input_key, to) in raw {
-        grouped.entry((from, to)).or_default().push(input_key);
-    }
-    let mut pairs: Vec<((usize, usize), Vec<u64>)> = grouped.into_iter().collect();
-    pairs.sort();
+/// Merges the input keys leading from one state to the same successor
+/// into irredundant cube covers, ordered by source, then successor;
+/// `next_latch` is the walk's successor table, one row of `2^inputs`
+/// entries per state.
+fn merge_guards(next_latch: &[u32], input_vars: &[SignalId]) -> Vec<FsmTransition> {
     let mut man = BddManager::new();
     let mut out = Vec::new();
-    for ((from, to), keys) in pairs {
-        let mut f = dic_logic::Bdd::FALSE;
-        for key in keys {
-            let c = minterm(input_vars, key);
-            let cb = man.from_cube(&c);
-            f = man.or(f, cb);
+    for (from, row) in next_latch.chunks(1 << input_vars.len()).enumerate() {
+        let mut by_target: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        for (input_key, &to) in row.iter().enumerate() {
+            by_target
+                .entry(to as usize)
+                .or_default()
+                .push(input_key as u64);
         }
-        for guard in man.cubes(f) {
-            out.push(FsmTransition { from, to, guard });
+        for (to, keys) in by_target {
+            let mut f = dic_logic::Bdd::FALSE;
+            for key in keys {
+                let c = minterm(input_vars, key);
+                let cb = man.from_cube(&c);
+                f = man.or(f, cb);
+            }
+            for guard in man.cubes(f) {
+                out.push(FsmTransition { from, to, guard });
+            }
         }
     }
     out
@@ -251,10 +199,9 @@ mod tests {
     fn example3_fsm_shape() {
         let mut t = SignalTable::new();
         let m = simple_model(&mut t);
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         // Two states (c=0, c=1) as in Fig. 5(b).
         assert_eq!(fsm.num_states(), 2);
-        assert_eq!(fsm.initial(), 0);
         assert_eq!(fsm.state_key(0), 0);
         // Four merged transitions: from each state, (a&b) -> c=1 and
         // !(a&b) (two cubes: !a, !b or similar cover) -> c=0.
@@ -270,22 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn unmerged_transitions_are_minterms() {
-        let mut t = SignalTable::new();
-        let m = simple_model(&mut t);
-        let fsm = extract_fsm(&m, &t, false).expect("fits");
-        // 2 states x 4 input minterms.
-        assert_eq!(fsm.num_transitions(), 8);
-        for tr in fsm.transitions() {
-            assert_eq!(tr.guard.len(), 2, "full minterms over a,b");
-        }
-    }
-
-    #[test]
     fn state_cube_characterizes_state() {
         let mut t = SignalTable::new();
         let m = simple_model(&mut t);
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         let c = t.lookup("c").unwrap();
         assert_eq!(fsm.state_cube(0).polarity_of(c), Some(false));
         let one = (0..fsm.num_states())
@@ -301,7 +236,7 @@ mod tests {
         let mut b = ModuleBuilder::new("stuck", &mut t);
         b.latch("q", BoolExpr::ff(), false);
         let m = b.finish().expect("valid");
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         assert_eq!(fsm.num_states(), 1);
         assert_eq!(fsm.num_transitions(), 1); // true-guard self loop
         assert!(fsm.transitions()[0].guard.is_empty());
@@ -321,7 +256,7 @@ mod tests {
             false,
         );
         let m = b.finish().expect("valid");
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         assert_eq!(fsm.num_states(), 4);
         assert_eq!(fsm.num_transitions(), 4); // deterministic, no inputs
                                               // Each state has exactly one successor, forming one cycle of length 4.
@@ -331,13 +266,13 @@ mod tests {
             next[tr.from] = tr.to;
         }
         let mut seen = [false; 4];
-        let mut cur = fsm.initial();
+        let mut cur = 0;
         for _ in 0..4 {
             assert!(!seen[cur]);
             seen[cur] = true;
             cur = next[cur];
         }
-        assert_eq!(cur, fsm.initial());
+        assert_eq!(cur, 0);
     }
 
     #[test]
@@ -352,7 +287,7 @@ mod tests {
         b.latch("q", BoolExpr::var(first.expect("30 inputs")), false);
         let m = b.finish().expect("valid");
         assert!(matches!(
-            extract_fsm(&m, &t, true),
+            extract_fsm(&m, &t),
             Err(FsmError::TooLarge { .. })
         ));
     }
@@ -361,7 +296,7 @@ mod tests {
     fn dot_export_mentions_states() {
         let mut t = SignalTable::new();
         let m = simple_model(&mut t);
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         let dot = fsm.to_dot(&t);
         assert!(dot.contains("digraph fsm"));
         assert!(dot.contains("!c"));

@@ -47,7 +47,8 @@ impl Kripke {
     /// # Errors
     ///
     /// [`FsmError::TooLarge`] if the state space exceeds
-    /// [`KRIPKE_BIT_LIMIT`] bits.
+    /// [`KRIPKE_BIT_LIMIT`] bits; [`FsmError::Deadline`] if the cooperative
+    /// deadline passes while the reachable latch states are enumerated.
     pub fn from_module(
         module: &Module,
         table: &SignalTable,
@@ -64,43 +65,7 @@ impl Kripke {
         }
         let n_input_bits = input_vars.len() as u32;
         let mut build_span = dic_trace::span("fsm.kripke_build");
-
-        // Reachable latch keys by BFS.
-        let mut reset = Valuation::all_false(table.len());
-        module.apply_reset(&mut reset);
-        let init_key = reset.project_key(&state_vars);
-        let mut latch_keys = vec![init_key];
-        let mut index: HashMap<u64, u32> = HashMap::from([(init_key, 0)]);
-        let mut next_latch: Vec<u32> = Vec::new();
-        let mut scratch = Valuation::all_false(table.len());
-        let mut frontier = 0usize;
-        while frontier < latch_keys.len() {
-            // Cooperative deadline checkpoint per expansion batch (one
-            // latch state × all input keys); the structures are consistent
-            // between batches, so the refusal is clean.
-            if dic_fault::deadline_expired() {
-                return Err(FsmError::Deadline);
-            }
-            let from_key = latch_keys[frontier];
-            for input_key in 0..(1u64 << n_input_bits) {
-                scratch.assign_key(&state_vars, from_key);
-                scratch.assign_key(&input_vars, input_key);
-                module.eval_wires(&mut scratch);
-                let next = module.next_latch_values(&scratch);
-                let mut to_key = 0u64;
-                for (bit, v) in next.iter().enumerate() {
-                    if *v {
-                        to_key |= 1 << bit;
-                    }
-                }
-                let to = *index.entry(to_key).or_insert_with(|| {
-                    latch_keys.push(to_key);
-                    (latch_keys.len() - 1) as u32
-                });
-                next_latch.push(to);
-            }
-            frontier += 1;
-        }
+        let (latch_keys, next_latch) = reachable_latches(module, table, &state_vars, &input_vars)?;
 
         // Labels for every (latch, input) pair.
         let mut labels = Vec::with_capacity(latch_keys.len() << n_input_bits);
@@ -129,38 +94,6 @@ impl Kripke {
             latch_keys,
             n_input_bits,
             next_latch,
-            labels,
-        })
-    }
-
-    /// A stateless Kripke structure over `signals` only: every valuation is
-    /// a state, every state reaches every state. Its runs are *all* infinite
-    /// words, so model checking against it decides plain LTL validity.
-    ///
-    /// # Errors
-    ///
-    /// [`FsmError::TooLarge`] if `signals` exceeds [`KRIPKE_BIT_LIMIT`].
-    pub fn universal(table: &SignalTable, signals: &[SignalId]) -> Result<Self, FsmError> {
-        if signals.len() > KRIPKE_BIT_LIMIT {
-            return Err(FsmError::TooLarge {
-                state_bits: 0,
-                input_bits: signals.len(),
-                limit: KRIPKE_BIT_LIMIT,
-            });
-        }
-        let n = signals.len() as u32;
-        let mut labels = Vec::with_capacity(1usize << n);
-        for key in 0..(1u64 << n) {
-            let mut v = Valuation::all_false(table.len());
-            v.assign_key(signals, key);
-            labels.push(v);
-        }
-        Ok(Kripke {
-            state_vars: Vec::new(),
-            input_vars: signals.to_vec(),
-            latch_keys: vec![0],
-            n_input_bits: n,
-            next_latch: vec![0; 1usize << n],
             labels,
         })
     }
@@ -196,6 +129,55 @@ impl Kripke {
     pub fn label(&self, state: StateId) -> &Valuation {
         &self.labels[state as usize]
     }
+}
+
+/// The reachable latch states of `module`, breadth-first from reset: the
+/// packed latch valuations over `state_vars` in discovery order (entry 0
+/// is the reset state), and the successor table
+/// `next[latch_idx << input_vars.len() | input_key]` = next latch index.
+///
+/// # Errors
+///
+/// [`FsmError::Deadline`] when the cooperative deadline has passed; it is
+/// checked once per latch state expanded.
+pub(crate) fn reachable_latches(
+    module: &Module,
+    table: &SignalTable,
+    state_vars: &[SignalId],
+    input_vars: &[SignalId],
+) -> Result<(Vec<u64>, Vec<u32>), FsmError> {
+    let mut scratch = Valuation::all_false(table.len());
+    module.apply_reset(&mut scratch);
+    let init_key = scratch.project_key(state_vars);
+    let mut latch_keys = vec![init_key];
+    let mut index: HashMap<u64, u32> = HashMap::from([(init_key, 0)]);
+    let mut next_latch: Vec<u32> = Vec::new();
+    let mut frontier = 0usize;
+    while frontier < latch_keys.len() {
+        if dic_fault::deadline_expired() {
+            return Err(FsmError::Deadline);
+        }
+        let from_key = latch_keys[frontier];
+        for input_key in 0..(1u64 << input_vars.len()) {
+            scratch.assign_key(state_vars, from_key);
+            scratch.assign_key(input_vars, input_key);
+            module.eval_wires(&mut scratch);
+            let next = module.next_latch_values(&scratch);
+            let mut to_key = 0u64;
+            for (bit, v) in next.iter().enumerate() {
+                if *v {
+                    to_key |= 1 << bit;
+                }
+            }
+            let to = *index.entry(to_key).or_insert_with(|| {
+                latch_keys.push(to_key);
+                (latch_keys.len() - 1) as u32
+            });
+            next_latch.push(to);
+        }
+        frontier += 1;
+    }
+    Ok((latch_keys, next_latch))
 }
 
 #[cfg(test)]
@@ -284,26 +266,14 @@ mod tests {
     }
 
     #[test]
-    fn universal_structure_is_complete() {
-        let mut t = SignalTable::new();
-        let p = t.intern("p");
-        let q = t.intern("q");
-        let k = Kripke::universal(&t, &[p, q]).expect("fits");
-        assert_eq!(k.num_states(), 4);
-        // Fully connected: every state reaches all four.
-        for s in 0..4u32 {
-            let succs: Vec<_> = k.successors(s).collect();
-            assert_eq!(succs.len(), 4);
-        }
-        assert_eq!(k.initial_states().count(), 4);
-    }
-
-    #[test]
     fn too_large_rejected() {
         let mut t = SignalTable::new();
-        let sigs: Vec<_> = (0..25).map(|i| t.intern(&format!("s{i}"))).collect();
+        let mut b = ModuleBuilder::new("wide", &mut t);
+        let inputs: Vec<_> = (0..25).map(|i| b.input(&format!("i{i}"))).collect();
+        b.latch("q", BoolExpr::var(inputs[0]), false);
+        let m = b.finish().expect("valid");
         assert!(matches!(
-            Kripke::universal(&t, &sigs),
+            Kripke::from_module(&m, &t, &[]),
             Err(FsmError::TooLarge { .. })
         ));
     }

@@ -5,14 +5,19 @@
 //!
 //! * [`Fsm`] — the explicit finite state machine of a concrete module
 //!   (paper Section 3: "Given a RTL model M we extract the Finite State
-//!   Machine S_M modeling it"), with optional BDD-backed merging of input
-//!   valuations into transition guard cubes. This feeds the `T_M`
-//!   construction of Definition 4.
+//!   Machine S_M modeling it"), with the input valuations of each
+//!   transition merged into BDD-minimized guard cubes. This feeds the
+//!   `T_M` construction of Definition 4.
 //! * [`Kripke`] — the runs of the composed concrete modules with every
 //!   *other* signal left free (inputs re-chosen nondeterministically each
 //!   cycle), which is exactly the set of "runs … consistent with the
 //!   concrete modules" of Definition 1. The model checker explores it
 //!   on the fly.
+//!
+//! Both are built from one breadth-first walk of the module's reachable
+//! latch states from reset, which checks the cooperative deadline
+//! (`dic_fault`) once per latch state and refuses with
+//! [`FsmError::Deadline`] once it has passed.
 //!
 //! # Example
 //!
@@ -30,9 +35,9 @@
 //! b.latch("c", BoolExpr::and([BoolExpr::var(a), BoolExpr::var(bb)]), false);
 //! let m = b.finish()?;
 //!
-//! let fsm = extract_fsm(&m, &t, true)?;
+//! let fsm = extract_fsm(&m, &t)?;
 //! assert_eq!(fsm.num_states(), 2);        // c=0 and c=1
-//! // Merged guards: per state, `a & b` plus the two-cube cover of !(a & b).
+//! // Per state, `a & b` plus the two-cube cover of !(a & b).
 //! assert_eq!(fsm.num_transitions(), 6);
 //!
 //! let k = Kripke::from_module(&m, &t, &[])?;

@@ -119,7 +119,7 @@ proptest! {
         n_latch in 1usize..4,
     ) {
         let (t, m) = rand_module(seed, n_in, n_latch);
-        let fsm = extract_fsm(&m, &t, true).expect("fits");
+        let fsm = extract_fsm(&m, &t).expect("fits");
         let state_vars = fsm.state_vars().to_vec();
         let input_vars = fsm.input_vars().to_vec();
 

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The concrete arbiter, as the tool sees it.
     let arbiter = &design.rtl.concrete()[0];
     println!("\n== arbiter RTL ==\n{}", arbiter.to_snl(&design.table));
-    let fsm = extract_fsm(arbiter, &design.table, true)?;
+    let fsm = extract_fsm(arbiter, &design.table)?;
     println!(
         "arbiter FSM: {} states, {} transitions",
         fsm.num_states(),

@@ -61,7 +61,7 @@ fn main() {
 
     // Phase 2 — uncovered terms UM (steps 2(a)/(b)).
     let t1 = Instant::now();
-    let terms = uncovered_terms(fa, &d.rtl, &model, &config).expect("within backend limits");
+    let (terms, _) = uncovered_terms(fa, &d.rtl, &model, &config).expect("within backend limits");
     println!(
         "\n== Uncovered terms UM ({} terms, {:?}):",
         terms.len(),
@@ -89,7 +89,9 @@ fn main() {
 
     // Phase 4 — weakening and verification (step 2(d)).
     let t2 = Instant::now();
-    let gaps = find_gap(fa, &terms, &d.rtl, &model, &config).expect("within backend limits");
+    let gaps = find_gap(fa, &terms, &[], &d.rtl, &model, &config)
+        .expect("within backend limits")
+        .properties;
     println!(
         "\n== Gap properties ({} closing candidates, {:?}; weakest first):",
         gaps.len(),

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== SNL of the model ==\n{}", module.to_snl(&table));
 
     // ---- FSM extraction (Section 3) ---------------------------------------
-    let fsm = extract_fsm(&module, &table, true)?;
+    let fsm = extract_fsm(&module, &table)?;
     println!(
         "extracted FSM: {} states, {} transitions (input guards merged)",
         fsm.num_states(),
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", fsm.to_dot(&table));
 
     // ---- T_M (Definition 4) ------------------------------------------------
-    let tm_enum = enumerated_tm(&module, &table, true)?;
+    let tm_enum = enumerated_tm(&module, &table)?;
     let tm_rel = relational_tm(&module);
     println!(
         "T_M (enumerated, as in the paper):\n  {}",

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("RTL spec covers it? — no: R1 is silent when busy is high.\n");
 
     // Algorithm 1's gap properties: free to mention any observable signal.
-    let terms = uncovered_terms(&a1, &rtl, &model, &config)?;
-    let gaps = find_gap(&a1, &terms, &rtl, &model, &config)?;
+    let (terms, _) = uncovered_terms(&a1, &rtl, &model, &config)?;
+    let gaps = find_gap(&a1, &terms, &[], &rtl, &model, &config)?.properties;
     println!("== Algorithm 1 gap properties (over all observables):");
     for g in &gaps {
         println!("  {}", g.describe(&t));

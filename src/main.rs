@@ -135,9 +135,9 @@ fn ctx_err(name: &str, e: CoreError) -> CliError {
 /// resource errors, everything else is the caller's problem.
 fn core_err(e: CoreError) -> CliError {
     // The pipeline turns degradable errors (state-space and node-budget
-    // refusals, deadline trips) into a partial report; the one that
-    // reaches here is `table1`'s enumerated `T_M` past the explicit limit,
-    // a resource error.
+    // refusals, deadline trips) into a partial report; the ones that
+    // reach here are `table1`'s enumerated `T_M` past the explicit limit
+    // or past the deadline, resource errors.
     if e.is_degradable() {
         CliError::Resource(e.to_string())
     } else {
@@ -572,7 +572,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
         let tm_span = dic_trace::span("table1.enumerated_tm");
         let t0 = dic_trace::Stopwatch::start();
         for module in design.rtl.concrete() {
-            dic_core::tm::enumerated_tm(module, &design.table, true)
+            dic_core::tm::enumerated_tm(module, &design.table)
                 .map_err(|e| ctx_err(design.name, e.into()))?;
         }
         let tm_build = t0.elapsed();
@@ -586,7 +586,7 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
             incomplete_designs.push(format!("{}: {reason}", design.name));
         }
         outln!(
-            "{:<14} {:>9} {:>9} {:>12.4} {:>12.4} {:>12.4}",
+            "{:<14} {:>9} {:>9} {:>12.6} {:>12.6} {:>12.6}",
             design.name,
             run.num_rtl_properties,
             run.backend.to_string(),
@@ -638,7 +638,7 @@ fn cmd_fsm(args: &[String]) -> Result<ExitCode, CliError> {
     let name = flags.value("--design").ok_or("fsm needs --design <name>")?;
     let design = find_design(name)?;
     for module in design.rtl.concrete() {
-        let fsm = extract_fsm(module, &design.table, true).map_err(|e| e.to_string())?;
+        let fsm = extract_fsm(module, &design.table).map_err(|e| e.to_string())?;
         outln!("// module {} ({} states)", module.name(), fsm.num_states())?;
         outln!("{}", fsm.to_dot(&design.table))?;
     }

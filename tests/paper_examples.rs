@@ -59,7 +59,7 @@ fn ex4_paper_gap_property_closes() {
 #[test]
 fn ex3_fsm_and_tm() {
     let (t, m) = simple::model();
-    let fsm = extract_fsm(&m, &t, true).expect("small");
+    let fsm = extract_fsm(&m, &t).expect("small");
     assert_eq!(fsm.num_states(), 2, "Fig. 5(b) has two states");
     // T_M holds on the model itself.
     let k = specmatcher::fsm::Kripke::from_module(&m, &t, &[]).expect("small");
